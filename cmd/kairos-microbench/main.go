@@ -1,9 +1,10 @@
 // Command kairos-microbench runs the repository's perf-critical
-// microbenchmarks — the assignment solvers (the matching distributor's
-// inner loop), the matching-distributor Assign hot path (the controller's
-// per-round scheduling cost), the shared-budget fleet allocator, the
-// live serving path (wire-frame encode/decode and loopback
-// Submit→complete throughput through the sharded controller), the
+// microbenchmarks — the workspace assignment solver (the matching
+// distributor's inner loop), the matching-distributor Assign hot path (the
+// controller's per-round scheduling cost), the shared-budget fleet
+// allocator, the live serving path (wire-frame encode/decode and loopback
+// Submit→complete throughput through the sharded controller, under the
+// plumbing-only LeastBacklog policy and under the paper's kairos+warm), the
 // flight-recorder hot paths (histogram record and trace stamping), and
 // the ingress hot path (external Submit→complete over HTTP and binary
 // TCP) —
@@ -65,14 +66,16 @@ func randomMatrix(r, c int, seed int64) assignment.Matrix {
 	return m
 }
 
-// solverBench benchmarks one assignment solver on an n x n matrix.
-func solverBench(solve func(assignment.Matrix) ([]int, []int, float64, error), n int) func(*testing.B) {
+// solverBench benchmarks the workspace JV solver, as the distributor
+// holds it, on an n x n matrix.
+func solverBench(n int) func(*testing.B) {
 	return func(b *testing.B) {
 		m := randomMatrix(n, n, 42)
+		var w assignment.Workspace
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, _, err := solve(m); err != nil {
+			if _, err := w.Solve(m); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -250,13 +253,24 @@ func obsBench(c obs.BenchCase) func(*testing.B) {
 	}
 }
 
+// kairosWarm builds the paper's warmed matching policy for one model of
+// the serving-path fixture (its instance types are the default pool's).
+func kairosWarm(m kairos.Model, _ []string) kairos.Distributor {
+	d, err := kairos.NewPolicy("kairos+warm", kairos.PolicyContext{Pool: kairos.DefaultPool(), Model: m})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return d
+}
+
 // controllerThroughputBench drives closed-loop submitters through the
 // shared serving-path fixture (server.StartBenchCluster: 2 models x 2
-// loopback instance servers each, LeastBacklog policy): ns/op is the
-// sustained Submit→complete cost of the whole live path.
-func controllerThroughputBench() func(*testing.B) {
+// loopback instance servers each): ns/op is the sustained Submit→complete
+// cost of the whole live path. A nil mkPolicy measures the plumbing alone
+// under LeastBacklog; kairosWarm adds the matching round users run.
+func controllerThroughputBench(mkPolicy func(kairos.Model, []string) kairos.Distributor) func(*testing.B) {
 	return func(b *testing.B) {
-		cluster, err := server.StartBenchCluster(1e-6, nil)
+		cluster, err := server.StartBenchCluster(1e-6, mkPolicy)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -320,13 +334,12 @@ func main() {
 		name string
 		fn   func(*testing.B)
 	}{
-		{"Hungarian16", solverBench(assignment.Hungarian, 16)},
-		{"Hungarian64", solverBench(assignment.Hungarian, 64)},
-		{"JV16", solverBench(assignment.Solve, 16)},
-		{"JV64", solverBench(assignment.Solve, 64)},
+		{"JV16", solverBench(16)},
+		{"JV64", solverBench(64)},
 		{"DistributorAssign8x4", assignBench(8, 4)},
 		{"DistributorAssign32x8", assignBench(32, 8)},
 		{"DistributorAssign64x16", assignBench(64, 16)},
+		{"DistributorAssign1000x16", assignBench(1000, 16)},
 		{"PlanFleet2Models", planFleetBench()},
 		{"PlanFleet100Models", planFleet100Bench()},
 		{"PlanFleetIncrementalOneDirty", planFleetOneDirtyBench()},
@@ -346,7 +359,11 @@ func main() {
 	benches = append(benches, struct {
 		name string
 		fn   func(*testing.B)
-	}{"ControllerThroughput", controllerThroughputBench()})
+	}{"ControllerThroughput", controllerThroughputBench(nil)})
+	benches = append(benches, struct {
+		name string
+		fn   func(*testing.B)
+	}{"ControllerThroughputKairosPolicy", controllerThroughputBench(kairosWarm)})
 	benches = append(benches, struct {
 		name string
 		fn   func(*testing.B)

@@ -237,6 +237,119 @@ func TestSolveMatchesHungarianLarge(t *testing.T) {
 	}
 }
 
+// workspaceTotal solves m (rows <= columns) through w and returns the
+// matching's cost after checking that it is a matching.
+func workspaceTotal(t *testing.T, w *Workspace, m Matrix) float64 {
+	t.Helper()
+	col4row, err := w.Solve(m)
+	if err != nil {
+		t.Fatalf("Workspace.Solve %dx%d: %v", m.R, m.C, err)
+	}
+	rows := make([]int, m.R)
+	for i := range rows {
+		rows[i] = i
+	}
+	checkValidMatching(t, m, rows, col4row)
+	return m.Cost(rows, col4row)
+}
+
+// plateauMatrix is a random matrix the way Eq. 8 makes them: a share of
+// the cells sit on one penalty value and the rest repeat a few costs, so
+// ties are everywhere.
+func plateauMatrix(rng *rand.Rand, r, c int) Matrix {
+	m := NewMatrix(r, c)
+	for i := range m.Data {
+		switch rng.Intn(3) {
+		case 0:
+			m.Data[i] = 1000
+		case 1:
+			m.Data[i] = float64(rng.Intn(5))
+		default:
+			m.Data[i] = math.Round(rng.Float64()*5000) / 100
+		}
+	}
+	return m
+}
+
+// TestWorkspaceMatchesOracles: one workspace, reused across shapes that
+// grow and shrink, must find the brute-force optimum on every small
+// matrix and the Hungarian optimum on every larger one, ties or not; the
+// Solve wrapper must agree on the tall transposes.
+func TestWorkspaceMatchesOracles(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	var w Workspace
+	for trial := 0; trial < 3000; trial++ {
+		small := trial%2 == 0
+		r, c := 1+rng.Intn(40), 1+rng.Intn(40)
+		if small {
+			r, c = 1+rng.Intn(7), 1+rng.Intn(7)
+		}
+		if r > c {
+			r, c = c, r
+		}
+		m := randomMatrix(rng, r, c, 50)
+		if trial%3 == 0 {
+			m = plateauMatrix(rng, r, c)
+		}
+		got := workspaceTotal(t, &w, m)
+		oracle, name := Hungarian, "Hungarian"
+		if small {
+			oracle, name = BruteForce, "brute force"
+		}
+		_, _, want, err := oracle(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-want) > 1e-9 {
+			t.Fatalf("trial %d (%dx%d): workspace %v, %s %v, matrix %v", trial, r, c, got, name, want, m)
+		}
+		tall := m.Transpose()
+		rows, cols, total, err := Solve(tall)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkValidMatching(t, tall, rows, cols)
+		if math.Abs(total-want) > 1e-9 {
+			t.Fatalf("trial %d: Solve on the %dx%d transpose %v, %s %v", trial, c, r, total, name, want)
+		}
+	}
+}
+
+// TestWorkspaceAllocatesNothing: once grown to the largest shape, the
+// workspace solves any shape without allocating.
+func TestWorkspaceAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var w Workspace
+	shapes := [][2]int{{16, 1000}, {1, 1}, {4, 8}, {16, 64}, {64, 64}, {2, 3}}
+	ms := make([]Matrix, len(shapes))
+	for k, s := range shapes {
+		ms[k] = randomMatrix(rng, s[0], s[1], 100)
+	}
+	workspaceTotal(t, &w, NewMatrix(64, 1000)) // covers every shape below
+	for k, m := range ms {
+		if allocs := testing.AllocsPerRun(10, func() { w.Solve(m) }); allocs != 0 {
+			t.Errorf("%dx%d: %v allocs per solve, want 0", shapes[k][0], shapes[k][1], allocs)
+		}
+	}
+}
+
+// TestWorkspaceSkipsUnusableCells: the hot path scans nothing, so a NaN or
+// +Inf cell is simply never chosen, and a row of them is infeasible.
+func TestWorkspaceSkipsUnusableCells(t *testing.T) {
+	var w Workspace
+	m, _ := FromRows([][]float64{
+		{math.NaN(), 4, 1},
+		{2, math.Inf(1), 1},
+	})
+	if got := workspaceTotal(t, &w, m); got != 3 {
+		t.Fatalf("total %v, want 3 (the optimum over the usable cells)", got)
+	}
+	bad, _ := FromRows([][]float64{{math.NaN(), math.Inf(1)}})
+	if _, err := w.Solve(bad); err != ErrInfeasible {
+		t.Fatalf("err = %v, want ErrInfeasible", err)
+	}
+}
+
 // TestSolvePenaltyAvoidance mirrors Kairos Eq. 8: entries carrying a large
 // penalty must be avoided whenever a feasible perfect matching exists.
 func TestSolvePenaltyAvoidance(t *testing.T) {

@@ -5,32 +5,25 @@ import (
 	"testing"
 )
 
-// The assignment solvers are the matching distributor's inner loop; these
-// benchmarks feed the CI perf-tracking job (BENCH_micro.json).
-// randomMatrix comes from assignment_test.go.
+// The workspace solver is the matching distributor's inner loop; these
+// benchmarks feed the CI perf-tracking job (BENCH_micro.json), which
+// holds them at zero allocations. randomMatrix comes from
+// assignment_test.go.
 
-func benchSolver(b *testing.B, solve func(Matrix) ([]int, []int, float64, error), n int) {
-	m := randomMatrix(rand.New(rand.NewSource(42)), n, n, 100)
+func benchWorkspace(b *testing.B, r, c int) {
+	m := randomMatrix(rand.New(rand.NewSource(42)), r, c, 100)
+	var w Workspace
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := solve(m); err != nil {
+		if _, err := w.Solve(m); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkHungarian16(b *testing.B) { benchSolver(b, Hungarian, 16) }
-func BenchmarkHungarian64(b *testing.B) { benchSolver(b, Hungarian, 64) }
-func BenchmarkJV16(b *testing.B)        { benchSolver(b, Solve, 16) }
-func BenchmarkJV64(b *testing.B)        { benchSolver(b, Solve, 64) }
-func BenchmarkJVRect32x8(b *testing.B) {
-	m := randomMatrix(rand.New(rand.NewSource(42)), 32, 8, 100)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, _, err := Solve(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkJV16(b *testing.B) { benchWorkspace(b, 16, 16) }
+func BenchmarkJV64(b *testing.B) { benchWorkspace(b, 64, 64) }
+
+// The distributor's deep-queue orientation: instances x surviving queries.
+func BenchmarkJVRect8x32(b *testing.B) { benchWorkspace(b, 8, 32) }

@@ -2,6 +2,7 @@ package assignment
 
 import (
 	"errors"
+	"fmt"
 	"math"
 )
 
@@ -14,10 +15,9 @@ var ErrInfeasible = errors.New("assignment: infeasible cost matrix")
 // returned pairing matches min(m, n) row/column pairs; rows[k] is matched to
 // cols[k]. The total cost of the matching is returned alongside.
 //
-// The implementation is the Jonker-Volgenant shortest augmenting path
-// algorithm for dense rectangular problems (Crouse, 2016), the algorithm
-// used by scipy.optimize.linear_sum_assignment that the paper's
-// implementation calls (Sec. 6). Complexity is O(min(m,n)^2 * max(m,n)).
+// It is the convenience form of Workspace.Solve: it validates the costs,
+// accepts either orientation and returns fresh slices. The matching
+// distributor's hot path holds a Workspace instead.
 func Solve(cost Matrix) (rows, cols []int, total float64, err error) {
 	if err := cost.validate(); err != nil {
 		return nil, nil, 0, err
@@ -25,50 +25,77 @@ func Solve(cost Matrix) (rows, cols []int, total float64, err error) {
 	if cost.R == 0 || cost.C == 0 {
 		return nil, nil, 0, nil
 	}
-	transposed := false
 	m := cost
 	if m.R > m.C {
 		m = m.Transpose()
-		transposed = true
 	}
-	col4row, err := solveRect(m)
+	var w Workspace
+	cols, err = w.Solve(m) // w dies here, so its result can be handed out
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	rows = make([]int, m.R)
-	cols = make([]int, m.R)
-	for i := 0; i < m.R; i++ {
+	for i := range rows {
 		rows[i] = i
-		cols[i] = col4row[i]
 	}
-	if transposed {
+	if cost.R > cost.C {
 		rows, cols = cols, rows
 	}
-	total = cost.Cost(rows, cols)
-	return rows, cols, total, nil
+	return rows, cols, cost.Cost(rows, cols), nil
 }
 
-// solveRect runs the augmenting path algorithm assuming m.R <= m.C and
-// returns col4row, the matched column for every row.
-func solveRect(m Matrix) ([]int, error) {
-	nr, nc := m.R, m.C
+// Workspace owns the scratch of the Jonker-Volgenant solver — duals, the
+// shortest-path tree and the scan flags — so that repeated solves allocate
+// nothing once it has grown to the largest shape seen. The zero value is
+// ready to use; a Workspace is not safe for concurrent use.
+type Workspace struct {
+	floats []float64 // u | v | shortest
+	ints   []int     // col4row | row4col | path | remaining
+	flags  []bool    // inSR | inSC
+}
 
-	u := make([]float64, nr) // row duals
-	v := make([]float64, nc) // column duals
-	shortest := make([]float64, nc)
-	path := make([]int, nc) // predecessor row on the shortest path to each column
-	col4row := make([]int, nr)
-	row4col := make([]int, nc)
-	for i := range col4row {
+// Solve returns, for every row of m, the column it is matched to in a
+// minimum-cost matching of all rows. m must have no more rows than columns
+// (callers with more build the transpose in place) and finite costs: a NaN
+// or +Inf cell is never chosen, and nothing is scanned to reject one. The
+// result aliases the workspace and is valid until the next call.
+//
+// The implementation is the Jonker-Volgenant shortest augmenting path
+// algorithm for dense rectangular problems (Crouse, 2016), the algorithm
+// used by scipy.optimize.linear_sum_assignment that the paper's
+// implementation calls (Sec. 6). Complexity is O(R^2 * C).
+func (w *Workspace) Solve(m Matrix) ([]int, error) {
+	nr, nc := m.R, m.C
+	if nr > nc {
+		panic(fmt.Sprintf("assignment: Workspace.Solve needs rows <= columns, got %dx%d", nr, nc))
+	}
+	if cap(w.floats) < nr+2*nc {
+		w.floats = make([]float64, nr+2*nc)
+	}
+	if cap(w.ints) < nr+3*nc {
+		w.ints = make([]int, nr+3*nc)
+	}
+	if cap(w.flags) < nr+nc {
+		w.flags = make([]bool, nr+nc)
+	}
+	u := w.floats[:nr]        // row duals
+	v := w.floats[nr : nr+nc] // column duals
+	shortest := w.floats[nr+nc : nr+2*nc]
+	col4row := w.ints[:nr]
+	row4col := w.ints[nr : nr+nc]
+	path := w.ints[nr+nc : nr+2*nc] // predecessor row on the shortest path to each column
+	// remaining holds the columns not yet scanned in the current augmentation.
+	remaining := w.ints[nr+2*nc : nr+3*nc]
+	inSR := w.flags[:nr]
+	inSC := w.flags[nr : nr+nc]
+	for i := range u {
+		u[i] = 0
 		col4row[i] = -1
 	}
-	for j := range row4col {
+	for j := range v {
+		v[j] = 0
 		row4col[j] = -1
 	}
-	inSR := make([]bool, nr)
-	inSC := make([]bool, nc)
-	// remaining holds the columns not yet scanned in the current augmentation.
-	remaining := make([]int, nc)
 
 	for curRow := 0; curRow < nr; curRow++ {
 		for i := range inSR {
@@ -91,9 +118,10 @@ func solveRect(m Matrix) ([]int, error) {
 			inSR[i] = true
 			indexLowest := -1
 			lowest := math.Inf(1)
-			for it := 0; it < numRemaining; it++ {
-				j := remaining[it]
-				r := minVal + m.At(i, j) - u[i] - v[j]
+			row := m.Data[i*nc : (i+1)*nc]
+			ui := u[i]
+			for it, j := range remaining[:numRemaining] {
+				r := minVal + row[j] - ui - v[j]
 				if r < shortest[j] {
 					shortest[j] = r
 					path[j] = i

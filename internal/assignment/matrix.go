@@ -5,9 +5,9 @@
 // bipartite matching between queries and instances and solves it with the
 // Jonker-Volgenant shortest augmenting path algorithm, the same algorithm
 // behind scipy.optimize.linear_sum_assignment used by the paper's
-// implementation. This package supplies that solver plus two independent
-// reference implementations (Hungarian and brute force) used to cross-check
-// it in property-based tests.
+// implementation. This package supplies that solver; two independent
+// reference implementations (Hungarian and brute force) cross-check it in
+// the package's property-based tests.
 package assignment
 
 import (

@@ -7,6 +7,9 @@
 package core
 
 import (
+	"math"
+	"slices"
+
 	"kairos/internal/assignment"
 	"kairos/internal/models"
 	"kairos/internal/predictor"
@@ -70,10 +73,52 @@ type DistributorOptions struct {
 }
 
 // Distributor is Kairos's query-distribution mechanism. It implements
-// sim.Distributor and sim.Observer.
+// sim.Distributor and sim.Observer. It owns the scratch of its matching
+// round, so it is not safe for concurrent use (the controller serializes a
+// model's rounds) and a steady-state Assign allocates nothing.
 type Distributor struct {
 	opts DistributorOptions
 	pred predictor.Predictor
+	// penalty is the Eq. 8 cost of a QoS-violating pair, deadline the
+	// completion time (xi * T_qos) past which a pair counts as one.
+	penalty, deadline float64
+
+	// Round scratch: grown to the largest round seen, rewritten every Assign.
+	solver assignment.Workspace
+	drain  []float64 // per instance: RemainingMS plus the predicted service of its pending batches
+	cols   []column  // the eligible instances
+	types  []typeRow // the instance types among them
+	cost   []float64 // the Eq. 8 matrix, in the orientation the solver wants
+	top    []int     // one instance's cheapest queries during pruning, cheapest first
+	kept   []int     // the waiting positions that survive pruning, ascending
+	doomed []int     // waiting positions that can no longer meet QoS anywhere
+	out    []sim.Assignment
+}
+
+// column is one eligible instance in the round's matrix.
+type column struct {
+	pos   int       // position in the instances slice
+	coeff float64   // C_j of its type
+	drain float64   // its entry of Distributor.drain
+	lat   []float64 // its type's predicted latency per waiting query
+	used  bool      // dispatched to this round
+}
+
+// typeRow is what instances of one type share in a round: the predictor
+// is asked once per (type, query), not once per matrix cell.
+type typeRow struct {
+	name  string
+	coeff float64
+	lat   []float64
+}
+
+// resized returns s with length n, reallocating only when its capacity
+// is short; the contents are unspecified.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // NewDistributor validates options and builds the distributor.
@@ -111,7 +156,12 @@ func NewDistributor(opts DistributorOptions) *Distributor {
 	if opts.LateBindSlackMS == 0 {
 		opts.LateBindSlackMS = DefaultLateBindSlackMS
 	}
-	d := &Distributor{opts: opts, pred: opts.Predictor}
+	d := &Distributor{
+		opts:     opts,
+		pred:     opts.Predictor,
+		penalty:  opts.PenaltyFactor * opts.QoS,
+		deadline: opts.Xi * opts.QoS,
+	}
 	if d.pred == nil {
 		d.pred = predictor.NewOnline()
 	}
@@ -153,64 +203,49 @@ func (d *Distributor) Coefficient(typeName string) float64 {
 
 // Assign implements sim.Distributor: it builds the weighted, QoS-penalized
 // L matrix over (waiting queries) x (instances with an empty local slot)
-// and dispatches the min-cost matching (Eqs. 4-8).
+// and dispatches the min-cost matching (Eqs. 4-8). The result is valid
+// until the next Assign.
 func (d *Distributor) Assign(nowMS float64, waiting []sim.QueryView, instances []sim.InstanceView) []sim.Assignment {
 	// Eligible instances have pending-queue headroom; the one-to-one
 	// mapping constraint (Eq. 6) still admits at most one new dispatch per
-	// instance per round, and the drain term below prices the backlog.
+	// instance per round, and the drain term prices the backlog.
 	slack := d.opts.LateBindSlackMS
 	if slack < 0 {
 		slack = 1e18 // late binding disabled: every instance is matchable
 	}
-	eligible := instances[:0:0]
-	for _, in := range instances {
-		if len(in.QueuedBatches) < d.opts.MaxPending && in.RemainingMS <= slack {
-			eligible = append(eligible, in)
-		}
-	}
-	if len(eligible) == 0 || len(waiting) == 0 {
-		return nil
-	}
-
-	m, n := len(waiting), len(eligible)
-	cost := assignment.NewMatrix(m, n)
-	penalty := d.opts.PenaltyFactor * d.opts.QoS
-	deadline := d.opts.Xi * d.opts.QoS
-	penalized := make([]bool, m*n)
-	for j, in := range eligible {
-		cj := d.Coefficient(in.TypeName)
+	d.drain = resized(d.drain, len(instances))
+	d.cols = d.cols[:0]
+	for x, in := range instances {
 		drain := in.RemainingMS
 		for _, b := range in.QueuedBatches {
 			drain += d.pred.Predict(in.TypeName, b)
 		}
-		for i, q := range waiting {
-			l := drain + d.pred.Predict(in.TypeName, q.Batch)
-			if l+q.WaitMS > deadline {
-				// Eq. 8 penalty. Unlike the paper's formulation we keep the
-				// penalty outside the C_j weighting: with strongly
-				// heterogeneous coefficients (C_j down to ~0.06 here) a
-				// weighted penalty C_j*10*T_qos can undercut a feasible
-				// base placement (1*T_qos) and the matching would prefer
-				// the QoS-violating pair. An unweighted penalty preserves
-				// the intended semantics: feasible pairs always win.
-				cost.Set(i, j, penalty)
-				penalized[i*n+j] = true
-				continue
-			}
-			cost.Set(i, j, cj*l-d.opts.AgingFactor*q.WaitMS)
+		d.drain[x] = drain
+		if len(in.QueuedBatches) < d.opts.MaxPending && in.RemainingMS <= slack {
+			d.cols = append(d.cols, column{pos: x, drain: drain})
 		}
 	}
-	rows, cols, _, err := assignment.Solve(cost)
-	if err != nil {
-		// Finite costs cannot be infeasible; a failure here is a bug.
-		panic("core: matching failed: " + err.Error())
+	if len(d.cols) == 0 || len(waiting) == 0 {
+		return nil
 	}
-	out := make([]sim.Assignment, 0, len(rows))
-	used := make([]bool, n)
-	var doomed []int // waiting indices that can no longer meet QoS anywhere
-	for k := range rows {
-		i, j := rows[k], cols[k]
-		if penalized[i*n+j] {
+	d.types = d.types[:0]
+	for k := range d.cols {
+		c := &d.cols[k]
+		t := d.typeRow(instances[c.pos].TypeName, waiting)
+		c.coeff, c.lat = t.coeff, t.lat
+	}
+	cost, col4row, byQuery := d.match(waiting)
+
+	d.out = d.out[:0]
+	d.doomed = d.doomed[:0]
+	for r, c := range col4row {
+		i, j := r, c
+		if !byQuery {
+			i, j = d.kept[c], r
+		}
+		// A feasible cost is at most xi*T_qos, below the penalty, so a
+		// pair is penalized exactly when its cell holds the penalty.
+		if cost.At(r, c) == d.penalty {
 			// The min-cost solution could not find a QoS-respecting spot
 			// for this query. If some instance (busy ones included) will
 			// still be able to serve it within QoS once its backlog
@@ -221,44 +256,168 @@ func (d *Distributor) Assign(nowMS float64, waiting []sim.QueryView, instances [
 			// as fast as the target's remaining time shrinks. A doomed
 			// query — no feasible future slot anywhere — is
 			// force-dispatched below.
-			if d.feasibleSlotExists(waiting[i], instances) {
-				continue
+			if !d.feasibleSlotExists(i, waiting[i], instances) {
+				d.doomed = append(d.doomed, i)
 			}
-			doomed = append(doomed, i)
 			continue
 		}
-		used[j] = true
-		out = append(out, sim.Assignment{
-			Query:    waiting[i].Index,
-			Instance: eligible[j].Index,
-		})
+		d.dispatch(waiting[i], instances, j)
 	}
 	// Doomed queries burn capacity no matter what; clear each on the
 	// fastest-completing instance still free this round.
-	for _, i := range doomed {
-		j := d.fastestClearing(waiting[i], eligible, used)
+	for _, i := range d.doomed {
+		j := d.fastestClearing(i)
 		if j == -1 {
 			break // every slot taken; retry next round
 		}
-		used[j] = true
-		out = append(out, sim.Assignment{
-			Query:    waiting[i].Index,
-			Instance: eligible[j].Index,
-		})
+		d.dispatch(waiting[i], instances, j)
 	}
-	return out
+	return d.out
+}
+
+// match prices every (query, eligible instance) pair once (Eq. 8) and
+// solves the matrix. The solver wants no more rows than columns: with at
+// most as many queries as instances the rows are the queries (byQuery) and
+// the columns d.cols; otherwise the rows are d.cols and the columns d.kept,
+// the queries that survive pruning. col4row is the solver's, valid until
+// its next solve.
+func (d *Distributor) match(waiting []sim.QueryView) (cost assignment.Matrix, col4row []int, byQuery bool) {
+	m, n := len(waiting), len(d.cols)
+	byQuery = m <= n
+	// Query i on eligible instance j sits at i*qStride + j*cStride.
+	qStride, cStride := n, 1
+	if !byQuery {
+		qStride, cStride = 1, m
+	}
+	d.cost = resized(d.cost, m*n)
+	for j, c := range d.cols {
+		for i, q := range waiting {
+			l := c.drain + c.lat[i]
+			v := c.coeff*l - d.opts.AgingFactor*q.WaitMS
+			if l+q.WaitMS > d.deadline {
+				// Eq. 8 penalty. Unlike the paper's formulation we keep the
+				// penalty outside the C_j weighting: with strongly
+				// heterogeneous coefficients (C_j down to ~0.06 here) a
+				// weighted penalty C_j*10*T_qos can undercut a feasible
+				// base placement (1*T_qos) and the matching would prefer
+				// the QoS-violating pair. An unweighted penalty preserves
+				// the intended semantics: feasible pairs always win.
+				v = d.penalty
+			}
+			d.cost[i*qStride+j*cStride] = v
+		}
+	}
+	cost = assignment.Matrix{R: m, C: n, Data: d.cost}
+	if !byQuery {
+		cost = assignment.Matrix{R: n, C: d.prune(m), Data: d.cost}
+	}
+	col4row, err := d.solver.Solve(cost)
+	if err != nil {
+		// Finite costs cannot be infeasible; a failure here is a bug.
+		panic("core: matching failed: " + err.Error())
+	}
+	return cost, col4row, byQuery
+}
+
+// findType returns the round's row for an instance type, nil if no
+// eligible instance has asked for it yet.
+func (d *Distributor) findType(name string) *typeRow {
+	for k := range d.types {
+		if d.types[k].name == name {
+			return &d.types[k]
+		}
+	}
+	return nil
+}
+
+// typeRow returns the round's shared row for an instance type, computing
+// it on the type's first use. Truncating d.types between rounds keeps the
+// rows' backing arrays for the next one.
+func (d *Distributor) typeRow(name string, waiting []sim.QueryView) *typeRow {
+	if t := d.findType(name); t != nil {
+		return t
+	}
+	if len(d.types) < cap(d.types) {
+		d.types = d.types[:len(d.types)+1]
+	} else {
+		d.types = append(d.types, typeRow{})
+	}
+	t := &d.types[len(d.types)-1]
+	t.name = name
+	t.coeff = d.Coefficient(name)
+	t.lat = resized(t.lat, len(waiting))
+	for i, q := range waiting {
+		t.lat[i] = d.pred.Predict(name, q.Batch)
+	}
+	return t
+}
+
+// prune shrinks the instances x m-queries matrix in d.cost to the columns
+// a min-cost matching can need when queries outnumber the n eligible
+// instances — for each instance its n cheapest queries, ties going to the
+// older (lower) position — and returns how many those are (d.kept). An
+// optimal matching restricted to that union exists: wherever one pairs an
+// instance with a query outside the instance's n cheapest, one of those n
+// is unmatched (the matching uses only n queries), and swapping it in
+// costs no more. So the solve is over at most n*n columns however deep
+// the queue, at unchanged total cost.
+func (d *Distributor) prune(m int) int {
+	n := len(d.cols)
+	d.top = resized(d.top, n)
+	d.kept = d.kept[:0]
+	for j := 0; j < n; j++ {
+		row, top := d.cost[j*m:(j+1)*m], d.top[:0]
+		bound := math.Inf(1) // the dearest of a full top
+		for i, v := range row {
+			if v >= bound {
+				continue
+			}
+			if len(top) < n {
+				top = append(top, 0)
+			}
+			k := len(top) - 1
+			for ; k > 0 && row[top[k-1]] > v; k-- {
+				top[k] = top[k-1]
+			}
+			top[k] = i
+			if len(top) == n {
+				bound = row[top[n-1]]
+			}
+		}
+		d.kept = append(d.kept, top...)
+	}
+	slices.Sort(d.kept)
+	d.kept = slices.Compact(d.kept)
+	// Compact in place: a cell only ever moves toward the front, past
+	// cells already moved.
+	k := len(d.kept)
+	for j := 0; j < n; j++ {
+		for u, i := range d.kept {
+			d.cost[j*k+u] = d.cost[j*m+i]
+		}
+	}
+	return k
+}
+
+// dispatch records query q going to eligible instance j.
+func (d *Distributor) dispatch(q sim.QueryView, instances []sim.InstanceView, j int) {
+	d.cols[j].used = true
+	d.out = append(d.out, sim.Assignment{Query: q.Index, Instance: instances[d.cols[j].pos].Index})
 }
 
 // feasibleSlotExists reports whether any instance — counting its full
-// in-flight plus pending drain — could still serve the query within QoS.
-func (d *Distributor) feasibleSlotExists(q sim.QueryView, instances []sim.InstanceView) bool {
-	deadline := d.opts.Xi * d.opts.QoS
-	for _, in := range instances {
-		drain := in.RemainingMS
-		for _, b := range in.QueuedBatches {
-			drain += d.pred.Predict(in.TypeName, b)
+// in-flight plus pending drain — could still serve waiting query i within
+// QoS. It reads the round's rows where they exist, so a round holds one
+// prediction per (type, query) even under a noisy predictor.
+func (d *Distributor) feasibleSlotExists(i int, q sim.QueryView, instances []sim.InstanceView) bool {
+	for x, in := range instances {
+		var lat float64
+		if t := d.findType(in.TypeName); t != nil {
+			lat = t.lat[i]
+		} else {
+			lat = d.pred.Predict(in.TypeName, q.Batch)
 		}
-		if drain+d.pred.Predict(in.TypeName, q.Batch)+q.WaitMS <= deadline {
+		if d.drain[x]+lat+q.WaitMS <= d.deadline {
 			return true
 		}
 	}
@@ -266,19 +425,15 @@ func (d *Distributor) feasibleSlotExists(q sim.QueryView, instances []sim.Instan
 }
 
 // fastestClearing picks the unused eligible instance with the earliest
-// real completion time for the batch, minimizing the capacity a doomed
-// query burns. Returns -1 when every eligible instance is taken.
-func (d *Distributor) fastestClearing(q sim.QueryView, eligible []sim.InstanceView, used []bool) int {
+// real completion time for waiting query i, minimizing the capacity a
+// doomed query burns. Returns -1 when every eligible instance is taken.
+func (d *Distributor) fastestClearing(i int) int {
 	best, bestAt := -1, 0.0
-	for j, in := range eligible {
-		if used[j] {
+	for j, c := range d.cols {
+		if c.used {
 			continue
 		}
-		at := in.RemainingMS + d.pred.Predict(in.TypeName, q.Batch)
-		for _, b := range in.QueuedBatches {
-			at += d.pred.Predict(in.TypeName, b)
-		}
-		if best == -1 || at < bestAt {
+		if at := c.drain + c.lat[i]; best == -1 || at < bestAt {
 			best, bestAt = j, at
 		}
 	}

@@ -61,6 +61,10 @@ func BenchmarkDistributorAssign8x4(b *testing.B)   { benchAssign(b, 8, 4) }
 func BenchmarkDistributorAssign32x8(b *testing.B)  { benchAssign(b, 32, 8) }
 func BenchmarkDistributorAssign64x16(b *testing.B) { benchAssign(b, 64, 16) }
 
+// A flash crowd's round: the central queue ~1000 deep (benchmark/'s
+// burst-deep), solved over the pruned union instead of every row.
+func BenchmarkDistributorAssign1000x16(b *testing.B) { benchAssign(b, 1000, 16) }
+
 // BenchmarkPlanFleet tracks the shared-budget allocator: frontier
 // construction plus the greedy split for two models under the paper's
 // default budget.

@@ -181,6 +181,47 @@ func TestAssignRespectsWaitTime(t *testing.T) {
 	}
 }
 
+// flipPredictor answers the first question about a (type, batch) with a
+// latency past any deadline and every later one with 1ms, counting them:
+// the extreme of a noisy predictor that draws afresh on every call.
+type flipPredictor struct{ asked map[string]map[int]int }
+
+func (p *flipPredictor) Predict(instance string, batch int) float64 {
+	if p.asked[instance] == nil {
+		p.asked[instance] = map[int]int{}
+	}
+	p.asked[instance][batch]++
+	if p.asked[instance][batch] == 1 {
+		return 1e6
+	}
+	return 1
+}
+
+func (p *flipPredictor) Observe(string, int, float64) {}
+
+// TestAssignOnePredictionPerPairPerRound: the round asks the predictor once
+// per (type, query) and the held/doomed decision reads the same row as the
+// matrix. Were feasibleSlotExists to ask again, it would be told 1ms and
+// hold queries the matrix had just priced as serveable nowhere.
+func TestAssignOnePredictionPerPairPerRound(t *testing.T) {
+	pred := &flipPredictor{asked: map[string]map[int]int{}}
+	d := NewDistributor(DistributorOptions{QoS: 100, BaseType: "gpu", Predictor: pred, DisableCoefficients: true})
+	waiting := []sim.QueryView{{Index: 0, Batch: 10}, {Index: 1, Batch: 20}, {Index: 2, Batch: 30}}
+	instances := []sim.InstanceView{
+		{Index: 0, TypeName: "gpu"}, {Index: 1, TypeName: "gpu"}, {Index: 2, TypeName: "cpu"},
+	}
+	if got := d.Assign(0, waiting, instances); len(got) != len(waiting) {
+		t.Fatalf("dispatched %v, want all %d doomed queries cleared", got, len(waiting))
+	}
+	for typ, batches := range pred.asked {
+		for batch, n := range batches {
+			if n != 1 {
+				t.Errorf("asked %d times about batch %d on %s in one round", n, batch, typ)
+			}
+		}
+	}
+}
+
 func TestAssignSkipsInstancesWithPendingWork(t *testing.T) {
 	pool := cloud.ThreeTypePool()
 	m := models.MustByName("RM2")

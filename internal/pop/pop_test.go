@@ -175,3 +175,70 @@ func (c *countingObserver) Assign(float64, []sim.QueryView, []sim.InstanceView) 
 	return nil
 }
 func (c *countingObserver) Observe(string, int, float64) { *c.n++ }
+
+// drainRounds plays scheduling rounds over always-idle instances until
+// every query with the given arrival IDs is assigned, the way the
+// controller compacts its waiting list between rounds, and fails the test
+// if a query is still waiting after one round per query.
+func drainRounds(t *testing.T, p *Partitioned, types []string, ids []int) {
+	t.Helper()
+	instances := make([]sim.InstanceView, len(types))
+	for i, tn := range types {
+		instances[i] = sim.InstanceView{Index: i, TypeName: tn}
+	}
+	waiting := append([]int(nil), ids...)
+	for round := 0; round < len(ids) && len(waiting) > 0; round++ {
+		views := make([]sim.QueryView, len(waiting))
+		for i, id := range waiting {
+			views[i] = sim.QueryView{Index: i, ID: id, Batch: 10}
+		}
+		taken := make([]bool, len(waiting))
+		usedInst := map[int]bool{}
+		for _, a := range p.Assign(float64(round), views, instances) {
+			if a.Query < 0 || a.Query >= len(waiting) || taken[a.Query] {
+				t.Fatalf("fleet %v round %d: bad or repeated query in %v", types, round, a)
+			}
+			if a.Instance < 0 || a.Instance >= len(instances) || usedInst[a.Instance] {
+				t.Fatalf("fleet %v round %d: bad or repeated instance in %v", types, round, a)
+			}
+			taken[a.Query], usedInst[a.Instance] = true, true
+		}
+		next := waiting[:0]
+		for i, id := range waiting {
+			if !taken[i] {
+				next = append(next, id)
+			}
+		}
+		waiting = next
+	}
+	if len(waiting) > 0 {
+		t.Fatalf("fleet %v: queries %v were never assigned", types, waiting)
+	}
+}
+
+// TestPartitionedNeverStrandsQueries is the starvation regression: a
+// partition with no instance — a fleet smaller than k, or one the live
+// controller shrank and renumbered — must not keep the queries hashed to
+// it waiting forever.
+func TestPartitionedNeverStrandsQueries(t *testing.T) {
+	const gpu, cpu = "g4dn.xlarge", "r5n.large"
+	ids := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
+	fcfs := func(int) sim.Distributor { return sim.FCFSAny{} }
+
+	// k=4 over 3 instances: partitions 2 and 3 never get one.
+	drainRounds(t, NewPartitioned(4, fcfs), []string{gpu, cpu, cpu}, ids)
+
+	// One distributor across a fleet that shrinks, renumbers and regrows,
+	// as AddInstance/RemoveInstance do to the controller's view.
+	p := NewPartitioned(2, fcfs)
+	for _, fleet := range [][]string{
+		{gpu, gpu, cpu, cpu},
+		{gpu, cpu, cpu}, // first GPU removed: everything shifts down one index
+		{gpu},           // partition 1 is empty
+		{gpu, cpu},      // a CPU joins at a recycled index
+		{cpu},           // the GPU drains
+		{cpu, gpu, gpu},
+	} {
+		drainRounds(t, p, fleet, ids)
+	}
+}

@@ -38,9 +38,11 @@ func (o Oracle) Observe(string, int, float64) {}
 // perInstance carries the regression state and lookup table for one
 // instance type.
 type perInstance struct {
-	// lookup holds the running mean of observed latencies per exact batch
-	// size; with deterministic service times one observation is exact.
-	lookup map[int]meanVar
+	// lookup[b] holds the running mean of observed latencies at exactly
+	// batch size b (n == 0: never seen); with deterministic service times
+	// one observation is exact. Dense, grown to the largest batch observed:
+	// Predict sits in the matching round's inner loop.
+	lookup []meanVar
 	// least-squares accumulators over all observations.
 	n                        float64
 	sumX, sumY, sumXX, sumXY float64
@@ -80,8 +82,11 @@ func (p *Online) Observe(instance string, batch int, latencyMS float64) {
 	}
 	st, ok := p.instances[instance]
 	if !ok {
-		st = &perInstance{lookup: make(map[int]meanVar)}
+		st = &perInstance{}
 		p.instances[instance] = st
+	}
+	if grow := batch + 1 - len(st.lookup); grow > 0 {
+		st.lookup = append(st.lookup, make([]meanVar, grow)...)
 	}
 	st.lookup[batch] = st.lookup[batch].add(latencyMS)
 	x := float64(batch)
@@ -100,8 +105,8 @@ func (p *Online) Predict(instance string, batch int) float64 {
 	if !ok {
 		return 0
 	}
-	if mv, ok := st.lookup[batch]; ok {
-		return mv.mean
+	if st.known(batch) {
+		return st.lookup[batch].mean
 	}
 	slope, intercept, ok := st.fit()
 	if ok {
@@ -115,6 +120,11 @@ func (p *Online) Predict(instance string, batch int) float64 {
 		return st.sumY / st.n
 	}
 	return 0
+}
+
+// known reports whether the exact batch size has been observed.
+func (st *perInstance) known(batch int) bool {
+	return uint(batch) < uint(len(st.lookup)) && st.lookup[batch].n > 0
 }
 
 // fit returns the least-squares line when at least two distinct batch sizes
@@ -136,11 +146,7 @@ func (st *perInstance) fit() (slope, intercept float64, ok bool) {
 // i.e. whether Predict serves it from the lookup table.
 func (p *Online) Known(instance string, batch int) bool {
 	st, ok := p.instances[instance]
-	if !ok {
-		return false
-	}
-	_, hit := st.lookup[batch]
-	return hit
+	return ok && st.known(batch)
 }
 
 // Observations returns the total number of latencies observed for the

@@ -88,7 +88,10 @@ type Distributor interface {
 	Name() string
 	// Assign proposes dispatches. Queries may be left waiting; the engine
 	// re-invokes Assign at the next scheduling point. Each waiting query may
-	// appear at most once in the result.
+	// appear at most once in the result. The result belongs to the
+	// distributor and is valid only until its next Assign (the matching
+	// policies return their round's scratch): callers consume it before
+	// scheduling again and copy what they keep.
 	Assign(nowMS float64, waiting []QueryView, instances []InstanceView) []Assignment
 }
 
