@@ -169,8 +169,8 @@ func parseReadyLine(line string) (string, bool) {
 
 // probeHello health-checks a freshly-launched instance: dial, read the
 // Hello banner, verify the announced model and type. The probe connection
-// is closed without an ack; the instance treats it like any disconnected
-// legacy peer.
+// is closed without an ack; the instance drops it like any peer that
+// never completes the handshake.
 func probeHello(addr, model, typeName string, timeout time.Duration) error {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {

@@ -104,15 +104,6 @@ func (t *authTable) lookup(token []byte) (b *clientBucket, ok bool) {
 	return b, ok
 }
 
-// lookupString is lookup for callers that already hold a string token.
-func (t *authTable) lookupString(token string) (b *clientBucket, ok bool) {
-	if t.clients == nil {
-		return t.anon, true
-	}
-	b, ok = t.clients[token]
-	return b, ok
-}
-
 // limited spends one token from b; true means reject with RateLimitedMsg.
 // b may be nil (authorized client on a front door without rate limits).
 func (t *authTable) limited(b *clientBucket) bool {

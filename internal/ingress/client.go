@@ -3,6 +3,7 @@ package ingress
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -12,15 +13,11 @@ import (
 )
 
 // Client speaks the front-end's TCP protocol: one connection, concurrent
-// Submit callers, O(1) reply correlation. Dial negotiates the wire
-// version from the Hello banner exactly like the controller does against
-// an instance server; a legacy (JSON-only) front-end degrades
-// transparently, and a legacy binary front-end simply never sees the
-// session request kind.
+// Submit callers, O(1) reply correlation. Dial performs the handshake
+// exactly like the controller does against an instance server: it checks
+// the Hello banner's wire version and acks it.
 type Client struct {
 	conn   net.Conn
-	proto  int
-	binary bool
 	nextID atomic.Int64
 
 	wmu  sync.Mutex
@@ -63,18 +60,16 @@ func DialWith(addr string, opts DialOptions) (*Client, error) {
 		conn.Close()
 		return nil, err
 	}
-	c := &Client{conn: conn, pending: make(map[int64]chan server.Reply)}
-	if hello.Proto >= server.ProtoBinary {
-		c.proto = hello.Proto
-		if c.proto > server.ProtoSession {
-			c.proto = server.ProtoSession
-		}
-		if err := server.WriteFrame(conn, server.HelloAck{Proto: c.proto, Token: opts.Token}); err != nil {
-			conn.Close()
-			return nil, err
-		}
-		c.binary = true
+	if hello.Proto != server.ProtoSession {
+		conn.Close()
+		return nil, fmt.Errorf("ingress: front door at %s speaks wire version %d, this client speaks %d",
+			addr, hello.Proto, server.ProtoSession)
 	}
+	if err := server.WriteFrame(conn, server.HelloAck{Proto: server.ProtoSession, Token: opts.Token}); err != nil {
+		conn.Close()
+		return nil, err
+	}
+	c := &Client{conn: conn, pending: make(map[int64]chan server.Reply)}
 	go c.readLoop(br)
 	return c, nil
 }
@@ -95,9 +90,7 @@ func (c *Client) Submit(model string, batch int) (server.Reply, error) {
 	return c.SubmitOpts(model, batch, SubmitOptions{})
 }
 
-// SubmitOpts is Submit with a session key and deadline. A front door
-// older than ProtoSession silently drops both (they are hints, not
-// correctness constraints).
+// SubmitOpts is Submit with a session key and deadline.
 func (c *Client) SubmitOpts(model string, batch int, opts SubmitOptions) (server.Reply, error) {
 	id := c.nextID.Add(1)
 	ch := replyChans.Get().(chan server.Reply)
@@ -111,27 +104,15 @@ func (c *Client) SubmitOpts(model string, batch int, opts SubmitOptions) (server
 	c.pending[id] = ch
 	c.mu.Unlock()
 
-	req := server.Request{ID: id, Model: model, Batch: batch}
-	if opts.Session != "" || opts.Deadline > 0 {
-		// Only a ProtoSession peer decodes the session request kind; an
-		// older binary peer gets a plain request instead.
-		if !c.binary || c.proto >= server.ProtoSession {
-			req.Session = opts.Session
-			req.DeadlineMS = int64(opts.Deadline / time.Millisecond)
-		}
+	req := server.Request{ID: id, Model: model, Batch: batch, Session: opts.Session}
+	if opts.Deadline > 0 {
+		req.DeadlineMS = int64(opts.Deadline / time.Millisecond)
 	}
 	c.wmu.Lock()
-	var werr error
-	if c.binary {
-		frame, err := server.AppendRequestFrame(c.wbuf[:0], req)
-		if err == nil {
-			c.wbuf = frame
-			_, werr = c.conn.Write(frame)
-		} else {
-			werr = err
-		}
-	} else {
-		werr = server.WriteFrame(c.conn, req)
+	frame, werr := server.AppendRequestFrame(c.wbuf[:0], req)
+	if werr == nil {
+		c.wbuf = frame
+		_, werr = c.conn.Write(frame)
 	}
 	c.wmu.Unlock()
 	if werr != nil {
@@ -162,15 +143,10 @@ func (c *Client) readLoop(br *bufio.Reader) {
 	var rbuf []byte
 	for {
 		var rep server.Reply
-		var err error
-		if c.binary {
-			var p []byte
-			if p, err = server.ReadRawFrame(br, rbuf); err == nil {
-				rbuf = p[:0]
-				rep, err = server.DecodeReplyFrame(p)
-			}
-		} else {
-			err = server.ReadFrame(br, &rep)
+		p, err := server.ReadRawFrame(br, rbuf)
+		if err == nil {
+			rbuf = p[:0]
+			rep, err = server.DecodeReplyFrame(p)
 		}
 		if err != nil {
 			c.mu.Lock()

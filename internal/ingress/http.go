@@ -22,8 +22,8 @@ import (
 // orders of magnitude over the front door's per-submit budget. The loop
 // speaks exactly what the front door needs — identity-encoded bodies,
 // keep-alive, Expect: 100-continue — and answers anything else with a
-// clean close. The exported HTTPHandler remains a full net/http handler
-// for callers that mount the front door under their own mux.
+// clean close. It is the front door's only HTTP stack; net/http is
+// imported for its Status* constants alone.
 
 // readHeaderTimeout bounds how long one request (line, headers, and
 // body) may trickle in — the slowloris guard. It also caps keep-alive
@@ -378,104 +378,4 @@ func asciiEqualFold(b []byte, s string) bool {
 		}
 	}
 	return true
-}
-
-// HTTPHandler returns the JSON endpoint's routes as a net/http handler
-// — POST /submit (one query, synchronous), GET /stats, GET /shardz, GET
-// /healthz — for callers that mount the front-end under their own mux.
-// New's HTTPAddr endpoint speaks the same wire shape through the
-// allocation-free loop above; this handler trades those savings for
-// net/http composability.
-func (s *Server) HTTPHandler() http.Handler {
-	mux := http.NewServeMux()
-	writeJSON := func(w http.ResponseWriter, code int, v any) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(code)
-		json.NewEncoder(w).Encode(v)
-	}
-	mux.HandleFunc("/submit", func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
-		if r.Method != http.MethodPost {
-			writeJSON(w, http.StatusMethodNotAllowed, submitReply{Error: "ingress: POST only"})
-			return
-		}
-		var req submitRequest
-		body := http.MaxBytesReader(w, r.Body, maxSubmitBody)
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, submitReply{Error: "ingress: bad request: " + err.Error()})
-			return
-		}
-		var bucket *clientBucket
-		if s.auth != nil {
-			tok, ok := bearerToken(r.Header.Get("Authorization"))
-			if ok {
-				bucket, ok = s.auth.lookupString(tok)
-			}
-			if !ok {
-				s.unrouted.Add(1)
-				writeJSON(w, http.StatusUnauthorized, submitReply{Model: req.Model, Batch: req.Batch, Error: UnauthorizedMsg})
-				return
-			}
-		}
-		mf := s.models[req.Model]
-		if mf == nil {
-			s.unrouted.Add(1)
-			writeJSON(w, http.StatusBadRequest, submitReply{
-				Model: req.Model, Batch: req.Batch,
-				Error: fmt.Sprintf("ingress: unknown model %q (serving %v)", req.Model, s.order),
-			})
-			return
-		}
-		fs := &mf.shards[0]
-		if s.auth != nil && s.auth.limited(bucket) {
-			fs.limited.Add(1)
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusTooManyRequests, submitReply{Model: req.Model, Batch: req.Batch, Error: RateLimitedMsg})
-			return
-		}
-		if !fs.admit(s.perShard) {
-			fs.rejected.Add(1)
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusTooManyRequests, submitReply{Model: req.Model, Batch: req.Batch, Error: QueueFullMsg})
-			return
-		}
-		fs.submitted.Add(1)
-		fs.http.Add(1)
-		mf.mo.Record(obs.StageAdmit, time.Since(t0))
-		res := s.ctrl.SubmitWaitOpts(req.Model, req.Batch, submitOpts([]byte(req.Session), req.DeadlineMS, t0))
-		if res.Err != nil {
-			fs.failed.Add(1)
-		} else {
-			fs.completed.Add(1)
-		}
-		fs.queue.Add(-1)
-		mf.mo.Record(obs.StageIngress, time.Since(t0))
-		if res.Err != nil {
-			writeJSON(w, http.StatusBadGateway, submitReply{Model: req.Model, Batch: req.Batch, Error: res.Err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusOK, submitReply{
-			Model: req.Model, Batch: req.Batch,
-			LatencyMS: res.LatencyMS, Instance: res.Instance,
-		})
-	})
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Stats())
-	})
-	mux.HandleFunc("/shardz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.ShardStats())
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"ok": true, "models": s.order})
-	})
-	return mux
-}
-
-// bearerToken extracts the token from an Authorization header value.
-func bearerToken(v string) (string, bool) {
-	const prefix = "Bearer "
-	if len(v) > len(prefix) && asciiEqualFold([]byte(v[:len(prefix)]), prefix) {
-		return v[len(prefix):], true
-	}
-	return "", false
 }

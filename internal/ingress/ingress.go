@@ -2,9 +2,9 @@
 // it accepts traffic the system did not generate itself and feeds it into
 // the central controller with per-model routing. Two transports share one
 // admission path: an HTTP endpoint speaking JSON (POST /submit) and a raw
-// TCP endpoint speaking the controller's negotiated binary wire codec
-// (the same Hello/HelloAck handshake an instance server performs, so one
-// codec serves the whole system). Overload pushes back instead of piling
+// TCP endpoint speaking the controller's binary wire codec (the same
+// Hello/HelloAck handshake an instance server performs, so one codec
+// serves the whole system). Overload pushes back instead of piling
 // up: each model has a bounded admission queue, and a submission beyond
 // the bound is answered immediately with HTTP 429 or a binary NACK reply
 // — never silently dropped. Per-model ingress accounting is merged into

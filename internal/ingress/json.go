@@ -11,8 +11,8 @@ import (
 // encoding/json: reflection-based Marshal/Unmarshal costs dozens of
 // allocations per call, which alone would blow the front door's
 // per-submit allocation budget. The reflective types are kept for the
-// cold paths (/stats, the net/http-mounted handler) and as the
-// documented wire shape.
+// cold paths (/stats, the 405 reply) and as the documented wire shape the
+// tests hold the hand-rolled codec to.
 
 // submitRequest is the POST /submit body.
 type submitRequest struct {

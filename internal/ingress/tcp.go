@@ -2,8 +2,6 @@ package ingress
 
 import (
 	"bufio"
-	encbinary "encoding/binary"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -26,15 +24,12 @@ import (
 // an idle connection is the retention bug this cap fixes.
 const maxRetainedReplyBuf = 64 << 10
 
-// tcpConn is one external binary/JSON TCP client.
+// tcpConn is one external binary-TCP client.
 type tcpConn struct {
 	srv     *Server
 	conn    net.Conn
 	sh      *shard
 	shardID uint32
-
-	proto int
-	bin   bool // negotiated ≥ ProtoBinary: fixed-width frames
 
 	// bucket is the client's rate-limit bucket; authFailed marks a client
 	// that presented no valid token to a token-gated front door — its
@@ -53,8 +48,8 @@ type tcpConn struct {
 	done  chan struct{} // read loop is finished and inflight is drained
 }
 
-// serveTCPConn handles one external TCP client: banner, version and auth
-// negotiation, then the request loop.
+// serveTCPConn handles one external TCP client: banner, the strict
+// version check and auth, then the request loop.
 func (s *Server) serveTCPConn(conn net.Conn, sh *shard) {
 	tc := &tcpConn{
 		srv: s, conn: conn, sh: sh, shardID: uint32(sh.id),
@@ -69,6 +64,20 @@ func (s *Server) serveTCPConn(conn net.Conn, sh *shard) {
 	if err := server.WriteFrame(conn, server.Hello{TypeName: "ingress", Proto: server.ProtoSession}); err != nil {
 		return
 	}
+	// The first frame must be the client's ack of exactly this version;
+	// anything else is a stale or foreign client whose frames would
+	// misdecode, so it is refused before a query is read.
+	br := bufio.NewReaderSize(conn, 16<<10)
+	var ack server.HelloAck
+	if err := server.ReadFrame(br, &ack); err != nil {
+		return
+	}
+	if ack.Proto != server.ProtoSession {
+		s.logf("ingress: refusing %s: client acked wire version %d, this front door speaks %d",
+			conn.RemoteAddr(), ack.Proto, server.ProtoSession)
+		return
+	}
+	tc.authenticate(ack.Token)
 	flusherDone := make(chan struct{})
 	s.wg.Add(1)
 	go func() {
@@ -81,56 +90,20 @@ func (s *Server) serveTCPConn(conn net.Conn, sh *shard) {
 		close(tc.done)
 		<-flusherDone
 	}()
-	br := bufio.NewReaderSize(conn, 16<<10)
-	payload, err := server.ReadRawFrame(br, nil)
-	if err != nil {
-		return
-	}
-	var probe server.HandshakeProbe
-	if err := json.Unmarshal(payload, &probe); err != nil {
-		return
-	}
-	if probe.Proto != nil {
-		tc.proto = *probe.Proto
-		if tc.proto > server.ProtoSession {
-			tc.proto = server.ProtoSession
-		}
-		tc.bin = tc.proto >= server.ProtoBinary
-		tc.authenticate(probe.Token)
-	} else {
-		// Legacy JSON client: the probe frame was its first query, and a
-		// legacy handshake carries no token.
-		tc.authenticate("")
-		s.handleTCP(tc, server.RequestView{
-			ID: probe.ID, Batch: probe.Batch, Model: []byte(probe.Model),
-			Session: []byte(probe.Session), DeadlineMS: probe.DeadlineMS,
-		}, time.Now())
-	}
 	var rbuf []byte
 	for {
-		if tc.bin {
-			p, err := server.ReadRawFrame(br, rbuf)
-			if err != nil {
-				return
-			}
-			rbuf = p[:0]
-			rv, err := server.DecodeRequestView(p)
-			if err != nil {
-				return
-			}
-			// rv's byte fields alias rbuf; handleTCP consumes them before
-			// returning (hash, map lookup), so the reuse is safe.
-			s.handleTCP(tc, rv, time.Now())
-		} else {
-			var req server.Request
-			if err := server.ReadFrame(br, &req); err != nil {
-				return
-			}
-			s.handleTCP(tc, server.RequestView{
-				ID: req.ID, Batch: req.Batch, Model: []byte(req.Model),
-				Session: []byte(req.Session), DeadlineMS: req.DeadlineMS,
-			}, time.Now())
+		p, err := server.ReadRawFrame(br, rbuf)
+		if err != nil {
+			return
 		}
+		rbuf = p[:0]
+		rv, err := server.DecodeRequestView(p)
+		if err != nil {
+			return
+		}
+		// rv's byte fields alias rbuf; handleTCP consumes them before
+		// returning (hash, map lookup), so the reuse is safe.
+		s.handleTCP(tc, rv, time.Now())
 	}
 }
 
@@ -141,7 +114,7 @@ func (tc *tcpConn) authenticate(token string) {
 	if a == nil {
 		return
 	}
-	b, ok := a.lookupString(token)
+	b, ok := a.lookup([]byte(token))
 	if !ok {
 		tc.authFailed = true
 		return
@@ -210,21 +183,7 @@ func (s *Server) runWait(w waitWork) {
 func (tc *tcpConn) queueReply(rep server.Reply) {
 	tc.wmu.Lock()
 	if tc.werr == nil {
-		var err error
-		if tc.bin {
-			tc.wbuf, err = server.AppendReplyFrame(tc.wbuf, rep)
-		} else {
-			var payload []byte
-			if payload, err = json.Marshal(rep); err == nil {
-				var hdr [4]byte
-				encbinary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-				tc.wbuf = append(tc.wbuf, hdr[:]...)
-				tc.wbuf = append(tc.wbuf, payload...)
-			}
-		}
-		if err != nil {
-			tc.werr = err
-		}
+		tc.wbuf, tc.werr = server.AppendReplyFrame(tc.wbuf, rep)
 	}
 	tc.wmu.Unlock()
 	select {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -156,44 +155,5 @@ func TestSubmitDeadline(t *testing.T) {
 	// policy — so this one actually serves.
 	if res.Err != nil {
 		t.Fatalf("session query under never-assign policy: %v", res.Err)
-	}
-}
-
-func TestSessionRequestFrameRoundTrip(t *testing.T) {
-	req := Request{ID: 77, Model: "NCF", Batch: 123, Trace: true, Session: "user-9", DeadlineMS: 1500}
-	frame, err := AppendRequestFrame(nil, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frame[4] != frameRequestSession {
-		t.Fatalf("frame kind = %#x, want session kind", frame[4])
-	}
-	rv, err := DecodeRequestView(frame[4:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rv.ID != 77 || rv.Batch != 123 || !rv.Traced ||
-		!bytes.Equal(rv.Model, []byte("NCF")) || !bytes.Equal(rv.Session, []byte("user-9")) ||
-		rv.DeadlineMS != 1500 {
-		t.Fatalf("decoded view %+v", rv)
-	}
-	// A plain request still decodes through the view (legacy kind).
-	plain, err := AppendRequestFrame(nil, Request{ID: 5, Model: "NCF", Batch: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain[4] != frameRequest {
-		t.Fatalf("plain frame kind = %#x", plain[4])
-	}
-	rv, err = DecodeRequestView(plain[4:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rv.ID != 5 || rv.Batch != 8 || len(rv.Session) != 0 || rv.DeadlineMS != 0 {
-		t.Fatalf("decoded plain view %+v", rv)
-	}
-	// Session keys over the wire limit are rejected at encode time.
-	if _, err := AppendRequestFrame(nil, Request{ID: 1, Model: "m", Batch: 1, Session: string(make([]byte, 256))}); err == nil {
-		t.Fatal("oversized session key must be rejected")
 	}
 }

@@ -8,11 +8,10 @@ import (
 	"kairos/internal/sim"
 )
 
-// BenchmarkFrames measures each wire codec in both hot directions —
-// request encode (per-dispatch) and reply decode (per-completion) — for
-// the JSON fallback and the negotiated binary encoding. The cases are
-// shared with cmd/kairos-microbench so BENCH_micro.json tracks exactly
-// these loops.
+// BenchmarkFrames measures the wire codec in both hot directions —
+// request encode (per-dispatch) and reply decode (per-completion). The
+// cases are shared with cmd/kairos-microbench so BENCH_micro.json tracks
+// exactly these loops.
 func BenchmarkFrames(b *testing.B) {
 	for _, c := range FrameBenchCases() {
 		b.Run(c.Name, func(b *testing.B) {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"fmt"
 
 	"kairos/internal/cloud"
@@ -152,37 +151,13 @@ type FrameBenchCase struct {
 	Loop func(n int) error
 }
 
-// FrameBenchCases covers both codecs in both hot directions: request
+// FrameBenchCases covers the codec in both hot directions: request
 // encode (the controller's per-dispatch cost) and reply decode (its
 // per-completion cost).
 func FrameBenchCases() []FrameBenchCase {
 	req := Request{ID: 123456789, Model: "NCF", Batch: 750}
 	rep := Reply{ID: 123456789, ServiceMS: 1.348}
 	return []FrameBenchCase{
-		{"FrameEncodeRequestJSON", func(n int) error {
-			var buf bytes.Buffer
-			for i := 0; i < n; i++ {
-				buf.Reset()
-				if err := WriteFrame(&buf, req); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
-		{"FrameDecodeReplyJSON", func(n int) error {
-			var buf bytes.Buffer
-			if err := WriteFrame(&buf, rep); err != nil {
-				return err
-			}
-			frame := buf.Bytes()
-			for i := 0; i < n; i++ {
-				var out Reply
-				if err := ReadFrame(bytes.NewReader(frame), &out); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
 		{"FrameEncodeRequestBinary", func(n int) error {
 			var buf []byte
 			for i := 0; i < n; i++ {

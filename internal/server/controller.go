@@ -353,9 +353,8 @@ func NewMultiController(groups map[string]GroupSpec, timeScale float64, addrs []
 }
 
 // dialInstance connects and handshakes with one instance server,
-// validating the announced model against the served set and negotiating
-// the wire version (binary when the instance supports it, JSON fallback
-// for legacy instances).
+// validating the announced model against the served set and the announced
+// wire version against this build's.
 func (c *Controller) dialInstance(addr string) (*remoteInstance, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -372,16 +371,14 @@ func (c *Controller) dialInstance(addr string) (*remoteInstance, error) {
 		return nil, fmt.Errorf("server: instance %s at %s announces model %q, controller serves %v",
 			hello.TypeName, addr, hello.Model, c.order)
 	}
-	if hello.Proto >= ProtoBinary {
-		// Ack the highest version both sides speak; a ProtoBinary-only
-		// instance never sees the traced frame kinds.
-		ack := min(hello.Proto, ProtoTraced)
-		if err := wc.writeJSON(HelloAck{Proto: ack}); err != nil {
-			conn.Close()
-			return nil, fmt.Errorf("server: handshake with %s: %w", addr, err)
-		}
-		wc.binary = true
-		wc.proto = ack
+	if hello.Proto != ProtoSession {
+		conn.Close()
+		return nil, fmt.Errorf("server: instance %s at %s speaks wire version %d, this controller speaks %d",
+			hello.TypeName, addr, hello.Proto, ProtoSession)
+	}
+	if err := wc.writeJSON(HelloAck{Proto: ProtoSession}); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("server: handshake with %s: %w", addr, err)
 	}
 	mo := c.obs.Model(hello.Model)
 	return &remoteInstance{

@@ -11,8 +11,8 @@ import (
 )
 
 // TestInstanceServerShutdownDrains: Shutdown must stop accepting new
-// connections but serve every fully-received request — including ones
-// queued behind a request that is mid-service when the drain starts —
+// connections but serve every fully-received request queued behind the
+// one that is mid-service when the drain starts — wherever it is held —
 // before the connection goes away. This is what lets kairosd honor
 // SIGTERM without dropping queries (exec actuation provider).
 func TestInstanceServerShutdownDrains(t *testing.T) {
@@ -23,65 +23,82 @@ func TestInstanceServerShutdownDrains(t *testing.T) {
 	// Scale so one query takes ~80ms of real time: long enough that the
 	// drain provably overlaps an executing query.
 	scale := 80 / m.Latency(typeName, batch)
-	s, err := NewInstanceServer(typeName, m, scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	addr := s.Addr()
+	for _, tc := range []struct {
+		held     string
+		together bool // request 2 is sent in the same write as request 1
+	}{
+		// The read that returned request 1 already pulled request 2 into
+		// the server's read buffer.
+		{"in the read buffer", true},
+		// Request 2 is sent once request 1 is executing: nobody is reading,
+		// so it waits in the kernel's socket buffer, where a read that
+		// fails on an expired deadline never looks.
+		{"in the socket buffer", false},
+	} {
+		t.Run("request "+tc.held, func(t *testing.T) {
+			t.Parallel()
+			s, err := NewInstanceServer(typeName, m, scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Start("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			addr := s.Addr()
+			p := dialPeer(t, addr)
+			executing := func() bool {
+				if s.mu.TryLock() {
+					s.mu.Unlock()
+					return false
+				}
+				return true
+			}
+			if tc.together {
+				p.send(t, Request{ID: 1, Batch: batch}, Request{ID: 2, Batch: batch})
+			} else {
+				p.send(t, Request{ID: 1, Batch: batch})
+			}
+			for deadline := time.Now().Add(5 * time.Second); !executing(); {
+				if time.Now().After(deadline) {
+					t.Fatal("request 1 never started executing")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if !tc.together {
+				// Loopback delivers within the write: once send returns, the
+				// server's kernel holds request 2.
+				p.send(t, Request{ID: 2, Batch: batch})
+			}
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	var hello Hello
-	if err := ReadFrame(conn, &hello); err != nil {
-		t.Fatal(err)
-	}
-	// Legacy JSON controller: two requests back-to-back, so the second is
-	// sitting fully received in the server's read buffer while the first
-	// executes.
-	if err := WriteFrame(conn, Request{ID: 1, Batch: batch}); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFrame(conn, Request{ID: 2, Batch: batch}); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(20 * time.Millisecond) // let request 1 start executing
+			done := make(chan error, 1)
+			go func() { done <- s.Shutdown(5 * time.Second) }()
 
-	done := make(chan error, 1)
-	go func() { done <- s.Shutdown(5 * time.Second) }()
-
-	for want := int64(1); want <= 2; want++ {
-		var rep Reply
-		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		if err := ReadFrame(conn, &rep); err != nil {
-			t.Fatalf("reply %d lost across the drain: %v", want, err)
-		}
-		if rep.ID != want || rep.Err != "" {
-			t.Fatalf("reply %d = %+v", want, rep)
-		}
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-	// The drained connection is closed by the server.
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	var rep Reply
-	if err := ReadFrame(conn, &rep); err == nil {
-		t.Fatal("connection must close after the drain")
-	}
-	// Nothing new can connect.
-	if c, err := net.DialTimeout("tcp", addr, 250*time.Millisecond); err == nil {
-		c.Close()
-		t.Fatal("listener must refuse connections after Shutdown")
-	}
-	// Close after Shutdown is a clean no-op.
-	if err := s.Close(); err != nil {
-		t.Fatalf("close after shutdown: %v", err)
+			for want := int64(1); want <= 2; want++ {
+				rep, err := p.recv()
+				if err != nil {
+					t.Fatalf("reply %d lost across the drain: %v", want, err)
+				}
+				if rep.ID != want || rep.Err != "" {
+					t.Fatalf("reply %d = %+v", want, rep)
+				}
+			}
+			if err := <-done; err != nil {
+				t.Fatalf("shutdown: %v", err)
+			}
+			// The drained connection is closed by the server.
+			if rep, err := p.recv(); err == nil {
+				t.Fatalf("connection must close after the drain, got %+v", rep)
+			}
+			// Nothing new can connect.
+			if c, err := net.DialTimeout("tcp", addr, 250*time.Millisecond); err == nil {
+				c.Close()
+				t.Fatal("listener must refuse connections after Shutdown")
+			}
+			// Close after Shutdown is a clean no-op.
+			if err := s.Close(); err != nil {
+				t.Fatalf("close after shutdown: %v", err)
+			}
+		})
 	}
 }
 
@@ -98,17 +115,10 @@ func TestInstanceServerShutdownIdleConn(t *testing.T) {
 	if err := s.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	conn, err := net.Dial("tcp", s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	var hello Hello
-	if err := ReadFrame(conn, &hello); err != nil {
-		t.Fatal(err)
-	}
-	// An idle connection (no pending request) drains immediately: the
-	// deadline sweep pops its blocked read and the server exits cleanly.
+	dialPeer(t, s.Addr())
+	// An idle connection (no pending request) drains at once: the deadline
+	// sweep pops its blocked read, one look finds the socket empty, and
+	// the server exits cleanly.
 	if err := s.Shutdown(5 * time.Second); err != nil {
 		t.Fatalf("idle-conn drain: %v", err)
 	}
@@ -132,18 +142,8 @@ func TestInstanceServerShutdownTimeoutForceCloses(t *testing.T) {
 	if err := s.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	conn, err := net.Dial("tcp", s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	var hello Hello
-	if err := ReadFrame(conn, &hello); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFrame(conn, Request{ID: 1, Batch: batch}); err != nil {
-		t.Fatal(err)
-	}
+	p := dialPeer(t, s.Addr())
+	p.send(t, Request{ID: 1, Batch: batch})
 	time.Sleep(20 * time.Millisecond) // the query is now executing
 
 	start := time.Now()
@@ -160,9 +160,7 @@ func TestInstanceServerShutdownTimeoutForceCloses(t *testing.T) {
 		t.Fatalf("shutdown took %v; the force-close backstop did not bound the drain", elapsed)
 	}
 	// The client sees the cut connection, not a reply.
-	conn.SetReadDeadline(time.Now().Add(time.Second))
-	var rep Reply
-	if err := ReadFrame(conn, &rep); err == nil {
+	if rep, err := p.recv(); err == nil {
 		t.Fatalf("force-closed connection still delivered %+v", rep)
 	}
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -10,43 +9,6 @@ import (
 	"kairos/internal/cloud"
 	"kairos/internal/models"
 )
-
-// listenLocal opens a loopback listener that the test owns.
-func listenLocal(t *testing.T) net.Listener {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	return ln
-}
-
-// fakeInstance is a handshaking instance server that swallows every
-// request and never replies, dying when its die channel closes — the
-// minimal stand-in for a wedged-then-crashed kairosd.
-func fakeInstance(t *testing.T, typeName, model string) (addr string, die chan struct{}) {
-	t.Helper()
-	ln := listenLocal(t)
-	die = make(chan struct{})
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		if err := WriteFrame(conn, Hello{TypeName: typeName, Model: model}); err != nil {
-			return
-		}
-		go func() {
-			var req Request
-			for ReadFrame(conn, &req) == nil {
-			}
-		}()
-		<-die
-		conn.Close()
-	}()
-	return ln.Addr().String(), die
-}
 
 // TestOnInstanceDownFiresOnEviction: the instance-down callback must
 // report every eviction with the model, type, address, and cause, and

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -124,9 +123,10 @@ func (s *InstanceServer) Kill() error {
 // flushed, and only then do the connections go away — so a SIGTERM'd
 // kairosd (see the exec actuation provider) never drops a query it has
 // accepted. Requests still in flight on the network when the drain
-// starts are not waited for; the controller sees the close and fails
-// them like any lost instance. Shutdown waits up to timeout for the
-// drain before force-closing lingering connections.
+// starts are not waited for (beyond the drainLook they may happen to
+// land in); the controller sees the close and fails them like any lost
+// instance. Shutdown waits up to timeout for the drain before
+// force-closing lingering connections.
 func (s *InstanceServer) Shutdown(timeout time.Duration) error {
 	s.drainOnce.Do(func() { close(s.draining) })
 	err := s.listener.Close()
@@ -134,8 +134,8 @@ func (s *InstanceServer) Shutdown(timeout time.Duration) error {
 		err = nil
 	}
 	// Expired read deadlines pop blocked readers out of their syscalls;
-	// buffered (fully-received) requests keep being served because the
-	// bufio window satisfies those reads without touching the socket.
+	// each serve loop then collects what its socket had already received
+	// (see serveConn) before it exits.
 	s.tracker.SweepReadDeadlines()
 	done := make(chan struct{})
 	go func() {
@@ -187,72 +187,54 @@ func (s *InstanceServer) acceptLoop() {
 	}
 }
 
-// serveConn handles one controller connection: banner, version
-// negotiation, then a request loop. Service is serialized across every
+// serveConn handles one controller connection: banner, the strict version
+// check, then a request loop. Service is serialized across every
 // connection so the instance truly serves one query at a time.
 func (s *InstanceServer) serveConn(conn net.Conn) {
 	defer conn.Close()
 	defer s.tracker.Track(conn)()
 	wc := newWireConn(conn)
-	if err := wc.writeJSON(Hello{TypeName: s.TypeName, Model: s.Model.Name, Proto: ProtoTraced}); err != nil {
+	if err := wc.writeJSON(Hello{TypeName: s.TypeName, Model: s.Model.Name, Proto: ProtoSession}); err != nil {
 		return
 	}
-	// The first frame is always JSON: either the controller's HelloAck
-	// (selects the codec) or a legacy controller's first Request.
-	payload, err := readRawFrame(wc.br, wc.rbuf)
-	if err != nil {
+	// The first frame must be the controller's ack of exactly this
+	// version. Anything else — another number, a frame that is not an ack —
+	// is a stale or foreign peer whose frames would misdecode: refuse it.
+	var ack HelloAck
+	if err := ReadFrame(wc.br, &ack); err != nil || ack.Proto != ProtoSession {
 		return
 	}
-	wc.rbuf = payload
-	var probe HandshakeProbe
-	if err := json.Unmarshal(payload, &probe); err != nil {
-		return
-	}
-	if probe.Proto != nil {
-		wc.proto = min(*probe.Proto, ProtoTraced)
-		wc.binary = wc.proto >= ProtoBinary
-	} else {
-		// Legacy JSON controller: the probe frame was its first query.
-		reply := s.serve(probe.ID, probe.Batch, probe.Model)
-		if err := wc.writeReply(reply); err != nil {
+	queued := 0  // replies buffered but not yet flushed
+	look := true // a drain timeout may still be hiding received requests
+	for {
+		rv, err := wc.readRequest()
+		if err != nil {
+			if !s.drainExit(err) {
+				return
+			}
+			if look {
+				// An expired deadline fails the read without looking at the
+				// socket, so a request the kernel already holds would be
+				// dropped, and closing over it resets the connection. Look
+				// once more under a deadline still ahead; only a timeout with
+				// nothing read since means everything received was served.
+				look = false
+				conn.SetReadDeadline(time.Now().Add(drainLook))
+				continue
+			}
+			wc.flush()
 			return
 		}
-	}
-	queued := 0 // replies buffered but not yet flushed
-	for {
-		var id int64
-		var batch int
-		var model string
-		var traced bool
-		if wc.binary {
-			bid, bbatch, bmodel, btraced, err := wc.readBinaryRequest()
-			if err != nil {
-				if s.drainExit(err) {
-					wc.flush()
-				}
-				return
-			}
-			id, batch, traced = bid, bbatch, btraced
-			// Compare in place; the conversion in the comparison below does
-			// not allocate, and s.serve only needs the name on mismatch.
-			if len(bmodel) > 0 && string(bmodel) != s.Model.Name {
-				model = string(bmodel)
-			} else {
-				model = s.Model.Name
-			}
-		} else {
-			var req Request
-			if err := ReadFrame(wc.br, &req); err != nil {
-				if s.drainExit(err) {
-					wc.flush()
-				}
-				return
-			}
-			id, batch, model, traced = req.ID, req.Batch, req.Model, req.Trace
+		look = true
+		// Compare in place (the conversion in the comparison does not
+		// allocate); validate only needs the foreign name on mismatch.
+		model := s.Model.Name
+		if len(rv.Model) > 0 && string(rv.Model) != s.Model.Name {
+			model = string(rv.Model)
 		}
-		reply := s.validate(id, batch, model)
+		reply := s.validate(rv.ID, rv.Batch, model)
 		if reply.Err == "" {
-			serviceMS := s.Model.Latency(s.TypeName, batch)
+			serviceMS := s.Model.Latency(s.TypeName, rv.Batch)
 			// A reply may only be withheld across the next service if that
 			// service is cheaper than the syscall being saved — never delay
 			// an already-finished query's completion behind a real model
@@ -263,8 +245,8 @@ func (s *InstanceServer) serveConn(conn net.Conn) {
 				}
 				queued = 0
 			}
-			reply = s.execute(id, serviceMS, traced)
-		} else if traced {
+			reply = s.execute(rv.ID, serviceMS, rv.Traced)
+		} else if rv.Traced {
 			reply.Traced = true
 		}
 		if err := wc.queueReply(reply); err != nil {
@@ -281,6 +263,12 @@ func (s *InstanceServer) serveConn(conn net.Conn) {
 		}
 	}
 }
+
+// drainLook is how far ahead a draining connection re-arms its read
+// deadline to collect what the kernel already received. Data that is there
+// returns at once; the wait only bounds the empty case, and is long enough
+// that a scheduling stall between arming and reading cannot expire it.
+const drainLook = 50 * time.Millisecond
 
 // promptReplyBudget bounds how much emulated service time may pass in
 // front of an unflushed reply: batching replies across sub-syscall-cost
@@ -319,12 +307,4 @@ func (s *InstanceServer) execute(id int64, serviceMS float64, traced bool) Reply
 	}
 	time.Sleep(time.Duration(serviceMS * s.TimeScale * float64(time.Millisecond)))
 	return rep
-}
-
-// serve validates and executes one request.
-func (s *InstanceServer) serve(id int64, batch int, model string) Reply {
-	if rep := s.validate(id, batch, model); rep.Err != "" {
-		return rep
-	}
-	return s.execute(id, s.Model.Latency(s.TypeName, batch), false)
 }

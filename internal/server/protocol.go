@@ -2,11 +2,10 @@
 // paper's central controller sends optimized inference requests to
 // individual instance servers over gRPC (Sec. 6); here the transport is a
 // length-prefixed protocol over TCP built only on the standard library.
-// The handshake banner is JSON; the per-query Request/Reply frames use a
-// compact fixed-width binary encoding negotiated at connect time, with
-// JSON retained as the fallback for legacy peers. It exists so the system
-// runs end to end as real processes — the throughput experiments use the
-// deterministic simulator instead.
+// The handshake (Hello, HelloAck) is JSON; every frame after it is one of
+// two fixed-width binary layouts, a request and a reply. It exists so the
+// system runs end to end as real processes — the throughput experiments
+// use the deterministic simulator instead.
 package server
 
 import (
@@ -21,82 +20,63 @@ import (
 // anything larger indicates a corrupted stream.
 const MaxFrame = 1 << 16
 
-// Wire protocol versions. The instance server announces the highest
-// version it speaks in its Hello banner; the controller picks the highest
-// version both sides support and confirms it with a HelloAck. A banner
-// without a version (a legacy instance) and an absent ack (a legacy
-// controller) both select ProtoJSON, so mixed-version fleets keep working.
-const (
-	// ProtoJSON is the original length-prefixed JSON protocol.
-	ProtoJSON = 0
-	// ProtoBinary is the fixed-width binary Request/Reply encoding.
-	ProtoBinary = 1
-	// ProtoTraced extends ProtoBinary with the flight-recorder frame
-	// kinds: a traced request (the kind byte is the trace flag) and a
-	// traced reply carrying the instance-side wait time. Peers that
-	// negotiated ProtoBinary never see the new kinds.
-	ProtoTraced = 2
-	// ProtoSession extends ProtoTraced with the session request kind: a
-	// request carrying an optional session-affinity key and per-request
-	// deadline. Only the ingress front door speaks it; controller →
-	// instance traffic never uses the new kind.
-	ProtoSession = 3
-)
+// ProtoSession is the wire version, the only one: the serving side
+// announces it in its Hello, the dialing side echoes it in its HelloAck,
+// and either side closes the connection on any other value — every peer
+// is built from this repository, so a different number is a stale binary
+// to refuse, not a dialect to speak. Versions 1–3 were the negotiated
+// layouts this one replaced; the number is never reused.
+const ProtoSession = 4
 
 // Request asks an instance server to serve one batched query.
 type Request struct {
 	// ID correlates the reply.
-	ID int64 `json:"id"`
+	ID int64
 	// Model names the model the query targets; servers reject requests for
-	// a model they do not host. Empty skips the check (legacy controllers).
-	Model string `json:"model,omitempty"`
+	// a model they do not host. Empty skips the check.
+	Model string
 	// Batch is the query batch size.
-	Batch int `json:"batch"`
+	Batch int
 	// Trace marks a sampled query: the instance measures its serve-slot
-	// wait and echoes a traced reply. On the wire it is the frame kind
-	// (binary) or this field (JSON fallback); legacy peers ignore it.
-	Trace bool `json:"trace,omitempty"`
+	// wait and echoes it in a traced reply.
+	Trace bool
 	// Session is an optional client session key for affinity routing:
 	// queries with the same key prefer the same instance. Only the
-	// ingress front door interprets it (ProtoSession); legacy peers
-	// ignore the field.
-	Session string `json:"session,omitempty"`
+	// ingress front door interprets it.
+	Session string
 	// DeadlineMS bounds how long the query may wait for dispatch,
 	// relative to its arrival at the front door. 0 means no deadline.
-	DeadlineMS int64 `json:"deadline_ms,omitempty"`
+	DeadlineMS int64
 }
 
 // Reply reports a served query.
 type Reply struct {
 	// ID echoes the request.
-	ID int64 `json:"id"`
+	ID int64
 	// ServiceMS is the server-side service time in milliseconds.
-	ServiceMS float64 `json:"service_ms"`
+	ServiceMS float64
 	// Err carries a server-side failure, empty on success.
-	Err string `json:"err,omitempty"`
-	// Traced echoes Request.Trace; only traced replies carry WaitNS.
-	Traced bool `json:"traced,omitempty"`
-	// WaitNS is the wall time the request waited for the instance's
+	Err string
+	// Traced echoes Request.Trace.
+	Traced bool
+	// WaitNS is the wall time a traced request waited for the instance's
 	// serve slot (receive → service start), measured instance-side.
-	WaitNS int64 `json:"wait_ns,omitempty"`
+	WaitNS int64
 }
 
-// Hello is the banner an instance server sends on connect, announcing what
-// it is and the highest protocol version it speaks.
+// Hello is the banner the serving side (an instance server, the ingress)
+// sends on connect, announcing what it is and the wire version it speaks.
 type Hello struct {
 	// TypeName is the cloud instance type, e.g. "g4dn.xlarge".
 	TypeName string `json:"type_name"`
 	// Model is the served model name.
 	Model string `json:"model"`
-	// Proto is the highest wire version the instance supports. Legacy
-	// instances omit it (zero = ProtoJSON).
-	Proto int `json:"proto,omitempty"`
+	// Proto is the wire version; a peer refuses anything but its own.
+	Proto int `json:"proto"`
 }
 
-// HelloAck is the controller's negotiation reply: the wire version every
-// following Request/Reply frame on the connection uses. Legacy controllers
-// never send it and instances fall back to ProtoJSON (the ack is
-// distinguishable from a JSON Request by its "proto" key).
+// HelloAck is the dialing side's answer and must be the first frame it
+// sends: the same wire version, or the serving side closes the connection.
 type HelloAck struct {
 	Proto int `json:"proto"`
 	// Token authenticates the client to a front door configured with a
@@ -104,25 +84,7 @@ type HelloAck struct {
 	Token string `json:"token,omitempty"`
 }
 
-// HandshakeProbe decodes the first post-banner frame of a serving-side
-// connection: a HelloAck from a version-aware peer carries "proto"; a
-// legacy JSON peer sends a Request straight away. Both the instance
-// server and the ingress front-end perform this negotiation, so the
-// probe shape lives here once.
-type HandshakeProbe struct {
-	Proto *int   `json:"proto"`
-	Token string `json:"token"`
-	ID    int64  `json:"id"`
-	Model string `json:"model"`
-	Batch int    `json:"batch"`
-	// Session and DeadlineMS mirror the Request fields so a legacy JSON
-	// peer whose first frame is a query keeps its affinity key and
-	// deadline through the probe.
-	Session    string `json:"session"`
-	DeadlineMS int64  `json:"deadline_ms"`
-}
-
-// WriteFrame writes one length-prefixed JSON message.
+// WriteFrame writes one length-prefixed JSON message (handshake frames).
 func WriteFrame(w io.Writer, v any) error {
 	payload, err := json.Marshal(v)
 	if err != nil {
@@ -155,7 +117,7 @@ func ReadFrame(r io.Reader, v any) error {
 // ReadRawFrame reads one length-prefixed payload without decoding it,
 // reusing buf when it is large enough. The returned slice is only valid
 // until the next call with the same buffer. Front-ends that speak the
-// binary codec (internal/ingress) pair it with DecodeRequestFrame /
+// binary codec (internal/ingress) pair it with DecodeRequestView /
 // DecodeReplyFrame.
 func ReadRawFrame(r io.Reader, buf []byte) ([]byte, error) {
 	return readRawFrame(r, buf)
@@ -183,35 +145,29 @@ func readRawFrame(r io.Reader, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// Binary (ProtoBinary) payloads: a kind byte followed by fixed-width
-// fields, with the two variable strings length-prefixed. ProtoTraced
-// adds two kinds: a traced request shares the request layout (the kind
-// byte carries the flag), and a traced reply inserts the instance-side
-// wait before the error string.
+// Binary payloads: a kind byte followed by fixed-width big-endian fields,
+// with the variable strings length-prefixed. One layout per direction:
 //
-//	Request:        kind(1) id(8) batch(4) modelLen(1) model
-//	Reply:          kind(1) id(8) serviceMS(8) errLen(2) err
-//	RequestTraced:  kind(1) id(8) batch(4) modelLen(1) model
-//	ReplyTraced:    kind(1) id(8) serviceMS(8) waitNS(8) errLen(2) err
-//	RequestSession: kind(1) id(8) batch(4) deadlineMS(4) flags(1) modelLen(1) model sessLen(1) sess
+//	Request: kind(1) id(8) batch(4) deadlineMS(4) flags(1) modelLen(1) model sessLen(1) sess
+//	Reply:   kind(1) id(8) serviceMS(8) waitNS(8) flags(1) errLen(2) err
 //
-// The session request (ProtoSession) folds the trace flag into a flags
-// byte instead of minting yet another kind, and bounds the deadline at
-// ~49 days (uint32 milliseconds) — deadlines are per-request, not epochs.
+// The deadline is bounded at ~49 days (uint32 milliseconds) — deadlines
+// are per-request, not epochs. flagTraced is the only flag in either
+// direction; a frame with any other bit set is malformed, so every
+// accepted payload re-encodes to itself. Kind bytes are never reused for
+// a different layout: 0x05 is version 3's session request, unchanged, and
+// 0x06 is new with this version's reply.
 const (
-	frameRequest        = 0x01
-	frameReply          = 0x02
-	frameRequestTraced  = 0x03
-	frameReplyTraced    = 0x04
-	frameRequestSession = 0x05
+	frameRequest = 0x05
+	frameReply   = 0x06
 
-	sessionFlagTraced = 0x01
+	flagTraced = 0x01
+
+	requestFixed = 1 + 8 + 4 + 4 + 1 + 1 + 1 // a request with empty strings
+	replyFixed   = 1 + 8 + 8 + 8 + 1 + 2     // a reply with no error
 )
 
 // AppendRequestFrame appends the length-prefixed binary encoding of req.
-// A request carrying a session key or deadline encodes as the session
-// kind, which only ProtoSession peers decode; the caller gates on the
-// negotiated version.
 func AppendRequestFrame(buf []byte, req Request) ([]byte, error) {
 	if len(req.Model) > math.MaxUint8 {
 		return buf, fmt.Errorf("server: model name of %d bytes exceeds limit", len(req.Model))
@@ -219,46 +175,32 @@ func AppendRequestFrame(buf []byte, req Request) ([]byte, error) {
 	if req.Batch < math.MinInt32 || req.Batch > math.MaxInt32 {
 		return buf, fmt.Errorf("server: batch %d outside the wire range", req.Batch)
 	}
-	if req.Session != "" || req.DeadlineMS != 0 {
-		if len(req.Session) > math.MaxUint8 {
-			return buf, fmt.Errorf("server: session key of %d bytes exceeds limit", len(req.Session))
-		}
-		if req.DeadlineMS < 0 || req.DeadlineMS > math.MaxUint32 {
-			return buf, fmt.Errorf("server: deadline %dms outside the wire range", req.DeadlineMS)
-		}
-		n := 1 + 8 + 4 + 4 + 1 + 1 + len(req.Model) + 1 + len(req.Session)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(n))
-		buf = append(buf, frameRequestSession)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(req.ID))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(int32(req.Batch)))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(req.DeadlineMS))
-		var flags byte
-		if req.Trace {
-			flags |= sessionFlagTraced
-		}
-		buf = append(buf, flags)
-		buf = append(buf, byte(len(req.Model)))
-		buf = append(buf, req.Model...)
-		buf = append(buf, byte(len(req.Session)))
-		buf = append(buf, req.Session...)
-		return buf, nil
+	if len(req.Session) > math.MaxUint8 {
+		return buf, fmt.Errorf("server: session key of %d bytes exceeds limit", len(req.Session))
 	}
-	n := 1 + 8 + 4 + 1 + len(req.Model)
+	if req.DeadlineMS < 0 || req.DeadlineMS > math.MaxUint32 {
+		return buf, fmt.Errorf("server: deadline %dms outside the wire range", req.DeadlineMS)
+	}
+	n := requestFixed + len(req.Model) + len(req.Session)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
-	kind := byte(frameRequest)
-	if req.Trace {
-		kind = frameRequestTraced
-	}
-	buf = append(buf, kind)
+	buf = append(buf, frameRequest)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(req.ID))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(req.Batch)))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(req.DeadlineMS))
+	var flags byte
+	if req.Trace {
+		flags |= flagTraced
+	}
+	buf = append(buf, flags)
 	buf = append(buf, byte(len(req.Model)))
 	buf = append(buf, req.Model...)
+	buf = append(buf, byte(len(req.Session)))
+	buf = append(buf, req.Session...)
 	return buf, nil
 }
 
-// RequestView is a zero-copy decoded binary request: Model and Session
-// alias the frame buffer and are only valid until it is reused.
+// RequestView is a zero-copy decoded request: Model and Session alias
+// the frame buffer and are only valid until it is reused.
 type RequestView struct {
 	ID         int64
 	Batch      int
@@ -268,109 +210,71 @@ type RequestView struct {
 	Traced     bool
 }
 
-// DecodeRequestView parses any binary request kind without copying.
+// DecodeRequestView parses a request payload without copying.
 func DecodeRequestView(p []byte) (RequestView, error) {
 	var rv RequestView
-	if len(p) >= 1 && p[0] == frameRequestSession {
-		if len(p) < 20 {
-			return rv, fmt.Errorf("server: malformed session request frame (%d bytes)", len(p))
-		}
-		rv.ID = int64(binary.BigEndian.Uint64(p[1:9]))
-		rv.Batch = int(int32(binary.BigEndian.Uint32(p[9:13])))
-		rv.DeadlineMS = int64(binary.BigEndian.Uint32(p[13:17]))
-		rv.Traced = p[17]&sessionFlagTraced != 0
-		mlen := int(p[18])
-		if len(p) < 19+mlen+1 {
-			return rv, fmt.Errorf("server: malformed session request frame (%d bytes)", len(p))
-		}
-		rv.Model = p[19 : 19+mlen]
-		slen := int(p[19+mlen])
-		if len(p) != 20+mlen+slen {
-			return rv, fmt.Errorf("server: session request frame length %d, want %d", len(p), 20+mlen+slen)
-		}
-		rv.Session = p[20+mlen:]
-		return rv, nil
+	if len(p) < requestFixed || p[0] != frameRequest || p[17]&^flagTraced != 0 {
+		return rv, fmt.Errorf("server: malformed request frame (%d bytes)", len(p))
 	}
-	id, batch, model, traced, err := DecodeRequestFrame(p)
-	if err != nil {
-		return rv, err
+	mlen := int(p[18])
+	if len(p) < requestFixed+mlen {
+		return rv, fmt.Errorf("server: malformed request frame (%d bytes)", len(p))
 	}
-	return RequestView{ID: id, Batch: batch, Model: model, Traced: traced}, nil
-}
-
-// DecodeRequestFrame parses a binary request payload without copying: the
-// returned model bytes alias p and are only valid until p is reused.
-// Both request kinds decode here; traced reports which one arrived.
-// Session requests need DecodeRequestView.
-func DecodeRequestFrame(p []byte) (id int64, batch int, model []byte, traced bool, err error) {
-	if len(p) < 14 || (p[0] != frameRequest && p[0] != frameRequestTraced) {
-		return 0, 0, nil, false, fmt.Errorf("server: malformed binary request frame (%d bytes)", len(p))
+	slen := int(p[19+mlen])
+	if len(p) != requestFixed+mlen+slen {
+		return rv, fmt.Errorf("server: request frame length %d, want %d", len(p), requestFixed+mlen+slen)
 	}
-	id = int64(binary.BigEndian.Uint64(p[1:9]))
-	batch = int(int32(binary.BigEndian.Uint32(p[9:13])))
-	mlen := int(p[13])
-	if len(p) != 14+mlen {
-		return 0, 0, nil, false, fmt.Errorf("server: binary request frame length %d, want %d", len(p), 14+mlen)
-	}
-	return id, batch, p[14:], p[0] == frameRequestTraced, nil
+	rv.ID = int64(binary.BigEndian.Uint64(p[1:9]))
+	rv.Batch = int(int32(binary.BigEndian.Uint32(p[9:13])))
+	rv.DeadlineMS = int64(binary.BigEndian.Uint32(p[13:17]))
+	rv.Traced = p[17]&flagTraced != 0
+	rv.Model = p[19 : 19+mlen]
+	rv.Session = p[20+mlen:]
+	return rv, nil
 }
 
 // AppendReplyFrame appends the length-prefixed binary encoding of rep.
-// A traced reply uses the extended layout carrying WaitNS.
 func AppendReplyFrame(buf []byte, rep Reply) ([]byte, error) {
 	if len(rep.Err) > math.MaxUint16 {
 		return buf, fmt.Errorf("server: reply error of %d bytes exceeds limit", len(rep.Err))
 	}
-	extra := 0
-	if rep.Traced {
-		extra = 8
-	}
-	n := 1 + 8 + 8 + extra + 2 + len(rep.Err)
+	n := replyFixed + len(rep.Err)
 	if n > MaxFrame {
 		return buf, fmt.Errorf("server: frame of %d bytes exceeds limit", n)
 	}
 	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
-	if rep.Traced {
-		buf = append(buf, frameReplyTraced)
-	} else {
-		buf = append(buf, frameReply)
-	}
+	buf = append(buf, frameReply)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(rep.ID))
 	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(rep.ServiceMS))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(rep.WaitNS))
+	var flags byte
 	if rep.Traced {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(rep.WaitNS))
+		flags |= flagTraced
 	}
+	buf = append(buf, flags)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(rep.Err)))
 	buf = append(buf, rep.Err...)
 	return buf, nil
 }
 
-// DecodeReplyFrame parses a binary reply payload (either kind). The
-// error string is copied (replies carry one only on failure), so the
-// result outlives p.
+// DecodeReplyFrame parses a reply payload. The error string is copied
+// (replies carry one only on failure), so the result outlives p.
 func DecodeReplyFrame(p []byte) (Reply, error) {
-	if len(p) < 19 || (p[0] != frameReply && p[0] != frameReplyTraced) {
-		return Reply{}, fmt.Errorf("server: malformed binary reply frame (%d bytes)", len(p))
+	if len(p) < replyFixed || p[0] != frameReply || p[25]&^flagTraced != 0 {
+		return Reply{}, fmt.Errorf("server: malformed reply frame (%d bytes)", len(p))
+	}
+	elen := int(binary.BigEndian.Uint16(p[26:28]))
+	if len(p) != replyFixed+elen {
+		return Reply{}, fmt.Errorf("server: reply frame length %d, want %d", len(p), replyFixed+elen)
 	}
 	rep := Reply{
 		ID:        int64(binary.BigEndian.Uint64(p[1:9])),
 		ServiceMS: math.Float64frombits(binary.BigEndian.Uint64(p[9:17])),
-	}
-	off := 17
-	if p[0] == frameReplyTraced {
-		if len(p) < 27 {
-			return Reply{}, fmt.Errorf("server: malformed traced reply frame (%d bytes)", len(p))
-		}
-		rep.Traced = true
-		rep.WaitNS = int64(binary.BigEndian.Uint64(p[17:25]))
-		off = 25
-	}
-	elen := int(binary.BigEndian.Uint16(p[off : off+2]))
-	if len(p) != off+2+elen {
-		return Reply{}, fmt.Errorf("server: binary reply frame length %d, want %d", len(p), off+2+elen)
+		WaitNS:    int64(binary.BigEndian.Uint64(p[17:25])),
+		Traced:    p[25]&flagTraced != 0,
 	}
 	if elen > 0 {
-		rep.Err = string(p[off+2:])
+		rep.Err = string(p[28:])
 	}
 	return rep, nil
 }

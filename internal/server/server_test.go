@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"fmt"
-	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -18,11 +17,11 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	in := Request{ID: 42, Batch: 777}
+	in := Hello{TypeName: "g4dn.xlarge", Model: "NCF", Proto: ProtoSession}
 	if err := WriteFrame(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	var out Request
+	var out Hello
 	if err := ReadFrame(&buf, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +41,7 @@ func TestFrameRejectsOversized(t *testing.T) {
 	// A forged oversized header must be rejected on read.
 	buf.Reset()
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	var out Request
+	var out Hello
 	if err := ReadFrame(&buf, &out); err == nil {
 		t.Fatal("expected read error for oversized header")
 	}
@@ -52,7 +51,7 @@ func TestFrameRejectsGarbage(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0, 0, 0, 2})
 	buf.WriteString("{{")
-	var out Request
+	var out Hello
 	if err := ReadFrame(&buf, &out); err == nil {
 		t.Fatal("expected decode error")
 	}
@@ -474,32 +473,11 @@ func TestControllerEvictsDeadInstance(t *testing.T) {
 
 	// A fake instance: handshakes, swallows requests, never replies, and
 	// drops its connection on demand.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	die := make(chan struct{})
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		if err := WriteFrame(conn, Hello{TypeName: cloud.G4dnXlarge.Name, Model: m.Name}); err != nil {
-			return
-		}
-		go func() {
-			var req Request
-			for ReadFrame(conn, &req) == nil {
-			}
-		}()
-		<-die
-		conn.Close()
-	}()
+	fakeAddr, die := fakeInstance(t, cloud.G4dnXlarge.Name, m.Name)
 
 	healthy := startServer(t, cloud.R5nLarge.Name, 1)
 	types := []string{cloud.G4dnXlarge.Name, cloud.R5nLarge.Name}
-	ctrl, err := NewController(m.Name, kairosPolicy(m, types), 1, m.Latency, []string{ln.Addr().String(), healthy.Addr()})
+	ctrl, err := NewController(m.Name, kairosPolicy(m, types), 1, m.Latency, []string{fakeAddr, healthy.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -614,42 +592,23 @@ func TestControllerRejectsWrongModelBanner(t *testing.T) {
 func TestInstanceServerRejectsWrongModelRequest(t *testing.T) {
 	t.Parallel()
 	m := models.MustByName("NCF")
-	s, err := NewInstanceServer(cloud.G4dnXlarge.Name, m, 1)
+	s := startServer(t, cloud.G4dnXlarge.Name, 1)
+	p := dialPeer(t, s.Addr())
+	if p.hello.Model != m.Name {
+		t.Fatalf("banner announces %q", p.hello.Model)
+	}
+	p.send(t, Request{ID: 1, Model: "RM2", Batch: 10})
+	reply, err := p.recv()
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	conn, err := net.Dial("tcp", s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	var hello Hello
-	if err := ReadFrame(conn, &hello); err != nil {
-		t.Fatal(err)
-	}
-	if hello.Model != m.Name {
-		t.Fatalf("banner announces %q", hello.Model)
-	}
-	if err := WriteFrame(conn, Request{ID: 1, Model: "RM2", Batch: 10}); err != nil {
-		t.Fatal(err)
-	}
-	var reply Reply
-	if err := ReadFrame(conn, &reply); err != nil {
 		t.Fatal(err)
 	}
 	if reply.Err == "" || !strings.Contains(reply.Err, m.Name) {
 		t.Fatalf("wrong-model request must error, got %+v", reply)
 	}
 	// A correctly-tagged request still serves.
-	if err := WriteFrame(conn, Request{ID: 2, Model: m.Name, Batch: 10}); err != nil {
-		t.Fatal(err)
-	}
-	var ok Reply
-	if err := ReadFrame(conn, &ok); err != nil {
+	p.send(t, Request{ID: 2, Model: m.Name, Batch: 10})
+	ok, err := p.recv()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if ok.Err != "" || ok.ServiceMS <= 0 {

@@ -8,7 +8,7 @@ import (
 	"sync"
 )
 
-// wireConn wraps one TCP connection with buffered I/O and the negotiated
+// wireConn wraps one TCP connection with buffered I/O and the binary
 // codec. Writers queue frames into the buffered writer and flush
 // explicitly, so a dispatch burst to one instance is a single syscall
 // instead of two writes per tiny frame. Reads are single-goroutine (each
@@ -17,11 +17,6 @@ import (
 type wireConn struct {
 	conn net.Conn
 	br   *bufio.Reader
-	// binary and proto are set once during the handshake, before
-	// concurrent use. proto is the negotiated wire version; binary is
-	// proto >= ProtoBinary, kept separate for the hot-path branch.
-	binary bool
-	proto  int
 
 	wmu  sync.Mutex
 	bw   *connWriter
@@ -44,7 +39,7 @@ type connWriter struct {
 	err  error // first write failure; the connection is dead after it
 }
 
-// Write implements io.Writer for the JSON path (WriteFrame): bytes land
+// Write implements io.Writer for the handshake (WriteFrame): bytes land
 // in the buffer and reach the socket at the next flush.
 func (cw *connWriter) Write(p []byte) (int, error) {
 	if err := cw.queue(p); err != nil {
@@ -108,19 +103,11 @@ func (w *wireConn) writeJSON(v any) error {
 	return w.bw.flush()
 }
 
-// queueRequest encodes req with the negotiated codec into the write
-// buffer without flushing; callers coalesce a burst and flush once. A
-// trace flag is dropped when the peer predates ProtoTraced: the query
-// still serves, it just loses its instance-wait sample.
+// queueRequest encodes req into the write buffer without flushing;
+// callers coalesce a burst and flush once.
 func (w *wireConn) queueRequest(req Request) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	if req.Trace && w.binary && w.proto < ProtoTraced {
-		req.Trace = false
-	}
-	if !w.binary {
-		return WriteFrame(w.bw, req)
-	}
 	frame, err := AppendRequestFrame(w.fbuf[:0], req)
 	if err != nil {
 		return err
@@ -129,29 +116,18 @@ func (w *wireConn) queueRequest(req Request) error {
 	return w.bw.queue(frame)
 }
 
-// queueReply encodes rep with the negotiated codec into the write buffer
-// without flushing; the instance loop flushes once no further request is
-// already buffered, so a burst of served queries is one syscall.
+// queueReply encodes rep into the write buffer without flushing; the
+// instance loop flushes once no further request is already buffered, so a
+// burst of served queries is one syscall.
 func (w *wireConn) queueReply(rep Reply) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	if !w.binary {
-		return WriteFrame(w.bw, rep)
-	}
 	frame, err := AppendReplyFrame(w.fbuf[:0], rep)
 	if err != nil {
 		return err
 	}
 	w.fbuf = frame
 	return w.bw.queue(frame)
-}
-
-// writeReply queues rep and flushes immediately.
-func (w *wireConn) writeReply(rep Reply) error {
-	if err := w.queueReply(rep); err != nil {
-		return err
-	}
-	return w.flush()
 }
 
 // flush pushes every queued frame to the socket.
@@ -188,11 +164,8 @@ func (w *wireConn) readFrame() ([]byte, error) {
 	return p, nil
 }
 
-// readReply reads one reply with the negotiated codec (controller side).
+// readReply reads one reply (controller side).
 func (w *wireConn) readReply(rep *Reply) error {
-	if !w.binary {
-		return ReadFrame(w.br, rep)
-	}
 	p, err := w.readFrame()
 	if err != nil {
 		return err
@@ -205,13 +178,12 @@ func (w *wireConn) readReply(rep *Reply) error {
 	return nil
 }
 
-// readBinaryRequest reads one binary request (instance side, negotiated
-// connections). The model bytes alias the read buffer and are only
-// valid until the next read.
-func (w *wireConn) readBinaryRequest() (id int64, batch int, model []byte, traced bool, err error) {
+// readRequest reads one request (instance side). The view's byte fields
+// alias the read buffer and are only valid until the next read.
+func (w *wireConn) readRequest() (RequestView, error) {
 	p, err := w.readFrame()
 	if err != nil {
-		return 0, 0, nil, false, err
+		return RequestView{}, err
 	}
-	return DecodeRequestFrame(p)
+	return DecodeRequestView(p)
 }

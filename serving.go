@@ -10,16 +10,15 @@ import (
 // packages.
 type (
 	// InstanceServer is one emulated inference instance: it binds a TCP
-	// port, announces its instance type and model (plus the highest wire
-	// version it speaks), and serves one batched query at a time with the
-	// calibrated latency (cmd/kairosd).
+	// port, announces its instance type, model and wire version, and
+	// serves one batched query at a time with the calibrated latency
+	// (cmd/kairosd).
 	InstanceServer = server.InstanceServer
 	// Controller is the central query controller speaking the framed
 	// protocol to running instance servers. It is sharded per model (one
-	// scheduler goroutine and lock per served model) and negotiates the
-	// compact binary wire codec per connection, falling back to JSON for
-	// legacy instances; closed-loop callers should prefer SubmitWait,
-	// which recycles per-query bookkeeping.
+	// scheduler goroutine and lock per served model) and refuses an
+	// instance that announces another wire version; closed-loop callers
+	// should prefer SubmitWait, which recycles per-query bookkeeping.
 	Controller = server.Controller
 	// QueryResult reports one completed query on the network path.
 	QueryResult = server.QueryResult
