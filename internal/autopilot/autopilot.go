@@ -495,40 +495,71 @@ func (a *Autopilot) Heal() (bool, error) {
 	pending := a.faultPending
 	a.faultPending = false
 	plan := a.current.Clone()
+	faultDetail := a.lastFaultDetail
 	a.mu.Unlock()
 	if !pending {
 		return false, nil
 	}
-	a.mu.Lock()
-	faultDetail := a.lastFaultDetail
-	a.mu.Unlock()
-	healStart := time.Now()
-	if err := a.actuate(plan); err != nil {
+	actuateMS, err := a.apply("heal", plan)
+	if err != nil {
 		a.mu.Lock()
 		a.faultPending = true
 		a.mu.Unlock()
-		a.setErr(fmt.Sprintf("heal: %v", err))
-		a.journal.add(DecisionEvent{
-			At: time.Now(), Kind: "error", Reason: "heal: " + faultDetail, Err: err.Error(),
-		})
-		return false, fmt.Errorf("autopilot: heal: %w", err)
+		a.journal.add(DecisionEvent{At: time.Now(), Kind: "error", Reason: "heal: " + faultDetail, Err: err.Error()})
+		return false, err
 	}
 	a.journal.add(DecisionEvent{
 		At: time.Now(), Kind: "heal", Reason: "healing fault: " + faultDetail,
-		To: a.planCounts(plan), ActuationMS: float64(time.Since(healStart)) / float64(time.Millisecond),
+		To: a.planCounts(plan), ActuationMS: actuateMS,
 	})
 	a.mu.Lock()
 	a.lastRecovery = time.Now()
 	a.heals++
-	if a.lastErr != "" && strings.HasPrefix(a.lastErr, "heal:") {
-		a.lastErr = ""
-	}
-	// The reshaped fleet invalidates the rate baseline, exactly as after a
-	// replan.
-	a.lastStepAt = time.Time{}
 	a.mu.Unlock()
 	a.logf("autopilot: healed fleet back to %v", plan)
 	return true, nil
+}
+
+// apply is the one way a plan reaches the fleet: reconcile toward it and,
+// on success, install it as the plan in force (counting a reconfiguration
+// if it differs), clear a recorded failure of the same kind, and force the
+// rate estimator to re-baseline — removed instances take their cumulative
+// BusyMS out of the stats, so the next delta would otherwise read as a
+// phantom zero-utilization tick. kind ("heal", "preempt", "actuate") names
+// the caller in the recorded and returned error. It reports the
+// reconciliation's wall-clock cost in ms. Callers hold stepMu.
+func (a *Autopilot) apply(kind string, plan core.FleetPlan) (float64, error) {
+	start := time.Now()
+	if err := a.actuate(plan); err != nil {
+		a.setErr(kind + ": " + err.Error())
+		return 0, fmt.Errorf("autopilot: %s: %w", kind, err)
+	}
+	a.mu.Lock()
+	if !plan.Equal(a.current) {
+		a.current = plan.Clone()
+		a.replans++
+	}
+	if strings.HasPrefix(a.lastErr, kind+":") {
+		a.lastErr = ""
+	}
+	a.lastStepAt = time.Time{}
+	a.mu.Unlock()
+	return float64(time.Since(start)) / float64(time.Millisecond), nil
+}
+
+// checkPlan reports why a planner's output cannot be actuated: it deploys
+// nothing, names a model the autopilot does not manage, or carries a
+// config that does not match the pool.
+func (a *Autopilot) checkPlan(p core.FleetPlan) error {
+	if p.Total() == 0 {
+		return fmt.Errorf("planner returned unusable plan %v", p)
+	}
+	for name, cfg := range p {
+		if _, ok := a.states[name]; !ok || len(cfg) != len(a.opts.Pool) {
+			return fmt.Errorf("planner returned unusable config %v for %q", cfg, name)
+		}
+	}
+	return nil
 }
 
 // FaultState reports the fault/heal bookkeeping for observability: when
@@ -646,38 +677,28 @@ func (a *Autopilot) replanAfterPreemption(model, detail string, noticeAt time.Ti
 		planTook := time.Since(planStart)
 		planMS = float64(planTook) / float64(time.Millisecond)
 		a.planHist.Record(planTook)
-		switch {
-		case err != nil:
+		if err == nil {
+			err = a.checkPlan(p)
+		}
+		if err != nil {
 			a.logf("autopilot: preemption replan for %s: %v (re-actuating current plan)", model, err)
-		case p.Total() == 0:
-			a.logf("autopilot: preemption replan for %s returned an empty plan (re-actuating current plan)", model)
-		default:
-			ok := true
-			for name, cfg := range p {
-				if _, known := a.states[name]; !known || len(cfg) != len(a.opts.Pool) {
-					a.logf("autopilot: preemption replan returned unusable config %v for %q (re-actuating current plan)", cfg, name)
-					ok = false
-					break
-				}
-			}
-			if ok {
-				next = p
-			}
+		} else {
+			next = p
 		}
 	}
-	reActuated := next == nil
-	if reActuated {
+	reason := "preempted " + detail + ": drained and replanned"
+	if next == nil {
 		next = current
+		reason = "preempted " + detail + ": drained and re-actuated the plan in force"
 	}
 
-	actuateStart := time.Now()
-	if err := a.actuate(next); err != nil {
+	actuateMS, err := a.apply("preempt", next)
+	if err != nil {
 		// Leave recovery to the fault machinery: mark a fault pending and
 		// kick the loop so Heal retries outside this handler.
 		a.mu.Lock()
 		a.faultPending = true
 		a.mu.Unlock()
-		a.setErr(fmt.Sprintf("preempt actuate: %v", err))
 		a.journal.add(DecisionEvent{
 			At: time.Now(), Kind: "preempt", Reason: "preempted " + detail + ": post-drain actuation failed",
 			Err: err.Error(), PlanMS: planMS, PreemptDrainMS: drainMS,
@@ -689,28 +710,10 @@ func (a *Autopilot) replanAfterPreemption(model, detail string, noticeAt time.Ti
 		a.logf("autopilot: post-preemption actuation failed: %v", err)
 		return
 	}
-	actuateMS := float64(time.Since(actuateStart)) / float64(time.Millisecond)
 	replanMS := float64(time.Since(noticeAt)) / float64(time.Millisecond)
-
 	a.mu.Lock()
-	changed := !reActuated && !next.Equal(current)
-	if changed {
-		a.current = next.Clone()
-		a.replans++
-	}
 	a.preemptReplanned++
-	if a.lastErr != "" && strings.HasPrefix(a.lastErr, "preempt") {
-		a.lastErr = ""
-	}
-	// The reshaped fleet invalidates the rate baseline, as after any
-	// replan or heal.
-	a.lastStepAt = time.Time{}
 	a.mu.Unlock()
-
-	reason := "preempted " + detail + ": drained and replanned"
-	if reActuated {
-		reason = "preempted " + detail + ": drained and re-actuated the plan in force"
-	}
 	a.journal.add(DecisionEvent{
 		At: time.Now(), Kind: "preempt", Reason: reason,
 		From: a.planCounts(current), To: a.planCounts(next),
@@ -949,21 +952,15 @@ func (a *Autopilot) step() (Decision, error) {
 	// — except under a pure scale-in, where a shrunk budget that buys no
 	// fleet simply means there is nothing safe to shed: keep the current
 	// fleet and re-arm, instead of looping on a recorded error every tick.
-	if next.Total() == 0 {
-		if scaleInOnly {
-			a.resetScaleIn()
-			a.setErr("")
-			dec.Reason = fmt.Sprintf("scale-in budget $%.2f/hr buys no fleet; keeping the current plan", dec.PlanBudget)
-			return dec, nil
-		}
-		a.setErr(fmt.Sprintf("replan: planner returned unusable plan %v", next))
-		return dec, fmt.Errorf("autopilot: replan: planner returned unusable plan %v", next)
+	if next.Total() == 0 && scaleInOnly {
+		a.resetScaleIn()
+		a.setErr("")
+		dec.Reason = fmt.Sprintf("scale-in budget $%.2f/hr buys no fleet; keeping the current plan", dec.PlanBudget)
+		return dec, nil
 	}
-	for name, cfg := range next {
-		if _, ok := a.states[name]; !ok || len(cfg) != len(a.opts.Pool) {
-			a.setErr(fmt.Sprintf("replan: planner returned unusable config %v for %q", cfg, name))
-			return dec, fmt.Errorf("autopilot: replan: planner returned unusable config %v for %q", cfg, name)
-		}
+	if err := a.checkPlan(next); err != nil {
+		a.setErr("replan: " + err.Error())
+		return dec, fmt.Errorf("autopilot: replan: %w", err)
 	}
 	// A model with no planning sample at all (cold window, no reference)
 	// was invisible to the planner; carry its current allocation forward
@@ -991,49 +988,31 @@ func (a *Autopilot) step() (Decision, error) {
 	}
 	reason := fmt.Sprintf("%s trigger (util %.2f, %s)", dec.triggerNames(), util, a.modelSummary(dec))
 
-	if next.Equal(current) {
-		a.mu.Lock()
-		for name, det := range rebased {
-			a.states[name].detector = det
+	changed := !next.Equal(current)
+	if changed {
+		if a.lastActuateMS, err = a.apply("actuate", next); err != nil {
+			return dec, err
 		}
-		a.lastChange = now
-		a.lastReason = reason + ", plan unchanged"
-		a.lastErr = ""
-		a.mu.Unlock()
-		// The trigger has been answered; without a fresh SLO view the old
-		// breach samples would re-fire it every cooldown.
-		a.resetLatencyWindows()
-		a.resetScaleIn()
-		dec.Reason = "trigger fired but the plan is unchanged"
-		return dec, nil
+	} else {
+		reason += ", plan unchanged"
 	}
-
-	actuateStart := time.Now()
-	if err := a.actuate(next); err != nil {
-		a.setErr(fmt.Sprintf("actuate: %v", err))
-		return dec, fmt.Errorf("autopilot: actuate: %w", err)
-	}
-	a.lastActuateMS = float64(time.Since(actuateStart)) / float64(time.Millisecond)
-
 	a.mu.Lock()
 	for name, det := range rebased {
 		a.states[name].detector = det
 	}
-	a.current = next.Clone()
-	a.replans++
 	a.lastChange = now
 	a.lastReason = reason
 	a.lastErr = ""
-	// Removed instances take their cumulative BusyMS out of the stats, so
-	// the next delta would read as a phantom zero-utilization tick; force
-	// the rate estimator to re-baseline on the reshaped fleet instead.
-	a.lastStepAt = time.Time{}
 	a.mu.Unlock()
-
-	// The latency windows measured the old fleet; restart the SLO view.
+	// The trigger has been answered and the latency windows measured the
+	// old fleet: without a fresh SLO view the old breach samples would
+	// re-fire it every cooldown.
 	a.resetLatencyWindows()
 	a.resetScaleIn()
-
+	if !changed {
+		dec.Reason = "trigger fired but the plan is unchanged"
+		return dec, nil
+	}
 	dec.Replanned = true
 	dec.To = next.Clone()
 	dec.Reason = reason

@@ -168,9 +168,10 @@ func parseReadyLine(line string) (string, bool) {
 }
 
 // probeHello health-checks a freshly-launched instance: dial, read the
-// Hello banner, verify the announced model and type. The probe connection
-// is closed without an ack; the instance drops it like any peer that
-// never completes the handshake.
+// Hello banner, hold it to the version rule the controller's dial will
+// apply (server.Hello.Check) and to the model and type that were asked
+// for — so a stale kairosd fails its launch, not the AddInstance after it. The probe connection is closed without an ack; the instance
+// drops it like any peer that never completes the handshake.
 func probeHello(addr, model, typeName string, timeout time.Duration) error {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
@@ -181,6 +182,9 @@ func probeHello(addr, model, typeName string, timeout time.Duration) error {
 	var hello server.Hello
 	if err := server.ReadFrame(conn, &hello); err != nil {
 		return fmt.Errorf("reading Hello banner from %s: %w", addr, err)
+	}
+	if err := hello.Check(); err != nil {
+		return fmt.Errorf("probing %s: %w", addr, err)
 	}
 	if hello.Model != model || hello.TypeName != typeName {
 		return fmt.Errorf("instance at %s announces %s/%s, want %s/%s",

@@ -69,8 +69,12 @@ func TestHealRelaunchesKilledInstance(t *testing.T) {
 	if got := ap.Controller().ModelInstanceCounts(m.Name)[cloud.R5nLarge.Name]; got != 2 {
 		t.Fatalf("healed fleet has %d CPU instances, want 2", got)
 	}
-	if n := fleet.Size(); n != 2 {
-		t.Fatalf("provider tracks %d servers, want 2", n)
+	// The reap runs on its own goroutine (the down callback is on the
+	// controller's read path), so it may still be finishing.
+	for deadline = time.Now().Add(5 * time.Second); fleet.Size() != 2; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("provider tracks %d servers, want 2", fleet.Size())
+		}
 	}
 	lastFault, lastRecovery, detail, lost, heals, pending := ap.FaultState()
 	if lastFault.IsZero() || lastRecovery.IsZero() || lastRecovery.Before(lastFault) {

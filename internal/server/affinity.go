@@ -1,6 +1,9 @@
 package server
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Session-affine routing: the front door tags queries with a session
 // hash, and the controller's dispatch loop tries to land every query of
@@ -27,11 +30,11 @@ type ringEntry struct {
 	ri   *remoteInstance
 }
 
-// affinityRing is a model group's consistent-hash ring over its
-// non-draining instances. It is rebuilt (not incrementally edited) on
-// every membership or draining change — fleets are tens of instances,
-// so a rebuild is a few microseconds and far easier to keep correct
-// across evictions, preemptions, and replans.
+// affinityRing is a model group's consistent-hash ring over its active
+// instances. It is rebuilt (not incrementally edited) on every lifecycle
+// transition (membership.setState) — fleets are tens of instances, so a
+// rebuild is a few microseconds and far easier to keep correct across
+// evictions, preemptions, and replans.
 type affinityRing struct {
 	entries []ringEntry
 }
@@ -41,7 +44,7 @@ type affinityRing struct {
 func (r *affinityRing) rebuild(instances []*remoteInstance) {
 	r.entries = r.entries[:0]
 	for _, ri := range instances {
-		if ri.draining {
+		if ri.state != stateActive {
 			continue
 		}
 		h := fnv64(ri.addr)
@@ -49,7 +52,7 @@ func (r *affinityRing) rebuild(instances []*remoteInstance) {
 			r.entries = append(r.entries, ringEntry{splitmix64(h + v), ri})
 		}
 	}
-	sort.Slice(r.entries, func(i, j int) bool { return r.entries[i].hash < r.entries[j].hash })
+	slices.SortFunc(r.entries, func(a, b ringEntry) int { return cmp.Compare(a.hash, b.hash) })
 }
 
 // pick walks the ring clockwise from the session's hash point and
@@ -61,10 +64,10 @@ func (r *affinityRing) pick(session uint64, bound int) *remoteInstance {
 	if n == 0 {
 		return nil
 	}
-	i := sort.Search(n, func(i int) bool { return r.entries[i].hash >= session })
+	i, _ := slices.BinarySearchFunc(r.entries, session, func(e ringEntry, s uint64) int { return cmp.Compare(e.hash, s) })
 	for k := 0; k < n; k++ {
 		ri := r.entries[(i+k)%n].ri
-		if !ri.draining && len(ri.pending) < bound {
+		if ri.state == stateActive && len(ri.pending) < bound {
 			return ri
 		}
 	}

@@ -22,9 +22,9 @@ func TestSessionHash(t *testing.T) {
 }
 
 func TestAffinityRingPick(t *testing.T) {
-	a := &remoteInstance{addr: "10.0.0.1:9000", byID: map[int64]*pendingQuery{}}
-	b := &remoteInstance{addr: "10.0.0.2:9000", byID: map[int64]*pendingQuery{}}
-	c := &remoteInstance{addr: "10.0.0.3:9000", byID: map[int64]*pendingQuery{}}
+	a := &remoteInstance{addr: "10.0.0.1:9000", state: stateActive}
+	b := &remoteInstance{addr: "10.0.0.2:9000", state: stateActive}
+	c := &remoteInstance{addr: "10.0.0.3:9000", state: stateActive}
 	var r affinityRing
 	r.rebuild([]*remoteInstance{a, b, c})
 	if len(r.entries) != 3*affinityVNodes {
@@ -49,7 +49,7 @@ func TestAffinityRingPick(t *testing.T) {
 		t.Fatalf("saturated pick = %v, want a different live instance", spill)
 	}
 	// Draining instances vanish from a rebuilt ring.
-	first.draining = true
+	first.state = stateDraining
 	r.rebuild([]*remoteInstance{a, b, c})
 	if len(r.entries) != 2*affinityVNodes {
 		t.Fatalf("ring keeps draining instance: %d entries", len(r.entries))

@@ -264,3 +264,50 @@ func waitPending(t *testing.T, ctrl *Controller) {
 	}
 	t.Fatal("no query ever dispatched")
 }
+
+// TestAddInstanceBoundsSilentListener: a listener that accepts and never
+// sends its banner must fail AddInstance within the handshake bound, not
+// hang it (and the autopilot actuator above it) forever — and the bound
+// must be lifted once a handshake completes, or every healthy instance
+// would be evicted on its first idle stretch.
+func TestAddInstanceBoundsSilentListener(t *testing.T) {
+	t.Parallel()
+	m := models.MustByName("NCF")
+	addrs := startCluster(t, []string{cloud.G4dnXlarge.Name}, 1)
+	ctrl, err := NewController(m.Name, kairosPolicy(m, []string{cloud.G4dnXlarge.Name}), 1, m.Latency, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Close()
+
+	ln := listenLocal(t)
+	release := make(chan struct{})
+	defer close(release)
+	go func() {
+		if conn, err := ln.Accept(); err == nil {
+			<-release // hold the connection open, say nothing
+			conn.Close()
+		}
+	}()
+	done := make(chan error, 1)
+	go func() {
+		_, err := ctrl.AddInstance(ln.Addr().String())
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "handshake") {
+			t.Fatalf("silent listener joined the fleet: %v", err)
+		}
+	case <-time.After(handshakeTimeout + 5*time.Second):
+		t.Fatal("AddInstance hung on a listener that never speaks")
+	}
+	// More than handshakeTimeout has passed since the healthy instance
+	// shook hands: it must still be a member and still serve.
+	if res := ctrl.SubmitWait(m.Name, 10); res.Err != nil {
+		t.Fatalf("healthy instance lost after the handshake bound elapsed: %v", res.Err)
+	}
+	if got := ctrl.InstanceTypes(); len(got) != 1 {
+		t.Fatalf("fleet = %v", got)
+	}
+}

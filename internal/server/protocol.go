@@ -75,6 +75,16 @@ type Hello struct {
 	Proto int `json:"proto"`
 }
 
+// Check is the one statement of the version rule for an instance's
+// banner, applied by the controller's dial and by the autopilot's launch
+// probe, so a stale kairosd is refused at the first place that looks.
+func (h Hello) Check() error {
+	if h.Proto != ProtoSession {
+		return fmt.Errorf("instance %s speaks wire version %d, this controller speaks %d", h.TypeName, h.Proto, ProtoSession)
+	}
+	return nil
+}
+
 // HelloAck is the dialing side's answer and must be the first frame it
 // sends: the same wire version, or the serving side closes the connection.
 type HelloAck struct {

@@ -1,0 +1,692 @@
+package server
+
+import (
+	"errors"
+	"flag"
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"kairos/internal/cloud"
+	"kairos/internal/models"
+	"kairos/internal/sim"
+)
+
+// The production round, membership and accounting code under a fake clock
+// and in-memory links: no socket, no sleep, no scheduler goroutine. The
+// test plays the scheduler loop itself (run a round when kicked, when a
+// deadline alarm is due, or when the round's own next-wake instant
+// arrives), drives seeded random op
+// sequences, and after every step compares the controller with a small
+// reference model. A failing seed prints its op log and the command that
+// replays it.
+
+var simSeed = flag.Int64("sim.seed", 0, "run TestRoundSim on this one seed instead of the fixed list")
+
+var errMemLink = errors.New("memlink: write failed")
+
+// memLink is an in-memory link. Only the test goroutine queues, flushes
+// and reads the inbox; close may come from a drain goroutine.
+type memLink struct {
+	once      sync.Once
+	closed    chan struct{}
+	failQueue bool // queue fails from now on
+	failFlush bool // flush fails from now on
+	writeErrs int
+	queued    []Request
+	inbox     []Request // flushed and not yet replied to, in arrival order
+}
+
+func (l *memLink) queue(r Request) error {
+	if l.failQueue {
+		l.writeErrs++
+		return errMemLink
+	}
+	l.queued = append(l.queued, r)
+	return nil
+}
+
+func (l *memLink) flush() error {
+	if l.failFlush {
+		l.writeErrs++
+		return errMemLink
+	}
+	l.inbox = append(l.inbox, l.queued...)
+	l.queued = l.queued[:0]
+	return nil
+}
+
+func (l *memLink) close() error {
+	l.once.Do(func() { close(l.closed) })
+	return nil
+}
+
+type simDrain struct {
+	died bool
+	err  error
+}
+
+type simInst struct {
+	addr, typeName string
+	link           *memLink
+	ri             *remoteInstance
+	state          instanceState // the model's view of the lifecycle
+	drain          chan simDrain // a Remove* call in flight
+	byAddr         bool          // ... which reports died
+	wantDied       bool          // ... and must report this
+}
+
+type simQuery struct {
+	ch       chan QueryResult
+	deadline time.Time
+}
+
+// simWorld is the harness plus the reference model. The model is the
+// fields below `model:` and the ref* methods: ids and admission, where
+// every live query may be, what each instant must fail, and who must have
+// been reported down.
+type simWorld struct {
+	t    *testing.T
+	seed int64
+	rng  *rand.Rand
+	ops  []string
+
+	c    *Controller
+	g    *modelGroup
+	now  time.Time
+	next time.Time // the wake-up the last round asked for
+	// alarms are the deadline alarms submit (the clock-reading shell this
+	// test bypasses) would have armed: one kick at each deadline.
+	alarms []time.Time
+	hold   time.Duration
+	insts  []*simInst
+	downs  map[string]int // observed onDown calls per address
+
+	// model:
+	nextID                       int64
+	live                         map[int64]*simQuery // admitted, not delivered
+	submitted, completed, failed int64
+	emptySince                   time.Time
+	wantDowns                    map[string]int
+}
+
+const simModel = "NCF"
+
+func newSimWorld(t *testing.T, seed int64) *simWorld {
+	m := models.MustByName(simModel)
+	c, err := newController(map[string]GroupSpec{simModel: {Policy: sim.LeastLoaded{}, Predict: m.Latency}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &simWorld{
+		t: t, seed: seed, rng: rand.New(rand.NewSource(seed)),
+		c: c, g: c.groups[simModel], now: time.Unix(1_700_000_000, 0),
+		downs: map[string]int{}, wantDowns: map[string]int{}, live: map[int64]*simQuery{},
+	}
+	if seed%2 == 1 {
+		w.hold = 40 * time.Millisecond
+		c.SetEmptyHold(w.hold)
+	}
+	c.SetOnInstanceDown(func(_, _, addr string, _ error) { w.downs[addr]++ })
+	return w
+}
+
+func (w *simWorld) logf(format string, args ...any) {
+	w.ops = append(w.ops, fmt.Sprintf("%4d +%-6v ", len(w.ops), w.now.Sub(time.Unix(1_700_000_000, 0)))+fmt.Sprintf(format, args...))
+}
+
+func (w *simWorld) fatalf(format string, args ...any) {
+	w.t.Helper()
+	tail := w.ops
+	if len(tail) > 40 {
+		tail = tail[len(tail)-40:]
+	}
+	w.t.Fatalf("seed %d: %s\nreplay: go test ./internal/server -run 'TestRoundSim$' -sim.seed=%d\nlast ops:\n%s",
+		w.seed, fmt.Sprintf(format, args...), w.seed, strings.Join(tail, "\n"))
+}
+
+// members returns the model's members, optionally only the active ones.
+func (w *simWorld) members(activeOnly bool) (out []*simInst) {
+	for _, in := range w.insts {
+		if in.state == stateActive || (!activeOnly && in.state == stateDraining) {
+			out = append(out, in)
+		}
+	}
+	return out
+}
+
+// --- ops ---
+
+func (w *simWorld) join() {
+	types := []string{cloud.G4dnXlarge.Name, cloud.R5nLarge.Name}
+	in := &simInst{
+		addr:     fmt.Sprintf("mem-%d", len(w.insts)),
+		typeName: types[w.rng.Intn(len(types))],
+		link:     &memLink{closed: make(chan struct{})},
+		state:    stateActive,
+	}
+	in.ri = &remoteInstance{
+		model: simModel, typeName: in.typeName, addr: in.addr, link: in.link,
+		drained: make(chan struct{}), byID: map[int64]*pendingQuery{},
+		serveHist: w.c.obs.Model(simModel).ServeHist(in.typeName), typeID: w.c.obs.Intern(in.typeName),
+	}
+	w.logf("join %s (%s)", in.addr, in.typeName)
+	// The reader stands in for a read loop: it lives until the link closes,
+	// so Close returning proves no reader outlives it.
+	if err := w.c.admit(in.ri, func() { <-in.link.closed }); err != nil {
+		w.fatalf("admit: %v", err)
+	}
+	w.insts = append(w.insts, in)
+}
+
+func (w *simWorld) submit() {
+	var opts SubmitOptions
+	if w.rng.Intn(2) == 0 {
+		opts.SessionHash = SessionHash([]byte{byte('a' + w.rng.Intn(4))})
+	}
+	if w.rng.Intn(3) == 0 {
+		opts.Deadline = w.now.Add(time.Duration(w.rng.Intn(40)) * time.Millisecond)
+	}
+	w.submitWith(opts)
+}
+
+func (w *simWorld) submitWith(opts SubmitOptions) {
+	q := &pendingQuery{done: make(chan QueryResult, 1)}
+	admitted := w.c.enqueue(simModel, 1+w.rng.Intn(64), q, opts, w.now) != nil
+	w.submitted++
+	if rejected := len(w.members(true)) == 0 && w.hold == 0; rejected == admitted {
+		w.fatalf("enqueue admitted=%v, model says rejected=%v", admitted, rejected)
+	} else if rejected {
+		w.logf("submit -> rejected (no capacity)")
+		w.failed++
+		w.wantResult(q.done, "no serving capacity")
+		return
+	}
+	w.nextID++
+	w.live[w.nextID] = &simQuery{ch: q.done, deadline: opts.Deadline}
+	if opts.Deadline.After(w.now) {
+		w.alarms = append(w.alarms, opts.Deadline)
+	}
+	w.logf("submit #%d session=%v deadline=%v", w.nextID, opts.SessionHash != 0, !opts.Deadline.IsZero())
+}
+
+func (w *simWorld) advance() {
+	d := time.Duration(1+w.rng.Intn(30)) * time.Millisecond
+	w.now = w.now.Add(d)
+	w.logf("advance %v", d)
+}
+
+// reply answers one request an instance holds: the oldest, or (out of
+// order) the newest.
+func (w *simWorld) reply(outOfOrder bool) {
+	var holders []*simInst
+	for _, in := range w.members(false) {
+		if len(in.link.inbox) > 0 {
+			holders = append(holders, in)
+		}
+	}
+	if len(holders) == 0 {
+		return
+	}
+	in := holders[w.rng.Intn(len(holders))]
+	k := 0
+	if outOfOrder {
+		k = len(in.link.inbox) - 1
+	}
+	req := in.link.inbox[k]
+	in.link.inbox = append(in.link.inbox[:k], in.link.inbox[k+1:]...)
+	w.logf("reply %s #%d", in.addr, req.ID)
+	w.c.complete(in.ri, Reply{ID: req.ID, ServiceMS: 1}, w.now)
+	q := w.live[req.ID]
+	if q == nil {
+		w.fatalf("%s held #%d, which is not live", in.addr, req.ID)
+	}
+	delete(w.live, req.ID)
+	w.completed++
+	w.wantResult(q.ch, "")
+}
+
+// staleReply: a gone instance's connection coughs up a reply before it
+// closes. Nothing may change.
+func (w *simWorld) staleReply() {
+	for _, in := range w.insts {
+		if in.state == stateGone {
+			w.logf("stale reply from %s", in.addr)
+			w.c.complete(in.ri, Reply{ID: 1 + w.rng.Int63n(w.nextID+1), ServiceMS: 1}, w.now)
+			return
+		}
+	}
+}
+
+func (w *simWorld) failWrites() {
+	if act := w.members(true); len(act) > 0 {
+		in := act[w.rng.Intn(len(act))]
+		if w.rng.Intn(2) == 0 {
+			in.link.failQueue = true
+		} else {
+			in.link.failFlush = true
+		}
+		w.logf("writes to %s fail from now on (queue=%v flush=%v)", in.addr, in.link.failQueue, in.link.failFlush)
+	}
+}
+
+// kill is what a read loop does when its connection dies; twice, when the
+// write side notices too.
+func (w *simWorld) kill(in *simInst) {
+	w.logf("kill %s", in.addr)
+	for i := 0; i <= w.rng.Intn(2); i++ {
+		w.c.evict(in.ri, errors.New("killed"))
+	}
+	w.refEvict(in)
+}
+
+func (w *simWorld) killRandom() {
+	if mem := w.members(false); len(mem) > 0 {
+		w.kill(mem[w.rng.Intn(len(mem))])
+	}
+}
+
+// beginDrain calls the real RemoveInstance / RemoveInstanceAddr on its own
+// goroutine and returns once the call has either marked its target
+// draining (it kicks the scheduler right after) or returned.
+func (w *simWorld) beginDrain(byAddr bool, typeName, addr string) *simInst {
+	done := make(chan simDrain, 1)
+	go func() {
+		if byAddr {
+			_, _, died, err := w.c.RemoveInstanceAddr(addr)
+			done <- simDrain{died, err}
+		} else {
+			_, err := w.c.RemoveInstance(simModel, typeName)
+			done <- simDrain{false, err}
+		}
+	}()
+	select {
+	case <-w.g.kick:
+		w.g.wake()
+	case r := <-done:
+		done <- r
+	}
+	// The target is whichever member's state the call moved.
+	var target *simInst
+	w.g.mu.Lock()
+	for _, in := range w.members(false) {
+		if in.ri.state != in.state {
+			target = in
+		}
+	}
+	w.g.mu.Unlock()
+	if target == nil {
+		r := <-done
+		for _, in := range w.members(true) {
+			if (byAddr && in.addr == addr) || (!byAddr && in.typeName == typeName) {
+				w.fatalf("drain found nothing (%v) but %s is removable", r.err, in.addr)
+			}
+		}
+		if r.err == nil {
+			w.fatalf("drain of nothing returned no error")
+		}
+		return nil
+	}
+	for _, in := range w.members(true) {
+		if !byAddr && in.typeName == typeName && len(in.link.inbox) < len(target.link.inbox) {
+			w.fatalf("drain by type picked %s (backlog %d) over %s (backlog %d)",
+				target.addr, len(target.link.inbox), in.addr, len(in.link.inbox))
+		}
+	}
+	target.state, target.drain, target.byAddr = stateDraining, done, byAddr
+	return target
+}
+
+func (w *simWorld) drainRandom(byAddr bool) *simInst {
+	act := w.members(true)
+	if len(act) == 0 {
+		w.logf("drain with no active instance")
+		return w.beginDrain(byAddr, cloud.R5nLarge.Name, "mem-none")
+	}
+	in := act[w.rng.Intn(len(act))]
+	w.logf("drain byAddr=%v like %s (%s)", byAddr, in.addr, in.typeName)
+	return w.beginDrain(byAddr, in.typeName, in.addr)
+}
+
+// drainRacingKill: the preemption deadline lands while the drain still
+// waits on its backlog.
+func (w *simWorld) drainRacingKill() {
+	// Only a drain that is still waiting can lose the race: one with
+	// nothing pending may already have returned.
+	if in := w.drainRandom(true); in != nil && len(in.link.inbox) > 0 {
+		w.kill(in)
+	}
+}
+
+// --- the scheduler loop, played by the test ---
+
+// settle runs rounds the way groupLoop would at this instant: once per
+// kick (a due deadline alarm is one), and once when the wake-up the last
+// round asked for has arrived.
+func (w *simWorld) settle() {
+	pending := w.alarms[:0]
+	for _, at := range w.alarms {
+		if at.After(w.now) {
+			pending = append(pending, at)
+		} else {
+			w.g.wake()
+		}
+	}
+	w.alarms = pending
+	for i := 0; ; i++ {
+		select {
+		case <-w.g.kick:
+		default:
+			if w.next.IsZero() || w.now.Before(w.next) {
+				return
+			}
+		}
+		w.next = w.c.round(w.g, w.now)
+		if !w.next.IsZero() && !w.next.After(w.now) {
+			w.fatalf("round at %v asked to be woken at %v: the scheduler would spin", w.now, w.next)
+		}
+		if i > 1000 {
+			w.fatalf("scheduler does not settle")
+		}
+	}
+}
+
+// reapDrains waits for every Remove* call the model says must return now.
+func (w *simWorld) reapDrains() {
+	for _, in := range w.insts {
+		if in.drain == nil || (in.state == stateDraining && len(in.link.inbox) > 0) {
+			continue
+		}
+		var r simDrain
+		select {
+		case r = <-in.drain:
+		case <-time.After(10 * time.Second): // a diagnostic, not a pace
+			w.fatalf("drain of %s did not return", in.addr)
+		}
+		in.drain = nil
+		if r.err != nil || (in.byAddr && r.died != in.wantDied) {
+			w.fatalf("drain of %s returned died=%v err=%v, want died=%v", in.addr, r.died, r.err, in.wantDied)
+		}
+		if !in.wantDied {
+			in.state = stateGone // orderly: no onDown
+		}
+		w.logf("drain of %s returned (died=%v)", in.addr, r.died)
+	}
+}
+
+// --- the reference model ---
+
+func (w *simWorld) refEvict(in *simInst) {
+	if in.state == stateGone {
+		return
+	}
+	in.state = stateGone
+	in.link.inbox = nil // back to the central queue, as far as the model cares
+	in.wantDied = in.drain != nil
+	w.wantDowns[in.addr]++
+}
+
+func (w *simWorld) wantResult(ch chan QueryResult, errPart string) {
+	w.t.Helper()
+	select {
+	case res := <-ch:
+		if (errPart == "") != (res.Err == nil) || (res.Err != nil && !strings.Contains(res.Err.Error(), errPart)) {
+			w.fatalf("query delivered %v, want error containing %q", res.Err, errPart)
+		}
+	default:
+		w.fatalf("query not delivered, want error containing %q", errPart)
+	}
+}
+
+// refSettle says what this instant must have done to every live query
+// that no member holds, then compares the controller with the model.
+func (w *simWorld) refSettle() {
+	for _, in := range w.members(false) {
+		if in.link.writeErrs > 0 {
+			w.refEvict(in) // a failed write is a fault exit like any other
+		}
+	}
+	held := map[int64]bool{}
+	for _, in := range w.members(false) {
+		for _, req := range in.link.inbox {
+			held[req.ID] = true
+		}
+	}
+	central := 0
+	for id, q := range w.live {
+		if held[id] {
+			continue
+		}
+		if !q.deadline.IsZero() && !w.now.Before(q.deadline) {
+			delete(w.live, id)
+			w.failed++
+			w.wantResult(q.ch, DeadlineExceededMsg)
+			continue
+		}
+		central++
+	}
+	if len(w.members(false)) > 0 || central == 0 {
+		w.emptySince = time.Time{}
+	} else if w.emptySince.IsZero() {
+		w.emptySince = w.now
+	}
+	if !w.emptySince.IsZero() && !w.now.Before(w.emptySince.Add(w.hold)) {
+		for id, q := range w.live { // members == 0: every live query is central
+			delete(w.live, id)
+			w.failed++
+			w.wantResult(q.ch, "no serving capacity")
+		}
+		central, w.emptySince = 0, time.Time{}
+	}
+	if central > 0 && len(w.members(true)) > 0 {
+		w.fatalf("%d dispatchable queries left waiting with %d active instances", central, len(w.members(true)))
+	}
+
+	st := w.c.Stats()
+	if st.Completed+st.Failed > st.Submitted {
+		w.fatalf("completed+failed > submitted: %+v", st)
+	}
+	if st.Submitted != w.submitted || st.Completed != w.completed || st.Failed != w.failed || st.Waiting != central {
+		w.fatalf("controller says submitted=%d completed=%d failed=%d waiting=%d, model says %d %d %d %d",
+			st.Submitted, st.Completed, st.Failed, st.Waiting, w.submitted, w.completed, w.failed, central)
+	}
+	mem := w.members(false)
+	if len(st.Instances) != len(mem) {
+		w.fatalf("fleet %+v, model has %d members", st.Instances, len(mem))
+	}
+	for i, in := range mem {
+		if got := st.Instances[i]; got.Addr != in.addr || got.Draining != (in.state == stateDraining) || got.Pending != len(in.link.inbox) {
+			w.fatalf("member %d is %+v, model says %s draining=%v pending=%d", i, got, in.addr, in.state == stateDraining, len(in.link.inbox))
+		}
+	}
+	for _, in := range w.insts {
+		if w.downs[in.addr] != w.wantDowns[in.addr] {
+			w.fatalf("%s reported down %d times, want %d", in.addr, w.downs[in.addr], w.wantDowns[in.addr])
+		}
+	}
+	for id, q := range w.live {
+		select {
+		case res := <-q.ch:
+			w.fatalf("live query #%d was delivered: %+v", id, res)
+		default:
+		}
+	}
+	w.g.mu.Lock()
+	emptySince := w.g.emptySince
+	w.g.mu.Unlock()
+	if !emptySince.Equal(w.emptySince) {
+		w.fatalf("hold window started %v, model says %v", emptySince, w.emptySince)
+	}
+}
+
+// step runs one op, then lets the scheduler and the model catch up.
+func (w *simWorld) step(op func()) {
+	op()
+	w.reapDrains()
+	w.settle()
+	w.reapDrains()
+	w.settle()
+	w.refSettle()
+}
+
+func runRoundSim(t *testing.T, seed int64) {
+	w := newSimWorld(t, seed)
+	ops := []func(){
+		w.submit, w.submit, w.submit, w.submit, w.submit, w.submit,
+		w.advance, w.advance,
+		func() { w.reply(false) }, func() { w.reply(false) }, func() { w.reply(false) }, func() { w.reply(true) },
+		w.join, w.join, w.failWrites, w.killRandom, w.staleReply,
+		func() { w.drainRandom(false) }, func() { w.drainRandom(true) }, w.drainRacingKill,
+	}
+	w.step(w.join)
+	w.step(w.join)
+	for i := 0; i < 400; i++ {
+		if len(w.members(false)) >= 6 {
+			w.step(w.killRandom)
+		}
+		w.step(ops[w.rng.Intn(len(ops))])
+	}
+	if seed%3 != 0 {
+		// Quiesce: answer everything, let every deadline and hold pass.
+		for i := 0; i < 100 && len(w.live) > 0; i++ {
+			w.step(func() { w.reply(false) })
+			if i%10 == 9 {
+				w.now = w.now.Add(time.Second)
+				w.step(func() { w.logf("advance 1s") })
+			}
+		}
+		if len(w.live) > 0 || w.completed+w.failed != w.submitted {
+			w.fatalf("not quiescent: %d live, %d+%d of %d", len(w.live), w.completed, w.failed, w.submitted)
+		}
+	}
+	// Close fails what is left and waits for every reader; a drain still
+	// in flight returns an error.
+	w.logf("close")
+	w.c.Close()
+	for id, q := range w.live {
+		delete(w.live, id)
+		w.failed++
+		w.wantResult(q.ch, "controller closed")
+	}
+	for _, in := range w.insts {
+		if in.drain != nil {
+			if r := <-in.drain; r.err == nil {
+				w.fatalf("drain of %s survived Close: %+v", in.addr, r)
+			}
+		}
+		select {
+		case <-in.link.closed:
+		default:
+			w.fatalf("link of %s (model state %d) still open after Close", in.addr, in.state)
+		}
+	}
+	if st := w.c.Stats(); st.Completed+st.Failed != st.Submitted || st.Failed != w.failed {
+		w.fatalf("after Close %+v, model failed=%d", st, w.failed)
+	}
+}
+
+func TestRoundSim(t *testing.T) {
+	t.Parallel()
+	if *simSeed != 0 {
+		runRoundSim(t, *simSeed)
+		return
+	}
+	for seed := int64(1); seed <= 60; seed++ {
+		runRoundSim(t, seed)
+	}
+}
+
+// TestFailedWriteRetiresInstance: a dispatch write that fails must take
+// the instance out by the same exit a dead read does — gone from Stats,
+// reported down once, its queries requeued (not failed) and served
+// elsewhere — even though nothing ever fails on the read side. Before the
+// membership owner existed the write path only marked the instance
+// draining and waited for a read error that might never come.
+func TestFailedWriteRetiresInstance(t *testing.T) {
+	t.Parallel()
+	w := newSimWorld(t, 2) // no hold
+	w.step(w.join)
+	flaky := w.insts[0]
+	plain := func() { w.submitWith(SubmitOptions{}) }
+	w.step(plain) // dispatched to the only instance
+	if len(flaky.link.inbox) != 1 {
+		t.Fatalf("setup: inbox %v", flaky.link.inbox)
+	}
+	w.step(w.join)
+	healthy := w.insts[1]
+	flaky.link.failFlush = true
+	// Least-loaded sends the next query to the idle newcomer and the one
+	// after to the flaky instance, whose flush fails.
+	w.step(plain)
+	w.step(plain)
+	if flaky.link.writeErrs == 0 {
+		t.Fatal("setup: no write reached the flaky link")
+	}
+	st := w.c.Stats()
+	if len(st.Instances) != 1 || st.Instances[0].Addr != healthy.addr {
+		t.Fatalf("write-failed instance still in the fleet: %+v", st.Instances)
+	}
+	if w.downs[flaky.addr] != 1 {
+		t.Fatalf("onDown fired %d times for the write-failed instance, want 1", w.downs[flaky.addr])
+	}
+	// All three queries — the one in flight on the flaky instance and the
+	// one whose write failed included — are now the healthy instance's.
+	if st.Failed != 0 || st.Waiting != 0 || st.Instances[0].Pending != 3 {
+		t.Fatalf("queries not re-served on the survivor: %+v", st)
+	}
+	w.g.mu.Lock()
+	left, indexed := len(flaky.ri.pending), len(flaky.ri.byID)
+	w.g.mu.Unlock()
+	if left != 0 || indexed != 0 {
+		t.Fatalf("retired instance still holds %d pending, %d indexed", left, indexed)
+	}
+	// A second report of the same fault is a no-op.
+	w.c.evict(flaky.ri, errMemLink)
+	for len(w.live) > 0 {
+		w.step(func() { w.reply(false) })
+	}
+	if w.downs[flaky.addr] != 1 || w.completed != 3 {
+		t.Fatalf("downs=%d completed=%d", w.downs[flaky.addr], w.completed)
+	}
+	w.c.Close()
+}
+
+// TestRoundSteadyStateAllocatesNothing: a served query — admitted, matched
+// by the affinity pass or the policy, written through the link, completed
+// — reuses the round's scratch end to end. (A round that found the queue
+// empty once dropped the dispatch buffer's capacity; the ledger's
+// allocs_per_query caught it, this holds it.)
+func TestRoundSteadyStateAllocatesNothing(t *testing.T) {
+	w := newSimWorld(t, 2)
+	w.g.policy = &LeastBacklog{} // the world's LeastLoaded allocates its own result
+	w.step(w.join)
+	w.step(w.join)
+	q := &pendingQuery{done: make(chan QueryResult, 1)}
+	serve := func(opts SubmitOptions) {
+		w.c.enqueue(simModel, 8, q, opts, w.now)
+		w.c.round(w.g, w.now)
+		for _, in := range w.insts {
+			for _, req := range in.link.inbox {
+				w.c.complete(in.ri, Reply{ID: req.ID, ServiceMS: 1}, w.now)
+			}
+			in.link.inbox = in.link.inbox[:0]
+		}
+		if res := <-q.done; res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		q.completed.Store(false)
+		w.c.round(w.g, w.now) // the round the completion kicks: empty queue
+	}
+	cycle := func() {
+		serve(SubmitOptions{})
+		serve(SubmitOptions{SessionHash: 7, Deadline: w.now.Add(time.Second)})
+	}
+	cycle() // grow the scratch once
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("a steady-state served query allocates %.1f times", allocs/2)
+	}
+	w.c.Close()
+}

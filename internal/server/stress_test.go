@@ -210,77 +210,3 @@ func TestSubmitRejectsOutOfRangeBatch(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 }
-
-// TestUndoDispatchRollsBackReservation is the regression test for the
-// phantom-busy-time bug: when a dispatch write fails, the busy-until
-// reservation groupRoundLocked took must be undone along with the pending
-// entry, so the policy does not keep seeing a flaky instance as loaded.
-// The query itself must be requeued, not failed — a broken write means the
-// instance is dying, not that the admitted query may be dropped — and the
-// instance must be marked draining so rounds route around it.
-func TestUndoDispatchRollsBackReservation(t *testing.T) {
-	t.Parallel()
-	m := models.MustByName("NCF")
-	addrs := startCluster(t, []string{cloud.G4dnXlarge.Name}, 1)
-	ctrl, err := NewController(m.Name, kairosPolicy(m, []string{cloud.G4dnXlarge.Name}), 1, m.Latency, addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Close()
-
-	g := ctrl.groups[m.Name]
-	g.mu.Lock()
-	ri := g.instances[0]
-	base := ri.busyUntil
-	baseDispatched := ri.dispatched
-	q := &pendingQuery{id: ctrl.nextID.Add(1), model: m.Name, batch: 100, enqueued: time.Now(), done: make(chan QueryResult, 1)}
-	reserve := 40 * time.Millisecond
-	ri.busyUntil = ri.busyUntil.Add(reserve) // the round's reservation
-	ri.pending = append(ri.pending, q)
-	ri.byID[q.id] = q
-	ri.dispatched++
-	d := dispatchItem{q: q, ri: ri, id: q.id, batch: q.batch, reserve: reserve}
-	g.mu.Unlock()
-
-	cause := fmt.Errorf("synthetic write failure")
-	ctrl.undoDispatch(g, d, cause)
-
-	select {
-	case res := <-q.done:
-		t.Fatalf("undone dispatch must requeue, not deliver (got %+v)", res)
-	case <-time.After(50 * time.Millisecond):
-	}
-	g.mu.Lock()
-	rolledBack := ri.busyUntil
-	pendingLeft := len(ri.pending)
-	stillIndexed := ri.byID[q.id] != nil
-	dispatched := ri.dispatched
-	requeued := len(g.waiting) == 1 && g.waiting[0] == q
-	draining := ri.draining
-	g.mu.Unlock()
-	if !requeued {
-		t.Fatal("undone dispatch did not requeue the query at the head of the central queue")
-	}
-	if !draining {
-		t.Fatal("a failed write must mark the instance draining")
-	}
-	if !rolledBack.Equal(base) {
-		t.Fatalf("busyUntil not rolled back: %v, want %v (phantom busy time of %v)",
-			rolledBack, base, rolledBack.Sub(base))
-	}
-	if pendingLeft != 0 || stillIndexed {
-		t.Fatalf("pending not rolled back: %d entries, indexed=%v", pendingLeft, stillIndexed)
-	}
-	if dispatched != baseDispatched {
-		t.Fatalf("dispatched = %d, want %d", dispatched, baseDispatched)
-	}
-	// A second undo for the same item must be a no-op (the identity check):
-	// the query is gone from byID, so nothing double-rolls the clock.
-	ctrl.undoDispatch(g, d, cause)
-	g.mu.Lock()
-	doubled := ri.busyUntil
-	g.mu.Unlock()
-	if !doubled.Equal(base) {
-		t.Fatal("double undo rolled the reservation back twice")
-	}
-}

@@ -103,9 +103,10 @@ func (w *wireConn) writeJSON(v any) error {
 	return w.bw.flush()
 }
 
-// queueRequest encodes req into the write buffer without flushing;
-// callers coalesce a burst and flush once.
-func (w *wireConn) queueRequest(req Request) error {
+// queue encodes req into the write buffer without flushing; callers
+// coalesce a burst and flush once. With flush and close it is the
+// controller's link to an instance (see round.go).
+func (w *wireConn) queue(req Request) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
 	frame, err := AppendRequestFrame(w.fbuf[:0], req)
