@@ -34,6 +34,9 @@ type (
 	// IngressServer is the external query front-end (HTTP JSON + binary
 	// TCP) feeding a controller; see Engine.Autopilot's WithIngress.
 	IngressServer = ingress.Server
+	// IngressOptions describe that front door: addresses, queue bound,
+	// bearer tokens, per-client rate limit (see WithIngress).
+	IngressOptions = ingress.Options
 	// IngressClient is the binary-TCP ingress client (see DialIngress).
 	IngressClient = ingress.Client
 	// IngressSubmitOptions are IngressClient.SubmitOpts' per-query
@@ -77,13 +80,14 @@ type (
 const IngressQueueFullMsg = ingress.QueueFullMsg
 
 // IngressRateLimitedMsg is the exact error string an over-budget client
-// receives from a rate-limited front door (see WithIngressRateLimit) —
+// receives from a rate-limited front door (IngressOptions.RateLimit) —
 // distinct from IngressQueueFullMsg so clients can tell their own
 // overage from system overload.
 const IngressRateLimitedMsg = ingress.RateLimitedMsg
 
 // IngressUnauthorizedMsg is the exact error string an unauthenticated
-// submission receives from a token-gated front door (see WithIngressAuth).
+// submission receives from a token-gated front door
+// (IngressOptions.AuthTokens).
 const IngressUnauthorizedMsg = ingress.UnauthorizedMsg
 
 // PlanFleetFor runs the shared-budget allocator directly over explicit
@@ -124,7 +128,7 @@ func DialIngress(addr string) (*IngressClient, error) {
 }
 
 // DialIngressAuth is DialIngress presenting a bearer token to a
-// token-gated front door (see WithIngressAuth).
+// token-gated front door (IngressOptions.AuthTokens).
 func DialIngressAuth(addr, token string) (*IngressClient, error) {
 	return ingress.DialWith(addr, ingress.DialOptions{Token: token})
 }
@@ -186,14 +190,8 @@ type AutopilotOptions struct {
 type AutopilotOption func(*autopilotConfig) error
 
 type autopilotConfig struct {
-	provider         autopilot.Provider
-	ingressHTTP      string
-	ingressTCP       string
-	ingressQueue     int
-	ingressShards    int
-	ingressRateLimit float64
-	ingressRateBurst int
-	ingressTokens    []string
+	provider autopilot.Provider
+	ingress  *IngressOptions // nil: no front door
 }
 
 // WithProvider actuates through p instead of the default in-process
@@ -209,80 +207,23 @@ func WithProvider(p Provider) AutopilotOption {
 	}
 }
 
-// WithIngress opens external query front-ends over the managed
-// controller: an HTTP JSON endpoint on httpAddr and a binary-TCP endpoint
-// on tcpAddr (either may be empty to disable it; "127.0.0.1:0" binds an
-// ephemeral port). External queries route per model, push back on
-// overload (HTTP 429 / binary NACK), and their per-model counters appear
-// in Controller.Stats() and the admin /metrics.
-func WithIngress(httpAddr, tcpAddr string) AutopilotOption {
+// WithIngress opens the external query front door over the managed
+// controller: an HTTP JSON endpoint and/or a binary-TCP endpoint (at least
+// one address; "127.0.0.1:0" binds an ephemeral port), a per-model bound
+// on admitted-but-unfinished queries, and optionally a bearer-token list
+// and per-client rate limit — see IngressOptions for each field. External
+// queries route per model, push back on overload (HTTP 429 / binary NACK
+// with IngressQueueFullMsg, IngressRateLimitedMsg or
+// IngressUnauthorizedMsg), and their per-model counters appear in
+// Controller.Stats() and the admin /metrics. The options are checked here,
+// before anything is launched; a nil Logf inherits AutopilotOptions.Logf.
+func WithIngress(opts IngressOptions) AutopilotOption {
 	return func(c *autopilotConfig) error {
-		if httpAddr == "" && tcpAddr == "" {
-			return fmt.Errorf("kairos: WithIngress needs at least one address")
+		if err := opts.Validate(); err != nil {
+			return err
 		}
-		c.ingressHTTP, c.ingressTCP = httpAddr, tcpAddr
-		return nil
-	}
-}
-
-// WithIngressQueue bounds each model's admitted-but-unfinished ingress
-// queries (default 1024); submissions beyond it are rejected immediately.
-func WithIngressQueue(n int) AutopilotOption {
-	return func(c *autopilotConfig) error {
-		if n <= 0 {
-			return fmt.Errorf("kairos: ingress queue bound must be positive (got %d)", n)
-		}
-		c.ingressQueue = n
-		return nil
-	}
-}
-
-// WithIngressShards shards the ingress front door: n independent accept
-// loops per transport (over SO_REUSEPORT where the platform has it), each
-// with its own admission state and waiter pool. 0 or 1 runs unsharded.
-func WithIngressShards(n int) AutopilotOption {
-	return func(c *autopilotConfig) error {
-		if n < 0 {
-			return fmt.Errorf("kairos: negative ingress shard count %d", n)
-		}
-		c.ingressShards = n
-		return nil
-	}
-}
-
-// WithIngressRateLimit caps each ingress client's sustained submit rate
-// in queries/sec (token bucket; burst 0 derives max(1, qps)). Over-budget
-// submissions are rejected with IngressRateLimitedMsg — distinct from the
-// queue-full rejection — on both transports.
-func WithIngressRateLimit(qps float64, burst int) AutopilotOption {
-	return func(c *autopilotConfig) error {
-		if qps <= 0 {
-			return fmt.Errorf("kairos: ingress rate limit must be positive (got %v)", qps)
-		}
-		if burst < 0 {
-			return fmt.Errorf("kairos: negative ingress rate burst %d", burst)
-		}
-		c.ingressRateLimit, c.ingressRateBurst = qps, burst
-		return nil
-	}
-}
-
-// WithIngressAuth gates the ingress front door behind a static bearer
-// token list: HTTP clients present Authorization: Bearer <token>, TCP
-// clients pass the token at dial time. Unauthenticated submissions are
-// rejected with IngressUnauthorizedMsg. With WithIngressRateLimit, each
-// token gets its own rate bucket.
-func WithIngressAuth(tokens ...string) AutopilotOption {
-	return func(c *autopilotConfig) error {
-		if len(tokens) == 0 {
-			return fmt.Errorf("kairos: WithIngressAuth needs at least one token")
-		}
-		for _, tok := range tokens {
-			if tok == "" {
-				return fmt.Errorf("kairos: empty ingress auth token")
-			}
-		}
-		c.ingressTokens = append([]string(nil), tokens...)
+		door := opts // the option may be applied to more than one autopilot
+		c.ingress = &door
 		return nil
 	}
 }
@@ -317,20 +258,6 @@ func (e *Engine) Autopilot(timeScale float64, opts AutopilotOptions, extra ...Au
 		}
 		if err := o(&cfg); err != nil {
 			return nil, err
-		}
-	}
-	if cfg.ingressHTTP == "" && cfg.ingressTCP == "" {
-		if cfg.ingressQueue > 0 {
-			return nil, fmt.Errorf("kairos: WithIngressQueue without WithIngress")
-		}
-		if cfg.ingressShards > 0 {
-			return nil, fmt.Errorf("kairos: WithIngressShards without WithIngress")
-		}
-		if cfg.ingressRateLimit > 0 {
-			return nil, fmt.Errorf("kairos: WithIngressRateLimit without WithIngress")
-		}
-		if len(cfg.ingressTokens) > 0 {
-			return nil, fmt.Errorf("kairos: WithIngressAuth without WithIngress")
 		}
 	}
 	if opts.OnDemandFloor < 0 {
@@ -442,18 +369,8 @@ func (e *Engine) Autopilot(timeScale float64, opts AutopilotOptions, extra ...Au
 		provider.Close()
 		return nil, err
 	}
-	var ingOpts *ingress.Options
-	if cfg.ingressHTTP != "" || cfg.ingressTCP != "" {
-		ingOpts = &ingress.Options{
-			HTTPAddr:   cfg.ingressHTTP,
-			TCPAddr:    cfg.ingressTCP,
-			MaxQueue:   cfg.ingressQueue,
-			Shards:     cfg.ingressShards,
-			AuthTokens: cfg.ingressTokens,
-			RateLimit:  cfg.ingressRateLimit,
-			RateBurst:  cfg.ingressRateBurst,
-			Logf:       opts.Logf,
-		}
+	if cfg.ingress != nil && cfg.ingress.Logf == nil {
+		cfg.ingress.Logf = opts.Logf
 	}
 	ap, err := autopilot.New(ctrl, provider, initial, autopilot.Options{
 		Pool:              e.pool,
@@ -461,7 +378,7 @@ func (e *Engine) Autopilot(timeScale float64, opts AutopilotOptions, extra ...Au
 		Plan:              plan,
 		ReplanModel:       replanModel,
 		TimeScale:         timeScale,
-		Ingress:           ingOpts,
+		Ingress:           cfg.ingress,
 		Interval:          opts.Interval,
 		DriftThreshold:    drift,
 		Window:            opts.Window,

@@ -44,6 +44,7 @@ import (
 	"os/exec"
 	"os/signal"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -156,15 +157,14 @@ func main() {
 	onDemandFloor := flag.Float64("on-demand-floor", 0, "fraction of each model's observed arrivals that must survive on on-demand capacity alone if every spot instance is revoked at once (0 = no floor)")
 	provider := flag.String("provider", "inprocess", "actuation provider: inprocess (loopback servers) or exec (real kairosd processes)")
 	kairosdBin := flag.String("kairosd", "", "kairosd binary for -provider exec (default: next to this binary, then PATH)")
-	ingressHTTP := flag.String("ingress", "", "HTTP ingress address for external queries (e.g. 127.0.0.1:8080; empty = disabled)")
-	ingressTCP := flag.String("ingress-tcp", "", "binary-TCP ingress address for external queries (empty = disabled)")
-	ingressQueue := flag.Int("ingress-queue", 0, "per-model bound on admitted-but-unfinished ingress queries (0 = default 1024)")
-	ingressShards := flag.Int("ingress-shards", 0, "independent ingress front-door shards: accept loops + admission state (0 = 1)")
-	rateLimit := flag.Float64("rate-limit", 0, "per-client ingress rate limit in queries/second (0 = unlimited)")
-	rateBurst := flag.Int("rate-burst", 0, "ingress rate-limit burst depth (0 = max(1, -rate-limit))")
-	var authTokens []string
+	var ing kairos.IngressOptions
+	flag.StringVar(&ing.HTTPAddr, "ingress", "", "HTTP ingress address for external queries (e.g. 127.0.0.1:8080; empty = disabled)")
+	flag.StringVar(&ing.TCPAddr, "ingress-tcp", "", "binary-TCP ingress address for external queries (empty = disabled)")
+	flag.IntVar(&ing.MaxQueue, "ingress-queue", 0, "per-model bound on admitted-but-unfinished ingress queries (0 = default 1024)")
+	flag.Float64Var(&ing.RateLimit, "rate-limit", 0, "per-client ingress rate limit in queries/second (0 = unlimited)")
+	flag.IntVar(&ing.RateBurst, "rate-burst", 0, "ingress rate-limit burst depth (0 = max(1, -rate-limit))")
 	flag.Func("auth-token", "static ingress bearer token (repeatable; any set makes auth mandatory)", func(v string) error {
-		authTokens = append(authTokens, v)
+		ing.AuthTokens = append(ing.AuthTokens, v)
 		return nil
 	})
 	queries := flag.Int("queries", 2000, "number of queries to send (spread across models); 0 = generate no load, serve ingress traffic until interrupted")
@@ -189,12 +189,8 @@ func main() {
 	// Flag validation must finish before any fleet is launched: a
 	// log.Fatal below engine.Autopilot would bypass ap.Close and orphan
 	// real kairosd processes under -provider exec.
-	if *queries == 0 && *ingressHTTP == "" && *ingressTCP == "" {
+	if *queries == 0 && ing.HTTPAddr == "" && ing.TCPAddr == "" {
 		log.Fatal("kairos-autopilot: -queries 0 needs an ingress (-ingress and/or -ingress-tcp)")
-	}
-	if *ingressHTTP == "" && *ingressTCP == "" &&
-		(*ingressShards != 0 || *rateLimit != 0 || *rateBurst != 0 || len(authTokens) > 0) {
-		log.Fatal("kairos-autopilot: ingress flags (-ingress-shards/-rate-limit/-rate-burst/-auth-token) need an ingress (-ingress and/or -ingress-tcp)")
 	}
 	mix, err := parseMix(*mixSpec)
 	if err != nil {
@@ -245,23 +241,10 @@ func main() {
 	default:
 		log.Fatalf("kairos-autopilot: unknown provider %q (want inprocess or exec)", *provider)
 	}
-	if *ingressHTTP != "" || *ingressTCP != "" {
-		extra = append(extra, kairos.WithIngress(*ingressHTTP, *ingressTCP))
-		if *ingressQueue != 0 {
-			// Non-zero values flow into the validating option, so a
-			// negative bound errors instead of silently running with the
-			// default.
-			extra = append(extra, kairos.WithIngressQueue(*ingressQueue))
-		}
-		if *ingressShards != 0 {
-			extra = append(extra, kairos.WithIngressShards(*ingressShards))
-		}
-		if *rateLimit != 0 {
-			extra = append(extra, kairos.WithIngressRateLimit(*rateLimit, *rateBurst))
-		}
-		if len(authTokens) > 0 {
-			extra = append(extra, kairos.WithIngressAuth(authTokens...))
-		}
+	// Any ingress flag asks for the front door; WithIngress checks the lot
+	// (a door setting without an address included) before a launch.
+	if !reflect.ValueOf(ing).IsZero() {
+		extra = append(extra, kairos.WithIngress(ing))
 	}
 	ap, err := engine.Autopilot(*timeScale, kairos.AutopilotOptions{
 		Interval:        *interval,

@@ -115,13 +115,12 @@ func main() {
 	seed := flag.Int64("seed", 42, "base random seed; every run is deterministic from it")
 	provider := flag.String("provider", "inprocess", "actuation provider: inprocess (loopback servers) or exec (real kairosd processes)")
 	kairosdBin := flag.String("kairosd", "", "kairosd binary for -provider exec (default: next to this binary, then PATH)")
-	ingressQueue := flag.Int("ingress-queue", 8192, "per-model bound on admitted-but-unfinished ingress queries")
-	ingressShards := flag.Int("ingress-shards", 0, "independent ingress front-door shards: accept loops + admission state (0 = 1)")
-	rateLimit := flag.Float64("rate-limit", 0, "per-client ingress rate limit in queries/second (0 = unlimited)")
-	rateBurst := flag.Int("rate-burst", 0, "ingress rate-limit burst depth (0 = max(1, -rate-limit))")
-	var authTokens []string
+	ing := kairos.IngressOptions{TCPAddr: "127.0.0.1:0"}
+	flag.IntVar(&ing.MaxQueue, "ingress-queue", 8192, "per-model bound on admitted-but-unfinished ingress queries")
+	flag.Float64Var(&ing.RateLimit, "rate-limit", 0, "per-client ingress rate limit in queries/second (0 = unlimited)")
+	flag.IntVar(&ing.RateBurst, "rate-burst", 0, "ingress rate-limit burst depth (0 = max(1, -rate-limit))")
 	flag.Func("auth-token", "static ingress bearer token (repeatable; the replay clients present the first one)", func(v string) error {
-		authTokens = append(authTokens, v)
+		ing.AuthTokens = append(ing.AuthTokens, v)
 		return nil
 	})
 	emptyHold := flag.Duration("empty-hold", 30*time.Second, "how long a model's queries park when a fault takes its last instance")
@@ -184,10 +183,7 @@ func main() {
 	decisions := make(map[string][]kairos.AutopilotDecisionEvent, len(scenarios))
 	for _, sc := range scenarios {
 		report, decs, err := runScenario(sc, pool, modelNames, faults, *budget, *onDemandFloor,
-			*timeScale, *seed, binPath, ingressConfig{
-				queue: *ingressQueue, shards: *ingressShards,
-				rateLimit: *rateLimit, rateBurst: *rateBurst, tokens: authTokens,
-			}, *emptyHold, *converge, logf)
+			*timeScale, *seed, binPath, ing, *emptyHold, *converge, logf)
 		if err != nil {
 			log.Fatalf("kairos-soak: %s: %v", sc.Name, err)
 		}
@@ -254,19 +250,10 @@ func decisionsPath(out string) string {
 	return strings.TrimSuffix(out, ext) + "_decisions" + ext
 }
 
-// ingressConfig collects the front-door knobs a soak run forwards into
-// the autopilot's ingress.
-type ingressConfig struct {
-	queue, shards int
-	rateLimit     float64
-	rateBurst     int
-	tokens        []string
-}
-
 // runScenario launches a fresh fleet, replays one scenario against it,
 // and tears everything down — faults never leak across runs.
 func runScenario(sc kairos.Scenario, pool kairos.Pool, modelNames []string, faults []soak.FaultSpec,
-	budget, onDemandFloor, timeScale float64, seed int64, binPath string, ing ingressConfig,
+	budget, onDemandFloor, timeScale float64, seed int64, binPath string, ing kairos.IngressOptions,
 	emptyHold, converge time.Duration, logf func(string, ...any)) (*soak.Report, []kairos.AutopilotDecisionEvent, error) {
 	// The initial plan is sized for the scenario's opening mix.
 	rng := rand.New(rand.NewSource(seed))
@@ -293,25 +280,11 @@ func runScenario(sc kairos.Scenario, pool kairos.Pool, modelNames []string, faul
 		inner = kairos.NewFleet(timeScale, engine.Models()...)
 	}
 	chaos := soak.WrapChaos(inner)
-	apOpts := []kairos.AutopilotOption{
-		kairos.WithProvider(chaos),
-		kairos.WithIngress("", "127.0.0.1:0"),
-		kairos.WithIngressQueue(ing.queue),
-	}
-	if ing.shards != 0 {
-		apOpts = append(apOpts, kairos.WithIngressShards(ing.shards))
-	}
-	if ing.rateLimit != 0 {
-		apOpts = append(apOpts, kairos.WithIngressRateLimit(ing.rateLimit, ing.rateBurst))
-	}
-	if len(ing.tokens) > 0 {
-		apOpts = append(apOpts, kairos.WithIngressAuth(ing.tokens...))
-	}
 	ap, err := engine.Autopilot(timeScale, kairos.AutopilotOptions{
 		Interval:      50 * time.Millisecond,
 		OnDemandFloor: onDemandFloor,
 		Logf:          logf,
-	}, apOpts...)
+	}, kairos.WithProvider(chaos), kairos.WithIngress(ing))
 	if err != nil {
 		chaos.Close()
 		return nil, nil, err
@@ -320,8 +293,8 @@ func runScenario(sc kairos.Scenario, pool kairos.Pool, modelNames []string, faul
 	ap.Start()
 
 	token := ""
-	if len(ing.tokens) > 0 {
-		token = ing.tokens[0]
+	if len(ing.AuthTokens) > 0 {
+		token = ing.AuthTokens[0]
 	}
 	report, err := soak.Run(soak.System{AP: ap, Chaos: chaos}, soak.Config{
 		Scenario:        sc,

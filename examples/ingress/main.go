@@ -87,8 +87,7 @@ func main() {
 			Window:          500,
 			MinObservations: 200,
 		},
-		kairos.WithIngress("127.0.0.1:0", "127.0.0.1:0"),
-		kairos.WithIngressQueue(512),
+		kairos.WithIngress(kairos.IngressOptions{HTTPAddr: "127.0.0.1:0", TCPAddr: "127.0.0.1:0", MaxQueue: 512}),
 	)
 	if err != nil {
 		panic(err)

@@ -50,9 +50,7 @@ func TestIngressSessionAffinityEndToEnd(t *testing.T) {
 		Window:          300,
 		MinObservations: 100,
 	},
-		WithIngress("127.0.0.1:0", "127.0.0.1:0"),
-		WithIngressQueue(8192),
-		WithIngressShards(2),
+		WithIngress(IngressOptions{HTTPAddr: "127.0.0.1:0", TCPAddr: "127.0.0.1:0", MaxQueue: 8192}),
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"os/exec"
@@ -55,6 +56,17 @@ func httpSubmit(client *http.Client, url, model string, batch int) error {
 	return nil
 }
 
+// countingProvider counts what it is asked to launch.
+type countingProvider struct {
+	Provider
+	launches int
+}
+
+func (p *countingProvider) Launch(model, typeName string) (string, error) {
+	p.launches++
+	return p.Provider.Launch(model, typeName)
+}
+
 // TestAutopilotOptionValidation: misconfigured topology options fail
 // before anything launches — in exec mode a late failure would orphan
 // real processes.
@@ -67,14 +79,21 @@ func TestAutopilotOptionValidation(t *testing.T) {
 	if _, err := e.Autopilot(1, AutopilotOptions{}, WithProvider(nil)); err == nil {
 		t.Fatal("nil provider must error")
 	}
-	if _, err := e.Autopilot(1, AutopilotOptions{}, WithIngress("", "")); err == nil {
+	if _, err := e.Autopilot(1, AutopilotOptions{}, WithIngress(IngressOptions{})); err == nil {
 		t.Fatal("WithIngress without addresses must error")
 	}
-	if _, err := e.Autopilot(1, AutopilotOptions{}, WithIngressQueue(0)); err == nil {
-		t.Fatal("non-positive ingress queue must error")
+	if _, err := e.Autopilot(1, AutopilotOptions{}, WithIngress(IngressOptions{HTTPAddr: "127.0.0.1:0", MaxQueue: -1})); err == nil {
+		t.Fatal("negative ingress queue must error")
 	}
-	if _, err := e.Autopilot(1, AutopilotOptions{}, WithIngressQueue(64)); err == nil {
-		t.Fatal("WithIngressQueue without WithIngress must error, not be silently dropped")
+	if _, err := e.Autopilot(1, AutopilotOptions{}, WithIngress(IngressOptions{MaxQueue: 64, RateLimit: 5})); err == nil {
+		t.Fatal("door settings without an address must error, not be silently dropped")
+	}
+	// The door's validator runs with the options, before the provider is
+	// asked to launch anything (an exec fleet would otherwise be orphaned).
+	launched := &countingProvider{Provider: NewFleet(1, e.Models()...)}
+	if _, err := e.Autopilot(1, AutopilotOptions{}, WithProvider(launched),
+		WithIngress(IngressOptions{HTTPAddr: "127.0.0.1:0", RateLimit: 1e-3, RateBurst: math.MaxInt32})); err == nil || launched.launches != 0 {
+		t.Fatalf("overflowing rate burst: err=%v after %d launches, want an error before any", err, launched.launches)
 	}
 	if _, err := e.Autopilot(1, AutopilotOptions{OnDemandFloor: -0.5}); err == nil {
 		t.Fatal("negative on-demand floor must error")
@@ -110,8 +129,7 @@ func TestExecFleetIngressEndToEnd(t *testing.T) {
 		MinObservations: 100,
 	},
 		WithProvider(NewExecFleet(bin, 1, "NCF", "MT-WND")),
-		WithIngress("127.0.0.1:0", "127.0.0.1:0"),
-		WithIngressQueue(8192),
+		WithIngress(IngressOptions{HTTPAddr: "127.0.0.1:0", TCPAddr: "127.0.0.1:0", MaxQueue: 8192}),
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,8 @@
 package ingress
 
 import (
+	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 )
@@ -25,19 +27,20 @@ type clientBucket struct {
 	tat atomic.Int64
 }
 
-// allow spends one token; false means the client is over its budget.
-// interval is the nanosecond spacing of a perfectly paced client
-// (1e9/qps); burst is how many tokens a fresh or idle bucket holds.
-func (b *clientBucket) allow(interval, burst int64) bool {
+// allow spends one token at time now (nanoseconds since bootT); false
+// means the client is over its budget. interval is the nanosecond spacing
+// of a perfectly paced client (1e9/qps); burst is how many tokens a fresh
+// or idle bucket holds. A clock that stalls or steps backwards mints
+// nothing: tat only ever moves forward, by one interval per admitted
+// request.
+func (b *clientBucket) allow(now, interval, burst int64) bool {
 	for {
-		now := nowNanos()
 		tat := b.tat.Load()
-		t := tat
-		if now > t {
-			t = now
-		}
+		t := max(tat, now)
 		// A conforming request may arrive up to (burst-1) intervals ahead
 		// of its theoretical slot; further ahead means the burst is spent.
+		// limiterParams bounds burst*interval, so neither this product nor
+		// t+interval can overflow.
 		if t-now > (burst-1)*interval {
 			return false
 		}
@@ -45,6 +48,27 @@ func (b *clientBucket) allow(interval, burst int64) bool {
 			return true
 		}
 	}
+}
+
+// maxLimiterSpan bounds burst*interval: half the int64 range, so a
+// bucket's tat (at most now plus that span, now being nanoseconds since
+// process start) cannot wrap.
+const maxLimiterSpan = math.MaxInt64 / 2
+
+// limiterParams derives the limiter's integer parameters from a positive
+// rate and a burst depth (0 derives max(1, qps)), refusing a pair whose
+// span would overflow the bucket's nanosecond arithmetic.
+func limiterParams(qps float64, burst int) (interval, depth int64, err error) {
+	iv := math.Max(1, math.Floor(float64(time.Second)/qps))
+	d := float64(burst)
+	if burst < 1 {
+		d = math.Max(1, math.Floor(qps))
+	}
+	// Written so that NaN (from a NaN rate) fails too.
+	if !(iv*d <= maxLimiterSpan) {
+		return 0, 0, fmt.Errorf("ingress: rate limit %v with burst %.0f overflows the limiter's nanosecond clock", qps, d)
+	}
+	return int64(iv), int64(d), nil
 }
 
 // authTable is the front door's client gate: the token allow list and
@@ -69,17 +93,7 @@ func newAuthTable(tokens []string, qps float64, burst int) *authTable {
 	}
 	t := &authTable{}
 	if qps > 0 {
-		t.interval = int64(float64(time.Second) / qps)
-		if t.interval < 1 {
-			t.interval = 1
-		}
-		t.burst = int64(burst)
-		if t.burst < 1 {
-			t.burst = int64(qps)
-			if t.burst < 1 {
-				t.burst = 1
-			}
-		}
+		t.interval, t.burst, _ = limiterParams(qps, burst) // Options.Validate already refused an overflowing pair
 	}
 	if len(tokens) > 0 {
 		t.clients = make(map[string]*clientBucket, len(tokens))
@@ -92,23 +106,30 @@ func newAuthTable(tokens []string, qps float64, burst int) *authTable {
 	return t
 }
 
-// lookup resolves a presented token to its bucket. ok=false means the
-// client is unauthorized. With no token list every client shares the
-// anonymous bucket. The map lookup on a byte slice does not allocate
-// (the compiler recognizes map[string(b)]).
-func (t *authTable) lookup(token []byte) (b *clientBucket, ok bool) {
-	if t.clients == nil {
-		return t.anon, true
-	}
-	b, ok = t.clients[string(token)]
-	return b, ok
+// client is a caller's standing at the gate, resolved from its token:
+// once per connection on TCP (the handshake carries it), once per request
+// on HTTP (the header does).
+type client struct {
+	denied bool          // presented no valid token to a token-gated door
+	bucket *clientBucket // set whenever the client is let in by a gate
 }
 
-// limited spends one token from b; true means reject with RateLimitedMsg.
-// b may be nil (authorized client on a front door without rate limits).
-func (t *authTable) limited(b *clientBucket) bool {
-	if t.interval == 0 || b == nil {
-		return false
+// identify resolves a presented token. No gate (nil table): every client
+// is anonymous and unlimited; no token list: everyone shares the
+// anonymous bucket. The map lookup on a byte slice does not allocate.
+func (t *authTable) identify(token []byte) client {
+	switch {
+	case t == nil:
+		return client{}
+	case t.clients == nil:
+		return client{bucket: t.anon}
 	}
-	return !b.allow(t.interval, t.burst)
+	b, ok := t.clients[string(token)]
+	return client{denied: !ok, bucket: b}
+}
+
+// limited spends one of c's tokens; true means reject with
+// RateLimitedMsg. Never true without a gate or without a rate limit.
+func (t *authTable) limited(c client) bool {
+	return t != nil && t.interval != 0 && !c.bucket.allow(nowNanos(), t.interval, t.burst)
 }

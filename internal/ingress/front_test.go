@@ -3,19 +3,23 @@ package ingress
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"kairos/internal/cloud"
 	"kairos/internal/models"
 	"kairos/internal/server"
 )
 
-// startFrontOpts is startFront with full front-door options (shards,
-// auth, rate limits); the instance/controller fixture is shared.
-func startFrontOpts(t *testing.T, mutate func(*Options)) (*Server, *server.Controller) {
+// startFrontOpts is startFront with full front-door options (auth,
+// rate limits); the instance/controller fixture is shared.
+func startFrontOpts(t testing.TB, mutate func(*Options)) (*Server, *server.Controller) {
 	t.Helper()
 	m := models.MustByName("NCF")
 	srv, err := server.NewInstanceServer(cloud.R5nLarge.Name, m, 1e-6)
@@ -244,13 +248,12 @@ func TestIngressSessionAffinity(t *testing.T) {
 	}
 }
 
-// TestIngressSharded: a multi-shard front door serves both transports
-// correctly and its per-shard stats sum to the per-model totals.
-func TestIngressSharded(t *testing.T) {
-	ing, ctrl := startFrontOpts(t, func(o *Options) {
-		o.Shards = 4
-		o.MaxQueue = 400
-	})
+// TestIngressOneLane: both transports on one server feed the same
+// per-model counters, the controller-merged snapshot agrees with them,
+// and MaxQueue is the exact admission bound — MaxQueue concurrent queries
+// are all admitted, the next one is pushed back on either transport.
+func TestIngressOneLane(t *testing.T) {
+	ing, ctrl := startFront(t, 0, 1e-6)
 	const n = 30
 	for i := 0; i < n; i++ {
 		if code, rep := postSubmit(t, ing.HTTPAddr(), "NCF", 1+i%8); code != http.StatusOK || rep.Error != "" {
@@ -269,32 +272,49 @@ func TestIngressSharded(t *testing.T) {
 	}
 	st := ing.Stats()["NCF"]
 	if st.Submitted != 2*n || st.Completed != 2*n || st.HTTP != n || st.TCP != n || st.Queue != 0 {
-		t.Fatalf("sharded stats: %+v", st)
+		t.Fatalf("stats: %+v", st)
 	}
-	// Per-shard stats add up to the model totals.
-	var sum int64
-	for _, sh := range ing.ShardStats() {
-		sum += sh.Submitted
-	}
-	if sum != 2*n {
-		t.Fatalf("shard submitted sum = %d, want %d", sum, 2*n)
-	}
-	// The merged controller snapshot sees the same totals.
 	if got := ctrl.Stats().Ingress["NCF"]; got != st {
 		t.Fatalf("controller merge %+v != %+v", got, st)
 	}
-	// /shardz serves the same shape over HTTP.
-	resp, err := http.Get("http://" + ing.HTTPAddr() + "/shardz")
+
+	// The exact bound, on a door slow enough (~150ms per query) that the
+	// occupying queries provably overlap the probe.
+	const maxQueue = 3
+	m := models.MustByName("NCF")
+	slow, slowCtrl := startFront(t, maxQueue, 150/m.Latency(cloud.R5nLarge.Name, 500))
+	occ, err := Dial(slow.TCPAddr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var shardz []ShardStats
-	if err := json.NewDecoder(resp.Body).Decode(&shardz); err != nil {
-		t.Fatal(err)
+	defer occ.Close()
+	occupied := make(chan server.Reply, maxQueue)
+	for i := 0; i < maxQueue; i++ {
+		go func() {
+			rep, err := occ.Submit("NCF", 500)
+			if err != nil {
+				rep.Err = err.Error()
+			}
+			occupied <- rep
+		}()
 	}
-	if len(shardz) != 4 {
-		t.Fatalf("/shardz returned %d shards", len(shardz))
+	waitFor(t, "MaxQueue admitted queries", func() bool { return slowCtrl.Stats().Ingress["NCF"].Queue == maxQueue })
+	if st := slow.Stats()["NCF"]; st.Submitted != maxQueue || st.Rejected != 0 {
+		t.Fatalf("at MaxQueue every query must be admitted: %+v", st)
+	}
+	if code, rep := postSubmit(t, slow.HTTPAddr(), "NCF", 10); code != http.StatusTooManyRequests || rep.Error != QueueFullMsg {
+		t.Fatalf("query MaxQueue+1 over HTTP: code=%d rep=%+v", code, rep)
+	}
+	if rep, err := occ.Submit("NCF", 10); err != nil || rep.Err != QueueFullMsg {
+		t.Fatalf("query MaxQueue+1 over TCP: rep=%+v err=%v", rep, err)
+	}
+	for i := 0; i < maxQueue; i++ {
+		if rep := <-occupied; rep.Err != "" {
+			t.Fatalf("occupying query failed: %+v", rep)
+		}
+	}
+	if st := slow.Stats()["NCF"]; st.Submitted != maxQueue || st.Completed != maxQueue || st.Rejected != 2 || st.Queue != 0 {
+		t.Fatalf("after the drain: %+v", st)
 	}
 }
 
@@ -350,6 +370,67 @@ func TestIngressHTTPProtocolEdges(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET with body: %d", resp.StatusCode)
 	}
+
+	// Request-smuggling class: whenever a proxy in front could disagree
+	// with us about where a body ends, the request is refused and the
+	// connection closed — the pipelined request behind it must never be
+	// answered, because we cannot know where it starts.
+	const body = `{"model":"NCF","batch":1}`
+	next := "GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+	post := func(headers string) string {
+		return "POST /submit HTTP/1.1\r\nHost: x\r\n" + headers + "\r\n" + body + next
+	}
+	cl := fmt.Sprintf("Content-Length: %d\r\n", len(body))
+	for _, tc := range []struct {
+		name, headers string
+		statuses      []string // one per response the connection carries
+	}{
+		{"two lengths, different", "Content-Length: 5\r\n" + cl, []string{"400"}},
+		{"two lengths, different, other order", cl + "Content-Length: 5\r\n", []string{"400"}},
+		{"plus sign", fmt.Sprintf("Content-Length: +%d\r\n", len(body)), []string{"400"}},
+		{"minus zero", "Content-Length: -0\r\n", []string{"400"}},
+		{"list form", fmt.Sprintf("Content-Length: %d, %d\r\n", len(body), len(body)), []string{"400"}},
+		{"empty", "Content-Length:\r\n", []string{"400"}},
+		{"length and transfer-encoding", cl + "Transfer-Encoding: chunked\r\n", []string{"501"}},
+		// The same length twice is unambiguous: served, and the stream
+		// stays in step for the request behind it.
+		{"two lengths, same", cl + cl, []string{"200", "200"}},
+	} {
+		raw := rawHTTP(t, ing.HTTPAddr(), post(tc.headers))
+		var got []string
+		for _, part := range strings.Split(raw, "HTTP/1.1 ")[1:] {
+			got = append(got, part[:3])
+		}
+		if strings.Join(got, ",") != strings.Join(tc.statuses, ",") {
+			t.Errorf("%s: responses %v, want %v (connection closed, not resynchronised)\n%s", tc.name, got, tc.statuses, raw)
+		}
+		if len(tc.statuses) == 1 && !strings.Contains(raw, "Connection: close\r\n") {
+			t.Errorf("%s: refusal does not announce the close:\n%s", tc.name, raw)
+		}
+	}
+}
+
+// rawHTTP writes payload on a fresh connection and returns everything the
+// server sends until it closes the connection.
+func rawHTTP(t *testing.T, addr, payload string) string {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := conn.Write([]byte(payload)); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(conn)
+	// A close with unread request bytes may arrive as a reset; only
+	// running into the deadline means the server kept the connection.
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("server did not close the connection (got %q)", raw)
+	}
+	return string(raw)
 }
 
 // TestParseSubmitBody pins the hand-rolled decoder against

@@ -96,8 +96,8 @@ func TestHandshakeRejectsOtherVersion(t *testing.T) {
 			} else if errors.Is(err, os.ErrDeadlineExceeded) {
 				t.Fatal("connection still open after a refused handshake")
 			}
-			if st := ctrl.Stats(); st.Submitted != 0 || ing.Unrouted() != 0 {
-				t.Fatalf("refused client's query was read: submitted %d, unrouted %d", st.Submitted, ing.Unrouted())
+			if st := ctrl.Stats(); st.Submitted != 0 || st.IngressUnrouted != 0 {
+				t.Fatalf("refused client's query was read: submitted %d, unrouted %d", st.Submitted, st.IngressUnrouted)
 			}
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -12,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"kairos/internal/obs"
 	"kairos/internal/server"
 )
 
@@ -56,12 +54,11 @@ var httpCtxPool = sync.Pool{New: func() any {
 const (
 	routeSubmit = iota
 	routeStats
-	routeShardz
 	routeHealthz
 	routeUnknown
 )
 
-func (s *Server) serveHTTPConn(conn net.Conn, sh *shard) {
+func (s *Server) serveHTTPConn(conn net.Conn) {
 	defer conn.Close()
 	defer s.tracker.Track(conn)()
 	hc := httpCtxPool.Get().(*httpCtx)
@@ -77,7 +74,7 @@ func (s *Server) serveHTTPConn(conn net.Conn, sh *shard) {
 		default:
 		}
 		conn.SetReadDeadline(time.Now().Add(readHeaderTimeout))
-		if !s.serveHTTPRequest(conn, sh, hc) {
+		if !s.serveHTTPRequest(conn, hc) {
 			return
 		}
 	}
@@ -85,42 +82,33 @@ func (s *Server) serveHTTPConn(conn net.Conn, sh *shard) {
 
 // serveHTTPRequest reads and answers one request; false closes the
 // connection (read error, protocol violation, or Connection: close).
-func (s *Server) serveHTTPRequest(conn net.Conn, sh *shard, hc *httpCtx) bool {
+func (s *Server) serveHTTPRequest(conn net.Conn, hc *httpCtx) bool {
 	t0 := time.Now()
 	line, err := readHTTPLine(hc.br)
 	if err != nil {
 		return false
 	}
-	sp1 := bytes.IndexByte(line, ' ')
-	if sp1 < 0 {
+	method, rest, ok1 := bytes.Cut(line, space)
+	path, proto, ok2 := bytes.Cut(rest, space)
+	if !ok1 || !ok2 {
 		return false
 	}
-	method := line[:sp1]
-	rest := line[sp1+1:]
-	sp2 := bytes.IndexByte(rest, ' ')
-	if sp2 < 0 {
-		return false
-	}
-	path := rest[:sp2]
-	keepAlive := bytes.Equal(rest[sp2+1:], http11)
-	isPost := bytes.Equal(method, []byte("POST"))
+	keepAlive := string(proto) == "HTTP/1.1"
+	isPost := string(method) == "POST"
 	route := routeUnknown
-	switch {
-	case bytes.Equal(path, []byte("/submit")):
+	switch string(path) {
+	case "/submit":
 		route = routeSubmit
-	case bytes.Equal(path, []byte("/stats")):
+	case "/stats":
 		route = routeStats
-	case bytes.Equal(path, []byte("/shardz")):
-		route = routeShardz
-	case bytes.Equal(path, []byte("/healthz")):
+	case "/healthz":
 		route = routeHealthz
 	}
 	// Headers. line/path alias the bufio buffer, so the route and method
 	// were latched above before these reads invalidate them.
 	var contentLen int64 = -1
 	var chunked, expect100 bool
-	hc.tok = hc.tok[:0]
-	hasTok := false
+	hc.tok = hc.tok[:0] // no (or an empty) bearer token matches no client
 	for {
 		h, err := readHTTPLine(hc.br)
 		if err != nil {
@@ -129,22 +117,26 @@ func (s *Server) serveHTTPRequest(conn net.Conn, sh *shard, hc *httpCtx) bool {
 		if len(h) == 0 {
 			break
 		}
-		colon := bytes.IndexByte(h, ':')
-		if colon < 0 {
+		key, val, ok := bytes.Cut(h, colon)
+		if !ok {
 			continue
 		}
-		key, val := h[:colon], trimOWS(h[colon+1:])
+		val = trimOWS(val)
 		switch {
 		case asciiEqualFold(key, "content-length"):
-			n, err := strconv.ParseInt(string(val), 10, 64)
-			if err != nil || n < 0 {
+			// A second Content-Length that disagrees with the first, or a
+			// form a stricter parser would refuse, means a proxy in front
+			// and this server could disagree about where the next
+			// pipelined request starts: refuse and close, never guess.
+			n, ok := parseContentLength(val)
+			if !ok || (contentLen >= 0 && n != contentLen) {
+				s.writeHTTPError(conn, hc, http.StatusBadRequest, "ingress: bad Content-Length")
 				return false
 			}
 			contentLen = n
 		case asciiEqualFold(key, "authorization"):
 			if len(val) > 7 && asciiEqualFold(val[:7], "bearer ") {
 				hc.tok = append(hc.tok[:0], trimOWS(val[7:])...)
-				hasTok = true
 			}
 		case asciiEqualFold(key, "transfer-encoding"):
 			chunked = true
@@ -197,62 +189,31 @@ func (s *Server) serveHTTPRequest(conn net.Conn, sh *shard, hc *httpCtx) bool {
 	if _, err := io.ReadFull(hc.br, hc.body); err != nil {
 		return false
 	}
-	var tok []byte
-	if hasTok {
-		tok = hc.tok
-	}
-	status, retry := s.submitHTTP(sh, hc, tok, t0)
+	status, retry := s.submitHTTP(hc, t0)
 	return s.writeHTTPResponse(conn, hc, status, hc.rep, retry, keepAlive) && keepAlive
 }
 
-// submitHTTP runs the admission pipeline for one parsed /submit body and
-// encodes the reply into hc.rep. The check order matches the TCP path:
-// auth → model → rate limit → queue bound.
-func (s *Server) submitHTTP(sh *shard, hc *httpCtx, tok []byte, t0 time.Time) (status int, retryAfter bool) {
+// submitHTTP parses one /submit body, runs it through admit and settle,
+// and encodes the reply into hc.rep.
+func (s *Server) submitHTTP(hc *httpCtx, t0 time.Time) (status int, retryAfter bool) {
 	f := &hc.fields
 	if err := parseSubmitBody(hc.body, f); err != nil {
 		hc.rep = appendSubmitReply(hc.rep[:0], nil, 0, 0, "", "ingress: bad request: "+err.Error())
 		return http.StatusBadRequest, false
 	}
-	var bucket *clientBucket
-	if s.auth != nil {
-		var ok bool
-		if bucket, ok = s.auth.lookup(tok); !ok {
-			s.unrouted.Add(1)
-			hc.rep = appendSubmitReply(hc.rep[:0], f.model, f.batch, 0, "", UnauthorizedMsg)
+	mf, reject := s.admit(s.auth.identify(hc.tok), f.model, false, t0)
+	if mf == nil {
+		hc.rep = appendSubmitReply(hc.rep[:0], f.model, f.batch, 0, "", reject)
+		switch reject {
+		case UnauthorizedMsg:
 			return http.StatusUnauthorized, false
+		case RateLimitedMsg, QueueFullMsg:
+			return http.StatusTooManyRequests, true
+		default: // unknown model
+			return http.StatusBadRequest, false
 		}
 	}
-	mf := s.models[string(f.model)]
-	if mf == nil {
-		s.unrouted.Add(1)
-		hc.rep = appendSubmitReply(hc.rep[:0], f.model, f.batch, 0, "",
-			fmt.Sprintf("ingress: unknown model %q (serving %v)", f.model, s.order))
-		return http.StatusBadRequest, false
-	}
-	fs := &mf.shards[sh.id]
-	if s.auth != nil && s.auth.limited(bucket) {
-		fs.limited.Add(1)
-		hc.rep = appendSubmitReply(hc.rep[:0], f.model, f.batch, 0, "", RateLimitedMsg)
-		return http.StatusTooManyRequests, true
-	}
-	if !fs.admit(s.perShard) {
-		fs.rejected.Add(1)
-		hc.rep = appendSubmitReply(hc.rep[:0], f.model, f.batch, 0, "", QueueFullMsg)
-		return http.StatusTooManyRequests, true
-	}
-	fs.submitted.Add(1)
-	fs.http.Add(1)
-	shardID := uint32(sh.id)
-	mf.mo.RecordShard(obs.StageAdmit, shardID, time.Since(t0))
-	res := s.ctrl.SubmitWaitOpts(mf.name, int(f.batch), submitOpts(f.session, f.deadlineMS, t0))
-	if res.Err != nil {
-		fs.failed.Add(1)
-	} else {
-		fs.completed.Add(1)
-	}
-	fs.queue.Add(-1)
-	mf.mo.RecordShard(obs.StageIngress, shardID, time.Since(t0))
+	res := s.settle(mf, int(f.batch), submitOpts(f.session, f.deadlineMS, t0), t0)
 	if res.Err != nil {
 		hc.rep = appendSubmitReply(hc.rep[:0], f.model, f.batch, 0, "", res.Err.Error())
 		return http.StatusBadGateway, false
@@ -268,16 +229,13 @@ func (s *Server) serveHTTPCold(conn net.Conn, hc *httpCtx, route int, isPost, ke
 	switch {
 	case route == routeSubmit: // non-POST
 		status = http.StatusMethodNotAllowed
-		body, _ = json.Marshal(submitReply{Error: "ingress: POST only"})
+		body = appendSubmitReply(nil, nil, 0, 0, "", "ingress: POST only")
 	case isPost, route == routeUnknown:
 		status = http.StatusNotFound
 		body = []byte(`{"error":"ingress: not found"}`)
 	case route == routeStats:
 		status = http.StatusOK
 		body, _ = json.Marshal(s.Stats())
-	case route == routeShardz:
-		status = http.StatusOK
-		body, _ = json.Marshal(s.ShardStats())
 	default: // routeHealthz
 		status = http.StatusOK
 		body, _ = json.Marshal(map[string]any{"ok": true, "models": s.order})
@@ -286,33 +244,20 @@ func (s *Server) serveHTTPCold(conn net.Conn, hc *httpCtx, route int, isPost, ke
 }
 
 var (
-	http11      = []byte("HTTP/1.1")
+	space       = []byte(" ")
+	colon       = []byte(":")
+	cr          = []byte("\r")
 	continue100 = []byte("HTTP/1.1 100 Continue\r\n\r\n")
 )
-
-// statusLines preformats every status the front door emits.
-var statusLines = map[int]string{
-	http.StatusOK:                    "HTTP/1.1 200 OK\r\n",
-	http.StatusBadRequest:            "HTTP/1.1 400 Bad Request\r\n",
-	http.StatusUnauthorized:          "HTTP/1.1 401 Unauthorized\r\n",
-	http.StatusNotFound:              "HTTP/1.1 404 Not Found\r\n",
-	http.StatusMethodNotAllowed:      "HTTP/1.1 405 Method Not Allowed\r\n",
-	http.StatusLengthRequired:        "HTTP/1.1 411 Length Required\r\n",
-	http.StatusRequestEntityTooLarge: "HTTP/1.1 413 Request Entity Too Large\r\n",
-	http.StatusTooManyRequests:       "HTTP/1.1 429 Too Many Requests\r\n",
-	http.StatusNotImplemented:        "HTTP/1.1 501 Not Implemented\r\n",
-	http.StatusBadGateway:            "HTTP/1.1 502 Bad Gateway\r\n",
-}
 
 // writeHTTPResponse assembles the full response in hc.out and writes it
 // with one syscall. false means the write failed (close the conn).
 func (s *Server) writeHTTPResponse(conn net.Conn, hc *httpCtx, status int, body []byte, retryAfter, keepAlive bool) bool {
-	sl, ok := statusLines[status]
-	if !ok {
-		sl = "HTTP/1.1 500 Internal Server Error\r\n"
-	}
-	hc.out = append(hc.out[:0], sl...)
-	hc.out = append(hc.out, "Content-Type: application/json\r\nContent-Length: "...)
+	hc.out = append(hc.out[:0], "HTTP/1.1 "...)
+	hc.out = strconv.AppendInt(hc.out, int64(status), 10)
+	hc.out = append(hc.out, ' ')
+	hc.out = append(hc.out, http.StatusText(status)...)
+	hc.out = append(hc.out, "\r\nContent-Type: application/json\r\nContent-Length: "...)
 	hc.out = strconv.AppendInt(hc.out, int64(len(body)), 10)
 	hc.out = append(hc.out, '\r', '\n')
 	if retryAfter {
@@ -334,6 +279,19 @@ func (s *Server) writeHTTPError(conn net.Conn, hc *httpCtx, status int, msg stri
 	s.writeHTTPResponse(conn, hc, status, hc.rep, false, false)
 }
 
+// parseContentLength accepts exactly 1*DIGIT (RFC 9110 §8.6): no sign, no
+// list, nothing strconv would additionally tolerate. Every value beyond
+// the largest body the door accepts reads as that bound plus one.
+func parseContentLength(val []byte) (n int64, ok bool) {
+	for _, c := range val {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = min(n*10+int64(c-'0'), maxSubmitBody+1)
+	}
+	return n, len(val) > 0
+}
+
 // readHTTPLine returns one CRLF-terminated line without its terminator,
 // aliasing the reader's buffer. A line longer than the buffer is a
 // protocol violation (16KB of request line or one header).
@@ -342,11 +300,7 @@ func readHTTPLine(br *bufio.Reader) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := len(line) - 1
-	if n > 0 && line[n-1] == '\r' {
-		n--
-	}
-	return line[:n], nil
+	return bytes.TrimSuffix(line[:len(line)-1], cr), nil
 }
 
 // trimOWS strips optional whitespace around a header value.
@@ -360,20 +314,17 @@ func trimOWS(b []byte) []byte {
 	return b
 }
 
-// asciiEqualFold reports b == s ignoring ASCII case, without allocating.
-func asciiEqualFold(b []byte, s string) bool {
-	if len(b) != len(s) {
+// asciiEqualFold reports whether b is lower, ignoring ASCII case and
+// without allocating. lower must be lower case.
+func asciiEqualFold(b []byte, lower string) bool {
+	if len(b) != len(lower) {
 		return false
 	}
-	for i := 0; i < len(b); i++ {
-		c, d := b[i], s[i]
+	for i, c := range b {
 		if 'A' <= c && c <= 'Z' {
 			c += 'a' - 'A'
 		}
-		if 'A' <= d && d <= 'Z' {
-			d += 'a' - 'A'
-		}
-		if c != d {
+		if c != lower[i] {
 			return false
 		}
 	}

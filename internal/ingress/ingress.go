@@ -12,18 +12,16 @@
 // kairosctl and the autopilot admin /metrics see front-end and serving
 // counters on one surface.
 //
-// The front door is sharded (Options.Shards): each shard owns an accept
-// loop per transport (over SO_REUSEPORT where the platform has it), a
-// slice of every model's admission quota, a pooled-waiter set for the
-// TCP path, and a stripe of the front-door stage histograms — so at
-// saturation the shards contend on nothing. Queries may carry a session
-// key routed with consistent-hash-bounded-load affinity and a deadline
-// enforced by the controller's dispatch loop; untrusted clients are
-// gated by a static bearer-token list and per-client rate limits.
+// The front door is one lane — one listener per transport, a model's
+// counters as plain atomics, one waiter pool; DESIGN.md, "Ingress at
+// scale", has the measurement behind that and what would have to be
+// observed before lanes come back. Queries may carry a session key routed
+// with consistent-hash-bounded-load affinity and a deadline enforced by
+// the controller's dispatch loop; untrusted clients are gated by a static
+// bearer-token list and per-client rate limits.
 package ingress
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -65,19 +63,14 @@ const writeTimeout = 30 * time.Second
 // must be set.
 type Options struct {
 	// HTTPAddr binds the JSON endpoint ("" disables; "127.0.0.1:0" for an
-	// ephemeral port). Routes: POST /submit, GET /stats, GET /shardz,
-	// GET /healthz.
+	// ephemeral port). Routes: POST /submit, GET /stats, GET /healthz.
 	HTTPAddr string
 	// TCPAddr binds the binary endpoint ("" disables).
 	TCPAddr string
 	// MaxQueue bounds each model's admitted-but-unfinished queries;
 	// submissions beyond it are rejected with 429/NACK. 0 uses
-	// DefaultMaxQueue. The bound is split evenly across shards.
+	// DefaultMaxQueue.
 	MaxQueue int
-	// Shards is the number of independent front-door shards: accept
-	// loops per transport, admission quota slices, waiter pools, and
-	// histogram stripes. 0 or 1 runs unsharded.
-	Shards int
 	// AuthTokens is the static bearer-token allow list. Non-empty makes
 	// both transports require a token (HTTP: Authorization: Bearer; TCP:
 	// HelloAck.Token); unauthenticated submissions get UnauthorizedMsg.
@@ -93,11 +86,43 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// frontShard is one shard's slice of a model's admission state and
-// accounting. All fields are atomic and the whole struct is padded to
-// its own cache lines: the hot path never takes a lock and shards never
-// false-share.
-type frontShard struct {
+// Validate reports the first reason New would refuse o. It is the door's
+// only option check: callers that launch something expensive before New
+// (the autopilot's fleet) run it first.
+func (o Options) Validate() error {
+	if o.HTTPAddr == "" && o.TCPAddr == "" {
+		return errors.New("ingress: needs at least one of an HTTP and a TCP address")
+	}
+	if o.MaxQueue < 0 {
+		return fmt.Errorf("ingress: negative queue bound %d", o.MaxQueue)
+	}
+	if o.RateLimit < 0 {
+		return fmt.Errorf("ingress: negative rate limit %v", o.RateLimit)
+	}
+	if o.RateBurst < 0 {
+		return fmt.Errorf("ingress: negative rate burst %d", o.RateBurst)
+	}
+	if o.RateLimit != 0 {
+		if _, _, err := limiterParams(o.RateLimit, o.RateBurst); err != nil {
+			return err
+		}
+	}
+	for _, tok := range o.AuthTokens {
+		if tok == "" {
+			return errors.New("ingress: empty auth token")
+		}
+	}
+	return nil
+}
+
+// modelFront is one served model's admission state and accounting, plus
+// the model's flight recorder (shared with the controller), where the
+// front-end stamps StageAdmit and StageIngress. All counters are atomic:
+// the hot path never takes a lock.
+type modelFront struct {
+	name string
+	mo   *obs.ModelObs
+
 	queue     atomic.Int64 // admitted-but-unfinished
 	submitted atomic.Int64
 	http      atomic.Int64
@@ -106,75 +131,25 @@ type frontShard struct {
 	limited   atomic.Int64
 	completed atomic.Int64
 	failed    atomic.Int64
-	_         [64]byte // keep the next shard's counters off this line
 }
 
-// admit reserves one slot in the shard's bounded queue; false rejects.
-func (fs *frontShard) admit(max int64) bool {
-	for {
-		cur := fs.queue.Load()
-		if cur >= max {
-			return false
-		}
-		if fs.queue.CompareAndSwap(cur, cur+1) {
-			return true
-		}
-	}
-}
-
-// modelFront is one served model's admission state: a quota slice per
-// shard plus the model's flight-recorder shard (shared with the
-// controller), where the front-end stamps StageAdmit and StageIngress.
-type modelFront struct {
-	name   string
-	mo     *obs.ModelObs
-	shards []frontShard
-}
-
-// snapshot sums the model's counters across shards. Submitted is read
-// first (all shards) and queue before the outcome counters: combined
-// with the writers' ordering (admit raises queue before submitted; the
-// waiter records the outcome before releasing the slot), each shard —
-// and therefore the sum — never lets completed+failed+queue fall short
-// of submitted in any snapshot. A concurrent query may transiently
-// count twice, never zero times.
+// snapshot reads the model's counters. Submitted is read first and queue
+// before the outcome counters: combined with the writers' ordering (admit
+// raises queue before submitted; settle records the outcome before
+// releasing the slot), completed+failed+queue never falls short of
+// submitted in any snapshot. A concurrent query may transiently count
+// twice, never zero times.
 func (m *modelFront) snapshot() server.IngressStats {
 	var st server.IngressStats
-	for i := range m.shards {
-		st.Submitted += m.shards[i].submitted.Load()
-	}
-	for i := range m.shards {
-		st.Queue += m.shards[i].queue.Load()
-	}
-	for i := range m.shards {
-		fs := &m.shards[i]
-		st.Completed += fs.completed.Load()
-		st.Failed += fs.failed.Load()
-		st.Rejected += fs.rejected.Load()
-		st.RateLimited += fs.limited.Load()
-		st.HTTP += fs.http.Load()
-		st.TCP += fs.tcp.Load()
-	}
+	st.Submitted = m.submitted.Load()
+	st.Queue = m.queue.Load()
+	st.Completed = m.completed.Load()
+	st.Failed = m.failed.Load()
+	st.Rejected = m.rejected.Load()
+	st.RateLimited = m.limited.Load()
+	st.HTTP = m.http.Load()
+	st.TCP = m.tcp.Load()
 	return st
-}
-
-// shard is one front-door lane: its TCP waiter pool and connection
-// accounting. Per-model admission counters live in modelFront.shards,
-// indexed by the shard's id.
-type shard struct {
-	id    int
-	conns atomic.Int64 // accepted connections, both transports
-	pool  waiterPool
-}
-
-// ShardStats is one shard's cross-model accounting, for GET /shardz.
-type ShardStats struct {
-	Shard       int   `json:"shard"`
-	Conns       int64 `json:"conns"`
-	Submitted   int64 `json:"submitted"`
-	Rejected    int64 `json:"rejected"`
-	RateLimited int64 `json:"rate_limited"`
-	Queue       int64 `json:"queue"`
 }
 
 // Server is one running front-end over a controller. Build it with New
@@ -183,8 +158,7 @@ type ShardStats struct {
 // delivered — an orderly Close drops nothing.
 type Server struct {
 	ctrl     *server.Controller
-	perShard int64 // per-shard, per-model admission quota
-	nshards  int
+	maxQueue int64 // per-model admission bound
 	logf     func(format string, args ...any)
 	auth     *authTable // nil: no auth, no rate limiting
 
@@ -196,9 +170,9 @@ type Server struct {
 	// as Stats.IngressUnrouted through the augmenter.
 	unrouted atomic.Int64
 
-	shards  []*shard
-	httpLns []net.Listener
-	tcpLns  []net.Listener
+	pool   waiterPool   // parked goroutines waiting out TCP queries
+	httpLn net.Listener // nil when the transport is disabled
+	tcpLn  net.Listener
 
 	wg        sync.WaitGroup // accept loops + connection loops + waiters
 	closed    chan struct{}
@@ -213,173 +187,87 @@ func New(ctrl *server.Controller, opts Options) (*Server, error) {
 	if ctrl == nil {
 		return nil, errors.New("ingress: needs a controller")
 	}
-	if opts.HTTPAddr == "" && opts.TCPAddr == "" {
-		return nil, errors.New("ingress: needs at least one of an HTTP and a TCP address")
-	}
-	if opts.MaxQueue < 0 {
-		return nil, fmt.Errorf("ingress: negative queue bound %d", opts.MaxQueue)
-	}
-	if opts.Shards < 0 {
-		return nil, fmt.Errorf("ingress: negative shard count %d", opts.Shards)
-	}
-	if opts.RateLimit < 0 {
-		return nil, fmt.Errorf("ingress: negative rate limit %v", opts.RateLimit)
-	}
-	if opts.RateBurst < 0 {
-		return nil, fmt.Errorf("ingress: negative rate burst %d", opts.RateBurst)
-	}
-	for _, tok := range opts.AuthTokens {
-		if tok == "" {
-			return nil, errors.New("ingress: empty auth token")
-		}
-	}
-	maxQueue := int64(opts.MaxQueue)
-	if maxQueue == 0 {
-		maxQueue = DefaultMaxQueue
-	}
-	nshards := opts.Shards
-	if nshards < 1 {
-		nshards = 1
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
 	s := &Server{
-		ctrl: ctrl,
-		// Ceil split: the aggregate bound rounds up to keep every shard
-		// nonzero; with one shard it is exactly MaxQueue.
-		perShard: (maxQueue + int64(nshards) - 1) / int64(nshards),
-		nshards:  nshards,
+		ctrl:     ctrl,
+		maxQueue: int64(opts.MaxQueue),
 		logf:     opts.Logf,
 		auth:     newAuthTable(opts.AuthTokens, opts.RateLimit, opts.RateBurst),
 		models:   make(map[string]*modelFront),
 		closed:   make(chan struct{}),
 	}
+	if s.maxQueue == 0 {
+		s.maxQueue = DefaultMaxQueue
+	}
 	if s.logf == nil {
 		s.logf = func(string, ...any) {}
 	}
 	for _, name := range ctrl.Models() {
-		s.models[name] = &modelFront{
-			name:   name,
-			mo:     ctrl.Obs().Model(name),
-			shards: make([]frontShard, nshards),
-		}
+		s.models[name] = &modelFront{name: name, mo: ctrl.Obs().Model(name)}
 		s.order = append(s.order, name)
 	}
-	for i := 0; i < nshards; i++ {
-		sh := &shard{id: i}
-		sh.pool.wg = &s.wg
-		sh.pool.run = s.runWait
-		s.shards = append(s.shards, sh)
-	}
-	closeAll := func() {
-		for _, ln := range s.httpLns {
-			ln.Close()
-		}
-		for _, ln := range s.tcpLns {
-			ln.Close()
-		}
-	}
+	s.pool.wg = &s.wg
+	s.pool.run = s.runWait
 	var err error
 	if opts.HTTPAddr != "" {
-		if s.httpLns, err = listenShards(opts.HTTPAddr, nshards); err != nil {
+		if s.httpLn, err = net.Listen("tcp", opts.HTTPAddr); err != nil {
 			return nil, fmt.Errorf("ingress: binding HTTP %s: %w", opts.HTTPAddr, err)
 		}
 	}
 	if opts.TCPAddr != "" {
-		if s.tcpLns, err = listenShards(opts.TCPAddr, nshards); err != nil {
-			closeAll()
+		if s.tcpLn, err = net.Listen("tcp", opts.TCPAddr); err != nil {
+			if s.httpLn != nil {
+				s.httpLn.Close()
+			}
 			return nil, fmt.Errorf("ingress: binding TCP %s: %w", opts.TCPAddr, err)
 		}
 	}
-	for i, sh := range s.shards {
-		if len(s.httpLns) > 0 {
-			s.wg.Add(1)
-			go s.acceptLoop(s.httpLns[i%len(s.httpLns)], sh, s.serveHTTPConn)
-		}
-		if len(s.tcpLns) > 0 {
-			s.wg.Add(1)
-			go s.acceptLoop(s.tcpLns[i%len(s.tcpLns)], sh, s.serveTCPConn)
-		}
+	if s.httpLn != nil {
+		s.wg.Add(1)
+		go s.acceptLoop(s.httpLn, s.serveHTTPConn)
+	}
+	if s.tcpLn != nil {
+		s.wg.Add(1)
+		go s.acceptLoop(s.tcpLn, s.serveTCPConn)
 	}
 	ctrl.SetStatsAugmenter(s.augment)
-	s.logf("ingress: serving (http %s, tcp %s, queue %d per model, %d shard(s))",
-		s.HTTPAddr(), s.TCPAddr(), maxQueue, nshards)
+	s.logf("ingress: serving (http %s, tcp %s, queue %d per model)", s.HTTPAddr(), s.TCPAddr(), s.maxQueue)
 	return s, nil
 }
 
-// listenShards binds n listeners to addr with SO_REUSEPORT so the kernel
-// spreads connections across the shards' accept loops. Platforms without
-// reuseport (and the n==1 case) get a single listener; with fewer
-// listeners than shards the accept loops share them.
-func listenShards(addr string, n int) ([]net.Listener, error) {
-	if n <= 1 || !reusePortOK {
-		ln, err := net.Listen("tcp", addr)
-		if err != nil {
-			return nil, err
-		}
-		return []net.Listener{ln}, nil
-	}
-	lc := net.ListenConfig{Control: reusePortControl}
-	first, err := lc.Listen(context.Background(), "tcp", addr)
-	if err != nil {
-		// The control hook can fail on exotic socket setups; a single
-		// plain listener shared by every shard's accept loop still works.
-		ln, err2 := net.Listen("tcp", addr)
-		if err2 != nil {
-			return nil, err
-		}
-		return []net.Listener{ln}, nil
-	}
-	lns := []net.Listener{first}
-	// The remaining binds reuse the first listener's concrete port (addr
-	// may have asked for an ephemeral one).
-	concrete := first.Addr().String()
-	for i := 1; i < n; i++ {
-		ln, err := lc.Listen(context.Background(), "tcp", concrete)
-		if err != nil {
-			// Degrade to the listeners bound so far; accept loops share.
-			break
-		}
-		lns = append(lns, ln)
-	}
-	return lns, nil
-}
-
-// acceptLoop feeds one listener's connections to one shard's serve
-// function. With reuseport each shard accepts from its own listener;
-// otherwise the shards' loops share one listener and the kernel
-// round-robins Accept wakeups.
-func (s *Server) acceptLoop(ln net.Listener, sh *shard, serve func(net.Conn, *shard)) {
+// acceptLoop serves each of one listener's connections on its own
+// goroutine until the listener closes.
+func (s *Server) acceptLoop(ln net.Listener, serve func(net.Conn)) {
 	defer s.wg.Done()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
 			return
 		}
-		sh.conns.Add(1)
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			serve(conn, sh)
+			serve(conn)
 		}()
 	}
 }
 
 // HTTPAddr returns the bound HTTP address, "" when disabled.
-func (s *Server) HTTPAddr() string {
-	if len(s.httpLns) == 0 {
-		return ""
-	}
-	return s.httpLns[0].Addr().String()
-}
+func (s *Server) HTTPAddr() string { return lnAddr(s.httpLn) }
 
 // TCPAddr returns the bound binary-TCP address, "" when disabled.
-func (s *Server) TCPAddr() string {
-	if len(s.tcpLns) == 0 {
+func (s *Server) TCPAddr() string { return lnAddr(s.tcpLn) }
+
+func lnAddr(ln net.Listener) string {
+	if ln == nil {
 		return ""
 	}
-	return s.tcpLns[0].Addr().String()
+	return ln.Addr().String()
 }
 
-// Stats snapshots the per-model front-end counters, summed over shards.
+// Stats snapshots the per-model front-end counters.
 func (s *Server) Stats() map[string]server.IngressStats {
 	out := make(map[string]server.IngressStats, len(s.order))
 	for _, name := range s.order {
@@ -388,37 +276,66 @@ func (s *Server) Stats() map[string]server.IngressStats {
 	return out
 }
 
-// ShardStats snapshots the per-shard accounting across models.
-func (s *Server) ShardStats() []ShardStats {
-	out := make([]ShardStats, s.nshards)
-	for i, sh := range s.shards {
-		st := &out[i]
-		st.Shard = i
-		st.Conns = sh.conns.Load()
-		for _, name := range s.order {
-			fs := &s.models[name].shards[i]
-			st.Submitted += fs.submitted.Load()
-			st.Rejected += fs.rejected.Load()
-			st.RateLimited += fs.limited.Load()
-			st.Queue += fs.queue.Load()
-		}
-	}
-	return out
-}
-
-// Unrouted reports the front-door rejections that never resolved to a
-// model: unknown-model submissions and unauthenticated clients.
-func (s *Server) Unrouted() int64 { return s.unrouted.Load() }
-
 // augment merges the front-end counters into a controller Stats snapshot.
 func (s *Server) augment(st *server.Stats) {
-	if st.Ingress == nil {
-		st.Ingress = make(map[string]server.IngressStats, len(s.order))
-	}
-	for _, name := range s.order {
-		st.Ingress[name] = s.models[name].snapshot()
-	}
+	st.Ingress = s.Stats()
 	st.IngressUnrouted = s.unrouted.Load()
+}
+
+// admit is the front door's one admission sequence, shared by both
+// transports: auth → model → rate limit → queue bound. It returns the
+// model's front with one queue slot reserved (the caller owes a settle),
+// or nil and the rejection's exact text, which the transport frames its
+// own way (HTTP status + Retry-After, binary NACK). t0 is the request's
+// receive timestamp. Nothing here allocates except the unknown-model
+// text.
+func (s *Server) admit(c client, model []byte, tcp bool, t0 time.Time) (*modelFront, string) {
+	if c.denied {
+		s.unrouted.Add(1)
+		return nil, UnauthorizedMsg
+	}
+	mf := s.models[string(model)]
+	if mf == nil {
+		s.unrouted.Add(1)
+		return nil, fmt.Sprintf("ingress: unknown model %q (serving %v)", model, s.order)
+	}
+	if s.auth.limited(c) {
+		mf.limited.Add(1)
+		return nil, RateLimitedMsg
+	}
+	for {
+		cur := mf.queue.Load()
+		if cur >= s.maxQueue {
+			mf.rejected.Add(1)
+			return nil, QueueFullMsg
+		}
+		if mf.queue.CompareAndSwap(cur, cur+1) {
+			break
+		}
+	}
+	mf.submitted.Add(1)
+	if tcp {
+		mf.tcp.Add(1)
+	} else {
+		mf.http.Add(1)
+	}
+	mf.mo.Record(obs.StageAdmit, time.Since(t0))
+	return mf, ""
+}
+
+// settle runs an admitted query through the controller and closes its
+// account: outcome first, then the queue slot (the order snapshot relies
+// on), then the client's-view latency.
+func (s *Server) settle(mf *modelFront, batch int, opts server.SubmitOptions, t0 time.Time) server.QueryResult {
+	res := s.ctrl.SubmitWaitOpts(mf.name, batch, opts)
+	if res.Err != nil {
+		mf.failed.Add(1)
+	} else {
+		mf.completed.Add(1)
+	}
+	mf.queue.Add(-1)
+	mf.mo.Record(obs.StageIngress, time.Since(t0))
+	return res
 }
 
 // submitOpts converts a request's wire hints into controller submit
@@ -441,20 +358,18 @@ func submitOpts(session []byte, deadlineMS int64, t0 time.Time) server.SubmitOpt
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		close(s.closed)
-		for _, ln := range s.tcpLns {
-			ln.Close()
+		if s.tcpLn != nil {
+			s.tcpLn.Close()
 		}
-		for _, ln := range s.httpLns {
-			ln.Close()
+		if s.httpLn != nil {
+			s.httpLn.Close()
 		}
 		// Pop the per-connection read loops out of their blocked reads;
 		// their waiters finish and reply before the conns close.
 		s.tracker.SweepReadDeadlines()
 		// Stop the idle waiters; busy ones finish their query first, and
 		// late work falls back to fresh goroutines.
-		for _, sh := range s.shards {
-			sh.pool.close()
-		}
+		s.pool.close()
 		// Bounded drain: reply writes carry writeTimeout deadlines, so
 		// flushers on a stalled client unblock on their own; the
 		// force-close below is the backstop that guarantees Close always

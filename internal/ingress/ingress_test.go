@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -88,11 +89,37 @@ func TestIngressValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctrl.Close()
-	if _, err := New(ctrl, Options{}); err == nil {
-		t.Fatal("no endpoints must error")
-	}
-	if _, err := New(ctrl, Options{HTTPAddr: "127.0.0.1:0", MaxQueue: -1}); err == nil {
-		t.Fatal("negative queue bound must error")
+	const addr = "127.0.0.1:0"
+	for _, tc := range []struct {
+		name string
+		opts Options
+		ok   bool
+	}{
+		{"no endpoints", Options{}, false},
+		{"negative queue bound", Options{HTTPAddr: addr, MaxQueue: -1}, false},
+		{"negative rate limit", Options{HTTPAddr: addr, RateLimit: -1}, false},
+		{"NaN rate limit", Options{HTTPAddr: addr, RateLimit: math.NaN()}, false},
+		{"negative rate burst", Options{HTTPAddr: addr, RateLimit: 1, RateBurst: -1}, false},
+		{"empty auth token", Options{TCPAddr: addr, AuthTokens: []string{"a", ""}}, false},
+		// (burst-1)*interval used to wrap int64 and reject every request
+		// forever: 1e12 ns x 2^31 ≈ 2e21.
+		{"burst x interval overflows", Options{HTTPAddr: addr, RateLimit: 1e-3, RateBurst: math.MaxInt32}, false},
+		{"derived burst overflows", Options{HTTPAddr: addr, RateLimit: 1e30}, false},
+		{"interval overflows", Options{HTTPAddr: addr, RateLimit: 1e-300, RateBurst: 1}, false},
+		{"deep but representable burst", Options{HTTPAddr: addr, RateLimit: 0.5, RateBurst: 1_000_000}, true},
+		{"everything set", Options{HTTPAddr: addr, TCPAddr: addr, MaxQueue: 7, AuthTokens: []string{"a"}, RateLimit: 100}, true},
+	} {
+		ing, err := New(ctrl, tc.opts)
+		if ing != nil {
+			ing.Close()
+		}
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: New error = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		// Validate is the same check, runnable before there is a controller.
+		if verr := tc.opts.Validate(); (verr == nil) != tc.ok {
+			t.Errorf("%s: Validate error = %v, want ok=%v", tc.name, verr, tc.ok)
+		}
 	}
 }
 

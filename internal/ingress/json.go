@@ -2,43 +2,23 @@ package ingress
 
 import (
 	"errors"
+	"math"
 	"strconv"
+	"strings"
+	"unicode/utf16"
 	"unicode/utf8"
 )
 
-// The /submit body and reply are fixed-shape JSON, and the hot path
+// The /submit body and reply are fixed-shape JSON — a request of
+// {"model","batch","session"?,"deadline_ms"?} and a reply of
+// {"model","batch","latency_ms","instance"?,"error"?} — and the hot path
 // encodes and decodes them with hand-rolled append-style code instead of
 // encoding/json: reflection-based Marshal/Unmarshal costs dozens of
 // allocations per call, which alone would blow the front door's
-// per-submit allocation budget. The reflective types are kept for the
-// cold paths (/stats, the 405 reply) and as the documented wire shape the
-// tests hold the hand-rolled codec to.
+// per-submit allocation budget. The tests declare the two shapes as
+// structs and hold this codec to encoding/json's handling of them.
 
-// submitRequest is the POST /submit body.
-type submitRequest struct {
-	Model string `json:"model"`
-	Batch int    `json:"batch"`
-	// Session is an optional session-affinity key: submissions sharing it
-	// prefer the same serving instance.
-	Session string `json:"session,omitempty"`
-	// DeadlineMS bounds how long the query may wait for dispatch; 0 means
-	// no deadline.
-	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-}
-
-// submitReply is the POST /submit response body.
-type submitReply struct {
-	Model string `json:"model"`
-	Batch int    `json:"batch"`
-	// LatencyMS is the end-to-end serving latency in model milliseconds.
-	LatencyMS float64 `json:"latency_ms"`
-	// Instance is the serving instance type.
-	Instance string `json:"instance,omitempty"`
-	// Error carries a rejection or serving failure; empty on success.
-	Error string `json:"error,omitempty"`
-}
-
-// submitFields is the decoded form of a submitRequest. The byte slices
+// submitFields is the decoded form of a /submit body. The byte slices
 // alias the request body buffer (or, when a string needed unescaping,
 // an in-place rewrite of it) — valid until the buffer is reused.
 type submitFields struct {
@@ -53,7 +33,7 @@ var (
 	errJSONShape  = errors.New("body must be a JSON object")
 )
 
-// parseSubmitBody decodes a submitRequest from p without allocating.
+// parseSubmitBody decodes a /submit body from p without allocating.
 // Unknown fields are skipped (matching encoding/json), strings with
 // escapes are unescaped in place (p is the request's scratch buffer),
 // and numbers must be integers — the wire shape has no float fields.
@@ -65,21 +45,16 @@ func parseSubmitBody(p []byte, f *submitFields) error {
 	}
 	i = skipWS(p, i+1)
 	if i < len(p) && p[i] == '}' {
-		return nil
+		return endOfBody(p, i+1)
 	}
-	for {
-		if i >= len(p) || p[i] != '"' {
-			return errJSONSyntax
-		}
-		key, ni, err := scanString(p, i)
+	for done := false; !done; {
+		key, vi, err := scanKey(p, i)
 		if err != nil {
 			return err
 		}
-		i = skipWS(p, ni)
-		if i >= len(p) || p[i] != ':' {
-			return errJSONSyntax
+		if i = vi; i < len(p) && p[i] == 'n' {
+			key = nil // null leaves a known field as it is: skip it like any other
 		}
-		i = skipWS(p, i+1)
 		switch string(key) {
 		case "model":
 			f.model, i, err = scanString(p, i)
@@ -95,18 +70,44 @@ func parseSubmitBody(p []byte, f *submitFields) error {
 		if err != nil {
 			return err
 		}
-		i = skipWS(p, i)
-		if i >= len(p) {
-			return errJSONSyntax
+		if i, done, err = scanSep(p, i, '}'); err != nil {
+			return err
 		}
-		if p[i] == '}' {
-			return nil
-		}
-		if p[i] != ',' {
-			return errJSONSyntax
-		}
-		i = skipWS(p, i+1)
 	}
+	return endOfBody(p, i)
+}
+
+// scanKey scans an object member's `"key" :` and returns the key and the
+// index of the member's value.
+func scanKey(p []byte, i int) ([]byte, int, error) {
+	key, i, err := scanString(p, i)
+	if err != nil {
+		return nil, i, err
+	}
+	if i = skipWS(p, i); i >= len(p) || p[i] != ':' {
+		return nil, i, errJSONSyntax
+	}
+	return key, skipWS(p, i+1), nil
+}
+
+// scanSep steps over what follows a member or element: a comma (more
+// follow; next is where) or the closing bracket clos (done).
+func scanSep(p []byte, i int, clos byte) (next int, done bool, err error) {
+	switch i = skipWS(p, i); {
+	case i < len(p) && p[i] == clos:
+		return i + 1, true, nil
+	case i < len(p) && p[i] == ',':
+		return skipWS(p, i+1), false, nil
+	}
+	return i, false, errJSONSyntax
+}
+
+// endOfBody refuses anything but whitespace after the closing brace.
+func endOfBody(p []byte, i int) error {
+	if skipWS(p, i) != len(p) {
+		return errJSONSyntax
+	}
+	return nil
 }
 
 func skipWS(p []byte, i int) int {
@@ -164,23 +165,8 @@ func unescapeString(p []byte, start, i int) ([]byte, int, error) {
 				return nil, i, errJSONSyntax
 			}
 			switch p[i] {
-			case '"', '\\', '/':
-				p[w] = p[i]
-				w, i = w+1, i+1
-			case 'b':
-				p[w] = '\b'
-				w, i = w+1, i+1
-			case 'f':
-				p[w] = '\f'
-				w, i = w+1, i+1
-			case 'n':
-				p[w] = '\n'
-				w, i = w+1, i+1
-			case 'r':
-				p[w] = '\r'
-				w, i = w+1, i+1
-			case 't':
-				p[w] = '\t'
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+				p[w] = unescaped[p[i]]
 				w, i = w+1, i+1
 			case 'u':
 				if i+4 >= len(p) {
@@ -191,16 +177,16 @@ func unescapeString(p []byte, start, i int) ([]byte, int, error) {
 					return nil, i, errJSONSyntax
 				}
 				i += 5
-				if utf16IsHighSurrogate(r) && i+5 < len(p) && p[i] == '\\' && p[i+1] == 'u' {
-					if r2, ok2 := hex4(p[i+2 : i+6]); ok2 && utf16IsLowSurrogate(r2) {
-						r = 0x10000 + (r-0xD800)<<10 + (r2 - 0xDC00)
+				if utf16.IsSurrogate(r) { // a pair decodes together; alone it is U+FFFD
+					r2, ok := rune(0), false
+					if i+5 < len(p) && p[i] == '\\' && p[i+1] == 'u' {
+						r2, ok = hex4(p[i+2 : i+6])
+					}
+					if r = utf16.DecodeRune(r, r2); ok && r != utf8.RuneError {
 						i += 6
 					}
 				}
-				if r >= 0xD800 && r < 0xE000 { // unpaired surrogate
-					r = utf8.RuneError
-				}
-				w += utf8.EncodeRune(p[w:w+utf8.UTFMax], rune(r))
+				w += utf8.EncodeRune(p[w:w+utf8.UTFMax], r)
 			default:
 				return nil, i, errJSONSyntax
 			}
@@ -214,49 +200,74 @@ func unescapeString(p []byte, start, i int) ([]byte, int, error) {
 	return nil, i, errJSONSyntax
 }
 
-func hex4(p []byte) (uint32, bool) {
-	var r uint32
-	for _, c := range p {
-		r <<= 4
-		switch {
-		case c >= '0' && c <= '9':
-			r |= uint32(c - '0')
-		case c >= 'a' && c <= 'f':
-			r |= uint32(c-'a') + 10
-		case c >= 'A' && c <= 'F':
-			r |= uint32(c-'A') + 10
-		default:
-			return 0, false
-		}
-	}
-	return r, true
-}
+// unescaped maps a single-character escape to the byte it stands for.
+var unescaped = [256]byte{'"': '"', '\\': '\\', '/': '/', 'b': '\b', 'f': '\f', 'n': '\n', 'r': '\r', 't': '\t'}
 
-func utf16IsHighSurrogate(r uint32) bool { return r >= 0xD800 && r < 0xDC00 }
-func utf16IsLowSurrogate(r uint32) bool  { return r >= 0xDC00 && r < 0xE000 }
+// hex4 decodes the four hex digits of a \u escape.
+func hex4(p []byte) (rune, bool) {
+	v, err := strconv.ParseUint(string(p), 16, 16)
+	return rune(v), err == nil
+}
 
 // scanInt parses a JSON integer. Floats and exponents are rejected — the
 // submit shape has none, and encoding/json would reject them for the int
 // fields too.
 func scanInt(p []byte, i int) (int64, int, error) {
-	start := i
+	end, integer, err := scanNumber(p, i)
+	if err != nil {
+		return 0, end, err
+	}
+	if !integer {
+		return 0, end, errors.New("integer field has a fractional value")
+	}
+	v, err := strconv.ParseInt(string(p[i:end]), 10, 64)
+	if err != nil {
+		return 0, end, errJSONSyntax
+	}
+	return v, end, nil
+}
+
+// scanNumber steps over one number of exactly the RFC 8259 grammar —
+// -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)? — and reports whether it
+// was written as an integer.
+func scanNumber(p []byte, i int) (end int, integer bool, err error) {
 	if i < len(p) && p[i] == '-' {
 		i++
 	}
+	if i < len(p) && p[i] == '0' {
+		i++
+	} else if end = skipDigits(p, i); end == i {
+		return i, false, errJSONSyntax
+	} else {
+		i = end
+	}
+	integer = true
+	if i < len(p) && p[i] == '.' {
+		integer = false
+		if end = skipDigits(p, i+1); end == i+1 {
+			return i, false, errJSONSyntax
+		}
+		i = end
+	}
+	if i < len(p) && (p[i] == 'e' || p[i] == 'E') {
+		integer = false
+		i++
+		if i < len(p) && (p[i] == '+' || p[i] == '-') {
+			i++
+		}
+		if end = skipDigits(p, i); end == i {
+			return i, false, errJSONSyntax
+		}
+		i = end
+	}
+	return i, integer, nil
+}
+
+func skipDigits(p []byte, i int) int {
 	for i < len(p) && p[i] >= '0' && p[i] <= '9' {
 		i++
 	}
-	if i == start || (p[start] == '-' && i == start+1) {
-		return 0, i, errJSONSyntax
-	}
-	if i < len(p) && (p[i] == '.' || p[i] == 'e' || p[i] == 'E') {
-		return 0, i, errors.New("integer field has a fractional value")
-	}
-	v, err := strconv.ParseInt(string(p[start:i]), 10, 64)
-	if err != nil {
-		return 0, i, errJSONSyntax
-	}
-	return v, i, nil
+	return i
 }
 
 // skipValue steps over one JSON value of any shape (the unknown-field
@@ -273,68 +284,35 @@ func skipValue(p []byte, i, depth int) (int, error) {
 		_, ni, err := scanString(p, i)
 		return ni, err
 	case '{', '[':
-		open, clos := p[i], byte('}')
-		if open == '[' {
-			clos = ']'
-		}
+		object, clos := p[i] == '{', p[i]+2 // in ASCII both closers sit two past their opener
 		i = skipWS(p, i+1)
 		if i < len(p) && p[i] == clos {
 			return i + 1, nil
 		}
-		for {
+		for done := false; !done; {
 			var err error
-			if open == '{' {
-				if i >= len(p) || p[i] != '"' {
-					return i, errJSONSyntax
-				}
-				if _, i, err = scanString(p, i); err != nil {
+			if object {
+				if _, i, err = scanKey(p, i); err != nil {
 					return i, err
 				}
-				i = skipWS(p, i)
-				if i >= len(p) || p[i] != ':' {
-					return i, errJSONSyntax
-				}
-				i = skipWS(p, i+1)
 			}
 			if i, err = skipValue(p, i, depth+1); err != nil {
 				return i, err
 			}
-			i = skipWS(p, i)
-			if i >= len(p) {
-				return i, errJSONSyntax
+			if i, done, err = scanSep(p, i, clos); err != nil {
+				return i, err
 			}
-			if p[i] == clos {
-				return i + 1, nil
-			}
-			if p[i] != ',' {
-				return i, errJSONSyntax
-			}
-			i = skipWS(p, i+1)
 		}
+		return i, nil
 	case 't':
 		return skipLit(p, i, "true")
 	case 'f':
 		return skipLit(p, i, "false")
 	case 'n':
 		return skipLit(p, i, "null")
-	default: // number
-		start := i
-		for i < len(p) {
-			switch p[i] {
-			case '-', '+', '.', 'e', 'E':
-				i++
-			default:
-				if p[i] >= '0' && p[i] <= '9' {
-					i++
-					continue
-				}
-				if i == start {
-					return i, errJSONSyntax
-				}
-				return i, nil
-			}
-		}
-		return i, nil
+	default:
+		end, _, err := scanNumber(p, i)
+		return end, err
 	}
 }
 
@@ -345,44 +323,68 @@ func skipLit(p []byte, i int, lit string) (int, error) {
 	return i + len(lit), nil
 }
 
-// appendSubmitReply appends the submitReply JSON encoding — the same
-// bytes encoding/json produces for the struct, built with zero
-// allocations beyond dst's growth.
+// appendSubmitReply appends the /submit reply's JSON encoding — the same
+// bytes encoding/json produces for the submitReply struct (FuzzSubmitJSON
+// holds it to that), built with zero allocations beyond dst's growth.
 func appendSubmitReply(dst []byte, model []byte, batch int64, latencyMS float64, instance, errMsg string) []byte {
 	dst = append(dst, `{"model":`...)
 	dst = appendJSONString(dst, model)
 	dst = append(dst, `,"batch":`...)
 	dst = strconv.AppendInt(dst, batch, 10)
 	dst = append(dst, `,"latency_ms":`...)
-	dst = strconv.AppendFloat(dst, latencyMS, 'g', -1, 64)
+	dst = appendJSONFloat(dst, latencyMS)
 	if instance != "" {
 		dst = append(dst, `,"instance":`...)
-		dst = appendJSONStringS(dst, instance)
+		dst = appendJSONString(dst, instance)
 	}
 	if errMsg != "" {
 		dst = append(dst, `,"error":`...)
-		dst = appendJSONStringS(dst, errMsg)
+		dst = appendJSONString(dst, errMsg)
 	}
 	return append(dst, '}')
 }
 
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as a quoted JSON string, escaping the
-// characters encoding/json would (quotes, backslashes, controls; <, >,
-// and & for HTML safety, matching Marshal's default).
-func appendJSONString(dst, s []byte) []byte {
-	dst = append(dst, '"')
-	for _, c := range s {
-		dst = appendJSONByte(dst, c)
+// appendJSONFloat formats f as encoding/json does: ES6 number-to-string,
+// i.e. plain decimals except for very small and very large magnitudes,
+// whose exponent is written without a leading zero.
+func appendJSONFloat(dst []byte, f float64) []byte {
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		dst = strconv.AppendFloat(dst, f, 'e', -1, 64)
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1] // e-09 → e-9
+			dst = dst[:n-1]
+		}
+		return dst
 	}
-	return append(dst, '"')
+	return strconv.AppendFloat(dst, f, 'f', -1, 64)
 }
 
-func appendJSONStringS(dst []byte, s string) []byte {
+const hexDigits = "0123456789abcdef"
+
+// appendJSONString appends s as a quoted JSON string, escaping what
+// encoding/json would: quotes, backslashes and controls; <, > and & for
+// HTML safety (Marshal's default); U+2028/2029; and each byte that is not
+// valid UTF-8 as U+FFFD, so echoing a client's garbage still yields JSON.
+func appendJSONString[S string | []byte](dst []byte, s S) []byte {
 	dst = append(dst, '"')
-	for i := 0; i < len(s); i++ {
-		dst = appendJSONByte(dst, s[i])
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			dst = appendJSONByte(dst, c)
+			i++
+			continue
+		}
+		// Converting at most one rune's bytes keeps the string on the stack.
+		r, size := utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(dst, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[r&0xf])
+		default:
+			dst = append(dst, s[i:i+size]...)
+		}
+		i += size
 	}
 	return append(dst, '"')
 }
@@ -391,15 +393,11 @@ func appendJSONByte(dst []byte, c byte) []byte {
 	switch {
 	case c == '"' || c == '\\':
 		return append(dst, '\\', c)
-	case c == '\n':
-		return append(dst, '\\', 'n')
-	case c == '\r':
-		return append(dst, '\\', 'r')
-	case c == '\t':
-		return append(dst, '\\', 't')
-	case c < 0x20 || c == '<' || c == '>' || c == '&':
-		return append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
-	default:
+	case c >= 0x20 && c != '<' && c != '>' && c != '&':
 		return append(dst, c)
 	}
+	if k := strings.IndexByte("\b\f\n\r\t", c); k >= 0 {
+		return append(dst, '\\', "bfnrt"[k])
+	}
+	return append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
 }

@@ -2,18 +2,16 @@ package ingress
 
 import (
 	"bufio"
-	"fmt"
 	"net"
 	"sync"
 	"time"
 
-	"kairos/internal/obs"
 	"kairos/internal/server"
 )
 
 // The binary TCP transport. Each connection runs one read loop (admission
 // decisions and NACKs happen synchronously, in request order), hands
-// admitted queries to the shard's pooled waiters, and funnels every reply
+// admitted queries to the server's pooled waiters, and funnels every reply
 // through a per-connection coalescing buffer drained by one flusher
 // goroutine — a burst of completions costs one write syscall, not one
 // per query, and no reply ever allocates a goroutine or a frame buffer.
@@ -26,17 +24,12 @@ const maxRetainedReplyBuf = 64 << 10
 
 // tcpConn is one external binary-TCP client.
 type tcpConn struct {
-	srv     *Server
-	conn    net.Conn
-	sh      *shard
-	shardID uint32
+	conn net.Conn
 
-	// bucket is the client's rate-limit bucket; authFailed marks a client
-	// that presented no valid token to a token-gated front door — its
-	// submissions are NACKed but the connection stays up (the reply is
-	// how the client learns).
-	bucket     *clientBucket
-	authFailed bool
+	// who is the client's standing at the gate, resolved once from the
+	// handshake token. A denied client's submissions are NACKed but the
+	// connection stays up (the reply is how the client learns).
+	who client
 
 	inflight sync.WaitGroup // admitted queries not yet queued for reply
 
@@ -50,9 +43,9 @@ type tcpConn struct {
 
 // serveTCPConn handles one external TCP client: banner, the strict
 // version check and auth, then the request loop.
-func (s *Server) serveTCPConn(conn net.Conn, sh *shard) {
+func (s *Server) serveTCPConn(conn net.Conn) {
 	tc := &tcpConn{
-		srv: s, conn: conn, sh: sh, shardID: uint32(sh.id),
+		conn: conn,
 		kick: make(chan struct{}, 1),
 		done: make(chan struct{}),
 	}
@@ -77,7 +70,7 @@ func (s *Server) serveTCPConn(conn net.Conn, sh *shard) {
 			conn.RemoteAddr(), ack.Proto, server.ProtoSession)
 		return
 	}
-	tc.authenticate(ack.Token)
+	tc.who = s.auth.identify([]byte(ack.Token))
 	flusherDone := make(chan struct{})
 	s.wg.Add(1)
 	go func() {
@@ -107,68 +100,25 @@ func (s *Server) serveTCPConn(conn net.Conn, sh *shard) {
 	}
 }
 
-// authenticate resolves the handshake token against the front door's
-// gate. No gate: every client is anonymous and unlimited.
-func (tc *tcpConn) authenticate(token string) {
-	a := tc.srv.auth
-	if a == nil {
-		return
-	}
-	b, ok := a.lookup([]byte(token))
-	if !ok {
-		tc.authFailed = true
-		return
-	}
-	tc.bucket = b
-}
-
-// handleTCP admits one query and hands it to the shard's waiter pool;
-// rejections are answered inline, in request order. t0 is the request's
-// receive timestamp, the anchor for the front-door stages and deadline.
+// handleTCP admits one query and hands it to the waiter pool; rejections
+// are answered inline, in request order. t0 is the request's receive
+// timestamp, the anchor for the front-door stages and deadline.
 func (s *Server) handleTCP(tc *tcpConn, rv server.RequestView, t0 time.Time) {
-	if tc.authFailed {
-		s.unrouted.Add(1)
-		tc.queueReply(server.Reply{ID: rv.ID, Err: UnauthorizedMsg})
-		return
-	}
-	mf := s.models[string(rv.Model)]
+	mf, reject := s.admit(tc.who, rv.Model, true, t0)
 	if mf == nil {
-		s.unrouted.Add(1)
-		tc.queueReply(server.Reply{ID: rv.ID, Err: fmt.Sprintf("ingress: unknown model %q (serving %v)", rv.Model, s.order)})
+		tc.queueReply(server.Reply{ID: rv.ID, Err: reject})
 		return
 	}
-	fs := &mf.shards[tc.shardID]
-	if s.auth != nil && s.auth.limited(tc.bucket) {
-		fs.limited.Add(1)
-		tc.queueReply(server.Reply{ID: rv.ID, Err: RateLimitedMsg})
-		return
-	}
-	if !fs.admit(s.perShard) {
-		fs.rejected.Add(1)
-		tc.queueReply(server.Reply{ID: rv.ID, Err: QueueFullMsg})
-		return
-	}
-	fs.submitted.Add(1)
-	fs.tcp.Add(1)
-	mf.mo.RecordShard(obs.StageAdmit, tc.shardID, time.Since(t0))
 	opts := submitOpts(rv.Session, rv.DeadlineMS, t0)
 	tc.inflight.Add(1)
-	tc.sh.pool.serve(waitWork{tc: tc, mf: mf, fs: fs, id: rv.ID, batch: rv.Batch, opts: opts, t0: t0})
+	s.pool.serve(waitWork{tc: tc, mf: mf, id: rv.ID, batch: rv.Batch, opts: opts, t0: t0})
 }
 
-// runWait is the waiter body: block on the controller, account the
-// outcome, release the admission slot, queue the reply. The reply is
-// queued before inflight.Done so the connection's final drain always
-// flushes it.
+// runWait is the waiter body: settle the query, queue the reply. The
+// reply is queued before inflight.Done so the connection's final drain
+// always flushes it.
 func (s *Server) runWait(w waitWork) {
-	res := s.ctrl.SubmitWaitOpts(w.mf.name, w.batch, w.opts)
-	if res.Err != nil {
-		w.fs.failed.Add(1)
-	} else {
-		w.fs.completed.Add(1)
-	}
-	w.fs.queue.Add(-1)
-	w.mf.mo.RecordShard(obs.StageIngress, w.tc.shardID, time.Since(w.t0))
+	res := s.settle(w.mf, w.batch, w.opts, w.t0)
 	rep := server.Reply{ID: w.id, ServiceMS: res.LatencyMS}
 	if res.Err != nil {
 		rep.Err = res.Err.Error()
@@ -240,20 +190,14 @@ func (tc *tcpConn) writeOut() {
 type waitWork struct {
 	tc    *tcpConn
 	mf    *modelFront
-	fs    *frontShard
 	id    int64
 	batch int
 	opts  server.SubmitOptions
 	t0    time.Time
 }
 
-// waiter is one parked pool goroutine, addressed by its handoff channel.
-type waiter struct {
-	ch chan waitWork
-}
-
 // waiterPool replaces goroutine-per-query waiting: a LIFO stack of
-// parked goroutines per shard. Steady-state submission is a channel
+// parked goroutines. Steady-state submission is a channel
 // handoff to a warm goroutine — no go statement, no stack allocation;
 // the pool only grows when concurrency exceeds its high-water mark.
 type waiterPool struct {
@@ -261,7 +205,7 @@ type waiterPool struct {
 	wg  *sync.WaitGroup
 
 	mu     sync.Mutex
-	idle   []*waiter
+	idle   []chan waitWork // parked workers, each addressed by its handoff channel
 	closed bool
 }
 
@@ -270,11 +214,10 @@ type waiterPool struct {
 func (p *waiterPool) serve(w waitWork) {
 	p.mu.Lock()
 	if n := len(p.idle); n > 0 {
-		wt := p.idle[n-1]
-		p.idle[n-1] = nil
+		ch := p.idle[n-1]
 		p.idle = p.idle[:n-1]
 		p.mu.Unlock()
-		wt.ch <- w
+		ch <- w
 		return
 	}
 	closed := p.closed
@@ -292,7 +235,7 @@ func (p *waiterPool) serve(w waitWork) {
 
 func (p *waiterPool) worker(first waitWork) {
 	defer p.wg.Done()
-	self := &waiter{ch: make(chan waitWork)}
+	self := make(chan waitWork)
 	w, ok := first, true
 	for ok {
 		p.run(w)
@@ -303,7 +246,7 @@ func (p *waiterPool) worker(first waitWork) {
 		}
 		p.idle = append(p.idle, self)
 		p.mu.Unlock()
-		w, ok = <-self.ch
+		w, ok = <-self
 	}
 }
 
@@ -312,8 +255,8 @@ func (p *waiterPool) worker(first waitWork) {
 func (p *waiterPool) close() {
 	p.mu.Lock()
 	p.closed = true
-	for _, wt := range p.idle {
-		close(wt.ch)
+	for _, ch := range p.idle {
+		close(ch)
 	}
 	p.idle = nil
 	p.mu.Unlock()

@@ -91,34 +91,6 @@ func (h *Histogram) Record(d time.Duration) {
 	s.sum.Add(int64(v))
 }
 
-// RecordStripe is Record with a caller-chosen stripe — a sharded front
-// door pins each shard to one stripe, so concurrent shards never bounce
-// a counter cache line and StripeSnapshot reads back one shard's view.
-func (h *Histogram) RecordStripe(stripe uint32, d time.Duration) {
-	var v uint64
-	if d > 0 {
-		v = uint64(d)
-	}
-	s := &h.stripes[stripe&(histStripes-1)]
-	s.counts[bucketOf(v)].Add(1)
-	s.sum.Add(int64(v))
-}
-
-// StripeSnapshot copies one stripe's counters — with RecordStripe-pinned
-// writers, one shard's share of the stage. Shards beyond histStripes
-// alias (stripe is taken mod histStripes), so per-shard views are exact
-// up to histStripes shards and merged past that.
-func (h *Histogram) StripeSnapshot(stripe uint32) HistSnapshot {
-	var s HistSnapshot
-	st := &h.stripes[stripe&(histStripes-1)]
-	for b := range st.counts {
-		s.Counts[b] = st.counts[b].Load()
-		s.Count += s.Counts[b]
-	}
-	s.SumNS = st.sum.Load()
-	return s
-}
-
 // HistSnapshot is a point-in-time copy of a histogram's counters.
 // Counts has one entry per bucket plus the trailing overflow bucket.
 type HistSnapshot struct {

@@ -157,22 +157,8 @@ func (m *ModelObs) Name() string { return m.model }
 // atomic adds.
 func (m *ModelObs) Record(st Stage, d time.Duration) { m.stages[st].Record(d) }
 
-// RecordShard adds one observation attributed to an ingress shard: the
-// shard picks its own histogram stripe, so concurrent shards never
-// share a counter cache line and StageStripeSnapshot recovers one
-// shard's latency view (exact up to histStripes shards).
-func (m *ModelObs) RecordShard(st Stage, shard uint32, d time.Duration) {
-	m.stages[st].RecordStripe(shard, d)
-}
-
 // StageSnapshot copies one stage histogram's counters.
 func (m *ModelObs) StageSnapshot(st Stage) HistSnapshot { return m.stages[st].Snapshot() }
-
-// StageStripeSnapshot copies one shard's stripe of a stage histogram
-// (see RecordShard).
-func (m *ModelObs) StageStripeSnapshot(st Stage, shard uint32) HistSnapshot {
-	return m.stages[st].StripeSnapshot(shard)
-}
 
 // Sampled reports whether this query ID carries a trace, under the
 // registry's deterministic sampling policy.

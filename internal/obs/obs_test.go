@@ -303,11 +303,42 @@ func TestRegistryModelsAndIntern(t *testing.T) {
 	}
 }
 
-func BenchmarkObsCases(b *testing.B) {
-	for _, c := range BenchCases() {
-		b.Run(c.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			c.Loop(b.N)
-		})
+// BenchmarkHistogramRecord is one stage-histogram observation, the unit
+// cost paid several times per completed query.
+func BenchmarkHistogramRecord(b *testing.B) {
+	var h Histogram
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h.Record(time.Duration(1000 + i*37))
+	}
+}
+
+// BenchmarkTraceStampOverhead is everything the controller pays per
+// completed query at the default sampling rate: the sampling decision,
+// the four completion-side histogram records plus the per-type serve
+// record, and (for the sampled ~1/64) the ring write.
+func BenchmarkTraceStampOverhead(b *testing.B) {
+	reg := NewRegistry(1024, "bench")
+	mo := reg.Model("bench")
+	serve := mo.ServeHist("g4dn.xlarge")
+	typeID := reg.Intern("g4dn.xlarge")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := int64(i)
+		d := time.Duration(900 + i*53)
+		traced := mo.Sampled(id)
+		mo.Record(StageQueue, d/4)
+		mo.Record(StageFlight, d)
+		mo.Record(StageServe, d/2)
+		mo.Record(StageE2E, d+d/4)
+		serve.Record(d / 2)
+		if traced {
+			mo.Trace(&TraceRecord{
+				ID: id, StartUnixNano: int64(i), Batch: 8,
+				QueueNS: int64(d / 4), FlightNS: int64(d),
+				ServeNS: int64(d / 2), E2ENS: int64(d + d/4),
+			}, typeID)
+		}
 	}
 }

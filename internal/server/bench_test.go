@@ -8,26 +8,46 @@ import (
 	"kairos/internal/sim"
 )
 
-// BenchmarkFrames measures the wire codec in both hot directions —
-// request encode (per-dispatch) and reply decode (per-completion). The
-// cases are shared with cmd/kairos-microbench so BENCH_micro.json tracks
-// exactly these loops.
-func BenchmarkFrames(b *testing.B) {
-	for _, c := range FrameBenchCases() {
-		b.Run(c.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			if err := c.Loop(b.N); err != nil {
-				b.Fatal(err)
-			}
-		})
+// The wire codec in both hot directions: request encode is the
+// controller's per-dispatch cost, reply decode its per-completion cost.
+
+func BenchmarkFrameEncodeRequestBinary(b *testing.B) {
+	req := Request{ID: 123456789, Model: "NCF", Batch: 750}
+	var buf []byte
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if buf, err = AppendRequestFrame(buf[:0], req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkFrameDecodeReplyBinary(b *testing.B) {
+	rep := Reply{ID: 123456789, ServiceMS: 1.348}
+	frame, err := AppendReplyFrame(nil, rep)
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := frame[4:]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := DecodeReplyFrame(payload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if out.ID != rep.ID {
+			b.Fatalf("decode mismatch: %+v", out)
+		}
 	}
 }
 
 // runThroughput runs closed-loop submitters on every P against the
-// cluster. ops/sec is the sustained Submit→complete throughput the serving
-// layer can carry; allocs/op is the whole-process allocation cost per
-// served query (controller + instance servers).
+// cluster, each alternating models by worker index. ops/sec is the
+// sustained Submit→complete throughput the serving layer can carry;
+// allocs/op is the whole-process allocation cost per served query
+// (controller + instance servers).
 func runThroughput(b *testing.B, cluster *BenchCluster) {
 	var worker int64
 	b.SetParallelism(32) // enough in-flight load to fill deep per-instance pipelines
@@ -35,8 +55,13 @@ func runThroughput(b *testing.B, cluster *BenchCluster) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		w := atomic.AddInt64(&worker, 1)
-		if err := cluster.Worker(w, pb.Next); err != nil {
-			b.Error(err)
+		model := cluster.ModelNames[w%2]
+		batch := 1 + int(w%8)*20
+		for pb.Next() {
+			if res := cluster.Ctrl.SubmitWait(model, batch); res.Err != nil {
+				b.Error(res.Err)
+				return
+			}
 		}
 	})
 }

@@ -1,18 +1,14 @@
 package server
 
 import (
-	"fmt"
-
 	"kairos/internal/cloud"
 	"kairos/internal/models"
 	"kairos/internal/sim"
 )
 
-// This file is the shared support for the serving-path benchmarks: the
-// in-package go-test benchmarks and cmd/kairos-microbench (which writes
-// the BENCH_micro.json trajectory CI tracks) must measure the same
-// workload, so the policy, the cluster bootstrap, and the codec exercise
-// loops live here once instead of drifting apart as two copies.
+// This file is the serving-path benchmark fixture shared across packages:
+// this package's benchmarks and internal/ingress's boot the same cluster
+// under the same plumbing-only policy.
 
 // LeastBacklog is a zero-allocation least-backlog dispatcher: it assigns
 // each waiting query to the assignable instance with the shallowest
@@ -126,65 +122,5 @@ func (c *BenchCluster) Close() {
 	}
 	for _, s := range c.servers {
 		s.Close()
-	}
-}
-
-// Worker is one closed-loop submitter: it alternates models by worker
-// index and calls SubmitWait while next() keeps it running (testing.PB's
-// Next, typically). The first error stops the loop.
-func (c *BenchCluster) Worker(w int64, next func() bool) error {
-	model := c.ModelNames[w%2]
-	batch := 1 + int(w%8)*20
-	for next() {
-		if res := c.Ctrl.SubmitWait(model, batch); res.Err != nil {
-			return res.Err
-		}
-	}
-	return nil
-}
-
-// FrameBenchCase is one wire-codec exercise loop shared between the
-// go-test benchmarks and kairos-microbench.
-type FrameBenchCase struct {
-	Name string
-	// Loop runs n iterations of the case.
-	Loop func(n int) error
-}
-
-// FrameBenchCases covers the codec in both hot directions: request
-// encode (the controller's per-dispatch cost) and reply decode (its
-// per-completion cost).
-func FrameBenchCases() []FrameBenchCase {
-	req := Request{ID: 123456789, Model: "NCF", Batch: 750}
-	rep := Reply{ID: 123456789, ServiceMS: 1.348}
-	return []FrameBenchCase{
-		{"FrameEncodeRequestBinary", func(n int) error {
-			var buf []byte
-			for i := 0; i < n; i++ {
-				var err error
-				buf, err = AppendRequestFrame(buf[:0], req)
-				if err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
-		{"FrameDecodeReplyBinary", func(n int) error {
-			frame, err := AppendReplyFrame(nil, rep)
-			if err != nil {
-				return err
-			}
-			payload := frame[4:]
-			for i := 0; i < n; i++ {
-				out, err := DecodeReplyFrame(payload)
-				if err != nil {
-					return err
-				}
-				if out.ID != rep.ID {
-					return fmt.Errorf("decode mismatch: %+v", out)
-				}
-			}
-			return nil
-		}},
 	}
 }

@@ -51,8 +51,7 @@ func TestSpotFleetPreemptionEndToEnd(t *testing.T) {
 		OnDemandFloor:   0.5,
 	},
 		WithProvider(fleet),
-		WithIngress("127.0.0.1:0", "127.0.0.1:0"),
-		WithIngressQueue(8192),
+		WithIngress(IngressOptions{HTTPAddr: "127.0.0.1:0", TCPAddr: "127.0.0.1:0", MaxQueue: 8192}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -208,8 +207,7 @@ func TestPreemptionDeadlineRaceEndToEnd(t *testing.T) {
 		Interval: 25 * time.Millisecond,
 	},
 		WithProvider(chaos),
-		WithIngress("127.0.0.1:0", "127.0.0.1:0"),
-		WithIngressQueue(8192),
+		WithIngress(IngressOptions{HTTPAddr: "127.0.0.1:0", TCPAddr: "127.0.0.1:0", MaxQueue: 8192}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -228,30 +226,56 @@ func TestPreemptionDeadlineRaceEndToEnd(t *testing.T) {
 	// drain provably cannot complete inside the notice window.
 	var wg sync.WaitGroup
 	errs := make(chan error, 256)
-	for i := 0; i < 64; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := httpSubmit(client, url, "NCF", 500); err != nil {
-				errs <- err
-			}
-		}()
+	wave := func() {
+		for i := 0; i < 64; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := httpSubmit(client, url, "NCF", 500); err != nil {
+					errs <- err
+				}
+			}()
+		}
 	}
-	var target string
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline) && target == ""; {
+	pendingOn := func(addr string) int {
 		for _, is := range ap.Controller().Stats().Instances {
-			if is.Model == "NCF" && is.Pending > 0 && !is.Draining {
+			if is.Addr == addr {
+				return is.Pending
+			}
+		}
+		return 0
+	}
+	// A stall pins only the work still pending once it has taken hold: a
+	// reply already past the proxy's gate lands anyway, and an instance
+	// whose last reply that was drains in time. So stall first and look
+	// again; when nothing stayed behind, lift it and try the next busy
+	// instance, with a fresh wave if the first one is spent.
+	wave()
+	var target string
+	for deadline, waves := time.Now().Add(5*time.Second), 1; time.Now().Before(deadline) && target == ""; {
+		st := ap.Controller().Stats()
+		for _, is := range st.Instances {
+			if is.Model != "NCF" || is.Pending == 0 || is.Draining {
+				continue
+			}
+			if err := chaos.SetStall(is.Addr, true); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(5 * time.Millisecond)
+			if pendingOn(is.Addr) > 0 {
 				target = is.Addr
 				break
 			}
+			chaos.SetStall(is.Addr, false)
+		}
+		if target == "" && st.Submitted == st.Completed+st.Failed && waves < 4 {
+			wave()
+			waves++
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	if target == "" {
 		t.Fatal("no busy NCF instance to preempt")
-	}
-	if err := chaos.SetStall(target, true); err != nil {
-		t.Fatal(err)
 	}
 	// Lift the stall after the deadline has fired, so the controller sees
 	// the death and the eviction fallback runs.

@@ -27,8 +27,7 @@ func TestSoakExecFleetSmoke(t *testing.T) {
 		Interval: 50 * time.Millisecond,
 	},
 		WithProvider(chaos),
-		WithIngress("", "127.0.0.1:0"),
-		WithIngressQueue(8192),
+		WithIngress(IngressOptions{TCPAddr: "127.0.0.1:0", MaxQueue: 8192}),
 	)
 	if err != nil {
 		t.Fatal(err)
