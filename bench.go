@@ -3,7 +3,7 @@ package kairos
 import "kairos/internal/experiments"
 
 // ExperimentScale bundles the fidelity knobs shared by the paper-replay
-// experiments (cmd/kairos-bench).
+// experiments (kairosctl bench).
 type ExperimentScale = experiments.Scale
 
 // QuickScale trades precision for speed; used by benchmarks and CI.

@@ -16,7 +16,7 @@ import (
 )
 
 // benchScale keeps per-iteration work bounded so `go test -bench=.`
-// finishes in minutes; cmd/kairos-bench -scale full regenerates the
+// finishes in minutes; kairosctl bench -scale full regenerates the
 // paper-fidelity numbers.
 func benchScale() experiments.Scale {
 	return experiments.Scale{Seed: 42, ProbeQueries: 800, PrecisionFrac: 0.08,

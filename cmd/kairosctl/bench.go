@@ -1,13 +1,3 @@
-// Command kairos-bench regenerates the paper's tables and figures and
-// measures ad-hoc policy/configuration pairs through the engine.
-//
-// Usage:
-//
-//	kairos-bench -run all                  # every experiment at quick scale
-//	kairos-bench -run fig8 -scale full
-//	kairos-bench -run measure -policy ribbon -model RM2 -budget 2.5
-//	kairos-bench -list
-//	kairos-bench -list-policies
 package main
 
 import (
@@ -20,17 +10,27 @@ import (
 	"kairos"
 )
 
-func main() {
-	run := flag.String("run", "all", "experiment id (e.g. fig8), 'all', or 'measure'")
-	scaleName := flag.String("scale", "quick", "fidelity: quick or full")
-	list := flag.Bool("list", false, "list experiment ids and exit")
-	listPolicies := flag.Bool("list-policies", false, "list registered policy names and exit")
-	policy := flag.String("policy", kairos.DefaultPolicy,
+// runBench implements `kairosctl bench`: it regenerates the paper's tables
+// and figures and measures ad-hoc policy/configuration pairs through the
+// engine.
+//
+//	kairosctl bench -run all                  # every experiment at quick scale
+//	kairosctl bench -run fig8 -scale full
+//	kairosctl bench -run measure -policy ribbon -model RM2 -budget 2.5
+//	kairosctl bench -list
+//	kairosctl bench -list-policies
+func runBench(args []string) {
+	fs := flag.NewFlagSet("kairosctl bench", flag.ExitOnError)
+	run := fs.String("run", "all", "experiment id (e.g. fig8), 'all', or 'measure'")
+	scaleName := fs.String("scale", "quick", "fidelity: quick or full")
+	list := fs.Bool("list", false, "list experiment ids and exit")
+	listPolicies := fs.Bool("list-policies", false, "list registered policy names and exit")
+	policy := fs.String("policy", kairos.DefaultPolicy,
 		"distribution policy for -run measure: one of "+strings.Join(kairos.Policies(), ", "))
-	modelName := flag.String("model", "RM2", "served model for -run measure")
-	seed := flag.Int64("seed", 0, "override the random seed (0 keeps the default)")
-	budget := flag.Float64("budget", 0, "override the cost budget in $/hr (0 keeps the default)")
-	flag.Parse()
+	modelName := fs.String("model", "RM2", "served model for -run measure")
+	seed := fs.Int64("seed", 0, "override the random seed (0 keeps the default)")
+	budget := fs.Float64("budget", 0, "override the cost budget in $/hr (0 keeps the default)")
+	fs.Parse(args)
 
 	if *list {
 		fmt.Println(strings.Join(kairos.ExperimentIDs(), "\n"))
@@ -67,7 +67,7 @@ func main() {
 	}
 	// The experiment runners fix their own policies and models; reject the
 	// measure-only flags rather than silently ignoring them.
-	flag.Visit(func(f *flag.Flag) {
+	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "policy" || f.Name == "model" {
 			fmt.Fprintf(os.Stderr, "-%s only applies to -run measure\n", f.Name)
 			os.Exit(2)

@@ -1,143 +1,40 @@
-// Command kairosctl runs the Kairos central controller against running
-// kairosd instance servers and drives a Poisson query load through it,
-// reporting the end-to-end tail latency (the real-process counterpart of
-// the simulator experiments). The distribution policy is selected by
-// registry name. The -model flag is repeatable: one scheduler group is
-// built per model, each dialed kairosd joins the group its banner
-// announces, and the load is spread round-robin across the models.
-//
-// Usage (after starting kairosd daemons):
+// Command kairosctl is the one Kairos tool beside the kairosd instance
+// server. Without a subcommand it runs the central controller against
+// running kairosd daemons and drives a Poisson query load through it (the
+// real-process counterpart of the simulator experiments):
 //
 //	kairosctl -model RM2 -addrs 127.0.0.1:7001,127.0.0.1:7002 -rate 20 -queries 200
 //	kairosctl -model RM2 -model NCF -addrs 127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003
 //
-// Against a running kairos-autopilot admin endpoint it also speaks the
-// observability surface:
+// The subcommands, each with its own flags (kairosctl <subcommand> -h):
 //
-//	kairosctl status -admin 127.0.0.1:9090
-//	kairosctl trace -admin 127.0.0.1:9090 -model NCF -n 50
+//	kairosctl autopilot   the closed-loop control plane: plan, launch, serve, replan
+//	kairosctl soak        adversarial scenarios + injected faults against a live fleet
+//	kairosctl status      a running autopilot's /statusz snapshot
+//	kairosctl trace       a running autopilot's flight-recorder traces
+//	kairosctl bench       regenerate the paper's tables and figures, or measure a policy
+//	kairosctl tracefile   generate, convert and summarize query trace files
+//	kairosctl microbench  turn `go test -bench` output into BENCH_micro.json
 package main
 
-import (
-	"flag"
-	"fmt"
-	"log"
-	"math/rand"
-	"os"
-	"strings"
-	"sync"
-	"time"
+import "os"
 
-	"kairos"
-)
+var subcommands = map[string]func(args []string){
+	"autopilot":  runAutopilot,
+	"soak":       runSoak,
+	"status":     runStatus,
+	"trace":      runTrace,
+	"bench":      runBench,
+	"tracefile":  runTraceFile,
+	"microbench": runMicrobench,
+}
 
 func main() {
 	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "trace":
-			runTrace(os.Args[2:])
-			return
-		case "status":
-			runStatus(os.Args[2:])
+		if run, ok := subcommands[os.Args[1]]; ok {
+			run(os.Args[2:])
 			return
 		}
 	}
-	runLoad()
-}
-
-// runLoad is the original kairosctl mode: drive a Poisson query load
-// through a locally-built controller against running kairosd daemons.
-func runLoad() {
-	var modelNames []string
-	flag.Func("model", "served model (repeatable)", func(v string) error {
-		modelNames = append(modelNames, v)
-		return nil
-	})
-	addrList := flag.String("addrs", "", "comma-separated kairosd addresses")
-	policy := flag.String("policy", kairos.DefaultPolicy,
-		"distribution policy: one of "+strings.Join(kairos.Policies(), ", "))
-	rate := flag.Float64("rate", 20, "Poisson arrival rate (queries/second, model time)")
-	queries := flag.Int("queries", 200, "number of queries to send (spread across models)")
-	timeScale := flag.Float64("timescale", 1.0, "must match the kairosd daemons")
-	seed := flag.Int64("seed", 42, "random seed for the load")
-	flag.Parse()
-
-	if len(modelNames) == 0 {
-		modelNames = []string{"RM2"}
-	}
-	addrs := strings.Split(*addrList, ",")
-	if *addrList == "" || len(addrs) == 0 {
-		log.Fatal("kairosctl: -addrs required")
-	}
-
-	engine, err := kairos.New(
-		kairos.WithPool(kairos.DefaultPool()),
-		kairos.WithModels(modelNames...),
-		kairos.WithPolicy(*policy),
-		kairos.WithSeed(*seed),
-	)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	ctrl, err := engine.Connect(*timeScale, addrs)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer ctrl.Close()
-	fmt.Printf("kairosctl: policy %s serving %v, connected to %v\n",
-		engine.Policy(), ctrl.Models(), ctrl.InstanceTypes())
-
-	rng := rand.New(rand.NewSource(*seed))
-	dist := kairos.DefaultTrace()
-	recs := make(map[string]*kairos.LatencyRecorder, len(modelNames))
-	for _, name := range modelNames {
-		recs[name] = kairos.NewLatencyRecorder(*queries/len(modelNames) + 1)
-	}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-
-	start := time.Now()
-	for i := 0; i < *queries; i++ {
-		gapModelMS := rng.ExpFloat64() * 1000 / *rate
-		time.Sleep(time.Duration(gapModelMS * *timeScale * float64(time.Millisecond)))
-		model := modelNames[i%len(modelNames)]
-		batch := dist.Sample(rng)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res := ctrl.SubmitWait(model, batch)
-			if res.Err != nil {
-				return
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			recs[model].Record(res.LatencyMS)
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	// The controller's own accounting is the observability surface shared
-	// with the autopilot — no ad-hoc counters.
-	st := ctrl.Stats()
-	fmt.Printf("sent %d queries in %.1fs wall time (%d completed, %d failed)\n",
-		*queries, elapsed.Seconds(), st.Completed, st.Failed)
-	for _, name := range modelNames {
-		model, err := kairos.ModelByName(name)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rec := recs[name]
-		ms := st.Models[name]
-		fmt.Printf("%s:\n", name)
-		fmt.Printf("  latency (model ms): %s\n", rec.Summarize())
-		fmt.Printf("  p99 %.1fms vs QoS %.0fms -> meets QoS: %v\n",
-			rec.Percentile(99), model.QoS, rec.MeetsQoS(model.QoS, 99))
-		fmt.Printf("  served by:\n")
-		for _, in := range ms.Instances {
-			fmt.Printf("    %-12s %s: %d completed, busy %.1f model-ms\n",
-				in.TypeName, in.Addr, in.Completed, in.BusyMS)
-		}
-	}
+	runLoad(os.Args[1:])
 }

@@ -1,13 +1,3 @@
-// Command kairos-microbench turns `go test -bench` output on stdin into
-// the BENCH_micro.json trajectory CI tracks. go test is the only
-// benchmark runner — every entry is a Benchmark* function next to the
-// code it measures; this is only the JSON writer:
-//
-//	go test -run '^$' -bench . -benchmem ./internal/obs | kairos-microbench -out BENCH_micro.json
-//
-// An entry's name is the benchmark's last path element without the
-// Benchmark prefix and the -GOMAXPROCS suffix. The input is echoed to
-// stderr; a failed benchmark or an input without results exits nonzero.
 package main
 
 import (
@@ -60,9 +50,20 @@ func parseLine(line string) (r result, ok bool) {
 	return r, true
 }
 
-func main() {
-	out := flag.String("out", "BENCH_micro.json", "output JSON path (- for stdout)")
-	flag.Parse()
+// runMicrobench implements `kairosctl microbench`: it turns `go test
+// -bench` output on stdin into the BENCH_micro.json trajectory CI tracks.
+// go test is the only benchmark runner — every entry is a Benchmark*
+// function next to the code it measures; this is only the JSON writer:
+//
+//	go test -run '^$' -bench . -benchmem ./internal/obs | kairosctl microbench -out BENCH_micro.json
+//
+// An entry's name is the benchmark's last path element without the
+// Benchmark prefix and the -GOMAXPROCS suffix. The input is echoed to
+// stderr; a failed benchmark or an input without results exits nonzero.
+func runMicrobench(args []string) {
+	fs := flag.NewFlagSet("kairosctl microbench", flag.ExitOnError)
+	out := fs.String("out", "BENCH_micro.json", "output JSON path (- for stdout)")
+	fs.Parse(args)
 	rep := report{GoVersion: runtime.Version(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
 		CPUs: runtime.NumCPU(), When: time.Now().UTC()}
 	sc := bufio.NewScanner(os.Stdin)
@@ -70,7 +71,7 @@ func main() {
 		line := sc.Text()
 		fmt.Fprintln(os.Stderr, line)
 		if strings.HasPrefix(line, "FAIL") || strings.HasPrefix(line, "--- FAIL") {
-			log.Fatalf("kairos-microbench: go test failed: %s", line)
+			log.Fatalf("kairosctl microbench: go test failed: %s", line)
 		}
 		if r, ok := parseLine(line); ok {
 			rep.Results = append(rep.Results, r)
@@ -80,7 +81,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if len(rep.Results) == 0 {
-		log.Fatal("kairos-microbench: no benchmark results on stdin (pipe `go test -bench ... -benchmem` in)")
+		log.Fatal("kairosctl microbench: no benchmark results on stdin (pipe `go test -bench ... -benchmem` in)")
 	}
 	payload, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -94,5 +95,5 @@ func main() {
 	if err := os.WriteFile(*out, payload, 0o644); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "kairos-microbench: wrote %d results to %s\n", len(rep.Results), *out)
+	fmt.Fprintf(os.Stderr, "kairosctl microbench: wrote %d results to %s\n", len(rep.Results), *out)
 }

@@ -1,13 +1,3 @@
-// Command kairos-trace generates, converts and summarizes query traces —
-// the stand-in tooling for the production trace artifact the paper replays
-// (Sec. 7).
-//
-// Usage:
-//
-//	kairos-trace -gen -n 10000 -rate 100 -dist lognormal -o trace.csv
-//	kairos-trace -scenario flash-crowd -duration 60000 -rate 100 -seed 42 -o trace.csv
-//	kairos-trace -summary trace.csv
-//	kairos-trace -convert trace.csv -o trace.json
 package main
 
 import (
@@ -21,18 +11,27 @@ import (
 	"kairos"
 )
 
-func main() {
-	gen := flag.Bool("gen", false, "generate a synthetic trace")
-	n := flag.Int("n", 10000, "number of queries to generate")
-	rate := flag.Float64("rate", 100, "Poisson arrival rate (QPS)")
-	distName := flag.String("dist", "lognormal", "batch distribution: lognormal or gaussian")
-	seed := flag.Int64("seed", 42, "random seed")
-	scenario := flag.String("scenario", "", "generate a scenario preset: flash-crowd, diurnal, batch-mix-inversion or heavy-tail")
-	duration := flag.Float64("duration", 60000, "scenario duration in model milliseconds")
-	out := flag.String("o", "", "output path (.csv or .json); empty = stdout csv")
-	summary := flag.String("summary", "", "summarize an existing trace file")
-	convert := flag.String("convert", "", "convert an existing trace file to the -o format")
-	flag.Parse()
+// runTraceFile implements `kairosctl tracefile`: it generates, converts and
+// summarizes query trace files — the stand-in tooling for the production
+// trace artifact the paper replays (Sec. 7).
+//
+//	kairosctl tracefile -gen -n 10000 -rate 100 -dist lognormal -o trace.csv
+//	kairosctl tracefile -scenario flash-crowd -duration 60000 -rate 100 -seed 42 -o trace.csv
+//	kairosctl tracefile -summary trace.csv
+//	kairosctl tracefile -convert trace.csv -o trace.json
+func runTraceFile(args []string) {
+	fs := flag.NewFlagSet("kairosctl tracefile", flag.ExitOnError)
+	gen := fs.Bool("gen", false, "generate a synthetic trace")
+	n := fs.Int("n", 10000, "number of queries to generate")
+	rate := fs.Float64("rate", 100, "Poisson arrival rate (QPS)")
+	distName := fs.String("dist", "lognormal", "batch distribution: lognormal or gaussian")
+	seed := fs.Int64("seed", 42, "random seed")
+	scenario := fs.String("scenario", "", "generate a scenario preset: flash-crowd, diurnal, batch-mix-inversion or heavy-tail")
+	duration := fs.Float64("duration", 60000, "scenario duration in model milliseconds")
+	out := fs.String("o", "", "output path (.csv or .json); empty = stdout csv")
+	summary := fs.String("summary", "", "summarize an existing trace file")
+	convert := fs.String("convert", "", "convert an existing trace file to the -o format")
+	fs.Parse(args)
 
 	switch {
 	case *scenario != "":
@@ -69,13 +68,13 @@ func main() {
 			log.Fatal(err)
 		}
 		if *out == "" {
-			log.Fatal("kairos-trace: -convert needs -o")
+			log.Fatal("kairosctl tracefile: -convert needs -o")
 		}
 		if err := writeTrace(tr, *out); err != nil {
 			log.Fatal(err)
 		}
 	default:
-		flag.Usage()
+		fs.Usage()
 		os.Exit(2)
 	}
 }

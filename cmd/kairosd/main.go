@@ -34,7 +34,7 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7001", "listen address (127.0.0.1:0 for an ephemeral port)")
 	typeName := flag.String("type", "g4dn.xlarge", "instance type to emulate")
-	modelName := flag.String("model", "RM2", "served model (see kairos-bench -run table3)")
+	modelName := flag.String("model", "RM2", "served model (see kairosctl bench -run table3)")
 	timeScale := flag.Float64("timescale", 1.0, "real seconds per simulated second (0.1 = 10x faster)")
 	drain := flag.Duration("drain", 10*time.Second, "max time to drain in-flight queries on SIGTERM")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"kairos/internal/adapt"
 	"kairos/internal/core"
 	"kairos/internal/sim"
 )
@@ -27,7 +26,10 @@ const minPlanObservations = 1000
 // owns the deployment context (pool, served model set, shared budget), a
 // query monitor per model, and the selected distribution policy, and
 // exposes the paper's full plan -> serve -> evaluate -> adapt lifecycle as
-// methods.
+// methods. Adapting (Sec. 5.2, Fig. 12) is re-running the one-shot planner
+// on the monitor's recent window: call Plan again once traffic has moved
+// the monitor, or deploy through Autopilot, which does so on its own
+// triggers.
 //
 // Build it with New and functional options:
 //
@@ -60,9 +62,8 @@ type Engine struct {
 	modelSamples  map[string][]int
 	seed          int64
 
-	replanThreshold float64
-	drsThreshold    int
-	partitions      int
+	drsThreshold int
+	partitions   int
 
 	probeQueries  int
 	precisionFrac float64
@@ -160,8 +161,8 @@ func (e *Engine) Budget() float64 { return e.budget }
 func (e *Engine) Policy() string { return e.policy }
 
 // Monitor returns the primary model's query monitor. Distributors built by
-// Serve feed it (when the policy supports a monitor), and Plan and Replan
-// read it; callers may also warm it directly with Monitor.Observe.
+// Serve feed it (when the policy supports a monitor), and Plan reads it;
+// callers may also warm it directly with Monitor.Observe.
 func (e *Engine) Monitor() *Monitor { return e.monitors[e.models[0].Name] }
 
 // MonitorFor returns the named model's query monitor. The live serving
@@ -372,7 +373,13 @@ func (e *Engine) PlanPlus(eval func(Config) float64) (PlusResult, error) {
 
 // validConfig checks a configuration against the engine's pool.
 func (e *Engine) validConfig(cfg Config) error {
-	return validateConfig(e.pool, cfg)
+	if len(cfg) != len(e.pool) {
+		return fmt.Errorf("kairos: config %v does not match pool of %d types", cfg, len(e.pool))
+	}
+	if cfg.Total() == 0 {
+		return fmt.Errorf("kairos: empty configuration")
+	}
+	return nil
 }
 
 // spec assembles the simulation spec for a configuration.
@@ -445,25 +452,4 @@ func (e *Engine) OracleThroughput(cfg Config) (float64, error) {
 		Seed:    e.seed,
 		Batches: e.batches,
 	}), nil
-}
-
-// Replan arms the Fig. 12 adaptation loop on the engine's monitor: it
-// plans an initial configuration from the monitored mix and returns a
-// Replanner whose Check replans in one shot when the mix drifts past the
-// engine's threshold (WithReplan). The monitor must already have observed
-// traffic — serve through Serve's distributor or warm it directly.
-// Single-model engines only; multi-model engines adapt through Autopilot.
-func (e *Engine) Replan() (*Replanner, error) {
-	m, err := e.primary()
-	if err != nil {
-		return nil, err
-	}
-	if err := e.needBudget(); err != nil {
-		return nil, err
-	}
-	monitor := e.monitors[m.Name]
-	if n := monitor.Count(); n < minPlanObservations {
-		return nil, fmt.Errorf("kairos: replanning needs a warmed monitor (%d/%d observations)", n, minPlanObservations)
-	}
-	return adapt.NewReplanner(e.pool, m, e.budget, e.replanThreshold, monitor)
 }

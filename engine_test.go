@@ -92,39 +92,6 @@ func TestEngineFactoryIsolatesRuns(t *testing.T) {
 	}
 }
 
-func TestEngineReplanLifecycle(t *testing.T) {
-	t.Parallel()
-	e := testEngine(t, WithBudget(2.5), WithReplan(0.2))
-
-	// Replan needs observed traffic.
-	if _, err := e.Replan(); err == nil {
-		t.Fatal("Replan with a cold monitor must error")
-	}
-	rng := rand.New(rand.NewSource(2))
-	d := DefaultTrace()
-	for i := 0; i < 8000; i++ {
-		e.Monitor().Observe(d.Sample(rng))
-	}
-	rep, err := e.Replan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Current().Total() == 0 {
-		t.Fatal("empty initial plan")
-	}
-	if _, changed, err := rep.Check(); err != nil || changed {
-		t.Fatalf("no drift expected: changed=%v err=%v", changed, err)
-	}
-	// A shifted mix triggers a one-shot replan.
-	shifted := Gaussian(600, 100)
-	for i := 0; i < 12000; i++ {
-		e.Monitor().Observe(shifted.Sample(rng))
-	}
-	if _, changed, err := rep.Check(); err != nil || !changed {
-		t.Fatalf("drift expected: changed=%v err=%v", changed, err)
-	}
-}
-
 func TestEnginePlansFromMonitorFreshly(t *testing.T) {
 	t.Parallel()
 	e := testEngine(t, WithBudget(2.5))

@@ -3,22 +3,15 @@ package kairos
 import (
 	"io"
 
-	"kairos/internal/adapt"
 	"kairos/internal/workload"
 )
 
-// Replanner watches the query monitor for batch-size distribution drift
-// and replans the configuration in one shot when the mix moves — the
-// Fig. 12 adaptation loop as a component. Engines hand one out via
-// Engine.Replan.
-type Replanner = adapt.Replanner
-
 // Trace is a reproducible query trace: arrivals plus batch sizes, with CSV
-// and JSON round-tripping (see cmd/kairos-trace).
+// and JSON round-tripping (see kairosctl tracefile).
 type Trace = workload.Trace
 
 // SynthesizeTrace builds a reproducible query trace (arrivals + batch
-// sizes) for replay and tooling; see cmd/kairos-trace.
+// sizes) for replay and tooling; see kairosctl tracefile.
 func SynthesizeTrace(seed int64, dist BatchDistribution, ratePerSec float64, n int) Trace {
 	return workload.Synthesize(seed, dist, ratePerSec, n)
 }
@@ -31,7 +24,7 @@ func ReadTraceJSON(r io.Reader) (Trace, error) { return workload.ReadJSON(r) }
 
 // Scenario is a named adversarial workload shape — a sequence of
 // rate/mix phases rendered into a deterministic arrival stream; see
-// cmd/kairos-trace -scenario and the soak harness.
+// kairosctl tracefile -scenario and the soak harness.
 type Scenario = workload.Scenario
 
 // ScenarioByName resolves a scenario preset (flash-crowd, diurnal,

@@ -5,45 +5,14 @@ import (
 	"testing"
 )
 
-func TestFacadeReplanViaEngine(t *testing.T) {
-	mon := NewMonitor()
-	rng := rand.New(rand.NewSource(2))
-	d := DefaultTrace()
-	for i := 0; i < 8000; i++ {
-		mon.Observe(d.Sample(rng))
-	}
-	e, err := New(
-		WithPool(DefaultPool()),
-		WithModelName("RM2"),
-		WithBudget(2.5),
-		WithMonitor(mon),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := e.Replan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Current().Total() == 0 {
-		t.Fatal("empty plan")
-	}
-	if _, changed, err := r.Check(); err != nil || changed {
-		t.Fatalf("no drift expected: changed=%v err=%v", changed, err)
-	}
-}
-
 func TestFacadePartitionedDistributor(t *testing.T) {
 	t.Parallel()
-	pool := DefaultPool()
-	m, _ := ModelByName("RM2")
-	cl, err := NewCluster(pool, Config{2, 0, 10, 0}, m)
+	res, err := testEngine(t, WithPolicy("kairos+partitioned"), WithPartitions(2), WithSeed(5)).Evaluate(Config{2, 0, 10, 0}, RunOptions{
+		RatePerSec: 40, DurationMS: 20000, WarmupMS: 4000,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := cl.Run(policyOrDie(t, "kairos+partitioned", PolicyContext{Pool: pool, Model: m, Partitions: 2}), RunOptions{
-		RatePerSec: 40, DurationMS: 20000, WarmupMS: 4000, Seed: 5,
-	})
 	if res.Measured.Count == 0 {
 		t.Fatal("nothing measured")
 	}

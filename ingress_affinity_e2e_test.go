@@ -49,9 +49,8 @@ func TestIngressSessionAffinityEndToEnd(t *testing.T) {
 		Cooldown:        50 * time.Millisecond,
 		Window:          300,
 		MinObservations: 100,
-	},
-		WithIngress(IngressOptions{HTTPAddr: "127.0.0.1:0", TCPAddr: "127.0.0.1:0", MaxQueue: 8192}),
-	)
+		Ingress:         &IngressOptions{HTTPAddr: "127.0.0.1:0", TCPAddr: "127.0.0.1:0", MaxQueue: 8192},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,42 +67,44 @@ func (p *countingProvider) Launch(model, typeName string) (string, error) {
 	return p.Provider.Launch(model, typeName)
 }
 
-// TestAutopilotOptionValidation: misconfigured topology options fail
-// before anything launches — in exec mode a late failure would orphan
-// real processes.
+// TestAutopilotOptionValidation: a misconfigured deployment fails before
+// anything launches — in exec mode a late failure would orphan real
+// processes. Every bad option is tried with a provider that counts what it
+// is asked to launch.
 func TestAutopilotOptionValidation(t *testing.T) {
 	t.Parallel()
 	e := multiEngine(t)
-	if _, err := e.Autopilot(1, AutopilotOptions{}, nil); err == nil {
-		t.Fatal("nil option must error")
-	}
-	if _, err := e.Autopilot(1, AutopilotOptions{}, WithProvider(nil)); err == nil {
-		t.Fatal("nil provider must error")
-	}
-	if _, err := e.Autopilot(1, AutopilotOptions{}, WithIngress(IngressOptions{})); err == nil {
-		t.Fatal("WithIngress without addresses must error")
-	}
-	if _, err := e.Autopilot(1, AutopilotOptions{}, WithIngress(IngressOptions{HTTPAddr: "127.0.0.1:0", MaxQueue: -1})); err == nil {
-		t.Fatal("negative ingress queue must error")
-	}
-	if _, err := e.Autopilot(1, AutopilotOptions{}, WithIngress(IngressOptions{MaxQueue: 64, RateLimit: 5})); err == nil {
-		t.Fatal("door settings without an address must error, not be silently dropped")
-	}
-	// The door's validator runs with the options, before the provider is
-	// asked to launch anything (an exec fleet would otherwise be orphaned).
-	launched := &countingProvider{Provider: NewFleet(1, e.Models()...)}
-	if _, err := e.Autopilot(1, AutopilotOptions{}, WithProvider(launched),
-		WithIngress(IngressOptions{HTTPAddr: "127.0.0.1:0", RateLimit: 1e-3, RateBurst: math.MaxInt32})); err == nil || launched.launches != 0 {
-		t.Fatalf("overflowing rate burst: err=%v after %d launches, want an error before any", err, launched.launches)
-	}
-	if _, err := e.Autopilot(1, AutopilotOptions{OnDemandFloor: -0.5}); err == nil {
-		t.Fatal("negative on-demand floor must error")
+	door := func(o IngressOptions) *IngressOptions { return &o }
+	for _, tc := range []struct {
+		name string
+		opts AutopilotOptions
+	}{
+		{"ingress without addresses", AutopilotOptions{Ingress: door(IngressOptions{})}},
+		{"negative ingress queue", AutopilotOptions{Ingress: door(IngressOptions{HTTPAddr: "127.0.0.1:0", MaxQueue: -1})}},
+		{"door settings without an address", AutopilotOptions{Ingress: door(IngressOptions{MaxQueue: 64, RateLimit: 5})}},
+		{"overflowing rate burst", AutopilotOptions{Ingress: door(IngressOptions{HTTPAddr: "127.0.0.1:0", RateLimit: 1e-3, RateBurst: math.MaxInt32})}},
+		{"negative on-demand floor", AutopilotOptions{OnDemandFloor: -0.5}},
+		{"drift threshold outside (0,1)", AutopilotOptions{DriftThreshold: 1.5}},
+	} {
+		launched := &countingProvider{Provider: NewFleet(1, e.Models()...)}
+		tc.opts.Provider = launched
+		if _, err := e.Autopilot(1, tc.opts); err == nil || launched.launches != 0 {
+			t.Errorf("%s: err=%v after %d launches, want an error before any", tc.name, err, launched.launches)
+		}
 	}
 	// A provider whose time dilation disagrees with the autopilot's would
 	// skew every rate reading; the mismatch is caught before launch.
-	models := e.Models()
-	if _, err := e.Autopilot(1, AutopilotOptions{}, WithProvider(NewFleet(0.5, models...))); err == nil {
+	if _, err := e.Autopilot(1, AutopilotOptions{Provider: NewFleet(0.5, e.Models()...)}); err == nil {
 		t.Fatal("provider/autopilot time-scale mismatch must error")
+	}
+	// No provider at all is the in-process fleet at the autopilot's scale.
+	ap, err := e.Autopilot(1, AutopilotOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ap.Close()
+	if f, ok := ap.Provider().(*Fleet); !ok || f.TimeScale() != 1 || f.Size() != ap.Current().Total() {
+		t.Fatalf("nil Provider: got %T, want the in-process fleet running the initial plan %v", ap.Provider(), ap.Current())
 	}
 }
 
@@ -127,10 +129,9 @@ func TestExecFleetIngressEndToEnd(t *testing.T) {
 		Cooldown:        50 * time.Millisecond,
 		Window:          300,
 		MinObservations: 100,
-	},
-		WithProvider(NewExecFleet(bin, 1, "NCF", "MT-WND")),
-		WithIngress(IngressOptions{HTTPAddr: "127.0.0.1:0", TCPAddr: "127.0.0.1:0", MaxQueue: 8192}),
-	)
+		Provider:        NewExecFleet(bin, 1, "NCF", "MT-WND"),
+		Ingress:         &IngressOptions{HTTPAddr: "127.0.0.1:0", TCPAddr: "127.0.0.1:0", MaxQueue: 8192},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 
 // TestAdoptionLifecycle walks the full downstream-user journey through the
 // public API alone: observe traffic -> plan -> deploy -> serve -> detect a
-// workload shift -> replan -> redeploy, asserting the paper's value
+// workload shift -> plan again -> redeploy, asserting the paper's value
 // proposition at each step.
 func TestAdoptionLifecycle(t *testing.T) {
 	t.Parallel()
@@ -47,55 +47,45 @@ func TestAdoptionLifecycle(t *testing.T) {
 	}
 
 	// 3. Deploy and measure: the pick must beat budget-scaled homogeneous.
-	cluster, err := NewCluster(pool, cfg, model)
+	qps, err := engine.AllowableThroughput(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory := func() Distributor {
-		return policyOrDie(t, "kairos+warm", PolicyContext{Pool: pool, Model: model, Monitor: monitor})
-	}
-	qps := cluster.AllowableThroughput(factory, 99)
-	hom, err := NewCluster(pool, pool.Homogeneous(budget), model)
+	homQPS, err := engine.AllowableThroughput(pool.Homogeneous(budget))
 	if err != nil {
 		t.Fatal(err)
 	}
-	homQPS := hom.AllowableThroughput(factory, 99) * pool.HomogeneousScale(budget)
+	homQPS *= pool.HomogeneousScale(budget)
 	if qps < 1.5*homQPS {
 		t.Fatalf("planned config %v at %.1f QPS does not clearly beat homogeneous %.1f", cfg, qps, homQPS)
 	}
 
-	// 4. The workload shifts; the engine's replanner reacts in one shot.
-	replanner, err := engine.Replan()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// 4. The workload shifts; adapting is planning again from the monitor's
+	// new window (Sec. 5.2, Fig. 12) — one shot, no exploration.
 	shift := Gaussian(550, 150)
 	for i := 0; i < 10000; i++ {
 		monitor.Observe(shift.Sample(rng))
 	}
-	next, changed, err := replanner.Check()
+	next, err := engine.Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !changed {
-		t.Fatalf("replanner missed the shift (still %v)", next)
+	if next.Base() <= cfg.Base() {
+		t.Fatalf("a large-query shift should add base instances: %v -> %v", cfg, next)
 	}
 
 	// 5. The new plan must serve the new mix; the old plan must not.
-	newCluster, err := NewCluster(pool, next, model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe := func(c *Cluster, rate float64) bool {
-		res := c.Run(policyOrDie(t, "kairos+warm", PolicyContext{Pool: pool, Model: model}), RunOptions{
-			RatePerSec: rate, DurationMS: 20000, WarmupMS: 4000, Seed: 99, Batches: shift,
-		})
+	probe := func(c Config, rate float64) bool {
+		res, err := engine.Evaluate(c, RunOptions{RatePerSec: rate, DurationMS: 20000, WarmupMS: 4000, Batches: shift})
+		if err != nil {
+			t.Fatal(err)
+		}
 		return res.MeetsQoS
 	}
-	if !probe(newCluster, 20) {
+	if !probe(next, 20) {
 		t.Fatalf("fresh plan %v cannot sustain 20 QPS of the new mix", next)
 	}
-	if probe(cluster, 20) {
+	if probe(cfg, 20) {
 		t.Fatalf("stale plan %v unexpectedly sustains the new mix — the shift is not stressing it", cfg)
 	}
 }

@@ -174,9 +174,9 @@ func zeroNaN(v float64) float64 {
 
 // modelPlanStatus renders one model's allocation.
 func (a *Autopilot) modelPlanStatus(cfg []int) ModelPlanStatus {
-	counts := make(map[string]int, len(a.opts.Pool))
+	counts := make(map[string]int, len(a.wiring.Pool))
 	cost := 0.0
-	for i, t := range a.opts.Pool {
+	for i, t := range a.wiring.Pool {
 		if i < len(cfg) && cfg[i] > 0 {
 			counts[t.Name] = cfg[i]
 			cost += float64(cfg[i]) * t.PricePerHour
@@ -202,7 +202,7 @@ func (a *Autopilot) planStatus() PlanStatus {
 	for _, name := range a.names {
 		cfg := plan[name]
 		if cfg == nil {
-			cfg = make([]int, len(a.opts.Pool))
+			cfg = make([]int, len(a.wiring.Pool))
 		}
 		mp := a.modelPlanStatus(cfg)
 		out.Models[name] = mp

@@ -1,7 +1,7 @@
 // Package autopilot closes the paper's Fig. 12 adaptation loop over the
 // real network serving path, for a set of models sharing one cost budget:
 // per-model rolling-window live monitors fed from controller completions,
-// per-model drift triggers (internal/adapt) plus SLO-violation triggers
+// per-model drift triggers (DriftDetector) plus SLO-violation triggers
 // and a fleet-wide scale-in trigger on sustained under-utilization, a
 // replan step invoking the shared-budget fleet planner with the live
 // windows (and observed arrival rates) as its inputs, and an actuator
@@ -28,7 +28,6 @@ import (
 	"sync"
 	"time"
 
-	"kairos/internal/adapt"
 	"kairos/internal/cloud"
 	"kairos/internal/core"
 	"kairos/internal/ingress"
@@ -63,38 +62,21 @@ const (
 // scale-in trigger passes a shrunk budget to shed cost).
 type PlanFunc func(samples map[string][]int, arrivals map[string]float64, budget float64) (core.FleetPlan, error)
 
-// Options parametrize an Autopilot. Pool, Models, and Plan are required;
-// every other zero value picks a documented default.
+// ReplanModelFunc replans a single model's allocation (other models'
+// slices stay fixed) from its live sample and arrival rate. A non-positive
+// budget asks for the planner's full configured budget.
+type ReplanModelFunc func(model string, samples []int, arrivalQPS, budget float64) (core.FleetPlan, error)
+
+// Options describe an autopilot deployment — everything a caller sets and
+// nothing the engine wires (that is Wiring). Every zero value picks a
+// documented default; withDefaults is the one place they are filled and
+// checked, before anything is launched.
 type Options struct {
-	// Pool is the instance-type universe plans are drawn from.
-	Pool cloud.Pool
-	// Models are the served workloads sharing the budget.
-	Models []models.Model
-	// Plan produces a fresh fleet plan from the live windows — normally
-	// the engine's shared-budget allocator.
-	Plan PlanFunc
-	// ReplanModel, when set, replans a single model's allocation (other
-	// models' slices stay fixed) from its live sample and arrival rate —
-	// normally the engine's incremental single-model replanner. The
-	// preemption path uses it to fill the hole a revoked instance leaves
-	// before the revocation deadline, without paying a full-fleet replan.
-	// A non-positive budget asks for the planner's full configured budget.
-	// When nil, a preemption falls back to re-actuating the plan in force.
-	ReplanModel func(model string, samples []int, arrivalQPS float64, budget float64) (core.FleetPlan, error)
-
-	// TimeScale is the serving path's time dilation factor (it must match
-	// the controller's and the instances'); non-positive means real time.
-	TimeScale float64
-	// Ingress, when set, opens an external query front-end over the
-	// managed controller (HTTP + binary TCP; see internal/ingress). The
-	// autopilot owns its lifecycle: it starts with New and closes with
-	// Close, before the controller goes away.
-	Ingress *ingress.Options
-
-	// Interval is the control-loop period; 0 uses DefaultInterval.
+	// Interval is the control-loop period (wall clock); 0 uses
+	// DefaultInterval.
 	Interval time.Duration
 	// DriftThreshold is the total-variation trigger in (0,1); 0 uses
-	// adapt.DefaultThreshold.
+	// DefaultDriftThreshold.
 	DriftThreshold float64
 	// Window sizes the rolling per-model batch-mix and latency windows;
 	// 0 uses DefaultWindow.
@@ -111,11 +93,6 @@ type Options struct {
 	// Cooldown is the minimum wall-clock gap between replans; 0 uses
 	// 2*Interval.
 	Cooldown time.Duration
-	// References maps model names to the batch samples behind the initial
-	// plan; each model's drift detector is armed on its reference. Models
-	// without one arm lazily on their first warm live window.
-	References map[string][]int
-
 	// ScaleInFloor enables the scale-in trigger: when the fleet-wide busy
 	// fraction stays below the floor for ScaleInTicks consecutive control
 	// ticks, the autopilot replans under a shrunk budget to shed cost.
@@ -127,40 +104,106 @@ type Options struct {
 	// ScaleInHysteresis is the utilization band above the floor that
 	// resets the tick counter; 0 uses DefaultScaleInHysteresis.
 	ScaleInHysteresis float64
-
 	// Logf, when set, receives one line per control decision.
 	Logf func(format string, args ...any)
+
+	// DemandHeadroom tunes demand-aware replanning: every replan caps each
+	// model's planned throughput at its observed arrival rate times
+	// (1 + DemandHeadroom), leaving surplus budget unspent instead of
+	// buying capacity no model needs (see core.PlanFleet). Demand capping
+	// is on by default: 0 uses core.DefaultHeadroom; a negative value
+	// disables capping, so replans maximize throughput under the full
+	// budget.
+	DemandHeadroom float64
+	// OnDemandFloor arms risk-bounded spot planning, as a fraction of each
+	// model's observed arrival rate: in a pool carrying spot capacity
+	// (cloud.Pool.WithSpotMarket), every latency-critical model's
+	// allocation must keep an on-demand-only throughput upper bound of at
+	// least OnDemandFloor times its arrival rate, so losing every spot
+	// instance at once still leaves that fraction of demand servable (see
+	// core.ModelDemand.OnDemandFloor). 0 disables the floor; it is also
+	// inert in pools without spot capacity and while demand capping is
+	// disabled.
+	OnDemandFloor float64
+
+	// Provider is the actuation driver the fleet is launched through; nil
+	// uses the in-process Fleet at the deployment's time scale. The
+	// autopilot takes ownership: Close stops the provider's instances. A
+	// provider that reports another time scale than the deployment's is
+	// refused — every latency, rate and utilization reading would be
+	// skewed.
+	Provider Provider
+	// Ingress, when set, opens the external query front door over the
+	// managed controller: an HTTP JSON endpoint and/or a binary-TCP
+	// endpoint (at least one address; "127.0.0.1:0" binds an ephemeral
+	// port), a per-model bound on admitted-but-unfinished queries, and
+	// optionally a bearer-token list and per-client rate limit (see
+	// ingress.Options). The autopilot owns its lifecycle: it opens with
+	// the autopilot and closes with Close, before the controller goes
+	// away. A nil Ingress.Logf inherits Logf.
+	Ingress *ingress.Options
 }
 
-// withDefaults validates the options and fills the zero values.
-func (o Options) withDefaults() (Options, error) {
-	if len(o.Pool) == 0 {
-		return o, fmt.Errorf("autopilot: options need a pool")
+// Wiring is what the engine supplies around the caller's Options: the
+// deployment the autopilot manages and the planner it replans with.
+type Wiring struct {
+	// Pool is the instance-type universe plans are drawn from.
+	Pool cloud.Pool
+	// Models are the served workloads sharing the budget.
+	Models []models.Model
+	// Plan produces a fresh fleet plan from the live windows, and
+	// ReplanModel, when set, lets the preemption path fill the hole a
+	// revoked instance leaves before the revocation deadline without
+	// paying a full-fleet replan (nil: a preemption re-actuates the plan
+	// in force). Launch installs the shared-budget planner as both.
+	Plan        PlanFunc
+	ReplanModel ReplanModelFunc
+	// References maps model names to the batch samples behind the initial
+	// plan; each model's drift detector is armed on its reference. Models
+	// without one arm lazily on their first warm live window.
+	References map[string][]int
+	// TimeScale is the serving path's time dilation factor (it must match
+	// the controller's and the instances'); non-positive means real time.
+	TimeScale float64
+}
+
+// check validates what New needs of the wiring.
+func (w Wiring) check() error {
+	if len(w.Pool) == 0 {
+		return fmt.Errorf("autopilot: wiring needs a pool")
 	}
-	if len(o.Models) == 0 {
-		return o, fmt.Errorf("autopilot: options need at least one model")
+	if len(w.Models) == 0 {
+		return fmt.Errorf("autopilot: wiring needs at least one model")
 	}
-	seen := make(map[string]bool, len(o.Models))
-	for _, m := range o.Models {
+	seen := make(map[string]bool, len(w.Models))
+	for _, m := range w.Models {
 		if m.QoS <= 0 {
-			return o, fmt.Errorf("autopilot: model %q needs a positive QoS target", m.Name)
+			return fmt.Errorf("autopilot: model %q needs a positive QoS target", m.Name)
 		}
 		if seen[m.Name] {
-			return o, fmt.Errorf("autopilot: duplicate model %q", m.Name)
+			return fmt.Errorf("autopilot: duplicate model %q", m.Name)
 		}
 		seen[m.Name] = true
 	}
-	if o.Plan == nil {
-		return o, fmt.Errorf("autopilot: options need a Plan function")
+	if w.Plan == nil {
+		return fmt.Errorf("autopilot: wiring needs a Plan function")
 	}
-	if o.TimeScale <= 0 {
-		o.TimeScale = 1
+	return nil
+}
+
+// withDefaults is the one function that validates the options and fills
+// the zero values, for a deployment of ms at timeScale. It launches
+// nothing: Launch and New run it before a provider or a listener is
+// touched, so a bad option never leaves an instance behind.
+func (o Options) withDefaults(timeScale float64, ms []models.Model) (Options, error) {
+	if timeScale <= 0 {
+		timeScale = 1
 	}
 	if o.Interval <= 0 {
 		o.Interval = DefaultInterval
 	}
 	if o.DriftThreshold == 0 {
-		o.DriftThreshold = adapt.DefaultThreshold
+		o.DriftThreshold = DefaultDriftThreshold
 	}
 	if o.DriftThreshold <= 0 || o.DriftThreshold >= 1 {
 		return o, fmt.Errorf("autopilot: drift threshold %v outside (0,1)", o.DriftThreshold)
@@ -201,7 +244,100 @@ func (o Options) withDefaults() (Options, error) {
 				o.ScaleInHysteresis, o.ScaleInFloor)
 		}
 	}
+	if o.DemandHeadroom == 0 {
+		o.DemandHeadroom = core.DefaultHeadroom
+	}
+	if o.OnDemandFloor < 0 {
+		return o, fmt.Errorf("autopilot: negative on-demand floor %v", o.OnDemandFloor)
+	}
+	if o.Ingress != nil {
+		door := *o.Ingress // the caller's struct may describe more than one deployment
+		if err := door.Validate(); err != nil {
+			return o, err
+		}
+		if door.Logf == nil {
+			door.Logf = o.Logf
+		}
+		o.Ingress = &door
+	}
+	if o.Provider == nil {
+		o.Provider = NewFleet(timeScale, ms...)
+	} else if ts, ok := o.Provider.(interface{ TimeScale() float64 }); ok && ts.TimeScale() != timeScale {
+		return o, fmt.Errorf("autopilot: provider runs at time scale %v, the deployment at %v", ts.TimeScale(), timeScale)
+	}
 	return o, nil
+}
+
+// budgetPlanner builds the shared-budget planner a launched autopilot
+// replans with: every served model with a planning sample competes for
+// budget by marginal throughput-per-dollar, capped at its observed demand
+// (Options.DemandHeadroom) and floored on on-demand capacity
+// (Options.OnDemandFloor). One core.FleetPlanner lives for the autopilot's
+// whole lifetime: replans hand it the fresh windows and it reuses every
+// per-model frontier whose window did not move, so steady-state replans
+// skip enumeration and frontier construction entirely. Safe without extra
+// locking — the autopilot serializes planning under its step mutex.
+func budgetPlanner(pool cloud.Pool, ms []models.Model, fullBudget float64, o Options) (PlanFunc, ReplanModelFunc, error) {
+	planner, err := core.NewFleetPlanner(pool, fullBudget)
+	if err != nil {
+		return nil, nil, err
+	}
+	// The closures outlive Launch; they keep the two numbers, not the
+	// options (and the provider and door those hold).
+	headroom, floor := o.DemandHeadroom, o.OnDemandFloor
+	demandFor := func(m models.Model, s []int, arrival float64) core.ModelDemand {
+		d := core.ModelDemand{Model: m, Samples: s}
+		if headroom > 0 {
+			d.ArrivalQPS = arrival
+			d.Headroom = headroom
+			// The on-demand floor derives from the same observed demand the
+			// cap does, so it rides the same arrival rate (and is inert
+			// while demand capping is disabled or the rate is unknown).
+			d.OnDemandFloor = floor
+		}
+		return d
+	}
+	plan := func(samples map[string][]int, arrivals map[string]float64, budget float64) (core.FleetPlan, error) {
+		if budget <= 0 {
+			budget = fullBudget
+		}
+		demands := make([]core.ModelDemand, 0, len(ms))
+		for _, m := range ms {
+			if s := samples[m.Name]; len(s) > 0 {
+				demands = append(demands, demandFor(m, s, arrivals[m.Name]))
+			}
+		}
+		if len(demands) == 0 {
+			return nil, fmt.Errorf("autopilot: no model has a planning sample")
+		}
+		if err := planner.SetDemands(demands); err != nil {
+			return nil, err
+		}
+		got, err := planner.Plan(budget)
+		if err != nil {
+			return nil, err
+		}
+		// The planner owns the returned plan's storage; the control loop
+		// mutates the plan it actuates (heals decrement counts), so hand
+		// it a private copy.
+		return got.Clone(), nil
+	}
+	replanModel := func(model string, samples []int, arrivalQPS, budget float64) (core.FleetPlan, error) {
+		if budget <= 0 {
+			budget = fullBudget
+		}
+		for _, m := range ms {
+			if m.Name == model {
+				got, err := planner.ReplanModel(demandFor(m, samples, arrivalQPS), budget)
+				if err != nil {
+					return nil, err
+				}
+				return got.Clone(), nil
+			}
+		}
+		return nil, fmt.Errorf("autopilot: replan for unknown model %q", model)
+	}
+	return plan, replanModel, nil
 }
 
 // modelState is one served model's live window and trigger state.
@@ -214,7 +350,7 @@ type modelState struct {
 	// Autopilot.latMu, detector and lastDrift by Autopilot.mu.
 	monitor   *workload.Monitor
 	latency   *metrics.Window
-	detector  *adapt.DriftDetector
+	detector  *DriftDetector
 	lastDrift float64
 	// lastCompleted, lastSubmitted, and lastRejected back the per-model
 	// throughput and arrival-rate estimates (stepMu).
@@ -236,7 +372,8 @@ type Autopilot struct {
 	ctrl     *server.Controller
 	provider Provider
 	ingress  *ingress.Server // nil when no front-end is configured
-	opts     Options
+	wiring   Wiring
+	opts     Options // defaults filled (withDefaults)
 
 	// names is the sorted model-name iteration order; states is read-only
 	// after New (its fields carry their own locking rules).
@@ -360,24 +497,63 @@ type Decision struct {
 	Reason string
 }
 
-// New assembles an autopilot over a running controller and its actuation
-// provider, serving the given initial fleet plan. It installs itself as
-// the controller's completion observer and, when Options.Ingress is set,
-// opens the external front-end. The loop is not started; call Start.
-func New(ctrl *server.Controller, provider Provider, initial core.FleetPlan, opts Options) (*Autopilot, error) {
-	if ctrl == nil || provider == nil {
+// Launch deploys the wiring as a self-managing serving system: it checks
+// the options, plans the initial fleet from the references under budget
+// (one configuration per served model, split by marginal
+// throughput-per-dollar), launches it through the provider, has connect
+// dial the launched addresses into a controller, and assembles the
+// autopilot (New) around them. Nothing is launched on a bad option, and
+// everything launched is stopped again when a later step fails.
+func Launch(w Wiring, budget float64, opts Options, connect func(addrs []string) (*server.Controller, error)) (*Autopilot, error) {
+	o, err := opts.withDefaults(w.TimeScale, w.Models)
+	if err != nil {
+		return nil, err
+	}
+	if w.Plan, w.ReplanModel, err = budgetPlanner(w.Pool, w.Models, budget, o); err != nil {
+		return nil, err
+	}
+	initial, err := w.Plan(w.References, nil, 0)
+	if err != nil {
+		return nil, err
+	}
+	if initial.Total() == 0 {
+		return nil, fmt.Errorf("autopilot: budget %v buys no configuration", budget)
+	}
+	addrs, err := Deploy(o.Provider, w.Pool, initial)
+	if err != nil {
+		o.Provider.Close()
+		return nil, err
+	}
+	ctrl, err := connect(addrs)
+	if err != nil {
+		o.Provider.Close()
+		return nil, err
+	}
+	ap, err := New(ctrl, initial, w, o)
+	if err != nil {
+		ctrl.Close()
+		o.Provider.Close()
+		return nil, err
+	}
+	return ap, nil
+}
+
+// New assembles an autopilot over a running controller and the provider
+// (Options.Provider, required here) its initial fleet plan was deployed
+// through. It installs itself as the controller's completion observer
+// and, when Options.Ingress is set, opens the external front-end. The
+// loop is not started; call Start.
+func New(ctrl *server.Controller, initial core.FleetPlan, w Wiring, opts Options) (*Autopilot, error) {
+	if ctrl == nil || opts.Provider == nil {
 		return nil, fmt.Errorf("autopilot: needs a controller and a provider")
 	}
-	// An unset TimeScale inherits the provider's dilation (the built-in
-	// providers expose it): rate and utilization math must divide by the
-	// scale the instances actually run at, and before the Provider split
-	// that was correct by construction.
-	if opts.TimeScale <= 0 {
-		if ts, ok := provider.(interface{ TimeScale() float64 }); ok {
-			opts.TimeScale = ts.TimeScale()
-		}
+	if err := w.check(); err != nil {
+		return nil, err
 	}
-	o, err := opts.withDefaults()
+	if w.TimeScale <= 0 {
+		w.TimeScale = 1
+	}
+	o, err := opts.withDefaults(w.TimeScale, w.Models)
 	if err != nil {
 		return nil, err
 	}
@@ -385,15 +561,16 @@ func New(ctrl *server.Controller, provider Provider, initial core.FleetPlan, opt
 		return nil, fmt.Errorf("autopilot: initial plan %v deploys nothing", initial)
 	}
 	for name, cfg := range initial {
-		if len(cfg) != len(o.Pool) {
+		if len(cfg) != len(w.Pool) {
 			return nil, fmt.Errorf("autopilot: initial config %v for %s does not match the pool", cfg, name)
 		}
 	}
 	a := &Autopilot{
 		ctrl:      ctrl,
-		provider:  provider,
+		provider:  o.Provider,
+		wiring:    w,
 		opts:      o,
-		states:    make(map[string]*modelState, len(o.Models)),
+		states:    make(map[string]*modelState, len(w.Models)),
 		current:   initial.Clone(),
 		started:   time.Now(),
 		stop:      make(chan struct{}),
@@ -401,7 +578,7 @@ func New(ctrl *server.Controller, provider Provider, initial core.FleetPlan, opt
 		faultKick: make(chan struct{}, 1),
 		journal:   newJournal(defaultJournalSize),
 	}
-	for _, m := range o.Models {
+	for _, m := range w.Models {
 		st := &modelState{
 			model:   m,
 			sloMS:   m.QoS,
@@ -411,8 +588,8 @@ func New(ctrl *server.Controller, provider Provider, initial core.FleetPlan, opt
 		if o.SLOLatencyMS > 0 {
 			st.sloMS = o.SLOLatencyMS
 		}
-		if ref := o.References[m.Name]; ref != nil {
-			det, err := adapt.NewDriftDetector(ref, adapt.DefaultBins)
+		if ref := w.References[m.Name]; ref != nil {
+			det, err := NewDriftDetector(ref, DefaultDriftBins)
 			if err != nil {
 				return nil, fmt.Errorf("autopilot: reference for %s: %w", m.Name, err)
 			}
@@ -555,7 +732,7 @@ func (a *Autopilot) checkPlan(p core.FleetPlan) error {
 		return fmt.Errorf("planner returned unusable plan %v", p)
 	}
 	for name, cfg := range p {
-		if _, ok := a.states[name]; !ok || len(cfg) != len(a.opts.Pool) {
+		if _, ok := a.states[name]; !ok || len(cfg) != len(a.wiring.Pool) {
 			return fmt.Errorf("planner returned unusable config %v for %q", cfg, name)
 		}
 	}
@@ -645,7 +822,7 @@ func (a *Autopilot) handlePreemption(p Preemption) {
 
 // replanAfterPreemption fills the capacity hole a drained preemption
 // left: a single-model incremental replan from the model's live window
-// (Options.ReplanModel) when available, otherwise re-actuating the plan
+// (Wiring.ReplanModel) when available, otherwise re-actuating the plan
 // in force so the diff-based actuator relaunches the missing instance.
 func (a *Autopilot) replanAfterPreemption(model, detail string, noticeAt time.Time, drainMS float64) {
 	a.stepMu.Lock()
@@ -656,7 +833,7 @@ func (a *Autopilot) replanAfterPreemption(model, detail string, noticeAt time.Ti
 	if st := a.states[model]; st != nil {
 		if snap := st.monitor.Snapshot(); len(snap) >= a.opts.MinObservations {
 			samples = snap
-		} else if ref := a.opts.References[model]; ref != nil {
+		} else if ref := a.wiring.References[model]; ref != nil {
 			samples = ref
 		} else if len(snap) > 0 {
 			samples = snap
@@ -671,9 +848,9 @@ func (a *Autopilot) replanAfterPreemption(model, detail string, noticeAt time.Ti
 
 	var planMS float64
 	next := core.FleetPlan(nil)
-	if a.opts.ReplanModel != nil && len(samples) > 0 {
+	if a.wiring.ReplanModel != nil && len(samples) > 0 {
 		planStart := time.Now()
-		p, err := a.opts.ReplanModel(model, samples, arrival, 0)
+		p, err := a.wiring.ReplanModel(model, samples, arrival, 0)
 		planTook := time.Since(planStart)
 		planMS = float64(planTook) / float64(time.Millisecond)
 		a.planHist.Record(planTook)
@@ -863,7 +1040,7 @@ func (a *Autopilot) step() (Decision, error) {
 			if st.detector == nil {
 				// Lazy arming: the model's first warm window becomes its
 				// reference.
-				det, err := adapt.NewDriftDetector(snap, adapt.DefaultBins)
+				det, err := NewDriftDetector(snap, DefaultDriftBins)
 				if err != nil {
 					a.mu.Unlock()
 					return Decision{}, err
@@ -880,10 +1057,10 @@ func (a *Autopilot) step() (Decision, error) {
 				md.DriftTriggered = drift > a.opts.DriftThreshold
 			}
 			a.mu.Unlock()
-		case a.opts.References[name] != nil:
+		case a.wiring.References[name] != nil:
 			// Cold model: it still takes part in the fleet replan, planned
 			// from the reference mix its current fleet was sized for.
-			samples[name] = a.opts.References[name]
+			samples[name] = a.wiring.References[name]
 		case len(snap) > 0:
 			samples[name] = snap
 		}
@@ -923,7 +1100,7 @@ func (a *Autopilot) step() (Decision, error) {
 	// allowed to spend everything).
 	scaleInOnly := dec.ScaleInTriggered && !dec.DriftTriggered && !dec.SLOTriggered
 	if scaleInOnly {
-		cost := current.Cost(a.opts.Pool)
+		cost := current.Cost(a.wiring.Pool)
 		target := a.opts.ScaleInFloor + a.opts.ScaleInHysteresis
 		shrunk := cost * util / target
 		if min := a.cheapestPrice(); shrunk < min {
@@ -940,7 +1117,7 @@ func (a *Autopilot) step() (Decision, error) {
 	}
 
 	planStart := time.Now()
-	next, err := a.opts.Plan(samples, arrivals, dec.PlanBudget)
+	next, err := a.wiring.Plan(samples, arrivals, dec.PlanBudget)
 	planTook := time.Since(planStart)
 	a.lastPlanMS = float64(planTook) / float64(time.Millisecond)
 	a.planHist.Record(planTook)
@@ -975,12 +1152,12 @@ func (a *Autopilot) step() (Decision, error) {
 	}
 	// Rebase every warm model's detector on the sample just planned from,
 	// whether or not the plan changed — the trigger has been answered.
-	rebased := make(map[string]*adapt.DriftDetector, len(samples))
+	rebased := make(map[string]*DriftDetector, len(samples))
 	for _, name := range a.names {
 		if !dec.Models[name].Checked {
 			continue
 		}
-		det, err := adapt.NewDriftDetector(samples[name], adapt.DefaultBins)
+		det, err := NewDriftDetector(samples[name], DefaultDriftBins)
 		if err != nil {
 			return dec, err
 		}
@@ -1072,7 +1249,7 @@ func (a *Autopilot) resetLatencyWindows() {
 // budget that can still buy capacity.
 func (a *Autopilot) cheapestPrice() float64 {
 	min := math.Inf(1)
-	for _, t := range a.opts.Pool {
+	for _, t := range a.wiring.Pool {
 		if t.PricePerHour < min {
 			min = t.PricePerHour
 		}
@@ -1101,7 +1278,7 @@ func (a *Autopilot) updateRates(now time.Time) (float64, bool) {
 	if !a.lastStepAt.IsZero() {
 		wallMS := float64(now.Sub(a.lastStepAt)) / float64(time.Millisecond)
 		if wallMS > 0 {
-			modelMS := wallMS / a.opts.TimeScale
+			modelMS := wallMS / a.wiring.TimeScale
 			a.recentQPS = float64(stats.Completed-a.lastStepCompleted) / modelMS * 1000
 			if n := len(stats.Instances); n > 0 {
 				util := (busy - a.lastStepBusyMS) / (modelMS * float64(n))
@@ -1169,7 +1346,7 @@ func (a *Autopilot) actuate(to core.FleetPlan) error {
 	for _, name := range a.names {
 		cfg := to[name]
 		have := a.ctrl.ModelInstanceCounts(name)
-		for i, t := range a.opts.Pool {
+		for i, t := range a.wiring.Pool {
 			want := 0
 			if cfg != nil {
 				want = cfg[i]
@@ -1190,7 +1367,7 @@ func (a *Autopilot) actuate(to core.FleetPlan) error {
 	for _, name := range a.names {
 		cfg := to[name]
 		have := a.ctrl.ModelInstanceCounts(name)
-		for i, t := range a.opts.Pool {
+		for i, t := range a.wiring.Pool {
 			want := 0
 			if cfg != nil {
 				want = cfg[i]

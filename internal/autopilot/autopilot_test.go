@@ -12,6 +12,7 @@ import (
 
 	"kairos/internal/cloud"
 	"kairos/internal/core"
+	"kairos/internal/ingress"
 	"kairos/internal/models"
 	"kairos/internal/predictor"
 	"kairos/internal/server"
@@ -102,40 +103,49 @@ func TestOptionsValidation(t *testing.T) {
 		return core.FleetPlan{m.Name: cloud.Config{0, 0, 1, 0}}, nil
 	}
 
-	cases := []struct {
-		name string
-		opts Options
-	}{
-		{"no pool", Options{Models: ms, Plan: okPlan}},
-		{"no models", Options{Pool: pool, Plan: okPlan}},
-		{"duplicate model", Options{Pool: pool, Models: []models.Model{m, m}, Plan: okPlan}},
-		{"no plan", Options{Pool: pool, Models: ms}},
-		{"bad drift", Options{Pool: pool, Models: ms, Plan: okPlan, DriftThreshold: 1.5}},
-		{"bad percentile", Options{Pool: pool, Models: ms, Plan: okPlan, SLOPercentile: 101}},
-		{"bad scale-in floor", Options{Pool: pool, Models: ms, Plan: okPlan, ScaleInFloor: 1.2}},
-		{"bad scale-in band", Options{Pool: pool, Models: ms, Plan: okPlan, ScaleInFloor: 0.6, ScaleInHysteresis: 0.5}},
+	for name, w := range map[string]Wiring{
+		"no pool":         {Models: ms, Plan: okPlan},
+		"no models":       {Pool: pool, Plan: okPlan},
+		"duplicate model": {Pool: pool, Models: []models.Model{m, m}, Plan: okPlan},
+		"no plan":         {Pool: pool, Models: ms},
+	} {
+		if err := w.check(); err == nil {
+			t.Errorf("%s: expected error", name)
+		}
 	}
-	for _, tc := range cases {
-		if _, err := tc.opts.withDefaults(); err == nil {
-			t.Errorf("%s: expected error", tc.name)
+	for name, opts := range map[string]Options{
+		"bad drift":                      {DriftThreshold: 1.5},
+		"bad percentile":                 {SLOPercentile: 101},
+		"bad scale-in floor":             {ScaleInFloor: 1.2},
+		"bad scale-in band":              {ScaleInFloor: 0.6, ScaleInHysteresis: 0.5},
+		"bad floor":                      {OnDemandFloor: -1},
+		"bad door":                       {Ingress: &ingress.Options{RateLimit: 5}},
+		"provider at another time scale": {Provider: NewFleet(0.5, m)},
+	} {
+		if _, err := opts.withDefaults(1, ms); err == nil {
+			t.Errorf("%s: expected error", name)
 		}
 	}
 
-	o, err := Options{Pool: pool, Models: ms, Plan: okPlan, ScaleInFloor: 0.3}.withDefaults()
+	o, err := Options{ScaleInFloor: 0.3}.withDefaults(0, ms)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if o.Interval != DefaultInterval || o.Window != DefaultWindow ||
 		o.MinObservations != DefaultWindow/10 || o.SLOLatencyMS != 0 ||
 		o.SLOPercentile != DefaultSLOPercentile || o.Cooldown != 2*DefaultInterval ||
-		o.ScaleInTicks != DefaultScaleInTicks || o.ScaleInHysteresis != DefaultScaleInHysteresis {
+		o.ScaleInTicks != DefaultScaleInTicks || o.ScaleInHysteresis != DefaultScaleInHysteresis ||
+		o.DriftThreshold != DefaultDriftThreshold || o.DemandHeadroom != core.DefaultHeadroom {
 		t.Fatalf("defaults = %+v", o)
+	}
+	if f, ok := o.Provider.(*Fleet); !ok || f.TimeScale() != 1 {
+		t.Fatalf("default provider = %T, want the in-process fleet at real time", o.Provider)
 	}
 }
 
 // startAutopilot boots a fleet + controller for initial and builds an
 // autopilot around them with the given plan function and options tweaks.
-func startAutopilot(t *testing.T, initial cloud.Config, opts Options) *Autopilot {
+func startAutopilot(t *testing.T, initial cloud.Config, w Wiring, opts Options) *Autopilot {
 	t.Helper()
 	m := ncf()
 	pool := cloud.DefaultPool()
@@ -150,9 +160,10 @@ func startAutopilot(t *testing.T, initial cloud.Config, opts Options) *Autopilot
 		fleet.Close()
 		t.Fatal(err)
 	}
-	opts.Pool = pool
-	opts.Models = []models.Model{m}
-	ap, err := New(ctrl, fleet, plan(m, initial), opts)
+	w.Pool = pool
+	w.Models = []models.Model{m}
+	opts.Provider = fleet
+	ap, err := New(ctrl, plan(m, initial), w, opts)
 	if err != nil {
 		ctrl.Close()
 		fleet.Close()
@@ -186,17 +197,19 @@ func TestStepDriftReplanActuates(t *testing.T) {
 	initial := cloud.Config{0, 0, 2, 0} // 2x CPU
 	next := cloud.Config{1, 0, 1, 0}    // 1x GPU + 1x CPU
 	var planned [][]int
-	opts := Options{
+	w := Wiring{
 		Plan: singlePlan(m, func(samples []int) (cloud.Config, error) {
 			planned = append(planned, samples)
 			return next.Clone(), nil
 		}),
+		References: map[string][]int{m.Name: samplesOf(workload.Uniform{Min: 10, Max: 60}, 200, 1)},
+	}
+	opts := Options{
 		Window:          60,
 		MinObservations: 30,
-		References:      map[string][]int{m.Name: samplesOf(workload.Uniform{Min: 10, Max: 60}, 200, 1)},
 		DriftThreshold:  0.3,
 	}
-	ap := startAutopilot(t, initial, opts)
+	ap := startAutopilot(t, initial, w, opts)
 
 	// Cold window: nothing to check yet.
 	dec, err := ap.Step()
@@ -248,6 +261,11 @@ func TestStepDriftReplanActuates(t *testing.T) {
 	if got := ap.Controller().Stats().Failed; got != 0 {
 		t.Fatalf("%d queries dropped across the reconfiguration", got)
 	}
+	// The trigger was answered: the detector is rebased on the window just
+	// planned from, so the same mix does not fire again.
+	if dec, err := ap.Step(); err != nil || dec.DriftTriggered || dec.Replanned {
+		t.Fatalf("same mix after the replan: %+v err=%v, want a steady step", dec, err)
+	}
 }
 
 // TestStepCooldownHoldsTriggers: a second drifted window within the
@@ -256,16 +274,18 @@ func TestStepCooldownHoldsTriggers(t *testing.T) {
 	t.Parallel()
 	m := ncf()
 	initial := cloud.Config{0, 0, 2, 0}
-	opts := Options{
+	w := Wiring{
 		Plan: singlePlan(m, func([]int) (cloud.Config, error) {
 			return cloud.Config{1, 0, 1, 0}, nil
 		}),
+		References: map[string][]int{m.Name: samplesOf(workload.Uniform{Min: 10, Max: 60}, 200, 1)},
+	}
+	opts := Options{
 		Window:          40,
 		MinObservations: 20,
-		References:      map[string][]int{m.Name: samplesOf(workload.Uniform{Min: 10, Max: 60}, 200, 1)},
 		Cooldown:        time.Hour,
 	}
-	ap := startAutopilot(t, initial, opts)
+	ap := startAutopilot(t, initial, w, opts)
 	for i := 0; i < 25; i++ {
 		if res := ap.Controller().SubmitWait(m.Name, 600); res.Err != nil {
 			t.Fatal(res.Err)
@@ -301,16 +321,18 @@ func TestStepSLOTrigger(t *testing.T) {
 	m := ncf()
 	initial := cloud.Config{0, 0, 1, 0}
 	small := workload.Uniform{Min: 10, Max: 60}
-	opts := Options{
+	w := Wiring{
 		Plan: singlePlan(m, func([]int) (cloud.Config, error) {
 			return cloud.Config{0, 0, 1, 0}, nil // planner sees no better option
 		}),
+		References: map[string][]int{m.Name: samplesOf(small, 200, 1)},
+	}
+	opts := Options{
 		Window:          40,
 		MinObservations: 10,
-		References:      map[string][]int{m.Name: samplesOf(small, 200, 1)},
 		SLOLatencyMS:    0.0001, // everything breaches
 	}
-	ap := startAutopilot(t, initial, opts)
+	ap := startAutopilot(t, initial, w, opts)
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 12; i++ {
 		if res := ap.Controller().SubmitWait(m.Name, small.Sample(rng)); res.Err != nil {
@@ -343,7 +365,7 @@ func TestStepScaleInShedsCost(t *testing.T) {
 	pool := cloud.DefaultPool()
 	initial := cloud.Config{0, 0, 3, 0} // 3x r5n.large = $0.447/hr
 	var budgets []float64
-	opts := Options{
+	w := Wiring{
 		Plan: func(samples map[string][]int, _ map[string]float64, budget float64) (core.FleetPlan, error) {
 			budgets = append(budgets, budget)
 			if budget > 0 && budget < pool.Cost(initial) {
@@ -352,14 +374,16 @@ func TestStepScaleInShedsCost(t *testing.T) {
 			}
 			return core.FleetPlan{m.Name: initial.Clone()}, nil
 		},
+		References: map[string][]int{m.Name: samplesOf(workload.Uniform{Min: 10, Max: 60}, 200, 1)},
+	}
+	opts := Options{
 		Window:          40,
 		MinObservations: 10,
-		References:      map[string][]int{m.Name: samplesOf(workload.Uniform{Min: 10, Max: 60}, 200, 1)},
 		ScaleInFloor:    0.5,
 		ScaleInTicks:    2,
 		Cooldown:        time.Millisecond,
 	}
-	ap := startAutopilot(t, initial, opts)
+	ap := startAutopilot(t, initial, w, opts)
 	// Warm the window, then go idle: utilization between steps is ~0.
 	for i := 0; i < 12; i++ {
 		if res := ap.Controller().SubmitWait(m.Name, 30); res.Err != nil {
@@ -419,13 +443,15 @@ func TestStepScaleInShedsCost(t *testing.T) {
 func TestScaleInHysteresis(t *testing.T) {
 	t.Parallel()
 	m := ncf()
+	w := Wiring{
+		Plan: singlePlan(m, func([]int) (cloud.Config, error) { return cloud.Config{0, 0, 1, 0}, nil }),
+	}
 	opts := Options{
-		Plan:              singlePlan(m, func([]int) (cloud.Config, error) { return cloud.Config{0, 0, 1, 0}, nil }),
 		ScaleInFloor:      0.4,
 		ScaleInHysteresis: 0.2,
 		ScaleInTicks:      3,
 	}
-	ap := startAutopilot(t, cloud.Config{0, 0, 1, 0}, opts)
+	ap := startAutopilot(t, cloud.Config{0, 0, 1, 0}, w, opts)
 
 	if ap.scaleInTick(0.1, false) {
 		t.Fatal("invalid utilization reading must not count")
@@ -453,12 +479,14 @@ func TestAdminEndpoints(t *testing.T) {
 	t.Parallel()
 	m := ncf()
 	initial := cloud.Config{0, 0, 2, 0}
+	w := Wiring{
+		Plan: singlePlan(m, func([]int) (cloud.Config, error) { return initial, nil }),
+	}
 	opts := Options{
-		Plan:            singlePlan(m, func([]int) (cloud.Config, error) { return initial, nil }),
 		Window:          40,
 		MinObservations: 10,
 	}
-	ap := startAutopilot(t, initial, opts)
+	ap := startAutopilot(t, initial, w, opts)
 	for i := 0; i < 5; i++ {
 		if res := ap.Controller().SubmitWait(m.Name, 40); res.Err != nil {
 			t.Fatal(res.Err)
@@ -624,15 +652,17 @@ func TestAutopilotEndToEndSmoke(t *testing.T) {
 		fleet.Close()
 		t.Fatal(err)
 	}
-	ap, err := New(ctrl, fleet, plan(m, initial), Options{
-		Pool:            pool,
-		Models:          []models.Model{m},
-		Plan:            singlePlan(m, planOne),
+	ap, err := New(ctrl, plan(m, initial), Wiring{
+		Pool:       pool,
+		Models:     []models.Model{m},
+		Plan:       singlePlan(m, planOne),
+		References: map[string][]int{m.Name: reference},
+	}, Options{
+		Provider:        fleet,
 		Interval:        25 * time.Millisecond,
 		Cooldown:        50 * time.Millisecond,
 		Window:          300,
 		MinObservations: 100,
-		References:      map[string][]int{m.Name: reference},
 	})
 	if err != nil {
 		ctrl.Close()
@@ -713,13 +743,15 @@ func TestStepRejectsUnusablePlan(t *testing.T) {
 	t.Parallel()
 	m := ncf()
 	initial := cloud.Config{0, 0, 1, 0}
+	w := Wiring{
+		Plan:       singlePlan(m, func([]int) (cloud.Config, error) { return nil, nil }),
+		References: map[string][]int{m.Name: samplesOf(workload.Uniform{Min: 10, Max: 60}, 200, 1)},
+	}
 	opts := Options{
-		Plan:            singlePlan(m, func([]int) (cloud.Config, error) { return nil, nil }),
 		Window:          40,
 		MinObservations: 10,
-		References:      map[string][]int{m.Name: samplesOf(workload.Uniform{Min: 10, Max: 60}, 200, 1)},
 	}
-	ap := startAutopilot(t, initial, opts)
+	ap := startAutopilot(t, initial, w, opts)
 	for i := 0; i < 12; i++ {
 		if res := ap.Controller().SubmitWait(m.Name, 600); res.Err != nil {
 			t.Fatal(res.Err)
@@ -794,15 +826,17 @@ func TestMultiModelBudgetShift(t *testing.T) {
 		fleet.Close()
 		t.Fatal(err)
 	}
-	ap, err := New(ctrl, fleet, initial, Options{
-		Pool:            pool,
-		Models:          []models.Model{a, b},
-		Plan:            planFleet,
+	ap, err := New(ctrl, initial, Wiring{
+		Pool:       pool,
+		Models:     []models.Model{a, b},
+		Plan:       planFleet,
+		References: refs,
+	}, Options{
+		Provider:        fleet,
 		Interval:        25 * time.Millisecond,
 		Cooldown:        50 * time.Millisecond,
 		Window:          300,
 		MinObservations: 100,
-		References:      refs,
 	})
 	if err != nil {
 		ctrl.Close()
@@ -896,7 +930,7 @@ func TestStepScaleInKeepsFleetWhenBudgetBuysNothing(t *testing.T) {
 	t.Parallel()
 	m := ncf()
 	initial := cloud.Config{0, 0, 2, 0}
-	opts := Options{
+	w := Wiring{
 		Plan: func(samples map[string][]int, _ map[string]float64, budget float64) (core.FleetPlan, error) {
 			if budget > 0 {
 				// The shrunk budget buys nothing (e.g. the model's cheapest
@@ -905,14 +939,16 @@ func TestStepScaleInKeepsFleetWhenBudgetBuysNothing(t *testing.T) {
 			}
 			return core.FleetPlan{m.Name: initial.Clone()}, nil
 		},
+		References: map[string][]int{m.Name: samplesOf(workload.Uniform{Min: 10, Max: 60}, 200, 1)},
+	}
+	opts := Options{
 		Window:          40,
 		MinObservations: 10,
-		References:      map[string][]int{m.Name: samplesOf(workload.Uniform{Min: 10, Max: 60}, 200, 1)},
 		ScaleInFloor:    0.5,
 		ScaleInTicks:    2,
 		Cooldown:        time.Millisecond,
 	}
-	ap := startAutopilot(t, initial, opts)
+	ap := startAutopilot(t, initial, w, opts)
 	for i := 0; i < 12; i++ {
 		if res := ap.Controller().SubmitWait(m.Name, 30); res.Err != nil {
 			t.Fatal(res.Err)
@@ -970,7 +1006,7 @@ func TestStepPreservesColdModelFleet(t *testing.T) {
 		fleet.Close()
 		t.Fatal(err)
 	}
-	ap, err := New(ctrl, fleet, initial, Options{
+	ap, err := New(ctrl, initial, Wiring{
 		Pool:   pool,
 		Models: []models.Model{a, b},
 		// The planner only ever sees model A's sample (B stays cold and
@@ -981,9 +1017,11 @@ func TestStepPreservesColdModelFleet(t *testing.T) {
 			}
 			return core.FleetPlan{a.Name: cloud.Config{1, 0, 0, 0}}, nil
 		},
+		References: map[string][]int{a.Name: samplesOf(workload.Uniform{Min: 10, Max: 60}, 200, 1)},
+	}, Options{
+		Provider:        fleet,
 		Window:          40,
 		MinObservations: 10,
-		References:      map[string][]int{a.Name: samplesOf(workload.Uniform{Min: 10, Max: 60}, 200, 1)},
 	})
 	if err != nil {
 		ctrl.Close()

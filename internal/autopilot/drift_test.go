@@ -1,22 +1,11 @@
-package adapt
+package autopilot
 
 import (
-	"math/rand"
 	"testing"
 
-	"kairos/internal/cloud"
 	"kairos/internal/models"
 	"kairos/internal/workload"
 )
-
-func draws(d workload.BatchDistribution, n int, seed int64) []int {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]int, n)
-	for i := range out {
-		out[i] = d.Sample(rng)
-	}
-	return out
-}
 
 func TestDriftDetectorValidation(t *testing.T) {
 	if _, err := NewDriftDetector(nil, 10); err == nil {
@@ -35,8 +24,8 @@ func TestDriftDetectorValidation(t *testing.T) {
 }
 
 func TestDistanceIdenticalAndDisjoint(t *testing.T) {
-	same := draws(workload.DefaultTrace(), 5000, 1)
-	d, err := NewDriftDetector(same, DefaultBins)
+	same := samplesOf(workload.DefaultTrace(), 5000, 1)
+	d, err := NewDriftDetector(same, DefaultDriftBins)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +34,7 @@ func TestDistanceIdenticalAndDisjoint(t *testing.T) {
 		t.Fatalf("self distance = %v, %v", dist, err)
 	}
 	// Disjoint supports: tiny queries vs huge queries.
-	small, _ := NewDriftDetector([]int{1, 2, 3, 4, 5}, DefaultBins)
+	small, _ := NewDriftDetector([]int{1, 2, 3, 4, 5}, DefaultDriftBins)
 	dist, err = small.Distance([]int{990, 995, 1000})
 	if err != nil || dist != 1 {
 		t.Fatalf("disjoint distance = %v, %v", dist, err)
@@ -53,9 +42,9 @@ func TestDistanceIdenticalAndDisjoint(t *testing.T) {
 }
 
 func TestDistanceSamplingNoiseIsSmall(t *testing.T) {
-	a := draws(workload.DefaultTrace(), 8000, 2)
-	b := draws(workload.DefaultTrace(), 8000, 3) // same law, fresh sample
-	d, err := NewDriftDetector(a, DefaultBins)
+	a := samplesOf(workload.DefaultTrace(), 8000, 2)
+	b := samplesOf(workload.DefaultTrace(), 8000, 3) // same law, fresh sample
+	d, err := NewDriftDetector(a, DefaultDriftBins)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,77 +56,10 @@ func TestDistanceSamplingNoiseIsSmall(t *testing.T) {
 		t.Fatalf("same-law distance %v too large", dist)
 	}
 	// And a genuine shift is far larger.
-	shift := draws(workload.Gaussian{Mean: 550, Std: 150}, 8000, 4)
+	shift := samplesOf(workload.Gaussian{Mean: 550, Std: 150}, 8000, 4)
 	dist2, _ := d.Distance(shift)
 	if dist2 < 0.4 {
 		t.Fatalf("shifted distance %v too small", dist2)
-	}
-}
-
-func TestReplannerNeedsWarmMonitor(t *testing.T) {
-	mon := workload.NewMonitor(100)
-	if _, err := NewReplanner(cloud.DefaultPool(), models.MustByName("RM2"), 2.5, 0, mon); err == nil {
-		t.Fatal("cold monitor must error")
-	}
-	if _, err := NewReplanner(cloud.DefaultPool(), models.MustByName("RM2"), 2.5, 2, warmMonitor(1)); err == nil {
-		t.Fatal("threshold >= 1 must error")
-	}
-}
-
-func warmMonitor(seed int64) *workload.Monitor {
-	mon := workload.NewMonitor(workload.DefaultWindow)
-	mon.Warm(rand.New(rand.NewSource(seed)), workload.DefaultTrace(), 8000)
-	return mon
-}
-
-func TestReplannerStableWithoutDrift(t *testing.T) {
-	mon := warmMonitor(5)
-	r, err := NewReplanner(cloud.DefaultPool(), models.MustByName("RM2"), 2.5, 0, mon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	initial := r.Current()
-	if initial.Total() == 0 {
-		t.Fatal("empty initial plan")
-	}
-	// More traffic from the same law: no replanning.
-	mon.Warm(rand.New(rand.NewSource(6)), workload.DefaultTrace(), 5000)
-	cfg, changed, err := r.Check()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if changed || !cfg.Equal(initial) {
-		t.Fatalf("spurious replan: %v -> %v", initial, cfg)
-	}
-}
-
-func TestReplannerReactsToShift(t *testing.T) {
-	mon := warmMonitor(7)
-	r, err := NewReplanner(cloud.DefaultPool(), models.MustByName("RM2"), 2.5, 0, mon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	initial := r.Current()
-	// The Fig. 12 shift, exaggerated toward large queries: the optimal mix
-	// needs more base instances.
-	mon.Warm(rand.New(rand.NewSource(8)), workload.Gaussian{Mean: 550, Std: 150}, workload.DefaultWindow)
-	cfg, changed, err := r.Check()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !changed {
-		t.Fatalf("replanner ignored a gross distribution shift (still %v)", cfg)
-	}
-	if cfg.Base() <= initial.Base() {
-		t.Fatalf("large-query shift should add base instances: %v -> %v", initial, cfg)
-	}
-	// After rebasing, the same mix must not retrigger.
-	_, changed, err = r.Check()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if changed {
-		t.Fatal("detector not rebased after replanning")
 	}
 }
 
@@ -152,9 +74,6 @@ func TestDriftDetectorSingleBin(t *testing.T) {
 	if err != nil || dist != 0 {
 		t.Fatalf("single-bin distance = %v, %v (want exactly 0)", dist, err)
 	}
-	if drifted, err := d.Drifted([]int{1000}, 0.01); err != nil || drifted {
-		t.Fatalf("single-bin detector must never trip: drifted=%v err=%v", drifted, err)
-	}
 }
 
 func TestDriftDetectorConstantMix(t *testing.T) {
@@ -163,7 +82,7 @@ func TestDriftDetectorConstantMix(t *testing.T) {
 	for i := range ref {
 		ref[i] = 500
 	}
-	d, err := NewDriftDetector(ref, DefaultBins)
+	d, err := NewDriftDetector(ref, DefaultDriftBins)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +101,7 @@ func TestDriftDetectorWindowShorterThanBins(t *testing.T) {
 	// Fewer samples than bins: histograms stay normalized and distances
 	// stay in [0,1] — a short live window never breaks the trigger.
 	ref := []int{10, 500, 990}
-	d, err := NewDriftDetector(ref, DefaultBins)
+	d, err := NewDriftDetector(ref, DefaultDriftBins)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +128,7 @@ func TestDriftDetectorWindowShorterThanBins(t *testing.T) {
 }
 
 func TestDriftDetectorRejectsOutOfRange(t *testing.T) {
-	d, err := NewDriftDetector([]int{100}, DefaultBins)
+	d, err := NewDriftDetector([]int{100}, DefaultDriftBins)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +138,7 @@ func TestDriftDetectorRejectsOutOfRange(t *testing.T) {
 	if _, err := d.Distance([]int{models.MaxBatch + 1}); err == nil {
 		t.Fatal("batch above MaxBatch must error")
 	}
-	if _, err := NewDriftDetector([]int{-5}, DefaultBins); err == nil {
+	if _, err := NewDriftDetector([]int{-5}, DefaultDriftBins); err == nil {
 		t.Fatal("negative reference batch must error")
 	}
 }

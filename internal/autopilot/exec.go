@@ -49,7 +49,7 @@ type ExecFleet struct {
 	// Logf, when set, receives one line per process lifecycle event.
 	Logf func(format string, args ...any)
 
-	notices chan Preemption
+	spotMarket
 
 	mu    sync.Mutex
 	procs map[string]*execProc // keyed by listen address
@@ -84,47 +84,23 @@ func NewExecFleet(bin string, timeScale float64, models ...string) *ExecFleet {
 		byName[m] = true
 	}
 	return &ExecFleet{
-		bin:       bin,
-		timeScale: timeScale,
-		models:    byName,
-		notices:   make(chan Preemption, 64),
-		procs:     map[string]*execProc{},
+		bin:        bin,
+		timeScale:  timeScale,
+		models:     byName,
+		spotMarket: newSpotMarket(),
+		procs:      map[string]*execProc{},
 	}
 }
 
-// Notices implements Noticer: the channel Preempt announces revocations
-// on.
-func (f *ExecFleet) Notices() <-chan Preemption { return f.notices }
-
 // Preempt implements Preempter, emulating the cloud reclaiming spot
-// capacity: the notice lands on Notices immediately and the kairosd at
-// addr is SIGKILLed once the window elapses — unless an orderly Stop (a
-// completed drain) reaped it first.
+// capacity: the kairosd at addr is SIGKILLed once the notice window
+// elapses (see spotMarket.preempt).
 func (f *ExecFleet) Preempt(addr string, notice time.Duration) (time.Time, error) {
-	f.mu.Lock()
-	_, ok := f.procs[addr]
-	f.mu.Unlock()
-	if !ok {
+	if f.Pid(addr) == 0 {
 		return time.Time{}, fmt.Errorf("autopilot: no exec instance at %s", addr)
 	}
-	deadline := time.Now().Add(notice)
-	select {
-	case f.notices <- Preemption{Addr: addr, Deadline: deadline}:
-	default:
-		// A stalled consumer loses the notice but never the revocation:
-		// the deadline kill below still fires and surfaces as a plain
-		// instance death.
-	}
-	time.AfterFunc(notice, func() {
-		f.mu.Lock()
-		p := f.procs[addr]
-		f.mu.Unlock()
-		if p != nil {
-			f.logf("autopilot: exec preemption deadline killing %s/%s pid %d at %s", p.model, p.typeName, p.cmd.Process.Pid, addr)
-			p.cmd.Process.Kill()
-		}
-	})
-	return deadline, nil
+	// Kill's only error is "already gone": the drain won the race.
+	return f.preempt(addr, notice, func() { _ = f.Kill(addr) }), nil
 }
 
 // TimeScale returns the fleet's time dilation factor.

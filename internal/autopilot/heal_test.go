@@ -16,16 +16,18 @@ func TestHealRelaunchesKilledInstance(t *testing.T) {
 	t.Parallel()
 	m := ncf()
 	initial := cloud.Config{0, 0, 2, 0} // 2x CPU
-	opts := Options{
+	w := Wiring{
 		Plan: singlePlan(m, func([]int) (cloud.Config, error) {
 			return initial.Clone(), nil
 		}),
+		References: map[string][]int{m.Name: samplesOf(workload.Uniform{Min: 10, Max: 60}, 200, 1)},
+	}
+	opts := Options{
 		Window:          60,
 		MinObservations: 30,
-		References:      map[string][]int{m.Name: samplesOf(workload.Uniform{Min: 10, Max: 60}, 200, 1)},
 		Cooldown:        time.Hour, // a heal must not wait out a cooldown
 	}
-	ap := startAutopilot(t, initial, opts)
+	ap := startAutopilot(t, initial, w, opts)
 	ap.Controller().SetEmptyHold(10 * time.Second)
 	fleet := ap.Provider().(*Fleet)
 
@@ -106,15 +108,17 @@ func TestHealSurvivesTotalModelLoss(t *testing.T) {
 	t.Parallel()
 	m := ncf()
 	initial := cloud.Config{0, 0, 1, 0} // a single CPU
-	opts := Options{
+	w := Wiring{
 		Plan: singlePlan(m, func([]int) (cloud.Config, error) {
 			return initial.Clone(), nil
 		}),
+		References: map[string][]int{m.Name: samplesOf(workload.Uniform{Min: 10, Max: 60}, 200, 1)},
+	}
+	opts := Options{
 		Window:          60,
 		MinObservations: 30,
-		References:      map[string][]int{m.Name: samplesOf(workload.Uniform{Min: 10, Max: 60}, 200, 1)},
 	}
-	ap := startAutopilot(t, initial, opts)
+	ap := startAutopilot(t, initial, w, opts)
 	ap.Controller().SetEmptyHold(30 * time.Second)
 	fleet := ap.Provider().(*Fleet)
 

@@ -17,7 +17,7 @@ import (
 type Fleet struct {
 	timeScale float64
 	models    map[string]models.Model
-	notices   chan Preemption
+	spotMarket
 
 	mu      sync.Mutex
 	servers map[string]*fleetServer // keyed by listen address
@@ -48,21 +48,16 @@ func NewFleet(timeScale float64, ms ...models.Model) *Fleet {
 		byName[m.Name] = m
 	}
 	return &Fleet{
-		timeScale: timeScale,
-		models:    byName,
-		notices:   make(chan Preemption, 64),
-		servers:   map[string]*fleetServer{},
+		timeScale:  timeScale,
+		models:     byName,
+		spotMarket: newSpotMarket(),
+		servers:    map[string]*fleetServer{},
 	}
 }
 
-// Notices implements Noticer: the channel Preempt announces revocations
-// on.
-func (f *Fleet) Notices() <-chan Preemption { return f.notices }
-
 // Preempt implements Preempter, emulating the cloud reclaiming spot
-// capacity: the notice lands on Notices immediately and the server at
-// addr is killed as abruptly as a SIGKILL once the window elapses —
-// unless an orderly Stop (a completed drain) removed it first.
+// capacity: the server at addr is killed as abruptly as a SIGKILL once the
+// notice window elapses (see spotMarket.preempt).
 func (f *Fleet) Preempt(addr string, notice time.Duration) (time.Time, error) {
 	f.mu.Lock()
 	_, ok := f.servers[addr]
@@ -70,23 +65,8 @@ func (f *Fleet) Preempt(addr string, notice time.Duration) (time.Time, error) {
 	if !ok {
 		return time.Time{}, fmt.Errorf("autopilot: no fleet server at %s", addr)
 	}
-	deadline := time.Now().Add(notice)
-	select {
-	case f.notices <- Preemption{Addr: addr, Deadline: deadline}:
-	default:
-		// A stalled consumer loses the notice but never the revocation:
-		// the deadline kill below still fires and surfaces as a plain
-		// instance death.
-	}
-	time.AfterFunc(notice, func() {
-		f.mu.Lock()
-		fs, ok := f.servers[addr]
-		f.mu.Unlock()
-		if ok {
-			fs.srv.Kill()
-		}
-	})
-	return deadline, nil
+	// Kill's only error is "already gone": the drain won the race.
+	return f.preempt(addr, notice, func() { _ = f.Kill(addr) }), nil
 }
 
 // TimeScale returns the fleet's time dilation factor.

@@ -83,6 +83,40 @@ type Preempter interface {
 	Preempt(addr string, notice time.Duration) (time.Time, error)
 }
 
+// spotMarket is the revocation half of both built-in providers: it owns
+// the notices channel and plays the sequence a cloud spot market performs
+// — notice now, hard kill at the end of the window. Providers embed it
+// and supply only how an instance dies.
+type spotMarket struct {
+	notices chan Preemption
+}
+
+func newSpotMarket() spotMarket {
+	// Deep enough for every instance of a soak-sized fleet to be revoked
+	// between two control ticks without a notice being dropped.
+	return spotMarket{notices: make(chan Preemption, 64)}
+}
+
+// Notices implements Noticer: the channel preempt announces revocations
+// on.
+func (m *spotMarket) Notices() <-chan Preemption { return m.notices }
+
+// preempt delivers the notice for addr and schedules kill for the end of
+// the window; kill must be a no-op for an instance an orderly Stop (a
+// completed drain) removed first. It returns the kill deadline.
+func (m *spotMarket) preempt(addr string, notice time.Duration, kill func()) time.Time {
+	deadline := time.Now().Add(notice)
+	select {
+	case m.notices <- Preemption{Addr: addr, Deadline: deadline}:
+	default:
+		// A stalled consumer loses the notice but never the revocation:
+		// the deadline kill below still fires and surfaces as a plain
+		// instance death.
+	}
+	time.AfterFunc(notice, kill)
+	return deadline
+}
+
 // Deploy launches plan[model][i] instances of pool[i] for every model on
 // the provider and returns all started addresses. On any launch failure
 // it stops what it started.

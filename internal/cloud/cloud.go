@@ -75,10 +75,6 @@ type InstanceType struct {
 	PricePerHour float64
 	// Market is the capacity market tier (OnDemand unless set).
 	Market Market
-	// RevocationRisk is the expected preemption rate of Spot capacity in
-	// preemptions per instance-hour (0 for OnDemand) — the risk knob a
-	// planner or operator weighs against the discount.
-	RevocationRisk float64
 }
 
 // spotSuffix marks spot-market variants in instance-type names.
@@ -87,22 +83,18 @@ const spotSuffix = ":spot"
 // SpotOf derives the spot-market variant of an on-demand type: same
 // hardware (so the same latency surface), the name tagged with ":spot",
 // and the price discounted by the given fraction in (0,1).
-func SpotOf(t InstanceType, discount, risk float64) InstanceType {
+func SpotOf(t InstanceType, discount float64) InstanceType {
 	if t.Market != OnDemand {
 		panic(fmt.Sprintf("cloud: SpotOf on non-on-demand type %s", t.Name))
 	}
 	if discount <= 0 || discount >= 1 {
 		panic(fmt.Sprintf("cloud: spot discount %v outside (0,1)", discount))
 	}
-	if risk < 0 {
-		panic(fmt.Sprintf("cloud: negative revocation risk %v", risk))
-	}
 	return InstanceType{
-		Name:           t.Name + spotSuffix,
-		Class:          t.Class,
-		PricePerHour:   t.PricePerHour * (1 - discount),
-		Market:         Spot,
-		RevocationRisk: risk,
+		Name:         t.Name + spotSuffix,
+		Class:        t.Class,
+		PricePerHour: t.PricePerHour * (1 - discount),
+		Market:       Spot,
 	}
 }
 
@@ -147,17 +139,17 @@ func ThreeTypePool() Pool {
 }
 
 // WithSpotMarket returns a new pool extending p with a spot variant of
-// every on-demand type, discounted by the given fraction in (0,1) and
-// tagged with the revocation risk. The on-demand types keep their
+// every on-demand type, discounted by the given fraction in (0,1). The
+// on-demand types keep their
 // positions (the base type stays at BaseIndex); the spot variants append
 // in the same order, so configurations over the extended pool embed the
 // original pool as a prefix.
-func (p Pool) WithSpotMarket(discount, risk float64) Pool {
+func (p Pool) WithSpotMarket(discount float64) Pool {
 	out := make(Pool, 0, 2*len(p))
 	out = append(out, p...)
 	for _, t := range p {
 		if t.Market == OnDemand {
-			out = append(out, SpotOf(t, discount, risk))
+			out = append(out, SpotOf(t, discount))
 		}
 	}
 	return out

@@ -93,7 +93,7 @@ func TestFleetPlannerSpotFloorNeverViolated(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(int64(100 + seed)))
-			pool := perturbPool(rng).WithSpotMarket(0.3+0.5*rng.Float64(), 0.05)
+			pool := perturbPool(rng).WithSpotMarket(0.3 + 0.5*rng.Float64())
 			budget := 0.5 + 2.0*rng.Float64()
 			planner, err := NewFleetPlanner(pool, budget)
 			if err != nil {
@@ -166,7 +166,7 @@ func TestFleetPlannerSpotFloorNeverViolated(t *testing.T) {
 func TestSpotMarketNeverPlansWorse(t *testing.T) {
 	t.Parallel()
 	base := cloud.DefaultPool()
-	spot := base.WithSpotMarket(0.7, 0.05)
+	spot := base.WithSpotMarket(0.7)
 	m := models.MustByName("NCF")
 	samples := fleetSamples(workload.Uniform{Min: 10, Max: 60}, 800, 21)
 	const budget = 1.2
@@ -208,7 +208,7 @@ func TestSpotMarketNeverPlansWorse(t *testing.T) {
 // entirely.
 func TestOnDemandFloorSemantics(t *testing.T) {
 	t.Parallel()
-	pool := cloud.DefaultPool().WithSpotMarket(0.6, 0.05)
+	pool := cloud.DefaultPool().WithSpotMarket(0.6)
 	m := models.MustByName("NCF")
 	samples := fleetSamples(workload.Uniform{Min: 10, Max: 60}, 800, 22)
 	const budget = 1.5

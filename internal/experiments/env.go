@@ -1,6 +1,6 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Sec. 4 motivation and Sec. 8). Each experiment is a function
-// returning a typed result that renders as an ASCII table; cmd/kairos-bench
+// returning a typed result that renders as an ASCII table; kairosctl bench
 // runs them from the command line and bench_test.go runs scaled-down
 // versions under `go test -bench`.
 package experiments

@@ -392,6 +392,9 @@ func TestIngressHTTPProtocolEdges(t *testing.T) {
 		{"list form", fmt.Sprintf("Content-Length: %d, %d\r\n", len(body), len(body)), []string{"400"}},
 		{"empty", "Content-Length:\r\n", []string{"400"}},
 		{"length and transfer-encoding", cl + "Transfer-Encoding: chunked\r\n", []string{"501"}},
+		// A length a lenient proxy would honour and a strict one drop.
+		{"space before the colon", fmt.Sprintf("Content-Length : %d\r\n", len(body)), []string{"400"}},
+		{"header line without a colon", cl + "X-Folded\r\n", []string{"400"}},
 		// The same length twice is unambiguous: served, and the stream
 		// stays in step for the request behind it.
 		{"two lengths, same", cl + cl, []string{"200", "200"}},

@@ -229,7 +229,8 @@ func parseReplies(out []byte) ([]httpReply, error) {
 // frameEnd is the test's own statement of where the first request in data
 // ends: its head runs to the first empty line, and its body is as long as
 // its Content-Length headers — all 1*DIGIT, all the same — declare. ok is
-// false when there is no such end to agree on.
+// false when there is no such end to agree on, which includes a head line
+// that is not "name:value" with the colon directly after a non-empty name.
 func frameEnd(data []byte) (end int, ok bool) {
 	clen, pos := -1, 0
 	for first := true; ; first = false {
@@ -246,7 +247,10 @@ func frameEnd(data []byte) (end int, ok bool) {
 			break
 		}
 		name, val, isHeader := bytes.Cut(line, []byte(":"))
-		if !isHeader || !strings.EqualFold(string(name), "content-length") {
+		if !isHeader || len(name) == 0 || bytes.HasSuffix(name, []byte(" ")) || bytes.HasSuffix(name, []byte("\t")) {
+			return 0, false // not a field line: nobody can say what a proxy made of it
+		}
+		if !strings.EqualFold(string(name), "content-length") {
 			continue
 		}
 		val = bytes.Trim(val, " \t")

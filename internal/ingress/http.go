@@ -118,8 +118,14 @@ func (s *Server) serveHTTPRequest(conn net.Conn, hc *httpCtx) bool {
 			break
 		}
 		key, val, ok := bytes.Cut(h, colon)
-		if !ok {
-			continue
+		// A line with no colon or no name, or with whitespace between the
+		// name and the colon (RFC 7230 §3.2.4: "MUST reject"), is one a
+		// proxy in front may read differently — "Content-Length : 5" as a
+		// length — so skipping it would let the two disagree about where
+		// the next pipelined request starts.
+		if !ok || len(key) == 0 || key[len(key)-1] == ' ' || key[len(key)-1] == '\t' {
+			s.writeHTTPError(conn, hc, http.StatusBadRequest, "ingress: malformed header line")
+			return false
 		}
 		val = trimOWS(val)
 		switch {

@@ -10,24 +10,31 @@ import (
 	"sort"
 )
 
-// Percentile returns the p-th percentile (0 < p <= 100) of the samples using
-// the nearest-rank method: the smallest value v such that at least p% of
-// samples are <= v. It sorts a copy; the input is not modified.
-func Percentile(samples []float64, p float64) float64 {
-	if len(samples) == 0 {
+// SortedPercentile is the one nearest-rank lookup: the p-th percentile
+// (0 < p <= 100) of an ascending-sorted slice is the smallest value v such
+// that at least p% of samples are <= v, i.e. sorted[ceil(p/100*n)-1]. It
+// returns NaN for an empty slice and panics on p outside (0,100].
+func SortedPercentile(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
 		return math.NaN()
 	}
 	if p <= 0 || p > 100 {
 		panic(fmt.Sprintf("metrics: percentile %v outside (0,100]", p))
 	}
-	sorted := make([]float64, len(samples))
-	copy(sorted, samples)
-	sort.Float64s(sorted)
 	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
 	if rank < 1 {
 		rank = 1
 	}
 	return sorted[rank-1]
+}
+
+// Percentile returns the nearest-rank p-th percentile of unsorted samples
+// (see SortedPercentile). It sorts a copy; the input is not modified.
+func Percentile(samples []float64, p float64) float64 {
+	sorted := make([]float64, len(samples))
+	copy(sorted, samples)
+	sort.Float64s(sorted)
+	return SortedPercentile(sorted, p)
 }
 
 // LatencyRecorder accumulates per-query latencies and answers tail-latency
@@ -63,18 +70,8 @@ func (r *LatencyRecorder) ensureSorted() {
 // Percentile returns the p-th percentile of the recorded latencies, or NaN
 // if no samples were recorded.
 func (r *LatencyRecorder) Percentile(p float64) float64 {
-	if len(r.samples) == 0 {
-		return math.NaN()
-	}
-	if p <= 0 || p > 100 {
-		panic(fmt.Sprintf("metrics: percentile %v outside (0,100]", p))
-	}
 	r.ensureSorted()
-	rank := int(math.Ceil(p / 100 * float64(len(r.samples))))
-	if rank < 1 {
-		rank = 1
-	}
-	return r.samples[rank-1]
+	return SortedPercentile(r.samples, p)
 }
 
 // Mean returns the average latency, or NaN if empty.

@@ -28,6 +28,34 @@ func TestPercentileNearestRank(t *testing.T) {
 	}
 }
 
+// TestSortedPercentileIsTheOneRankRule pins the nearest-rank arithmetic
+// every caller shares: a 50-sample bucket's p99 is its largest sample
+// (rank ceil(0.99*50) = 50, not index int(0.99*49) = 48), and p <= 100/n
+// clamps to the smallest.
+func TestSortedPercentileIsTheOneRankRule(t *testing.T) {
+	sorted := make([]float64, 50)
+	for i := range sorted {
+		sorted[i] = float64(i + 1)
+	}
+	for _, tc := range []struct{ p, want float64 }{
+		{99, 50}, {99.9, 50}, {98, 49}, {50, 25}, {2, 1}, {1, 1}, {1e-9, 1},
+	} {
+		if got := SortedPercentile(sorted, tc.p); got != tc.want {
+			t.Errorf("SortedPercentile(1..50, %v) = %v, want %v", tc.p, got, tc.want)
+		}
+		if got := Percentile(sorted, tc.p); got != tc.want {
+			t.Errorf("Percentile(1..50, %v) = %v, want %v", tc.p, got, tc.want)
+		}
+		r := NewLatencyRecorder(len(sorted))
+		for i := len(sorted) - 1; i >= 0; i-- {
+			r.Record(sorted[i])
+		}
+		if got := r.Percentile(tc.p); got != tc.want {
+			t.Errorf("LatencyRecorder(1..50).Percentile(%v) = %v, want %v", tc.p, got, tc.want)
+		}
+	}
+}
+
 func TestPercentileDoesNotMutateInput(t *testing.T) {
 	samples := []float64{3, 1, 2}
 	Percentile(samples, 50)

@@ -173,3 +173,20 @@ func TestCheckerNamesOutstandingQueries(t *testing.T) {
 		}
 	}
 }
+
+// TestTrajectoryUsesNearestRank: a 50-completion bucket reports its
+// largest latency as p99 — the tail the soak exists to watch — by the same
+// rank rule as metrics.Percentile.
+func TestTrajectoryUsesNearestRank(t *testing.T) {
+	r := newRecorder(1000)
+	for i := 50; i >= 1; i-- {
+		r.observe(10, float64(i))
+	}
+	pts := r.trajectory()
+	if len(pts) != 1 || pts[0].Queries != 50 {
+		t.Fatalf("trajectory = %+v", pts)
+	}
+	if p := pts[0]; p.P50MS != 25 || p.P99MS != 50 || p.P999MS != 50 {
+		t.Fatalf("p50/p99/p999 = %v/%v/%v, want 25/50/50", p.P50MS, p.P99MS, p.P999MS)
+	}
+}

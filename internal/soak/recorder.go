@@ -1,10 +1,10 @@
 package soak
 
 import (
-	"encoding/json"
-	"io"
 	"sort"
 	"sync"
+
+	"kairos/internal/metrics"
 )
 
 // FaultEvent is one injected fault as it happened, with the measured
@@ -116,13 +116,6 @@ func (b *Bench) Passed() bool {
 	return true
 }
 
-// WriteJSON renders the document, indented for the repo artifact.
-func (b *Bench) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(b)
-}
-
 // recorder accumulates per-query completions into fixed time buckets and
 // renders the percentile trajectory. Concurrency-safe: the replay's
 // per-query goroutines feed it directly.
@@ -189,9 +182,9 @@ func (r *recorder) trajectory() []TrajectoryPoint {
 		out = append(out, TrajectoryPoint{
 			TMS:     float64(idx) * r.bucketMS,
 			Queries: len(lats),
-			P50MS:   percentile(lats, 0.50),
-			P99MS:   percentile(lats, 0.99),
-			P999MS:  percentile(lats, 0.999),
+			P50MS:   metrics.SortedPercentile(lats, 50),
+			P99MS:   metrics.SortedPercentile(lats, 99),
+			P999MS:  metrics.SortedPercentile(lats, 99.9),
 		})
 	}
 	return out
@@ -204,13 +197,4 @@ func (r *recorder) faultEvents() []FaultEvent {
 	out := make([]FaultEvent, len(r.faults))
 	copy(out, r.faults)
 	return out
-}
-
-// percentile reads the p-quantile from an ascending-sorted slice.
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(p * float64(len(sorted)-1))
-	return sorted[idx]
 }

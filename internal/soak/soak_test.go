@@ -50,12 +50,14 @@ func startSystem(t *testing.T, cfg cloud.Config) System {
 		chaos.Close()
 		t.Fatal(err)
 	}
-	ap, err := autopilot.New(ctrl, chaos, fleetPlan, autopilot.Options{
+	ap, err := autopilot.New(ctrl, fleetPlan, autopilot.Wiring{
 		Pool:   pool,
 		Models: []models.Model{m},
 		Plan: func(map[string][]int, map[string]float64, float64) (core.FleetPlan, error) {
 			return fleetPlan.Clone(), nil
 		},
+	}, autopilot.Options{
+		Provider: chaos,
 		Interval: 20 * time.Millisecond,
 		Cooldown: time.Hour, // no replans; the run exercises the heal path
 		Ingress:  &ingress.Options{TCPAddr: "127.0.0.1:0"},
@@ -190,13 +192,13 @@ func TestRunValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ap, err := autopilot.New(ctrl, fleet, fleetPlan, autopilot.Options{
+	ap, err := autopilot.New(ctrl, fleetPlan, autopilot.Wiring{
 		Pool:   pool,
 		Models: []models.Model{m},
 		Plan: func(map[string][]int, map[string]float64, float64) (core.FleetPlan, error) {
 			return fleetPlan.Clone(), nil
 		},
-	})
+	}, autopilot.Options{Provider: fleet})
 	if err != nil {
 		t.Fatal(err)
 	}

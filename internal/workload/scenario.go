@@ -184,7 +184,7 @@ func HeavyTail(durationMS, qps, scale, alpha float64) Scenario {
 
 // ScenarioByName resolves the named preset with default shape parameters
 // scaled to durationMS at the given base rate — the command-line surface
-// for kairos-trace and kairos-soak.
+// for kairosctl tracefile and kairosctl soak.
 func ScenarioByName(name string, durationMS, qps float64) (Scenario, error) {
 	switch name {
 	case "flash-crowd":

@@ -19,7 +19,7 @@
 //	cfg, err := engine.Plan()                    // one-shot planning (Sec. 5.2)
 //	dist, err := engine.Serve()                  // live query distribution (Sec. 5.1)
 //	qps, err := engine.AllowableThroughput(cfg)  // simulation (Sec. 7)
-//	rep, err := engine.Replan()                  // drift adaptation (Fig. 12)
+//	ap, err := engine.Autopilot(1, kairos.AutopilotOptions{}) // live fleet + drift adaptation (Fig. 12)
 //
 // Distribution policies — the paper's mechanism and the competing schemes —
 // are data: they live in a named registry (RegisterPolicy, Policies,
@@ -30,8 +30,6 @@
 package kairos
 
 import (
-	"fmt"
-
 	"kairos/internal/cloud"
 	"kairos/internal/core"
 	"kairos/internal/models"
@@ -94,35 +92,7 @@ func DefaultTrace() BatchDistribution { return workload.DefaultTrace() }
 // most recent 10000 queries).
 func NewMonitor() *Monitor { return workload.NewMonitor(workload.DefaultWindow) }
 
-// Cluster is a simulated deployment of one configuration serving one
-// model. Engine.Evaluate, Engine.AllowableThroughput, and
-// Engine.OracleThroughput cover the common paths; Cluster remains for
-// callers that mix policies over one deployment.
-type Cluster struct {
-	spec sim.ClusterSpec
-}
-
-// validateConfig checks a configuration against a pool; shared by
-// NewCluster and the Engine's simulation methods.
-func validateConfig(pool Pool, cfg Config) error {
-	if len(cfg) != len(pool) {
-		return fmt.Errorf("kairos: config %v does not match pool of %d types", cfg, len(pool))
-	}
-	if cfg.Total() == 0 {
-		return fmt.Errorf("kairos: empty configuration")
-	}
-	return nil
-}
-
-// NewCluster validates and assembles a simulated cluster.
-func NewCluster(pool Pool, cfg Config, model Model) (*Cluster, error) {
-	if err := validateConfig(pool, cfg); err != nil {
-		return nil, err
-	}
-	return &Cluster{spec: sim.ClusterSpec{Pool: pool, Config: cfg, Model: model}}, nil
-}
-
-// RunOptions configure Cluster.Run and Engine.Evaluate.
+// RunOptions configure Engine.Evaluate.
 type RunOptions struct {
 	// RatePerSec is the Poisson arrival rate (queries per second).
 	RatePerSec float64
@@ -136,30 +106,3 @@ type RunOptions struct {
 	// Batches overrides the default trace-like batch mix.
 	Batches BatchDistribution
 }
-
-// Run simulates the cluster under the policy and returns latency/QoS
-// statistics.
-func (c *Cluster) Run(policy Distributor, opts RunOptions) Result {
-	return sim.Run(c.spec, policy, sim.Options{
-		RatePerSec: opts.RatePerSec,
-		DurationMS: opts.DurationMS,
-		WarmupMS:   opts.WarmupMS,
-		Seed:       opts.Seed,
-		Batches:    opts.Batches,
-	})
-}
-
-// AllowableThroughput measures the paper's headline metric: the maximum
-// arrival rate whose p99 latency stays within the model's QoS target.
-func (c *Cluster) AllowableThroughput(factory DistributorFactory, seed int64) float64 {
-	return sim.FindAllowableThroughput(c.spec, factory, sim.FindOptions{Seed: seed})
-}
-
-// OracleThroughput evaluates the clairvoyant ORCL reference scheduler on
-// this cluster (Sec. 7).
-func (c *Cluster) OracleThroughput(seed int64) float64 {
-	return sim.OracleThroughput(c.spec, sim.OracleOptions{Seed: seed})
-}
-
-// Static adapts a stateless distributor into a factory.
-func Static(d Distributor) DistributorFactory { return sim.Static(d) }

@@ -15,17 +15,6 @@ func sampleBatches(n int, seed int64) []int {
 	return out
 }
 
-// policyOrDie resolves a registry policy for tests that drive Cluster
-// directly with mixed policies.
-func policyOrDie(t *testing.T, name string, ctx PolicyContext) Distributor {
-	t.Helper()
-	d, err := NewPolicy(name, ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
-}
-
 func TestFacadeCatalogs(t *testing.T) {
 	if len(DefaultPool()) != 4 {
 		t.Fatal("default pool must have 4 types")
@@ -43,49 +32,31 @@ func TestFacadeCatalogs(t *testing.T) {
 
 func TestFacadeClusterLifecycle(t *testing.T) {
 	t.Parallel()
-	pool := DefaultPool()
-	m, _ := ModelByName("DIEN")
-	if _, err := NewCluster(pool, Config{1, 0}, m); err == nil {
-		t.Fatal("mismatched config must error")
-	}
-	if _, err := NewCluster(pool, Config{0, 0, 0, 0}, m); err == nil {
-		t.Fatal("empty config must error")
-	}
-	cl, err := NewCluster(pool, Config{2, 0, 4, 0}, m)
+	e := testEngine(t, WithModelName("DIEN")) // kairos+warm, seed 3
+	cfg := Config{2, 0, 4, 0}
+	res, err := e.Evaluate(cfg, RunOptions{RatePerSec: 50, DurationMS: 20000, WarmupMS: 4000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon := NewMonitor()
-	res := cl.Run(policyOrDie(t, "kairos+warm", PolicyContext{Pool: pool, Model: m, Monitor: mon}), RunOptions{
-		RatePerSec: 50, DurationMS: 20000, WarmupMS: 4000, Seed: 3,
-	})
 	if res.Measured.Count == 0 {
 		t.Fatal("nothing measured")
 	}
-	if mon.Count() == 0 {
-		t.Fatal("monitor not fed by served queries")
+	if qps, err := e.AllowableThroughput(cfg); err != nil || qps <= 0 {
+		t.Fatalf("allowable throughput = %v, %v; must be positive", qps, err)
 	}
-	if qps := cl.AllowableThroughput(func() Distributor {
-		return policyOrDie(t, "kairos+warm", PolicyContext{Pool: pool, Model: m})
-	}, 3); qps <= 0 {
-		t.Fatal("allowable throughput must be positive")
-	}
-	if cl.OracleThroughput(3) <= 0 {
-		t.Fatal("oracle throughput must be positive")
+	if qps, err := e.OracleThroughput(cfg); err != nil || qps <= 0 {
+		t.Fatalf("oracle throughput = %v, %v; must be positive", qps, err)
 	}
 }
 
 func TestFacadeColdStartDistributorLearns(t *testing.T) {
 	t.Parallel()
-	pool := DefaultPool()
-	m, _ := ModelByName("RM2")
-	cl, err := NewCluster(pool, Config{2, 0, 4, 0}, m)
+	res, err := testEngine(t, WithPolicy("kairos"), WithSeed(4)).Evaluate(Config{2, 0, 4, 0}, RunOptions{
+		RatePerSec: 20, DurationMS: 60000, WarmupMS: 20000,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := cl.Run(policyOrDie(t, "kairos", PolicyContext{Pool: pool, Model: m}), RunOptions{
-		RatePerSec: 20, DurationMS: 60000, WarmupMS: 20000, Seed: 4,
-	})
 	if !res.MeetsQoS {
 		t.Fatalf("cold-start Kairos did not converge: p99=%.1f", res.P99)
 	}
@@ -93,21 +64,21 @@ func TestFacadeColdStartDistributorLearns(t *testing.T) {
 
 func TestFacadeBaselinesOrdering(t *testing.T) {
 	t.Parallel()
-	pool := DefaultPool()
-	m, _ := ModelByName("RM2")
-	cl, err := NewCluster(pool, Config{2, 0, 6, 0}, m)
+	const seed = 5
+	cfg := Config{2, 0, 6, 0}
+	qps := func(policy string, extra ...Option) float64 {
+		got, err := testEngine(t, append(extra, WithPolicy(policy), WithSeed(seed))...).AllowableThroughput(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	kairos, ribbon, clkwrk := qps("kairos+warm"), qps("ribbon"), qps("clockwork")
+	drs := qps("drs", WithDRSThreshold(200))
+	orcl, err := testEngine(t, WithSeed(seed)).OracleThroughput(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed := int64(5)
-	ctx := PolicyContext{Pool: pool, Model: m}
-	kairos := cl.AllowableThroughput(func() Distributor {
-		return policyOrDie(t, "kairos+warm", ctx)
-	}, seed)
-	ribbon := cl.AllowableThroughput(Static(policyOrDie(t, "ribbon", ctx)), seed)
-	clkwrk := cl.AllowableThroughput(Static(policyOrDie(t, "clockwork", ctx)), seed)
-	drs := cl.AllowableThroughput(Static(policyOrDie(t, "drs", PolicyContext{Pool: pool, Model: m, DRSThreshold: 200})), seed)
-	orcl := cl.OracleThroughput(seed)
 	if !(kairos > ribbon) {
 		t.Errorf("KAIROS (%.1f) must beat RIBBON (%.1f)", kairos, ribbon)
 	}

@@ -96,8 +96,6 @@ func TestMultiModelGuardsSingleModelMethods(t *testing.T) {
 	wantErr("AllowableThroughput", err)
 	_, err = e.OracleThroughput(Config{1, 0, 0, 0})
 	wantErr("OracleThroughput", err)
-	_, err = e.Replan()
-	wantErr("Replan", err)
 
 	// Factory cannot return an error; it must panic instead of silently
 	// wiring every distributor to the primary model.

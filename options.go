@@ -97,9 +97,9 @@ func WithModelSet(models ...Model) Option {
 	}
 }
 
-// WithBudget sets the cost budget in $/hr consumed by Plan, Rank, and
-// Replan. Engines that only serve or evaluate fixed configurations may
-// leave it unset.
+// WithBudget sets the cost budget in $/hr consumed by Plan, Rank,
+// PlanFleet and Autopilot. Engines that only serve or evaluate fixed
+// configurations may leave it unset.
 func WithBudget(perHour float64) Option {
 	return func(e *Engine) error {
 		if perHour <= 0 {
@@ -176,19 +176,6 @@ func WithTrace(dist BatchDistribution) Option {
 			return fmt.Errorf("kairos: WithTrace needs a non-nil distribution")
 		}
 		e.batches = dist
-		return nil
-	}
-}
-
-// WithReplan sets the drift threshold (total-variation distance in (0,1))
-// at which Replan triggers a fresh one-shot configuration; 0 keeps the
-// default (0.15).
-func WithReplan(threshold float64) Option {
-	return func(e *Engine) error {
-		if threshold < 0 || threshold >= 1 {
-			return fmt.Errorf("kairos: replan threshold %v outside [0,1)", threshold)
-		}
-		e.replanThreshold = threshold
 		return nil
 	}
 }

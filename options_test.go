@@ -71,16 +71,6 @@ func TestNewOptionValidation(t *testing.T) {
 			wantErr: "non-nil distribution",
 		},
 		{
-			name:    "replan threshold too large",
-			opts:    []Option{WithPool(pool), WithModel(model), WithReplan(1)},
-			wantErr: "outside [0,1)",
-		},
-		{
-			name:    "negative replan threshold",
-			opts:    []Option{WithPool(pool), WithModel(model), WithReplan(-0.1)},
-			wantErr: "outside [0,1)",
-		},
-		{
 			name:    "negative probe queries",
 			opts:    []Option{WithPool(pool), WithModel(model), WithProbeQueries(-1)},
 			wantErr: "probe queries",
@@ -111,7 +101,7 @@ func TestNewOptionValidation(t *testing.T) {
 				WithPool(pool), WithModelName("RM2"), WithBudget(2.5),
 				WithPolicy("ribbon"), WithMonitor(NewMonitor()),
 				WithBatchSamples([]int{1, 2, 3}), WithTrace(DefaultTrace()),
-				WithReplan(0.2), WithSeed(7), WithDRSThreshold(100), WithPartitions(2),
+				WithSeed(7), WithDRSThreshold(100), WithPartitions(2),
 				WithProbeQueries(1200), WithPrecisionFrac(0.06),
 			},
 		},
@@ -161,8 +151,8 @@ func TestNewDefaults(t *testing.T) {
 	if _, err := e.Rank(); err == nil {
 		t.Fatal("Rank without budget must error")
 	}
-	if _, err := e.Replan(); err == nil {
-		t.Fatal("Replan without budget must error")
+	if _, err := e.PlanFleet(); err == nil {
+		t.Fatal("PlanFleet without budget must error")
 	}
 }
 

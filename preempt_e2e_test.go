@@ -39,7 +39,7 @@ func TestSpotFleetPreemptionEndToEnd(t *testing.T) {
 		t.Skip("skipping spot preemption e2e in -short mode")
 	}
 	t.Parallel()
-	pool := DefaultPool().WithSpotMarket(0.7, 0.05)
+	pool := DefaultPool().WithSpotMarket(0.7)
 	e := multiEngine(t, WithPool(pool)) // NCF + MT-WND, shared $0.9/hr
 
 	fleet := NewFleet(1, e.Models()...)
@@ -49,10 +49,9 @@ func TestSpotFleetPreemptionEndToEnd(t *testing.T) {
 		Window:          300,
 		MinObservations: 100,
 		OnDemandFloor:   0.5,
-	},
-		WithProvider(fleet),
-		WithIngress(IngressOptions{HTTPAddr: "127.0.0.1:0", TCPAddr: "127.0.0.1:0", MaxQueue: 8192}),
-	)
+		Provider:        fleet,
+		Ingress:         &IngressOptions{HTTPAddr: "127.0.0.1:0", TCPAddr: "127.0.0.1:0", MaxQueue: 8192},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,10 +204,9 @@ func TestPreemptionDeadlineRaceEndToEnd(t *testing.T) {
 	chaos := soak.WrapChaos(NewFleet(1, e.Models()...))
 	ap, err := e.Autopilot(1, AutopilotOptions{
 		Interval: 25 * time.Millisecond,
-	},
-		WithProvider(chaos),
-		WithIngress(IngressOptions{HTTPAddr: "127.0.0.1:0", TCPAddr: "127.0.0.1:0", MaxQueue: 8192}),
-	)
+		Provider: chaos,
+		Ingress:  &IngressOptions{HTTPAddr: "127.0.0.1:0", TCPAddr: "127.0.0.1:0", MaxQueue: 8192},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,10 +25,9 @@ func TestSoakExecFleetSmoke(t *testing.T) {
 	chaos := soak.WrapChaos(NewExecFleet(bin, 1, "NCF", "MT-WND"))
 	ap, err := e.Autopilot(1, AutopilotOptions{
 		Interval: 50 * time.Millisecond,
-	},
-		WithProvider(chaos),
-		WithIngress(IngressOptions{TCPAddr: "127.0.0.1:0", MaxQueue: 8192}),
-	)
+		Provider: chaos,
+		Ingress:  &IngressOptions{TCPAddr: "127.0.0.1:0", MaxQueue: 8192},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
