@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"time"
 
+	"kairos/internal/metrics"
 	"kairos/internal/obs"
 	"kairos/internal/server"
 )
@@ -189,16 +190,13 @@ func (a *Autopilot) modelPlanStatus(cfg []int) ModelPlanStatus {
 func (a *Autopilot) planStatus() PlanStatus {
 	a.mu.Lock()
 	plan := a.current.Clone()
-	replans := a.replans
-	lastChange := a.lastChange
-	lastReason := a.lastReason
-	a.mu.Unlock()
 	out := PlanStatus{
 		Models:     make(map[string]ModelPlanStatus, len(plan)),
-		Replans:    replans,
-		LastChange: lastChange,
-		LastReason: lastReason,
+		Replans:    a.replans,
+		LastChange: a.trig.lastChange,
+		LastReason: a.lastReason,
 	}
+	a.mu.Unlock()
 	for _, name := range a.names {
 		cfg := plan[name]
 		if cfg == nil {
@@ -227,111 +225,80 @@ func fleetCounts(cs server.Stats) map[string]map[string]int {
 	return out
 }
 
+// Faults snapshots the fault and preemption bookkeeping alone, for callers
+// that poll it and must not pay for a full Status.
+func (a *Autopilot) Faults() FaultStatus {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.faults
+}
+
+// health reports the recorded control error (empty when healthy) and the
+// seconds since New.
+func (a *Autopilot) health() (lastErr string, uptime float64) {
+	now := a.now()
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.lastErr, now.Sub(a.started).Seconds()
+}
+
 // Status snapshots the control plane.
 func (a *Autopilot) Status() Status {
-	plan := a.planStatus()
-	ctrlStats := a.ctrl.Stats()
-
-	modelViews := make(map[string]ModelStatus, len(a.names))
-	for _, name := range a.names {
-		st := a.states[name]
-		a.latMu.Lock()
-		win := WindowStatus{
-			LatencySamples: st.latency.Len(),
-			P50MS:          zeroNaN(st.latency.Percentile(50)),
-			P95MS:          zeroNaN(st.latency.Percentile(95)),
-			P99MS:          zeroNaN(st.latency.Percentile(99)),
-		}
-		a.latMu.Unlock()
-		win.Observations = st.monitor.Count()
-		win.MeanBatch = st.monitor.MeanBatch()
-
-		a.mu.Lock()
-		win.ThroughputQPS = st.recentQPS
-		win.ArrivalQPS = st.arrivalQPS
-		drift := st.lastDrift
-		a.mu.Unlock()
-
-		modelViews[name] = ModelStatus{
-			Drift:        drift,
-			SLOLatencyMS: st.sloMS,
-			Plan:         plan.Models[name],
-			Window:       win,
-			IngressQueue: ctrlStats.Ingress[name].Queue,
-		}
-	}
-
-	a.mu.Lock()
-	qps := a.recentQPS
-	util := a.recentUtilization
-	if !a.ratesValid {
-		util = 0
-	}
-	lowTicks := a.lowTicks
-	lastErr := a.lastErr
-	started := a.started
-	a.mu.Unlock()
-
-	ingressStatus := IngressStatus{}
-	if a.ingress != nil {
-		ingressStatus = IngressStatus{
-			Enabled:  true,
-			HTTPAddr: a.ingress.HTTPAddr(),
-			TCPAddr:  a.ingress.TCPAddr(),
-		}
-	}
-	lastFault, lastRecovery, faultDetail, lost, heals, faultPending := a.FaultState()
-	noticed, drained, replanned, deadlineDeaths := a.PreemptState()
-	a.mu.Lock()
-	lastPreempt := a.lastPreempt
-	lastPreemptDetail := a.lastPreemptDetail
-	a.mu.Unlock()
-
-	return Status{
+	ctrlStats := a.fleet.Stats()
+	lastErr, uptime := a.health()
+	out := Status{
 		Healthy:        lastErr == "",
-		UptimeSeconds:  time.Since(started).Seconds(),
+		UptimeSeconds:  uptime,
 		DriftThreshold: a.opts.DriftThreshold,
 		SLOPercentile:  a.opts.SLOPercentile,
-		ThroughputQPS:  qps,
-		Utilization:    util,
 		ScaleIn: ScaleInStatus{
 			Enabled:     a.opts.ScaleInFloor > 0,
 			Floor:       a.opts.ScaleInFloor,
 			Hysteresis:  a.opts.ScaleInHysteresis,
-			TicksBelow:  lowTicks,
 			TicksNeeded: a.opts.ScaleInTicks,
 		},
-		Faults: FaultStatus{
-			InstancesLost:            lost,
-			Heals:                    heals,
-			Pending:                  faultPending,
-			LastFault:                lastFault,
-			LastRecovery:             lastRecovery,
-			LastDetail:               faultDetail,
-			Preemptions:              noticed,
-			PreemptionsDrained:       drained,
-			PreemptionsReplanned:     replanned,
-			PreemptionDeadlineDeaths: deadlineDeaths,
-			LastPreempt:              lastPreempt,
-			LastPreemptDetail:        lastPreemptDetail,
-		},
 		LastError:  lastErr,
-		Plan:       plan,
-		Models:     modelViews,
+		Plan:       a.planStatus(),
+		Models:     make(map[string]ModelStatus, len(a.names)),
 		Fleet:      fleetCounts(ctrlStats),
-		Ingress:    ingressStatus,
 		Controller: ctrlStats,
 	}
-}
-
-// adminServer is the HTTP admin endpoint's lifecycle bundle.
-type adminServer struct {
-	srv *http.Server
-	ln  net.Listener
-}
-
-func (s *adminServer) close() {
-	s.srv.Close()
+	if a.ingress != nil {
+		out.Ingress = IngressStatus{Enabled: true, HTTPAddr: a.ingress.HTTPAddr(), TCPAddr: a.ingress.TCPAddr()}
+	}
+	for _, name := range a.names {
+		st := a.states[name]
+		lat, qps, arrival := a.snapshot(st)
+		out.Models[name] = ModelStatus{
+			SLOLatencyMS: a.trig.models[name].sloMS,
+			Plan:         out.Plan.Models[name],
+			Window: WindowStatus{
+				Observations:   st.monitor.Count(),
+				MeanBatch:      st.monitor.MeanBatch(),
+				LatencySamples: len(lat),
+				P50MS:          zeroNaN(metrics.SortedPercentile(lat, 50)),
+				P95MS:          zeroNaN(metrics.SortedPercentile(lat, 95)),
+				P99MS:          zeroNaN(metrics.SortedPercentile(lat, 99)),
+				ThroughputQPS:  qps,
+				ArrivalQPS:     arrival,
+			},
+			IngressQueue: ctrlStats.Ingress[name].Queue,
+		}
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for name, mt := range a.trig.models {
+		ms := out.Models[name]
+		ms.Drift = mt.lastDrift
+		out.Models[name] = ms
+	}
+	out.ThroughputQPS = a.rates.qps
+	if a.rates.valid {
+		out.Utilization = a.rates.utilization
+	}
+	out.ScaleIn.TicksBelow = a.trig.lowTicks
+	out.Faults = a.faults
+	return out
 }
 
 // AdminHandler returns the admin endpoint's routes:
@@ -352,27 +319,15 @@ func (a *Autopilot) AdminHandler() http.Handler {
 		enc.Encode(v)
 	}
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		a.mu.Lock()
-		lastErr := a.lastErr
-		a.mu.Unlock()
+		lastErr, uptime := a.health()
 		if lastErr != "" {
 			w.WriteHeader(http.StatusServiceUnavailable)
 		}
-		writeJSON(w, map[string]any{
-			"ok":     lastErr == "",
-			"error":  lastErr,
-			"uptime": time.Since(a.startedAt()).Seconds(),
-		})
+		writeJSON(w, map[string]any{"ok": lastErr == "", "error": lastErr, "uptime": uptime})
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", PromContentType)
 		a.WritePrometheus(w)
-	})
-	mux.HandleFunc("/statusz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, a.Status())
-	})
-	mux.HandleFunc("/plan", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, a.planStatus())
 	})
 	mux.HandleFunc("/tracez", func(w http.ResponseWriter, r *http.Request) {
 		n := 100
@@ -385,7 +340,7 @@ func (a *Autopilot) AdminHandler() http.Handler {
 			}
 			n = v
 		}
-		reg := a.ctrl.Obs()
+		reg := a.Controller().Obs()
 		names := reg.Models()
 		if m := r.URL.Query().Get("model"); m != "" {
 			if reg.Model(m) == nil {
@@ -406,9 +361,13 @@ func (a *Autopilot) AdminHandler() http.Handler {
 		}
 		writeJSON(w, out)
 	})
-	mux.HandleFunc("/decisionz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, a.Decisions())
-	})
+	for path, view := range map[string]func() any{
+		"/statusz":   func() any { return a.Status() },
+		"/plan":      func() any { return a.planStatus() },
+		"/decisionz": func() any { return a.Decisions() },
+	} {
+		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) { writeJSON(w, view()) })
+	}
 	return mux
 }
 
@@ -421,12 +380,6 @@ type TracezStatus struct {
 	SampleSeed uint64 `json:"sample_seed"`
 	// Models maps each model to its retained traces, newest first.
 	Models map[string][]obs.TraceRecord `json:"models"`
-}
-
-func (a *Autopilot) startedAt() time.Time {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.started
 }
 
 // StartAdmin binds the admin endpoint on addr ("127.0.0.1:0" for an
@@ -443,19 +396,20 @@ func (a *Autopilot) StartAdmin(addr string) (string, error) {
 		// admin connection (and its goroutine) forever.
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-	a.adminMu.Lock()
-	if a.adminClosed {
-		a.adminMu.Unlock()
-		ln.Close()
-		return "", errors.New("autopilot: closed")
+	a.mu.Lock()
+	switch {
+	case a.stopped():
+		err = errors.New("autopilot: closed")
+	case a.admin != nil:
+		err = errors.New("autopilot: admin endpoint already running")
+	default:
+		a.admin = srv
 	}
-	if a.admin != nil {
-		a.adminMu.Unlock()
+	a.mu.Unlock()
+	if err != nil {
 		ln.Close()
-		return "", errors.New("autopilot: admin endpoint already running")
+		return "", err
 	}
-	a.admin = &adminServer{srv: srv, ln: ln}
-	a.adminMu.Unlock()
 	go srv.Serve(ln)
 	return ln.Addr().String(), nil
 }

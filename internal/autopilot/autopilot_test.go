@@ -67,7 +67,7 @@ func TestFleetLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Size() != 1 || f.CountsFor(m.Name)[cloud.R5nLarge.Name] != 1 {
+	if f.Size() != 1 || f.Counts()[m.Name][cloud.R5nLarge.Name] != 1 {
 		t.Fatalf("size=%d counts=%v", f.Size(), f.Counts())
 	}
 	if err := f.Stop(addr); err != nil {
@@ -250,7 +250,7 @@ func TestStepDriftReplanActuates(t *testing.T) {
 	if counts[cloud.G4dnXlarge.Name] != 1 || counts[cloud.R5nLarge.Name] != 1 {
 		t.Fatalf("controller fleet = %v", counts)
 	}
-	fcounts := ap.Provider().(*Fleet).CountsFor(m.Name)
+	fcounts := ap.Provider().(*Fleet).Counts()[m.Name]
 	if fcounts[cloud.G4dnXlarge.Name] != 1 || fcounts[cloud.R5nLarge.Name] != 1 {
 		t.Fatalf("fleet servers = %v", fcounts)
 	}
@@ -453,24 +453,24 @@ func TestScaleInHysteresis(t *testing.T) {
 	}
 	ap := startAutopilot(t, cloud.Config{0, 0, 1, 0}, w, opts)
 
-	if ap.scaleInTick(0.1, false) {
+	if ap.trig.scaleInTick(0.1, false) {
 		t.Fatal("invalid utilization reading must not count")
 	}
-	if ap.scaleInTick(0.1, true) || ap.scaleInTick(0.2, true) {
+	if ap.trig.scaleInTick(0.1, true) || ap.trig.scaleInTick(0.2, true) {
 		t.Fatal("fired before ticks-needed")
 	}
 	// Inside the hysteresis band: neither arms nor resets.
-	if ap.scaleInTick(0.5, true) {
+	if ap.trig.scaleInTick(0.5, true) {
 		t.Fatal("band reading must not fire")
 	}
-	if !ap.scaleInTick(0.3, true) {
+	if !ap.trig.scaleInTick(0.3, true) {
 		t.Fatal("third low reading must fire")
 	}
 	// Above floor+band: resets the run.
-	if ap.scaleInTick(0.7, true) {
+	if ap.trig.scaleInTick(0.7, true) {
 		t.Fatal("high reading must reset")
 	}
-	if ap.scaleInTick(0.1, true) {
+	if ap.trig.scaleInTick(0.1, true) {
 		t.Fatal("fresh run must start over")
 	}
 }

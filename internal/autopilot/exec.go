@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"os/exec"
 	"strconv"
 	"strings"
@@ -15,14 +16,14 @@ import (
 	"kairos/internal/server"
 )
 
-// Defaults for ExecFleet's lifecycle timeouts.
+// ExecFleet's lifecycle timeouts.
 const (
-	// DefaultLaunchTimeout bounds waiting for a spawned kairosd's ready
-	// line and Hello banner.
-	DefaultLaunchTimeout = 10 * time.Second
-	// DefaultStopTimeout bounds a SIGTERM'd kairosd's graceful drain
-	// before it is killed.
-	DefaultStopTimeout = 10 * time.Second
+	// launchTimeout bounds waiting for a spawned kairosd's ready line and
+	// Hello banner.
+	launchTimeout = 10 * time.Second
+	// stopTimeout bounds a SIGTERM'd kairosd's graceful drain before it is
+	// killed.
+	stopTimeout = 10 * time.Second
 )
 
 // ExecFleet is the exec actuation Provider: it spawns real kairosd
@@ -32,7 +33,7 @@ const (
 // model and type must match what was asked for), and only then hands the
 // address to the actuator. Stop sends SIGTERM — kairosd drains in-flight
 // queries before exiting — and reaps the process, escalating to SIGKILL
-// after StopTimeout.
+// after stopTimeout.
 //
 // It is the stepping stone from the in-process Fleet toward SSH/cloud
 // provisioning: the control plane already manages real processes over
@@ -42,17 +43,13 @@ type ExecFleet struct {
 	timeScale float64
 	models    map[string]bool // empty allows any model kairosd can resolve
 
-	// LaunchTimeout and StopTimeout override the defaults when positive.
-	// Set them before the first Launch.
-	LaunchTimeout time.Duration
-	StopTimeout   time.Duration
 	// Logf, when set, receives one line per process lifecycle event.
 	Logf func(format string, args ...any)
 
 	spotMarket
 
 	mu    sync.Mutex
-	procs map[string]*execProc // keyed by listen address
+	procs map[string]*execProc // keyed by listen address; nil once closed
 }
 
 var (
@@ -105,20 +102,6 @@ func (f *ExecFleet) Preempt(addr string, notice time.Duration) (time.Time, error
 
 // TimeScale returns the fleet's time dilation factor.
 func (f *ExecFleet) TimeScale() float64 { return f.timeScale }
-
-func (f *ExecFleet) launchTimeout() time.Duration {
-	if f.LaunchTimeout > 0 {
-		return f.LaunchTimeout
-	}
-	return DefaultLaunchTimeout
-}
-
-func (f *ExecFleet) stopTimeout() time.Duration {
-	if f.StopTimeout > 0 {
-		return f.StopTimeout
-	}
-	return DefaultStopTimeout
-}
 
 func (f *ExecFleet) logf(format string, args ...any) {
 	if f.Logf != nil {
@@ -175,6 +158,12 @@ func probeHello(addr, model, typeName string, timeout time.Duration) error {
 func (f *ExecFleet) Launch(model, typeName string) (string, error) {
 	if len(f.models) > 0 && !f.models[model] {
 		return "", fmt.Errorf("autopilot: exec fleet does not serve model %q", model)
+	}
+	f.mu.Lock()
+	closed := f.procs == nil
+	f.mu.Unlock()
+	if closed {
+		return "", errClosed
 	}
 	cmd := exec.Command(f.bin,
 		"-addr", "127.0.0.1:0",
@@ -234,21 +223,26 @@ func (f *ExecFleet) Launch(model, typeName string) (string, error) {
 		// hang the actuation — fail() kills (harmless if already dead)
 		// and reaps either way.
 		return fail(fmt.Errorf("stdout closed before the ready line"))
-	case <-time.After(f.launchTimeout()):
-		return fail(fmt.Errorf("no ready line within %v", f.launchTimeout()))
+	case <-time.After(launchTimeout):
+		return fail(fmt.Errorf("no ready line within %v", launchTimeout))
 	}
-	if err := probeHello(addr, model, typeName, f.launchTimeout()); err != nil {
+	if err := probeHello(addr, model, typeName, launchTimeout); err != nil {
 		return fail(err)
 	}
 	f.mu.Lock()
-	f.procs[addr] = &execProc{model: model, typeName: typeName, cmd: cmd, waited: waited, stderr: stderr}
+	if closed = f.procs == nil; !closed { // else Close won the race while the daemon was starting
+		f.procs[addr] = &execProc{model: model, typeName: typeName, cmd: cmd, waited: waited, stderr: stderr}
+	}
 	f.mu.Unlock()
+	if closed {
+		return fail(errClosed)
+	}
 	f.logf("autopilot: exec launched %s/%s pid %d at %s", model, typeName, cmd.Process.Pid, addr)
 	return addr, nil
 }
 
 // Stop gracefully stops the kairosd at addr: SIGTERM, wait for the
-// daemon's drain-and-exit, SIGKILL after StopTimeout.
+// daemon's drain-and-exit, SIGKILL after stopTimeout.
 func (f *ExecFleet) Stop(addr string) error {
 	f.mu.Lock()
 	p := f.procs[addr]
@@ -269,10 +263,10 @@ func (f *ExecFleet) stop(addr string, p *execProc) error {
 		}
 		f.logf("autopilot: exec stopped %s/%s at %s", p.model, p.typeName, addr)
 		return nil
-	case <-time.After(f.stopTimeout()):
+	case <-time.After(stopTimeout):
 		p.cmd.Process.Kill()
 		<-p.waited
-		return fmt.Errorf("autopilot: kairosd %s/%s at %s ignored SIGTERM for %v; killed", p.model, p.typeName, addr, f.stopTimeout())
+		return fmt.Errorf("autopilot: kairosd %s/%s at %s ignored SIGTERM for %v; killed", p.model, p.typeName, addr, stopTimeout)
 	}
 }
 
@@ -305,44 +299,29 @@ func (f *ExecFleet) Pid(addr string) int {
 	return 0
 }
 
+// signal sends the kairosd at addr a signal, logging it as verb.
+func (f *ExecFleet) signal(addr, verb string, send func(*os.Process) error) error {
+	f.mu.Lock()
+	p := f.procs[addr]
+	f.mu.Unlock()
+	if p == nil {
+		return fmt.Errorf("autopilot: no exec instance at %s", addr)
+	}
+	f.logf("autopilot: exec %s %s/%s pid %d at %s", verb, p.model, p.typeName, p.cmd.Process.Pid, addr)
+	return send(p.cmd.Process)
+}
+
 // Kill SIGKILLs the kairosd at addr without reaping it — the crash fault.
 // The controller discovers the death through its connection; the reap
 // happens when the fault-heal path calls Reap for the dead address.
-func (f *ExecFleet) Kill(addr string) error {
-	f.mu.Lock()
-	p := f.procs[addr]
-	f.mu.Unlock()
-	if p == nil {
-		return fmt.Errorf("autopilot: no exec instance at %s", addr)
-	}
-	f.logf("autopilot: exec killing %s/%s pid %d at %s", p.model, p.typeName, p.cmd.Process.Pid, addr)
-	return p.cmd.Process.Kill()
-}
+func (f *ExecFleet) Kill(addr string) error { return f.signal(addr, "killing", (*os.Process).Kill) }
 
 // Wedge SIGSTOPs the kairosd at addr — the stalled-instance fault: the
 // process keeps its sockets open but stops replying. Resume un-wedges it.
-func (f *ExecFleet) Wedge(addr string) error {
-	f.mu.Lock()
-	p := f.procs[addr]
-	f.mu.Unlock()
-	if p == nil {
-		return fmt.Errorf("autopilot: no exec instance at %s", addr)
-	}
-	f.logf("autopilot: exec wedging %s/%s pid %d at %s", p.model, p.typeName, p.cmd.Process.Pid, addr)
-	return suspendProcess(p.cmd.Process)
-}
+func (f *ExecFleet) Wedge(addr string) error { return f.signal(addr, "wedging", suspendProcess) }
 
 // Resume SIGCONTs a wedged kairosd at addr.
-func (f *ExecFleet) Resume(addr string) error {
-	f.mu.Lock()
-	p := f.procs[addr]
-	f.mu.Unlock()
-	if p == nil {
-		return fmt.Errorf("autopilot: no exec instance at %s", addr)
-	}
-	f.logf("autopilot: exec resuming %s/%s pid %d at %s", p.model, p.typeName, p.cmd.Process.Pid, addr)
-	return resumeProcess(p.cmd.Process)
-}
+func (f *ExecFleet) Resume(addr string) error { return f.signal(addr, "resuming", resumeProcess) }
 
 // Addrs lists the running processes' addresses in unspecified order.
 func (f *ExecFleet) Addrs() []string {
@@ -362,13 +341,13 @@ func (f *ExecFleet) Size() int {
 	return len(f.procs)
 }
 
-// Close stops every running process. The stops are independent, so they
-// run concurrently: a fleet of wedged daemons costs one StopTimeout, not
-// one per process.
+// Close stops every running process; Launch fails from here on. The stops
+// are independent, so they run concurrently: a fleet of wedged daemons
+// costs one stopTimeout, not one per process.
 func (f *ExecFleet) Close() error {
 	f.mu.Lock()
 	procs := f.procs
-	f.procs = map[string]*execProc{}
+	f.procs = nil
 	f.mu.Unlock()
 	errs := make(chan error, len(procs))
 	for addr, p := range procs {

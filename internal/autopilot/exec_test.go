@@ -53,7 +53,6 @@ func TestExecFleetValidation(t *testing.T) {
 func TestExecFleetBadBinary(t *testing.T) {
 	t.Parallel()
 	f := NewExecFleet("/bin/false", 1)
-	f.LaunchTimeout = 5 * time.Second
 	if _, err := f.Launch("NCF", "r5n.large"); err == nil || !strings.Contains(err.Error(), "ready line") {
 		t.Fatalf("dead binary must fail the launch: %v", err)
 	}

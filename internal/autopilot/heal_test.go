@@ -43,8 +43,7 @@ func TestHealRelaunchesKilledInstance(t *testing.T) {
 	// The eviction must reach the fault bookkeeping.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_, _, _, lost, _, _ := ap.FaultState()
-		if lost == 1 {
+		if ap.Faults().InstancesLost == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -78,12 +77,12 @@ func TestHealRelaunchesKilledInstance(t *testing.T) {
 			t.Fatalf("provider tracks %d servers, want 2", fleet.Size())
 		}
 	}
-	lastFault, lastRecovery, detail, lost, heals, pending := ap.FaultState()
-	if lastFault.IsZero() || lastRecovery.IsZero() || lastRecovery.Before(lastFault) {
-		t.Fatalf("fault %v, recovery %v", lastFault, lastRecovery)
+	f := ap.Faults()
+	if f.LastFault.IsZero() || f.LastRecovery.IsZero() || f.LastRecovery.Before(f.LastFault) {
+		t.Fatalf("fault %v, recovery %v", f.LastFault, f.LastRecovery)
 	}
-	if lost != 1 || heals != 1 || pending || detail == "" {
-		t.Fatalf("fault state: lost=%d heals=%d pending=%v detail=%q", lost, heals, pending, detail)
+	if f.InstancesLost != 1 || f.Heals != 1 || f.Pending || f.LastDetail == "" {
+		t.Fatalf("fault state: %+v", f)
 	}
 
 	// A second heal with nothing pending is a no-op.

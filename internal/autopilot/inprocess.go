@@ -20,7 +20,7 @@ type Fleet struct {
 	spotMarket
 
 	mu      sync.Mutex
-	servers map[string]*fleetServer // keyed by listen address
+	servers map[string]*fleetServer // keyed by listen address; nil once closed
 }
 
 var (
@@ -72,15 +72,6 @@ func (f *Fleet) Preempt(addr string, notice time.Duration) (time.Time, error) {
 // TimeScale returns the fleet's time dilation factor.
 func (f *Fleet) TimeScale() float64 { return f.timeScale }
 
-// Models lists the registered model names in unspecified order.
-func (f *Fleet) Models() []string {
-	out := make([]string, 0, len(f.models))
-	for name := range f.models {
-		out = append(out, name)
-	}
-	return out
-}
-
 // Launch starts one instance server of the given type hosting the named
 // model on an ephemeral loopback port and returns its address.
 func (f *Fleet) Launch(model, typeName string) (string, error) {
@@ -97,8 +88,12 @@ func (f *Fleet) Launch(model, typeName string) (string, error) {
 	}
 	addr := srv.Addr()
 	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.servers == nil {
+		srv.Close()
+		return "", errClosed
+	}
 	f.servers[addr] = &fleetServer{model: model, typeName: typeName, srv: srv}
-	f.mu.Unlock()
 	return addr, nil
 }
 
@@ -167,20 +162,6 @@ func (f *Fleet) Counts() map[string]map[string]int {
 	return out
 }
 
-// CountsFor returns the number of running servers per instance type
-// hosting one model.
-func (f *Fleet) CountsFor(model string) map[string]int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make(map[string]int)
-	for _, fs := range f.servers {
-		if fs.model == model {
-			out[fs.typeName]++
-		}
-	}
-	return out
-}
-
 // Size returns the number of running servers.
 func (f *Fleet) Size() int {
 	f.mu.Lock()
@@ -188,11 +169,11 @@ func (f *Fleet) Size() int {
 	return len(f.servers)
 }
 
-// Close stops every running server.
+// Close stops every running server; Launch fails from here on.
 func (f *Fleet) Close() error {
 	f.mu.Lock()
 	servers := f.servers
-	f.servers = map[string]*fleetServer{}
+	f.servers = nil
 	f.mu.Unlock()
 	var first error
 	for _, fs := range servers {

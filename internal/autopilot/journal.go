@@ -1,6 +1,7 @@
 package autopilot
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -12,22 +13,6 @@ import (
 // decisions, and replans/heals (the entries an incident review needs)
 // are far rarer than steady ticks.
 const defaultJournalSize = 512
-
-// DecisionModelView is one model's trigger reading inside a journal
-// entry — the window snapshot the decision was made from.
-type DecisionModelView struct {
-	// Checked is false while the model's live window was too cold.
-	Checked bool `json:"checked"`
-	// Drift is the total-variation distance from the armed reference.
-	Drift float64 `json:"drift"`
-	// TailMS is the windowed SLO-percentile latency in model ms.
-	TailMS float64 `json:"tail_ms"`
-	// ArrivalQPS is the smoothed demand estimate handed to the planner.
-	ArrivalQPS float64 `json:"arrival_qps"`
-	// DriftTriggered / SLOTriggered report the model's fired triggers.
-	DriftTriggered bool `json:"drift_triggered,omitempty"`
-	SLOTriggered   bool `json:"slo_triggered,omitempty"`
-}
 
 // DecisionEvent is one entry in the autopilot's bounded decision
 // journal: a trigger→replan→actuate cycle (or the decision not to run
@@ -60,7 +45,7 @@ type DecisionEvent struct {
 	// scale-in (0 = the full configured budget).
 	PlanBudget float64 `json:"plan_budget,omitempty"`
 	// Models carries the per-model window snapshot behind the decision.
-	Models map[string]DecisionModelView `json:"models,omitempty"`
+	Models map[string]ModelDecision `json:"models,omitempty"`
 	// From and To are the fleet allocations before and after, keyed by
 	// model then instance type; To is set only when the plan changed
 	// (replans and heals).
@@ -83,37 +68,34 @@ type DecisionEvent struct {
 	Err string `json:"err,omitempty"`
 }
 
-// journal is a bounded ring of decision events. Writes happen at
-// control-loop frequency (roughly one per second), so a plain mutex is
-// fine — this is nowhere near the serving hot path.
+// journal is a bounded log of decision events, oldest first. Writes happen
+// at control-loop frequency (roughly one per second), so a plain mutex and
+// a shift on overflow are fine — this is nowhere near the serving hot path.
 type journal struct {
 	mu   sync.Mutex
 	seq  int64
+	size int
 	buf  []DecisionEvent
-	next int  // slot the next event lands in
-	full bool // the ring has wrapped at least once
 }
 
 func newJournal(n int) *journal {
 	if n <= 0 {
 		n = defaultJournalSize
 	}
-	return &journal{buf: make([]DecisionEvent, n)}
+	return &journal{size: n}
 }
 
 // add stamps the event's sequence number and appends it, rotating the
-// oldest entry out once the ring is full.
+// oldest entry out once the journal is full.
 func (j *journal) add(ev DecisionEvent) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.seq++
 	ev.Seq = j.seq
-	j.buf[j.next] = ev
-	j.next++
-	if j.next == len(j.buf) {
-		j.next = 0
-		j.full = true
+	if len(j.buf) == j.size {
+		j.buf = j.buf[:copy(j.buf, j.buf[1:])]
 	}
+	j.buf = append(j.buf, ev)
 }
 
 // events returns up to max retained entries in chronological order
@@ -121,11 +103,7 @@ func (j *journal) add(ev DecisionEvent) {
 func (j *journal) events(max int) []DecisionEvent {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	var out []DecisionEvent
-	if j.full {
-		out = append(out, j.buf[j.next:]...)
-	}
-	out = append(out, j.buf[:j.next]...)
+	out := slices.Clone(j.buf)
 	if max > 0 && len(out) > max {
 		out = out[len(out)-max:]
 	}
@@ -152,42 +130,25 @@ func (a *Autopilot) planCounts(p core.FleetPlan) map[string]ModelPlanStatus {
 	return out
 }
 
-// decisionEvent assembles the journal entry for one completed Step.
-func (a *Autopilot) decisionEvent(dec Decision, err error, planMS, actuateMS float64) DecisionEvent {
+// record is the one place a journal entry is built and added. dec, set for
+// a Step, supplies the trigger reading; o supplies what was done about it.
+func (a *Autopilot) record(kind, reason string, dec *Decision, o outcome) {
 	ev := DecisionEvent{
-		At:          time.Now(),
-		Triggers:    dec.triggerNames(),
-		Reason:      dec.Reason,
-		Utilization: dec.Utilization,
-		PlanBudget:  dec.PlanBudget,
-		PlanMS:      planMS,
-		From:        a.planCounts(dec.From),
+		At: a.now(), Kind: kind, Reason: reason,
+		From: a.planCounts(o.from), To: a.planCounts(o.to),
+		PlanMS: o.planMS, ActuationMS: o.actuateMS,
+		PreemptDrainMS: o.drainMS, PreemptReplanMS: o.replanMS,
 	}
-	switch {
-	case err != nil:
-		ev.Kind = "error"
-		ev.Err = err.Error()
-	case dec.Replanned:
-		ev.Kind = "replan"
-		ev.To = a.planCounts(dec.To)
-		ev.ActuationMS = actuateMS
-	case !dec.Checked:
-		ev.Kind = "cold"
-	case dec.Held:
-		ev.Kind = "held"
-	case dec.DriftTriggered || dec.SLOTriggered || dec.ScaleInTriggered:
-		ev.Kind = "plan-unchanged"
-	default:
-		ev.Kind = "steady"
+	if o.err != nil {
+		ev.Err = o.err.Error()
 	}
-	if len(dec.Models) > 0 {
-		ev.Models = make(map[string]DecisionModelView, len(dec.Models))
+	if dec != nil {
+		ev.Triggers, ev.Utilization, ev.PlanBudget = dec.triggerNames(), dec.Utilization, dec.PlanBudget
+		ev.Models = make(map[string]ModelDecision, len(dec.Models))
 		for name, md := range dec.Models {
-			ev.Models[name] = DecisionModelView{
-				Checked: md.Checked, Drift: md.Drift, TailMS: zeroNaN(md.TailMS),
-				ArrivalQPS: md.ArrivalQPS, DriftTriggered: md.DriftTriggered, SLOTriggered: md.SLOTriggered,
-			}
+			md.TailMS = zeroNaN(md.TailMS) // an empty latency window; JSON has no NaN
+			ev.Models[name] = md
 		}
 	}
-	return ev
+	a.journal.add(ev)
 }

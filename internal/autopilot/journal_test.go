@@ -1,6 +1,9 @@
 package autopilot
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 // TestDecisionJournalRotation: the bounded journal keeps the newest
 // entries in chronological order with monotone sequence numbers, and
@@ -29,7 +32,7 @@ func TestDecisionJournalRotation(t *testing.T) {
 
 // TestDecisionEventKinds maps Decision outcomes to journal kinds.
 func TestDecisionEventKinds(t *testing.T) {
-	a := &Autopilot{}
+	a := &Autopilot{journal: newJournal(1), now: time.Now}
 	cases := []struct {
 		dec  Decision
 		err  error
@@ -42,7 +45,8 @@ func TestDecisionEventKinds(t *testing.T) {
 		{Decision{Checked: true}, nil, "steady"},
 	}
 	for _, c := range cases {
-		ev := a.decisionEvent(c.dec, c.err, 0.7, 1.5)
+		a.record(c.dec.kind(c.err), c.dec.Reason, &c.dec, outcome{planMS: 0.7, actuateMS: 1.5, err: c.err})
+		ev := a.Decisions()[0]
 		if ev.Kind != c.want {
 			t.Fatalf("decision %+v journaled as %q, want %q", c.dec, ev.Kind, c.want)
 		}

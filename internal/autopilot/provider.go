@@ -1,6 +1,7 @@
 package autopilot
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -32,6 +33,10 @@ type Provider interface {
 	// Close stops every running instance.
 	Close() error
 }
+
+// errClosed is what both built-in providers' Launch returns after Close:
+// a closed provider must not bring an instance to life nobody will stop.
+var errClosed = errors.New("autopilot: provider is closed")
 
 // Reaper is an optional Provider extension for fault handling: Reap
 // releases whatever the provider still holds for an instance that died on

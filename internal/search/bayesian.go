@@ -1,9 +1,6 @@
 package search
 
-import (
-	"kairos/internal/bayesopt"
-	"kairos/internal/cloud"
-)
+import "kairos/internal/cloud"
 
 // Bayesian explores with Gaussian-process expected improvement, Ribbon's
 // allocation strategy (the RIBBON bars of Fig. 11). Pruned candidates are
@@ -13,26 +10,26 @@ func Bayesian(s *Session, configs []cloud.Config, seed int64) Result {
 	if len(configs) == 0 {
 		return s.Result()
 	}
-	candidates := make([]bayesopt.Point, len(configs))
+	candidates := make([]point, len(configs))
 	for i, c := range configs {
-		p := make(bayesopt.Point, len(c))
+		p := make(point, len(c))
 		for j, n := range c {
 			p[j] = float64(n)
 		}
 		candidates[i] = p
 	}
-	opt := &bayesopt.Optimizer{Candidates: candidates, Seed: seed}
+	opt := &eiOptimizer{candidates: candidates, seed: seed}
 	var evaluatedIdx []int
 	var ys []float64
 	skipped := make(map[int]bool)
 	for !s.Done() {
-		idx := opt.Suggest(evaluatedIdx, ys)
+		idx := opt.suggest(evaluatedIdx, ys)
 		for idx != -1 && (skipped[idx] || s.Prunable(configs[idx])) {
 			// Mark as seen for the optimizer without spending an eval.
 			skipped[idx] = true
 			evaluatedIdx = append(evaluatedIdx, idx)
 			ys = append(ys, 0)
-			idx = opt.Suggest(evaluatedIdx, ys)
+			idx = opt.suggest(evaluatedIdx, ys)
 		}
 		if idx == -1 {
 			break

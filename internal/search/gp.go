@@ -1,8 +1,9 @@
-// Package bayesopt implements Gaussian-process Bayesian optimization with
-// the expected-improvement acquisition function over a discrete candidate
-// set. It reproduces Ribbon's configuration allocator ([16], "Bayesian
-// Optimization for allocation") as the RIBBON search baseline of Fig. 11.
-package bayesopt
+package search
+
+// Gaussian-process Bayesian optimization with the expected-improvement
+// acquisition function over a discrete candidate set: Ribbon's
+// configuration allocator ([16], "Bayesian Optimization for allocation"),
+// which Bayesian drives as the RIBBON search baseline of Fig. 11.
 
 import (
 	"fmt"
@@ -10,45 +11,45 @@ import (
 	"math/rand"
 )
 
-// Point is a candidate location in the (low-dimensional, discrete) search
+// point is a candidate location in the (low-dimensional, discrete) search
 // space — for Kairos, an instance-count vector.
-type Point []float64
+type point []float64
 
-// GP is a Gaussian-process regressor with an RBF kernel.
-type GP struct {
-	// LengthScale is the RBF kernel length scale.
-	LengthScale float64
-	// Noise is the observation noise variance added to the diagonal.
-	Noise float64
+// gpRegressor is a Gaussian-process regressor with an RBF kernel.
+type gpRegressor struct {
+	// lengthScale is the RBF kernel length scale.
+	lengthScale float64
+	// noise is the observation noise variance added to the diagonal.
+	noise float64
 
-	xs   []Point
+	xs   []point
 	ys   []float64
 	mean float64
 	l    [][]float64 // Cholesky factor of K + noise*I
 	a    []float64   // alpha = K^-1 (y - mean)
 }
 
-// NewGP builds an empty regressor.
-func NewGP(lengthScale, noise float64) *GP {
+// newGP builds an empty regressor.
+func newGP(lengthScale, noise float64) *gpRegressor {
 	if lengthScale <= 0 || noise <= 0 {
-		panic("bayesopt: lengthScale and noise must be positive")
+		panic("search: lengthScale and noise must be positive")
 	}
-	return &GP{LengthScale: lengthScale, Noise: noise}
+	return &gpRegressor{lengthScale: lengthScale, noise: noise}
 }
 
-func (g *GP) kernel(a, b Point) float64 {
+func (g *gpRegressor) kernel(a, b point) float64 {
 	d := 0.0
 	for i := range a {
 		diff := a[i] - b[i]
 		d += diff * diff
 	}
-	return math.Exp(-d / (2 * g.LengthScale * g.LengthScale))
+	return math.Exp(-d / (2 * g.lengthScale * g.lengthScale))
 }
 
-// Fit conditions the GP on observations.
-func (g *GP) Fit(xs []Point, ys []float64) error {
+// fit conditions the GP on observations.
+func (g *gpRegressor) fit(xs []point, ys []float64) error {
 	if len(xs) != len(ys) || len(xs) == 0 {
-		return fmt.Errorf("bayesopt: need matching non-empty observations, got %d/%d", len(xs), len(ys))
+		return fmt.Errorf("search: need matching non-empty observations, got %d/%d", len(xs), len(ys))
 	}
 	n := len(xs)
 	g.xs = xs
@@ -65,7 +66,7 @@ func (g *GP) Fit(xs []Point, ys []float64) error {
 		for j := range k[i] {
 			k[i][j] = g.kernel(xs[i], xs[j])
 		}
-		k[i][i] += g.Noise
+		k[i][i] += g.noise
 	}
 	l, err := cholesky(k)
 	if err != nil {
@@ -80,8 +81,8 @@ func (g *GP) Fit(xs []Point, ys []float64) error {
 	return nil
 }
 
-// Predict returns the posterior mean and standard deviation at x.
-func (g *GP) Predict(x Point) (mu, sigma float64) {
+// predict returns the posterior mean and standard deviation at x.
+func (g *gpRegressor) predict(x point) (mu, sigma float64) {
 	if len(g.xs) == 0 {
 		return 0, 1
 	}
@@ -120,7 +121,7 @@ func cholesky(a [][]float64) ([][]float64, error) {
 			}
 			if i == j {
 				if sum <= 0 {
-					return nil, fmt.Errorf("bayesopt: matrix not positive definite at %d (%.3g)", i, sum)
+					return nil, fmt.Errorf("search: matrix not positive definite at %d (%.3g)", i, sum)
 				}
 				l[i][i] = math.Sqrt(sum)
 			} else {
@@ -160,9 +161,9 @@ func choleskySolve(l [][]float64, b []float64) []float64 {
 	return x
 }
 
-// ExpectedImprovement computes EI at x against the incumbent best.
-func (g *GP) ExpectedImprovement(x Point, best float64) float64 {
-	mu, sigma := g.Predict(x)
+// expectedImprovement computes EI at x against the incumbent best.
+func (g *gpRegressor) expectedImprovement(x point, best float64) float64 {
+	mu, sigma := g.predict(x)
 	if sigma < 1e-12 {
 		if mu > best {
 			return mu - best
@@ -176,29 +177,29 @@ func (g *GP) ExpectedImprovement(x Point, best float64) float64 {
 func stdNormPDF(z float64) float64 { return math.Exp(-z*z/2) / math.Sqrt(2*math.Pi) }
 func stdNormCDF(z float64) float64 { return 0.5 * math.Erfc(-z/math.Sqrt2) }
 
-// Optimizer runs EI-guided Bayesian optimization over a discrete candidate
+// eiOptimizer runs EI-guided Bayesian optimization over a discrete candidate
 // set, the way Ribbon allocates heterogeneous instances.
-type Optimizer struct {
-	// Candidates is the discrete search space.
-	Candidates []Point
-	// InitSamples seeds the GP with random candidates before the EI loop
+type eiOptimizer struct {
+	// candidates is the discrete search space.
+	candidates []point
+	// initSamples seeds the GP with random candidates before the EI loop
 	// (default 3).
-	InitSamples int
-	// LengthScale and Noise parametrize the GP (defaults 2.0 and 1e-4
+	initSamples int
+	// lengthScale and noise parametrize the GP (defaults 2.0 and 1e-4
 	// relative to normalized observations).
-	LengthScale, Noise float64
-	// Seed drives the random initialization.
-	Seed int64
+	lengthScale, noise float64
+	// seed drives the random initialization.
+	seed int64
 }
 
-// Suggest is called by the optimization loop with the observation history
+// suggest is called by the optimization loop with the observation history
 // and returns the next candidate index to evaluate, or -1 when the space
 // is exhausted.
-func (o *Optimizer) Suggest(evaluatedIdx []int, ys []float64) int {
-	if len(o.Candidates) == 0 {
+func (o *eiOptimizer) suggest(evaluatedIdx []int, ys []float64) int {
+	if len(o.candidates) == 0 {
 		return -1
 	}
-	init := o.InitSamples
+	init := o.initSamples
 	if init == 0 {
 		init = 3
 	}
@@ -206,23 +207,23 @@ func (o *Optimizer) Suggest(evaluatedIdx []int, ys []float64) int {
 	for _, i := range evaluatedIdx {
 		seen[i] = true
 	}
-	if len(seen) >= len(o.Candidates) {
+	if len(seen) >= len(o.candidates) {
 		return -1
 	}
-	rng := rand.New(rand.NewSource(o.Seed + int64(len(evaluatedIdx))))
+	rng := rand.New(rand.NewSource(o.seed + int64(len(evaluatedIdx))))
 	if len(evaluatedIdx) < init {
 		for {
-			i := rng.Intn(len(o.Candidates))
+			i := rng.Intn(len(o.candidates))
 			if !seen[i] {
 				return i
 			}
 		}
 	}
-	ls := o.LengthScale
+	ls := o.lengthScale
 	if ls == 0 {
 		ls = 2
 	}
-	noise := o.Noise
+	noise := o.noise
 	if noise == 0 {
 		noise = 1e-4
 	}
@@ -237,28 +238,28 @@ func (o *Optimizer) Suggest(evaluatedIdx []int, ys []float64) int {
 			scale = math.Abs(y)
 		}
 	}
-	xs := make([]Point, len(evaluatedIdx))
+	xs := make([]point, len(evaluatedIdx))
 	norm := make([]float64, len(ys))
 	for i, idx := range evaluatedIdx {
-		xs[i] = o.Candidates[idx]
+		xs[i] = o.candidates[idx]
 		norm[i] = ys[i] / scale
 	}
-	gp := NewGP(ls, noise)
-	if err := gp.Fit(xs, norm); err != nil {
+	gp := newGP(ls, noise)
+	if err := gp.fit(xs, norm); err != nil {
 		// Degenerate fit (e.g. duplicate points): fall back to random.
 		for {
-			i := rng.Intn(len(o.Candidates))
+			i := rng.Intn(len(o.candidates))
 			if !seen[i] {
 				return i
 			}
 		}
 	}
 	bestIdx, bestEI := -1, -1.0
-	for i, c := range o.Candidates {
+	for i, c := range o.candidates {
 		if seen[i] {
 			continue
 		}
-		ei := gp.ExpectedImprovement(c, best/scale)
+		ei := gp.expectedImprovement(c, best/scale)
 		if ei > bestEI {
 			bestEI = ei
 			bestIdx = i

@@ -1,4 +1,4 @@
-package bayesopt
+package search
 
 import (
 	"math"
@@ -7,14 +7,14 @@ import (
 )
 
 func TestGPInterpolatesObservations(t *testing.T) {
-	gp := NewGP(1.0, 1e-6)
-	xs := []Point{{0}, {1}, {2}, {3}}
+	gp := newGP(1.0, 1e-6)
+	xs := []point{{0}, {1}, {2}, {3}}
 	ys := []float64{0, 1, 4, 9}
-	if err := gp.Fit(xs, ys); err != nil {
+	if err := gp.fit(xs, ys); err != nil {
 		t.Fatal(err)
 	}
 	for i, x := range xs {
-		mu, sigma := gp.Predict(x)
+		mu, sigma := gp.predict(x)
 		if math.Abs(mu-ys[i]) > 1e-2 {
 			t.Errorf("mu(%v) = %v, want %v", x, mu, ys[i])
 		}
@@ -25,12 +25,12 @@ func TestGPInterpolatesObservations(t *testing.T) {
 }
 
 func TestGPUncertaintyGrowsAwayFromData(t *testing.T) {
-	gp := NewGP(1.0, 1e-6)
-	if err := gp.Fit([]Point{{0}, {1}}, []float64{0, 1}); err != nil {
+	gp := newGP(1.0, 1e-6)
+	if err := gp.fit([]point{{0}, {1}}, []float64{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	_, near := gp.Predict(Point{0.5})
-	_, far := gp.Predict(Point{10})
+	_, near := gp.predict(point{0.5})
+	_, far := gp.predict(point{10})
 	if far <= near {
 		t.Fatalf("sigma far (%v) should exceed sigma near (%v)", far, near)
 	}
@@ -40,19 +40,19 @@ func TestGPUncertaintyGrowsAwayFromData(t *testing.T) {
 }
 
 func TestGPEmptyPredictsPrior(t *testing.T) {
-	gp := NewGP(1, 1e-4)
-	mu, sigma := gp.Predict(Point{3})
+	gp := newGP(1, 1e-4)
+	mu, sigma := gp.predict(point{3})
 	if mu != 0 || sigma != 1 {
 		t.Fatalf("prior = (%v,%v), want (0,1)", mu, sigma)
 	}
 }
 
 func TestGPFitValidation(t *testing.T) {
-	gp := NewGP(1, 1e-4)
-	if err := gp.Fit(nil, nil); err == nil {
+	gp := newGP(1, 1e-4)
+	if err := gp.fit(nil, nil); err == nil {
 		t.Fatal("expected error on empty fit")
 	}
-	if err := gp.Fit([]Point{{1}}, []float64{1, 2}); err == nil {
+	if err := gp.fit([]point{{1}}, []float64{1, 2}); err == nil {
 		t.Fatal("expected error on length mismatch")
 	}
 }
@@ -65,7 +65,7 @@ func TestNewGPPanics(t *testing.T) {
 					t.Errorf("no panic for %v", bad)
 				}
 			}()
-			NewGP(bad[0], bad[1])
+			newGP(bad[0], bad[1])
 		}()
 	}
 }
@@ -78,20 +78,20 @@ func TestCholeskyRejectsNonPD(t *testing.T) {
 }
 
 func TestExpectedImprovementProperties(t *testing.T) {
-	gp := NewGP(1.0, 1e-6)
-	if err := gp.Fit([]Point{{0}, {2}}, []float64{0, 0}); err != nil {
+	gp := newGP(1.0, 1e-6)
+	if err := gp.fit([]point{{0}, {2}}, []float64{0, 0}); err != nil {
 		t.Fatal(err)
 	}
 	// EI is non-negative everywhere.
 	for x := -3.0; x <= 5; x += 0.25 {
-		if ei := gp.ExpectedImprovement(Point{x}, 0); ei < 0 {
+		if ei := gp.expectedImprovement(point{x}, 0); ei < 0 {
 			t.Fatalf("EI(%v) = %v < 0", x, ei)
 		}
 	}
 	// EI at a known point equal to the incumbent is ~0; EI in unexplored
 	// territory is positive.
-	atKnown := gp.ExpectedImprovement(Point{0}, 0)
-	unexplored := gp.ExpectedImprovement(Point{10}, 0)
+	atKnown := gp.expectedImprovement(point{0}, 0)
+	unexplored := gp.expectedImprovement(point{10}, 0)
 	if atKnown > 0.01 {
 		t.Fatalf("EI at observed incumbent = %v, want ~0", atKnown)
 	}
@@ -103,19 +103,19 @@ func TestExpectedImprovementProperties(t *testing.T) {
 func TestOptimizerFindsPeakOnSmoothLandscape(t *testing.T) {
 	// 1-D discrete quadratic: peak at 7.
 	n := 30
-	candidates := make([]Point, n)
+	candidates := make([]point, n)
 	truth := make([]float64, n)
 	for i := 0; i < n; i++ {
-		candidates[i] = Point{float64(i)}
+		candidates[i] = point{float64(i)}
 		d := float64(i - 7)
 		truth[i] = 100 - d*d
 	}
-	opt := &Optimizer{Candidates: candidates, Seed: 3, LengthScale: 3}
+	opt := &eiOptimizer{candidates: candidates, seed: 3, lengthScale: 3}
 	var idxs []int
 	var ys []float64
 	found := -1
 	for iter := 0; iter < n; iter++ {
-		idx := opt.Suggest(idxs, ys)
+		idx := opt.suggest(idxs, ys)
 		if idx == -1 {
 			break
 		}
@@ -135,13 +135,13 @@ func TestOptimizerFindsPeakOnSmoothLandscape(t *testing.T) {
 }
 
 func TestOptimizerExhaustsSpace(t *testing.T) {
-	candidates := []Point{{0}, {1}, {2}}
-	opt := &Optimizer{Candidates: candidates, Seed: 1}
+	candidates := []point{{0}, {1}, {2}}
+	opt := &eiOptimizer{candidates: candidates, seed: 1}
 	var idxs []int
 	var ys []float64
 	seen := map[int]bool{}
 	for {
-		idx := opt.Suggest(idxs, ys)
+		idx := opt.suggest(idxs, ys)
 		if idx == -1 {
 			break
 		}
@@ -155,14 +155,14 @@ func TestOptimizerExhaustsSpace(t *testing.T) {
 	if len(seen) != len(candidates) {
 		t.Fatalf("visited %d of %d candidates", len(seen), len(candidates))
 	}
-	if opt.Suggest(idxs, ys) != -1 {
+	if opt.suggest(idxs, ys) != -1 {
 		t.Fatal("exhausted optimizer must return -1")
 	}
 }
 
 func TestOptimizerEmptySpace(t *testing.T) {
-	opt := &Optimizer{}
-	if opt.Suggest(nil, nil) != -1 {
+	opt := &eiOptimizer{}
+	if opt.suggest(nil, nil) != -1 {
 		t.Fatal("empty space must return -1")
 	}
 }

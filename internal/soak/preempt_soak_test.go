@@ -35,10 +35,8 @@ func TestSoakRunPreemptInProcess(t *testing.T) {
 	if ev := report.Faults[0]; ev.Kind != "preempt" || ev.Err != "" || ev.RecoveryMS < 0 {
 		t.Fatalf("preempt never answered: %+v", ev)
 	}
-	noticed, drained, replanned, deaths := sys.AP.PreemptState()
-	if noticed != 1 || drained != 1 || replanned != 1 || deaths != 0 {
-		t.Fatalf("preemption accounting: noticed=%d drained=%d replanned=%d deaths=%d",
-			noticed, drained, replanned, deaths)
+	if f := sys.AP.Faults(); f.Preemptions != 1 || f.PreemptionsDrained != 1 || f.PreemptionsReplanned != 1 || f.PreemptionDeadlineDeaths != 0 {
+		t.Fatalf("preemption accounting: %+v", f)
 	}
 }
 
@@ -89,9 +87,7 @@ func TestSoakRunPreemptionStorm(t *testing.T) {
 			t.Fatalf("%s at %s never recovered: %+v", ev.Kind, ev.Target, ev)
 		}
 	}
-	noticed, drained, replanned, deaths := sys.AP.PreemptState()
-	if noticed != 2 || drained != 2 || replanned != 2 || deaths != 0 {
-		t.Fatalf("storm preemption accounting: noticed=%d drained=%d replanned=%d deaths=%d",
-			noticed, drained, replanned, deaths)
+	if f := sys.AP.Faults(); f.Preemptions != 2 || f.PreemptionsDrained != 2 || f.PreemptionsReplanned != 2 || f.PreemptionDeadlineDeaths != 0 {
+		t.Fatalf("storm preemption accounting: %+v", f)
 	}
 }

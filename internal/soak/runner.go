@@ -241,8 +241,7 @@ func Run(sys System, cfg Config) (*Report, error) {
 	deadline := time.Now().Add(cfg.ConvergeTimeout)
 	for time.Now().Before(deadline) {
 		st := ctrl.Stats()
-		_, _, _, _, _, pending := sys.AP.FaultState()
-		if !pending && st.Waiting == 0 && st.Completed+st.Failed == st.Submitted {
+		if !sys.AP.Faults().Pending && st.Waiting == 0 && st.Completed+st.Failed == st.Submitted {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -250,16 +249,15 @@ func Run(sys System, cfg Config) (*Report, error) {
 
 	close(stopSnapshots)
 	<-snapshotsDone
-	_, _, _, _, _, pending := sys.AP.FaultState()
+	faults := sys.AP.Faults()
 	checkMu.Lock()
 	// Anything still outstanding after the drain is a stuck query; name
 	// each one (trace ID, last stage) before the aggregate checks run.
 	if outstanding := ctrl.OutstandingQueries(); len(outstanding) > 0 {
 		checker.NameOutstanding(outstanding)
 	}
-	noticed, drained, replanned, deadlineDeaths := sys.AP.PreemptState()
-	checker.CheckPreemptions(noticed, drained, replanned, deadlineDeaths)
-	violations := checker.Finalize(ctrl.Stats(), pending)
+	checker.CheckPreemptions(faults.Preemptions, faults.PreemptionsDrained, faults.PreemptionsReplanned, faults.PreemptionDeadlineDeaths)
+	violations := checker.Finalize(ctrl.Stats(), faults.Pending)
 	checkMu.Unlock()
 
 	report := &Report{
@@ -363,8 +361,7 @@ func injectFault(sys System, spec FaultSpec, rng *rand.Rand, rec *recorder,
 	pick := cands[rng.Intn(len(cands))]
 	ev.Target, ev.Model = pick.addr, pick.model
 
-	_, _, _, _, heals0, _ := sys.AP.FaultState()
-	_, _, replanned0, deaths0 := sys.AP.PreemptState()
+	before := sys.AP.Faults()
 	t0 := time.Now()
 	var err error
 	switch spec.Kind {
@@ -433,52 +430,44 @@ func injectFault(sys System, spec FaultSpec, rng *rand.Rand, rec *recorder,
 	rec.fault(ev)
 	logf("soak: injected %s at %s (%s) t=%.0fms", spec.Kind, pick.addr, pick.model, ev.AtMS)
 
-	if spec.Kind.capacityLosing() {
-		// Recovery = the autopilot heals past its pre-fault count with no
-		// fault left pending.
-		faultWG.Add(1)
-		go func() {
-			defer faultWG.Done()
-			deadline := time.Now().Add(cfg.ConvergeTimeout)
-			for time.Now().Before(deadline) {
-				_, _, _, _, heals, pending := sys.AP.FaultState()
-				if heals > heals0 && !pending {
-					rms := float64(time.Since(t0)) / float64(time.Millisecond) / cfg.TimeScale
-					rec.setRecovery(pick.addr, rms)
-					logf("soak: %s at %s healed in %.0fms", spec.Kind, pick.addr, rms)
-					return
-				}
-				time.Sleep(5 * time.Millisecond)
+	// Recovery is read off the autopilot's fault bookkeeping. A capacity
+	// loss is recovered once the autopilot heals past its pre-fault count
+	// with no fault left pending; a preemption once the notice was answered
+	// end to end (notice-to-replanned latency), or, when the drain lost the
+	// race (died mid-drain), once the heal path recovered it instead.
+	healed := func(f autopilot.FaultStatus) bool { return f.Heals > before.Heals && !f.Pending }
+	var recovered func(f autopilot.FaultStatus) string // how, "" until recovered
+	switch {
+	case spec.Kind.capacityLosing():
+		recovered = func(f autopilot.FaultStatus) string {
+			if healed(f) {
+				return "healed"
 			}
-		}()
-	}
-	if spec.Kind == FaultPreempt {
-		// Recovery = the notice was answered end to end: drained and
-		// replanned (notice-to-replanned latency). A preemption the drain
-		// lost (died mid-drain) recovers through the heal path instead.
-		faultWG.Add(1)
-		go func() {
-			defer faultWG.Done()
-			deadline := time.Now().Add(cfg.ConvergeTimeout)
-			for time.Now().Before(deadline) {
-				_, _, replanned, deaths := sys.AP.PreemptState()
-				if replanned > replanned0 {
-					rms := float64(time.Since(t0)) / float64(time.Millisecond) / cfg.TimeScale
-					rec.setRecovery(pick.addr, rms)
-					logf("soak: preempt at %s drained and replanned in %.0fms", pick.addr, rms)
-					return
-				}
-				if deaths > deaths0 {
-					_, _, _, _, heals, pending := sys.AP.FaultState()
-					if heals > heals0 && !pending {
-						rms := float64(time.Since(t0)) / float64(time.Millisecond) / cfg.TimeScale
-						rec.setRecovery(pick.addr, rms)
-						logf("soak: preempt at %s died mid-drain; healed in %.0fms", pick.addr, rms)
-						return
-					}
-				}
-				time.Sleep(5 * time.Millisecond)
+			return ""
+		}
+	case spec.Kind == FaultPreempt:
+		recovered = func(f autopilot.FaultStatus) string {
+			switch {
+			case f.PreemptionsReplanned > before.PreemptionsReplanned:
+				return "drained and replanned"
+			case f.PreemptionDeadlineDeaths > before.PreemptionDeadlineDeaths && healed(f):
+				return "died mid-drain; healed"
 			}
-		}()
+			return ""
+		}
+	default:
+		return
 	}
+	faultWG.Add(1)
+	go func() {
+		defer faultWG.Done()
+		for deadline := time.Now().Add(cfg.ConvergeTimeout); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+			if how := recovered(sys.AP.Faults()); how != "" {
+				rms := float64(time.Since(t0)) / float64(time.Millisecond) / cfg.TimeScale
+				rec.setRecovery(pick.addr, rms)
+				logf("soak: %s at %s %s in %.0fms", spec.Kind, pick.addr, how, rms)
+				return
+			}
+		}
+	}()
 }

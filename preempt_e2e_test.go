@@ -121,7 +121,8 @@ func TestSpotFleetPreemptionEndToEnd(t *testing.T) {
 	// The notice must be answered — drained AND replanned — before the
 	// revocation deadline.
 	for {
-		_, drained, replanned, deaths := ap.PreemptState()
+		f := ap.Faults()
+		drained, replanned, deaths := f.PreemptionsDrained, f.PreemptionsReplanned, f.PreemptionDeadlineDeaths
 		if deaths != 0 {
 			t.Fatalf("the drain lost the race against a %s notice", time.Until(deadline))
 		}
@@ -286,7 +287,8 @@ func TestPreemptionDeadlineRaceEndToEnd(t *testing.T) {
 	// The deadline death must be recorded — the drain lost by design.
 	raceSeen := false
 	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
-		noticed, drained, _, deaths := ap.PreemptState()
+		f := ap.Faults()
+		noticed, drained, deaths := f.Preemptions, f.PreemptionsDrained, f.PreemptionDeadlineDeaths
 		if deaths == 1 && noticed == 1 {
 			if drained != 0 {
 				t.Fatalf("a mid-drain death must not also count as drained: drained=%d", drained)
