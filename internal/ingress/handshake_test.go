@@ -168,3 +168,69 @@ func TestHandshakeRejectsOtherVersion(t *testing.T) {
 		})
 	}
 }
+
+// TestHandshakeIsBounded: the binary door gives a client handshakeTimeout
+// to ack the banner. One that connects and says nothing is hung up on —
+// it used to hold a goroutine and a descriptor for as long as it liked —
+// while one that acks late but inside the bound is served, and keeps its
+// connection past the bound: the deadline was the handshake's, not the
+// connection's.
+func TestHandshakeIsBounded(t *testing.T) {
+	t.Parallel()
+	ing, _ := startFrontOpts(t, func(*Options) {})
+	dial := func(t *testing.T) net.Conn {
+		conn, err := net.Dial("tcp", ing.TCPAddr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		var hello server.Hello
+		if err := server.ReadFrame(conn, &hello); err != nil {
+			t.Fatal(err)
+		}
+		return conn
+	}
+	t.Run("silent client is dropped", func(t *testing.T) {
+		t.Parallel()
+		conn := dial(t)
+		start := time.Now()
+		conn.SetReadDeadline(start.Add(handshakeTimeout + 5*time.Second))
+		if p, err := server.ReadRawFrame(conn, nil); err == nil {
+			t.Fatalf("silent client was sent a frame: %v", p)
+		} else if errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("connection still open %v after a handshake that never came", time.Since(start))
+		}
+		if held := time.Since(start); held < handshakeTimeout/2 {
+			t.Fatalf("dropped after %v: the bound is %v", held, handshakeTimeout)
+		}
+	})
+	t.Run("late ack is served", func(t *testing.T) {
+		t.Parallel()
+		conn := dial(t)
+		time.Sleep(handshakeTimeout / 3)
+		if err := server.WriteFrame(conn, server.HelloAck{Proto: server.ProtoSession}); err != nil {
+			t.Fatal(err)
+		}
+		submit := func(id int64) {
+			t.Helper()
+			frame, err := server.AppendRequestFrame(nil, server.Request{ID: id, Model: "NCF", Batch: 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := conn.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			p, err := server.ReadRawFrame(conn, nil)
+			if err != nil {
+				t.Fatalf("query %d: %v", id, err)
+			}
+			if rep, err := server.DecodeReplyFrame(p); err != nil || rep.ID != id || rep.Err != "" {
+				t.Fatalf("query %d: reply %+v, %v", id, rep, err)
+			}
+		}
+		submit(1)
+		time.Sleep(handshakeTimeout) // now well past accept + handshakeTimeout
+		submit(2)
+	})
+}

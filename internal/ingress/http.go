@@ -199,8 +199,8 @@ func (s *Server) serveHTTPRequest(conn net.Conn, hc *httpCtx) bool {
 	return s.writeHTTPResponse(conn, hc, status, hc.rep, retry, keepAlive) && keepAlive
 }
 
-// submitHTTP parses one /submit body, runs it through admit and settle,
-// and encodes the reply into hc.rep.
+// submitHTTP parses one /submit body, runs it through admit, the
+// controller and settle, and encodes the reply into hc.rep.
 func (s *Server) submitHTTP(hc *httpCtx, t0 time.Time) (status int, retryAfter bool) {
 	f := &hc.fields
 	if err := parseSubmitBody(hc.body, f); err != nil {
@@ -219,7 +219,10 @@ func (s *Server) submitHTTP(hc *httpCtx, t0 time.Time) (status int, retryAfter b
 			return http.StatusBadRequest, false
 		}
 	}
-	res := s.settle(mf, int(f.batch), submitOpts(f.session, f.deadlineMS, t0), t0)
+	// The connection's own goroutine waits the query out: HTTP/1.1 answers
+	// in order, so there is nothing else for it to do meanwhile.
+	res := s.ctrl.SubmitWaitOpts(mf.name, int(f.batch), submitOpts(f.session, f.deadlineMS, t0))
+	mf.settle(res, t0)
 	if res.Err != nil {
 		hc.rep = appendSubmitReply(hc.rep[:0], f.model, f.batch, 0, "", res.Err.Error())
 		return http.StatusBadGateway, false

@@ -13,7 +13,7 @@
 // counters on one surface.
 //
 // The front door is one lane — one listener per transport, a model's
-// counters as plain atomics, one waiter pool; DESIGN.md, "Ingress at
+// counters as plain atomics; DESIGN.md, "Ingress at
 // scale", has the measurement behind that and what would have to be
 // observed before lanes come back. Queries may carry a session key routed
 // with consistent-hash-bounded-load affinity and a deadline enforced by
@@ -58,6 +58,12 @@ const UnauthorizedMsg = "ingress: unauthorized"
 // this long — reply flushers must never be parked on a dead peer
 // forever or Close could not drain them.
 const writeTimeout = 30 * time.Second
+
+// handshakeTimeout bounds a binary-TCP client from accept to HelloAck: one
+// that connects and never acks must not pin a goroutine and a descriptor
+// (readHeaderTimeout is the HTTP door's equivalent). The controller gives
+// an instance the same three seconds for the same two frames.
+const handshakeTimeout = 3 * time.Second
 
 // Options configure a front-end. At least one of HTTPAddr and TCPAddr
 // must be set.
@@ -170,11 +176,10 @@ type Server struct {
 	// as Stats.IngressUnrouted through the augmenter.
 	unrouted atomic.Int64
 
-	pool   waiterPool   // parked goroutines waiting out TCP queries
 	httpLn net.Listener // nil when the transport is disabled
 	tcpLn  net.Listener
 
-	wg        sync.WaitGroup // accept loops + connection loops + waiters
+	wg        sync.WaitGroup // accept loops + connection loops + flushers
 	closed    chan struct{}
 	closeOnce sync.Once
 
@@ -208,8 +213,6 @@ func New(ctrl *server.Controller, opts Options) (*Server, error) {
 		s.models[name] = &modelFront{name: name, mo: ctrl.Obs().Model(name)}
 		s.order = append(s.order, name)
 	}
-	s.pool.wg = &s.wg
-	s.pool.run = s.runWait
 	var err error
 	if opts.HTTPAddr != "" {
 		if s.httpLn, err = net.Listen("tcp", opts.HTTPAddr); err != nil {
@@ -284,7 +287,7 @@ func (s *Server) augment(st *server.Stats) {
 
 // admit is the front door's one admission sequence, shared by both
 // transports: auth → model → rate limit → queue bound. It returns the
-// model's front with one queue slot reserved (the caller owes a settle),
+// model's front with one queue slot reserved (the result owes a settle),
 // or nil and the rejection's exact text, which the transport frames its
 // own way (HTTP status + Retry-After, binary NACK). t0 is the request's
 // receive timestamp. Nothing here allocates except the unknown-model
@@ -323,11 +326,10 @@ func (s *Server) admit(c client, model []byte, tcp bool, t0 time.Time) (*modelFr
 	return mf, ""
 }
 
-// settle runs an admitted query through the controller and closes its
-// account: outcome first, then the queue slot (the order snapshot relies
-// on), then the client's-view latency.
-func (s *Server) settle(mf *modelFront, batch int, opts server.SubmitOptions, t0 time.Time) server.QueryResult {
-	res := s.ctrl.SubmitWaitOpts(mf.name, batch, opts)
+// settle closes an admitted query's account with the controller's result:
+// outcome first, then the queue slot (the order snapshot relies on), then
+// the client's-view latency.
+func (mf *modelFront) settle(res server.QueryResult, t0 time.Time) {
 	if res.Err != nil {
 		mf.failed.Add(1)
 	} else {
@@ -335,7 +337,6 @@ func (s *Server) settle(mf *modelFront, batch int, opts server.SubmitOptions, t0
 	}
 	mf.queue.Add(-1)
 	mf.mo.Record(obs.StageIngress, time.Since(t0))
-	return res
 }
 
 // submitOpts converts a request's wire hints into controller submit
@@ -365,11 +366,9 @@ func (s *Server) Close() {
 			s.httpLn.Close()
 		}
 		// Pop the per-connection read loops out of their blocked reads;
-		// their waiters finish and reply before the conns close.
+		// each then waits out its admitted queries, whose replies are
+		// flushed before the conn closes.
 		s.tracker.SweepReadDeadlines()
-		// Stop the idle waiters; busy ones finish their query first, and
-		// late work falls back to fresh goroutines.
-		s.pool.close()
 		// Bounded drain: reply writes carry writeTimeout deadlines, so
 		// flushers on a stalled client unblock on their own; the
 		// force-close below is the backstop that guarantees Close always

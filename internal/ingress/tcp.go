@@ -10,11 +10,14 @@ import (
 )
 
 // The binary TCP transport. Each connection runs one read loop (admission
-// decisions and NACKs happen synchronously, in request order), hands
-// admitted queries to the server's pooled waiters, and funnels every reply
-// through a per-connection coalescing buffer drained by one flusher
-// goroutine — a burst of completions costs one write syscall, not one
-// per query, and no reply ever allocates a goroutine or a frame buffer.
+// decisions and NACKs happen synchronously, in request order) that submits
+// admitted queries in place, each with a pooled completion sink, and goes
+// back to reading: no goroutine waits on a query in flight. Whichever
+// controller goroutine decides a query's outcome runs its sink, which
+// settles the account and appends the reply to a per-connection coalescing
+// buffer drained by one flusher goroutine — a burst of completions costs
+// one write syscall, not one per query, and no reply ever allocates a
+// goroutine or a frame buffer.
 
 // maxRetainedReplyBuf caps the write-buffer capacity a connection keeps
 // across bursts. One oversized burst (a deep pipeline completing at once)
@@ -31,7 +34,7 @@ type tcpConn struct {
 	// connection stays up (the reply is how the client learns).
 	who client
 
-	inflight sync.WaitGroup // admitted queries not yet queued for reply
+	inflight sync.WaitGroup // admitted queries whose sink has not queued the reply yet
 
 	wmu   sync.Mutex
 	wbuf  []byte        // encoded reply frames awaiting flush
@@ -49,11 +52,13 @@ func (s *Server) serveTCPConn(conn net.Conn) {
 		kick: make(chan struct{}, 1),
 		done: make(chan struct{}),
 	}
-	// Deferred teardown runs in reverse order: drain the waiters and the
+	// Deferred teardown runs in reverse order: wait out the sinks and the
 	// flusher first (every admitted query replies), untrack, then close.
 	defer conn.Close()
+	// Before Track, so a Close sweep's expired read deadline lands on top
+	// of this one, whether it ran already or comes later.
+	conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	defer s.tracker.Track(conn)()
-	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if err := server.WriteFrame(conn, server.Hello{TypeName: "ingress", Proto: server.ProtoSession}); err != nil {
 		return
 	}
@@ -69,6 +74,15 @@ func (s *Server) serveTCPConn(conn net.Conn) {
 		s.logf("ingress: refusing %s: client acked wire version %d, this front door speaks %d",
 			conn.RemoteAddr(), ack.Proto, server.ProtoSession)
 		return
+	}
+	// The request loop reads with no deadline; every reply write sets its
+	// own. Clearing may have undone a Close sweep that ran since the ack
+	// arrived, so look again.
+	conn.SetReadDeadline(time.Time{})
+	select {
+	case <-s.closed:
+		return
+	default:
 	}
 	tc.who = s.auth.identify([]byte(ack.Token))
 	flusherDone := make(chan struct{})
@@ -100,8 +114,8 @@ func (s *Server) serveTCPConn(conn net.Conn) {
 	}
 }
 
-// handleTCP admits one query and hands it to the waiter pool; rejections
-// are answered inline, in request order. t0 is the request's receive
+// handleTCP admits one query and submits it in place; rejections are
+// answered inline, in request order. t0 is the request's receive
 // timestamp, the anchor for the front-door stages and deadline.
 func (s *Server) handleTCP(tc *tcpConn, rv server.RequestView, t0 time.Time) {
 	mf, reject := s.admit(tc.who, rv.Model, true, t0)
@@ -109,16 +123,33 @@ func (s *Server) handleTCP(tc *tcpConn, rv server.RequestView, t0 time.Time) {
 		tc.queueReply(server.Reply{ID: rv.ID, Err: reject})
 		return
 	}
-	opts := submitOpts(rv.Session, rv.DeadlineMS, t0)
 	tc.inflight.Add(1)
-	s.pool.serve(waitWork{tc: tc, mf: mf, id: rv.ID, batch: rv.Batch, opts: opts, t0: t0})
+	q := tcpQueries.Get().(*tcpQuery)
+	*q = tcpQuery{tc: tc, mf: mf, id: rv.ID, t0: t0}
+	s.ctrl.SubmitTo(mf.name, rv.Batch, submitOpts(rv.Session, rv.DeadlineMS, t0), q)
 }
 
-// runWait is the waiter body: settle the query, queue the reply. The
+// tcpQuery is one admitted query's completion sink: what its reply needs
+// beyond the controller's result.
+type tcpQuery struct {
+	tc *tcpConn
+	mf *modelFront
+	id int64
+	t0 time.Time
+}
+
+var tcpQueries = sync.Pool{New: func() any { return new(tcpQuery) }}
+
+// QueryDone settles the account and queues the reply, on the controller
+// goroutine that decided the outcome (server.Sink: it must not block — it
+// takes the connection's buffer lock for an append and never writes). The
 // reply is queued before inflight.Done so the connection's final drain
 // always flushes it.
-func (s *Server) runWait(w waitWork) {
-	res := s.settle(w.mf, w.batch, w.opts, w.t0)
+func (q *tcpQuery) QueryDone(res server.QueryResult) {
+	w := *q
+	*q = tcpQuery{} // an idle pooled sink must not pin its connection
+	tcpQueries.Put(q)
+	w.mf.settle(res, w.t0)
 	rep := server.Reply{ID: w.id, ServiceMS: res.LatencyMS}
 	if res.Err != nil {
 		rep.Err = res.Err.Error()
@@ -184,80 +215,4 @@ func (tc *tcpConn) writeOut() {
 			return
 		}
 	}
-}
-
-// waitWork is one admitted query travelling to a pooled waiter.
-type waitWork struct {
-	tc    *tcpConn
-	mf    *modelFront
-	id    int64
-	batch int
-	opts  server.SubmitOptions
-	t0    time.Time
-}
-
-// waiterPool replaces goroutine-per-query waiting: a LIFO stack of
-// parked goroutines. Steady-state submission is a channel
-// handoff to a warm goroutine — no go statement, no stack allocation;
-// the pool only grows when concurrency exceeds its high-water mark.
-type waiterPool struct {
-	run func(waitWork)
-	wg  *sync.WaitGroup
-
-	mu     sync.Mutex
-	idle   []chan waitWork // parked workers, each addressed by its handoff channel
-	closed bool
-}
-
-// serve hands w to a parked waiter, or starts one. After close, late
-// work (a query that raced the drain) runs on a one-shot goroutine.
-func (p *waiterPool) serve(w waitWork) {
-	p.mu.Lock()
-	if n := len(p.idle); n > 0 {
-		ch := p.idle[n-1]
-		p.idle = p.idle[:n-1]
-		p.mu.Unlock()
-		ch <- w
-		return
-	}
-	closed := p.closed
-	p.mu.Unlock()
-	p.wg.Add(1)
-	if closed {
-		go func() {
-			defer p.wg.Done()
-			p.run(w)
-		}()
-		return
-	}
-	go p.worker(w)
-}
-
-func (p *waiterPool) worker(first waitWork) {
-	defer p.wg.Done()
-	self := make(chan waitWork)
-	w, ok := first, true
-	for ok {
-		p.run(w)
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			return
-		}
-		p.idle = append(p.idle, self)
-		p.mu.Unlock()
-		w, ok = <-self
-	}
-}
-
-// close wakes every parked waiter to exit. Busy waiters finish their
-// query first and exit on their next park attempt.
-func (p *waiterPool) close() {
-	p.mu.Lock()
-	p.closed = true
-	for _, ch := range p.idle {
-		close(ch)
-	}
-	p.idle = nil
-	p.mu.Unlock()
 }

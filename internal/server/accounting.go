@@ -210,10 +210,13 @@ func (c *Controller) SetStatsAugmenter(fn func(*Stats)) {
 	c.augment.Store(&fn)
 }
 
-// deliver completes one query exactly once (atomic claim, no lock),
-// counts the outcome, and invokes the completion callback. now is the
-// instant of the outcome. q is not touched after the result is sent: the
-// receiver may recycle it immediately (see SubmitWait).
+// deliver ends one query's life, exactly once (atomic claim, no lock):
+// count the outcome, recycle q, then hand the result to its sink and the
+// completion callback. now is the instant of the outcome. It runs on
+// whichever goroutine decided the outcome — a reply reader, the scheduler,
+// Close, or the submitter itself for an on-the-spot rejection — and holds
+// no controller lock. The claim outlives the recycling: a second delivery
+// of q is refused until enqueue hands q to its next query.
 func (c *Controller) deliver(q *pendingQuery, res QueryResult, now time.Time) {
 	if !q.completed.CompareAndSwap(false, true) {
 		return
@@ -236,7 +239,10 @@ func (c *Controller) deliver(q *pendingQuery, res QueryResult, now time.Time) {
 			g.completed.Add(1)
 		}
 	}
-	q.done <- res
+	sink := q.sink
+	q.sink = nil // an idle pooled query must not pin its last submitter
+	queryPool.Put(q)
+	sink.QueryDone(res)
 	if cb := c.onComplete.Load(); cb != nil {
 		(*cb)(res.Model, res.Batch, res)
 	}

@@ -285,7 +285,7 @@ func (c *Controller) readLoop(ri *remoteInstance, wc *wireConn) {
 	}
 }
 
-// groupLoop is one model's scheduler goroutine: it runs a round whenever
+// groupLoop is one model's scheduler goroutine: it runs schedule whenever
 // kicked, independently of every other model, and owns the group's one
 // timer — the round says when it needs to run without a kick (the end of
 // an empty-hold window). The timer's channel is only selected on while
@@ -309,14 +309,34 @@ func (c *Controller) groupLoop(g *modelGroup) {
 			// run queue is empty.
 			runtime.Gosched()
 		}
-		now := time.Now()
-		if next := c.round(g, now); next.IsZero() {
+		if now, next := c.schedule(g, time.Now); next.IsZero() {
 			fire = nil
 		} else {
 			fire = timer.C
 			timer.Reset(next.Sub(now))
 		}
 	}
+}
+
+// schedule is one wake-up of a group's scheduler: the round it was woken
+// for, one more if a kick is already pending — a completion or submission
+// that landed meanwhile would otherwise cost the links it touches a second
+// write a moment later — and then one flush per touched link. The extra
+// round is at most one, so a queued dispatch waits for a bounded amount of
+// deciding, and the flush always precedes the scheduler's sleep: the rule
+// InstanceServer.serveConn applies to replies. It returns the last round's
+// instant and the wake-up that round asked for.
+func (c *Controller) schedule(g *modelGroup, clock func() time.Time) (now, next time.Time) {
+	now = clock()
+	next = c.round(g, now)
+	select {
+	case <-g.kick:
+		now = clock()
+		next = c.round(g, now)
+	default:
+	}
+	c.flush(g)
+	return now, next
 }
 
 // Obs exposes the controller's flight recorder: per-model stage
@@ -365,27 +385,14 @@ func (c *Controller) SetOnComplete(fn func(model string, batch int, res QueryRes
 	c.onComplete.Store(&fn)
 }
 
-// queryPool recycles pendingQuery structs (and their result channels) for
-// the synchronous SubmitWait path, where the caller provably consumed the
-// result before the query is pooled again. Asynchronous Submit hands its
-// channel to the caller and cannot recycle.
-var queryPool = sync.Pool{New: func() any {
-	return &pendingQuery{done: make(chan QueryResult, 1)}
-}}
-
-// Submit enqueues one query for the named model and returns a channel
-// delivering its result. Unknown models, models whose group currently has
-// no serving capacity (every instance removed or draining — reachable
-// when the shared-budget planner starves a model), and submissions after
-// Close all fail immediately instead of hanging — except that a
-// configured empty-hold window (SetEmptyHold) parks capacity-less
-// submissions for bounded fault recovery instead. Every accepted or
-// rejected submission is accounted, so completed + failed never exceeds
-// submitted on any path.
-func (c *Controller) Submit(model string, batch int) <-chan QueryResult {
-	q := &pendingQuery{done: make(chan QueryResult, 1)}
-	c.submit(model, batch, q, SubmitOptions{})
-	return q.done
+// Sink receives one query's result. The controller calls QueryDone
+// exactly once per submission, on the goroutine that decided the outcome —
+// an instance's reply reader, the model's scheduler, Close, or the
+// submitter itself, before SubmitTo returns, when the query is refused on
+// the spot. It runs outside every controller lock, but on the serving
+// path: it must not block and must not call back into the controller.
+type Sink interface {
+	QueryDone(QueryResult)
 }
 
 // SubmitOptions carry a query's optional routing hints: a session
@@ -409,39 +416,59 @@ const DeadlineExceededMsg = "server: deadline exceeded"
 
 var errDeadlineExceeded = errors.New(DeadlineExceededMsg)
 
+// SubmitTo enqueues one query for the named model and delivers its result
+// to sink; it is the one way in, and parks no goroutine. Unknown models,
+// models whose group currently has no serving capacity (every instance
+// removed or draining — reachable when the shared-budget planner starves a
+// model), and submissions after Close all fail immediately instead of
+// hanging — except that a configured empty-hold window (SetEmptyHold)
+// parks capacity-less submissions for bounded fault recovery instead.
+// Every accepted or rejected submission is accounted, so completed +
+// failed never exceeds submitted on any path.
+//
+// The scheduler wakes on kicks and on its hold timer only, so a query that
+// cannot dispatch would outsleep its deadline without this one-shot alarm;
+// firing after the query completed is a harmless idle round, so it is
+// never cancelled. (It is per query rather than one more case of the
+// group's timer for the ledger's sake: see ROADMAP item 4(c).)
+func (c *Controller) SubmitTo(model string, batch int, opts SubmitOptions, sink Sink) {
+	now := time.Now()
+	if g := c.enqueue(model, batch, opts, sink, now); g != nil && opts.Deadline.After(now) {
+		time.AfterFunc(opts.Deadline.Sub(now), g.alarm)
+	}
+}
+
+// chanSink is the blocking submitters' sink: a channel with room for the
+// one result.
+type chanSink chan QueryResult
+
+func (s chanSink) QueryDone(res QueryResult) { s <- res }
+
+// waitChans recycles SubmitWait's channels: the caller has provably
+// received the one result before the channel is pooled again.
+var waitChans = sync.Pool{New: func() any { return make(chanSink, 1) }}
+
+// Submit is SubmitTo with a channel for a sink.
+func (c *Controller) Submit(model string, batch int) <-chan QueryResult {
+	ch := make(chanSink, 1)
+	c.SubmitTo(model, batch, SubmitOptions{}, ch)
+	return ch
+}
+
 // SubmitWait submits and blocks for the result. Unlike Submit it recycles
-// the query bookkeeping, so a closed-loop submitter allocates nothing per
-// query in steady state.
+// its channel, so a closed-loop submitter allocates nothing per query in
+// steady state.
 func (c *Controller) SubmitWait(model string, batch int) QueryResult {
 	return c.SubmitWaitOpts(model, batch, SubmitOptions{})
 }
 
-// SubmitWaitOpts is SubmitWait with routing hints: the ingress front
-// door's submit path for session-affine, deadline-bounded queries.
+// SubmitWaitOpts is SubmitWait with routing hints.
 func (c *Controller) SubmitWaitOpts(model string, batch int, opts SubmitOptions) QueryResult {
-	q := queryPool.Get().(*pendingQuery)
-	c.submit(model, batch, q, opts)
-	res := <-q.done
-	// Every delivery path sends exactly once (the atomic claim in deliver)
-	// and touches q only before the send, so after the receive the query
-	// is provably idle and safe to recycle.
-	q.completed.Store(false)
-	queryPool.Put(q)
+	ch := waitChans.Get().(chanSink)
+	c.SubmitTo(model, batch, opts, ch)
+	res := <-ch
+	waitChans.Put(ch)
 	return res
-}
-
-// submit hands q — freshly allocated or pooled — to the model's central
-// queue, stamped with this call's clock read. The scheduler wakes on
-// kicks and on its hold timer only, so a query that cannot dispatch would
-// outsleep its deadline without this one-shot alarm; firing after the
-// query completed is a harmless idle round, so it is never cancelled. (It
-// is per query rather than one more case of the group's timer for the
-// ledger's sake: see ROADMAP, "finish the allocation story", item c.)
-func (c *Controller) submit(model string, batch int, q *pendingQuery, opts SubmitOptions) {
-	now := time.Now()
-	if g := c.enqueue(model, batch, q, opts, now); g != nil && opts.Deadline.After(now) {
-		time.AfterFunc(opts.Deadline.Sub(now), g.alarm)
-	}
 }
 
 // OutstandingQueries snapshots every query the controller has accepted

@@ -28,7 +28,6 @@ type InstanceServer struct {
 
 	listener net.Listener
 	wg       sync.WaitGroup
-	closed   chan struct{}
 
 	// draining is closed by Shutdown; active connections finish serving
 	// their fully-received requests and then go away.
@@ -62,7 +61,6 @@ func NewInstanceServer(typeName string, model models.Model, timeScale float64) (
 		TypeName:  typeName,
 		Model:     model,
 		TimeScale: timeScale,
-		closed:    make(chan struct{}),
 		draining:  make(chan struct{}),
 	}, nil
 }
@@ -88,7 +86,6 @@ func (s *InstanceServer) Addr() string { return s.listener.Addr().String() }
 // Idempotent, and safe after Shutdown.
 func (s *InstanceServer) Close() error {
 	s.closeOnce.Do(func() {
-		close(s.closed)
 		err := s.listener.Close()
 		if err != nil && errors.Is(err, net.ErrClosed) {
 			err = nil // Shutdown already closed it
@@ -106,7 +103,6 @@ func (s *InstanceServer) Close() error {
 // orderly teardown wants Close or Shutdown instead.
 func (s *InstanceServer) Kill() error {
 	s.closeOnce.Do(func() {
-		close(s.closed)
 		err := s.listener.Close()
 		if err != nil && errors.Is(err, net.ErrClosed) {
 			err = nil
@@ -172,12 +168,7 @@ func (s *InstanceServer) acceptLoop() {
 	for {
 		conn, err := s.listener.Accept()
 		if err != nil {
-			select {
-			case <-s.closed:
-				return
-			default:
-				return
-			}
+			return
 		}
 		s.wg.Add(1)
 		go func() {

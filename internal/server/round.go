@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -45,9 +46,10 @@ type pendingQuery struct {
 	// deadline, when nonzero, bounds how long the query may sit in the
 	// central queue before it is failed with DeadlineExceededMsg.
 	deadline time.Time
-	done     chan QueryResult
-	// completed flips exactly once: the first completion path (reply,
-	// sweep, close) wins the delivery.
+	// sink receives the result, once, from deliver.
+	sink Sink
+	// completed flips exactly once per use: the first completion path
+	// (reply, sweep, close) wins the delivery. enqueue re-arms it.
 	completed atomic.Bool
 }
 
@@ -91,19 +93,28 @@ type roundState struct {
 	active    []*remoteInstance
 	queuedBuf []int
 	taken     []bool
-	// dispatch, flushSet and fails are filled under mu and consumed
-	// outside it, by the scheduler goroutine only.
+	// dispatch and fails are filled under mu and consumed outside it, by
+	// the scheduler goroutine only.
 	dispatch []dispatchItem
-	flushSet []*remoteInstance
 	fails    []failure
+	// flushSet holds the links round queued on since the last flush; only
+	// the scheduler goroutine touches it.
+	flushSet []*remoteInstance
 }
 
-// enqueue admits q to the named model's central queue at now and returns
-// the group whose scheduler owns it from there, or fails it on the spot
-// and returns nil. A deadline is enforced by whichever round first runs at
-// or after it; seeing that one does is the caller's job (submit's alarm).
-func (c *Controller) enqueue(model string, batch int, q *pendingQuery, opts SubmitOptions, now time.Time) *modelGroup {
-	q.model, q.batch = model, batch
+// queryPool recycles pendingQuery structs: enqueue takes one per query and
+// deliver, the only place a query's life ends, puts it back.
+var queryPool = sync.Pool{New: func() any { return new(pendingQuery) }}
+
+// enqueue admits one query to the named model's central queue at now and
+// returns the group whose scheduler owns it from there, or fails it on the
+// spot (sink has fired when enqueue returns) and returns nil. A deadline is
+// enforced by whichever round first runs at or after it; seeing that one
+// does is the caller's job (SubmitTo's alarm).
+func (c *Controller) enqueue(model string, batch int, opts SubmitOptions, sink Sink, now time.Time) *modelGroup {
+	q := queryPool.Get().(*pendingQuery)
+	q.completed.Store(false)
+	q.model, q.batch, q.sink = model, batch, sink
 	q.traced = false // pooled queries carry the previous query's flag
 	// Unconditional: pooled queries carry the previous query's hints.
 	q.session, q.deadline = opts.SessionHash, opts.Deadline
@@ -149,8 +160,9 @@ func (c *Controller) enqueue(model string, batch int, q *pendingQuery, opts Subm
 
 // round runs one scheduling round at now: sweep what can no longer be
 // served, match the rest to instances, then — outside the lock — deliver
-// the failures and write the dispatches, coalesced to one flush per
-// instance. A write that fails evicts its instance, which requeues
+// the failures and queue the dispatches on their links. Nothing reaches an
+// instance until flush, which the caller owes before it stops running
+// rounds. A write that fails evicts its instance, which requeues
 // everything dispatched to it. It returns the instant the group needs a
 // round even if nothing kicks it — the end of an empty-hold window — or
 // zero: the scheduler's own timer.
@@ -161,7 +173,6 @@ func (c *Controller) round(g *modelGroup, now time.Time) time.Time {
 	g.mu.Unlock()
 	c.failAll(g.fails, now)
 	g.fails = g.fails[:0]
-	flush := g.flushSet[:0]
 	// The scratch is cleared as it is consumed: an idle group must not pin
 	// delivered (possibly recycled) queries or removed instances.
 	for i, d := range dispatch {
@@ -169,19 +180,26 @@ func (c *Controller) round(g *modelGroup, now time.Time) time.Time {
 			c.evict(d.ri, err)
 		} else if !d.ri.needsFlush {
 			d.ri.needsFlush = true
-			flush = append(flush, d.ri)
+			g.flushSet = append(g.flushSet, d.ri)
 		}
 		dispatch[i] = dispatchItem{}
 	}
-	for i, ri := range flush {
+	return next
+}
+
+// flush pushes what the rounds since the last flush queued, one write per
+// touched link however many rounds touched it. A link that fails — or one
+// an earlier queue error already closed — evicts its instance like any
+// other fault, requeueing the whole burst.
+func (c *Controller) flush(g *modelGroup) {
+	for i, ri := range g.flushSet {
 		ri.needsFlush = false
 		if err := ri.link.flush(); err != nil {
 			c.evict(ri, err)
 		}
-		flush[i] = nil
+		g.flushSet[i] = nil
 	}
-	g.flushSet = flush[:0]
-	return next
+	g.flushSet = g.flushSet[:0]
 }
 
 // sweep removes from the queue what must fail before any dispatch

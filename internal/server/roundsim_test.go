@@ -36,7 +36,9 @@ type memLink struct {
 	failQueue bool // queue fails from now on
 	failFlush bool // flush fails from now on
 	writeErrs int
-	queued    []Request
+	flushes   int
+	onQueue   func()    // runs inside queue: something happening mid-round
+	queued    []Request // written, not flushed: the instance cannot see these
 	inbox     []Request // flushed and not yet replied to, in arrival order
 }
 
@@ -46,10 +48,14 @@ func (l *memLink) queue(r Request) error {
 		return errMemLink
 	}
 	l.queued = append(l.queued, r)
+	if l.onQueue != nil {
+		l.onQueue()
+	}
 	return nil
 }
 
 func (l *memLink) flush() error {
+	l.flushes++
 	if l.failFlush {
 		l.writeErrs++
 		return errMemLink
@@ -79,8 +85,19 @@ type simInst struct {
 	wantDied       bool          // ... and must report this
 }
 
+// simSink is a submission's completion sink. Everything in the sim that
+// may deliver — rounds, replies, evictions, Close — runs on the test
+// goroutine, so plain fields do (and -race says so if that stops holding).
+type simSink struct {
+	fired   int
+	res     QueryResult
+	checked bool // the model has accounted for the delivery
+}
+
+func (s *simSink) QueryDone(res QueryResult) { s.fired++; s.res = res }
+
 type simQuery struct {
-	ch       chan QueryResult
+	sink     *simSink
 	deadline time.Time
 }
 
@@ -104,6 +121,7 @@ type simWorld struct {
 	hold   time.Duration
 	insts  []*simInst
 	downs  map[string]int // observed onDown calls per address
+	sinks  []*simSink     // one per submission, admitted or not
 
 	// model:
 	nextID                       int64
@@ -194,19 +212,20 @@ func (w *simWorld) submit() {
 }
 
 func (w *simWorld) submitWith(opts SubmitOptions) {
-	q := &pendingQuery{done: make(chan QueryResult, 1)}
-	admitted := w.c.enqueue(simModel, 1+w.rng.Intn(64), q, opts, w.now) != nil
+	sink := &simSink{}
+	w.sinks = append(w.sinks, sink)
+	admitted := w.c.enqueue(simModel, 1+w.rng.Intn(64), opts, sink, w.now) != nil
 	w.submitted++
 	if rejected := len(w.members(true)) == 0 && w.hold == 0; rejected == admitted {
 		w.fatalf("enqueue admitted=%v, model says rejected=%v", admitted, rejected)
 	} else if rejected {
 		w.logf("submit -> rejected (no capacity)")
 		w.failed++
-		w.wantResult(q.done, "no serving capacity")
+		w.wantResult(sink, "no serving capacity")
 		return
 	}
 	w.nextID++
-	w.live[w.nextID] = &simQuery{ch: q.done, deadline: opts.Deadline}
+	w.live[w.nextID] = &simQuery{sink: sink, deadline: opts.Deadline}
 	if opts.Deadline.After(w.now) {
 		w.alarms = append(w.alarms, opts.Deadline)
 	}
@@ -246,7 +265,7 @@ func (w *simWorld) reply(outOfOrder bool) {
 	}
 	delete(w.live, req.ID)
 	w.completed++
-	w.wantResult(q.ch, "")
+	w.wantResult(q.sink, "")
 }
 
 // staleReply: a gone instance's connection coughs up a reply before it
@@ -363,9 +382,12 @@ func (w *simWorld) drainRacingKill() {
 
 // --- the scheduler loop, played by the test ---
 
-// settle runs rounds the way groupLoop would at this instant: once per
-// kick (a due deadline alarm is one), and once when the wake-up the last
-// round asked for has arrived.
+func (w *simWorld) clock() time.Time { return w.now }
+
+// settle runs the scheduler the way groupLoop would at this instant: once
+// per kick (a due deadline alarm is one), and once when the wake-up the
+// last round asked for has arrived. Whenever it would go back to sleep,
+// nothing it wrote may still sit unflushed in a link.
 func (w *simWorld) settle() {
 	pending := w.alarms[:0]
 	for _, at := range w.alarms {
@@ -384,9 +406,14 @@ func (w *simWorld) settle() {
 				return
 			}
 		}
-		w.next = w.c.round(w.g, w.now)
+		_, w.next = w.c.schedule(w.g, w.clock)
 		if !w.next.IsZero() && !w.next.After(w.now) {
 			w.fatalf("round at %v asked to be woken at %v: the scheduler would spin", w.now, w.next)
+		}
+		for _, in := range w.insts {
+			if n := len(in.link.queued); n > 0 && !in.link.failFlush {
+				w.fatalf("scheduler went to sleep with %d dispatches to %s unflushed", n, in.addr)
+			}
 		}
 		if i > 1000 {
 			w.fatalf("scheduler does not settle")
@@ -429,15 +456,15 @@ func (w *simWorld) refEvict(in *simInst) {
 	w.wantDowns[in.addr]++
 }
 
-func (w *simWorld) wantResult(ch chan QueryResult, errPart string) {
+// wantResult: the sink has fired, once, with this outcome.
+func (w *simWorld) wantResult(sink *simSink, errPart string) {
 	w.t.Helper()
-	select {
-	case res := <-ch:
-		if (errPart == "") != (res.Err == nil) || (res.Err != nil && !strings.Contains(res.Err.Error(), errPart)) {
-			w.fatalf("query delivered %v, want error containing %q", res.Err, errPart)
-		}
-	default:
-		w.fatalf("query not delivered, want error containing %q", errPart)
+	if sink.fired != 1 || sink.checked {
+		w.fatalf("sink fired %d times (already accounted: %v), want once, with an error containing %q", sink.fired, sink.checked, errPart)
+	}
+	sink.checked = true
+	if err := sink.res.Err; (errPart == "") != (err == nil) || (err != nil && !strings.Contains(err.Error(), errPart)) {
+		w.fatalf("query delivered %v, want error containing %q", err, errPart)
 	}
 }
 
@@ -463,7 +490,7 @@ func (w *simWorld) refSettle() {
 		if !q.deadline.IsZero() && !w.now.Before(q.deadline) {
 			delete(w.live, id)
 			w.failed++
-			w.wantResult(q.ch, DeadlineExceededMsg)
+			w.wantResult(q.sink, DeadlineExceededMsg)
 			continue
 		}
 		central++
@@ -477,7 +504,7 @@ func (w *simWorld) refSettle() {
 		for id, q := range w.live { // members == 0: every live query is central
 			delete(w.live, id)
 			w.failed++
-			w.wantResult(q.ch, "no serving capacity")
+			w.wantResult(q.sink, "no serving capacity")
 		}
 		central, w.emptySince = 0, time.Time{}
 	}
@@ -508,10 +535,15 @@ func (w *simWorld) refSettle() {
 		}
 	}
 	for id, q := range w.live {
-		select {
-		case res := <-q.ch:
-			w.fatalf("live query #%d was delivered: %+v", id, res)
-		default:
+		if q.sink.fired != 0 {
+			w.fatalf("live query #%d was delivered: %+v", id, q.sink.res)
+		}
+	}
+	// Exactly once, whichever path won: nothing the model has seen
+	// delivered may fire again (a recycled query's stale reference would).
+	for i, sink := range w.sinks {
+		if sink.fired > 1 || (sink.fired == 1) != sink.checked {
+			w.fatalf("submission %d: sink fired %d times, model accounted for it: %v", i, sink.fired, sink.checked)
 		}
 	}
 	w.g.mu.Lock()
@@ -569,7 +601,7 @@ func runRoundSim(t *testing.T, seed int64) {
 	for id, q := range w.live {
 		delete(w.live, id)
 		w.failed++
-		w.wantResult(q.ch, "controller closed")
+		w.wantResult(q.sink, "controller closed")
 	}
 	for _, in := range w.insts {
 		if in.drain != nil {
@@ -585,6 +617,11 @@ func runRoundSim(t *testing.T, seed int64) {
 	}
 	if st := w.c.Stats(); st.Completed+st.Failed != st.Submitted || st.Failed != w.failed {
 		w.fatalf("after Close %+v, model failed=%d", st, w.failed)
+	}
+	for i, sink := range w.sinks {
+		if sink.fired != 1 {
+			w.fatalf("after Close submission %d's sink has fired %d times", i, sink.fired)
+		}
 	}
 }
 
@@ -664,20 +701,21 @@ func TestRoundSteadyStateAllocatesNothing(t *testing.T) {
 	w.g.policy = &LeastBacklog{} // the world's LeastLoaded allocates its own result
 	w.step(w.join)
 	w.step(w.join)
-	q := &pendingQuery{done: make(chan QueryResult, 1)}
+	sink := &simSink{}
 	serve := func(opts SubmitOptions) {
-		w.c.enqueue(simModel, 8, q, opts, w.now)
+		w.c.enqueue(simModel, 8, opts, sink, w.now)
 		w.c.round(w.g, w.now)
+		w.c.flush(w.g)
 		for _, in := range w.insts {
 			for _, req := range in.link.inbox {
 				w.c.complete(in.ri, Reply{ID: req.ID, ServiceMS: 1}, w.now)
 			}
 			in.link.inbox = in.link.inbox[:0]
 		}
-		if res := <-q.done; res.Err != nil {
-			t.Fatal(res.Err)
+		if sink.fired != 1 || sink.res.Err != nil {
+			t.Fatalf("sink fired %d times: %+v", sink.fired, sink.res)
 		}
-		q.completed.Store(false)
+		sink.fired = 0
 		w.c.round(w.g, w.now) // the round the completion kicks: empty queue
 	}
 	cycle := func() {
@@ -689,4 +727,90 @@ func TestRoundSteadyStateAllocatesNothing(t *testing.T) {
 		t.Fatalf("a steady-state served query allocates %.1f times", allocs/2)
 	}
 	w.c.Close()
+}
+
+// TestScheduleFlushesOncePerBurst pins the flush rule under the fake clock:
+// one wake-up of the scheduler runs the round it was woken for and, when a
+// kick landed meanwhile, exactly one more — then writes each touched link
+// once, and never goes back to sleep over an unflushed dispatch.
+func TestScheduleFlushesOncePerBurst(t *testing.T) {
+	t.Parallel()
+	plain := func(w *simWorld) func() { return func() { w.submitWith(SubmitOptions{}) } }
+
+	t.Run("two rounds, one flush", func(t *testing.T) {
+		w := newSimWorld(t, 2)
+		w.step(w.join)
+		link := w.insts[0].link
+		// A submission lands while the first round is writing its dispatch:
+		// the kick it leaves is the second round's.
+		mid := 1
+		link.onQueue = func() {
+			if mid > 0 {
+				mid--
+				plain(w)()
+			}
+		}
+		base := link.flushes
+		w.step(plain(w))
+		if link.flushes != base+1 || len(link.inbox) != 2 {
+			t.Fatalf("two back-to-back rounds to one instance: %d flushes, inbox %v", link.flushes-base, link.inbox)
+		}
+		w.c.Close()
+	})
+
+	t.Run("at most one extra round", func(t *testing.T) {
+		w := newSimWorld(t, 2)
+		w.step(w.join)
+		link := w.insts[0].link
+		link.onQueue = plain(w) // every dispatch begets a submission: kicks never run out
+		w.submitWith(SubmitOptions{})
+		<-w.g.kick // groupLoop's receive
+		base := link.flushes
+		w.c.schedule(w.g, w.clock)
+		if link.flushes != base+1 || len(link.inbox) != 2 || len(link.queued) != 0 {
+			t.Fatalf("one wake-up: %d flushes, inbox %v, unflushed %v", link.flushes-base, link.inbox, link.queued)
+		}
+		select {
+		case <-w.g.kick:
+		default:
+			t.Fatal("the third submission's kick was swallowed")
+		}
+		if st := w.c.Stats(); st.Waiting != 1 {
+			t.Fatalf("third submission: waiting %d, want 1 (left for the next wake-up)", st.Waiting)
+		}
+		link.onQueue = nil
+		w.c.Close()
+	})
+
+	t.Run("deferred flush error requeues the burst", func(t *testing.T) {
+		w := newSimWorld(t, 1) // odd seed: an empty group parks its queue
+		w.step(w.join)
+		flaky := w.insts[0]
+		mid := 1
+		flaky.link.onQueue = func() {
+			if mid > 0 {
+				mid--
+				plain(w)()
+			}
+		}
+		flaky.link.failFlush = true
+		w.step(plain(w))
+		// Both rounds' dispatches sat behind the one failed write: the
+		// instance left by the fault exit, once, and both queries are back
+		// in the central queue, neither failed.
+		if flaky.link.flushes != 1 || w.downs[flaky.addr] != 1 {
+			t.Fatalf("flushes=%d downs=%d, want 1 and 1", flaky.link.flushes, w.downs[flaky.addr])
+		}
+		if st := w.c.Stats(); st.Waiting != 2 || st.Failed != 0 || len(st.Instances) != 0 {
+			t.Fatalf("burst not requeued whole: %+v", st)
+		}
+		w.step(w.join)
+		if healthy := w.insts[1]; len(healthy.link.inbox) != 2 {
+			t.Fatalf("requeued burst not re-served: inbox %v", healthy.link.inbox)
+		}
+		for len(w.live) > 0 {
+			w.step(func() { w.reply(false) })
+		}
+		w.c.Close()
+	})
 }
