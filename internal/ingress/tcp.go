@@ -97,19 +97,18 @@ func (s *Server) serveTCPConn(conn net.Conn) {
 		close(tc.done)
 		<-flusherDone
 	}()
-	var rbuf []byte
+	var rbuf []byte // scratch for a frame larger than br's window
 	for {
-		p, err := server.ReadRawFrame(br, rbuf)
+		p, err := server.ReadFrameView(br, &rbuf)
 		if err != nil {
 			return
 		}
-		rbuf = p[:0]
 		rv, err := server.DecodeRequestView(p)
 		if err != nil {
 			return
 		}
-		// rv's byte fields alias rbuf; handleTCP consumes them before
-		// returning (hash, map lookup), so the reuse is safe.
+		// rv's byte fields alias the read buffer; handleTCP consumes them
+		// before returning (hash, map lookup), so the next read is safe.
 		s.handleTCP(tc, rv, time.Now())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"kairos/internal/cloud"
 	"kairos/internal/models"
 	"kairos/internal/sim"
 )
@@ -95,3 +96,31 @@ func BenchmarkControllerThroughputKairosPolicy(b *testing.B) {
 	b.Cleanup(cluster.Close)
 	runThroughput(b, cluster)
 }
+
+// benchBringUp times what a fleet of n costs to bring up: NewMultiController
+// over n already-listening instance servers — dial, handshake, admit — for
+// one model group under the matching policy. Linear in n: the dials overlap
+// and no membership change walks the fleet.
+func benchBringUp(b *testing.B, n int) {
+	m := models.MustByName("NCF")
+	types := []string{cloud.G4dnXlarge.Name, cloud.R5nLarge.Name}
+	addrs := make([]string, n)
+	for i := range addrs {
+		addrs[i] = startServer(b, types[i%2], benchScale).Addr()
+	}
+	groups := map[string]GroupSpec{m.Name: {Policy: kairosPolicy(m, types), Predict: m.Latency}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctrl, err := NewMultiController(groups, benchScale, addrs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		ctrl.Close()
+		b.StartTimer()
+	}
+}
+
+func BenchmarkControllerBringUp8(b *testing.B)  { benchBringUp(b, 8) }
+func BenchmarkControllerBringUp32(b *testing.B) { benchBringUp(b, 32) }

@@ -150,11 +150,9 @@ func NewMultiController(groups map[string]GroupSpec, timeScale float64, addrs []
 	if len(addrs) == 0 {
 		return nil, errors.New("server: controller needs at least one instance address")
 	}
-	for _, addr := range addrs {
-		if _, err := c.AddInstance(addr); err != nil {
-			c.Close()
-			return nil, err
-		}
+	if _, err := c.addInstances(addrs); err != nil {
+		c.Close()
+		return nil, err
 	}
 	for _, model := range c.order {
 		c.wg.Add(1)
@@ -239,14 +237,50 @@ func (c *Controller) dialInstance(addr string) (*remoteInstance, *wireConn, erro
 // model its banner announces and returns that type name. Safe to call
 // while traffic is flowing.
 func (c *Controller) AddInstance(addr string) (string, error) {
-	ri, wc, err := c.dialInstance(addr)
+	types, err := c.addInstances([]string{addr})
 	if err != nil {
 		return "", err
 	}
-	if err := c.admit(ri, func() { c.readLoop(ri, wc) }); err != nil {
-		return "", err
+	return types[0], nil
+}
+
+// addInstances is the one dial-and-admit path. It dials every address at
+// once — k silent listeners cost one handshakeTimeout — and admits the
+// results in address order, the order policies index instances by, whatever
+// order the network answered in. After a failed dial nothing is admitted,
+// every link that opened is closed, and the error is the first in address
+// order. It returns the admitted type names.
+func (c *Controller) addInstances(addrs []string) (types []string, err error) {
+	type dialed struct {
+		ri  *remoteInstance
+		wc  *wireConn
+		err error
 	}
-	return ri.typeName, nil
+	fleet := make([]dialed, len(addrs))
+	var wg sync.WaitGroup
+	for i, addr := range addrs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fleet[i].ri, fleet[i].wc, fleet[i].err = c.dialInstance(addr)
+		}()
+	}
+	wg.Wait()
+	if i := slices.IndexFunc(fleet, func(d dialed) bool { return d.err != nil }); i >= 0 {
+		err = fleet[i].err
+	}
+	for _, d := range fleet {
+		switch {
+		case d.ri == nil: // a failed dial closed its own connection
+		case err != nil:
+			d.ri.link.close()
+		default:
+			// Refused only after Close, which closes the links admitted so far.
+			err = c.admit(d.ri, func() { c.readLoop(d.ri, d.wc) })
+			types = append(types, d.ri.typeName)
+		}
+	}
+	return types, err
 }
 
 // admit is the one way into the fleet: under the group lock it refuses a

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -309,5 +311,104 @@ func TestAddInstanceBoundsSilentListener(t *testing.T) {
 	}
 	if got := ctrl.InstanceTypes(); len(got) != 1 {
 		t.Fatalf("fleet = %v", got)
+	}
+}
+
+// TestNewMultiControllerBoundsSilentListeners: the constructor dials its
+// whole fleet at once, so however many listeners accept and never speak
+// they cost it one handshake bound between them, the error names the first
+// bad address in address order (not the first to time out), and a fleet
+// that was never returned leaves nothing behind: every healthy server sees
+// its connection closed and no reader goroutine was started.
+func TestNewMultiControllerBoundsSilentListeners(t *testing.T) {
+	m := models.MustByName("NCF")
+	release := make(chan struct{})
+	defer close(release)
+	var addrs, silent []string
+	var healthy []*InstanceServer
+	for i := 0; i < 9; i++ {
+		if i%3 != 1 {
+			s := startServer(t, cloud.G4dnXlarge.Name, 1)
+			healthy = append(healthy, s)
+			addrs = append(addrs, s.Addr())
+			continue
+		}
+		ln := listenLocal(t)
+		go func() {
+			if conn, err := ln.Accept(); err == nil {
+				<-release // hold the connection open, say nothing
+				conn.Close()
+			}
+		}()
+		silent = append(silent, ln.Addr().String())
+		addrs = append(addrs, ln.Addr().String())
+	}
+	idle := runtime.NumGoroutine()
+
+	start := time.Now()
+	ctrl, err := NewController(m.Name, kairosPolicy(m, []string{cloud.G4dnXlarge.Name}), 1, m.Latency, addrs)
+	if err == nil {
+		ctrl.Close()
+		t.Fatal("a fleet with silent listeners came up")
+	}
+	if took := time.Since(start); took >= 2*handshakeTimeout {
+		t.Fatalf("three silent listeners cost the constructor %v, want one handshake bound (%v)", took, handshakeTimeout)
+	}
+	if !strings.Contains(err.Error(), "handshake with "+silent[0]) {
+		t.Fatalf("error %q does not name the first silent listener in address order, %s", err, silent[0])
+	}
+	// The servers notice the close on their own goroutines: wait for that,
+	// bounded as a diagnostic, not a pace.
+	deadline := time.Now().Add(5 * time.Second)
+	for _, s := range healthy {
+		for {
+			s.tracker.mu.Lock()
+			open := len(s.tracker.conns)
+			s.tracker.mu.Unlock()
+			if open == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("healthy server %s still holds %d connection(s) of the failed fleet", s.Addr(), open)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for runtime.NumGoroutine() > idle {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the failed constructor, %d before it", runtime.NumGoroutine(), idle)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFleetOrderIsAddressOrder: the fleet is dialed at once and the
+// banners arrive in reverse address order, yet members are listed — and
+// indexed by the policy — in the order the addresses were given.
+func TestFleetOrderIsAddressOrder(t *testing.T) {
+	t.Parallel()
+	m := models.MustByName("NCF")
+	g, r := cloud.G4dnXlarge.Name, cloud.R5nLarge.Name
+	types := []string{g, r}
+	want := []string{g, r, r, g, r, r} // not its own reverse
+	for run := 0; run < 20; run++ {
+		var addrs []string
+		for i, tn := range want {
+			addr, die := slowFakeInstance(t, time.Duration(len(want)-1-i)*2*time.Millisecond, tn, m.Name)
+			defer close(die)
+			addrs = append(addrs, addr)
+		}
+		ctrl, err := NewController(m.Name, kairosPolicy(m, types), 1, m.Latency, addrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, in := range ctrl.Stats().Instances {
+			got = append(got, in.Addr)
+		}
+		if types := ctrl.InstanceTypes(); !slices.Equal(got, addrs) || !slices.Equal(types, want) {
+			t.Fatalf("run %d: fleet %v %v, want address order %v %v", run, got, types, addrs, want)
+		}
+		ctrl.Close()
 	}
 }

@@ -66,8 +66,8 @@ type membership struct {
 	ring affinityRing
 }
 
-// setState moves ri along its lifecycle and keeps the fleet slice, the
-// active count and the ring in step. Callers hold the group's mu.
+// setState moves ri along its lifecycle, keeps the fleet slice and the
+// active count in step and marks the ring stale. Callers hold the group's mu.
 func (m *membership) setState(ri *remoteInstance, s instanceState) {
 	if ri.state == stateActive {
 		m.nactive--
@@ -83,7 +83,8 @@ func (m *membership) setState(ri *remoteInstance, s instanceState) {
 		}
 	}
 	ri.settled()
-	m.ring.rebuild(m.instances)
+	clear(m.ring.entries) // a ring nobody rebuilds must not pin a member that left
+	m.ring.entries, m.ring.stale = m.ring.entries[:0], true
 }
 
 // settled closes drained once ri is past active and holds nothing; the

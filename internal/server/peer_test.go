@@ -100,6 +100,12 @@ func acceptHandshake(conn net.Conn, typeName, model string) error {
 // minimal stand-in for a wedged-then-crashed kairosd.
 func fakeInstance(t *testing.T, typeName, model string) (addr string, die chan struct{}) {
 	t.Helper()
+	return slowFakeInstance(t, 0, typeName, model)
+}
+
+// slowFakeInstance is fakeInstance holding its banner back for delay.
+func slowFakeInstance(t *testing.T, delay time.Duration, typeName, model string) (addr string, die chan struct{}) {
+	t.Helper()
 	ln := listenLocal(t)
 	die = make(chan struct{})
 	go func() {
@@ -108,6 +114,7 @@ func fakeInstance(t *testing.T, typeName, model string) (addr string, die chan s
 			return
 		}
 		defer conn.Close()
+		time.Sleep(delay)
 		if err := acceptHandshake(conn, typeName, model); err != nil {
 			t.Errorf("fake instance handshake: %v", err)
 			return

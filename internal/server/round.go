@@ -314,24 +314,26 @@ func (c *Controller) match(g *modelGroup, now time.Time) []dispatchItem {
 	// Affinity pass: session-keyed queries try their ring-preferred
 	// instance first, under the bounded-load cap, before the policy sees
 	// the queue. The pass updates pending and busy time as it takes, so
-	// the policy's instance views include the affinity dispatches.
-	if len(g.ring.entries) > 0 {
-		backlog := 0
-		for _, ri := range active {
-			backlog += len(ri.pending)
+	// the policy's instance views include the affinity dispatches. The
+	// first such query after a membership change pays for the ring.
+	backlog := 0
+	for _, ri := range active {
+		backlog += len(ri.pending)
+	}
+	for i, q := range g.waiting {
+		if q.session == 0 {
+			continue
 		}
-		for i, q := range g.waiting {
-			if q.session == 0 {
-				continue
-			}
-			ri := g.ring.pick(q.session, affinityBound(backlog, len(active)))
-			if ri == nil {
-				continue // saturated ring: the policy routes this one
-			}
-			taken[i] = true
-			backlog++
-			dispatch = append(dispatch, c.take(g, q, ri, now))
+		if g.ring.stale {
+			g.ring.rebuild(g.instances)
 		}
+		ri := g.ring.pick(q.session, affinityBound(backlog, len(active)))
+		if ri == nil {
+			continue // saturated ring: the policy routes this one
+		}
+		taken[i] = true
+		backlog++
+		dispatch = append(dispatch, c.take(g, q, ri, now))
 	}
 	qviews := g.qviews[:0]
 	for i, q := range g.waiting {

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -122,6 +123,10 @@ type simWorld struct {
 	insts  []*simInst
 	downs  map[string]int // observed onDown calls per address
 	sinks  []*simSink     // one per submission, admitted or not
+	// rebuilds counts the wake-ups that found the affinity ring stale and
+	// left it derived: the test's count of ring rebuilds (exact while no
+	// wake-up both rebuilds and evicts).
+	rebuilds int
 
 	// model:
 	nextID                       int64
@@ -406,7 +411,9 @@ func (w *simWorld) settle() {
 				return
 			}
 		}
+		consults, wasStale, fleet := w.ringBefore()
 		_, w.next = w.c.schedule(w.g, w.clock)
+		w.checkRing(consults, wasStale, fleet)
 		if !w.next.IsZero() && !w.next.After(w.now) {
 			w.fatalf("round at %v asked to be woken at %v: the scheduler would spin", w.now, w.next)
 		}
@@ -417,6 +424,97 @@ func (w *simWorld) settle() {
 		}
 		if i > 1000 {
 			w.fatalf("scheduler does not settle")
+		}
+	}
+}
+
+// ringBefore reads, ahead of a wake-up, what decides the affinity ring's
+// part in it: whether its first round's affinity pass will consult the ring
+// (a session-keyed query survives the sweep and there is someone to
+// dispatch to), whether the ring is stale, and who is in the fleet.
+func (w *simWorld) ringBefore() (consults, wasStale bool, fleet []*remoteInstance) {
+	w.g.mu.Lock()
+	defer w.g.mu.Unlock()
+	for _, q := range w.g.waiting {
+		if q.session != 0 && (q.deadline.IsZero() || w.now.Before(q.deadline)) {
+			consults = w.g.nactive > 0
+		}
+	}
+	return consults, w.g.ring.stale, slices.Clone(w.g.instances)
+}
+
+// checkRing holds the ring to its contract after a wake-up. Whenever it is
+// not stale it is, entry for entry, what a from-scratch rebuild over the
+// current fleet yields — so it can only ever yield an active member — and a
+// stale ring is empty. And a pass that consulted it consulted it fresh: if
+// a session-keyed query was waiting, the wake-up leaves the ring derived
+// (unless one of its own dispatch writes failed and evicted a member after
+// the pass, which the fleet shows).
+func (w *simWorld) checkRing(consults, wasStale bool, fleet []*remoteInstance) {
+	w.g.mu.Lock()
+	defer w.g.mu.Unlock()
+	ring := &w.g.ring
+	if ring.stale {
+		if len(ring.entries) != 0 {
+			w.fatalf("stale ring still holds %d entries", len(ring.entries))
+		}
+		if consults && slices.Equal(fleet, w.g.instances) {
+			w.fatalf("the affinity pass matched a session-keyed query against a stale ring")
+		}
+		return
+	}
+	if wasStale {
+		w.rebuilds++
+	}
+	var scratch affinityRing
+	scratch.rebuild(w.g.instances)
+	if !slices.Equal(ring.entries, scratch.entries) {
+		w.fatalf("ring in use (%d entries) is not the from-scratch ring over the active members (%d entries)",
+			len(ring.entries), len(scratch.entries))
+	}
+	for _, e := range ring.entries {
+		if e.ri.state != stateActive {
+			w.fatalf("ring yields %s, which is not active (state %d)", e.ri.addr, e.ri.state)
+		}
+	}
+}
+
+// membershipBurst opens every run: four membership changes back to back
+// sort nothing, the one session-keyed query after them sorts once, and the
+// ring that sort built is honoured — the session's next query lands on the
+// same instance, the one a from-scratch ring prefers.
+func (w *simWorld) membershipBurst() {
+	w.step(w.join)
+	w.step(w.join)
+	w.step(w.join)
+	w.step(func() { w.kill(w.insts[0]) })
+	w.g.mu.Lock()
+	stale := w.g.ring.stale
+	w.g.mu.Unlock()
+	if !stale || w.rebuilds != 0 {
+		w.fatalf("after 4 membership changes and no session query: %d rebuilds, stale=%v; want 0 and a stale ring", w.rebuilds, stale)
+	}
+	session := SubmitOptions{SessionHash: SessionHash([]byte("burst"))}
+	w.step(func() { w.submitWith(session) })
+	if w.rebuilds != 1 {
+		w.fatalf("4 membership changes then one session query cost %d ring rebuilds, want exactly 1", w.rebuilds)
+	}
+	w.step(func() { w.submitWith(session) })
+	w.g.mu.Lock()
+	var scratch affinityRing
+	scratch.rebuild(w.g.instances)
+	preferred := scratch.pick(session.SessionHash, 1<<30)
+	w.g.mu.Unlock()
+	if w.rebuilds != 1 {
+		w.fatalf("a second session query on an unchanged fleet rebuilt the ring again (%d rebuilds)", w.rebuilds)
+	}
+	for _, in := range w.members(true) {
+		want := 0
+		if in.ri == preferred {
+			want = 2
+		}
+		if len(in.link.inbox) != want {
+			w.fatalf("%s holds %d of the session's 2 queries, want %d (ring prefers %s)", in.addr, len(in.link.inbox), want, preferred.addr)
 		}
 	}
 }
@@ -573,8 +671,7 @@ func runRoundSim(t *testing.T, seed int64) {
 		w.join, w.join, w.failWrites, w.killRandom, w.staleReply,
 		func() { w.drainRandom(false) }, func() { w.drainRandom(true) }, w.drainRacingKill,
 	}
-	w.step(w.join)
-	w.step(w.join)
+	w.membershipBurst()
 	for i := 0; i < 400; i++ {
 		if len(w.members(false)) >= 6 {
 			w.step(w.killRandom)

@@ -309,7 +309,7 @@ func TestControllerExposesStableQueryIDs(t *testing.T) {
 }
 
 // startServer boots one NCF instance server and returns it plus its addr.
-func startServer(t *testing.T, typeName string, timeScale float64) *InstanceServer {
+func startServer(t testing.TB, typeName string, timeScale float64) *InstanceServer {
 	t.Helper()
 	m := models.MustByName("NCF")
 	s, err := NewInstanceServer(typeName, m, timeScale)

@@ -138,13 +138,14 @@ func (w *wireConn) flush() error {
 	return w.bw.flush()
 }
 
-// readFrame reads one length-prefixed payload from the buffered reader.
-// When the whole frame already fits the bufio window it is returned as a
-// zero-copy view into the buffer (valid only until the next read on the
-// connection — the single-reader loops decode immediately); larger frames
-// fall back to the copying path through the scratch buffer.
-func (w *wireConn) readFrame() ([]byte, error) {
-	hdr, err := w.br.Peek(4)
+// ReadFrameView reads one length-prefixed payload from br: the one frame
+// reader of the controller, the instance and the front door. When the whole
+// frame already fits the bufio window it is returned as a zero-copy view
+// into the buffer (valid only until the next read on br — the single-reader
+// loops decode immediately); larger frames fall back to the copying path
+// through the caller's scratch buffer.
+func ReadFrameView(br *bufio.Reader, scratch *[]byte) ([]byte, error) {
+	hdr, err := br.Peek(4)
 	if err != nil {
 		return nil, err
 	}
@@ -152,18 +153,15 @@ func (w *wireConn) readFrame() ([]byte, error) {
 	if n > MaxFrame {
 		return nil, fmt.Errorf("server: frame of %d bytes exceeds limit", n)
 	}
-	if p, err := w.br.Peek(4 + n); err == nil {
-		w.br.Discard(4 + n)
+	if p, err := br.Peek(4 + n); err == nil {
+		br.Discard(4 + n)
 		return p[4:], nil
 	}
-	// Frame longer than the buffered window: copy through the scratch.
-	p, err := readRawFrame(w.br, w.rbuf)
-	if err != nil {
-		return nil, err
-	}
-	w.rbuf = p[:0]
-	return p, nil
+	*scratch, err = readRawFrame(br, *scratch) // longer than the window: copy
+	return *scratch, err
 }
+
+func (w *wireConn) readFrame() ([]byte, error) { return ReadFrameView(w.br, &w.rbuf) }
 
 // readReply reads one reply (controller side).
 func (w *wireConn) readReply(rep *Reply) error {
