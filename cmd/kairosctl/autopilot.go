@@ -228,7 +228,7 @@ func runAutopilot(args []string) {
 	// the classic Fig. 12 load change.
 	shiftModel := fl.models[len(fl.models)-1]
 	shiftAfter := int(float64(*queries) * *shiftAt) // -shift 1: never reached
-	recs, failed := drive(ctrl, fl.models, *queries, *rate, fl.timeScale, rng, sig, func(i int, model string) int {
+	failed := drive(ctrl, fl.models, *queries, *rate, fl.timeScale, rng, sig, func(i int, model string) int {
 		if i == shiftAfter {
 			fmt.Printf("kairosctl autopilot: --- %s's mix shifts after %d queries ---\n", shiftModel, i)
 		}
@@ -239,7 +239,7 @@ func runAutopilot(args []string) {
 	})
 
 	fmt.Println()
-	summarize(ctrl, engine.Models(), recs)
+	summarize(ctrl, engine.Models())
 	status := ap.Status()
 	fmt.Println("plan:")
 	printPlan("  ", status.Plan)

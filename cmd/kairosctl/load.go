@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"kairos"
+	"kairos/internal/obs"
 )
 
 // runLoad is kairosctl without a subcommand: drive a Poisson query load
@@ -61,24 +62,20 @@ func runLoad(args []string) {
 	rng := rand.New(rand.NewSource(*seed))
 	dist := kairos.DefaultTrace()
 	start := time.Now()
-	recs, _ := drive(ctrl, modelNames, *queries, *rate, *timeScale, rng, nil,
+	drive(ctrl, modelNames, *queries, *rate, *timeScale, rng, nil,
 		func(int, string) int { return dist.Sample(rng) })
 	fmt.Printf("sent %d queries in %.1fs wall time\n", *queries, time.Since(start).Seconds())
-	summarize(ctrl, engine.Models(), recs)
+	summarize(ctrl, engine.Models())
 }
 
 // drive is the one Poisson submit loop: n queries at rate (queries/second,
 // model time) dilated by timeScale, round-robin across models, each batch
 // drawn by batch(i, model). A signal on stop ends the submissions early;
-// everything already submitted is still awaited. It returns each model's
-// latencies and how many queries failed.
+// everything already submitted is still awaited. It returns how many
+// queries failed.
 func drive(ctrl *kairos.Controller, models []string, n int, rate, timeScale float64, rng *rand.Rand,
-	stop <-chan os.Signal, batch func(i int, model string) int) (map[string]*kairos.LatencyRecorder, int) {
-	type pending struct {
-		model string
-		res   <-chan kairos.QueryResult
-	}
-	results := make([]pending, 0, n)
+	stop <-chan os.Signal, batch func(i int, model string) int) (failed int) {
+	results := make([]<-chan kairos.QueryResult, 0, n)
 submit:
 	for i := 0; i < n; i++ {
 		gapModelMS := rng.ExpFloat64() * 1000 / rate
@@ -89,34 +86,32 @@ submit:
 		case <-time.After(time.Duration(gapModelMS * timeScale * float64(time.Millisecond))):
 		}
 		model := models[i%len(models)]
-		results = append(results, pending{model, ctrl.Submit(model, batch(i, model))})
+		results = append(results, ctrl.Submit(model, batch(i, model)))
 	}
-	recs := make(map[string]*kairos.LatencyRecorder, len(models))
-	for _, name := range models {
-		recs[name] = kairos.NewLatencyRecorder(n/len(models) + 1)
-	}
-	failed := 0
-	for _, p := range results {
-		if res := <-p.res; res.Err != nil {
+	for _, res := range results {
+		if (<-res).Err != nil {
 			failed++
-		} else {
-			recs[p.model].Record(res.LatencyMS)
 		}
 	}
-	return recs, failed
+	return failed
 }
 
 // summarize prints the run's outcome from the controller's own accounting
 // — the observability surface shared with the autopilot, no ad-hoc
-// counters — and each model's latency digest against its QoS target.
-func summarize(ctrl *kairos.Controller, models []kairos.Model, recs map[string]*kairos.LatencyRecorder) {
+// counters — and each model's latency digest against its QoS target, read
+// off the flight recorder's end-to-end histogram (every successful query,
+// the samples QueryResult.LatencyMS reports).
+func summarize(ctrl *kairos.Controller, models []kairos.Model) {
 	st := ctrl.Stats()
 	fmt.Printf("queries: %d submitted, %d completed, %d failed\n", st.Submitted, st.Completed, st.Failed)
 	for _, m := range models {
-		rec := recs[m.Name]
+		e2e := ctrl.Obs().Model(m.Name).StageSnapshot(obs.StageE2E)
+		ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) / ctrl.TimeScale }
+		mean := ms(time.Duration(e2e.SumNS / int64(max(e2e.Count, 1))))
+		p50, p95, p99 := ms(e2e.Quantile(0.5)), ms(e2e.Quantile(0.95)), ms(e2e.Quantile(0.99))
 		fmt.Printf("%s:\n", m.Name)
-		fmt.Printf("  latency (model ms): %s\n", rec.Summarize())
-		fmt.Printf("  p99 %.1fms vs QoS %.0fms -> meets QoS: %v\n", rec.Percentile(99), m.QoS, rec.MeetsQoS(m.QoS, 99))
+		fmt.Printf("  latency (model ms): n=%d mean=%.2fms p50=%.2fms p95=%.2fms p99=%.2fms\n", e2e.Count, mean, p50, p95, p99)
+		fmt.Printf("  p99 %.1fms vs QoS %.0fms -> meets QoS: %v\n", p99, m.QoS, p99 <= m.QoS)
 		fmt.Printf("  served by:\n")
 		for _, in := range st.Models[m.Name].Instances {
 			fmt.Printf("    %-12s %s: %d completed, busy %.1f model-ms\n", in.TypeName, in.Addr, in.Completed, in.BusyMS)

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"time"
 
-	"kairos/internal/metrics"
 	"kairos/internal/obs"
 	"kairos/internal/server"
 )
@@ -23,10 +22,13 @@ type WindowStatus struct {
 	// LatencySamples is the number of latencies currently held.
 	LatencySamples int `json:"latency_samples"`
 	// P50MS/P95MS/P99MS are windowed latency percentiles in model ms
-	// (0 while empty).
+	// (0 while empty), within obs.QuantileRelErr of the exact values.
 	P50MS float64 `json:"p50_ms"`
 	P95MS float64 `json:"p95_ms"`
 	P99MS float64 `json:"p99_ms"`
+	// TailMS is the windowed SLO-percentile latency: the reading the SLO
+	// trigger compares with the model's objective.
+	TailMS float64 `json:"tail_ms"`
 	// ThroughputQPS is the model's recent completion rate in model-time
 	// QPS.
 	ThroughputQPS float64 `json:"throughput_qps"`
@@ -165,14 +167,6 @@ type Status struct {
 	Controller server.Stats `json:"controller"`
 }
 
-// zeroNaN maps NaN (empty-window percentile) to 0 for JSON.
-func zeroNaN(v float64) float64 {
-	if v != v {
-		return 0
-	}
-	return v
-}
-
 // modelPlanStatus renders one model's allocation.
 func (a *Autopilot) modelPlanStatus(cfg []int) ModelPlanStatus {
 	counts := make(map[string]int, len(a.wiring.Pool))
@@ -268,28 +262,21 @@ func (a *Autopilot) Status() Status {
 	}
 	for _, name := range a.names {
 		st := a.states[name]
-		lat, qps, arrival := a.snapshot(st)
 		out.Models[name] = ModelStatus{
 			SLOLatencyMS: a.trig.models[name].sloMS,
 			Plan:         out.Plan.Models[name],
-			Window: WindowStatus{
-				Observations:   st.monitor.Count(),
-				MeanBatch:      st.monitor.MeanBatch(),
-				LatencySamples: len(lat),
-				P50MS:          zeroNaN(metrics.SortedPercentile(lat, 50)),
-				P95MS:          zeroNaN(metrics.SortedPercentile(lat, 95)),
-				P99MS:          zeroNaN(metrics.SortedPercentile(lat, 99)),
-				ThroughputQPS:  qps,
-				ArrivalQPS:     arrival,
-			},
+			Window:       WindowStatus{Observations: st.monitor.Count(), MeanBatch: st.monitor.MeanBatch()},
 			IngressQueue: ctrlStats.Ingress[name].Queue,
 		}
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for name, mt := range a.trig.models {
-		ms := out.Models[name]
-		ms.Drift = mt.lastDrift
+	for _, name := range a.names {
+		st, ms := a.states[name], out.Models[name]
+		ms.Drift = a.trig.models[name].lastDrift
+		w := &ms.Window
+		w.LatencySamples, w.ThroughputQPS, w.ArrivalQPS = st.latency.Len(), st.recentQPS, st.arrivalQPS
+		w.P50MS, w.P95MS, w.P99MS, w.TailMS = st.latencyMS(50), st.latencyMS(95), st.latencyMS(99), st.latencyMS(a.opts.SLOPercentile)
 		out.Models[name] = ms
 	}
 	out.ThroughputQPS = a.rates.qps

@@ -30,7 +30,6 @@ import (
 	"kairos/internal/cloud"
 	"kairos/internal/core"
 	"kairos/internal/ingress"
-	"kairos/internal/metrics"
 	"kairos/internal/models"
 	"kairos/internal/obs"
 	"kairos/internal/server"
@@ -497,7 +496,7 @@ func assemble(fl fleet, initial core.FleetPlan, w Wiring, opts Options, now func
 		journal:   newJournal(defaultJournalSize),
 	}
 	for _, m := range w.Models {
-		a.states[m.Name] = &modelState{monitor: workload.NewMonitor(o.Window), latency: metrics.NewWindow(o.Window)}
+		a.states[m.Name] = &modelState{monitor: workload.NewMonitor(o.Window), latency: obs.NewWindow(o.Window)}
 		mt := &modelTrigger{sloMS: m.QoS}
 		if o.SLOLatencyMS > 0 {
 			mt.sloMS = o.SLOLatencyMS

@@ -1,6 +1,7 @@
 package autopilot
 
 import (
+	"maps"
 	"slices"
 	"sync"
 	"time"
@@ -144,11 +145,7 @@ func (a *Autopilot) record(kind, reason string, dec *Decision, o outcome) {
 	}
 	if dec != nil {
 		ev.Triggers, ev.Utilization, ev.PlanBudget = dec.triggerNames(), dec.Utilization, dec.PlanBudget
-		ev.Models = make(map[string]ModelDecision, len(dec.Models))
-		for name, md := range dec.Models {
-			md.TailMS = zeroNaN(md.TailMS) // an empty latency window; JSON has no NaN
-			ev.Models[name] = md
-		}
+		ev.Models = maps.Clone(dec.Models)
 	}
 	a.journal.add(ev)
 }

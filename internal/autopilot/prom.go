@@ -97,7 +97,7 @@ var promFamilies = []promFamily{
 	{name: "kairos_queries_failed_total", help: "Queries delivered with an error.", typ: "counter", value: func(st *Status) float64 { return float64(st.Controller.Failed) }},
 	{name: "kairos_queue_depth", help: "Central scheduler queue depth per model.", typ: "gauge", perModel: func(st *Status, m string) float64 { return float64(st.Controller.Models[m].Waiting) }},
 	{name: "kairos_model_drift", help: "Last measured total-variation distance from the armed reference.", typ: "gauge", perModel: func(st *Status, m string) float64 { return st.Models[m].Drift }},
-	{name: "kairos_model_tail_latency_seconds", help: "Windowed SLO-percentile latency per model (model time).", typ: "gauge", perModel: func(st *Status, m string) float64 { return st.Models[m].Window.P99MS / 1000 }},
+	{name: "kairos_model_tail_latency_seconds", help: "Windowed SLO-percentile latency per model (model time).", typ: "gauge", perModel: func(st *Status, m string) float64 { return st.Models[m].Window.TailMS / 1000 }},
 	{name: "kairos_model_throughput_qps", help: "Recent per-model completion rate in model-time QPS.", typ: "gauge", perModel: func(st *Status, m string) float64 { return st.Models[m].Window.ThroughputQPS }},
 	{name: "kairos_model_arrival_qps", help: "Smoothed observed per-model arrival rate in model-time QPS.", typ: "gauge", perModel: func(st *Status, m string) float64 { return st.Models[m].Window.ArrivalQPS }},
 	{name: "kairos_ingress_queue_depth", help: "Admitted-but-unfinished ingress queries per model.", typ: "gauge", door: true, perModel: func(st *Status, m string) float64 { return float64(st.Controller.Ingress[m].Queue) }},

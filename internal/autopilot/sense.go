@@ -1,10 +1,9 @@
 package autopilot
 
 import (
-	"sort"
 	"time"
 
-	"kairos/internal/metrics"
+	"kairos/internal/obs"
 	"kairos/internal/server"
 	"kairos/internal/workload"
 )
@@ -27,7 +26,7 @@ type fleet interface {
 // Autopilot.mu.
 type modelState struct {
 	monitor *workload.Monitor
-	latency *metrics.Window
+	latency *obs.Window
 	// lastCompleted, lastSubmitted, and lastRejected back the per-model
 	// throughput and arrival-rate estimates.
 	lastCompleted int64
@@ -60,7 +59,7 @@ type modelReading struct {
 	// model is invisible to the planner.
 	sample []int
 	// tailMS is the SLO-percentile latency over the latN samples of the
-	// latency window (NaN while empty).
+	// latency window (0 while empty).
 	tailMS float64
 	latN   int
 	// arrivalQPS is the smoothed demand estimate (0 while unknown).
@@ -90,20 +89,16 @@ func (a *Autopilot) observe(model string, batch int, res server.QueryResult) {
 	}
 	st.monitor.Observe(batch)
 	a.mu.Lock()
-	st.latency.Observe(res.LatencyMS)
+	st.latency.Observe(time.Duration(res.LatencyMS * float64(time.Millisecond)))
 	a.mu.Unlock()
 }
 
-// snapshot returns the model's latency window in ascending order and its
-// rate estimates: one copy taken under the lock and sorted outside it, so
-// neither a tick nor a scrape stalls the completion path (observe takes the
-// same lock).
-func (a *Autopilot) snapshot(st *modelState) (lat []float64, qps, arrivalQPS float64) {
-	a.mu.Lock()
-	lat, qps, arrivalQPS = st.latency.Snapshot(), st.recentQPS, st.arrivalQPS
-	a.mu.Unlock()
-	sort.Float64s(lat)
-	return lat, qps, arrivalQPS
+// latencyMS is the latency window's p-th percentile (0 < p ≤ 100) in model
+// ms, 0 while the window is empty: the one quantile walk over the window's
+// bucket counts (internal/obs), cheap enough to run under Autopilot.mu,
+// which callers hold.
+func (st *modelState) latencyMS(p float64) float64 {
+	return millis(st.latency.Quantile(p / 100))
 }
 
 // planSample is the one rule for which sample a model plans from: its live
@@ -120,15 +115,11 @@ func (a *Autopilot) planSample(name string, window []int) []int {
 func (a *Autopilot) read(name string) modelReading {
 	st := a.states[name]
 	window := st.monitor.Snapshot()
-	lat, _, arrival := a.snapshot(st)
-	return modelReading{
-		window:     window,
-		warm:       len(window) >= a.opts.MinObservations,
-		sample:     a.planSample(name, window),
-		tailMS:     metrics.SortedPercentile(lat, a.opts.SLOPercentile),
-		latN:       len(lat),
-		arrivalQPS: arrival,
-	}
+	m := modelReading{window: window, warm: len(window) >= a.opts.MinObservations, sample: a.planSample(name, window)}
+	a.mu.Lock()
+	m.tailMS, m.latN, m.arrivalQPS = st.latencyMS(a.opts.SLOPercentile), st.latency.Len(), st.arrivalQPS
+	a.mu.Unlock()
+	return m
 }
 
 // sense takes one tick's readings: it advances the rate estimator, then

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"math"
 	"os"
 	"testing"
 	"time"
@@ -56,7 +55,7 @@ func promFixture() (st Status, names []string, plan, preempt obs.HistSnapshot, r
 		Models: map[string]ModelStatus{
 			"NCF": {
 				Drift: 0.21, SLOLatencyMS: 5, Plan: ncfPlan, IngressQueue: 9,
-				Window: WindowStatus{Observations: 300, MeanBatch: 41.5, LatencySamples: 280, P50MS: 1.5, P95MS: 3.25, P99MS: 4.75, ThroughputQPS: 700.5, ArrivalQPS: 733},
+				Window: WindowStatus{Observations: 300, MeanBatch: 41.5, LatencySamples: 280, P50MS: 1.5, P95MS: 3.25, P99MS: 4.75, TailMS: 4.75, ThroughputQPS: 700.5, ArrivalQPS: 733},
 			},
 			oddModel: {Drift: 0, SLOLatencyMS: 25, Plan: oddPlan},
 		},
@@ -101,7 +100,8 @@ type journalCase struct {
 }
 
 // journalFixture has an entry of every kind the journal can hold, with
-// every optional field set at least once and a NaN tail to pin its zeroing.
+// every optional field set at least once, and an empty latency window's
+// tail (0) on a checked model.
 func journalFixture() []journalCase {
 	from := core.FleetPlan{"NCF": cloud.Config{0, 0, 2, 0}}
 	to := core.FleetPlan{"NCF": cloud.Config{1, 0, 1, 0}}
@@ -130,7 +130,7 @@ func journalFixture() []journalCase {
 			step(Decision{Checked: true, DriftTriggered: true, Held: true, From: from}), outcome{from: from}},
 		{"steady", "steady (util 0.61, NCF drift 0.020 p99 NaNms)",
 			step(Decision{Checked: true, From: from,
-				Models: map[string]ModelDecision{"NCF": {Checked: true, Drift: 0.02, TailMS: math.NaN(), ArrivalQPS: 80}}}),
+				Models: map[string]ModelDecision{"NCF": {Checked: true, Drift: 0.02, TailMS: 0, ArrivalQPS: 80}}}),
 			outcome{from: from}},
 		{"cold", "windows cold (< 30 observations per model)",
 			step(Decision{Models: map[string]ModelDecision{"NCF": {}}}), outcome{}},

@@ -1,9 +1,11 @@
 package autopilot
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -13,8 +15,8 @@ import (
 
 	"kairos/internal/cloud"
 	"kairos/internal/core"
-	"kairos/internal/metrics"
 	"kairos/internal/models"
+	"kairos/internal/obs"
 	"kairos/internal/server"
 )
 
@@ -655,29 +657,105 @@ func TestProvidersRefuseLaunchAfterClose(t *testing.T) {
 	}
 }
 
-// TestStatusPercentilesMatchWindow pins the one-copy, one-sort latency
-// path Status and the tick share to the answers the per-call copy-and-sort
-// it replaced gave: metrics.Percentile over the same window.
+// TestStatusPercentilesMatchWindow pins the one latency path Status and the
+// tick share: every percentile is the window's own quantile walk over the
+// same samples (obs.Window), within obs.QuantileRelErr of the exact
+// nearest-rank value.
 func TestStatusPercentilesMatchWindow(t *testing.T) {
 	t.Parallel()
 	w := newSimWorld(t, 1)
+	ref := obs.NewWindow(40) // the window holds the last 40
 	var window []float64
-	for i := 0; i < 100; i++ { // the window holds the last 40
+	for i := 0; i < 100; i++ {
 		lat := 0.5 + 20*w.rng.Float64()
 		w.a.observe("NCF", 30, server.QueryResult{LatencyMS: lat})
+		ref.Observe(time.Duration(lat * float64(time.Millisecond)))
 		window = append(window, lat)
 	}
 	window = window[len(window)-40:]
+	sort.Float64s(window)
+	q := func(p float64) float64 {
+		got := float64(ref.Quantile(p/100)) / float64(time.Millisecond)
+		exact := window[int(math.Ceil(p/100*40))-1]
+		if got > exact*(1+obs.QuantileRelErr) || got*(1+obs.QuantileRelErr) < exact {
+			t.Fatalf("window p%g %v, exact %v: outside the %.2f%% bound", p, got, exact, 100*obs.QuantileRelErr)
+		}
+		return got
+	}
 	got := w.a.Status().Models["NCF"].Window
-	if got.LatencySamples != 40 || got.P50MS != metrics.Percentile(window, 50) ||
-		got.P95MS != metrics.Percentile(window, 95) || got.P99MS != metrics.Percentile(window, 99) {
-		t.Fatalf("status window %+v, want p50 %v p95 %v p99 %v over 40 samples", got,
-			metrics.Percentile(window, 50), metrics.Percentile(window, 95), metrics.Percentile(window, 99))
+	if got.LatencySamples != 40 || got.P50MS != q(50) || got.P95MS != q(95) || got.P99MS != q(99) || got.TailMS != q(DefaultSLOPercentile) {
+		t.Fatalf("status window %+v, want p50 %v p95 %v p99 %v tail %v over 40 samples", got, q(50), q(95), q(99), q(DefaultSLOPercentile))
 	}
-	if tail := w.a.read("NCF").tailMS; tail != metrics.Percentile(window, DefaultSLOPercentile) {
-		t.Fatalf("sensed tail %v, want %v", tail, metrics.Percentile(window, DefaultSLOPercentile))
+	if tail := w.a.read("NCF").tailMS; tail != q(DefaultSLOPercentile) {
+		t.Fatalf("sensed tail %v, want %v", tail, q(DefaultSLOPercentile))
 	}
-	if empty := w.a.Status().Models["MT-WND"].Window; empty.LatencySamples != 0 || empty.P99MS != 0 {
+	if empty := w.a.Status().Models["MT-WND"].Window; empty.LatencySamples != 0 || empty.P99MS != 0 || empty.TailMS != 0 {
 		t.Fatalf("empty window reports %+v", empty)
+	}
+}
+
+// TestSLOTriggerBoundary: through the real window and decide, the SLO
+// trigger fires whenever the exact tail is at least (1+ε)·SLO and stays
+// quiet whenever it is at most SLO/(1+ε), ε = obs.QuantileRelErr — across
+// five decades of objectives, with the tail sample hidden among smaller
+// ones.
+func TestSLOTriggerBoundary(t *testing.T) {
+	t.Parallel()
+	w := newSimWorld(t, 1)
+	const eps = obs.QuantileRelErr
+	for i := 0; i < 300; i++ {
+		slo := math.Exp(math.Log(0.05) + w.rng.Float64()*math.Log(1e5)) // 0.05ms .. 5s
+		w.a.trig.models["NCF"].sloMS = slo
+		for _, tc := range []struct {
+			tail float64
+			fire bool
+		}{{slo * (1 + eps), true}, {slo / (1 + eps), false}} {
+			w.a.resetLatencyWindows()
+			// Window 40 at p99: the nearest-rank tail is the largest sample.
+			for k := 0; k < 39; k++ {
+				w.a.observe("NCF", 30, server.QueryResult{LatencyMS: tc.tail * w.rng.Float64()})
+			}
+			w.a.observe("NCF", 30, server.QueryResult{LatencyMS: tc.tail})
+			dec, _, err := w.a.trig.decide(w.now, w.a.sense(w.now), w.a.Current())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if md := dec.Models["NCF"]; md.SLOTriggered != tc.fire {
+				t.Fatalf("SLO %.6gms, exact tail %.6gms (%.4f× SLO): triggered=%v (window tail %.6gms), want %v",
+					slo, tc.tail, tc.tail/slo, md.SLOTriggered, md.TailMS, tc.fire)
+			}
+		}
+	}
+}
+
+// TestTailGaugeFollowsSLOPercentile: under SLOPercentile 95 the tail gauge
+// on /metrics, the tick's journalled ModelDecision.TailMS and the /statusz
+// window tail are one number — the p95, not the p99.
+func TestTailGaugeFollowsSLOPercentile(t *testing.T) {
+	t.Parallel()
+	w := newSimWorld(t, 1)
+	w.a.opts.SLOPercentile, w.a.trig.opts.SLOPercentile = 95, 95
+	w.a.trig.models["NCF"].sloMS = 1e4 // a steady tick: no trigger resets the window
+	for i := 1; i <= 40; i++ {
+		// NCF's reference mix (20..59), and p95 (rank 38) and p99 (rank 40)
+		// far enough apart to land in different buckets.
+		w.a.observe("NCF", 19+i, server.QueryResult{LatencyMS: float64(i * i)})
+	}
+	w.advance(time.Second)
+	w.tick()
+	evs := w.a.Decisions()
+	decided := evs[len(evs)-1].Models["NCF"]
+	st := w.a.Status()
+	win := st.Models["NCF"].Window
+	if !decided.Checked || decided.TailMS != win.TailMS || win.TailMS == win.P99MS {
+		t.Fatalf("journalled %+v, /statusz window %+v: want one p95 tail, distinct from p99", decided, win)
+	}
+	var buf bytes.Buffer
+	if err := writePrometheus(&buf, &st, w.a.names, obs.HistSnapshot{}, obs.HistSnapshot{}, obs.NewRegistry(0, w.a.names...)); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("kairos_model_tail_latency_seconds{model=\"NCF\"} %g\n", win.TailMS/1000)
+	if !strings.Contains(buf.String(), want) {
+		t.Fatalf("/metrics lacks %q:\n%s", want, buf.String())
 	}
 }

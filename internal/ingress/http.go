@@ -165,6 +165,7 @@ func (s *Server) serveHTTPRequest(conn net.Conn, hc *httpCtx) bool {
 		// skip it when one is declared.
 		if contentLen > 0 {
 			if contentLen > maxSubmitBody {
+				s.writeHTTPError(conn, hc, http.StatusRequestEntityTooLarge, "ingress: body too large")
 				return false
 			}
 			if _, err := hc.br.Discard(int(contentLen)); err != nil {
@@ -282,10 +283,36 @@ func (s *Server) writeHTTPResponse(conn net.Conn, hc *httpCtx, status int, body 
 	return err == nil
 }
 
-// writeHTTPError answers a protocol-level failure (always closes).
+// writeHTTPError answers a protocol-level failure and closes the
+// connection (refuseClose).
 func (s *Server) writeHTTPError(conn net.Conn, hc *httpCtx, status int, msg string) {
 	hc.rep = appendSubmitReply(hc.rep[:0], nil, 0, 0, "", msg)
-	s.writeHTTPResponse(conn, hc, status, hc.rep, false, false)
+	if s.writeHTTPResponse(conn, hc, status, hc.rep, false, false) {
+		refuseClose(conn, hc.br)
+	}
+}
+
+// What refuseClose discards, at most, after a refusal.
+const (
+	refuseDrainBytes = 4 << 20
+	refuseDrainTime  = 2 * time.Second
+)
+
+// refuseClose ends a connection refused mid-request, its status already
+// written. Closing a socket that still holds unread request bytes (the
+// refused body, or whatever the client pipelined behind it) makes the
+// kernel answer with RST, which can destroy the status before the client
+// reads it. So: half-close, so the client sees FIN right after the status;
+// discard what it is still sending, at most refuseDrainBytes for at most
+// refuseDrainTime; then close. The discarded bytes are never parsed, so a
+// request pipelined behind a refused one is never answered.
+func refuseClose(conn net.Conn, br *bufio.Reader) {
+	if cw, ok := conn.(interface{ CloseWrite() error }); ok {
+		cw.CloseWrite()
+	}
+	conn.SetReadDeadline(time.Now().Add(refuseDrainTime))
+	io.CopyN(io.Discard, br, refuseDrainBytes)
+	conn.Close()
 }
 
 // parseContentLength accepts exactly 1*DIGIT (RFC 9110 §8.6): no sign, no

@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,53 +16,93 @@ import (
 )
 
 func TestBucketBoundaries(t *testing.T) {
+	// Below 2·subCount ns every value is its own bucket; above, each power
+	// of two splits into subCount buckets whose first value is m<<shift.
+	for v := uint64(0); v < 2*subCount; v++ {
+		if got := bucketOf(v); got != int(v) {
+			t.Fatalf("bucketOf(%d) = %d, want exact bucket %d", v, got, v)
+		}
+	}
+	for _, tc := range []struct {
+		v    uint64
+		want int
+	}{
+		{16, 16}, {17, 16}, {18, 17}, {31, 23}, {32, 24}, {1000, 63},
+		{1 << 40, 37*subCount + subCount}, {1<<63 - 1, numBuckets - 9}, {math.MaxUint64, numBuckets - 1},
+	} {
+		if got := bucketOf(tc.v); got != tc.want {
+			t.Fatalf("bucketOf(%d) = %d, want %d", tc.v, got, tc.want)
+		}
+	}
+	// Negative durations clamp into bucket 0; the largest duration lands in
+	// a real bucket (there is no overflow bucket).
 	var h Histogram
-	// Exactly on a bound lands in that bucket (bounds are inclusive
-	// upper edges); one past it lands in the next.
-	for _, b := range []int{0, 1, 17, numBuckets - 1} {
-		v := boundsNS[b]
-		if got := bucketOf(v); got != b {
-			t.Fatalf("bucketOf(bound %d = %d) = %d", b, v, got)
-		}
-		if got := bucketOf(v + 1); got != b+1 {
-			t.Fatalf("bucketOf(bound %d + 1) = %d, want %d", b, got, b+1)
-		}
-	}
-	if got := bucketOf(0); got != 0 {
-		t.Fatalf("bucketOf(0) = %d", got)
-	}
-	// Overflow and negative clamp.
-	h.Record(time.Duration(boundsNS[numBuckets-1]) * 2)
 	h.Record(-time.Second)
+	h.Record(time.Duration(math.MaxInt64))
 	s := h.Snapshot()
-	if s.Counts[numBuckets] != 1 {
-		t.Fatalf("overflow bucket = %d, want 1", s.Counts[numBuckets])
-	}
-	if s.Counts[0] != 1 {
-		t.Fatalf("negative duration should clamp into bucket 0, got %d", s.Counts[0])
-	}
-	if s.Count != 2 {
-		t.Fatalf("count = %d, want 2", s.Count)
+	if s.Counts[0] != 1 || s.Counts[bucketOf(math.MaxInt64)] != 1 || s.Count != 2 {
+		t.Fatalf("counts: bucket 0 = %d, top = %d, count = %d", s.Counts[0], s.Counts[bucketOf(math.MaxInt64)], s.Count)
 	}
 }
 
+// TestBucketIndexProperty: across the whole uint64 range the buckets tile
+// the line — each starts where the previous ends, so bucketOf is monotone
+// — and every value lies inside the bounds of the bucket it is given, no
+// wider than QuantileRelErr allows.
+func TestBucketIndexProperty(t *testing.T) {
+	var next uint64 // the first value the next bucket must hold
+	for i := 0; i < numBuckets; i++ {
+		low, width := bucketRange(i)
+		if low != next || width == 0 || width&(width-1) != 0 {
+			t.Fatalf("bucket %d = [%d, +%d), want it to start at %d with a power-of-two width", i, low, width, next)
+		}
+		if low >= 2*subCount && float64(width) > float64(low)/subCount {
+			t.Fatalf("bucket %d = [%d, +%d) wider than 1/%d of its lower bound", i, low, width, subCount)
+		}
+		last := low + (width - 1)
+		if bucketOf(low) != i || bucketOf(last) != i {
+			t.Fatalf("bucket %d = [%d, %d]: bucketOf gives %d and %d", i, low, last, bucketOf(low), bucketOf(last))
+		}
+		next = last + 1 // wraps to 0 after the last bucket
+	}
+	if next != 0 {
+		t.Fatalf("buckets end at %d, not at the top of the uint64 range", next-1)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for k := 0; k < 100000; k++ {
+		a, b := rng.Uint64()>>rng.Intn(64), rng.Uint64()>>rng.Intn(64)
+		if a > b {
+			a, b = b, a
+		}
+		if bucketOf(a) > bucketOf(b) {
+			t.Fatalf("bucketOf not monotone: %d -> %d, %d -> %d", a, bucketOf(a), b, bucketOf(b))
+		}
+		low, width := bucketRange(bucketOf(a))
+		if a < low || a-low >= width {
+			t.Fatalf("%d outside its bucket [%d, +%d)", a, low, width)
+		}
+	}
+}
+
+// within reports whether est is within a factor 1+QuantileRelErr of exact.
+func within(est, exact time.Duration) bool {
+	return float64(est) <= float64(exact)*(1+QuantileRelErr) && float64(est)*(1+QuantileRelErr) >= float64(exact)
+}
+
 func TestHistogramQuantileErrorBounds(t *testing.T) {
-	// For any point mass v at or above the 1µs resolution floor, the
-	// quantile estimate must be within a factor of √2 (the bucket
-	// growth factor) of v.
+	// For any point mass v the quantile estimate is within the documented
+	// factor of v, and exact below 2·subCount ns.
 	for _, v := range []time.Duration{
-		999, 1000, 1001, 5 * time.Microsecond, 733 * time.Microsecond,
-		3 * time.Millisecond, 250 * time.Millisecond, 7 * time.Second,
+		0, 3, 15, 16, 999, 1000, 1001, 5 * time.Microsecond, 733 * time.Microsecond,
+		3 * time.Millisecond, 250 * time.Millisecond, 7 * time.Second, 90 * time.Hour,
 	} {
 		var h Histogram
 		for i := 0; i < 100; i++ {
 			h.Record(v)
 		}
-		for _, p := range []float64{0.5, 0.99, 0.999} {
-			est := float64(h.Quantile(p))
-			ratio := est / float64(v)
-			if ratio < 1/math.Sqrt2-1e-9 || ratio > math.Sqrt2+1e-9 {
-				t.Fatalf("Quantile(%g) of point mass %v = %v (ratio %.3f), outside √2 bound", p, v, time.Duration(est), ratio)
+		for _, p := range []float64{0.001, 0.5, 0.99, 0.999, 1} {
+			if est := h.Quantile(p); !within(est, v) || (v < 2*subCount && est != v) {
+				t.Fatalf("Quantile(%g) of point mass %v = %v, outside the %.2f%% bound", p, v, est, 100*QuantileRelErr)
 			}
 		}
 	}
@@ -71,23 +113,105 @@ func TestHistogramQuantileErrorBounds(t *testing.T) {
 		h.Record(time.Millisecond)
 		h.Record(100 * time.Millisecond)
 	}
-	if p50 := h.Quantile(0.50); p50 > 2*time.Millisecond {
+	if p50 := h.Quantile(0.50); !within(p50, time.Millisecond) {
 		t.Fatalf("p50 = %v, want ~1ms", p50)
 	}
-	if p99 := h.Quantile(0.99); p99 < 70*time.Millisecond {
+	if p99 := h.Quantile(0.99); !within(p99, 100*time.Millisecond) {
 		t.Fatalf("p99 = %v, want ~100ms", p99)
 	}
 	var empty Histogram
 	if q := empty.Quantile(0.99); q != 0 {
 		t.Fatalf("empty quantile = %v, want 0", q)
 	}
-	// Below the resolution floor everything collapses into bucket 0:
-	// the estimate saturates under 1µs rather than blowing up.
-	var tiny Histogram
-	tiny.Record(3 * time.Nanosecond)
-	if q := tiny.Quantile(0.5); q <= 0 || q > time.Microsecond {
-		t.Fatalf("sub-floor quantile = %v, want (0, 1µs]", q)
+}
+
+// nearestRank is the exact reference: the smallest sample with at least
+// p of the samples at or below it.
+func nearestRank(samples []time.Duration, p float64) time.Duration {
+	sorted := slices.Clone(samples)
+	slices.Sort(sorted)
+	rank := min(max(int(math.Ceil(p*float64(len(sorted)))), 1), len(sorted))
+	return sorted[rank-1]
+}
+
+// TestQuantileProperty: on seeded log-uniform samples from 1ns to ~1h,
+// the histogram's and the window's quantiles stay within QuantileRelErr
+// of the exact nearest-rank value — the window also after it has wrapped
+// many times over and after a Reset.
+func TestQuantileProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	logUniform := func() time.Duration { return time.Duration(math.Exp(rng.Float64() * math.Log(3.6e12))) }
+	ps := []float64{0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1}
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(3000)
+		var h Histogram
+		samples := make([]time.Duration, n)
+		for i := range samples {
+			samples[i] = logUniform()
+			h.Record(samples[i])
+		}
+		for _, p := range ps {
+			if est, exact := h.Quantile(p), nearestRank(samples, p); !within(est, exact) {
+				t.Fatalf("trial %d: histogram p%g over %d samples = %v, exact %v", trial, 100*p, n, est, exact)
+			}
+		}
+		capacity := 1 + rng.Intn(500)
+		w := NewWindow(capacity)
+		for round := 0; round < 2; round++ {
+			for i := range samples {
+				w.Observe(samples[i])
+			}
+			held := samples[max(0, n-capacity):]
+			if w.Len() != len(held) {
+				t.Fatalf("trial %d: window holds %d, want %d", trial, w.Len(), len(held))
+			}
+			for _, p := range ps {
+				if est, exact := w.Quantile(p), nearestRank(held, p); !within(est, exact) {
+					t.Fatalf("trial %d round %d: window(%d) p%g = %v, exact %v", trial, round, capacity, 100*p, est, exact)
+				}
+			}
+			w.Reset()
+			if w.Len() != 0 || w.Quantile(0.99) != 0 {
+				t.Fatalf("trial %d: Reset left %d observations (p99 %v)", trial, w.Len(), w.Quantile(0.99))
+			}
+		}
 	}
+}
+
+// TestWindowRolls: the window holds the most recent capacity
+// observations; values under 2·subCount ns are exact, so the rank rule
+// shows through unblurred.
+func TestWindowRolls(t *testing.T) {
+	w := NewWindow(4)
+	if w.Len() != 0 || w.Quantile(0.99) != 0 {
+		t.Fatal("empty window must report 0")
+	}
+	for i := 1; i <= 4; i++ {
+		w.Observe(time.Duration(i))
+	}
+	if w.Len() != 4 || w.Quantile(1) != 4 || w.Quantile(0.25) != 1 {
+		t.Fatalf("filled window: len=%d p100=%v p25=%v", w.Len(), w.Quantile(1), w.Quantile(0.25))
+	}
+	// Two more observations evict the two oldest: window is {3,4,5,6}.
+	w.Observe(5)
+	w.Observe(6)
+	if w.Len() != 4 || w.Quantile(0.5) != 4 || w.Quantile(1) != 6 || w.Quantile(0.01) != 3 {
+		t.Fatalf("rolled: len=%d p50=%v p100=%v p1=%v, want 4/4/6/3", w.Len(), w.Quantile(0.5), w.Quantile(1), w.Quantile(0.01))
+	}
+	w.Reset()
+	w.Observe(-time.Second) // clamps to 0
+	if w.Len() != 1 || w.Quantile(1) != 0 {
+		t.Fatalf("after reset: len=%d p100=%v", w.Len(), w.Quantile(1))
+	}
+}
+
+func TestWindowRejectsBadCapacity(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewWindow(0) must panic")
+		}
+	}()
+	NewWindow(0)
 }
 
 func TestHistogramConcurrentRecording(t *testing.T) {
@@ -310,6 +434,16 @@ func BenchmarkHistogramRecord(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Record(time.Duration(1000 + i*37))
+	}
+}
+
+// BenchmarkWindowObserve is one observation into the autopilot's rolling
+// latency window: a bucket index, one eviction, two count updates.
+func BenchmarkWindowObserve(b *testing.B) {
+	w := NewWindow(10000)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		w.Observe(time.Duration(1000 + i*37))
 	}
 }
 

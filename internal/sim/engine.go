@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"kairos/internal/metrics"
 	"kairos/internal/workload"
 )
 
@@ -42,7 +41,7 @@ type Result struct {
 	// TotalQueries is the number of queries that arrived overall.
 	TotalQueries int
 	// Measured counts only queries arriving inside the measurement window.
-	Measured metrics.Summary
+	Measured Summary
 	// P99 is the 99th-percentile end-to-end latency of measured queries.
 	P99 float64
 	// ViolationRate is the fraction of measured queries exceeding QoS.
@@ -307,7 +306,7 @@ func summarize(spec ClusterSpec, queries []*Query, opts Options) Result {
 	if opts.Arrivals != nil {
 		endMS = math.Inf(1)
 	}
-	rec := metrics.NewLatencyRecorder(len(queries))
+	lats := make([]float64, 0, len(queries))
 	waitSum := 0.0
 	measured := 0
 	var firstArrival, lastArrival float64
@@ -323,7 +322,7 @@ func summarize(spec ClusterSpec, queries []*Query, opts Options) Result {
 		}
 		lastArrival = q.ArrivalMS
 		measured++
-		rec.Record(q.Latency())
+		lats = append(lats, q.Latency())
 		waitSum += q.StartMS - q.ArrivalMS
 	}
 	res := Result{TotalQueries: len(queries)}
@@ -331,9 +330,8 @@ func summarize(spec ClusterSpec, queries []*Query, opts Options) Result {
 		res.MeetsQoS = true
 		return res
 	}
-	res.Measured = rec.Summarize()
-	res.P99 = rec.Percentile(99)
-	res.ViolationRate = rec.ViolationRate(spec.Model.QoS)
+	res.Measured, res.ViolationRate = digest(lats, spec.Model.QoS)
+	res.P99 = res.Measured.P99
 	res.MeetsQoS = res.P99 <= spec.Model.QoS
 	res.MeanWaitMS = waitSum / float64(measured)
 	span := lastArrival - firstArrival

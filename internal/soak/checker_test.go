@@ -1,9 +1,11 @@
 package soak
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"kairos/internal/obs"
 	"kairos/internal/server"
 )
 
@@ -175,18 +177,30 @@ func TestCheckerNamesOutstandingQueries(t *testing.T) {
 }
 
 // TestTrajectoryUsesNearestRank: a 50-completion bucket reports its
-// largest latency as p99 — the tail the soak exists to watch — by the same
-// rank rule as metrics.Percentile.
+// largest latency as p99 — the tail the soak exists to watch — by the
+// nearest-rank rule (rank ceil(0.99·50) = 50, not index int(0.99·49) = 48).
+// Consecutive samples are 20 % apart, wider than two obs.QuantileRelErr
+// bands, so each estimate names exactly one rank.
 func TestTrajectoryUsesNearestRank(t *testing.T) {
 	r := newRecorder(1000)
+	sample := func(rank int) float64 { return math.Pow(1.2, float64(rank)) }
 	for i := 50; i >= 1; i-- {
-		r.observe(10, float64(i))
+		r.observe(10, sample(i))
 	}
 	pts := r.trajectory()
 	if len(pts) != 1 || pts[0].Queries != 50 {
 		t.Fatalf("trajectory = %+v", pts)
 	}
-	if p := pts[0]; p.P50MS != 25 || p.P99MS != 50 || p.P999MS != 50 {
-		t.Fatalf("p50/p99/p999 = %v/%v/%v, want 25/50/50", p.P50MS, p.P99MS, p.P999MS)
+	rankOf := func(ms float64) int {
+		for rank := 1; rank <= 50; rank++ {
+			if exact := sample(rank); ms <= exact*(1+obs.QuantileRelErr) && ms*(1+obs.QuantileRelErr) >= exact {
+				return rank
+			}
+		}
+		return 0
+	}
+	if p := pts[0]; rankOf(p.P50MS) != 25 || rankOf(p.P99MS) != 50 || rankOf(p.P999MS) != 50 {
+		t.Fatalf("p50/p99/p999 = %v/%v/%v read as ranks %d/%d/%d, want 25/50/50",
+			p.P50MS, p.P99MS, p.P999MS, rankOf(p.P50MS), rankOf(p.P99MS), rankOf(p.P999MS))
 	}
 }

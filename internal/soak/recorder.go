@@ -3,8 +3,9 @@ package soak
 import (
 	"sort"
 	"sync"
+	"time"
 
-	"kairos/internal/metrics"
+	"kairos/internal/obs"
 )
 
 // FaultEvent is one injected fault as it happened, with the measured
@@ -35,7 +36,7 @@ type TrajectoryPoint struct {
 	// Queries counts completions recorded in the bucket.
 	Queries int `json:"queries"`
 	// P50MS, P99MS, and P999MS are the bucket's latency percentiles in
-	// model milliseconds.
+	// model milliseconds, within obs.QuantileRelErr of the exact values.
 	P50MS  float64 `json:"p50_ms"`
 	P99MS  float64 `json:"p99_ms"`
 	P999MS float64 `json:"p999_ms"`
@@ -86,8 +87,8 @@ type Report struct {
 type StageQuantiles struct {
 	// Count is how many samples the stage recorded.
 	Count uint64 `json:"count"`
-	// P50MS/P99MS/P999MS are log-bucket quantile estimates (≤√2
-	// multiplicative error; see internal/obs).
+	// P50MS/P99MS/P999MS are log-linear bucket quantile estimates (within
+	// obs.QuantileRelErr, 6.25 %, of the exact values).
 	P50MS  float64 `json:"p50_ms"`
 	P99MS  float64 `json:"p99_ms"`
 	P999MS float64 `json:"p999_ms"`
@@ -116,14 +117,15 @@ func (b *Bench) Passed() bool {
 	return true
 }
 
-// recorder accumulates per-query completions into fixed time buckets and
+// recorder accumulates per-query completions into fixed time buckets, one
+// obs.Histogram each (model time, one model ms recorded as one ms), and
 // renders the percentile trajectory. Concurrency-safe: the replay's
 // per-query goroutines feed it directly.
 type recorder struct {
 	bucketMS float64
 
 	mu      sync.Mutex
-	buckets map[int][]float64 // bucket index -> completion latencies (model ms)
+	buckets map[int]*obs.Histogram // time-bucket index -> completion latencies
 	faults  []FaultEvent
 }
 
@@ -131,7 +133,7 @@ func newRecorder(bucketMS float64) *recorder {
 	if bucketMS <= 0 {
 		bucketMS = 1000
 	}
-	return &recorder{bucketMS: bucketMS, buckets: make(map[int][]float64)}
+	return &recorder{bucketMS: bucketMS, buckets: make(map[int]*obs.Histogram)}
 }
 
 // observe records one completed query: submitted atMS into the run,
@@ -142,8 +144,13 @@ func (r *recorder) observe(atMS, latencyMS float64) {
 		idx = 0
 	}
 	r.mu.Lock()
-	r.buckets[idx] = append(r.buckets[idx], latencyMS)
+	h := r.buckets[idx]
+	if h == nil {
+		h = new(obs.Histogram)
+		r.buckets[idx] = h
+	}
 	r.mu.Unlock()
+	h.Record(time.Duration(latencyMS * float64(time.Millisecond)))
 }
 
 // fault records one injected fault.
@@ -177,14 +184,14 @@ func (r *recorder) trajectory() []TrajectoryPoint {
 	sort.Ints(idxs)
 	out := make([]TrajectoryPoint, 0, len(idxs))
 	for _, idx := range idxs {
-		lats := r.buckets[idx]
-		sort.Float64s(lats)
+		snap := r.buckets[idx].Snapshot()
+		ms := func(p float64) float64 { return float64(snap.Quantile(p)) / float64(time.Millisecond) }
 		out = append(out, TrajectoryPoint{
 			TMS:     float64(idx) * r.bucketMS,
-			Queries: len(lats),
-			P50MS:   metrics.SortedPercentile(lats, 50),
-			P99MS:   metrics.SortedPercentile(lats, 99),
-			P999MS:  metrics.SortedPercentile(lats, 99.9),
+			Queries: int(snap.Count),
+			P50MS:   ms(0.5),
+			P99MS:   ms(0.99),
+			P999MS:  ms(0.999),
 		})
 	}
 	return out

@@ -1,9 +1,6 @@
 package kairos
 
-import (
-	"kairos/internal/metrics"
-	"kairos/internal/server"
-)
+import "kairos/internal/server"
 
 // Re-exported real-process serving and measurement types, so the cmd tools
 // and examples drive the Sec. 6 network path without importing internal
@@ -35,8 +32,6 @@ type (
 	// GroupSpec describes one served model's scheduling group for callers
 	// assembling controllers by hand (see server.NewMultiController).
 	GroupSpec = server.GroupSpec
-	// LatencyRecorder accumulates latency samples and reports percentiles.
-	LatencyRecorder = metrics.LatencyRecorder
 )
 
 // NewInstanceServer builds an emulated instance server for one instance
@@ -44,11 +39,6 @@ type (
 // than model time).
 func NewInstanceServer(typeName string, model Model, timeScale float64) (*InstanceServer, error) {
 	return server.NewInstanceServer(typeName, model, timeScale)
-}
-
-// NewLatencyRecorder creates a latency recorder with a capacity hint.
-func NewLatencyRecorder(capacityHint int) *LatencyRecorder {
-	return metrics.NewLatencyRecorder(capacityHint)
 }
 
 // Connect dials running instance servers (see NewInstanceServer and
