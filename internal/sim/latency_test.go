@@ -8,10 +8,6 @@ import (
 	"testing/quick"
 )
 
-// TestPercentileNearestRank pins the nearest-rank arithmetic behind every
-// simulated QoS check: a 50-sample set's p99 is its largest sample (rank
-// ceil(0.99·50) = 50, not index int(0.99·49) = 48), and p ≤ 100/n clamps to
-// the smallest.
 func TestPercentileNearestRank(t *testing.T) {
 	tens := []float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
 	for _, tc := range []struct{ p, want float64 }{
@@ -21,6 +17,14 @@ func TestPercentileNearestRank(t *testing.T) {
 			t.Errorf("P%v(10..100) = %v, want %v", tc.p, got, tc.want)
 		}
 	}
+}
+
+// TestSortedPercentileIsTheOneRankRule pins the nearest-rank arithmetic
+// behind every simulated QoS check: a 50-sample set's p99 is its largest
+// sample (rank ceil(0.99·50) = 50, not index int(0.99·49) = 48), and
+// p ≤ 100/n clamps to the smallest. digest, which sorts arrival-order
+// latencies itself, reads its percentiles by the same rule.
+func TestSortedPercentileIsTheOneRankRule(t *testing.T) {
 	fifty := make([]float64, 50)
 	for i := range fifty {
 		fifty[i] = float64(i + 1)
@@ -31,6 +35,13 @@ func TestPercentileNearestRank(t *testing.T) {
 		if got := percentile(fifty, tc.p); got != tc.want {
 			t.Errorf("P%v(1..50) = %v, want %v", tc.p, got, tc.want)
 		}
+	}
+	reversed := make([]float64, len(fifty))
+	for i, v := range fifty {
+		reversed[len(fifty)-1-i] = v
+	}
+	if s, _ := digest(reversed, 1000); s.P50 != 25 || s.P95 != 48 || s.P99 != 50 {
+		t.Errorf("digest(50..1) = %+v, want p50=25 p95=48 p99=50", s)
 	}
 }
 
