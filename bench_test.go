@@ -1,7 +1,6 @@
 package kairos_test
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,7 +8,6 @@ import (
 	"kairos/internal/core"
 	"kairos/internal/experiments"
 	"kairos/internal/models"
-	"kairos/internal/pop"
 	"kairos/internal/predictor"
 	"kairos/internal/sim"
 	"kairos/internal/workload"
@@ -239,43 +237,4 @@ func BenchmarkAblationSimilarityMetric(b *testing.B) {
 	}
 	b.ReportMetric(euclid, "euclideanQPS")
 	b.ReportMetric(cos, "cosineQPS")
-}
-
-// BenchmarkPOPMatchingScaling compares one monolithic matching round
-// against the POP-partitioned controller on a large round (Sec. 6's
-// scaling remark): k partitions solve k much smaller assignments.
-func BenchmarkPOPMatchingScaling(b *testing.B) {
-	pool := cloud.DefaultPool()
-	model := models.MustByName("RM2")
-	names := make([]string, len(pool))
-	for i, t := range pool {
-		names[i] = t.Name
-	}
-	mkInner := func(int) sim.Distributor {
-		return core.NewDistributor(core.DistributorOptions{
-			QoS:       model.QoS,
-			BaseType:  pool.Base().Name,
-			Predictor: predictor.Warmed(model.Latency, names, []int{1, 500, 1000}),
-		})
-	}
-	rng := rand.New(rand.NewSource(9))
-	mix := workload.DefaultTrace()
-	const nq, ni = 128, 64
-	waiting := make([]sim.QueryView, nq)
-	for i := range waiting {
-		waiting[i] = sim.QueryView{Index: i, ID: i, Batch: mix.Sample(rng)}
-	}
-	instances := make([]sim.InstanceView, ni)
-	for i := range instances {
-		instances[i] = sim.InstanceView{Index: i, TypeName: names[i%len(names)]}
-	}
-	for _, k := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("partitions=%d", k), func(b *testing.B) {
-			d := pop.NewPartitioned(k, mkInner)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				d.Assign(0, waiting, instances)
-			}
-		})
-	}
 }

@@ -62,9 +62,6 @@ type Engine struct {
 	modelSamples  map[string][]int
 	seed          int64
 
-	drsThreshold int
-	partitions   int
-
 	probeQueries  int
 	precisionFrac float64
 
@@ -178,13 +175,7 @@ func (e *Engine) MonitorFor(model string) (*Monitor, error) {
 
 // policyContextFor assembles the registry context for one served model.
 func (e *Engine) policyContextFor(m Model, monitor *Monitor) PolicyContext {
-	return PolicyContext{
-		Pool:         e.pool,
-		Model:        m,
-		Monitor:      monitor,
-		DRSThreshold: e.drsThreshold,
-		Partitions:   e.partitions,
-	}
+	return PolicyContext{Pool: e.pool, Model: m, Monitor: monitor}
 }
 
 // Serve builds the configured policy's distributor wired to the engine's

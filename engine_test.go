@@ -138,23 +138,6 @@ func TestEnginePlanIgnoresBarelyWarmMonitor(t *testing.T) {
 	}
 }
 
-func TestPartitionedServeFeedsMonitorOnce(t *testing.T) {
-	t.Parallel()
-	e := testEngine(t, WithPolicy("kairos+partitioned"), WithPartitions(2))
-	d, err := e.Serve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	obs, ok := d.(Observer)
-	if !ok {
-		t.Fatal("partitioned distributor must observe completions")
-	}
-	obs.Observe(e.Pool().Base().Name, 100, 5)
-	if got := e.Monitor().Count(); got != 1 {
-		t.Fatalf("monitor count = %d after one observation, want 1 (no multiply-counting)", got)
-	}
-}
-
 func TestEngineConnectFeedsPolicyAndMonitor(t *testing.T) {
 	t.Parallel()
 	model, err := ModelByName("NCF")

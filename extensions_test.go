@@ -5,22 +5,6 @@ import (
 	"testing"
 )
 
-func TestFacadePartitionedDistributor(t *testing.T) {
-	t.Parallel()
-	res, err := testEngine(t, WithPolicy("kairos+partitioned"), WithPartitions(2), WithSeed(5)).Evaluate(Config{2, 0, 10, 0}, RunOptions{
-		RatePerSec: 40, DurationMS: 20000, WarmupMS: 4000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Measured.Count == 0 {
-		t.Fatal("nothing measured")
-	}
-	if !res.MeetsQoS {
-		t.Fatalf("partitioned controller violates QoS at light load: p99=%.1f", res.P99)
-	}
-}
-
 func TestFacadeSynthesizeTrace(t *testing.T) {
 	tr := SynthesizeTrace(3, DefaultTrace(), 50, 200)
 	if len(tr.Arrivals) != 200 {

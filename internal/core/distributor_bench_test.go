@@ -19,7 +19,7 @@ func benchViews(q, n int, seed int64) ([]sim.QueryView, []sim.InstanceView) {
 	pool := cloud.DefaultPool()
 	queries := make([]sim.QueryView, q)
 	for i := range queries {
-		queries[i] = sim.QueryView{Index: i, ID: i, Batch: mix.Sample(rng), WaitMS: rng.Float64() * 5}
+		queries[i] = sim.QueryView{Index: i, Batch: mix.Sample(rng), WaitMS: rng.Float64() * 5}
 	}
 	instances := make([]sim.InstanceView, n)
 	for i := range instances {
@@ -50,6 +50,7 @@ func benchDistributor() *Distributor {
 func benchAssign(b *testing.B, q, n int) {
 	d := benchDistributor()
 	queries, instances := benchViews(q, n, 42)
+	d.Assign(0, queries, instances) // grow the round's scratch: time the steady state
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -64,6 +65,12 @@ func BenchmarkDistributorAssign64x16(b *testing.B) { benchAssign(b, 64, 16) }
 // A flash crowd's round: the central queue ~1000 deep (benchmark/'s
 // burst-deep), solved over the pruned union instead of every row.
 func BenchmarkDistributorAssign1000x16(b *testing.B) { benchAssign(b, 1000, 16) }
+
+// The same queue over the largest fleet the planner buys at the paper's
+// budgets (RM2 at $10/hr, 56 instances), rounded up: the one round Kairos
+// runs per model must stay cheap here (DESIGN.md, "Scaling past one
+// matching round").
+func BenchmarkDistributorAssign1000x64(b *testing.B) { benchAssign(b, 1000, 64) }
 
 // BenchmarkPlanFleet tracks the shared-budget allocator: frontier
 // construction plus the greedy split for two models under the paper's

@@ -182,7 +182,7 @@ func (g roundGen) round(maxQueries, maxInstances int) ([]sim.QueryView, []sim.In
 	rng := g.rng
 	waiting := make([]sim.QueryView, 1+rng.Intn(maxQueries))
 	for i := range waiting {
-		waiting[i] = sim.QueryView{Index: i, ID: 1000 + i, Batch: 1 + rng.Intn(1000), WaitMS: rng.Float64() * g.maxWaitFrac * genQoS}
+		waiting[i] = sim.QueryView{Index: i, Batch: 1 + rng.Intn(1000), WaitMS: rng.Float64() * g.maxWaitFrac * genQoS}
 		if g.duplicates && i > 0 && rng.Intn(2) == 0 {
 			twin := waiting[rng.Intn(i)]
 			waiting[i].Batch, waiting[i].WaitMS = twin.Batch, twin.WaitMS

@@ -341,10 +341,9 @@ func (c *Controller) match(g *modelGroup, now time.Time) []dispatchItem {
 			continue
 		}
 		// Index is the query's position in g.waiting (affinity-taken
-		// entries are skipped but keep their slots, so indices stay
-		// stable); ID carries the stable arrival sequence number that
-		// partitioned policies key on across scheduling rounds.
-		qviews = append(qviews, sim.QueryView{Index: i, ID: int(q.id), Batch: q.batch, WaitMS: toModelMS(now.Sub(q.enqueued))})
+		// entries are skipped but keep their slots), valid for this round
+		// only: dispatched queries leave g.waiting before the next one.
+		qviews = append(qviews, sim.QueryView{Index: i, Batch: q.batch, WaitMS: toModelMS(now.Sub(q.enqueued))})
 	}
 	g.qviews = qviews
 	// One backing array serves every instance's QueuedBatches view; size it

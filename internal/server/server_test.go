@@ -251,63 +251,6 @@ func TestControllerCloseFailsOutstanding(t *testing.T) {
 	}
 }
 
-// capturePolicy records the QueryViews it is shown and assigns FCFS.
-type capturePolicy struct {
-	mu  sync.Mutex
-	ids map[int]bool
-}
-
-func (p *capturePolicy) Name() string { return "capture" }
-
-func (p *capturePolicy) Assign(_ float64, waiting []sim.QueryView, instances []sim.InstanceView) []sim.Assignment {
-	p.mu.Lock()
-	for _, q := range waiting {
-		p.ids[q.ID] = true
-	}
-	p.mu.Unlock()
-	var out []sim.Assignment
-	used := map[int]bool{}
-	for _, q := range waiting {
-		for _, in := range instances {
-			if in.Backlog() == 0 && !used[in.Index] {
-				used[in.Index] = true
-				out = append(out, sim.Assignment{Query: q.Index, Instance: in.Index})
-				break
-			}
-		}
-	}
-	return out
-}
-
-// TestControllerExposesStableQueryIDs guards the contract partitioned
-// policies rely on: every QueryView the controller hands a policy carries
-// the query's distinct arrival ID (queries hash to partitions by ID).
-func TestControllerExposesStableQueryIDs(t *testing.T) {
-	t.Parallel()
-	m := models.MustByName("NCF")
-	types := []string{cloud.G4dnXlarge.Name}
-	addrs := startCluster(t, types, 1)
-	policy := &capturePolicy{ids: map[int]bool{}}
-	ctrl, err := NewController(m.Name, policy, 1, m.Latency, addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Close()
-	const n = 4
-	for i := 0; i < n; i++ {
-		if res := ctrl.SubmitWait(m.Name, 10); res.Err != nil {
-			t.Fatal(res.Err)
-		}
-	}
-	policy.mu.Lock()
-	defer policy.mu.Unlock()
-	if len(policy.ids) != n {
-		// A controller that leaves ID zero-valued collapses this to one
-		// entry, which is how partitioned policies degenerate to partition 0.
-		t.Fatalf("saw %d distinct query IDs over %d queries: %v", len(policy.ids), n, policy.ids)
-	}
-}
-
 // startServer boots one NCF instance server and returns it plus its addr.
 func startServer(t testing.TB, typeName string, timeScale float64) *InstanceServer {
 	t.Helper()
@@ -797,13 +740,12 @@ func TestControllerConcurrentReconfiguration(t *testing.T) {
 func TestSubmitToEmptyGroupFailsFast(t *testing.T) {
 	t.Parallel()
 	m := models.MustByName("NCF")
-	// An FCFS-to-idle policy: dispatches at most one query per instance,
-	// so a backlog parks in the central queue.
-	policy := &capturePolicy{ids: map[int]bool{}}
 	// Slow everything down so the backlog outlives the removal.
 	const scale = 20.0
 	addrs := startCluster(t, []string{cloud.G4dnXlarge.Name}, scale)
-	ctrl, err := NewController(m.Name, policy, scale, m.Latency, addrs)
+	// FCFS dispatches at most one query per idle instance, so a backlog
+	// parks in the central queue.
+	ctrl, err := NewController(m.Name, sim.FCFSAny{}, scale, m.Latency, addrs)
 	if err != nil {
 		t.Fatal(err)
 	}

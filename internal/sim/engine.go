@@ -203,7 +203,7 @@ func run(spec ClusterSpec, dist Distributor, opts Options) ([]*Query, []string) 
 		}
 		qviews := make([]QueryView, len(exposed))
 		for i, q := range exposed {
-			qviews[i] = QueryView{Index: i, ID: q.ID, Batch: q.Batch, WaitMS: now - q.ArrivalMS}
+			qviews[i] = QueryView{Index: i, Batch: q.Batch, WaitMS: now - q.ArrivalMS}
 		}
 		iviews := make([]InstanceView, len(insts))
 		for i := range insts {

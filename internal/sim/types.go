@@ -33,13 +33,10 @@ func (q *Query) Latency() float64 { return q.FinishMS - q.ArrivalMS }
 // QueryView is the read-only projection of a waiting query handed to
 // distributors.
 type QueryView struct {
-	// Index identifies the query within the current waiting slice; it is
-	// what Assignment.Query refers to.
+	// Index is the query's position in this round's waiting queue; it is
+	// what Assignment.Query refers to. The caller renumbers its queue every
+	// round, so the same query may carry another Index next round.
 	Index int
-	// ID is the query's stable arrival sequence number; unlike Index it
-	// never changes across scheduling rounds (partitioned controllers key
-	// on it).
-	ID int
 	// Batch is the query's batch size.
 	Batch int
 	// WaitMS is the time spent waiting in the central queue so far (the
@@ -83,6 +80,11 @@ type Assignment struct {
 // Implementations decide their own queueing discipline: Kairos-style
 // policies dispatch at most one query to an empty-backlog instance, while
 // CLKWRK-style policies push every query into per-instance FCFS queues.
+//
+// A policy sees each query only through this round's QueryView. Its Index
+// is a position in this round's queue, renumbered every round, and it is
+// the only query identity a policy gets: keep no state across rounds keyed
+// on it.
 type Distributor interface {
 	// Name identifies the policy in reports.
 	Name() string

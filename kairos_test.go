@@ -66,15 +66,14 @@ func TestFacadeBaselinesOrdering(t *testing.T) {
 	t.Parallel()
 	const seed = 5
 	cfg := Config{2, 0, 6, 0}
-	qps := func(policy string, extra ...Option) float64 {
-		got, err := testEngine(t, append(extra, WithPolicy(policy), WithSeed(seed))...).AllowableThroughput(cfg)
+	qps := func(policy string) float64 {
+		got, err := testEngine(t, WithPolicy(policy), WithSeed(seed)).AllowableThroughput(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return got
 	}
-	kairos, ribbon, clkwrk := qps("kairos+warm"), qps("ribbon"), qps("clockwork")
-	drs := qps("drs", WithDRSThreshold(200))
+	kairos, ribbon, clkwrk, drs := qps("kairos+warm"), qps("ribbon"), qps("clockwork"), qps("drs")
 	orcl, err := testEngine(t, WithSeed(seed)).OracleThroughput(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -213,27 +213,3 @@ func WithPrecisionFrac(frac float64) Option {
 		return nil
 	}
 }
-
-// WithDRSThreshold sets the batch-size routing threshold consumed by the
-// "drs" policy; 0 keeps DefaultDRSThreshold.
-func WithDRSThreshold(threshold int) Option {
-	return func(e *Engine) error {
-		if threshold < 0 {
-			return fmt.Errorf("kairos: DRS threshold must be >= 0 (got %d)", threshold)
-		}
-		e.drsThreshold = threshold
-		return nil
-	}
-}
-
-// WithPartitions sets the POP partition count consumed by the
-// "kairos+partitioned" policy; 0 keeps DefaultPartitions.
-func WithPartitions(k int) Option {
-	return func(e *Engine) error {
-		if k < 0 {
-			return fmt.Errorf("kairos: partitions must be >= 0 (got %d)", k)
-		}
-		e.partitions = k
-		return nil
-	}
-}

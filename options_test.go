@@ -81,16 +81,6 @@ func TestNewOptionValidation(t *testing.T) {
 			wantErr: "precision fraction",
 		},
 		{
-			name:    "negative DRS threshold",
-			opts:    []Option{WithPool(pool), WithModel(model), WithDRSThreshold(-1)},
-			wantErr: "DRS threshold",
-		},
-		{
-			name:    "negative partitions",
-			opts:    []Option{WithPool(pool), WithModel(model), WithPartitions(-1)},
-			wantErr: "partitions",
-		},
-		{
 			name:    "nil option",
 			opts:    []Option{WithPool(pool), WithModel(model), nil},
 			wantErr: "nil option",
@@ -101,8 +91,7 @@ func TestNewOptionValidation(t *testing.T) {
 				WithPool(pool), WithModelName("RM2"), WithBudget(2.5),
 				WithPolicy("ribbon"), WithMonitor(NewMonitor()),
 				WithBatchSamples([]int{1, 2, 3}), WithTrace(DefaultTrace()),
-				WithSeed(7), WithDRSThreshold(100), WithPartitions(2),
-				WithProbeQueries(1200), WithPrecisionFrac(0.06),
+				WithSeed(7), WithProbeQueries(1200), WithPrecisionFrac(0.06),
 			},
 		},
 	}

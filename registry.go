@@ -7,23 +7,18 @@ import (
 
 	"kairos/internal/core"
 	"kairos/internal/distributor"
-	"kairos/internal/pop"
 	"kairos/internal/predictor"
 	"kairos/internal/sim"
 )
 
-// Default policy parameters used when PolicyContext leaves them zero.
-const (
-	// DefaultDRSThreshold routes batch > threshold to the base pool; it is
-	// the hill-climbing tuner's starting point (see distributor.TuneDRSThreshold).
-	DefaultDRSThreshold = 150
-	// DefaultPartitions is the POP partition count for "kairos+partitioned".
-	DefaultPartitions = 2
-)
+// DefaultDRSThreshold is the "drs" policy's routing threshold: batch >
+// threshold goes to the base pool. It is the hill-climbing tuner's starting
+// point (see distributor.TuneDRSThreshold), which the paper's figures run.
+const DefaultDRSThreshold = 150
 
 // PolicyContext is what the engine resolves before asking a policy factory
-// for a distributor: the deployment (pool + model), the shared query
-// monitor, and the per-policy tuning knobs.
+// for a distributor: the deployment (pool + model) and the shared query
+// monitor.
 type PolicyContext struct {
 	// Pool is the ordered set of instance types the distributor serves.
 	Pool Pool
@@ -32,10 +27,6 @@ type PolicyContext struct {
 	// Monitor optionally receives every completed query's batch size so the
 	// planner can track the workload mix. May be nil.
 	Monitor *Monitor
-	// DRSThreshold is the DRS routing threshold; 0 uses DefaultDRSThreshold.
-	DRSThreshold int
-	// Partitions is the POP partition count; 0 uses DefaultPartitions.
-	Partitions int
 }
 
 // validate checks the fields every factory depends on.
@@ -149,7 +140,7 @@ func baselinePolicyOptions(ctx PolicyContext) (distributor.Options, error) {
 	return opts, opts.Validate()
 }
 
-// The builtin policy set: the paper's mechanism in three flavors, the three
+// The builtin policy set: the paper's mechanism cold and warmed, the three
 // competing schemes of Sec. 7, and the two naive ablation baselines.
 func init() {
 	mustRegister("kairos", func(ctx PolicyContext) (Distributor, error) {
@@ -162,25 +153,6 @@ func init() {
 	mustRegister("kairos+warm", func(ctx PolicyContext) (Distributor, error) {
 		return warmedKairos(ctx), nil
 	})
-	mustRegister("kairos+partitioned", func(ctx PolicyContext) (Distributor, error) {
-		k := ctx.Partitions
-		if k == 0 {
-			k = DefaultPartitions
-		}
-		if k < 1 {
-			return nil, fmt.Errorf("kairos: partitions must be >= 1 (got %d)", k)
-		}
-		return pop.NewPartitioned(k, func(partition int) sim.Distributor {
-			inner := PolicyContext{Pool: ctx.Pool, Model: ctx.Model}
-			// Partitioned fans every observation out to all partitions
-			// (latency knowledge is global), so exactly one inner policy
-			// holds the shared monitor to avoid multiply-counting queries.
-			if partition == 0 {
-				inner.Monitor = ctx.Monitor
-			}
-			return warmedKairos(inner)
-		}), nil
-	})
 	mustRegister("ribbon", func(ctx PolicyContext) (Distributor, error) {
 		opts, err := baselinePolicyOptions(ctx)
 		if err != nil {
@@ -189,18 +161,11 @@ func init() {
 		return distributor.NewRibbon(opts), nil
 	})
 	mustRegister("drs", func(ctx PolicyContext) (Distributor, error) {
-		t := ctx.DRSThreshold
-		if t == 0 {
-			t = DefaultDRSThreshold
-		}
-		if t < 0 {
-			return nil, fmt.Errorf("kairos: DRS threshold must be >= 0 (got %d)", t)
-		}
 		opts, err := baselinePolicyOptions(ctx)
 		if err != nil {
 			return nil, err
 		}
-		return distributor.NewDRS(opts, t), nil
+		return distributor.NewDRS(opts, DefaultDRSThreshold), nil
 	})
 	mustRegister("clockwork", func(ctx PolicyContext) (Distributor, error) {
 		opts, err := baselinePolicyOptions(ctx)
