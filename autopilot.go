@@ -95,9 +95,10 @@ const IngressRateLimitedMsg = ingress.RateLimitedMsg
 const IngressUnauthorizedMsg = ingress.UnauthorizedMsg
 
 // PlanFleetFor runs the shared-budget allocator directly over explicit
-// per-model demands — the library entry point for callers that manage
-// their own samples instead of an engine's monitors. Demands carrying an
-// ArrivalQPS are demand-capped (see core.PlanFleet).
+// per-model demands — the library entry point for callers planning each
+// model from its own sample, where Engine.PlanFleet plans every model from
+// the engine's one snapshot. Demands carrying an ArrivalQPS are
+// demand-capped (see core.PlanFleet).
 func PlanFleetFor(pool Pool, demands []ModelDemand, budget float64) (FleetPlan, error) {
 	return core.PlanFleet(pool, demands, budget)
 }
@@ -170,8 +171,8 @@ func (e *Engine) Autopilot(timeScale float64, opts AutopilotOptions) (*Autopilot
 		return nil, err
 	}
 	references := make(map[string][]int, len(e.models))
-	for _, m := range e.models {
-		references[m.Name] = e.planningSamplesFor(m.Name)
+	for i, m := range e.models {
+		references[m.Name] = e.planningSamples(i)
 	}
 	return autopilot.Launch(autopilot.Wiring{
 		Pool:       e.pool,

@@ -95,7 +95,7 @@ func runBench(args []string) {
 func measure(policy, modelName string, scale kairos.ExperimentScale) error {
 	engine, err := kairos.New(
 		kairos.WithPool(kairos.DefaultPool()),
-		kairos.WithModelName(modelName),
+		kairos.WithModels(modelName),
 		kairos.WithBudget(scale.Budget),
 		kairos.WithPolicy(policy),
 		kairos.WithSeed(scale.Seed),
@@ -119,7 +119,7 @@ func measure(policy, modelName string, scale kairos.ExperimentScale) error {
 		return err
 	}
 	fmt.Printf("model %s, budget $%.2f/hr -> plan %v (cost $%.3f/hr, UB %.1f QPS)\n",
-		engine.Model().Name, engine.Budget(), cfg, engine.Pool().Cost(cfg), ub)
+		modelName, engine.Budget(), cfg, engine.Pool().Cost(cfg), ub)
 	fmt.Printf("policy %-18s allowable throughput %.1f QPS (%.1fs)\n",
 		engine.Policy(), qps, time.Since(start).Seconds())
 	return nil

@@ -12,64 +12,52 @@ import (
 const DefaultPolicy = "kairos+warm"
 
 // defaultPlanSamples sizes the synthetic planning snapshot drawn from the
-// engine's trace when neither WithBatchSamples nor a warmed monitor is
-// available (the paper tracks ~10000 recent queries).
+// engine's trace when WithBatchSamples is absent (the paper tracks ~10000
+// recent queries).
 const defaultPlanSamples = 10000
 
-// minPlanObservations guards the cold-to-warm handoff: a model's monitor
-// must hold at least this many samples (10% of the paper's window) before
-// its view replaces the synthetic snapshot, so a single early completion
-// never collapses planning onto a one-point mix.
-const minPlanObservations = 1000
-
 // Engine is the managed entry point to the reproduction: one object that
-// owns the deployment context (pool, served model set, shared budget), a
-// query monitor per model, and the selected distribution policy, and
-// exposes the paper's full plan -> serve -> evaluate -> adapt lifecycle as
-// methods. Adapting (Sec. 5.2, Fig. 12) is re-running the one-shot planner
-// on the monitor's recent window: call Plan again once traffic has moved
-// the monitor, or deploy through Autopilot, which does so on its own
-// triggers.
+// owns the deployment context (pool, served model set, shared budget) and
+// the selected distribution policy, and exposes the paper's full plan ->
+// serve -> evaluate -> adapt lifecycle as methods. An engine plans from a
+// fixed batch-size snapshot (WithBatchSamples, or a draw from its trace).
+// Adapting (Sec. 5.2, Fig. 12) is re-running the one-shot planner on the
+// query monitor's recent window: deploy through Autopilot, which keeps that
+// window per model and replans on its own triggers, or build a new engine
+// from the new window.
 //
 // Build it with New and functional options:
 //
 //	engine, err := kairos.New(
 //		kairos.WithPool(kairos.DefaultPool()),
-//		kairos.WithModelName("RM2"),
+//		kairos.WithModels("RM2"),
 //		kairos.WithBudget(2.5),
 //		kairos.WithPolicy("kairos+warm"),
 //	)
 //
-// An engine serves one model (WithModel / WithModelName) or several under
-// one shared budget (WithModels). The single-model planning and simulation
-// methods (Plan, Rank, Evaluate, ...) require a single-model engine;
-// multi-model engines plan with PlanFleet and serve through Connect or
-// Autopilot, which partition the live path per model.
+// An engine serves one model or several under one shared budget (WithModel
+// / WithModels). The single-model planning and simulation methods (Plan,
+// Rank, Evaluate, ...) require a single-model engine; multi-model engines
+// plan with PlanFleet and serve through Connect or Autopilot, which
+// partition the live path per model.
 //
 // Policies are resolved by name through the registry (see RegisterPolicy
 // and Policies), so callers select them as data — e.g. from a -policy
 // command-line flag — instead of hard-wiring constructors.
 type Engine struct {
-	pool     Pool
-	models   []Model
-	budget   float64
-	policy   string
-	monitors map[string]*Monitor
-	// sharedMonitor is the WithMonitor override for the primary model.
-	sharedMonitor *Monitor
-	batches       BatchDistribution
-	samples       []int
-	modelSamples  map[string][]int
-	seed          int64
+	pool    Pool
+	models  []Model
+	budget  float64
+	policy  string
+	batches BatchDistribution
+	samples []int
+	seed    int64
 
 	probeQueries  int
 	precisionFrac float64
 
-	// est caches the primary model's estimator while the planning snapshot
-	// is deterministic (pinned by WithBatchSamples, or synthesized from the
-	// trace while the monitor is still cold); once the monitor has observed
-	// traffic it is re-read on every planning call so a drifting mix is
-	// never planned from stale data.
+	// est caches the primary model's estimator: its planning snapshot is
+	// fixed for the engine's life.
 	est *core.Estimator
 }
 
@@ -92,28 +80,25 @@ func New(opts ...Option) (*Engine, error) {
 		return nil, fmt.Errorf("kairos: engine needs a pool (use WithPool)")
 	}
 	if len(e.models) == 0 {
-		return nil, fmt.Errorf("kairos: engine needs a model (use WithModel, WithModelName, or WithModels)")
+		return nil, fmt.Errorf("kairos: engine needs a model (use WithModel or WithModels)")
 	}
-	for name := range e.modelSamples {
-		if e.modelByName(name) == nil {
-			return nil, fmt.Errorf("kairos: WithModelSamples names %q, but the engine serves %v", name, e.modelNames())
-		}
-	}
-	e.monitors = make(map[string]*Monitor, len(e.models))
+	seen := make(map[string]bool, len(e.models))
 	for _, m := range e.models {
-		e.monitors[m.Name] = NewMonitor()
-	}
-	if e.sharedMonitor != nil {
-		e.monitors[e.models[0].Name] = e.sharedMonitor
+		switch {
+		case m.Name == "":
+			return nil, fmt.Errorf("kairos: every served model needs a name")
+		case m.QoS <= 0:
+			return nil, fmt.Errorf("kairos: model %q needs a positive QoS target (got %v)", m.Name, m.QoS)
+		case seen[m.Name]:
+			return nil, fmt.Errorf("kairos: model %q is served twice", m.Name)
+		}
+		seen[m.Name] = true
 	}
 	return e, nil
 }
 
 // Pool returns the engine's instance pool.
 func (e *Engine) Pool() Pool { return e.pool }
-
-// Model returns the engine's primary served model (the first of Models).
-func (e *Engine) Model() Model { return e.models[0] }
 
 // Models returns the engine's served model set in option order.
 func (e *Engine) Models() []Model {
@@ -129,16 +114,6 @@ func (e *Engine) modelNames() []string {
 		out[i] = m.Name
 	}
 	return out
-}
-
-// modelByName returns the served model with the given name, or nil.
-func (e *Engine) modelByName(name string) *Model {
-	for i := range e.models {
-		if e.models[i].Name == name {
-			return &e.models[i]
-		}
-	}
-	return nil
 }
 
 // primary returns the engine's model for the single-model methods,
@@ -157,51 +132,18 @@ func (e *Engine) Budget() float64 { return e.budget }
 // Policy returns the selected policy's registry name.
 func (e *Engine) Policy() string { return e.policy }
 
-// Monitor returns the primary model's query monitor. Distributors built by
-// Serve feed it (when the policy supports a monitor), and Plan reads it;
-// callers may also warm it directly with Monitor.Observe.
-func (e *Engine) Monitor() *Monitor { return e.monitors[e.models[0].Name] }
-
-// MonitorFor returns the named model's query monitor. The live serving
-// path (Connect, Autopilot) feeds each model's monitor from that model's
-// completions.
-func (e *Engine) MonitorFor(model string) (*Monitor, error) {
-	m, ok := e.monitors[model]
-	if !ok {
-		return nil, fmt.Errorf("kairos: engine does not serve model %q (have %v)", model, e.modelNames())
-	}
-	return m, nil
-}
-
-// policyContextFor assembles the registry context for one served model.
-func (e *Engine) policyContextFor(m Model, monitor *Monitor) PolicyContext {
-	return PolicyContext{Pool: e.pool, Model: m, Monitor: monitor}
-}
-
-// Serve builds the configured policy's distributor wired to the engine's
-// monitor — the live serving path of a single-model engine. Multi-model
-// engines serve through Connect, which builds one distributor per model.
-func (e *Engine) Serve() (Distributor, error) {
-	m, err := e.primary()
-	if err != nil {
-		return nil, err
-	}
-	return NewPolicy(e.policy, e.policyContextFor(m, e.monitors[m.Name]))
-}
-
 // Factory returns a DistributorFactory building fresh instances of the
 // engine's policy per evaluation run, so stateful policies (online
-// learners) never leak knowledge across probes. Evaluation-run policies do
-// not feed the engine monitor. The factory panics if the policy factory
-// errors — or if the engine serves several models, where "the model" is
-// ambiguous; Evaluate and AllowableThroughput probe one construction
-// first and surface the error instead.
+// learners) never leak knowledge across probes. The factory panics if the
+// policy factory errors — or if the engine serves several models, where
+// "the model" is ambiguous; Evaluate and AllowableThroughput probe one
+// construction first and surface the error instead.
 func (e *Engine) Factory() DistributorFactory {
 	m, err := e.primary()
 	if err != nil {
 		return func() Distributor { panic(err) }
 	}
-	ctx := e.policyContextFor(m, nil)
+	ctx := PolicyContext{Pool: e.pool, Model: m}
 	name := e.policy
 	return func() Distributor {
 		d, err := NewPolicy(name, ctx)
@@ -214,49 +156,23 @@ func (e *Engine) Factory() DistributorFactory {
 
 // evalFactory is the error-surfacing Factory used by the evaluation
 // methods: it builds one throwaway distributor to catch factories that
-// reject the evaluation context (e.g. a downstream policy requiring a
-// monitor), which New cannot see because it never invokes the factory.
+// reject the evaluation context, which New cannot see because it never
+// invokes the factory.
 func (e *Engine) evalFactory() (DistributorFactory, error) {
-	if _, err := NewPolicy(e.policy, e.policyContextFor(e.models[0], nil)); err != nil {
+	if _, err := NewPolicy(e.policy, PolicyContext{Pool: e.pool, Model: e.models[0]}); err != nil {
 		return nil, err
 	}
 	return e.Factory(), nil
 }
 
-// pinnedSamples resolves an explicit batch-sample pin for the model:
-// the per-model WithModelSamples pin, else the engine-wide
-// WithBatchSamples pin.
-func (e *Engine) pinnedSamples(model string) []int {
-	if s := e.modelSamples[model]; s != nil {
-		return s
+// planningSamples resolves the batch-size snapshot the planner consumes for
+// the i-th served model: the WithBatchSamples pin, else a synthetic draw
+// from the engine's trace (decorrelated across models).
+func (e *Engine) planningSamples(i int) []int {
+	if e.samples != nil {
+		return e.samples
 	}
-	return e.samples
-}
-
-// monitorWarmedFor reports whether the model's monitor view should drive
-// its planning.
-func (e *Engine) monitorWarmedFor(model string) bool {
-	return e.pinnedSamples(model) == nil && e.monitors[model].Count() >= minPlanObservations
-}
-
-// planningSamplesFor resolves the batch-size snapshot the planner consumes
-// for one model: the pinned snapshot, else the warmed monitor's view, else
-// a synthetic draw from the engine's trace (decorrelated across models).
-func (e *Engine) planningSamplesFor(model string) []int {
-	if s := e.pinnedSamples(model); s != nil {
-		return s
-	}
-	if e.monitorWarmedFor(model) {
-		return e.monitors[model].Snapshot()
-	}
-	seed := e.seed
-	for i, m := range e.models {
-		if m.Name == model {
-			seed += int64(i)
-			break
-		}
-	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewSource(e.seed + int64(i)))
 	out := make([]int, defaultPlanSamples)
 	for i := range out {
 		out[i] = e.batches.Sample(rng)
@@ -265,21 +181,14 @@ func (e *Engine) planningSamplesFor(model string) []int {
 }
 
 // estimator builds the primary model's throughput upper-bound estimator
-// (Sec. 5.2).
+// (Sec. 5.2) once.
 func (e *Engine) estimator() (*core.Estimator, error) {
 	m, err := e.primary()
 	if err != nil {
 		return nil, err
 	}
-	if e.monitorWarmedFor(m.Name) {
-		// Monitor-sourced: always plan from the live mix, and drop any
-		// cold-start cache built before traffic arrived.
-		e.est = nil
-		return core.NewEstimator(e.pool, m, e.planningSamplesFor(m.Name), core.EstimatorOptions{})
-	}
-	// Pinned samples or the deterministic synthetic fallback: cacheable.
 	if e.est == nil {
-		est, err := core.NewEstimator(e.pool, m, e.planningSamplesFor(m.Name), core.EstimatorOptions{})
+		est, err := core.NewEstimator(e.pool, m, e.planningSamples(0), core.EstimatorOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -296,8 +205,8 @@ func (e *Engine) needBudget() error {
 	return nil
 }
 
-// Plan returns the one-shot configuration for the engine's budget from the
-// current batch-size snapshot — no online exploration (Sec. 5.2).
+// Plan returns the one-shot configuration for the engine's budget from its
+// batch-size snapshot — no online exploration (Sec. 5.2).
 // Single-model engines only; see PlanFleet.
 func (e *Engine) Plan() (Config, error) {
 	if err := e.needBudget(); err != nil {
@@ -312,16 +221,17 @@ func (e *Engine) Plan() (Config, error) {
 
 // PlanFleet splits the engine's shared budget across every served model by
 // greedy marginal throughput-per-dollar over each model's ranked
-// configurations, planning each model from its own batch-size snapshot
-// (pinned samples, warmed monitor, or the synthetic trace). It is the
-// multi-model counterpart of Plan and also works on a single-model engine.
+// configurations, planning each model from its batch-size snapshot (the
+// pinned samples, or a draw from the trace). It is the multi-model
+// counterpart of Plan and also works on a single-model engine; for
+// per-model samples, call PlanFleetFor with explicit demands.
 func (e *Engine) PlanFleet() (FleetPlan, error) {
 	if err := e.needBudget(); err != nil {
 		return nil, err
 	}
 	demands := make([]core.ModelDemand, len(e.models))
 	for i, m := range e.models {
-		demands[i] = core.ModelDemand{Model: m, Samples: e.planningSamplesFor(m.Name)}
+		demands[i] = core.ModelDemand{Model: m, Samples: e.planningSamples(i)}
 	}
 	return core.PlanFleet(e.pool, demands, e.budget)
 }

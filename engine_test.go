@@ -1,7 +1,9 @@
 package kairos
 
 import (
+	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 )
 
@@ -63,23 +65,6 @@ func TestEnginePlanLifecycle(t *testing.T) {
 	}
 }
 
-func TestEngineServeWiresMonitor(t *testing.T) {
-	t.Parallel()
-	e := testEngine(t, WithPolicy("kairos+warm"))
-	d, err := e.Serve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	obs, ok := d.(Observer)
-	if !ok {
-		t.Fatal("kairos distributor must observe completions")
-	}
-	obs.Observe(e.Pool().Base().Name, 100, 5)
-	if e.Monitor().Count() != 1 {
-		t.Fatalf("monitor count = %d after one observation", e.Monitor().Count())
-	}
-}
-
 func TestEngineFactoryIsolatesRuns(t *testing.T) {
 	t.Parallel()
 	e := testEngine(t)
@@ -87,58 +72,43 @@ func TestEngineFactoryIsolatesRuns(t *testing.T) {
 	if f() == f() {
 		t.Fatal("factory must build fresh policy instances")
 	}
-	if e.Monitor().Count() != 0 {
-		t.Fatal("factory policies must not feed the engine monitor")
-	}
 }
 
-func TestEnginePlansFromMonitorFreshly(t *testing.T) {
-	t.Parallel()
-	e := testEngine(t, WithBudget(2.5))
-
-	// With a cold monitor the engine synthesizes a snapshot from its trace.
-	pick1, err := e.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A warmed monitor with a radically different mix changes the plan on
-	// the next call — monitor-sourced planning is never cached.
-	rng := rand.New(rand.NewSource(4))
-	shifted := Gaussian(600, 100)
-	for i := 0; i < 10000; i++ {
-		e.Monitor().Observe(shifted.Sample(rng))
-	}
-	pick2, err := e.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pick1.Equal(pick2) {
-		t.Fatalf("plan did not follow the monitor: %v == %v", pick1, pick2)
-	}
+// observingPolicy is least-loaded dispatch that counts the completions the
+// controller reports back to it.
+type observingPolicy struct {
+	Distributor
+	seen *atomic.Int64
 }
 
-func TestEnginePlanIgnoresBarelyWarmMonitor(t *testing.T) {
-	t.Parallel()
-	e := testEngine(t, WithBudget(2.5))
-	pick1, err := e.Plan()
+func (p observingPolicy) Observe(string, int, float64) { p.seen.Add(1) }
+
+var observingPolicies atomic.Int64
+
+// registerObserving registers a fresh observingPolicy under a name of its
+// own and returns the name and one counter per model in names: the
+// counter of whichever model a built policy serves.
+func registerObserving(t *testing.T, names ...string) (string, map[string]*atomic.Int64) {
+	t.Helper()
+	seen := make(map[string]*atomic.Int64, len(names))
+	for _, name := range names {
+		seen[name] = new(atomic.Int64)
+	}
+	policy := fmt.Sprintf("test-observing-%d", observingPolicies.Add(1))
+	err := RegisterPolicy(policy, func(ctx PolicyContext) (Distributor, error) {
+		d, err := NewPolicy("least-loaded", ctx)
+		if err != nil {
+			return nil, err
+		}
+		return observingPolicy{d, seen[ctx.Model.Name]}, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A handful of early completions must not replace the 10k-sample
-	// synthetic snapshot with a degenerate one-point mix.
-	for i := 0; i < 5; i++ {
-		e.Monitor().Observe(1000)
-	}
-	pick2, err := e.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pick1.Equal(pick2) {
-		t.Fatalf("plan flipped on a barely-warm monitor: %v -> %v", pick1, pick2)
-	}
+	return policy, seen
 }
 
-func TestEngineConnectFeedsPolicyAndMonitor(t *testing.T) {
+func TestEngineConnectFeedsPolicy(t *testing.T) {
 	t.Parallel()
 	model, err := ModelByName("NCF")
 	if err != nil {
@@ -154,9 +124,10 @@ func TestEngineConnectFeedsPolicyAndMonitor(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// The online-learning policy only works on the real path if the
-	// controller feeds it completions; the shared monitor proves it does.
-	e, err := New(WithPool(DefaultPool()), WithModel(model), WithPolicy("kairos"))
+	// An online-learning policy only works on the real path if the
+	// controller feeds it completions.
+	policy, seen := registerObserving(t, model.Name)
+	e, err := New(WithPool(DefaultPool()), WithModel(model), WithPolicy(policy))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +141,8 @@ func TestEngineConnectFeedsPolicyAndMonitor(t *testing.T) {
 			t.Fatal(res.Err)
 		}
 	}
-	if got := e.Monitor().Count(); got != 3 {
-		t.Fatalf("monitor observed %d completions over the network path, want 3", got)
+	if got := seen[model.Name].Load(); got != 3 {
+		t.Fatalf("policy observed %d completions over the network path, want 3", got)
 	}
 }
 
@@ -216,7 +187,7 @@ func TestEngineAutopilotLifecycle(t *testing.T) {
 	}
 	e, err := New(
 		WithPool(DefaultPool()),
-		WithModelName("NCF"),
+		WithModels("NCF"),
 		WithBudget(0.8),
 		WithBatchSamples(reference),
 		WithSeed(7),
@@ -225,7 +196,7 @@ func TestEngineAutopilotLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No budget, no autopilot.
-	noBudget, err := New(WithPool(DefaultPool()), WithModelName("NCF"))
+	noBudget, err := New(WithPool(DefaultPool()), WithModels("NCF"))
 	if err != nil {
 		t.Fatal(err)
 	}

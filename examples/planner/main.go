@@ -22,8 +22,9 @@ func main() {
 	const budget = 2.5 // $/hr, the paper's default
 	pool := kairos.DefaultPool()
 
-	// Observe traffic: in production this is Monitor.Snapshot() over live
-	// queries; here we synthesize 10k batch sizes from the default mix.
+	// Observe traffic: in production this is a window of live queries (the
+	// autopilot keeps one per model); here we synthesize 10k batch sizes
+	// from the default mix.
 	rng := rand.New(rand.NewSource(1))
 	trace := kairos.DefaultTrace()
 	samples := make([]int, 10000)
@@ -33,7 +34,7 @@ func main() {
 
 	engine, err := kairos.New(
 		kairos.WithPool(pool),
-		kairos.WithModelName("RM2"),
+		kairos.WithModels("RM2"),
 		kairos.WithBudget(budget),
 		kairos.WithPolicy("kairos+warm"),
 		kairos.WithBatchSamples(samples),

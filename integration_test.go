@@ -18,30 +18,36 @@ func TestAdoptionLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// 1. Observe production traffic into a shared monitor.
-	monitor := NewMonitor()
+	// 1. Observe production traffic: the query monitor's recent window.
 	rng := rand.New(rand.NewSource(99))
-	mix := DefaultTrace()
-	for i := 0; i < 10000; i++ {
-		monitor.Observe(mix.Sample(rng))
+	observe := func(mix BatchDistribution) []int {
+		window := make([]int, 10000)
+		for i := range window {
+			window[i] = mix.Sample(rng)
+		}
+		return window
+	}
+	planFrom := func(window []int) (*Engine, Config) {
+		t.Helper()
+		engine, err := New(
+			WithPool(pool),
+			WithModel(model),
+			WithBudget(budget),
+			WithBatchSamples(window),
+			WithSeed(99),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := engine.Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return engine, cfg
 	}
 
-	// 2. Plan without any online evaluation: the engine reads the warmed
-	// monitor directly.
-	engine, err := New(
-		WithPool(pool),
-		WithModel(model),
-		WithBudget(budget),
-		WithMonitor(monitor),
-		WithSeed(99),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := engine.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// 2. Plan from that window without any online evaluation.
+	engine, cfg := planFrom(observe(DefaultTrace()))
 	if !pool.WithinBudget(cfg, budget) {
 		t.Fatalf("plan %v busts the budget", cfg)
 	}
@@ -60,16 +66,11 @@ func TestAdoptionLifecycle(t *testing.T) {
 		t.Fatalf("planned config %v at %.1f QPS does not clearly beat homogeneous %.1f", cfg, qps, homQPS)
 	}
 
-	// 4. The workload shifts; adapting is planning again from the monitor's
-	// new window (Sec. 5.2, Fig. 12) — one shot, no exploration.
+	// 4. The workload shifts; adapting is planning again, by a fresh engine,
+	// from the monitor's new window (Sec. 5.2, Fig. 12) — one shot, no
+	// exploration.
 	shift := Gaussian(550, 150)
-	for i := 0; i < 10000; i++ {
-		monitor.Observe(shift.Sample(rng))
-	}
-	next, err := engine.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, next := planFrom(observe(shift))
 	if next.Base() <= cfg.Base() {
 		t.Fatalf("a large-query shift should add base instances: %v -> %v", cfg, next)
 	}

@@ -14,7 +14,6 @@ import (
 	"kairos/internal/models"
 	"kairos/internal/predictor"
 	"kairos/internal/sim"
-	"kairos/internal/workload"
 )
 
 // DefaultXi is the paper's noise safeguard: a completion time predicted
@@ -43,9 +42,6 @@ type DistributorOptions struct {
 	Xi float64
 	// PenaltyFactor scales the Eq. 8 penalty; 0 defaults to 10.
 	PenaltyFactor float64
-	// Monitor, when non-nil, receives every completed query's batch size so
-	// the planner can track the workload mix (Sec. 5.2).
-	Monitor *workload.Monitor
 	// DisableCoefficients turns off the heterogeneity weighting (C_j = 1
 	// for all types); used by the ablation benchmarks.
 	DisableCoefficients bool
@@ -172,12 +168,9 @@ func NewDistributor(opts DistributorOptions) *Distributor {
 func (d *Distributor) Name() string { return "KAIROS" }
 
 // Observe implements sim.Observer: completed queries train the online
-// latency model and the workload monitor.
+// latency model.
 func (d *Distributor) Observe(instance string, batch int, serviceMS float64) {
 	d.pred.Observe(instance, batch, serviceMS)
-	if d.opts.Monitor != nil {
-		d.opts.Monitor.Observe(batch)
-	}
 }
 
 // Coefficient returns the heterogeneity coefficient C_j of Def. 1 for the

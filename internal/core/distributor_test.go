@@ -8,7 +8,6 @@ import (
 	"kairos/internal/models"
 	"kairos/internal/predictor"
 	"kairos/internal/sim"
-	"kairos/internal/workload"
 )
 
 func kairosFor(m models.Model, pool cloud.Pool) *Distributor {
@@ -262,13 +261,9 @@ func TestAssignMoreQueriesThanInstances(t *testing.T) {
 	}
 }
 
-func TestObserveFeedsMonitorAndPredictor(t *testing.T) {
-	mon := workload.NewMonitor(100)
-	d := NewDistributor(DistributorOptions{QoS: 100, BaseType: "b", Monitor: mon})
+func TestObserveFeedsPredictor(t *testing.T) {
+	d := NewDistributor(DistributorOptions{QoS: 100, BaseType: "b"})
 	d.Observe("b", 42, 13.5)
-	if mon.Count() != 1 {
-		t.Fatal("monitor not fed")
-	}
 	if got := d.Predictor().Predict("b", 42); got != 13.5 {
 		t.Fatalf("predictor not fed: %v", got)
 	}

@@ -104,7 +104,7 @@ func (e Env) instanceNames() []string {
 var warmProbes = []int{1, 250, 500, 750, 1000}
 
 // KairosFactory builds fresh Kairos distributors with a warmed latency
-// model and a live monitor.
+// model.
 func (e Env) KairosFactory() sim.DistributorFactory {
 	return func() sim.Distributor {
 		var pred predictor.Predictor = predictor.Warmed(e.Model.Latency, e.instanceNames(), warmProbes)
@@ -115,7 +115,6 @@ func (e Env) KairosFactory() sim.DistributorFactory {
 			QoS:       e.Model.QoS,
 			BaseType:  e.Pool.Base().Name,
 			Predictor: pred,
-			Monitor:   workload.NewMonitor(workload.DefaultWindow),
 		})
 	}
 }

@@ -259,7 +259,7 @@ func Fig11(scale Scale) Fig11Result {
 					defer inner.Done()
 					r := search.Random(search.NewSession(eval, target, len(configs), true), configs, seed)
 					g := search.Genetic(search.NewSession(eval, target, len(configs), true),
-						env.Pool, scale.Budget, configs, seed, search.GeneticOptions{})
+						env.Pool, scale.Budget, configs, seed)
 					b := search.Bayesian(search.NewSession(eval, target, len(configs), true), configs, seed)
 					mu.Lock()
 					rnd += float64(r.Evaluations)

@@ -101,7 +101,7 @@ func Fig2(scale Scale) Fig2Result {
 		return env.Measure(c, env.RibbonFactory())
 	}, 0, 40, false)
 	start := cloud.Config{1, 1, 1}
-	out := search.SimulatedAnnealing(session, pool, scale.Budget, start, scale.Seed, search.AnnealingOptions{Steps: 60})
+	out := search.SimulatedAnnealing(session, pool, scale.Budget, start, scale.Seed)
 
 	res := Fig2Result{HomQPS: homQPS}
 	worse := 0

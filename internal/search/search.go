@@ -1,7 +1,7 @@
 // Package search implements the configuration-space exploration algorithms
 // the paper compares Kairos+ against (Sec. 8.3, Fig. 10-11): random search,
 // simulated annealing (the Sec. 4 motivation experiment), a genetic
-// algorithm, and exhaustive sweep — all instrumented to count expensive
+// algorithm and Bayesian optimization — all instrumented to count expensive
 // online evaluations, and all optionally granted Kairos+'s
 // sub-configuration pruning ("we purposely provide these competing
 // algorithms with the same sub-configuration pruning mechanism").
@@ -125,22 +125,6 @@ func (s *Session) Measure(c cloud.Config) float64 {
 // Result returns the accumulated outcome.
 func (s *Session) Result() Result { return s.res }
 
-// Exhaustive evaluates every configuration (subject to the session's
-// budget and pruning) and is the offline ground truth the paper's
-// "optimal configuration determined via exhaustive offline search" uses.
-func Exhaustive(s *Session, configs []cloud.Config) Result {
-	for _, c := range configs {
-		if s.Done() {
-			break
-		}
-		if s.Prunable(c) {
-			continue
-		}
-		s.Measure(c)
-	}
-	return s.Result()
-}
-
 // Random explores configurations in a seeded random order (RAND in
 // Fig. 11).
 func Random(s *Session, configs []cloud.Config, seed int64) Result {
@@ -159,54 +143,39 @@ func Random(s *Session, configs []cloud.Config, seed int64) Result {
 	return s.Result()
 }
 
-// AnnealingOptions tune SimulatedAnnealing.
-type AnnealingOptions struct {
-	// InitialTemp and Cooling control acceptance of downhill moves:
-	// T_{k+1} = Cooling * T_k. Zero values default to 30 and 0.9.
-	InitialTemp, Cooling float64
-	// Steps is the number of annealing iterations (default 60).
-	Steps int
-}
-
-func (o AnnealingOptions) withDefaults() AnnealingOptions {
-	if o.InitialTemp == 0 {
-		o.InitialTemp = 30
-	}
-	if o.Cooling == 0 {
-		o.Cooling = 0.9
-	}
-	if o.Steps == 0 {
-		o.Steps = 60
-	}
-	return o
-}
+// Simulated-annealing schedule: the initial temperature, the per-step
+// cooling factor (T_{k+1} = annealCooling * T_k) and the step count.
+const (
+	annealTemp    = 30.0
+	annealCooling = 0.9
+	annealSteps   = 60
+)
 
 // SimulatedAnnealing explores by local moves (add/remove one instance)
 // within the budget, accepting worse configurations with Boltzmann
 // probability. It reproduces the Sec. 4 motivation experiment (Fig. 2).
-func SimulatedAnnealing(s *Session, pool cloud.Pool, budget float64, start cloud.Config, seed int64, opts AnnealingOptions) Result {
-	opts = opts.withDefaults()
+func SimulatedAnnealing(s *Session, pool cloud.Pool, budget float64, start cloud.Config, seed int64) Result {
 	if len(start) != len(pool) {
 		panic(fmt.Sprintf("search: start config %v does not match pool", start))
 	}
 	rng := rand.New(rand.NewSource(seed))
 	cur := start.Clone()
 	curVal := s.Measure(cur)
-	temp := opts.InitialTemp
-	for step := 0; step < opts.Steps && !s.Done(); step++ {
+	temp := annealTemp
+	for step := 0; step < annealSteps && !s.Done(); step++ {
 		next, ok := neighbor(rng, pool, budget, cur)
 		if !ok {
 			break
 		}
 		if s.Prunable(next) {
-			temp *= opts.Cooling
+			temp *= annealCooling
 			continue
 		}
 		nextVal := s.Measure(next)
 		if nextVal >= curVal || rng.Float64() < math.Exp((nextVal-curVal)/temp) {
 			cur, curVal = next, nextVal
 		}
-		temp *= opts.Cooling
+		temp *= annealCooling
 	}
 	return s.Result()
 }
@@ -236,38 +205,24 @@ func neighbor(rng *rand.Rand, pool cloud.Pool, budget float64, cur cloud.Config)
 	return nil, false
 }
 
-// GeneticOptions tune Genetic.
-type GeneticOptions struct {
-	// Population and Generations size the run (defaults 12 and 10).
-	Population, Generations int
-	// MutationRate is the per-gene mutation probability (default 0.25).
-	MutationRate float64
-}
-
-func (o GeneticOptions) withDefaults() GeneticOptions {
-	if o.Population == 0 {
-		o.Population = 12
-	}
-	if o.Generations == 0 {
-		o.Generations = 10
-	}
-	if o.MutationRate == 0 {
-		o.MutationRate = 0.25
-	}
-	return o
-}
+// Genetic-algorithm sizing: the population, the generation count and the
+// per-gene mutation probability.
+const (
+	genePopulation  = 12
+	geneGenerations = 10
+	geneMutation    = 0.25
+)
 
 // Genetic runs a steady genetic algorithm over the budgeted space (GENE in
 // Fig. 11): tournament selection, uniform crossover, +/-1 mutation, budget
 // repair by random removal.
-func Genetic(s *Session, pool cloud.Pool, budget float64, configs []cloud.Config, seed int64, opts GeneticOptions) Result {
-	opts = opts.withDefaults()
+func Genetic(s *Session, pool cloud.Pool, budget float64, configs []cloud.Config, seed int64) Result {
 	if len(configs) == 0 {
 		return s.Result()
 	}
 	rng := rand.New(rand.NewSource(seed))
-	pop := make([]cloud.Config, opts.Population)
-	fit := make([]float64, opts.Population)
+	pop := make([]cloud.Config, genePopulation)
+	fit := make([]float64, genePopulation)
 	for i := range pop {
 		pop[i] = configs[rng.Intn(len(configs))].Clone()
 	}
@@ -290,11 +245,11 @@ func Genetic(s *Session, pool cloud.Pool, budget float64, configs []cloud.Config
 		}
 		return pop[b]
 	}
-	for gen := 0; gen < opts.Generations && !s.Done(); gen++ {
+	for gen := 0; gen < geneGenerations && !s.Done(); gen++ {
 		next := make([]cloud.Config, 0, len(pop))
 		for len(next) < len(pop) {
 			child := crossover(rng, tournament(), tournament())
-			mutate(rng, child, opts.MutationRate)
+			mutate(rng, child, geneMutation)
 			repair(rng, pool, budget, child)
 			next = append(next, child)
 		}

@@ -91,19 +91,6 @@ func TestNewSessionPanicsOnNilEval(t *testing.T) {
 	NewSession(nil, 0, 0, false)
 }
 
-func TestExhaustiveFindsOptimum(t *testing.T) {
-	configs, _, _ := testSpace(t)
-	peak := cloud.Config{3, 1, 3}
-	s := NewSession(landscape(peak), 0, 0, false)
-	res := Exhaustive(s, configs)
-	if !res.Best.Equal(peak) {
-		t.Fatalf("best = %v, want %v", res.Best, peak)
-	}
-	if res.Evaluations != len(configs) {
-		t.Fatalf("evaluations = %d, want %d", res.Evaluations, len(configs))
-	}
-}
-
 func TestRandomReachesTargetEventually(t *testing.T) {
 	configs, _, _ := testSpace(t)
 	peak := cloud.Config{2, 0, 4}
@@ -141,12 +128,11 @@ func TestRandomPruningSavesEvaluations(t *testing.T) {
 }
 
 func TestSimulatedAnnealingImproves(t *testing.T) {
-	configs, pool, budget := testSpace(t)
-	_ = configs
+	_, pool, budget := testSpace(t)
 	peak := cloud.Config{3, 1, 3}
 	s := NewSession(landscape(peak), 0, 0, false)
 	start := cloud.Config{1, 0, 1}
-	res := SimulatedAnnealing(s, pool, budget, start, 17, AnnealingOptions{Steps: 120})
+	res := SimulatedAnnealing(s, pool, budget, start, 17)
 	startVal := landscape(peak)(start)
 	if res.BestQPS <= startVal {
 		t.Fatalf("SA did not improve: best %v vs start %v", res.BestQPS, startVal)
@@ -170,14 +156,14 @@ func TestSimulatedAnnealingPanicsOnBadStart(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	SimulatedAnnealing(s, pool, budget, cloud.Config{1}, 1, AnnealingOptions{})
+	SimulatedAnnealing(s, pool, budget, cloud.Config{1}, 1)
 }
 
 func TestGeneticConvergesNearPeak(t *testing.T) {
 	configs, pool, budget := testSpace(t)
 	peak := cloud.Config{2, 1, 4}
 	s := NewSession(landscape(peak), 0, 0, false)
-	res := Genetic(s, pool, budget, configs, 19, GeneticOptions{Population: 16, Generations: 12})
+	res := Genetic(s, pool, budget, configs, 19)
 	peakVal := landscape(peak)(peak)
 	if res.BestQPS < peakVal-7*6 { // within distance ~6 of the peak
 		t.Fatalf("GA best %v too far from peak value %v", res.BestQPS, peakVal)
@@ -192,7 +178,7 @@ func TestGeneticConvergesNearPeak(t *testing.T) {
 func TestGeneticEmptySpace(t *testing.T) {
 	_, pool, budget := testSpace(t)
 	s := NewSession(func(cloud.Config) float64 { return 0 }, 0, 0, false)
-	res := Genetic(s, pool, budget, nil, 1, GeneticOptions{})
+	res := Genetic(s, pool, budget, nil, 1)
 	if res.Evaluations != 0 {
 		t.Fatal("empty candidate set must not evaluate")
 	}

@@ -438,9 +438,9 @@ func (c *Controller) complete(ri *remoteInstance, reply Reply, now time.Time) {
 		ri.completed++
 		ri.busyMS += reply.ServiceMS
 		// Ground-truth service feedback, exactly as the simulator
-		// delivers it: online learners and query monitors train from
-		// real completions too. Under g.mu so Observe never races
-		// Assign (policies are not internally synchronized).
+		// delivers it: online learners train from real completions
+		// too. Under g.mu so Observe never races Assign (policies are
+		// not internally synchronized).
 		if g.observer != nil {
 			g.observer.Observe(ri.typeName, q.batch, reply.ServiceMS)
 		}

@@ -55,7 +55,7 @@ func (o FindOptions) withDefaults() FindOptions {
 }
 
 // DistributorFactory builds a fresh policy instance per probe run, so that
-// stateful policies (online learners, monitors) start each probe from the
+// stateful policies (online learners) start each probe from the
 // same state instead of leaking information across rates.
 type DistributorFactory func() Distributor
 
@@ -105,9 +105,12 @@ func FindAllowableThroughput(spec ClusterSpec, factory DistributorFactory, opts 
 	}
 
 	// Probe mean batch once for the capacity bracket.
-	probe := workload.NewMonitor(2000)
-	probe.Warm(rand.New(rand.NewSource(opts.Seed)), opts.Batches, 2000)
-	meanBatch := int(math.Round(probe.MeanBatch()))
+	const probes = 2000
+	rng, sum := rand.New(rand.NewSource(opts.Seed)), 0
+	for i := 0; i < probes; i++ {
+		sum += opts.Batches.Sample(rng)
+	}
+	meanBatch := int(math.Round(float64(sum) / probes))
 	if meanBatch < 1 {
 		meanBatch = 1
 	}

@@ -98,9 +98,8 @@ type Distributor interface {
 }
 
 // Observer receives ground-truth service feedback after each query
-// completes, letting online components (Kairos's latency learner, the query
-// monitor) train without prior knowledge. Distributors may optionally
-// implement it.
+// completes, letting online components (Kairos's latency learner) train
+// without prior knowledge. Distributors may optionally implement it.
 type Observer interface {
 	Observe(instance string, batch int, serviceMS float64)
 }

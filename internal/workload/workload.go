@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 )
 
@@ -158,16 +157,14 @@ func PoissonStream(rng *rand.Rand, dist BatchDistribution, ratePerSec, durationM
 }
 
 // Monitor is Kairos's sliding-window query monitor: it tracks the most
-// recent Window batch sizes and answers distribution questions (fraction f
-// of queries at or below a cutoff s, conditional means) without any offline
-// profiling. It is safe for concurrent use: the real network controller
-// feeds it from per-instance read goroutines while planners snapshot it.
+// recent window batch sizes, the snapshot the planner consumes, without any
+// offline profiling. It is safe for concurrent use: the autopilot feeds it
+// from completions while planners snapshot it.
 type Monitor struct {
 	mu      sync.Mutex
 	window  int
 	batches []int
 	next    int
-	full    bool
 }
 
 // DefaultWindow is the paper's monitoring window of 10000 queries.
@@ -192,7 +189,6 @@ func (m *Monitor) Observe(batch int) {
 		m.batches = append(m.batches, batch)
 		return
 	}
-	m.full = true
 	m.batches[m.next] = batch
 	m.next = (m.next + 1) % m.window
 }
@@ -202,23 +198,6 @@ func (m *Monitor) Count() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.batches)
-}
-
-// FractionAtMost returns the fraction f of tracked queries with batch <= s
-// (Sec. 5.2). It returns 0 when nothing has been observed.
-func (m *Monitor) FractionAtMost(s int) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.batches) == 0 {
-		return 0
-	}
-	n := 0
-	for _, b := range m.batches {
-		if b <= s {
-			n++
-		}
-	}
-	return float64(n) / float64(len(m.batches))
 }
 
 // MeanBatch returns the average tracked batch size, or 0 when empty.
@@ -242,31 +221,4 @@ func (m *Monitor) Snapshot() []int {
 	out := make([]int, len(m.batches))
 	copy(out, m.batches)
 	return out
-}
-
-// Quantile returns the q-quantile (0 < q <= 1) of tracked batch sizes using
-// the nearest-rank method, or 0 when empty.
-func (m *Monitor) Quantile(q float64) int {
-	sorted := m.Snapshot()
-	if len(sorted) == 0 {
-		return 0
-	}
-	if q <= 0 || q > 1 {
-		panic(fmt.Sprintf("workload: quantile %v outside (0,1]", q))
-	}
-	sort.Ints(sorted)
-	rank := int(math.Ceil(q * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	return sorted[rank-1]
-}
-
-// Warm fills the monitor with n samples from dist; the controller calls
-// this to mirror the paper's assumption that the monitor has seen recent
-// traffic before planning.
-func (m *Monitor) Warm(rng *rand.Rand, dist BatchDistribution, n int) {
-	for i := 0; i < n; i++ {
-		m.Observe(dist.Sample(rng))
-	}
 }

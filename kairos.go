@@ -12,12 +12,12 @@
 //
 //	engine, err := kairos.New(
 //		kairos.WithPool(kairos.DefaultPool()),
-//		kairos.WithModelName("RM2"),
+//		kairos.WithModels("RM2"),
 //		kairos.WithBudget(2.5),
 //		kairos.WithPolicy("kairos+warm"),
 //	)
 //	cfg, err := engine.Plan()                    // one-shot planning (Sec. 5.2)
-//	dist, err := engine.Serve()                  // live query distribution (Sec. 5.1)
+//	ctrl, err := engine.Connect(1, addrs)        // live query distribution (Sec. 5.1)
 //	qps, err := engine.AllowableThroughput(cfg)  // simulation (Sec. 7)
 //	ap, err := engine.Autopilot(1, kairos.AutopilotOptions{}) // live fleet + drift adaptation (Fig. 12)
 //
@@ -50,8 +50,6 @@ type (
 	Model = models.Model
 	// BatchDistribution samples query batch sizes.
 	BatchDistribution = workload.BatchDistribution
-	// Monitor tracks the recent batch-size mix (Sec. 5.2).
-	Monitor = workload.Monitor
 	// Distributor is a query-distribution policy.
 	Distributor = sim.Distributor
 	// DistributorFactory builds fresh policy instances per evaluation run.
@@ -87,10 +85,6 @@ func ModelByName(name string) (Model, error) { return models.ByName(name) }
 // DefaultTrace returns the trace-like batch-size mix driving the default
 // evaluation.
 func DefaultTrace() BatchDistribution { return workload.DefaultTrace() }
-
-// NewMonitor creates a sliding-window query monitor (the paper tracks the
-// most recent 10000 queries).
-func NewMonitor() *Monitor { return workload.NewMonitor(workload.DefaultWindow) }
 
 // RunOptions configure Engine.Evaluate.
 type RunOptions struct {

@@ -32,7 +32,7 @@ func TestFacadeCatalogs(t *testing.T) {
 
 func TestFacadeClusterLifecycle(t *testing.T) {
 	t.Parallel()
-	e := testEngine(t, WithModelName("DIEN")) // kairos+warm, seed 3
+	e := testEngine(t, WithModels("DIEN")) // kairos+warm, seed 3
 	cfg := Config{2, 0, 4, 0}
 	res, err := e.Evaluate(cfg, RunOptions{RatePerSec: 50, DurationMS: 20000, WarmupMS: 4000})
 	if err != nil {

@@ -17,16 +17,15 @@ func drawMix(dist BatchDistribution, n int, seed int64) []int {
 	return out
 }
 
-// multiEngine builds the two-model engine used by the facade tests: NCF on
-// a small mix, MT-WND on a small mix, one shared budget.
+// multiEngine builds the two-model engine used by the facade tests: NCF and
+// MT-WND planned from one small mix under one shared budget.
 func multiEngine(t *testing.T, opts ...Option) *Engine {
 	t.Helper()
 	base := []Option{
 		WithPool(DefaultPool()),
 		WithModels("NCF", "MT-WND"),
 		WithBudget(0.9),
-		WithModelSamples("NCF", drawMix(Uniform(10, 60), 1500, 3)),
-		WithModelSamples("MT-WND", drawMix(Uniform(10, 80), 1500, 4)),
+		WithBatchSamples(drawMix(Uniform(10, 60), 1500, 3)),
 		WithSeed(7),
 	}
 	e, err := New(append(base, opts...)...)
@@ -47,26 +46,20 @@ func TestWithModelsValidation(t *testing.T) {
 	if _, err := New(WithPool(DefaultPool()), WithModels("nope")); err == nil {
 		t.Fatal("unknown model must error")
 	}
-	if _, err := New(WithPool(DefaultPool()), WithModels("NCF"),
-		WithModelSamples("RM2", []int{10})); err == nil {
-		t.Fatal("WithModelSamples for an unserved model must error")
+	if _, err := New(WithPool(DefaultPool()), WithModel()); err == nil {
+		t.Fatal("empty WithModel must error")
 	}
-	if _, err := New(WithPool(DefaultPool()), WithModelSet(Model{Name: "x"})); err == nil {
-		t.Fatal("WithModelSet without QoS must error")
+	if _, err := New(WithPool(DefaultPool()), WithModel(Model{Name: "x"})); err == nil {
+		t.Fatal("a model without QoS must error")
+	}
+	ncf, _ := ModelByName("NCF")
+	if _, err := New(WithPool(DefaultPool()), WithModel(ncf, ncf)); err == nil {
+		t.Fatal("a model served twice must error")
 	}
 
 	e := multiEngine(t)
-	if got := e.Model().Name; got != "NCF" {
-		t.Fatalf("primary model = %s", got)
-	}
-	if got := e.Models(); len(got) != 2 || got[1].Name != "MT-WND" {
+	if got := e.Models(); len(got) != 2 || got[0].Name != "NCF" || got[1].Name != "MT-WND" {
 		t.Fatalf("models = %v", got)
-	}
-	if _, err := e.MonitorFor("MT-WND"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.MonitorFor("nope"); err == nil {
-		t.Fatal("MonitorFor unknown model must error")
 	}
 }
 
@@ -86,8 +79,6 @@ func TestMultiModelGuardsSingleModelMethods(t *testing.T) {
 	wantErr("Plan", err)
 	_, err = e.Rank()
 	wantErr("Rank", err)
-	_, err = e.Serve()
-	wantErr("Serve", err)
 	_, err = e.UpperBound(Config{1, 0, 0, 0})
 	wantErr("UpperBound", err)
 	_, err = e.Evaluate(Config{1, 0, 0, 0}, RunOptions{RatePerSec: 1, DurationMS: 10})
@@ -129,7 +120,7 @@ func TestEnginePlanFleet(t *testing.T) {
 
 	single, err := New(
 		WithPool(pool),
-		WithModelName("NCF"),
+		WithModels("NCF"),
 		WithBudget(0.8),
 		WithBatchSamples(drawMix(Uniform(10, 60), 1500, 3)),
 	)
@@ -154,11 +145,12 @@ func TestEnginePlanFleet(t *testing.T) {
 }
 
 // TestEngineConnectMultiModel: Connect builds one scheduler group per
-// model; each model's completions feed that model's monitor, not the
-// other's.
+// model, each with its own policy; each model's completions train that
+// model's policy, not the other's.
 func TestEngineConnectMultiModel(t *testing.T) {
 	t.Parallel()
-	e := multiEngine(t, WithPolicy("kairos"))
+	policy, seen := registerObserving(t, "NCF", "MT-WND")
+	e := multiEngine(t, WithPolicy(policy))
 	ncf, wnd := e.Models()[0], e.Models()[1]
 	var addrs []string
 	for _, m := range []Model{ncf, wnd} {
@@ -185,15 +177,11 @@ func TestEngineConnectMultiModel(t *testing.T) {
 	if res := ctrl.SubmitWait(wnd.Name, 20); res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if got := e.Monitor().Count(); got != 3 {
-		t.Fatalf("NCF monitor observed %d completions, want 3", got)
+	if got := seen[ncf.Name].Load(); got != 3 {
+		t.Fatalf("NCF policy observed %d completions, want 3", got)
 	}
-	wm, err := e.MonitorFor(wnd.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := wm.Count(); got != 1 {
-		t.Fatalf("MT-WND monitor observed %d completions, want 1", got)
+	if got := seen[wnd.Name].Load(); got != 1 {
+		t.Fatalf("MT-WND policy observed %d completions, want 1", got)
 	}
 }
 
@@ -231,7 +219,7 @@ func TestMultiModelAutopilotEndToEnd(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(11))
-	smallA, smallB, largeB := Uniform(10, 60), Uniform(10, 80), Uniform(500, 800)
+	small, large := Uniform(10, 60), Uniform(500, 800)
 	send := func(model string, mix BatchDistribution, n int, gapMS float64) []<-chan QueryResult {
 		done := make([]<-chan QueryResult, n)
 		for i := 0; i < n; i++ {
@@ -254,13 +242,13 @@ func TestMultiModelAutopilotEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Phase 1: both models steady on their reference mixes.
-	chA, chB := send("NCF", smallA, 120, 1), send("MT-WND", smallB, 100, 2)
+	// Phase 1: both models steady on the reference mix.
+	chA, chB := send("NCF", small, 120, 1), send("MT-WND", small, 100, 2)
 	wait("phase-1 NCF", chA)
 	wait("phase-1 MT-WND", chB)
 
 	// Phase 2: MT-WND shifts to GPU-only batches mid-run.
-	chA, chB = send("NCF", smallA, 80, 2), send("MT-WND", largeB, 180, 8)
+	chA, chB = send("NCF", small, 80, 2), send("MT-WND", large, 180, 8)
 	wait("phase-2 NCF", chA)
 	wait("phase-2 MT-WND", chB)
 
@@ -271,8 +259,8 @@ func TestMultiModelAutopilotEndToEnd(t *testing.T) {
 	if ap.Replans() == 0 {
 		t.Fatal("the autopilot never replanned after the mix shift")
 	}
-	wait("post-replan MT-WND", send("MT-WND", largeB, 25, 8))
-	wait("post-replan NCF", send("NCF", smallA, 25, 2))
+	wait("post-replan MT-WND", send("MT-WND", large, 25, 8))
+	wait("post-replan NCF", send("NCF", small, 25, 2))
 
 	now := ap.Current()
 	if now["MT-WND"].Base() == 0 {

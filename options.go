@@ -18,82 +18,34 @@ func WithPool(pool Pool) Option {
 	}
 }
 
-// WithModel sets the served model (required, unless WithModelName or
-// WithModels is used) — the one-element case of WithModels.
-func WithModel(model Model) Option {
+// WithModel sets the served model set, all under the engine's one shared
+// budget: PlanFleet splits the budget across them by marginal
+// throughput-per-dollar, and the live path (Connect, Autopilot) partitions
+// instances and queries per model. New checks that every model is named,
+// has a positive QoS target and appears once.
+func WithModel(models ...Model) Option {
 	return func(e *Engine) error {
-		if model.QoS <= 0 {
-			return fmt.Errorf("kairos: WithModel needs a model with a positive QoS target (got %v)", model.QoS)
+		if len(models) == 0 {
+			return fmt.Errorf("kairos: WithModel needs at least one model")
 		}
-		e.models = []Model{model}
+		e.models = append([]Model(nil), models...)
 		return nil
 	}
 }
 
-// WithModelName resolves a catalog model by name (see Models) — the
-// one-element case of WithModels.
-func WithModelName(name string) Option {
-	return func(e *Engine) error {
-		model, err := ModelByName(name)
-		if err != nil {
-			return err
-		}
-		e.models = []Model{model}
-		return nil
-	}
-}
-
-// WithModels resolves a set of catalog models by name, all served under
-// the engine's one shared budget: PlanFleet splits the budget across them
-// by marginal throughput-per-dollar, and the live path (Connect,
-// Autopilot) partitions instances and queries per model. The first name is
-// the engine's primary model. A single name is equivalent to
-// WithModelName.
+// WithModels is WithModel over catalog models resolved by name (see
+// Models).
 func WithModels(names ...string) Option {
 	return func(e *Engine) error {
-		if len(names) == 0 {
-			return fmt.Errorf("kairos: WithModels needs at least one model name")
-		}
 		models := make([]Model, len(names))
-		seen := make(map[string]bool, len(names))
 		for i, name := range names {
-			if seen[name] {
-				return fmt.Errorf("kairos: WithModels names %q twice", name)
-			}
-			seen[name] = true
 			m, err := ModelByName(name)
 			if err != nil {
 				return err
 			}
 			models[i] = m
 		}
-		e.models = models
-		return nil
-	}
-}
-
-// WithModelSet sets an explicit served model set (non-catalog models), all
-// under the shared budget; the first entry is the primary model.
-func WithModelSet(models ...Model) Option {
-	return func(e *Engine) error {
-		if len(models) == 0 {
-			return fmt.Errorf("kairos: WithModelSet needs at least one model")
-		}
-		seen := make(map[string]bool, len(models))
-		for _, m := range models {
-			if m.QoS <= 0 {
-				return fmt.Errorf("kairos: model %q needs a positive QoS target (got %v)", m.Name, m.QoS)
-			}
-			if m.Name == "" {
-				return fmt.Errorf("kairos: WithModelSet needs named models")
-			}
-			if seen[m.Name] {
-				return fmt.Errorf("kairos: WithModelSet names %q twice", m.Name)
-			}
-			seen[m.Name] = true
-		}
-		e.models = append([]Model(nil), models...)
-		return nil
+		return WithModel(models...)(e)
 	}
 }
 
@@ -122,48 +74,16 @@ func WithPolicy(name string) Option {
 	}
 }
 
-// WithMonitor shares an existing query monitor with the engine's primary
-// model instead of the fresh default one; useful when traffic is observed
-// outside the engine's own distributors.
-func WithMonitor(m *Monitor) Option {
-	return func(e *Engine) error {
-		if m == nil {
-			return fmt.Errorf("kairos: WithMonitor needs a non-nil monitor")
-		}
-		e.sharedMonitor = m
-		return nil
-	}
-}
-
 // WithBatchSamples pins the batch-size snapshot the planner consumes for
-// every served model, overriding the engine monitors. Use Monitor.Snapshot
-// on live traffic or a synthetic sample for offline planning; per-model
-// pins (WithModelSamples) take precedence.
+// every served model, in place of a draw from the trace: a window of live
+// traffic (the autopilot's, or any other record) or a synthetic sample for
+// offline planning.
 func WithBatchSamples(samples []int) Option {
 	return func(e *Engine) error {
 		if len(samples) == 0 {
 			return fmt.Errorf("kairos: WithBatchSamples needs a non-empty sample")
 		}
 		e.samples = samples
-		return nil
-	}
-}
-
-// WithModelSamples pins one served model's planning snapshot, so each
-// model of a multi-model engine can plan from its own observed mix. The
-// name must match a model configured by WithModels (validated by New).
-func WithModelSamples(model string, samples []int) Option {
-	return func(e *Engine) error {
-		if model == "" {
-			return fmt.Errorf("kairos: WithModelSamples needs a model name")
-		}
-		if len(samples) == 0 {
-			return fmt.Errorf("kairos: WithModelSamples needs a non-empty sample")
-		}
-		if e.modelSamples == nil {
-			e.modelSamples = make(map[string][]int)
-		}
-		e.modelSamples[model] = samples
 		return nil
 	}
 }

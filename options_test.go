@@ -36,8 +36,13 @@ func TestNewOptionValidation(t *testing.T) {
 			wantErr: "positive QoS",
 		},
 		{
+			name:    "unnamed model",
+			opts:    []Option{WithPool(pool), WithModel(Model{QoS: 5})},
+			wantErr: "needs a name",
+		},
+		{
 			name:    "unknown model name",
-			opts:    []Option{WithPool(pool), WithModelName("nope")},
+			opts:    []Option{WithPool(pool), WithModels("nope")},
 			wantErr: "nope",
 		},
 		{
@@ -54,11 +59,6 @@ func TestNewOptionValidation(t *testing.T) {
 			name:    "negative budget",
 			opts:    []Option{WithPool(pool), WithModel(model), WithBudget(-1)},
 			wantErr: "budget must be positive",
-		},
-		{
-			name:    "nil monitor",
-			opts:    []Option{WithPool(pool), WithModel(model), WithMonitor(nil)},
-			wantErr: "non-nil monitor",
 		},
 		{
 			name:    "empty batch samples",
@@ -88,8 +88,8 @@ func TestNewOptionValidation(t *testing.T) {
 		{
 			name: "valid full set",
 			opts: []Option{
-				WithPool(pool), WithModelName("RM2"), WithBudget(2.5),
-				WithPolicy("ribbon"), WithMonitor(NewMonitor()),
+				WithPool(pool), WithModels("RM2"), WithBudget(2.5),
+				WithPolicy("ribbon"),
 				WithBatchSamples([]int{1, 2, 3}), WithTrace(DefaultTrace()),
 				WithSeed(7), WithProbeQueries(1200), WithPrecisionFrac(0.06),
 			},
@@ -127,9 +127,6 @@ func TestNewDefaults(t *testing.T) {
 	}
 	if e.Policy() != DefaultPolicy {
 		t.Fatalf("default policy = %q, want %q", e.Policy(), DefaultPolicy)
-	}
-	if e.Monitor() == nil {
-		t.Fatal("engine must own a monitor by default")
 	}
 	if e.Budget() != 0 {
 		t.Fatalf("unset budget = %v, want 0", e.Budget())

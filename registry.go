@@ -17,16 +17,12 @@ import (
 const DefaultDRSThreshold = 150
 
 // PolicyContext is what the engine resolves before asking a policy factory
-// for a distributor: the deployment (pool + model) and the shared query
-// monitor.
+// for a distributor: the deployment it serves.
 type PolicyContext struct {
 	// Pool is the ordered set of instance types the distributor serves.
 	Pool Pool
 	// Model is the served workload (QoS target + latency surface).
 	Model Model
-	// Monitor optionally receives every completed query's batch size so the
-	// planner can track the workload mix. May be nil.
-	Monitor *Monitor
 }
 
 // validate checks the fields every factory depends on.
@@ -41,8 +37,9 @@ func (ctx PolicyContext) validate() error {
 }
 
 // PolicyFactory builds a fresh distributor for a resolved context. The
-// engine calls it once per Serve and once per simulation probe, so stateful
-// policies (online learners) start each evaluation from a clean slate.
+// engine calls it once per served model on Connect and once per simulation
+// probe, so stateful policies (online learners) start each evaluation from
+// a clean slate.
 type PolicyFactory func(ctx PolicyContext) (Distributor, error)
 
 var (
@@ -123,7 +120,6 @@ func warmedKairos(ctx PolicyContext) Distributor {
 		QoS:       ctx.Model.QoS,
 		BaseType:  ctx.Pool.Base().Name,
 		Predictor: predictor.Warmed(ctx.Model.Latency, names, []int{1, 250, 500, 750, 1000}),
-		Monitor:   ctx.Monitor,
 	})
 }
 
@@ -147,7 +143,6 @@ func init() {
 		return core.NewDistributor(core.DistributorOptions{
 			QoS:      ctx.Model.QoS,
 			BaseType: ctx.Pool.Base().Name,
-			Monitor:  ctx.Monitor,
 		}), nil
 	})
 	mustRegister("kairos+warm", func(ctx PolicyContext) (Distributor, error) {

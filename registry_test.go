@@ -118,12 +118,8 @@ func TestRegisteredPolicyDrivesEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := e.Serve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Name() != "STUB" {
-		t.Fatalf("Serve() policy name = %q, want STUB", d.Name())
+	if name := e.Factory()().Name(); name != "STUB" {
+		t.Fatalf("engine policy name = %q, want STUB", name)
 	}
 }
 

@@ -44,15 +44,15 @@ func NewInstanceServer(typeName string, model Model, timeScale float64) (*Instan
 // Connect dials running instance servers (see NewInstanceServer and
 // cmd/kairosd) and returns a central controller distributing real queries
 // — the live counterpart of Evaluate. One scheduler group is built per
-// served model, each running a fresh instance of the engine's policy wired
-// to that model's monitor; every dialed instance joins the group of the
-// model its banner announces, and queries are submitted per model
-// (Controller.Submit). timeScale must match the daemons'. Close the
-// controller when done.
+// served model, each running a fresh instance of the engine's policy, which
+// the controller trains with that model's completions; every dialed
+// instance joins the group of the model its banner announces, and queries
+// are submitted per model (Controller.Submit). timeScale must match the
+// daemons'. Close the controller when done.
 func (e *Engine) Connect(timeScale float64, addrs []string) (*Controller, error) {
 	groups := make(map[string]server.GroupSpec, len(e.models))
 	for _, m := range e.models {
-		policy, err := NewPolicy(e.policy, e.policyContextFor(m, e.monitors[m.Name]))
+		policy, err := NewPolicy(e.policy, PolicyContext{Pool: e.pool, Model: m})
 		if err != nil {
 			return nil, err
 		}
