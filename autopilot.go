@@ -106,8 +106,8 @@ func PlanFleetFor(pool Pool, demands []ModelDemand, budget float64) (FleetPlan, 
 // NewFleetPlanner builds an incremental fleet planner over the pool,
 // pre-enumerating configurations up to enumBudget (later Plan calls at or
 // below it reuse the enumeration; a larger budget re-enumerates). Feed it
-// demands with SetDemands (or ReplanModel for a single moved window),
-// then Plan; frontiers for unmoved sample windows are served from cache.
+// the full demand set with SetDemands, then Plan; frontiers for unmoved
+// sample windows are served from cache.
 // A FleetPlanner is not safe for concurrent use.
 func NewFleetPlanner(pool Pool, enumBudget float64) (*FleetPlanner, error) {
 	return core.NewFleetPlanner(pool, enumBudget)

@@ -121,7 +121,7 @@ func BenchmarkUpperBoundRanking(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		est, err := core.NewEstimator(cloud.DefaultPool(), models.MustByName("RM2"), samples, core.EstimatorOptions{})
+		est, err := core.NewEstimator(cloud.DefaultPool(), models.MustByName("RM2"), samples)
 		if err != nil {
 			b.Fatal(err)
 		}

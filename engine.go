@@ -188,7 +188,7 @@ func (e *Engine) estimator() (*core.Estimator, error) {
 		return nil, err
 	}
 	if e.est == nil {
-		est, err := core.NewEstimator(e.pool, m, e.planningSamples(0), core.EstimatorOptions{})
+		est, err := core.NewEstimator(e.pool, m, e.planningSamples(0))
 		if err != nil {
 			return nil, err
 		}
@@ -276,6 +276,11 @@ func (e *Engine) PlanPlus(eval func(Config) float64) (PlusResult, error) {
 func (e *Engine) validConfig(cfg Config) error {
 	if len(cfg) != len(e.pool) {
 		return fmt.Errorf("kairos: config %v does not match pool of %d types", cfg, len(e.pool))
+	}
+	for _, n := range cfg {
+		if n < 0 {
+			return fmt.Errorf("kairos: negative instance count in config %v", cfg)
+		}
 	}
 	if cfg.Total() == 0 {
 		return fmt.Errorf("kairos: empty configuration")

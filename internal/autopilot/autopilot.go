@@ -60,11 +60,6 @@ const (
 // scale-in trigger passes a shrunk budget to shed cost).
 type PlanFunc func(samples map[string][]int, arrivals map[string]float64, budget float64) (core.FleetPlan, error)
 
-// ReplanModelFunc replans a single model's allocation (other models'
-// slices stay fixed) from its live sample and arrival rate. A non-positive
-// budget asks for the planner's full configured budget.
-type ReplanModelFunc func(model string, samples []int, arrivalQPS, budget float64) (core.FleetPlan, error)
-
 // Options describe an autopilot deployment — everything a caller sets and
 // nothing the engine wires (that is Wiring). Every zero value picks a
 // documented default; withDefaults is the one place they are filled and
@@ -149,13 +144,9 @@ type Wiring struct {
 	Pool cloud.Pool
 	// Models are the served workloads sharing the budget.
 	Models []models.Model
-	// Plan produces a fresh fleet plan from the live windows, and
-	// ReplanModel, when set, lets the preemption path fill the hole a
-	// revoked instance leaves before the revocation deadline without
-	// paying a full-fleet replan (nil: a preemption re-actuates the plan
-	// in force). Launch installs the shared-budget planner as both.
-	Plan        PlanFunc
-	ReplanModel ReplanModelFunc
+	// Plan produces a fresh fleet plan from the live windows; Launch
+	// installs the shared-budget planner.
+	Plan PlanFunc
 	// References maps model names to the batch samples behind the initial
 	// plan; each model's drift detector is armed on its reference. Models
 	// without one arm lazily on their first warm live window.
@@ -275,35 +266,34 @@ func (o Options) withDefaults(timeScale float64, ms []models.Model) (Options, er
 // per-model frontier whose window did not move, so steady-state replans
 // skip enumeration and frontier construction entirely. Safe without extra
 // locking — the autopilot serializes planning under its step mutex.
-func budgetPlanner(pool cloud.Pool, ms []models.Model, fullBudget float64, o Options) (PlanFunc, ReplanModelFunc, error) {
+func budgetPlanner(pool cloud.Pool, ms []models.Model, fullBudget float64, o Options) (PlanFunc, error) {
 	planner, err := core.NewFleetPlanner(pool, fullBudget)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	// The closures outlive Launch; they keep the two numbers, not the
+	// The closure outlives Launch; it keeps the two numbers, not the
 	// options (and the provider and door those hold).
 	headroom, floor := o.DemandHeadroom, o.OnDemandFloor
-	demandFor := func(m models.Model, s []int, arrival float64) core.ModelDemand {
-		d := core.ModelDemand{Model: m, Samples: s}
-		if headroom > 0 {
-			d.ArrivalQPS = arrival
-			d.Headroom = headroom
-			// The on-demand floor derives from the same observed demand the
-			// cap does, so it rides the same arrival rate (and is inert
-			// while demand capping is disabled or the rate is unknown).
-			d.OnDemandFloor = floor
-		}
-		return d
-	}
-	plan := func(samples map[string][]int, arrivals map[string]float64, budget float64) (core.FleetPlan, error) {
+	return func(samples map[string][]int, arrivals map[string]float64, budget float64) (core.FleetPlan, error) {
 		if budget <= 0 {
 			budget = fullBudget
 		}
 		demands := make([]core.ModelDemand, 0, len(ms))
 		for _, m := range ms {
-			if s := samples[m.Name]; len(s) > 0 {
-				demands = append(demands, demandFor(m, s, arrivals[m.Name]))
+			s := samples[m.Name]
+			if len(s) == 0 {
+				continue
 			}
+			d := core.ModelDemand{Model: m, Samples: s}
+			if headroom > 0 {
+				d.ArrivalQPS = arrivals[m.Name]
+				d.Headroom = headroom
+				// The on-demand floor derives from the same observed demand the
+				// cap does, so it rides the same arrival rate (and is inert
+				// while demand capping is disabled or the rate is unknown).
+				d.OnDemandFloor = floor
+			}
+			demands = append(demands, d)
 		}
 		if len(demands) == 0 {
 			return nil, fmt.Errorf("autopilot: no model has a planning sample")
@@ -319,23 +309,7 @@ func budgetPlanner(pool cloud.Pool, ms []models.Model, fullBudget float64, o Opt
 		// mutates the plan it actuates (heals decrement counts), so hand
 		// it a private copy.
 		return got.Clone(), nil
-	}
-	replanModel := func(model string, samples []int, arrivalQPS, budget float64) (core.FleetPlan, error) {
-		if budget <= 0 {
-			budget = fullBudget
-		}
-		for _, m := range ms {
-			if m.Name == model {
-				got, err := planner.ReplanModel(demandFor(m, samples, arrivalQPS), budget)
-				if err != nil {
-					return nil, err
-				}
-				return got.Clone(), nil
-			}
-		}
-		return nil, fmt.Errorf("autopilot: replan for unknown model %q", model)
-	}
-	return plan, replanModel, nil
+	}, nil
 }
 
 // Autopilot runs the monitor -> detect -> replan -> actuate loop over one
@@ -361,9 +335,9 @@ type Autopilot struct {
 	names  []string
 	states map[string]*modelState
 
-	// stepMu serializes the control sequences — Step, Heal, and the replan
-	// after a preemption drain — each a sense → decide → plan → reconcile
-	// run that may block on the planner, the provider and the controller.
+	// stepMu serializes the control sequences — Step, Heal, and the
+	// reconcile after a preemption drain — each of which may block on the
+	// planner, the provider and the controller.
 	stepMu sync.Mutex
 
 	// mu guards every piece of mutable state below down to admin, the
@@ -415,7 +389,7 @@ func Launch(w Wiring, budget float64, opts Options, connect func(addrs []string)
 	if err != nil {
 		return nil, err
 	}
-	if w.Plan, w.ReplanModel, err = budgetPlanner(w.Pool, w.Models, budget, o); err != nil {
+	if w.Plan, err = budgetPlanner(w.Pool, w.Models, budget, o); err != nil {
 		return nil, err
 	}
 	initial, err := w.Plan(w.References, nil, 0)
@@ -568,8 +542,8 @@ func (a *Autopilot) loop() {
 			return
 		case p := <-notices:
 			// A revocation notice is a first-class trigger distinct from
-			// death: drain the doomed instance and replan around the hole
-			// before the deadline. Handled concurrently — overlapping
+			// death: drain the doomed instance and refill the hole before
+			// the deadline. Handled concurrently — overlapping
 			// notices in a preemption storm must drain in parallel, not
 			// queue behind each other's drains.
 			a.spawn(func() { a.handlePreemption(p) })

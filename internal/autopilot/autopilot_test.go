@@ -627,7 +627,7 @@ func TestAutopilotEndToEndSmoke(t *testing.T) {
 	reference := samplesOf(small, 2000, 7)
 
 	planOne := func(samples []int) (cloud.Config, error) {
-		est, err := core.NewEstimator(pool, m, samples, core.EstimatorOptions{})
+		est, err := core.NewEstimator(pool, m, samples)
 		if err != nil {
 			return nil, err
 		}

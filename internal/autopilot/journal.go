@@ -31,8 +31,9 @@ type DecisionEvent struct {
 	// current fleet), "held" (a trigger fired inside the cooldown),
 	// "steady" (no trigger), "cold" (windows too cold to evaluate),
 	// "heal" (a fault-recovery actuation), "preempt" (a spot revocation
-	// notice was answered: drain-ahead-of-death plus the replan filling
-	// the hole; see PreemptDrainMS/PreemptReplanMS), or "error" (the
+	// notice was answered: drain-ahead-of-death plus the re-actuation of
+	// the plan in force filling the hole; see
+	// PreemptDrainMS/PreemptReplanMS), or "error" (the
 	// cycle failed; see Err).
 	Kind string `json:"kind"`
 	// Triggers names the fired triggers ("drift", "slo", "scale-in",
@@ -61,8 +62,8 @@ type DecisionEvent struct {
 	ActuationMS float64 `json:"actuation_ms,omitempty"`
 	// PreemptDrainMS and PreemptReplanMS time a "preempt" entry's two
 	// deadlines: notice-to-drained (the doomed instance is empty and
-	// disconnected) and notice-to-replanned (the fleet is reconciled
-	// around the hole). Both race the revocation deadline.
+	// disconnected) and notice-to-refilled (the fleet is reconciled back
+	// to the plan in force). Both race the revocation deadline.
 	PreemptDrainMS  float64 `json:"preempt_drain_ms,omitempty"`
 	PreemptReplanMS float64 `json:"preempt_replan_ms,omitempty"`
 	// Err is the failure behind an "error" kind, empty otherwise.

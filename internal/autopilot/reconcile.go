@@ -20,9 +20,9 @@ type outcome struct {
 }
 
 // reconcile is the one way a plan reaches the fleet. Its three callers
-// differ only in where the plan comes from: Heal (the plan in force), the
-// step after a preemption drain (a one-model replan, else the plan in
-// force) and a fired trigger (a fresh fleet plan). The contract: vet the
+// take the plan from one of two places: Heal and the step after a
+// preemption drain reconcile to the plan in force, a fired trigger to a
+// fresh fleet plan. The contract: vet the
 // plan — a refused plan touched nothing and is only recorded as the control
 // error; actuate it; on success install it as the plan in force (counting a
 // reconfiguration if it differs), count a heal if a fault was pending,
@@ -303,7 +303,7 @@ func (a *Autopilot) onInstanceDown(model, typeName, addr string, cause error) {
 // handlePreemption answers one revocation notice: drain the doomed
 // instance immediately (reusing the controller's orderly removal, so
 // in-flight queries finish and the backlog redistributes), release it at
-// the provider, then replan the affected model around the hole — all
+// the provider, then re-actuate the plan in force to fill the hole — all
 // racing the revocation deadline. An instance that dies mid-drain falls
 // back to the eviction path: stranded queries were already redispatched
 // and a heal kicked, so the notice handler just records the loss.
@@ -351,41 +351,25 @@ func (a *Autopilot) handlePreemption(p Preemption) {
 	}
 	a.logf("autopilot: drained preempted %s in %.1fms%s", detail, o.drainMS, beatDeadline)
 	if !a.stopped() { // closing: the fleet is going away, there is no hole to fill
-		a.afterDrain(model, detail, noticeAt, o)
+		a.afterDrain(detail, noticeAt, o)
 	}
 }
 
 // afterDrain fills the capacity hole a drained preemption left: it
-// reconciles toward a single-model incremental replan from the model's
-// planning sample (Wiring.ReplanModel) when one is to be had, otherwise
-// toward the plan in force, so the diff-based actuator relaunches the
-// missing instance.
-func (a *Autopilot) afterDrain(model, detail string, noticeAt time.Time, o outcome) {
+// reconciles toward the plan in force, as Heal does, so the diff-based
+// actuator relaunches the missing instance. It never plans: a window that
+// moved meanwhile is the drift trigger's to answer, under its cooldown.
+func (a *Autopilot) afterDrain(detail string, noticeAt time.Time, o outcome) {
 	a.stepMu.Lock()
 	defer a.stepMu.Unlock()
-	var r modelReading
-	if a.states[model] != nil {
-		r = a.read(model)
-	}
-	current := a.Current()
-	want, how := current, "re-actuated the plan in force"
-	if a.wiring.ReplanModel != nil && len(r.sample) > 0 {
-		var p core.FleetPlan
-		var err error
-		o.planMS = a.planTimed(func() { p, err = a.wiring.ReplanModel(model, r.sample, r.arrivalQPS, 0) })
-		if err != nil {
-			a.logf("autopilot: preemption replan for %s: %v (re-actuating current plan)", model, err)
-		} else {
-			want, how = p, "replanned"
-		}
-	}
-	if o.actuateMS, o.err = a.reconcile("preempt", want); o.err != nil {
+	plan := a.Current()
+	if o.actuateMS, o.err = a.reconcile("preempt", plan); o.err != nil {
 		a.record("preempt", "preempted "+detail+": post-drain actuation failed", nil, o)
 		a.logf("autopilot: post-preemption actuation failed: %v", o.err)
 		return
 	}
-	o.from, o.to, o.replanMS = current, want, millis(a.now().Sub(noticeAt))
+	o.from, o.to, o.replanMS = plan, plan, millis(a.now().Sub(noticeAt))
 	a.fault(func(f *FaultStatus) { f.PreemptionsReplanned++ })
-	a.record("preempt", "preempted "+detail+": drained and "+how, nil, o)
-	a.logf("autopilot: replanned around preempted %s in %.1fms (drain %.1fms)", detail, o.replanMS, o.drainMS)
+	a.record("preempt", "preempted "+detail+": drained and re-actuated the plan in force", nil, o)
+	a.logf("autopilot: refilled the hole of preempted %s in %.1fms (drain %.1fms)", detail, o.replanMS, o.drainMS)
 }

@@ -49,7 +49,7 @@ type rates struct {
 	valid       bool
 }
 
-// modelReading is what one tick (or one preemption) senses of a model.
+// modelReading is what one tick senses of a model.
 type modelReading struct {
 	// window is the live batch window; warm reports that it holds
 	// MinObservations, the gate on the model's triggers.

@@ -142,9 +142,9 @@ func journalFixture() []journalCase {
 			outcome{drainMS: 0.5, err: errors.New("server: no removable instance at 127.0.0.1:7001")}},
 		{"preempt", "preempted " + detail + " died mid-drain; eviction redispatch + heal fallback", nil, outcome{drainMS: 801}},
 		{"preempt", "preempted " + detail + ": post-drain actuation failed", nil,
-			outcome{planMS: 0.07, drainMS: 42.5, err: errors.New("autopilot: preempt: launch refused")}},
-		{"preempt", "preempted " + detail + ": drained and replanned", nil,
-			outcome{from: from, to: to, planMS: 0.07, actuateMS: 88, drainMS: 42.5, replanMS: 131}},
+			outcome{drainMS: 42.5, err: errors.New("autopilot: preempt: launch refused")}},
+		{"preempt", "preempted " + detail + ": drained and re-actuated the plan in force", nil,
+			outcome{from: from, to: from, actuateMS: 88, drainMS: 42.5, replanMS: 131}},
 	}
 }
 

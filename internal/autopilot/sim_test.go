@@ -278,7 +278,7 @@ type simWorld struct {
 	util    float64 // what the fleet's busy counters accrue per model ms
 	dirty   bool    // the fleet may differ from the plan until a reconcile succeeds
 	lastSeq int64
-	replans int // ReplanModel calls, every third of which fails
+	plans   int // Plan calls
 	ops     []string
 }
 
@@ -309,15 +309,8 @@ func newSimWorld(t *testing.T, seed int64) *simWorld {
 		Pool:   pool,
 		Models: ms,
 		Plan: func(samples map[string][]int, _ map[string]float64, budget float64) (core.FleetPlan, error) {
+			w.plans++
 			return simPlan(samples, budget), nil
-		},
-		ReplanModel: func(model string, sample []int, _, _ float64) (core.FleetPlan, error) {
-			if w.replans++; w.replans%3 == 0 {
-				return nil, errors.New("sim: one-model replan refused")
-			}
-			next := w.a.Current()
-			next[model] = simPlan(map[string][]int{model: sample}, 0)[model]
-			return next, nil
 		},
 		References: map[string][]int{"NCF": small},
 	}, Options{
@@ -515,14 +508,15 @@ func (w *simWorld) kill() {
 }
 
 // preempt delivers a revocation notice and runs its handler to the end;
-// the replan around the hole must not wait for the cooldown.
+// refilling the hole must not wait for the cooldown, and it never plans:
+// the drain re-actuates the plan in force, whatever the windows say.
 func (w *simWorld) preempt(dies bool) {
 	addr := w.live()
 	if addr == "" {
 		return
 	}
 	w.fleet.dieDrain[addr] = dies
-	f0 := w.a.Faults()
+	f0, plan, plans := w.a.Faults(), w.a.Current(), w.plans
 	w.logf("preempt %s dies=%v", addr, dies)
 	w.dirty = true
 	w.a.handlePreemption(Preemption{Addr: addr, Deadline: w.now.Add(time.Second)})
@@ -541,7 +535,11 @@ func (w *simWorld) preempt(dies bool) {
 	case !dies && f.PreemptionsDrained != f0.PreemptionsDrained+1:
 		w.fatalf("drain not counted: %+v", f)
 	case !dies && evs[0].Err == "" && f.PreemptionsReplanned != f0.PreemptionsReplanned+1:
-		w.fatalf("replan around the hole not counted: %+v", f)
+		w.fatalf("refill of the hole not counted: %+v", f)
+	case w.plans != plans:
+		w.fatalf("a preemption made %d Plan calls", w.plans-plans)
+	case !w.a.Current().Equal(plan):
+		w.fatalf("a preemption moved the plan in force %v -> %v", plan, w.a.Current())
 	}
 }
 
@@ -634,6 +632,50 @@ func TestCloseWaitsForPreemptionHandler(t *testing.T) {
 	defer w.prov.mu.Unlock()
 	if len(w.prov.live) != 0 || w.prov.launches != launches || w.prov.late != 0 {
 		t.Fatalf("after Close: %d running, %d launches since the notice, %d after Close", len(w.prov.live), w.prov.launches-launches, w.prov.late)
+	}
+}
+
+// TestPreemptionLeavesDriftToTheTrigger: a notice that lands on a drifted
+// window only refills the hole. The drift is the trigger's to answer: the
+// next Step replans once and rebases the detector, so a Step past the
+// cooldown on the same window replans nothing.
+func TestPreemptionLeavesDriftToTheTrigger(t *testing.T) {
+	t.Parallel()
+	w := newSimWorld(t, 1)
+	w.serve("NCF", true, false) // a warm window of large batches against NCF's small reference
+	plan := w.a.Current()
+
+	w.a.handlePreemption(Preemption{Addr: w.live(), Deadline: w.now.Add(time.Second)})
+	evs := w.entries()
+	if len(evs) != 1 || evs[0].Kind != "preempt" || evs[0].Err != "" || !strings.HasSuffix(evs[0].Reason, "drained and re-actuated the plan in force") {
+		t.Fatalf("the notice journalled %+v", evs)
+	}
+	if got := w.a.Current(); !got.Equal(plan) || w.plans != 0 {
+		t.Fatalf("the drain moved the plan %v -> %v with %d Plan calls", plan, got, w.plans)
+	}
+	w.settled()
+
+	step := func() []string {
+		t.Helper()
+		if _, err := w.a.Step(); err != nil {
+			t.Fatal(err)
+		}
+		var kinds []string
+		for _, ev := range w.entries() {
+			kinds = append(kinds, ev.Kind)
+		}
+		return kinds
+	}
+	w.advance(time.Second)
+	if kinds := step(); len(kinds) != 1 || kinds[0] != "replan" || w.plans != 1 {
+		t.Fatalf("the first Step after the notice journalled %v with %d Plan calls, want one replan", kinds, w.plans)
+	}
+	if got := w.a.Current()["NCF"]; !got.Equal(simLarge) {
+		t.Fatalf("the drift replan gave NCF %v, want %v", got, simLarge)
+	}
+	w.advance(simCooldown + time.Second)
+	if kinds := step(); len(kinds) != 1 || kinds[0] != "steady" || w.plans != 1 {
+		t.Fatalf("a Step past the cooldown on the same window journalled %v with %d Plan calls, want steady", kinds, w.plans)
 	}
 }
 

@@ -123,7 +123,7 @@ func TestPlanFleetSingleModel(t *testing.T) {
 	if !pool.WithinBudget(cfg, budget) {
 		t.Fatalf("plan %v busts the budget", plan)
 	}
-	est, err := NewEstimator(pool, m, samples, EstimatorOptions{})
+	est, err := NewEstimator(pool, m, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestPlanFleetDemandCapLeavesSurplusUnspent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := NewEstimator(pool, m, samples, EstimatorOptions{})
+	est, err := NewEstimator(pool, m, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestPlanFleetDemandCapFreesBudgetForOtherModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := NewEstimator(pool, m, samples, EstimatorOptions{})
+	est, err := NewEstimator(pool, m, samples)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -205,8 +205,8 @@ type FleetPlanner struct {
 	enumBudget float64
 	enum       []enumEntry
 
-	// spotIdx holds the pool indices of spot-market types; empty pools
-	// plan exactly as before the market dimension existed.
+	// spotIdx holds the pool indices of spot-market types; in a
+	// spot-free pool it is empty and every od equals its ub.
 	spotIdx []int
 
 	models map[string]*ladder
@@ -275,41 +275,18 @@ func (p *FleetPlanner) enumerate(budget float64) {
 }
 
 // scanFrontier rebuilds l's Pareto frontier from the shared enumeration:
-// ascending cost, keeping only configurations not dominated by a cheaper
-// (or equal-cost, earlier-kept) one. In spot-free pools domination is on
-// the upper bound alone — the classic strictly-increasing cost/bound
-// staircase, with the best bound winning inside an equal-cost group
-// (first in enumeration order on ties). Pools with spot capacity keep
-// points Pareto-optimal in (ub, od) jointly: a spot-heavy configuration
-// with a great bound but no revocation survival must not shadow the
-// on-demand configuration a floored model needs, so both staircases
-// coexist on one frontier (cost non-decreasing; within a cost, ub
-// descending). Frontier configs alias the enumeration entries, which
-// stay untouched until the next enumerate — and that rescans every
+// ascending cost, keeping only configurations not dominated in (ub, od)
+// jointly by a cheaper (or equal-cost, earlier-kept) one. A spot-heavy
+// configuration with a great bound but no revocation survival must not
+// shadow the on-demand configuration a floored model needs, so both
+// staircases coexist on one frontier (cost non-decreasing; within a cost,
+// ub descending). Without spot capacity od == ub, and this is the classic
+// strictly-increasing cost/bound staircase: the best bound of each cost
+// group (first in enumeration order on ties), kept only when it beats
+// every cheaper point. Frontier configs alias the enumeration entries,
+// which stay untouched until the next enumerate — and that rescans every
 // frontier.
 func (p *FleetPlanner) scanFrontier(l *ladder) {
-	if len(p.spotIdx) == 0 {
-		pts := l.pts[:0]
-		best := 0.0
-		for i := 0; i < len(p.enum); {
-			cost := p.enum[i].cost
-			groupUB, groupCfg := 0.0, cloud.Config(nil)
-			for ; i < len(p.enum) && p.enum[i].cost == cost; i++ {
-				var ub float64
-				ub, p.vQa = l.est.upperBoundInto(p.enum[i].cfg, p.vQa)
-				if ub > groupUB {
-					groupUB, groupCfg = ub, p.enum[i].cfg
-				}
-			}
-			if groupUB > best {
-				pts = append(pts, frontierPoint{cfg: groupCfg, cost: cost, ub: groupUB, od: groupUB})
-				best = groupUB
-			}
-		}
-		l.pts = pts
-		return
-	}
-
 	pts, stair := l.pts[:0], p.stair[:0]
 	for i := 0; i < len(p.enum); {
 		cost := p.enum[i].cost
@@ -327,8 +304,8 @@ func (p *FleetPlanner) scanFrontier(l *ladder) {
 			group = append(group, frontierPoint{cfg: p.enum[i].cfg, cost: cost, ub: ub, od: od})
 		}
 		// Within an equal-cost group the highest bound leads, so the first
-		// kept point at each cost is that cost's best — the same pick the
-		// 1-D scan makes — and the rest survive only on better survival.
+		// kept point at each cost is that cost's best, and the rest survive
+		// only on better survival.
 		slices.SortStableFunc(group, func(a, b frontierPoint) int {
 			switch {
 			case a.ub > b.ub:
@@ -469,7 +446,7 @@ func (p *FleetPlanner) applyDemand(d ModelDemand, fp uint64) error {
 	l.fp = fp
 	if rebuild {
 		if l.est == nil {
-			est, err := NewEstimator(p.pool, d.Model, d.Samples, EstimatorOptions{})
+			est, err := NewEstimator(p.pool, d.Model, d.Samples)
 			if err != nil {
 				return fmt.Errorf("core: fleet demand for %s: %w", d.Model.Name, err)
 			}
@@ -480,29 +457,6 @@ func (p *FleetPlanner) applyDemand(d ModelDemand, fp uint64) error {
 		p.scanFrontier(l)
 	}
 	return nil
-}
-
-// ReplanModel is the single-model replan slice: it refreshes one member
-// of the current demand set (rebuilding only that model's frontier, and
-// only if its window actually moved) and re-runs allocation; every
-// other model plans from its cached frontier untouched. The model must
-// already be in the active set from a previous SetDemands.
-func (p *FleetPlanner) ReplanModel(d ModelDemand, budget float64) (FleetPlan, error) {
-	if d.Model.Name == "" {
-		return nil, fmt.Errorf("core: fleet demand with an unnamed model")
-	}
-	l := p.models[d.Model.Name]
-	if l == nil || !l.active {
-		return nil, fmt.Errorf("core: replan for model %s outside the planned demand set", d.Model.Name)
-	}
-	fp, err := fingerprintSamples(d.Samples)
-	if err != nil {
-		return nil, fmt.Errorf("core: fleet demand for %s: %w", d.Model.Name, err)
-	}
-	if err := p.applyDemand(d, fp); err != nil {
-		return nil, err
-	}
-	return p.Plan(budget)
 }
 
 // activeOrder returns the active ladders in name order, rebuilding the
@@ -530,8 +484,7 @@ func (p *FleetPlanner) activeOrder() []*ladder {
 // a larger budget re-enumerates first.
 //
 // The returned plan (map and configurations) is owned by the planner
-// and valid only until the next Plan or ReplanModel call — Clone it to
-// retain.
+// and valid only until the next Plan call — Clone it to retain.
 func (p *FleetPlanner) Plan(budget float64) (FleetPlan, error) {
 	if budget <= 0 {
 		budget = p.enumBudget

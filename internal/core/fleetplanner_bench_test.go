@@ -60,9 +60,9 @@ func BenchmarkPlanFleet100Models(b *testing.B) {
 }
 
 // BenchmarkPlanFleetIncrementalOneDirty: 1 of 100 windows moved — the
-// autopilot's drift/SLO trigger path via ReplanModel. Pays one
-// estimator reset + frontier rescan plus the greedy rerun; target
-// <100µs.
+// autopilot's drift/SLO trigger path, which hands the planner every
+// model's window (SetDemands fingerprints all 100) and replans the fleet.
+// Pays one estimator reset + frontier rescan plus the greedy rerun.
 func BenchmarkPlanFleetIncrementalOneDirty(b *testing.B) {
 	pool := cloud.DefaultPool()
 	demands := benchFleetDemands(100)
@@ -78,14 +78,15 @@ func BenchmarkPlanFleetIncrementalOneDirty(b *testing.B) {
 	}
 	// Two windows for the dirty model, alternated so every iteration
 	// really invalidates and rebuilds its frontier.
-	dirty := demands[50]
-	alt := benchFleetDemands(1)[0]
-	windows := [2][]int{dirty.Samples, alt.Samples}
+	windows := [2][]int{demands[50].Samples, benchFleetDemands(1)[0].Samples}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dirty.Samples = windows[i%2]
-		if _, err := planner.ReplanModel(dirty, 2.5); err != nil {
+		demands[50].Samples = windows[i%2]
+		if err := planner.SetDemands(demands); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := planner.Plan(2.5); err != nil {
 			b.Fatal(err)
 		}
 	}

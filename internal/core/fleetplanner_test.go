@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -48,7 +49,7 @@ func TestFleetPlannerCapChangeKeepsCachedFrontier(t *testing.T) {
 	}
 
 	uncapped := plan(ModelDemand{Model: m, Samples: samples})
-	est, err := NewEstimator(pool, m, samples, EstimatorOptions{})
+	est, err := NewEstimator(pool, m, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,10 +168,12 @@ func TestFleetPlannerMatchesFromScratch(t *testing.T) {
 					b = budget * (0.1 + 0.9*rng.Float64()) // scale-in replans shrink the budget
 				}
 				switch rng.Intn(5) {
-				case 0: // one window moves: the single-model replan slice
+				case 0: // one window moves: one frontier rebuilds, the rest stay cached
 					i := rng.Intn(len(demands))
 					demands[i].Samples = randomWindow(rng)
-					got, err = planner.ReplanModel(demands[i], b)
+					if err = planner.SetDemands(demands); err == nil {
+						got, err = planner.Plan(b)
+					}
 				case 1: // caps change only; every frontier stays cached
 					i := rng.Intn(len(demands))
 					demands[i].ArrivalQPS = rng.Float64() * 200
@@ -216,14 +219,61 @@ func TestFleetPlannerMatchesFromScratch(t *testing.T) {
 	}
 }
 
-// TestUpperBoundIntoMatchesUpperBound: the planner's prepared-aggregate
-// fast path must be bit-identical to the reference UpperBound over the
-// whole candidate space, before and after a window Reset.
+// directUpperBound assembles Eq. 15 for cfg by summing the window's
+// latencies afresh — no prefix sums, no prepared regions: the reference
+// the estimator's one assembly must agree with.
+func directUpperBound(pool cloud.Pool, m models.Model, samples []int, cfg cloud.Config) float64 {
+	sMax := 0
+	for i, t := range pool {
+		if i != cloud.BaseIndex && cfg[i] > 0 {
+			sMax = max(sMax, m.CutoffBatch(t.Name))
+		}
+	}
+	meanQPS := func(typeName string, keep func(b int) bool) float64 {
+		sum, n := 0.0, 0
+		for _, b := range samples {
+			if keep(b) {
+				sum += m.Latency(typeName, b)
+				n++
+			}
+		}
+		if n == 0 {
+			return 0
+		}
+		return 1000 / (sum / float64(n))
+	}
+	base := pool[cloud.BaseIndex].Name
+	u, qB := cfg[cloud.BaseIndex], meanQPS(base, func(int) bool { return true })
+	if sMax == 0 {
+		return UpperBoundRaw(u, qB, 0, nil, 0)
+	}
+	inRegion := func(b int) bool { return b <= sMax }
+	var vQa []float64
+	for i, t := range pool {
+		if i != cloud.BaseIndex && cfg[i] > 0 {
+			vQa = append(vQa, float64(cfg[i])*meanQPS(t.Name, inRegion))
+		}
+	}
+	n := 0
+	for _, b := range samples {
+		if inRegion(b) {
+			n++
+		}
+	}
+	qBSPlus := meanQPS(base, func(b int) bool { return !inRegion(b) })
+	return UpperBoundRaw(u, qB, qBSPlus, vQa, float64(n)/float64(len(samples)))
+}
+
+// TestUpperBoundIntoMatchesUpperBound: the planner's scratch-reusing calls
+// return exactly what UpperBound does, and both agree with Eq. 15 summed
+// directly from the window, over the whole candidate space, before and
+// after a window Reset.
 func TestUpperBoundIntoMatchesUpperBound(t *testing.T) {
 	t.Parallel()
 	pool := cloud.DefaultPool()
 	m := models.MustByName("RM2")
-	est, err := NewEstimator(pool, m, fleetSamples(workload.Uniform{Min: 10, Max: 120}, 500, 13), EstimatorOptions{})
+	window := fleetSamples(workload.Uniform{Min: 10, Max: 120}, 500, 13)
+	est, err := NewEstimator(pool, m, window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,10 +286,14 @@ func TestUpperBoundIntoMatchesUpperBound(t *testing.T) {
 			if want := est.UpperBound(cfg); fast != want {
 				t.Fatalf("upperBoundInto(%v) = %v, UpperBound = %v", cfg, fast, want)
 			}
+			if ref := directUpperBound(pool, m, window, cfg); math.Abs(fast-ref) > 1e-9*max(1, ref) {
+				t.Fatalf("UpperBound(%v) = %v, direct Eq. 15 = %v", cfg, fast, ref)
+			}
 		}
 	}
 	check()
-	if err := est.Reset(fleetSamples(workload.Uniform{Min: 200, Max: 600}, 800, 14)); err != nil {
+	window = fleetSamples(workload.Uniform{Min: 200, Max: 600}, 800, 14)
+	if err := est.Reset(window); err != nil {
 		t.Fatal(err)
 	}
 	check()
@@ -251,7 +305,7 @@ func TestEstimatorResetMatchesFresh(t *testing.T) {
 	t.Parallel()
 	pool := cloud.DefaultPool()
 	m := models.MustByName("NCF")
-	est, err := NewEstimator(pool, m, fleetSamples(workload.Uniform{Min: 10, Max: 60}, 400, 15), EstimatorOptions{})
+	est, err := NewEstimator(pool, m, fleetSamples(workload.Uniform{Min: 10, Max: 60}, 400, 15))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +313,7 @@ func TestEstimatorResetMatchesFresh(t *testing.T) {
 	if err := est.Reset(next); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := NewEstimator(pool, m, next, EstimatorOptions{})
+	fresh, err := NewEstimator(pool, m, next)
 	if err != nil {
 		t.Fatal(err)
 	}

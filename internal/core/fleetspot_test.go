@@ -37,7 +37,7 @@ func assertFloors(t *testing.T, step string, pool cloud.Pool, demands []ModelDem
 		if cfg.Total() == 0 {
 			continue // starved models have no allocation to risk-bound
 		}
-		est, err := NewEstimator(pool, d.Model, d.Samples, EstimatorOptions{})
+		est, err := NewEstimator(pool, d.Model, d.Samples)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,10 +128,12 @@ func TestFleetPlannerSpotFloorNeverViolated(t *testing.T) {
 					b = budget * (0.2 + 0.8*rng.Float64())
 				}
 				switch rng.Intn(4) {
-				case 0: // the preemption path: one window moves, single-model replan
+				case 0: // one window moves: one frontier rebuilds, the rest stay cached
 					i := rng.Intn(len(demands))
 					demands[i].Samples = randomWindow(rng)
-					got, err = planner.ReplanModel(demands[i], b)
+					if err = planner.SetDemands(demands); err == nil {
+						got, err = planner.Plan(b)
+					}
 				case 1: // floor and cap both move; frontiers stay cached
 					i := rng.Intn(len(demands))
 					demands[i].ArrivalQPS = 1 + rng.Float64()*150
@@ -173,7 +175,7 @@ func TestSpotMarketNeverPlansWorse(t *testing.T) {
 
 	ub := func(pool cloud.Pool, plan FleetPlan) float64 {
 		t.Helper()
-		est, err := NewEstimator(pool, m, samples, EstimatorOptions{})
+		est, err := NewEstimator(pool, m, samples)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +222,7 @@ func TestOnDemandFloorSemantics(t *testing.T) {
 		}
 		return got
 	}
-	est, err := NewEstimator(pool, m, samples, EstimatorOptions{})
+	est, err := NewEstimator(pool, m, samples)
 	if err != nil {
 		t.Fatal(err)
 	}

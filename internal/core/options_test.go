@@ -7,7 +7,6 @@ import (
 	"kairos/internal/models"
 	"kairos/internal/predictor"
 	"kairos/internal/sim"
-	"kairos/internal/workload"
 )
 
 // TestLateBindingEligibility verifies the slack gate: instances whose
@@ -153,34 +152,5 @@ func TestDisableCoefficientsChangesPlacement(t *testing.T) {
 	}
 	if u[0].Instance != 0 {
 		t.Fatalf("unweighted matching should pick the faster GPU: %v", u)
-	}
-}
-
-// TestEstimatorLatencyOverride: planning from the online predictor's view
-// instead of ground truth must give consistent cutoffs once the predictor
-// has converged.
-func TestEstimatorLatencyOverride(t *testing.T) {
-	pool := cloud.ThreeTypePool()
-	m := models.MustByName("RM2")
-	pred := predictor.Warmed(m.Latency, instanceNames(pool), []int{1, 400, 1000})
-	samples := defaultSamples(t, 3000, workload.DefaultTrace())
-	truth, err := NewEstimator(pool, m, samples, EstimatorOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	learned, err := NewEstimator(pool, m, samples, EstimatorOptions{Latency: pred.Predict})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pool {
-		if truth.Cutoff(i) != learned.Cutoff(i) {
-			t.Fatalf("type %d cutoff: truth %d vs learned %d", i, truth.Cutoff(i), learned.Cutoff(i))
-		}
-	}
-	cfg := cloud.Config{2, 1, 3}
-	a, b := truth.UpperBound(cfg), learned.UpperBound(cfg)
-	// The learned line reproduces the surface up to float round-off.
-	if diff := a - b; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("upper bounds diverge: %v vs %v", a, b)
 	}
 }

@@ -50,18 +50,15 @@ func UpperBoundRaw(u int, qB, qBSPlus float64, vQa []float64, fPrime float64) fl
 
 // Estimator computes throughput upper bounds for configurations of a pool
 // serving one model under an observed workload mix. It needs only the
-// latency surface (predicted or ground truth) and a sample of recent batch
-// sizes from the query monitor — no online evaluation (Sec. 5.2).
+// latency surface and a sample of recent batch sizes from the query
+// monitor — no online evaluation (Sec. 5.2).
 type Estimator struct {
-	pool    cloud.Pool
-	model   models.Model
-	qos     float64
-	latency func(instance string, batch int) float64
+	pool  cloud.Pool
+	model models.Model
 
 	sorted []int // ascending batch samples
 
-	// Per-pool-type cached aggregates (lazily built): cutoffs and, per
-	// candidate shared region, conditional mean latencies.
+	// cutoffs[i] is pool type i's QoS cutoff batch (model.CutoffBatch).
 	cutoffs []int
 
 	// latTable[i][b] is pool type i's latency at batch b — the latency
@@ -74,11 +71,10 @@ type Estimator struct {
 	latPrefix [][]float64
 
 	// Window-swap and hot-path state: counting-sort buckets reused by
-	// Reset, and the per-region aggregates upperBoundInto reads.
-	counts   []int
-	prepared bool
-	qB       float64    // base-type QPS over the whole window
-	regions  []ubRegion // one per distinct positive auxiliary cutoff
+	// Reset, and the per-window aggregates upperBoundInto reads.
+	counts  []int
+	qB      float64    // base-type QPS over the whole window
+	regions []ubRegion // one per distinct positive auxiliary cutoff
 }
 
 // ubRegion holds Eq. 15's sample-dependent aggregates for one candidate
@@ -92,44 +88,17 @@ type ubRegion struct {
 	qa      []float64 // standalone region QPS per pool index (0 for base)
 }
 
-// EstimatorOptions configure NewEstimator.
-type EstimatorOptions struct {
-	// Latency overrides the model's ground-truth surface (e.g. with the
-	// online predictor's view). Nil uses the model.
-	Latency func(instance string, batch int) float64
-	// QoS overrides the model's QoS target (Fig. 15b). Zero uses the model.
-	QoS float64
-}
-
 // NewEstimator builds an estimator from recent batch-size samples (the
-// query monitor's snapshot; Sec. 5.2 uses the last ~10000 queries).
-func NewEstimator(pool cloud.Pool, model models.Model, samples []int, opts EstimatorOptions) (*Estimator, error) {
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("core: estimator needs batch samples")
-	}
-	e := &Estimator{
-		pool:    pool,
-		model:   model,
-		qos:     opts.QoS,
-		latency: opts.Latency,
-	}
-	if e.qos == 0 {
-		e.qos = model.QoS
-	}
-	if e.latency == nil {
-		e.latency = model.Latency
-	}
-	e.sorted = make([]int, len(samples))
-	copy(e.sorted, samples)
-	sort.Ints(e.sorted)
-	if e.sorted[0] < 1 || e.sorted[len(e.sorted)-1] > models.MaxBatch {
-		return nil, fmt.Errorf("core: batch samples outside [1,%d]", models.MaxBatch)
-	}
-	e.cutoffs = make([]int, len(pool))
+// query monitor's snapshot; Sec. 5.2 uses the last ~10000 queries). For a
+// relaxed latency target (Fig. 15b), pass model.WithQoS.
+func NewEstimator(pool cloud.Pool, model models.Model, samples []int) (*Estimator, error) {
+	e := &Estimator{pool: pool, model: model, cutoffs: make([]int, len(pool))}
 	for i, t := range pool {
-		e.cutoffs[i] = e.cutoffBatch(t.Name)
+		e.cutoffs[i] = model.CutoffBatch(t.Name)
 	}
-	e.buildWindowSums()
+	if err := e.Reset(samples); err != nil {
+		return nil, err
+	}
 	return e, nil
 }
 
@@ -141,7 +110,7 @@ func (e *Estimator) buildWindowSums() {
 		for i, t := range e.pool {
 			tab := make([]float64, models.MaxBatch+1)
 			for b := 1; b <= models.MaxBatch; b++ {
-				tab[b] = e.latency(t.Name, b)
+				tab[b] = e.model.Latency(t.Name, b)
 			}
 			e.latTable[i] = tab
 		}
@@ -196,17 +165,15 @@ func (e *Estimator) Reset(samples []int) error {
 		e.counts[b] = 0
 	}
 	e.buildWindowSums()
-	e.prepared = false
+	e.prepare()
 	return nil
 }
 
 // prepare precomputes the per-region aggregates upperBoundInto reads, so
 // a frontier rebuild evaluates each candidate configuration in a few
 // dozen nanoseconds instead of re-deriving conditional means per call.
+// Reset runs it once per window, so evaluation only ever reads.
 func (e *Estimator) prepare() {
-	if e.prepared {
-		return
-	}
 	e.qB = e.meanQPS(cloud.BaseIndex, 0, len(e.sorted))
 	e.regions = e.regions[:0]
 regions:
@@ -234,15 +201,13 @@ regions:
 		}
 		e.regions = append(e.regions, r)
 	}
-	e.prepared = true
 }
 
-// upperBoundInto is UpperBound on the prepared aggregates with a
-// caller-owned vQa scratch buffer — the fleet planner's allocation-free
-// hot path. It reads the same memoized conditional means in the same
-// order as UpperBound, so the results are bit-identical.
+// upperBoundInto is the one Eq. 15 assembly: it prices cfg off the
+// window's prepared aggregates, building v_i * Q_a^i in a caller-owned
+// scratch buffer (the fleet planner reuses one, so its frontier scans
+// allocate nothing; UpperBound passes nil).
 func (e *Estimator) upperBoundInto(cfg cloud.Config, scratch []float64) (float64, []float64) {
-	e.prepare()
 	u := cfg[cloud.BaseIndex]
 	sMax := 0
 	for i := range e.pool {
@@ -270,32 +235,8 @@ func (e *Estimator) upperBoundInto(cfg cloud.Config, scratch []float64) (float64
 	return UpperBoundRaw(u, e.qB, reg.qBSPlus, scratch, reg.fPrime), scratch
 }
 
-// cutoffBatch finds the largest batch within QoS on the instance type by
-// bisection over the monotone latency curve.
-func (e *Estimator) cutoffBatch(instance string) int {
-	if e.latency(instance, 1) > e.qos {
-		return 0
-	}
-	lo, hi := 1, models.MaxBatch
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if e.latency(instance, mid) <= e.qos {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo
-}
-
 // Cutoff returns the QoS cutoff batch size s for pool type index i.
 func (e *Estimator) Cutoff(i int) int { return e.cutoffs[i] }
-
-// fractionAtMost computes f(s) over the samples.
-func (e *Estimator) fractionAtMost(s int) float64 {
-	idx := sort.SearchInts(e.sorted, s+1)
-	return float64(idx) / float64(len(e.sorted))
-}
 
 // meanQPS returns the standalone QPS of one instance of pool type i over
 // the sample batches in the half-open index range [lo, hi) of the sorted
@@ -319,34 +260,8 @@ func (e *Estimator) UpperBound(cfg cloud.Config) float64 {
 	if len(cfg) != len(e.pool) {
 		panic(fmt.Sprintf("core: config %v does not match pool of %d types", cfg, len(e.pool)))
 	}
-	u := cfg[cloud.BaseIndex]
-	// Shared auxiliary region: the maximum cutoff among allocated
-	// auxiliary types (the paper's optimistic simplification).
-	sMax := 0
-	for i := range e.pool {
-		if i == cloud.BaseIndex || cfg[i] == 0 {
-			continue
-		}
-		if e.cutoffs[i] > sMax {
-			sMax = e.cutoffs[i]
-		}
-	}
-	qB := e.meanQPS(cloud.BaseIndex, 0, len(e.sorted))
-	if sMax == 0 {
-		return UpperBoundRaw(u, qB, 0, nil, 0)
-	}
-	split := sort.SearchInts(e.sorted, sMax+1) // samples[:split] are <= sMax
-	fPrime := float64(split) / float64(len(e.sorted))
-	qBSPlus := e.meanQPS(cloud.BaseIndex, split, len(e.sorted))
-	var vQa []float64
-	for i := range e.pool {
-		if i == cloud.BaseIndex || cfg[i] == 0 {
-			continue
-		}
-		qa := e.meanQPS(i, 0, split)
-		vQa = append(vQa, float64(cfg[i])*qa)
-	}
-	return UpperBoundRaw(u, qB, qBSPlus, vQa, fPrime)
+	ub, _ := e.upperBoundInto(cfg, nil)
+	return ub
 }
 
 // RankedConfig pairs a configuration with its upper bound.

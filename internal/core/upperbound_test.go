@@ -73,7 +73,7 @@ func defaultSamples(t *testing.T, n int, dist workload.BatchDistribution) []int 
 func newRM2Estimator(t *testing.T) *Estimator {
 	t.Helper()
 	e, err := NewEstimator(cloud.ThreeTypePool(), models.MustByName("RM2"),
-		defaultSamples(t, 10000, workload.DefaultTrace()), EstimatorOptions{})
+		defaultSamples(t, 10000, workload.DefaultTrace()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,10 +83,10 @@ func newRM2Estimator(t *testing.T) *Estimator {
 func TestEstimatorRejectsBadSamples(t *testing.T) {
 	pool := cloud.ThreeTypePool()
 	m := models.MustByName("RM2")
-	if _, err := NewEstimator(pool, m, nil, EstimatorOptions{}); err == nil {
+	if _, err := NewEstimator(pool, m, nil); err == nil {
 		t.Fatal("expected error for empty samples")
 	}
-	if _, err := NewEstimator(pool, m, []int{0}, EstimatorOptions{}); err == nil {
+	if _, err := NewEstimator(pool, m, []int{0}); err == nil {
 		t.Fatal("expected error for out-of-range samples")
 	}
 }
@@ -105,11 +105,11 @@ func TestEstimatorCutoffsMatchModel(t *testing.T) {
 func TestEstimatorQoSOverrideRaisesCutoffs(t *testing.T) {
 	m := models.MustByName("RM2")
 	samples := defaultSamples(t, 2000, workload.DefaultTrace())
-	strict, err := NewEstimator(cloud.ThreeTypePool(), m, samples, EstimatorOptions{})
+	strict, err := NewEstimator(cloud.ThreeTypePool(), m, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
-	relaxed, err := NewEstimator(cloud.ThreeTypePool(), m, samples, EstimatorOptions{QoS: m.QoS * 1.2})
+	relaxed, err := NewEstimator(cloud.ThreeTypePool(), m.WithQoS(m.QoS*1.2), samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestUpperBoundBelowOracle(t *testing.T) {
 	for _, name := range []string{"RM2", "WND"} {
 		m := models.MustByName(name)
 		samples := defaultSamples(t, 20000, workload.DefaultTrace())
-		e, err := NewEstimator(pool, m, samples, EstimatorOptions{})
+		e, err := NewEstimator(pool, m, samples)
 		if err != nil {
 			t.Fatal(err)
 		}

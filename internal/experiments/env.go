@@ -78,7 +78,7 @@ func (e Env) Samples() []int {
 
 // Estimator builds the upper-bound estimator from the monitor snapshot.
 func (e Env) Estimator() *core.Estimator {
-	est, err := core.NewEstimator(e.Pool, e.Model, e.Samples(), core.EstimatorOptions{})
+	est, err := core.NewEstimator(e.Pool, e.Model, e.Samples())
 	if err != nil {
 		panic(err)
 	}

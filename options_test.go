@@ -162,4 +162,11 @@ func TestEngineConfigValidation(t *testing.T) {
 	if _, err := e.UpperBound(Config{0, 0, 0, 0}); err == nil {
 		t.Fatal("empty config must error")
 	}
+	// A negative count is refused even when the total is positive.
+	if _, err := e.UpperBound(Config{3, 0, -1, 0}); err == nil {
+		t.Fatal("negative count must error in UpperBound")
+	}
+	if _, err := e.Evaluate(Config{3, 0, -1, 0}, RunOptions{RatePerSec: 1, DurationMS: 100}); err == nil {
+		t.Fatal("negative count must error in Evaluate")
+	}
 }
