@@ -69,14 +69,16 @@ func (w *Workspace) Solve(m Matrix) ([]int, error) {
 	if nr > nc {
 		panic(fmt.Sprintf("assignment: Workspace.Solve needs rows <= columns, got %dx%d", nr, nc))
 	}
+	// Grown to at least double: a caller whose shape creeps up a row or
+	// column per solve reallocates O(log size) times, not every solve.
 	if cap(w.floats) < nr+2*nc {
-		w.floats = make([]float64, nr+2*nc)
+		w.floats = make([]float64, max(nr+2*nc, 2*cap(w.floats)))
 	}
 	if cap(w.ints) < nr+3*nc {
-		w.ints = make([]int, nr+3*nc)
+		w.ints = make([]int, max(nr+3*nc, 2*cap(w.ints)))
 	}
 	if cap(w.flags) < nr+nc {
-		w.flags = make([]bool, nr+nc)
+		w.flags = make([]bool, max(nr+nc, 2*cap(w.flags)))
 	}
 	u := w.floats[:nr]        // row duals
 	v := w.floats[nr : nr+nc] // column duals

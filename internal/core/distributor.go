@@ -84,6 +84,7 @@ type Distributor struct {
 	drain  []float64 // per instance: RemainingMS plus the predicted service of its pending batches
 	cols   []column  // the eligible instances
 	types  []typeRow // the instance types among them
+	lat    []float64 // every type's row, end to end
 	cost   []float64 // the Eq. 8 matrix, in the orientation the solver wants
 	top    []int     // one instance's cheapest queries during pruning, cheapest first
 	kept   []int     // the waiting positions that survive pruning, ascending
@@ -94,6 +95,7 @@ type Distributor struct {
 // column is one eligible instance in the round's matrix.
 type column struct {
 	pos   int       // position in the instances slice
+	typ   int       // its type's index in Distributor.types
 	coeff float64   // C_j of its type
 	drain float64   // its entry of Distributor.drain
 	lat   []float64 // its type's predicted latency per waiting query
@@ -105,14 +107,16 @@ type column struct {
 type typeRow struct {
 	name  string
 	coeff float64
-	lat   []float64
+	lat   []float64 // a window of Distributor.lat
 }
 
 // resized returns s with length n, reallocating only when its capacity
-// is short; the contents are unspecified.
+// is short, and then to at least double it: the matrix and rows follow
+// the queue's depth, and a queue deepening one query per round must not
+// reallocate every round. The contents are unspecified.
 func resized[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return make([]T, n, max(n, 2*cap(s)))
 	}
 	return s[:n]
 }
@@ -221,12 +225,7 @@ func (d *Distributor) Assign(nowMS float64, waiting []sim.QueryView, instances [
 	if len(d.cols) == 0 || len(waiting) == 0 {
 		return nil
 	}
-	d.types = d.types[:0]
-	for k := range d.cols {
-		c := &d.cols[k]
-		t := d.typeRow(instances[c.pos].TypeName, waiting)
-		c.coeff, c.lat = t.coeff, t.lat
-	}
+	d.priceTypes(waiting, instances)
 	cost, col4row, byQuery := d.match(waiting)
 
 	d.out = d.out[:0]
@@ -312,37 +311,45 @@ func (d *Distributor) match(waiting []sim.QueryView) (cost assignment.Matrix, co
 	return cost, col4row, byQuery
 }
 
-// findType returns the round's row for an instance type, nil if no
-// eligible instance has asked for it yet.
-func (d *Distributor) findType(name string) *typeRow {
+// findType returns the index of the round's row for an instance type, -1
+// if no eligible instance is of that type.
+func (d *Distributor) findType(name string) int {
 	for k := range d.types {
 		if d.types[k].name == name {
-			return &d.types[k]
+			return k
 		}
 	}
-	return nil
+	return -1
 }
 
-// typeRow returns the round's shared row for an instance type, computing
-// it on the type's first use. Truncating d.types between rounds keeps the
-// rows' backing arrays for the next one.
-func (d *Distributor) typeRow(name string, waiting []sim.QueryView) *typeRow {
-	if t := d.findType(name); t != nil {
-		return t
+// priceTypes fills d.types with one row per instance type among the
+// eligible instances, in order of first appearance, and hands each column
+// its type's coefficient and row. The rows share one backing array, d.lat,
+// so a deepening queue grows one buffer, not one per type.
+func (d *Distributor) priceTypes(waiting []sim.QueryView, instances []sim.InstanceView) {
+	d.types = d.types[:0]
+	for k := range d.cols {
+		c := &d.cols[k]
+		name := instances[c.pos].TypeName
+		if c.typ = d.findType(name); c.typ < 0 {
+			c.typ = len(d.types)
+			d.types = append(d.types, typeRow{name: name})
+		}
 	}
-	if len(d.types) < cap(d.types) {
-		d.types = d.types[:len(d.types)+1]
-	} else {
-		d.types = append(d.types, typeRow{})
+	m := len(waiting)
+	d.lat = resized(d.lat, len(d.types)*m)
+	for k := range d.types {
+		t := &d.types[k]
+		t.coeff = d.Coefficient(t.name)
+		t.lat = d.lat[k*m : (k+1)*m]
+		for i, q := range waiting {
+			t.lat[i] = d.pred.Predict(t.name, q.Batch)
+		}
 	}
-	t := &d.types[len(d.types)-1]
-	t.name = name
-	t.coeff = d.Coefficient(name)
-	t.lat = resized(t.lat, len(waiting))
-	for i, q := range waiting {
-		t.lat[i] = d.pred.Predict(name, q.Batch)
+	for k := range d.cols {
+		c := &d.cols[k]
+		c.coeff, c.lat = d.types[c.typ].coeff, d.types[c.typ].lat
 	}
-	return t
 }
 
 // prune shrinks the instances x m-queries matrix in d.cost to the columns
@@ -405,8 +412,8 @@ func (d *Distributor) dispatch(q sim.QueryView, instances []sim.InstanceView, j 
 func (d *Distributor) feasibleSlotExists(i int, q sim.QueryView, instances []sim.InstanceView) bool {
 	for x, in := range instances {
 		var lat float64
-		if t := d.findType(in.TypeName); t != nil {
-			lat = t.lat[i]
+		if k := d.findType(in.TypeName); k >= 0 {
+			lat = d.types[k].lat[i]
 		} else {
 			lat = d.pred.Predict(in.TypeName, q.Batch)
 		}

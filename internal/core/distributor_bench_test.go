@@ -72,6 +72,23 @@ func BenchmarkDistributorAssign1000x16(b *testing.B) { benchAssign(b, 1000, 16) 
 // matching round").
 func BenchmarkDistributorAssign1000x64(b *testing.B) { benchAssign(b, 1000, 64) }
 
+// A flash crowd's onset: a fresh distributor's queue deepening from 1 to
+// 1000 over 16 instances, one round per depth. Its allocs/op is what the
+// round's scratch costs to grow, O(log depth); the DistributorAssign
+// entries above time the grown steady state.
+func BenchmarkDistributorGrowth1000x16(b *testing.B) {
+	opts := benchDistributor().opts // one warmed predictor: Assign only reads it
+	queries, instances := benchViews(1000, 16, 42)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := NewDistributor(opts)
+		for k := 1; k <= len(queries); k++ {
+			d.Assign(float64(k), queries[:k], instances)
+		}
+	}
+}
+
 // BenchmarkPlanFleet tracks the shared-budget allocator: frontier
 // construction plus the greedy split for two models under the paper's
 // default budget.

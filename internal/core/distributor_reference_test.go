@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"kairos/internal/assignment"
@@ -391,5 +393,47 @@ func TestAssignAllocatesNothing(t *testing.T) {
 			t.Errorf("round %d (%d waiting x %d instances): %v allocs per Assign, want 0",
 				k, len(r.waiting), len(r.instances), allocs)
 		}
+	}
+}
+
+// TestAssignGrowthAllocatesLogDepth: a queue deepening one query per round,
+// a flash crowd's shape, grows the round's scratch (drain, the Eq. 8
+// matrix, the per-type rows, the pruning and the solver) a logarithmic
+// number of times, not once per round, and the growth changes no decision:
+// every round matches what a distributor grown to full depth upfront
+// decides.
+func TestAssignGrowthAllocatesLogDepth(t *testing.T) {
+	const depth, fleet = 2048, 16
+	queries, instances := benchViews(depth, fleet, 5)
+	grown := benchDistributor()
+	for i := range queries {
+		if i%7 == 3 {
+			queries[i].WaitMS = 10 * grown.opts.QoS // doomed
+		}
+	}
+	grown.Assign(0, queries, instances)
+	want := make([][]sim.Assignment, depth+1)
+	for k := 1; k <= depth; k++ {
+		want[k] = slices.Clone(grown.Assign(float64(k), queries[:k], instances))
+	}
+
+	d := benchDistributor()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := 1; k <= depth; k++ {
+		if got := d.Assign(float64(k), queries[:k], instances); !slices.Equal(got, want[k]) {
+			t.Fatalf("depth %d: growing distributor assigned %v, pre-grown %v", k, got, want[k])
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// Measured 53, with or without -race: the fleet-sized buffers
+	// (columns, types, result, kept union, solver) grow ~30 times, the
+	// depth-sized matrix and rows ~24. Reallocating them per round costs
+	// several times depth (10349 here).
+	const bound = 80
+	n := after.Mallocs - before.Mallocs
+	t.Logf("growing the queue 1..%d over %d instances: %d allocations", depth, fleet, n)
+	if n > bound {
+		t.Fatalf("growing the queue 1..%d over %d instances allocated %d times, want <= %d (O(log depth))", depth, fleet, n, bound)
 	}
 }

@@ -164,8 +164,9 @@ func (c *Controller) evict(ri *remoteInstance, cause error) {
 	}
 	// Head of the queue, original enqueue times intact: redispatched
 	// queries keep their accumulated wait for latency accounting and
-	// scheduling priority.
-	g.waiting = append(ri.strand(), g.waiting...)
+	// scheduling priority. Inserted in place, so a fault at depth keeps the
+	// queue's grown array.
+	g.waiting = slices.Insert(g.waiting, 0, ri.strand()...)
 	g.setState(ri, stateGone)
 	g.mu.Unlock()
 	ri.link.close()

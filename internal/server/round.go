@@ -4,13 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"kairos/internal/models"
 	"kairos/internal/obs"
 	"kairos/internal/sim"
+	"kairos/internal/slab"
 )
 
 // The round: what a model group does with its queue at one instant. It is
@@ -103,8 +103,9 @@ type roundState struct {
 }
 
 // queryPool recycles pendingQuery structs: enqueue takes one per query and
-// deliver, the only place a query's life ends, puts it back.
-var queryPool = sync.Pool{New: func() any { return new(pendingQuery) }}
+// deliver, the only place a query's life ends, puts it back. A flash crowd
+// outruns the recycling, so misses come 64 to a slab.
+var queryPool slab.Pool[pendingQuery]
 
 // enqueue admits one query to the named model's central queue at now and
 // returns the group whose scheduler owns it from there, or fails it on the
@@ -112,7 +113,7 @@ var queryPool = sync.Pool{New: func() any { return new(pendingQuery) }}
 // enforced by whichever round first runs at or after it; seeing that one
 // does is the caller's job (SubmitTo's alarm).
 func (c *Controller) enqueue(model string, batch int, opts SubmitOptions, sink Sink, now time.Time) *modelGroup {
-	q := queryPool.Get().(*pendingQuery)
+	q := queryPool.Get()
 	q.completed.Store(false)
 	q.model, q.batch, q.sink = model, batch, sink
 	q.traced = false // pooled queries carry the previous query's flag
@@ -305,8 +306,11 @@ func (c *Controller) match(g *modelGroup, now time.Time) []dispatchItem {
 		}
 		return float64(d) / float64(time.Millisecond) / c.TimeScale
 	}
+	// Scratch sized by the queue at least doubles when it grows and is
+	// kept, so a queue deepening one query per round reallocates
+	// O(log depth) times.
 	if cap(g.taken) < len(g.waiting) {
-		g.taken = make([]bool, len(g.waiting))
+		g.taken = make([]bool, len(g.waiting), max(len(g.waiting), 2*cap(g.taken)))
 	}
 	taken := g.taken[:len(g.waiting)]
 	clear(taken)
@@ -355,7 +359,7 @@ func (c *Controller) match(g *modelGroup, now time.Time) []dispatchItem {
 		}
 	}
 	if cap(g.queuedBuf) < total {
-		g.queuedBuf = make([]int, 0, total)
+		g.queuedBuf = make([]int, 0, max(total, 2*cap(g.queuedBuf)))
 	}
 	qb := g.queuedBuf[:0]
 	iviews := g.iviews[:0]

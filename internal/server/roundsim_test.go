@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -822,6 +823,92 @@ func TestRoundSteadyStateAllocatesNothing(t *testing.T) {
 	cycle() // grow the scratch once
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Fatalf("a steady-state served query allocates %.1f times", allocs/2)
+	}
+	w.c.Close()
+}
+
+// TestDeepQueueGrowthAllocatesLittle: a flash crowd deepens the central
+// queue one query per round while the fleet is busy. The queue-sized
+// scratch grows geometrically and the query records come 64 to a slab, so
+// the growth costs O(log depth) + depth/64 allocations, not one or more
+// per query. An eviction at depth requeues into the queue's own array, and
+// every query is then served exactly once.
+func TestDeepQueueGrowthAllocatesLittle(t *testing.T) {
+	const depth, fleet = 2000, 16
+	w := newSimWorld(t, 2) // no hold
+	w.g.policy = &LeastBacklog{MaxPending: 1}
+	for range fleet {
+		w.step(w.join)
+	}
+	sinks := make([]simSink, fleet+depth)
+	serve := func() (served int) {
+		for _, in := range w.insts {
+			if in.ri.state == stateGone {
+				continue
+			}
+			for _, req := range in.link.inbox {
+				w.c.complete(in.ri, Reply{ID: req.ID, ServiceMS: 1}, w.now)
+				served++
+			}
+			in.link.inbox = in.link.inbox[:0]
+		}
+		w.c.round(w.g, w.now)
+		w.c.flush(w.g)
+		return served
+	}
+	// Warm up: one query served per instance grows what the fleet's size
+	// bounds (pending lists, correlation maps, link buffers).
+	for i := range fleet {
+		w.c.enqueue(simModel, 8, SubmitOptions{}, &sinks[i], w.now)
+	}
+	w.c.round(w.g, w.now)
+	w.c.flush(w.g)
+	serve()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := fleet; i < len(sinks); i++ {
+		w.c.enqueue(simModel, 1+i%64, SubmitOptions{}, &sinks[i], w.now)
+		w.c.round(w.g, w.now)
+		w.c.flush(w.g)
+	}
+	runtime.ReadMemStats(&after)
+	// Measured 74: a reallocation per growth step of the queue, the views
+	// and the taken flags, plus depth/64 slabs (-race drops a quarter of
+	// sync.Pool's Puts at random, so a slab refills less of the pool
+	// there). Reallocating per round and per query costs >= depth (3968).
+	n := after.Mallocs - before.Mallocs
+	t.Logf("deepening the queue to %d: %d allocations", depth, n)
+	if n > depth/16 {
+		t.Fatalf("deepening the queue to %d allocated %d times, want <= %d", depth, n, depth/16)
+	}
+
+	w.g.mu.Lock()
+	queued, capacity := len(w.g.waiting), cap(w.g.waiting)
+	w.g.mu.Unlock()
+	if queued != depth-fleet {
+		t.Fatalf("setup: %d waiting, want %d (the fleet holds one each)", queued, depth-fleet)
+	}
+	victim := w.insts[0]
+	stranded := victim.ri.pending[0]
+	w.c.evict(victim.ri, errors.New("killed"))
+	w.g.mu.Lock()
+	head, queued, grown := w.g.waiting[0], len(w.g.waiting), cap(w.g.waiting)
+	w.g.mu.Unlock()
+	if head != stranded || queued != depth-fleet+1 || grown != capacity {
+		t.Fatalf("eviction at depth: head stranded=%v, %d waiting, cap %d -> %d; want the stranded query first, %d waiting, cap kept",
+			head == stranded, queued, capacity, grown, depth-fleet+1)
+	}
+
+	for serve() > 0 {
+	}
+	for i := range sinks {
+		if sinks[i].fired != 1 || sinks[i].res.Err != nil {
+			t.Fatalf("query %d: sink fired %d times, err %v", i, sinks[i].fired, sinks[i].res.Err)
+		}
+	}
+	if st := w.c.Stats(); st.Completed != int64(len(sinks)) || st.Failed != 0 || st.Waiting != 0 || w.downs[victim.addr] != 1 {
+		t.Fatalf("after the drain %+v, downs %v", st, w.downs)
 	}
 	w.c.Close()
 }
