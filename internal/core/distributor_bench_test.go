@@ -89,6 +89,28 @@ func BenchmarkDistributorGrowth1000x16(b *testing.B) {
 	}
 }
 
+// BenchmarkSimRun is the simulator under the paper's policy: one sim.Run
+// of b.N Poisson arrivals at ~70 % of an 8-instance RM2 fleet's allowable
+// throughput (85 qps). An op is one arrival and the rounds it causes; the
+// run's one-time costs (the query records, the event heap, the round's
+// scratch growth) spread over b.N, so allocs/op reads what a steady-state
+// round allocates.
+func BenchmarkSimRun(b *testing.B) {
+	spec := sim.ClusterSpec{Pool: cloud.DefaultPool(), Config: cloud.Config{4, 0, 4, 0}, Model: models.MustByName("RM2")}
+	rng := rand.New(rand.NewSource(1))
+	mix := workload.DefaultTrace()
+	arrivals := make([]workload.Arrival, b.N)
+	t := 0.0
+	for i := range arrivals {
+		t += rng.ExpFloat64() * 1000 / 60
+		arrivals[i] = workload.Arrival{AtMS: t, Batch: mix.Sample(rng)}
+	}
+	d := benchDistributor()
+	b.ReportAllocs()
+	b.ResetTimer()
+	sim.Run(spec, d, sim.Options{Arrivals: arrivals})
+}
+
 // BenchmarkPlanFleet tracks the shared-budget allocator: frontier
 // construction plus the greedy split for two models under the paper's
 // default budget.

@@ -14,7 +14,7 @@ import (
 
 // The ingress hot-path benchmarks measure the external Submit→complete
 // cost through each transport: the server package's bench cluster (2
-// models x 2 loopback instances each, LeastBacklog policy, service time
+// models x 2 loopback instances each, capped sim.LeastLoaded policy, service time
 // compressed to ~0) behind a front-end serving both transports on
 // loopback, driven by 16 closed-loop clients per P, one connection each.
 func benchTransport(b *testing.B, worker func(ing *Server, model string, batch int, pb *testing.PB) error) {

@@ -14,6 +14,7 @@ import (
 	"kairos/internal/cloud"
 	"kairos/internal/models"
 	"kairos/internal/server"
+	"kairos/internal/sim"
 )
 
 // startFrontOpts is startFront with full front-door options (auth,
@@ -29,7 +30,7 @@ func startFrontOpts(t testing.TB, mutate func(*Options)) (*Server, *server.Contr
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	ctrl, err := server.NewController(m.Name, &server.LeastBacklog{MaxPending: 1 << 20}, 1e-6, m.Latency, []string{srv.Addr()})
+	ctrl, err := server.NewController(m.Name, &sim.LeastLoaded{}, 1e-6, m.Latency, []string{srv.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestIngressSessionAffinity(t *testing.T) {
 		t.Cleanup(func() { srv.Close() })
 		addrs[i] = srv.Addr()
 	}
-	ctrl, err := server.NewController(m.Name, &server.LeastBacklog{MaxPending: 1 << 20}, 1e-6, m.Latency, addrs)
+	ctrl, err := server.NewController(m.Name, &sim.LeastLoaded{}, 1e-6, m.Latency, addrs)
 	if err != nil {
 		t.Fatal(err)
 	}

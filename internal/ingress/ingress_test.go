@@ -14,6 +14,7 @@ import (
 	"kairos/internal/cloud"
 	"kairos/internal/models"
 	"kairos/internal/server"
+	"kairos/internal/sim"
 )
 
 // startFront boots one NCF instance + controller + front-end for the
@@ -29,7 +30,7 @@ func startFront(t *testing.T, maxQueue int, scale float64) (*Server, *server.Con
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	ctrl, err := server.NewController(m.Name, &server.LeastBacklog{MaxPending: 1 << 20}, scale, m.Latency, []string{srv.Addr()})
+	ctrl, err := server.NewController(m.Name, &sim.LeastLoaded{}, scale, m.Latency, []string{srv.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestIngressValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	ctrl, err := server.NewController(m.Name, &server.LeastBacklog{}, 1e-6, m.Latency, []string{srv.Addr()})
+	ctrl, err := server.NewController(m.Name, &sim.LeastLoaded{MaxBacklog: 16}, 1e-6, m.Latency, []string{srv.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}

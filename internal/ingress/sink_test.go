@@ -14,6 +14,7 @@ import (
 	"kairos/internal/cloud"
 	"kairos/internal/models"
 	"kairos/internal/server"
+	"kairos/internal/sim"
 )
 
 // withholder is an instance that speaks the wire but answers nothing until
@@ -104,7 +105,7 @@ func startWithheldFront(t *testing.T) (*withholder, *server.Controller, *Server,
 	t.Helper()
 	h := startWithholder(t)
 	m := models.MustByName("NCF")
-	ctrl, err := server.NewController(m.Name, &server.LeastBacklog{MaxPending: 1 << 20}, 1e-6, m.Latency, []string{h.ln.Addr().String()})
+	ctrl, err := server.NewController(m.Name, &sim.LeastLoaded{}, 1e-6, m.Latency, []string{h.ln.Addr().String()})
 	if err != nil {
 		t.Fatal(err)
 	}

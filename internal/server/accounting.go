@@ -180,7 +180,7 @@ func (c *Controller) outstanding(now time.Time) []OutstandingQuery {
 		entry := func(q *pendingQuery, stage, instance string) {
 			out = append(out, OutstandingQuery{
 				Model: model, ID: q.id, Batch: q.batch, Stage: stage, Instance: instance,
-				AgeMS:  float64(now.Sub(q.enqueued)) / float64(time.Millisecond) / c.TimeScale,
+				AgeMS:  c.modelMS(now.Sub(q.enqueued)),
 				Traced: q.traced,
 			})
 		}

@@ -92,7 +92,7 @@ func TestSessionAffinityStickiness(t *testing.T) {
 	m := models.MustByName("NCF")
 	types := []string{cloud.G4dnXlarge.Name, cloud.R5nLarge.Name}
 	addrs := startCluster(t, types, 1)
-	ctrl, err := NewController(m.Name, sim.LeastLoaded{}, 1, m.Latency, addrs)
+	ctrl, err := NewController(m.Name, &sim.LeastLoaded{}, 1, m.Latency, addrs)
 	if err != nil {
 		t.Fatal(err)
 	}

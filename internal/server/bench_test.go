@@ -73,7 +73,7 @@ const benchScale = 1e-6
 
 // BenchmarkControllerThroughput is the serving-path headline: the whole
 // live path on loopback (2 models, 4 instance servers) under the
-// zero-alloc LeastBacklog policy, so the wire format, locking, and
+// zero-alloc sim.LeastLoaded policy, so the wire format, locking, and
 // scheduling machinery are what is measured.
 func BenchmarkControllerThroughput(b *testing.B) {
 	cluster, err := StartBenchCluster(benchScale, nil)

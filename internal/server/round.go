@@ -88,11 +88,11 @@ type roundState struct {
 	// with no member: the start of the empty-hold window (SetEmptyHold).
 	emptySince time.Time
 
-	qviews    []sim.QueryView
-	iviews    []sim.InstanceView
-	active    []*remoteInstance
-	queuedBuf []int
-	taken     []bool
+	// round is the matching core the simulator runs too, and view its
+	// State over this group; active is the round's instance order.
+	round  sim.Round
+	view   roundView
+	active []*remoteInstance
 	// dispatch and fails are filled under mu and consumed outside it, by
 	// the scheduler goroutine only.
 	dispatch []dispatchItem
@@ -287,9 +287,10 @@ func (ri *remoteInstance) strand() []*pendingQuery {
 }
 
 // match decides this round's dispatches: session-affine queries go to
-// their ring-preferred instances, then the policy sees views of what
-// remains and its assignments are taken. Draining instances are invisible
-// to both passes, so a removal never receives new work. Callers hold g.mu.
+// their ring-preferred instances, then the shared round core (sim.Round)
+// shows the policy what remains and takes its assignments. Draining
+// instances are invisible to both passes, so a removal never receives new
+// work. Callers hold g.mu.
 func (c *Controller) match(g *modelGroup, now time.Time) []dispatchItem {
 	if len(g.waiting) == 0 || g.nactive == 0 {
 		return nil
@@ -300,21 +301,9 @@ func (c *Controller) match(g *modelGroup, now time.Time) []dispatchItem {
 			active = append(active, ri)
 		}
 	}
-	toModelMS := func(d time.Duration) float64 {
-		if d < 0 {
-			return 0
-		}
-		return float64(d) / float64(time.Millisecond) / c.TimeScale
-	}
-	// Scratch sized by the queue at least doubles when it grows and is
-	// kept, so a queue deepening one query per round reallocates
-	// O(log depth) times.
-	if cap(g.taken) < len(g.waiting) {
-		g.taken = make([]bool, len(g.waiting), max(len(g.waiting), 2*cap(g.taken)))
-	}
-	taken := g.taken[:len(g.waiting)]
-	clear(taken)
-	dispatch := g.dispatch[:0]
+	g.active = active
+	taken := g.round.Start(len(g.waiting))
+	g.dispatch = g.dispatch[:0]
 	// Affinity pass: session-keyed queries try their ring-preferred
 	// instance first, under the bounded-load cap, before the policy sees
 	// the queue. The pass updates pending and busy time as it takes, so
@@ -337,85 +326,64 @@ func (c *Controller) match(g *modelGroup, now time.Time) []dispatchItem {
 		}
 		taken[i] = true
 		backlog++
-		dispatch = append(dispatch, c.take(g, q, ri, now))
+		g.dispatch = append(g.dispatch, c.take(g, q, ri, now))
 	}
-	qviews := g.qviews[:0]
-	for i, q := range g.waiting {
-		if taken[i] {
-			continue
-		}
-		// Index is the query's position in g.waiting (affinity-taken
-		// entries are skipped but keep their slots), valid for this round
-		// only: dispatched queries leave g.waiting before the next one.
-		qviews = append(qviews, sim.QueryView{Index: i, Batch: q.batch, WaitMS: toModelMS(now.Sub(q.enqueued))})
-	}
-	g.qviews = qviews
-	// One backing array serves every instance's QueuedBatches view; size it
-	// upfront so the per-instance subslices never reallocate apart.
-	total := 0
-	for _, ri := range active {
-		if n := len(ri.pending) - 1; n > 0 {
-			total += n
-		}
-	}
-	if cap(g.queuedBuf) < total {
-		g.queuedBuf = make([]int, 0, max(total, 2*cap(g.queuedBuf)))
-	}
-	qb := g.queuedBuf[:0]
-	iviews := g.iviews[:0]
-	for i, ri := range active {
-		start := len(qb)
-		// The head of pending is in flight; the rest are queued behind it.
-		for k := 1; k < len(ri.pending); k++ {
-			qb = append(qb, ri.pending[k].batch)
-		}
-		queued := qb[start:len(qb):len(qb)]
-		if len(queued) == 0 {
-			queued = nil
-		}
-		remaining := 0.0
-		if len(ri.pending) > 0 {
-			remaining = toModelMS(ri.busyUntil.Sub(now))
-			// busyUntil covers the whole backlog; attribute the queued
-			// service to QueuedBatches and keep the remainder here.
-			for _, b := range queued {
-				remaining -= g.predict(ri.typeName, b)
-			}
-			if remaining < 0 {
-				remaining = 0
-			}
-		}
-		iviews = append(iviews, sim.InstanceView{Index: i, TypeName: ri.typeName, RemainingMS: remaining, QueuedBatches: queued})
-	}
-	g.iviews = iviews
-	g.queuedBuf = qb
-	if len(qviews) > 0 {
-		assignments := g.policy.Assign(toModelMS(time.Duration(now.UnixNano())), qviews, iviews)
-		for _, a := range assignments {
-			if a.Query < 0 || a.Query >= len(g.waiting) || a.Instance < 0 || a.Instance >= len(active) || taken[a.Query] {
-				continue
-			}
-			taken[a.Query] = true
-			dispatch = append(dispatch, c.take(g, g.waiting[a.Query], active[a.Instance], now))
-		}
-	}
-	g.dispatch = dispatch
-	if len(dispatch) > 0 {
-		next := g.waiting[:0]
-		for i, q := range g.waiting {
-			if !taken[i] {
-				next = append(next, q)
-			}
-		}
-		// Clear the compacted tail so completed queries are collectable.
-		clear(g.waiting[len(next):])
-		g.waiting = next
+	g.view = roundView{c: c, g: g, now: now}
+	g.round.Match(g.policy, c.modelMS(time.Duration(now.UnixNano())), &g.view, len(active))
+	if len(g.dispatch) > 0 {
+		g.waiting = sim.Compact(g.waiting, taken)
 	}
 	// The active view is rebuilt each round; don't let it pin removed
 	// instances while the group idles.
 	clear(active)
 	g.active = active[:0]
-	return dispatch
+	return g.dispatch
+}
+
+// modelMS converts a wall-clock span to the policy's unit, the model's
+// milliseconds; a negative span reads 0.
+func (c *Controller) modelMS(d time.Duration) float64 {
+	if d < 0 {
+		return 0
+	}
+	return float64(d) / float64(time.Millisecond) / c.TimeScale
+}
+
+// roundView is the round core's sim.State over a group at one instant:
+// the central queue, the active members, and their busy time as predicted
+// at dispatch. Callers hold g.mu.
+type roundView struct {
+	c   *Controller
+	g   *modelGroup
+	now time.Time
+}
+
+func (v *roundView) Query(q int) (int, float64) {
+	p := v.g.waiting[q]
+	return p.batch, v.c.modelMS(v.now.Sub(p.enqueued))
+}
+
+func (v *roundView) Instance(i int, queued []int) (string, float64, []int) {
+	ri := v.g.active[i]
+	if len(ri.pending) == 0 {
+		return ri.typeName, 0, queued
+	}
+	// The head of pending is in flight; the rest are queued behind it.
+	start := len(queued)
+	for _, q := range ri.pending[1:] {
+		queued = append(queued, q.batch)
+	}
+	// busyUntil covers the whole backlog; attribute the queued service to
+	// the queued batches and keep the remainder for the head.
+	remaining := v.c.modelMS(ri.busyUntil.Sub(v.now))
+	for _, b := range queued[start:] {
+		remaining -= v.g.predict(ri.typeName, b)
+	}
+	return ri.typeName, max(remaining, 0), queued
+}
+
+func (v *roundView) Dispatch(q, i int) {
+	v.g.dispatch = append(v.g.dispatch, v.c.take(v.g, v.g.waiting[q], v.g.active[i], v.now))
 }
 
 // complete is the one entry for an instance's replies, called by whoever
@@ -455,7 +423,7 @@ func (c *Controller) complete(ri *remoteInstance, reply Reply, now time.Time) {
 	}
 	e2e := now.Sub(q.enqueued)
 	res := QueryResult{
-		LatencyMS: float64(e2e) / float64(time.Millisecond) / c.TimeScale,
+		LatencyMS: c.modelMS(e2e),
 		Instance:  ri.typeName,
 	}
 	if reply.Err != "" {

@@ -141,7 +141,7 @@ const simModel = "NCF"
 
 func newSimWorld(t *testing.T, seed int64) *simWorld {
 	m := models.MustByName(simModel)
-	c, err := newController(map[string]GroupSpec{simModel: {Policy: sim.LeastLoaded{}, Predict: m.Latency}}, 1)
+	c, err := newController(map[string]GroupSpec{simModel: {Policy: &sim.LeastLoaded{}, Predict: m.Latency}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -796,7 +796,6 @@ func TestFailedWriteRetiresInstance(t *testing.T) {
 // allocs_per_query caught it, this holds it.)
 func TestRoundSteadyStateAllocatesNothing(t *testing.T) {
 	w := newSimWorld(t, 2)
-	w.g.policy = &LeastBacklog{} // the world's LeastLoaded allocates its own result
 	w.step(w.join)
 	w.step(w.join)
 	sink := &simSink{}
@@ -836,7 +835,7 @@ func TestRoundSteadyStateAllocatesNothing(t *testing.T) {
 func TestDeepQueueGrowthAllocatesLittle(t *testing.T) {
 	const depth, fleet = 2000, 16
 	w := newSimWorld(t, 2) // no hold
-	w.g.policy = &LeastBacklog{MaxPending: 1}
+	w.g.policy = &sim.LeastLoaded{MaxBacklog: 1}
 	for range fleet {
 		w.step(w.join)
 	}
@@ -997,4 +996,59 @@ func TestScheduleFlushesOncePerBurst(t *testing.T) {
 		}
 		w.c.Close()
 	})
+}
+
+// careless assigns every exposed query twice and adds assignments that name
+// no query or no instance, the affinity-held query among them.
+type careless struct{ out []sim.Assignment }
+
+func (*careless) Name() string { return "careless" }
+
+func (p *careless) Assign(_ float64, w []sim.QueryView, in []sim.InstanceView) []sim.Assignment {
+	p.out = append(p.out[:0], sim.Assignment{Query: 0, Instance: 0})
+	for _, q := range w {
+		p.out = append(p.out, sim.Assignment{Query: q.Index, Instance: 1}, sim.Assignment{Query: q.Index, Instance: 0},
+			sim.Assignment{Query: q.Index + 100, Instance: 0})
+	}
+	p.out = append(p.out, sim.Assignment{Query: -1, Instance: 0}, sim.Assignment{Query: 1, Instance: len(in)})
+	return p.out
+}
+
+// TestRoundDropsInvalidAssignmentsLive: the controller runs the round core's
+// one rule for a policy's mistakes. A query the affinity pass took, one the
+// policy names twice, and assignments naming no query or no instance are
+// dropped; each query is dispatched once and delivered once.
+func TestRoundDropsInvalidAssignmentsLive(t *testing.T) {
+	w := newSimWorld(t, 2)
+	w.g.policy = &careless{}
+	w.step(w.join)
+	w.step(w.join)
+	sinks := make([]simSink, 3)
+	w.c.enqueue(simModel, 8, SubmitOptions{SessionHash: 7}, &sinks[0], w.now) // the affinity pass's
+	w.c.enqueue(simModel, 8, SubmitOptions{}, &sinks[1], w.now)
+	w.c.enqueue(simModel, 8, SubmitOptions{}, &sinks[2], w.now)
+	w.c.round(w.g, w.now)
+	w.c.flush(w.g)
+	seen := map[int64]int{}
+	for _, in := range w.insts {
+		for _, req := range in.link.inbox {
+			seen[req.ID]++
+			w.c.complete(in.ri, Reply{ID: req.ID, ServiceMS: 1}, w.now)
+		}
+		in.link.inbox = in.link.inbox[:0]
+	}
+	if len(seen) != 3 || len(w.g.waiting) != 0 {
+		t.Fatalf("dispatched %v, %d left waiting", seen, len(w.g.waiting))
+	}
+	for id, n := range seen {
+		if n != 1 {
+			t.Fatalf("query %d dispatched %d times", id, n)
+		}
+	}
+	for i := range sinks {
+		if sinks[i].fired != 1 || sinks[i].res.Err != nil {
+			t.Fatalf("query %d: sink fired %d times: %+v", i, sinks[i].fired, sinks[i].res)
+		}
+	}
+	w.c.Close()
 }

@@ -1,12 +1,11 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
+	"kairos/internal/models"
 	"kairos/internal/workload"
 )
 
@@ -29,11 +28,6 @@ type Options struct {
 	// Arrivals, when non-nil, replaces the generated Poisson stream
 	// (deterministic replay; used by unit tests and the Fig. 5 walk-through).
 	Arrivals []workload.Arrival
-	// MaxMatchPerRound caps how many waiting queries a single scheduling
-	// round exposes to the distributor (oldest first). Zero means
-	// max(64, 4x instance count); the cap only binds past saturation where
-	// the central queue grows without bound.
-	MaxMatchPerRound int
 }
 
 // Result summarizes one run.
@@ -60,41 +54,53 @@ type Result struct {
 	ServedByType map[string]int
 }
 
-type eventKind int
-
-const (
-	evArrival eventKind = iota
-	evCompletion
-)
-
+// event is an arrival (instance -1) or the completion of query on
+// instance, ordered by time and then by push order.
 type event struct {
-	at   float64
-	seq  int // tie-break for determinism
-	kind eventKind
-	// query is the arriving query for evArrival, the finishing query for
-	// evCompletion.
-	query *Query
-	// instance is the completing instance for evCompletion.
+	at       float64
+	seq      int
+	query    *Query
 	instance int
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (e event) before(o event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+// minHeap is a binary min-heap of values that order themselves, typed so
+// that no push or pop boxes its value through any as the standard heap
+// package's interface does.
+type minHeap[T interface{ before(T) bool }] []T
+
+func (h *minHeap[T]) push(x T) {
+	s := append(*h, x)
+	for i := len(s) - 1; i > 0 && s[i].before(s[(i-1)/2]); i = (i - 1) / 2 {
+		s[i], s[(i-1)/2] = s[(i-1)/2], s[i]
+	}
+	*h = s
+}
+
+func (h *minHeap[T]) pop() T {
+	s, n := *h, len(*h)-1
+	top := s[0]
+	s[0], s[n] = s[n], top
+	s = s[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c+1 < n && s[c+1].before(s[c]) {
+			c++
+		}
+		if c >= n || !s[c].before(s[i]) {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
+	*h = s
+	return top
 }
 
 // instance is the engine-side server state.
@@ -102,8 +108,6 @@ type instance struct {
 	typeName string
 	// inFlight is the query being served, nil when idle.
 	inFlight *Query
-	// freeAt is when inFlight completes (meaningless when idle).
-	freeAt float64
 	// queue holds dispatched-but-not-started queries in FIFO order.
 	queue []*Query
 }
@@ -131,6 +135,21 @@ func Trace(spec ClusterSpec, dist Distributor, opts Options) []*Query {
 	return queries
 }
 
+// engine is one run under virtual time: the event heap, the central queue,
+// and the fleet with its true service times. It is the State of the round
+// it shares with the live controller.
+type engine struct {
+	dist     Distributor
+	observer Observer
+	oracle   models.Oracle
+	insts    []instance
+	events   minHeap[event]
+	seq      int
+	waiting  []*Query
+	round    Round
+	now      float64
+}
+
 // run is the engine core shared by Run and Trace.
 func run(spec ClusterSpec, dist Distributor, opts Options) ([]*Query, []string) {
 	if opts.DurationMS <= 0 && opts.Arrivals == nil {
@@ -150,155 +169,108 @@ func run(spec ClusterSpec, dist Distributor, opts Options) ([]*Query, []string) 
 	}
 
 	types := spec.InstanceTypes()
-	insts := make([]instance, len(types))
+	// Every arrival is pushed upfront and an instance has at most one
+	// completion pending, so the heap never grows.
+	e := &engine{dist: dist, oracle: spec.oracle(), insts: make([]instance, len(types)),
+		events: make(minHeap[event], 0, len(arrivals)+len(types))}
+	e.observer, _ = dist.(Observer)
 	for i, tn := range types {
-		insts[i] = instance{typeName: tn}
+		e.insts[i].typeName = tn
 	}
-	oracle := spec.oracle()
-	observer, _ := dist.(Observer)
-
-	matchCap := opts.MaxMatchPerRound
-	if matchCap <= 0 {
-		matchCap = 4 * len(insts)
-		if matchCap < 64 {
-			matchCap = 64
-		}
-	}
-
-	var h eventHeap
-	seq := 0
-	push := func(e event) {
-		e.seq = seq
-		seq++
-		heap.Push(&h, e)
-	}
+	records := make([]Query, len(arrivals))
 	queries := make([]*Query, len(arrivals))
 	for i, a := range arrivals {
-		q := &Query{ID: i, Batch: a.Batch, ArrivalMS: a.AtMS, Instance: -1}
-		queries[i] = q
-		push(event{at: a.AtMS, kind: evArrival, query: q})
+		records[i] = Query{ID: i, Batch: a.Batch, ArrivalMS: a.AtMS, Instance: -1}
+		queries[i] = &records[i]
+		e.push(event{at: a.AtMS, query: queries[i], instance: -1})
 	}
 
-	var waiting []*Query
-
-	startService := func(now float64, idx int, q *Query) {
-		in := &insts[idx]
-		service := oracle.Latency(in.typeName, q.Batch)
-		q.StartMS = now
-		q.FinishMS = now + service
-		q.Instance = idx
-		in.inFlight = q
-		in.freeAt = q.FinishMS
-		push(event{at: q.FinishMS, kind: evCompletion, query: q, instance: idx})
-	}
-
-	// schedule runs one distribution round if there is work and capacity.
-	schedule := func(now float64) {
-		if len(waiting) == 0 || len(insts) == 0 {
-			return
-		}
-		exposed := waiting
-		if len(exposed) > matchCap {
-			exposed = exposed[:matchCap]
-		}
-		qviews := make([]QueryView, len(exposed))
-		for i, q := range exposed {
-			qviews[i] = QueryView{Index: i, Batch: q.Batch, WaitMS: now - q.ArrivalMS}
-		}
-		iviews := make([]InstanceView, len(insts))
-		for i := range insts {
-			in := &insts[i]
-			remaining := 0.0
-			if in.inFlight != nil {
-				remaining = in.freeAt - now
-				if remaining < 0 {
-					remaining = 0
-				}
-			}
-			var qb []int
-			if len(in.queue) > 0 {
-				qb = make([]int, len(in.queue))
-				for k, q := range in.queue {
-					qb[k] = q.Batch
-				}
-			}
-			iviews[i] = InstanceView{Index: i, TypeName: in.typeName, RemainingMS: remaining, QueuedBatches: qb}
-		}
-
-		assignments := dist.Assign(now, qviews, iviews)
-		if len(assignments) == 0 {
-			return
-		}
-		taken := make([]bool, len(exposed))
-		// Dispatch in the distributor's order.
-		var dispatched []int
-		for _, a := range assignments {
-			if a.Query < 0 || a.Query >= len(exposed) {
-				panic(fmt.Sprintf("sim: %s assigned out-of-range query %d", dist.Name(), a.Query))
-			}
-			if a.Instance < 0 || a.Instance >= len(insts) {
-				panic(fmt.Sprintf("sim: %s assigned out-of-range instance %d", dist.Name(), a.Instance))
-			}
-			if taken[a.Query] {
-				panic(fmt.Sprintf("sim: %s assigned query %d twice", dist.Name(), a.Query))
-			}
-			taken[a.Query] = true
-			dispatched = append(dispatched, a.Query)
-			q := exposed[a.Query]
-			in := &insts[a.Instance]
-			if in.inFlight == nil && len(in.queue) == 0 {
-				startService(now, a.Instance, q)
-			} else {
-				in.queue = append(in.queue, q)
-			}
-		}
-		// Compact the central waiting list preserving arrival order.
-		sort.Ints(dispatched)
-		next := waiting[:0]
-		di := 0
-		for i, q := range waiting {
-			if di < len(dispatched) && dispatched[di] == i {
-				di++
-				continue
-			}
-			next = append(next, q)
-		}
-		waiting = next
-	}
-
-	for h.Len() > 0 {
-		e := heap.Pop(&h).(event)
-		now := e.at
-		switch e.kind {
-		case evArrival:
-			waiting = append(waiting, e.query)
-		case evCompletion:
-			in := &insts[e.instance]
+	for len(e.events) > 0 {
+		ev := e.events.pop()
+		e.now = ev.at
+		if ev.instance < 0 {
+			e.waiting = append(e.waiting, ev.query)
+		} else {
+			in := &e.insts[ev.instance]
 			in.inFlight = nil
-			if observer != nil {
-				q := e.query
-				observer.Observe(in.typeName, q.Batch, q.FinishMS-q.StartMS)
+			if e.observer != nil {
+				e.observer.Observe(in.typeName, ev.query.Batch, ev.query.FinishMS-ev.query.StartMS)
 			}
 			if len(in.queue) > 0 {
 				next := in.queue[0]
 				in.queue = in.queue[1:]
-				startService(now, e.instance, next)
+				e.startService(ev.instance, next)
 			}
 		}
 		// Coalesce simultaneous events into one scheduling round.
-		if h.Len() > 0 && h[0].at == now {
-			continue
+		if len(e.events) == 0 || e.events[0].at != e.now {
+			e.schedule()
 		}
-		schedule(now)
 	}
 
-	if len(waiting) > 0 {
+	if len(e.waiting) > 0 {
 		// Every query must be dispatched by the time arrivals stop and all
 		// service completes; a distributor that strands queries is buggy.
-		panic(fmt.Sprintf("sim: %s left %d queries stranded", dist.Name(), len(waiting)))
+		panic(fmt.Sprintf("sim: %s left %d queries stranded", dist.Name(), len(e.waiting)))
 	}
-
 	return queries, types
+}
+
+func (e *engine) push(ev event) {
+	ev.seq = e.seq
+	e.seq++
+	e.events.push(ev)
+}
+
+func (e *engine) startService(idx int, q *Query) {
+	in := &e.insts[idx]
+	q.StartMS = e.now
+	q.FinishMS = e.now + e.oracle.Latency(in.typeName, q.Batch)
+	q.Instance = idx
+	in.inFlight = q
+	e.push(event{at: q.FinishMS, query: q, instance: idx})
+}
+
+// schedule runs one distribution round if there is work and capacity. It
+// exposes the oldest max(64, 4 × instances) waiting queries: past
+// saturation the simulated queue grows without bound, and a probe must not
+// pay O(queue) per round for rows the policy cannot place.
+func (e *engine) schedule() {
+	if len(e.waiting) == 0 || len(e.insts) == 0 {
+		return
+	}
+	taken := e.round.Start(min(len(e.waiting), max(64, 4*len(e.insts))))
+	if e.round.Match(e.dist, e.now, e, len(e.insts)) > 0 {
+		e.waiting = Compact(e.waiting, taken)
+	}
+}
+
+// Query implements State.
+func (e *engine) Query(q int) (int, float64) {
+	return e.waiting[q].Batch, e.now - e.waiting[q].ArrivalMS
+}
+
+// Instance implements State from the instance's true finish time.
+func (e *engine) Instance(i int, queued []int) (string, float64, []int) {
+	in := &e.insts[i]
+	remaining := 0.0
+	if in.inFlight != nil {
+		remaining = max(in.inFlight.FinishMS-e.now, 0)
+	}
+	for _, q := range in.queue {
+		queued = append(queued, q.Batch)
+	}
+	return in.typeName, remaining, queued
+}
+
+// Dispatch implements State: an idle instance starts at once, a busy one
+// queues the query behind its backlog.
+func (e *engine) Dispatch(q, i int) {
+	if in := &e.insts[i]; in.inFlight == nil && len(in.queue) == 0 {
+		e.startService(i, e.waiting[q])
+	} else {
+		in.queue = append(in.queue, e.waiting[q])
+	}
 }
 
 func summarize(spec ClusterSpec, queries []*Query, opts Options) Result {

@@ -67,7 +67,7 @@ func TestBusyAccountingConservation(t *testing.T) {
 // exactly the ground-truth latency (no engine distortion).
 func TestServiceTimesMatchOracle(t *testing.T) {
 	spec := rm2Spec(cloud.Config{2, 1, 1})
-	queries := Trace(spec, LeastLoaded{}, Options{RatePerSec: 25, DurationMS: 8000, Seed: 23})
+	queries := Trace(spec, &LeastLoaded{}, Options{RatePerSec: 25, DurationMS: 8000, Seed: 23})
 	types := spec.InstanceTypes()
 	for _, q := range queries {
 		want := spec.Model.Latency(types[q.Instance], q.Batch)

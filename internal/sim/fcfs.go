@@ -13,48 +13,50 @@ func (FCFSAny) Name() string { return "FCFS" }
 // idle instance.
 func (FCFSAny) Assign(_ float64, waiting []QueryView, instances []InstanceView) []Assignment {
 	var out []Assignment
-	used := make(map[int]bool)
-	for _, q := range waiting {
-		idx := -1
-		for _, in := range instances {
-			if in.Backlog() == 0 && !used[in.Index] {
-				idx = in.Index
-				break
-			}
+	for _, in := range instances {
+		if len(out) < len(waiting) && in.Backlog() == 0 {
+			out = append(out, Assignment{Query: waiting[len(out)].Index, Instance: in.Index})
 		}
-		if idx == -1 {
-			break
-		}
-		used[idx] = true
-		out = append(out, Assignment{Query: q.Index, Instance: idx})
 	}
 	return out
 }
 
-// LeastLoaded dispatches every arriving query immediately to the instance
-// with the fewest backlogged queries (ties to lower index). It is a
-// heterogeneity-oblivious load balancer used as an ablation baseline.
-type LeastLoaded struct{}
+// LeastLoaded dispatches each waiting query to the instance with the
+// fewest backlogged queries (ties to the lower index). It is the
+// heterogeneity-oblivious ablation baseline and, capped, the plumbing-only
+// policy of the serving-path benchmarks, which isolate the controller and
+// the wire from a matching policy's cost. It allocates nothing once its
+// scratch has grown.
+type LeastLoaded struct {
+	// MaxBacklog, when positive, stops an instance from receiving work once
+	// its backlog (in flight plus queued) reaches it; the rest wait.
+	MaxBacklog int
+
+	out  []Assignment
+	load []int
+}
 
 // Name implements Distributor.
-func (LeastLoaded) Name() string { return "LeastLoaded" }
+func (*LeastLoaded) Name() string { return "LeastLoaded" }
 
 // Assign implements Distributor.
-func (LeastLoaded) Assign(_ float64, waiting []QueryView, instances []InstanceView) []Assignment {
-	out := make([]Assignment, 0, len(waiting))
-	backlog := make(map[int]int, len(instances))
+func (p *LeastLoaded) Assign(_ float64, waiting []QueryView, instances []InstanceView) []Assignment {
+	p.out, p.load = p.out[:0], p.load[:0]
 	for _, in := range instances {
-		backlog[in.Index] = in.Backlog()
+		p.load = append(p.load, in.Backlog())
 	}
 	for _, q := range waiting {
-		best, bestLoad := -1, int(^uint(0)>>1)
-		for _, in := range instances {
-			if backlog[in.Index] < bestLoad {
-				best, bestLoad = in.Index, backlog[in.Index]
+		best := -1
+		for i, l := range p.load {
+			if (p.MaxBacklog <= 0 || l < p.MaxBacklog) && (best < 0 || l < p.load[best]) {
+				best = i
 			}
 		}
-		backlog[best]++
-		out = append(out, Assignment{Query: q.Index, Instance: best})
+		if best < 0 {
+			break
+		}
+		p.load[best]++
+		p.out = append(p.out, Assignment{Query: q.Index, Instance: instances[best].Index})
 	}
-	return out
+	return p.out
 }

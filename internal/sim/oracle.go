@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"math/rand"
 	"sort"
 
@@ -34,28 +33,16 @@ func (o OracleOptions) withDefaults() OracleOptions {
 	return o
 }
 
-type freeHeap []freeSlot
-
 type freeSlot struct {
 	at  float64
 	idx int
 }
 
-func (h freeHeap) Len() int { return len(h) }
-func (h freeHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (s freeSlot) before(o freeSlot) bool {
+	if s.at != o.at {
+		return s.at < o.at
 	}
-	return h[i].idx < h[j].idx
-}
-func (h freeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *freeHeap) Push(x any)   { *h = append(*h, x.(freeSlot)) }
-func (h *freeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+	return s.idx < o.idx
 }
 
 // OracleThroughput computes the ORCL throughput of one configuration: the
@@ -93,14 +80,14 @@ func oracleOnBatches(spec ClusterSpec, batches []int) float64 {
 	// drained and the allowable throughput is zero whenever any query
 	// exceeds every cutoff.
 	lo, hi := 0, len(sorted)-1
-	var h freeHeap
+	h := make(minHeap[freeSlot], 0, len(types))
 	for i := range types {
-		heap.Push(&h, freeSlot{at: 0, idx: i})
+		h.push(freeSlot{at: 0, idx: i})
 	}
 	served := 0
 	makespan := 0.0
-	for lo <= hi && h.Len() > 0 {
-		slot := heap.Pop(&h).(freeSlot)
+	for lo <= hi && len(h) > 0 {
+		slot := h.pop()
 		i := slot.idx
 		var b int
 		if isBase[i] {
@@ -121,7 +108,7 @@ func oracleOnBatches(spec ClusterSpec, batches []int) float64 {
 		if finish > makespan {
 			makespan = finish
 		}
-		heap.Push(&h, freeSlot{at: finish, idx: i})
+		h.push(freeSlot{at: finish, idx: i})
 	}
 	if lo <= hi {
 		// Unserved queries remain (no base instances): ORCL cannot sustain

@@ -113,13 +113,13 @@ func TestWarmupWindowExcluded(t *testing.T) {
 
 func TestLeastLoadedDispatchesEverything(t *testing.T) {
 	spec := rm2Spec(cloud.Config{1, 1, 1})
-	res := Run(spec, LeastLoaded{}, Options{RatePerSec: 30, DurationMS: 10000, Seed: 3})
+	res := Run(spec, &LeastLoaded{}, Options{RatePerSec: 30, DurationMS: 10000, Seed: 3})
 	if res.Measured.Count == 0 {
 		t.Fatal("nothing measured")
 	}
 	// Single-query deterministic replay: immediate dispatch to an idle
 	// instance means zero wait before service.
-	one := Run(spec, LeastLoaded{}, Options{Arrivals: []workload.Arrival{{AtMS: 0, Batch: 10}}})
+	one := Run(spec, &LeastLoaded{}, Options{Arrivals: []workload.Arrival{{AtMS: 0, Batch: 10}}})
 	if one.MeanWaitMS != 0 {
 		t.Fatalf("idle cluster should start service immediately, wait %v", one.MeanWaitMS)
 	}

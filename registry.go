@@ -173,6 +173,6 @@ func init() {
 		return sim.FCFSAny{}, nil
 	})
 	mustRegister("least-loaded", func(ctx PolicyContext) (Distributor, error) {
-		return sim.LeastLoaded{}, nil
+		return &sim.LeastLoaded{}, nil
 	})
 }
