@@ -15,16 +15,14 @@ type (
 	// the whole serving path down.
 	Autopilot = autopilot.Autopilot
 	// Provider is the pluggable actuation driver: how instance servers
-	// are launched and stopped. The built-ins are Fleet (in-process) and
-	// ExecFleet (real kairosd processes); implement it to provision
-	// instances any other way (SSH, a cloud API, ...).
+	// are launched and stopped. The built-in is Fleet; implement it to
+	// provision instances any other way (SSH, a cloud API, ...).
 	Provider = autopilot.Provider
-	// Fleet is the in-process actuation provider: instance servers on
-	// loopback TCP inside the controlling process.
+	// Fleet is the built-in actuation provider: instance servers on
+	// loopback TCP inside the controlling process (NewFleet) or real
+	// kairosd processes it spawns, banner health-checks and gracefully
+	// SIGTERMs (NewExecFleet).
 	Fleet = autopilot.Fleet
-	// ExecFleet is the exec actuation provider: it spawns, banner
-	// health-checks, and gracefully SIGTERMs real kairosd processes.
-	ExecFleet = autopilot.ExecFleet
 	// AutopilotOptions describe an autopilot deployment: the control-loop
 	// tuning, the planner's demand headroom and on-demand floor, the
 	// actuation Provider (nil: the in-process Fleet) and the optional
@@ -123,7 +121,7 @@ func NewFleet(timeScale float64, ms ...Model) *Fleet {
 // NewExecFleet builds the exec actuation provider spawning bin (a kairosd
 // binary) at the given time scale. When models are listed, launches for
 // any other model are rejected up front.
-func NewExecFleet(bin string, timeScale float64, models ...string) *ExecFleet {
+func NewExecFleet(bin string, timeScale float64, models ...string) *Fleet {
 	return autopilot.NewExecFleet(bin, timeScale, models...)
 }
 

@@ -106,7 +106,7 @@ func fleetFlags(fs *flag.FlagSet, door *kairos.IngressOptions) func(needDoor boo
 // newProvider builds a fresh actuation provider for one launch of the
 // fleet serving the engine's models; logf receives the exec provider's
 // process lifecycle lines.
-func (f *fleetSpec) newProvider(served []kairos.Model, logf func(string, ...any)) kairos.Provider {
+func (f *fleetSpec) newProvider(served []kairos.Model, logf func(string, ...any)) *kairos.Fleet {
 	if f.kairosd == "" {
 		return kairos.NewFleet(f.timeScale, served...)
 	}

@@ -64,8 +64,12 @@ func TestFleetFlags(t *testing.T) {
 	if fl.autopilot.OnDemandFloor != 0.5 || door == nil || door.MaxQueue != 8192 || len(door.AuthTokens) != 1 {
 		t.Fatalf("autopilot options = %+v (door %+v)", fl.autopilot, door)
 	}
-	if _, ok := fl.newProvider(e.Models(), nil).(*kairos.Fleet); !ok {
-		t.Fatal("-provider inprocess must build the in-process fleet")
+	// The -kairosd path above does not exist, so only the in-process
+	// launcher can bring an instance up.
+	p := fl.newProvider(e.Models(), nil)
+	defer p.Close()
+	if _, err := p.Launch("NCF", e.Pool()[0].Name); err != nil {
+		t.Fatalf("-provider inprocess must build the in-process fleet: %v", err)
 	}
 	// No door flag at all: no door, and nothing to object to.
 	if fl, err = resolve(kairos.IngressOptions{}, false); err != nil || fl.autopilot.Ingress != nil {

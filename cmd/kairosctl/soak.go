@@ -45,6 +45,28 @@ func parseFault(spec string) (soak.FaultSpec, error) {
 	return f, nil
 }
 
+// parseFaults resolves the -fault specs and holds each to the rules
+// soak.Run applies, plus the one only the provider flag can settle, so a
+// bad spec is refused before anything launches: every run fronts its
+// fleet with a soak.Chaos, and only a kairosd process can be wedged.
+func parseFaults(specs []string, provider string) ([]soak.FaultSpec, error) {
+	faults := make([]soak.FaultSpec, len(specs))
+	for i, spec := range specs {
+		f, err := parseFault(spec)
+		if err == nil {
+			err = f.Validate(true)
+		}
+		if err == nil && f.Kind == soak.FaultWedge && provider != "exec" {
+			err = fmt.Errorf("fault %q: only a kairosd process can be wedged (-provider exec)", spec)
+		}
+		if err != nil {
+			return nil, err
+		}
+		faults[i] = f
+	}
+	return faults, nil
+}
+
 // runSoak implements `kairosctl soak`: it replays adversarial workload
 // scenarios through the external ingress against a live autopilot-managed
 // fleet while injecting faults mid-run — SIGKILLed instances, wedged
@@ -100,14 +122,14 @@ func runSoak(args []string) {
 	if len(faultSpecs) == 0 {
 		faultSpecs = []string{"kill@0.4"}
 	}
-	// Resolve every fault, scenario and fleet flag before launching anything.
-	faults := make([]soak.FaultSpec, len(faultSpecs))
-	for i, spec := range faultSpecs {
-		f, err := parseFault(spec)
-		if err != nil {
-			log.Fatalf("kairosctl soak: %v", err)
-		}
-		faults[i] = f
+	// Resolve every fleet flag, fault and scenario before launching anything.
+	fl, err := fleet(false)
+	if err != nil {
+		log.Fatalf("kairosctl soak: %v", err)
+	}
+	faults, err := parseFaults(faultSpecs, fl.provider)
+	if err != nil {
+		log.Fatalf("kairosctl soak: %v", err)
 	}
 	scenarios := make([]kairos.Scenario, len(scenarioNames))
 	for i, name := range scenarioNames {
@@ -116,10 +138,6 @@ func runSoak(args []string) {
 			log.Fatalf("kairosctl soak: %v", err)
 		}
 		scenarios[i] = s
-	}
-	fl, err := fleet(false)
-	if err != nil {
-		log.Fatalf("kairosctl soak: %v", err)
 	}
 	logf := func(string, ...any) {}
 	if *verbose {
@@ -203,14 +221,16 @@ func runScenario(sc kairos.Scenario, fl *fleetSpec, faults []soak.FaultSpec,
 	if err != nil {
 		return nil, nil, err
 	}
-	chaos := soak.WrapChaos(fl.newProvider(engine.Models(), logf))
+	chaos := &soak.Chaos{}
+	fleet := fl.newProvider(engine.Models(), logf)
+	fleet.Front = chaos.Front
 	opts := fl.autopilot
 	opts.Interval = 50 * time.Millisecond
 	opts.Logf = logf
-	opts.Provider = chaos
+	opts.Provider = fleet
 	ap, err := engine.Autopilot(fl.timeScale, opts)
 	if err != nil {
-		chaos.Close()
+		fleet.Close()
 		return nil, nil, err
 	}
 	defer ap.Close()

@@ -55,13 +55,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The drain handler is armed before the ready line: a SIGTERM sent
+	// the moment the daemon is announced must drain it, not kill it.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	if err := s.Start(*addr); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("kairosd: %s serving %s on %s (timescale %.2f)\n", *typeName, model.Name, s.Addr(), *timeScale)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("kairosd: draining")
 	if err := s.Shutdown(*drain); err != nil {

@@ -146,7 +146,7 @@ func TestExecFleetIngressEndToEnd(t *testing.T) {
 		t.Fatalf("initial plan %v already owns the GPU; the shift would be invisible", initial)
 	}
 	// The fleet really is external processes: the provider tracks them.
-	ef := ap.Provider().(*ExecFleet)
+	ef := ap.Provider().(*Fleet)
 	if got := ef.Size(); got != initial.Total() {
 		t.Fatalf("exec provider runs %d processes, plan wants %d", got, initial.Total())
 	}

@@ -14,10 +14,10 @@
 // KubeAI-style reconciliation).
 //
 // The system's two outward edges are pluggable: actuation goes through
-// the Provider interface (the in-process Fleet, the kairosd-spawning
-// ExecFleet, or anything else that can launch and stop instances), and
-// external traffic arrives through an optional internal/ingress front-end
-// whose lifecycle the autopilot owns.
+// the Provider interface (the Fleet, launching in-process servers or
+// kairosd processes, or anything else that can launch and stop
+// instances), and external traffic arrives through an optional
+// internal/ingress front-end whose lifecycle the autopilot owns.
 package autopilot
 
 import (

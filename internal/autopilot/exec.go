@@ -10,13 +10,12 @@ import (
 	"os/exec"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"kairos/internal/server"
 )
 
-// ExecFleet's lifecycle timeouts.
+// A spawned kairosd's lifecycle timeouts.
 const (
 	// launchTimeout bounds waiting for a spawned kairosd's ready line and
 	// Hello banner.
@@ -26,87 +25,64 @@ const (
 	stopTimeout = 10 * time.Second
 )
 
-// ExecFleet is the exec actuation Provider: it spawns real kairosd
-// processes (cmd/kairosd) on the local host, one per instance. Launch
-// starts `kairosd -addr 127.0.0.1:0`, waits for the daemon's ready line
-// to learn the bound port, health-checks the Hello banner (the announced
-// model and type must match what was asked for), and only then hands the
-// address to the actuator. Stop sends SIGTERM — kairosd drains in-flight
-// queries before exiting — and reaps the process, escalating to SIGKILL
-// after stopTimeout.
+// NewExecFleet prepares a fleet whose instances are real kairosd
+// processes (cmd/kairosd) on the local host, spawned from bin at the given
+// time scale. When models are listed, Launch rejects any other model up
+// front; otherwise kairosd's own model registry decides.
 //
-// It is the stepping stone from the in-process Fleet toward SSH/cloud
+// Launch starts `kairosd -addr 127.0.0.1:0`, waits for the daemon's ready
+// line to learn the bound port, health-checks the Hello banner (the
+// announced model and type must match what was asked for), and only then
+// hands the address to the actuator. Stop sends SIGTERM — kairosd drains
+// in-flight queries before exiting — and reaps the process, escalating to
+// SIGKILL after stopTimeout. It is the stepping stone toward SSH/cloud
 // provisioning: the control plane already manages real processes over
 // real sockets; only "local exec" stands in for "remote host".
-type ExecFleet struct {
-	bin       string
-	timeScale float64
-	models    map[string]bool // empty allows any model kairosd can resolve
-
-	// Logf, when set, receives one line per process lifecycle event.
-	Logf func(format string, args ...any)
-
-	spotMarket
-
-	mu    sync.Mutex
-	procs map[string]*execProc // keyed by listen address; nil once closed
+func NewExecFleet(bin string, timeScale float64, models ...string) *Fleet {
+	served := make(map[string]bool, len(models))
+	for _, m := range models {
+		served[m] = true
+	}
+	f := newFleet("exec", timeScale)
+	f.launch = func(model, typeName string) (instance, string, error) {
+		if len(served) > 0 && !served[model] {
+			return nil, "", fmt.Errorf("autopilot: exec fleet does not serve model %q", model)
+		}
+		return spawnKairosd(bin, model, typeName, f.timeScale)
+	}
+	return f
 }
 
-var (
-	_ Provider  = (*ExecFleet)(nil)
-	_ Reaper    = (*ExecFleet)(nil)
-	_ Noticer   = (*ExecFleet)(nil)
-	_ Preempter = (*ExecFleet)(nil)
-)
-
+// execProc is one spawned kairosd.
 type execProc struct {
-	model    string
-	typeName string
-	cmd      *exec.Cmd
+	cmd *exec.Cmd
 	// waited delivers cmd.Wait exactly once (buffered; the reaper
 	// goroutine never blocks).
 	waited chan error
-	stderr *bytes.Buffer
 }
 
-// NewExecFleet prepares an exec provider spawning bin (a kairosd binary)
-// at the given time scale. When models are listed, Launch rejects any
-// other model up front; otherwise kairosd's own model registry decides.
-func NewExecFleet(bin string, timeScale float64, models ...string) *ExecFleet {
-	if timeScale <= 0 {
-		timeScale = 1
-	}
-	byName := make(map[string]bool, len(models))
-	for _, m := range models {
-		byName[m] = true
-	}
-	return &ExecFleet{
-		bin:        bin,
-		timeScale:  timeScale,
-		models:     byName,
-		spotMarket: newSpotMarket(),
-		procs:      map[string]*execProc{},
+// stop SIGTERMs the daemon, waits for its drain-and-exit, and SIGKILLs it
+// after stopTimeout.
+func (p *execProc) stop() error {
+	terminateProcess(p.cmd.Process) // a dead process just fails the signal; Wait below settles it
+	select {
+	case err := <-p.waited:
+		if err != nil {
+			return fmt.Errorf("kairosd pid %d exited uncleanly: %w", p.cmd.Process.Pid, err)
+		}
+		return nil
+	case <-time.After(stopTimeout):
+		p.cmd.Process.Kill()
+		<-p.waited
+		return fmt.Errorf("kairosd pid %d ignored SIGTERM for %v; killed", p.cmd.Process.Pid, stopTimeout)
 	}
 }
 
-// Preempt implements Preempter, emulating the cloud reclaiming spot
-// capacity: the kairosd at addr is SIGKILLed once the notice window
-// elapses (see spotMarket.preempt).
-func (f *ExecFleet) Preempt(addr string, notice time.Duration) (time.Time, error) {
-	if f.Pid(addr) == 0 {
-		return time.Time{}, fmt.Errorf("autopilot: no exec instance at %s", addr)
-	}
-	// Kill's only error is "already gone": the drain won the race.
-	return f.preempt(addr, notice, func() { _ = f.Kill(addr) }), nil
-}
+func (p *execProc) kill() error { return p.cmd.Process.Kill() }
 
-// TimeScale returns the fleet's time dilation factor.
-func (f *ExecFleet) TimeScale() float64 { return f.timeScale }
-
-func (f *ExecFleet) logf(format string, args ...any) {
-	if f.Logf != nil {
-		f.Logf(format, args...)
-	}
+func (p *execProc) reap() {
+	p.cmd.Process.Kill() // harmless when already dead
+	<-p.waited
 }
 
 // parseReadyLine extracts the listen address from kairosd's ready line,
@@ -152,24 +128,15 @@ func probeHello(addr, model, typeName string, timeout time.Duration) error {
 	return nil
 }
 
-// Launch spawns one kairosd serving the named model as the given type on
-// an ephemeral loopback port and returns the bound address once the
-// process passes its banner health check.
-func (f *ExecFleet) Launch(model, typeName string) (string, error) {
-	if len(f.models) > 0 && !f.models[model] {
-		return "", fmt.Errorf("autopilot: exec fleet does not serve model %q", model)
-	}
-	f.mu.Lock()
-	closed := f.procs == nil
-	f.mu.Unlock()
-	if closed {
-		return "", errClosed
-	}
-	cmd := exec.Command(f.bin,
+// spawnKairosd starts one kairosd serving the named model as the given
+// type on an ephemeral loopback port and returns it with its bound
+// address once the process passes its banner health check.
+func spawnKairosd(bin, model, typeName string, timeScale float64) (*execProc, string, error) {
+	cmd := exec.Command(bin,
 		"-addr", "127.0.0.1:0",
 		"-type", typeName,
 		"-model", model,
-		"-timescale", strconv.FormatFloat(f.timeScale, 'g', -1, 64),
+		"-timescale", strconv.FormatFloat(timeScale, 'g', -1, 64),
 	)
 	// Own process group (unix): a terminal Ctrl-C must reach only the
 	// control plane, which then shuts the fleet down in the documented
@@ -180,13 +147,13 @@ func (f *ExecFleet) Launch(model, typeName string) (string, error) {
 	cmd.Stderr = stderr
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
-		return "", err
+		return nil, "", err
 	}
 	if err := cmd.Start(); err != nil {
-		return "", fmt.Errorf("autopilot: starting %s: %w", f.bin, err)
+		return nil, "", fmt.Errorf("autopilot: starting %s: %w", bin, err)
 	}
-	waited := make(chan error, 1)
-	go func() { waited <- cmd.Wait() }()
+	p := &execProc{cmd: cmd, waited: make(chan error, 1)}
+	go func() { p.waited <- cmd.Wait() }()
 
 	addrCh := make(chan string, 1)
 	eofCh := make(chan struct{})
@@ -206,13 +173,12 @@ func (f *ExecFleet) Launch(model, typeName string) (string, error) {
 
 	// fail reaps the process before reading stderr (the exec package's
 	// capture goroutine finishes at Wait).
-	fail := func(cause error) (string, error) {
-		cmd.Process.Kill()
-		<-waited
+	fail := func(cause error) (*execProc, string, error) {
+		p.reap()
 		if msg := strings.TrimSpace(stderr.String()); msg != "" {
-			return "", fmt.Errorf("autopilot: exec %s/%s: %w (stderr: %s)", model, typeName, cause, msg)
+			return nil, "", fmt.Errorf("autopilot: exec %s/%s: %w (stderr: %s)", model, typeName, cause, msg)
 		}
-		return "", fmt.Errorf("autopilot: exec %s/%s: %w", model, typeName, cause)
+		return nil, "", fmt.Errorf("autopilot: exec %s/%s: %w", model, typeName, cause)
 	}
 	var addr string
 	select {
@@ -229,135 +195,27 @@ func (f *ExecFleet) Launch(model, typeName string) (string, error) {
 	if err := probeHello(addr, model, typeName, launchTimeout); err != nil {
 		return fail(err)
 	}
-	f.mu.Lock()
-	if closed = f.procs == nil; !closed { // else Close won the race while the daemon was starting
-		f.procs[addr] = &execProc{model: model, typeName: typeName, cmd: cmd, waited: waited, stderr: stderr}
-	}
-	f.mu.Unlock()
-	if closed {
-		return fail(errClosed)
-	}
-	f.logf("autopilot: exec launched %s/%s pid %d at %s", model, typeName, cmd.Process.Pid, addr)
-	return addr, nil
+	return p, addr, nil
 }
-
-// Stop gracefully stops the kairosd at addr: SIGTERM, wait for the
-// daemon's drain-and-exit, SIGKILL after stopTimeout.
-func (f *ExecFleet) Stop(addr string) error {
-	f.mu.Lock()
-	p := f.procs[addr]
-	delete(f.procs, addr)
-	f.mu.Unlock()
-	if p == nil {
-		return fmt.Errorf("autopilot: no exec instance at %s", addr)
-	}
-	return f.stop(addr, p)
-}
-
-func (f *ExecFleet) stop(addr string, p *execProc) error {
-	terminateProcess(p.cmd.Process) // a dead process just fails the signal; Wait below settles it
-	select {
-	case err := <-p.waited:
-		if err != nil {
-			return fmt.Errorf("autopilot: kairosd %s/%s at %s exited uncleanly: %w", p.model, p.typeName, addr, err)
-		}
-		f.logf("autopilot: exec stopped %s/%s at %s", p.model, p.typeName, addr)
-		return nil
-	case <-time.After(stopTimeout):
-		p.cmd.Process.Kill()
-		<-p.waited
-		return fmt.Errorf("autopilot: kairosd %s/%s at %s ignored SIGTERM for %v; killed", p.model, p.typeName, addr, stopTimeout)
-	}
-}
-
-// Reap releases a kairosd that died on its own (implements Reaper): the
-// process is killed if anything is somehow still running, the zombie is
-// waited on, and the bookkeeping entry is dropped. Unknown addresses are
-// fine — the fault may already have been reaped.
-func (f *ExecFleet) Reap(addr string) error {
-	f.mu.Lock()
-	p := f.procs[addr]
-	delete(f.procs, addr)
-	f.mu.Unlock()
-	if p == nil {
-		return nil
-	}
-	p.cmd.Process.Kill() // harmless when already dead
-	<-p.waited
-	f.logf("autopilot: exec reaped %s/%s at %s", p.model, p.typeName, addr)
-	return nil
-}
-
-// Pid returns the OS process ID of the kairosd at addr, or 0 when the
-// address is unknown.
-func (f *ExecFleet) Pid(addr string) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if p := f.procs[addr]; p != nil {
-		return p.cmd.Process.Pid
-	}
-	return 0
-}
-
-// signal sends the kairosd at addr a signal, logging it as verb.
-func (f *ExecFleet) signal(addr, verb string, send func(*os.Process) error) error {
-	f.mu.Lock()
-	p := f.procs[addr]
-	f.mu.Unlock()
-	if p == nil {
-		return fmt.Errorf("autopilot: no exec instance at %s", addr)
-	}
-	f.logf("autopilot: exec %s %s/%s pid %d at %s", verb, p.model, p.typeName, p.cmd.Process.Pid, addr)
-	return send(p.cmd.Process)
-}
-
-// Kill SIGKILLs the kairosd at addr without reaping it — the crash fault.
-// The controller discovers the death through its connection; the reap
-// happens when the fault-heal path calls Reap for the dead address.
-func (f *ExecFleet) Kill(addr string) error { return f.signal(addr, "killing", (*os.Process).Kill) }
 
 // Wedge SIGSTOPs the kairosd at addr — the stalled-instance fault: the
-// process keeps its sockets open but stops replying. Resume un-wedges it.
-func (f *ExecFleet) Wedge(addr string) error { return f.signal(addr, "wedging", suspendProcess) }
+// process keeps its sockets open but stops replying. Resume un-wedges
+// it. An in-process instance cannot be wedged.
+func (f *Fleet) Wedge(addr string) error { return f.signal(addr, "wedging", suspendProcess) }
 
 // Resume SIGCONTs a wedged kairosd at addr.
-func (f *ExecFleet) Resume(addr string) error { return f.signal(addr, "resuming", resumeProcess) }
+func (f *Fleet) Resume(addr string) error { return f.signal(addr, "resuming", resumeProcess) }
 
-// Addrs lists the running processes' addresses in unspecified order.
-func (f *ExecFleet) Addrs() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]string, 0, len(f.procs))
-	for addr := range f.procs {
-		out = append(out, addr)
+// signal sends the kairosd at addr a signal, logging it as verb.
+func (f *Fleet) signal(addr, verb string, send func(*os.Process) error) error {
+	m, err := f.member(addr)
+	if err != nil {
+		return err
 	}
-	return out
-}
-
-// Size returns the number of running processes.
-func (f *ExecFleet) Size() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.procs)
-}
-
-// Close stops every running process; Launch fails from here on. The stops
-// are independent, so they run concurrently: a fleet of wedged daemons
-// costs one stopTimeout, not one per process.
-func (f *ExecFleet) Close() error {
-	f.mu.Lock()
-	procs := f.procs
-	f.procs = nil
-	f.mu.Unlock()
-	errs := make(chan error, len(procs))
-	for addr, p := range procs {
-		go func(addr string, p *execProc) { errs <- f.stop(addr, p) }(addr, p)
+	p, ok := m.inst.(*execProc)
+	if !ok {
+		return fmt.Errorf("autopilot: the %s instance at %s is no process to signal", f.kind, addr)
 	}
-	var first error
-	for range procs {
-		if err := <-errs; err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	f.logf("autopilot: %s %s %s/%s pid %d at %s", f.kind, verb, m.model, m.typeName, p.cmd.Process.Pid, addr)
+	return send(p.cmd.Process)
 }

@@ -31,23 +31,6 @@ func TestParseReadyLine(t *testing.T) {
 	}
 }
 
-func TestExecFleetValidation(t *testing.T) {
-	t.Parallel()
-	f := NewExecFleet("/does/not/matter", 1, "NCF")
-	if _, err := f.Launch("MT-WND", "r5n.large"); err == nil || !strings.Contains(err.Error(), "does not serve") {
-		t.Fatalf("unlisted model must be rejected before spawning: %v", err)
-	}
-	if err := f.Stop("127.0.0.1:1"); err == nil {
-		t.Fatal("stopping an unknown address must error")
-	}
-	if got := f.Addrs(); len(got) != 0 || f.Size() != 0 {
-		t.Fatalf("empty fleet reports %v", got)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatalf("closing an empty fleet: %v", err)
-	}
-}
-
 // TestExecFleetBadBinary: a binary that exits without a ready line is a
 // clean Launch error carrying its stderr, not a hang.
 func TestExecFleetBadBinary(t *testing.T) {

@@ -12,10 +12,10 @@ import (
 // Provider is the actuation driver: how instance servers come to exist
 // and go away. The actuator (and the facade's initial deploy) work
 // exclusively against this interface, so the same control loop manages
-// in-process loopback servers (Fleet), exec'd kairosd processes
-// (ExecFleet), and eventually SSH- or cloud-provisioned hosts — the
-// pluggable "how instances are launched" edge of the system (INFaaS /
-// KubeAI style).
+// in-process loopback servers and exec'd kairosd processes (both a Fleet,
+// with different launchers), and eventually SSH- or cloud-provisioned
+// hosts — the pluggable "how instances are launched" edge of the system
+// (INFaaS / KubeAI style).
 //
 // The contract with the actuator: Launch returns only once the instance
 // is accepting controller connections and announcing the right model and
@@ -34,15 +34,16 @@ type Provider interface {
 	Close() error
 }
 
-// errClosed is what both built-in providers' Launch returns after Close:
-// a closed provider must not bring an instance to life nobody will stop.
+// errClosed is what Fleet.Launch returns after Close: a closed provider
+// must not bring an instance to life nobody will stop.
 var errClosed = errors.New("autopilot: provider is closed")
 
 // Reaper is an optional Provider extension for fault handling: Reap
 // releases whatever the provider still holds for an instance that died on
-// its own — the exec provider reaps the OS process, the in-process fleet
-// forgets the server — without the drained-first contract Stop assumes.
-// Reaping an address the provider no longer tracks is not an error.
+// its own — the Fleet reaps the kairosd process or closes the server and
+// releases its interposer — without the drained-first contract Stop
+// assumes. Reaping an address the provider no longer tracks is not an
+// error.
 type Reaper interface {
 	Reap(addr string) error
 }
@@ -75,51 +76,6 @@ type Preemption struct {
 // instance immediately, then replan around the hole before the deadline.
 type Noticer interface {
 	Notices() <-chan Preemption
-}
-
-// Preempter is an optional Provider extension for injecting
-// revocations: Preempt delivers a notice for the instance at addr and
-// schedules its hard kill at the end of the notice window — the exact
-// sequence a cloud spot market performs. It returns the kill deadline.
-// An instance stopped (drained) before the deadline is simply gone when
-// the kill fires. Tests and the soak harness script preemptions through
-// this.
-type Preempter interface {
-	Preempt(addr string, notice time.Duration) (time.Time, error)
-}
-
-// spotMarket is the revocation half of both built-in providers: it owns
-// the notices channel and plays the sequence a cloud spot market performs
-// — notice now, hard kill at the end of the window. Providers embed it
-// and supply only how an instance dies.
-type spotMarket struct {
-	notices chan Preemption
-}
-
-func newSpotMarket() spotMarket {
-	// Deep enough for every instance of a soak-sized fleet to be revoked
-	// between two control ticks without a notice being dropped.
-	return spotMarket{notices: make(chan Preemption, 64)}
-}
-
-// Notices implements Noticer: the channel preempt announces revocations
-// on.
-func (m *spotMarket) Notices() <-chan Preemption { return m.notices }
-
-// preempt delivers the notice for addr and schedules kill for the end of
-// the window; kill must be a no-op for an instance an orderly Stop (a
-// completed drain) removed first. It returns the kill deadline.
-func (m *spotMarket) preempt(addr string, notice time.Duration, kill func()) time.Time {
-	deadline := time.Now().Add(notice)
-	select {
-	case m.notices <- Preemption{Addr: addr, Deadline: deadline}:
-	default:
-		// A stalled consumer loses the notice but never the revocation:
-		// the deadline kill below still fires and surfaces as a plain
-		// instance death.
-	}
-	time.AfterFunc(notice, kill)
-	return deadline
 }
 
 // Deploy launches plan[model][i] instances of pool[i] for every model on

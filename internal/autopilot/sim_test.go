@@ -679,26 +679,6 @@ func TestPreemptionLeavesDriftToTheTrigger(t *testing.T) {
 	}
 }
 
-// TestProvidersRefuseLaunchAfterClose: neither built-in provider brings an
-// instance to life once it is closed.
-func TestProvidersRefuseLaunchAfterClose(t *testing.T) {
-	t.Parallel()
-	m := ncf()
-	fleet := NewFleet(1, m)
-	exec := NewExecFleet("/nonexistent/kairosd", 1)
-	for name, p := range map[string]Provider{"fleet": fleet, "exec": exec} {
-		if err := p.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.Launch(m.Name, cloud.R5nLarge.Name); !errors.Is(err, errClosed) {
-			t.Errorf("%s: Launch after Close = %v, want errClosed", name, err)
-		}
-		if n := len(p.Addrs()); n != 0 {
-			t.Errorf("%s: %d instances after a refused launch", name, n)
-		}
-	}
-}
-
 // TestStatusPercentilesMatchWindow pins the one latency path Status and the
 // tick share: every percentile is the window's own quantile walk over the
 // same samples (obs.Window), within obs.QuantileRelErr of the exact

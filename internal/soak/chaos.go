@@ -4,296 +4,78 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"kairos/internal/autopilot"
 )
 
-// ChaosProvider wraps an actuation provider with an interposing TCP
-// proxy per instance: the controller dials the proxy, the proxy dials
-// the real instance, and the harness perturbs the wire in between —
-// delay, stall (transient partition), or cut (hard partition). Launch,
-// Stop, Reap, and the process-level chaos surface (Kill/Wedge/Resume)
-// all translate proxy addresses back to the wrapped provider's, so the
-// autopilot's fault-heal loop works unchanged through the interposition.
-type ChaosProvider struct {
-	inner autopilot.Provider
-
+// Chaos is the registry of the proxies fronting a fleet's instances.
+// Install its Front as the fleet's interposer (autopilot.Fleet.Front):
+// every instance launched from then on is reached only through its own
+// proxy, whose address is the instance's one address, and SetDelay,
+// SetStall and Cut perturb that wire by the same address. The zero value
+// is ready to use.
+type Chaos struct {
 	mu      sync.Mutex
-	byFront map[string]*chaosEntry // proxy addr -> entry
-
-	// notices forwards the wrapped provider's preemption notices with
-	// backend addresses translated to proxy addresses (started lazily by
-	// Notices; stopNotices ends the forwarder at Close).
-	noticesOnce sync.Once
-	notices     chan autopilot.Preemption
-	stopNotices chan struct{}
-	closeOnce   sync.Once
+	proxies map[string]*proxy // by front address
 }
 
-type chaosEntry struct {
-	prox    *proxy
-	backend string
-}
-
-var (
-	_ autopilot.Provider  = (*ChaosProvider)(nil)
-	_ autopilot.Reaper    = (*ChaosProvider)(nil)
-	_ autopilot.Noticer   = (*ChaosProvider)(nil)
-	_ autopilot.Preempter = (*ChaosProvider)(nil)
-)
-
-// killer and wedger are the process-level chaos capabilities a wrapped
-// provider may offer (both fleets kill; only the exec fleet wedges).
-type killer interface{ Kill(addr string) error }
-
-type wedger interface {
-	Wedge(addr string) error
-	Resume(addr string) error
-}
-
-// WrapChaos interposes proxies around every instance inner launches.
-func WrapChaos(inner autopilot.Provider) *ChaosProvider {
-	return &ChaosProvider{
-		inner:       inner,
-		byFront:     make(map[string]*chaosEntry),
-		stopNotices: make(chan struct{}),
-	}
-}
-
-// Inner returns the wrapped provider.
-func (c *ChaosProvider) Inner() autopilot.Provider { return c.inner }
-
-// TimeScale forwards the wrapped provider's time dilation so the
-// facade's scale-mismatch check still sees it through the wrapper.
-func (c *ChaosProvider) TimeScale() float64 {
-	if ts, ok := c.inner.(interface{ TimeScale() float64 }); ok {
-		return ts.TimeScale()
-	}
-	return 1
-}
-
-// Launch starts an instance on the wrapped provider and fronts it with a
-// fresh proxy; the returned (and controller-dialed) address is the
-// proxy's.
-func (c *ChaosProvider) Launch(model, typeName string) (string, error) {
-	backend, err := c.inner.Launch(model, typeName)
+// Front interposes a fresh proxy on the instance at backend and returns
+// the proxy's address and the release that closes it.
+func (c *Chaos) Front(backend string) (string, func(), error) {
+	p, err := newProxy(backend)
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
-	prox, err := newProxy(backend)
-	if err != nil {
-		c.inner.Stop(backend)
-		return "", err
-	}
-	front := prox.addr()
+	front := p.addr()
 	c.mu.Lock()
-	c.byFront[front] = &chaosEntry{prox: prox, backend: backend}
+	if c.proxies == nil {
+		c.proxies = make(map[string]*proxy)
+	}
+	c.proxies[front] = p
 	c.mu.Unlock()
-	return front, nil
+	return front, func() {
+		c.mu.Lock()
+		delete(c.proxies, front)
+		c.mu.Unlock()
+		p.close()
+	}, nil
 }
 
-// lookup resolves a proxy address; the bool reports whether it is one.
-func (c *ChaosProvider) lookup(front string) (*chaosEntry, bool) {
+func (c *Chaos) lookup(front string) (*proxy, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.byFront[front]
-	return e, ok
-}
-
-// frontOf reverse-resolves a backend address to its proxy address.
-func (c *ChaosProvider) frontOf(backend string) (string, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for front, e := range c.byFront {
-		if e.backend == backend {
-			return front, true
-		}
+	if p := c.proxies[front]; p != nil {
+		return p, nil
 	}
-	return "", false
-}
-
-// forget drops the entry and returns it for teardown.
-func (c *ChaosProvider) forget(front string) (*chaosEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.byFront[front]
-	delete(c.byFront, front)
-	return e, ok
-}
-
-// Stop tears down the proxy and the instance behind it. Unknown
-// addresses pass through to the wrapped provider unchanged.
-func (c *ChaosProvider) Stop(front string) error {
-	e, ok := c.forget(front)
-	if !ok {
-		return c.inner.Stop(front)
-	}
-	e.prox.close()
-	return c.inner.Stop(e.backend)
-}
-
-// Reap releases a dead instance (implements autopilot.Reaper): the proxy
-// closes and the wrapped provider reaps whatever is left of the backend.
-func (c *ChaosProvider) Reap(front string) error {
-	e, ok := c.forget(front)
-	if !ok {
-		return nil
-	}
-	e.prox.close()
-	if r, ok := c.inner.(autopilot.Reaper); ok {
-		return r.Reap(e.backend)
-	}
-	c.inner.Stop(e.backend)
-	return nil
-}
-
-// Addrs lists the controller-facing (proxy) addresses.
-func (c *ChaosProvider) Addrs() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.byFront))
-	for front := range c.byFront {
-		out = append(out, front)
-	}
-	return out
-}
-
-// Close tears down every proxy and the wrapped provider.
-func (c *ChaosProvider) Close() error {
-	c.closeOnce.Do(func() { close(c.stopNotices) })
-	c.mu.Lock()
-	entries := c.byFront
-	c.byFront = make(map[string]*chaosEntry)
-	c.mu.Unlock()
-	for _, e := range entries {
-		e.prox.close()
-	}
-	return c.inner.Close()
-}
-
-// Notices implements autopilot.Noticer through the proxy translation:
-// the wrapped provider announces revocations by backend address, and the
-// control plane only knows the proxy addresses it dialed, so a forwarder
-// rewrites each notice on the way through. Returns nil (never fires)
-// when the wrapped provider delivers no notices.
-func (c *ChaosProvider) Notices() <-chan autopilot.Preemption {
-	n, ok := c.inner.(autopilot.Noticer)
-	if !ok {
-		return nil
-	}
-	inner := n.Notices()
-	if inner == nil {
-		return nil
-	}
-	c.noticesOnce.Do(func() {
-		c.notices = make(chan autopilot.Preemption, 64)
-		go func() {
-			for {
-				select {
-				case <-c.stopNotices:
-					return
-				case p := <-inner:
-					if front, ok := c.frontOf(p.Addr); ok {
-						p.Addr = front
-					}
-					select {
-					case c.notices <- p:
-					default:
-						// Mirror the providers: a lost notice still dies at
-						// the deadline and surfaces as a plain death.
-					}
-				}
-			}
-		}()
-	})
-	return c.notices
-}
-
-// Preempt implements autopilot.Preempter through the proxy translation:
-// the revocation (notice now, hard kill at the deadline) lands on the
-// backend instance behind the proxy at front.
-func (c *ChaosProvider) Preempt(front string, notice time.Duration) (time.Time, error) {
-	e, ok := c.lookup(front)
-	if !ok {
-		return time.Time{}, fmt.Errorf("soak: no proxied instance at %s", front)
-	}
-	p, ok := c.inner.(autopilot.Preempter)
-	if !ok {
-		return time.Time{}, fmt.Errorf("soak: provider %T cannot preempt instances", c.inner)
-	}
-	return p.Preempt(e.backend, notice)
+	return nil, fmt.Errorf("soak: no proxied instance at %s", front)
 }
 
 // SetDelay adds d of one-way latency per forwarded chunk on the
 // instance's wire; 0 restores the clean network.
-func (c *ChaosProvider) SetDelay(front string, d time.Duration) error {
-	e, ok := c.lookup(front)
-	if !ok {
-		return fmt.Errorf("soak: no proxied instance at %s", front)
+func (c *Chaos) SetDelay(front string, d time.Duration) error {
+	p, err := c.lookup(front)
+	if err == nil {
+		p.setDelay(d)
 	}
-	e.prox.setDelay(d)
-	return nil
+	return err
 }
 
 // SetStall pauses (true) or resumes (false) all traffic to and from the
 // instance without dropping a byte — a transient network partition.
-func (c *ChaosProvider) SetStall(front string, on bool) error {
-	e, ok := c.lookup(front)
-	if !ok {
-		return fmt.Errorf("soak: no proxied instance at %s", front)
+func (c *Chaos) SetStall(front string, on bool) error {
+	p, err := c.lookup(front)
+	if err == nil {
+		p.setStall(on)
 	}
-	e.prox.setStall(on)
-	return nil
+	return err
 }
 
 // Cut hard-partitions the instance: live connections reset, new ones
 // refused. The controller evicts it and the fault path reaps the
 // healthy-but-unreachable backend, exactly as a production fleet manager
 // treats a machine it can no longer talk to.
-func (c *ChaosProvider) Cut(front string) error {
-	e, ok := c.lookup(front)
-	if !ok {
-		return fmt.Errorf("soak: no proxied instance at %s", front)
+func (c *Chaos) Cut(front string) error {
+	p, err := c.lookup(front)
+	if err == nil {
+		p.cut()
 	}
-	e.prox.cut()
-	return nil
-}
-
-// Kill SIGKILLs (or force-closes) the instance behind the proxy.
-func (c *ChaosProvider) Kill(front string) error {
-	e, ok := c.lookup(front)
-	if !ok {
-		return fmt.Errorf("soak: no proxied instance at %s", front)
-	}
-	k, ok := c.inner.(killer)
-	if !ok {
-		return fmt.Errorf("soak: provider %T cannot kill instances", c.inner)
-	}
-	return k.Kill(e.backend)
-}
-
-// Wedge SIGSTOPs the instance behind the proxy.
-func (c *ChaosProvider) Wedge(front string) error {
-	e, ok := c.lookup(front)
-	if !ok {
-		return fmt.Errorf("soak: no proxied instance at %s", front)
-	}
-	w, ok := c.inner.(wedger)
-	if !ok {
-		return fmt.Errorf("soak: provider %T cannot wedge instances", c.inner)
-	}
-	return w.Wedge(e.backend)
-}
-
-// Resume SIGCONTs a wedged instance.
-func (c *ChaosProvider) Resume(front string) error {
-	e, ok := c.lookup(front)
-	if !ok {
-		return fmt.Errorf("soak: no proxied instance at %s", front)
-	}
-	w, ok := c.inner.(wedger)
-	if !ok {
-		return fmt.Errorf("soak: provider %T cannot wedge instances", c.inner)
-	}
-	return w.Resume(e.backend)
+	return err
 }

@@ -16,28 +16,27 @@ const (
 	FaultKill FaultKind = "kill"
 	// FaultWedge SIGSTOPs an instance for Duration, then SIGCONTs it: the
 	// process is alive but serves nothing, queries queue behind it, and
-	// everything must still complete once it wakes. Requires a provider
-	// that can wedge (the exec fleet).
+	// everything must still complete once it wakes. Requires a fleet of
+	// kairosd processes (autopilot.NewExecFleet).
 	FaultWedge FaultKind = "wedge"
 	// FaultDelay adds Delay of one-way latency to every chunk on the
-	// instance's wire for Duration. Requires a ChaosProvider.
+	// instance's wire for Duration. Requires the fleet fronted by a Chaos.
 	FaultDelay FaultKind = "delay"
 	// FaultStall pauses all traffic to and from the instance for
-	// Duration without losing a byte — a transient partition. Requires a
-	// ChaosProvider.
+	// Duration without losing a byte — a transient partition. Requires
+	// the fleet fronted by a Chaos.
 	FaultStall FaultKind = "stall"
 	// FaultPartition hard-partitions the instance: its connections reset
 	// and new ones are refused, so the controller treats it as dead and
 	// the fleet must heal around a backend that is still running.
-	// Requires a ChaosProvider.
+	// Requires the fleet fronted by a Chaos.
 	FaultPartition FaultKind = "partition"
 	// FaultPreempt delivers a spot-market revocation notice for the
 	// instance (Duration is the notice window), then hard-kills it at the
 	// deadline — exactly the sequence a cloud spot market performs. The
 	// autopilot must drain ahead of the death and replan before the
 	// deadline; a preemption that surfaces as an instance-death fault is
-	// an invariant violation (the drain lost the race). Requires a
-	// provider implementing autopilot.Preempter (both built-in fleets do).
+	// an invariant violation (the drain lost the race).
 	FaultPreempt FaultKind = "preempt"
 )
 
@@ -65,8 +64,9 @@ type FaultSpec struct {
 	Model string
 }
 
-// validate rejects malformed specs before anything launches.
-func (f FaultSpec) validate(hasChaos bool) error {
+// Validate rejects a malformed spec, and a network fault when the fleet
+// is not fronted by a Chaos, before anything launches.
+func (f FaultSpec) Validate(chaos bool) error {
 	if f.At < 0 || f.At >= 1 {
 		return fmt.Errorf("soak: fault %s at %.2f outside [0,1)", f.Kind, f.At)
 	}
@@ -90,8 +90,8 @@ func (f FaultSpec) validate(hasChaos bool) error {
 	}
 	switch f.Kind {
 	case FaultDelay, FaultStall, FaultPartition:
-		if !hasChaos {
-			return fmt.Errorf("soak: fault %s needs a ChaosProvider (see WrapChaos)", f.Kind)
+		if !chaos {
+			return fmt.Errorf("soak: fault %s needs the fleet fronted by a soak.Chaos", f.Kind)
 		}
 	}
 	return nil

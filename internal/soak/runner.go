@@ -23,17 +23,17 @@ import (
 )
 
 // System is the live serving stack a soak run drives: a started
-// autopilot (its ingress must have a TCP endpoint) and, optionally, the
-// ChaosProvider interposed under it for network-level faults.
+// autopilot (its provider an *autopilot.Fleet, its ingress with a TCP
+// endpoint) and, optionally, the Chaos fronting that fleet's instances
+// for network-level faults.
 type System struct {
 	// AP is the started autopilot owning controller, ingress, and
 	// provider.
 	AP *autopilot.Autopilot
-	// Chaos, when the fleet was launched through WrapChaos, unlocks the
-	// delay, stall, and partition faults and routes process-level faults
-	// through the proxy address translation. Nil is fine for kill/wedge
-	// against a bare provider.
-	Chaos *ChaosProvider
+	// Chaos, when it is the fleet's interposer (Fleet.Front), unlocks
+	// the delay, stall, and partition faults. Nil is fine for the
+	// process-level faults.
+	Chaos *Chaos
 }
 
 // Config tunes one soak run.
@@ -118,8 +118,11 @@ func Run(sys System, cfg Config) (*Report, error) {
 	if ing == nil || ing.TCPAddr() == "" {
 		return nil, fmt.Errorf("soak: the autopilot has no TCP ingress (use WithIngress)")
 	}
+	if _, ok := sys.AP.Provider().(*autopilot.Fleet); !ok {
+		return nil, fmt.Errorf("soak: faults are injected through an *autopilot.Fleet, not a %T", sys.AP.Provider())
+	}
 	for _, f := range cfg.Faults {
-		if err := f.validate(sys.Chaos != nil); err != nil {
+		if err := f.Validate(sys.Chaos != nil); err != nil {
 			return nil, err
 		}
 	}
@@ -363,63 +366,35 @@ func injectFault(sys System, spec FaultSpec, rng *rand.Rand, rec *recorder,
 
 	before := sys.AP.Faults()
 	t0 := time.Now()
+	fleet := sys.AP.Provider().(*autopilot.Fleet)
+	// lift undoes a windowed fault once its Duration is up.
+	lift := func(undo func()) {
+		faultWG.Add(1)
+		time.AfterFunc(spec.Duration, func() {
+			defer faultWG.Done()
+			undo()
+		})
+	}
 	var err error
 	switch spec.Kind {
 	case FaultKill:
-		if sys.Chaos != nil {
-			err = sys.Chaos.Kill(pick.addr)
-		} else if k, ok := sys.AP.Provider().(killer); ok {
-			err = k.Kill(pick.addr)
-		} else {
-			err = fmt.Errorf("provider %T cannot kill instances", sys.AP.Provider())
-		}
+		err = fleet.Kill(pick.addr)
 	case FaultWedge:
-		if sys.Chaos != nil {
-			err = sys.Chaos.Wedge(pick.addr)
-		} else if w, ok := sys.AP.Provider().(wedger); ok {
-			err = w.Wedge(pick.addr)
-		} else {
-			err = fmt.Errorf("provider %T cannot wedge instances", sys.AP.Provider())
-		}
-		if err == nil {
-			faultWG.Add(1)
-			time.AfterFunc(spec.Duration, func() {
-				defer faultWG.Done()
-				if sys.Chaos != nil {
-					sys.Chaos.Resume(pick.addr)
-				} else if w, ok := sys.AP.Provider().(wedger); ok {
-					w.Resume(pick.addr)
-				}
-			})
+		if err = fleet.Wedge(pick.addr); err == nil {
+			lift(func() { fleet.Resume(pick.addr) })
 		}
 	case FaultDelay:
-		err = sys.Chaos.SetDelay(pick.addr, spec.Delay)
-		if err == nil {
-			faultWG.Add(1)
-			time.AfterFunc(spec.Duration, func() {
-				defer faultWG.Done()
-				sys.Chaos.SetDelay(pick.addr, 0)
-			})
+		if err = sys.Chaos.SetDelay(pick.addr, spec.Delay); err == nil {
+			lift(func() { sys.Chaos.SetDelay(pick.addr, 0) })
 		}
 	case FaultStall:
-		err = sys.Chaos.SetStall(pick.addr, true)
-		if err == nil {
-			faultWG.Add(1)
-			time.AfterFunc(spec.Duration, func() {
-				defer faultWG.Done()
-				sys.Chaos.SetStall(pick.addr, false)
-			})
+		if err = sys.Chaos.SetStall(pick.addr, true); err == nil {
+			lift(func() { sys.Chaos.SetStall(pick.addr, false) })
 		}
 	case FaultPartition:
 		err = sys.Chaos.Cut(pick.addr)
 	case FaultPreempt:
-		if sys.Chaos != nil {
-			_, err = sys.Chaos.Preempt(pick.addr, spec.Duration)
-		} else if pr, ok := sys.AP.Provider().(autopilot.Preempter); ok {
-			_, err = pr.Preempt(pick.addr, spec.Duration)
-		} else {
-			err = fmt.Errorf("provider %T cannot preempt instances", sys.AP.Provider())
-		}
+		_, err = fleet.Preempt(pick.addr, spec.Duration)
 	}
 	if err != nil {
 		ev.Err = err.Error()

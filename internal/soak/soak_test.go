@@ -32,22 +32,25 @@ func kairosPolicy(m models.Model) *core.Distributor {
 	})
 }
 
-// startSystem brings up a full in-process serving stack behind a chaos
-// wrapper: fleet -> proxies -> controller -> autopilot with TCP ingress.
+// startSystem brings up a full in-process serving stack with chaos
+// proxies in front of its instances: fleet -> proxies -> controller ->
+// autopilot with TCP ingress.
 func startSystem(t *testing.T, cfg cloud.Config) System {
 	t.Helper()
 	m := ncf()
 	pool := cloud.DefaultPool()
-	chaos := WrapChaos(autopilot.NewFleet(1, m))
+	chaos := &Chaos{}
+	fleet := autopilot.NewFleet(1, m)
+	fleet.Front = chaos.Front
 	fleetPlan := core.FleetPlan{m.Name: cfg}
-	addrs, err := autopilot.Deploy(chaos, pool, fleetPlan)
+	addrs, err := autopilot.Deploy(fleet, pool, fleetPlan)
 	if err != nil {
-		chaos.Close()
+		fleet.Close()
 		t.Fatal(err)
 	}
 	ctrl, err := server.NewController(m.Name, kairosPolicy(m), 1, m.Latency, addrs)
 	if err != nil {
-		chaos.Close()
+		fleet.Close()
 		t.Fatal(err)
 	}
 	ap, err := autopilot.New(ctrl, fleetPlan, autopilot.Wiring{
@@ -57,14 +60,14 @@ func startSystem(t *testing.T, cfg cloud.Config) System {
 			return fleetPlan.Clone(), nil
 		},
 	}, autopilot.Options{
-		Provider: chaos,
+		Provider: fleet,
 		Interval: 20 * time.Millisecond,
 		Cooldown: time.Hour, // no replans; the run exercises the heal path
 		Ingress:  &ingress.Options{TCPAddr: "127.0.0.1:0"},
 	})
 	if err != nil {
 		ctrl.Close()
-		chaos.Close()
+		fleet.Close()
 		t.Fatal(err)
 	}
 	t.Cleanup(ap.Close)
@@ -310,52 +313,75 @@ func TestProxyDelayStallCut(t *testing.T) {
 	}
 }
 
-func TestChaosProviderLifecycle(t *testing.T) {
+// TestChaosThroughFleet: with a Chaos as the fleet's interposer, the
+// proxy's address is the instance's only address — the controller dials
+// it, a preemption notice names it, Stop and Reap release it — and the
+// wire controls refuse an address no proxy holds.
+func TestChaosThroughFleet(t *testing.T) {
 	t.Parallel()
 	m := ncf()
-	inner := autopilot.NewFleet(1, m)
-	chaos := WrapChaos(inner)
-	defer chaos.Close()
+	chaos := &Chaos{}
+	fleet := autopilot.NewFleet(1, m)
+	fleet.Front = chaos.Front
+	defer fleet.Close()
 
-	if ts := chaos.TimeScale(); ts != 1 {
-		t.Fatalf("time scale %v", ts)
-	}
-	front, err := chaos.Launch(m.Name, cloud.R5nLarge.Name)
+	front, err := fleet.Launch(m.Name, cloud.R5nLarge.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The controller-facing address is the proxy, not the instance.
-	backends := inner.Addrs()
-	if len(backends) != 1 || backends[0] == front {
-		t.Fatalf("front %s, backends %v", front, backends)
+	if _, err := chaos.lookup(front); err != nil {
+		t.Fatalf("the fleet's address %s is not the proxy's: %v", front, err)
 	}
-	if addrs := chaos.Addrs(); len(addrs) != 1 || addrs[0] != front {
-		t.Fatalf("chaos addrs %v", addrs)
+	if addrs := fleet.Addrs(); len(addrs) != 1 || addrs[0] != front {
+		t.Fatalf("fleet addrs %v, want [%s]", addrs, front)
 	}
-	// The wire works end to end through the proxy: a controller can
-	// handshake with the instance behind it.
+	// A query round-trips through the proxy: the controller handshakes
+	// with the instance behind it.
 	ctrl, err := server.NewController(m.Name, kairosPolicy(m), 1, m.Latency, []string{front})
 	if err != nil {
 		t.Fatalf("controller through proxy: %v", err)
 	}
-	res := ctrl.SubmitWait(m.Name, 20)
-	if res.Err != nil {
+	if res := ctrl.SubmitWait(m.Name, 20); res.Err != nil {
 		t.Fatalf("query through proxy: %v", res.Err)
 	}
 	ctrl.Close()
 
-	if err := chaos.Stop(front); err != nil {
+	// The notice names the address the controller knows.
+	if _, err := fleet.Preempt(front, time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	if inner.Size() != 0 || len(chaos.Addrs()) != 0 {
-		t.Fatalf("stop leaked: inner=%d fronts=%v", inner.Size(), chaos.Addrs())
+	if n := <-fleet.Notices(); n.Addr != front {
+		t.Fatalf("notice names %s, want the proxy's %s", n.Addr, front)
 	}
-	// Reap of an unknown address is not an error (Reaper contract).
-	if err := chaos.Reap(front); err != nil {
+	if err := fleet.Stop(front); err != nil {
 		t.Fatal(err)
 	}
-	// Chaos controls on unknown addresses are errors.
 	if err := chaos.Cut(front); err == nil {
-		t.Fatal("cut of unknown address must error")
+		t.Fatal("Stop left the proxy registered")
+	}
+
+	// Reap releases the proxy of a killed instance too.
+	front, err = fleet.Launch(m.Name, cloud.R5nLarge.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fleet.Kill(front); err != nil {
+		t.Fatal(err)
+	}
+	if err := fleet.Reap(front); err != nil {
+		t.Fatal(err)
+	}
+	if fleet.Size() != 0 {
+		t.Fatalf("reap left %d instances", fleet.Size())
+	}
+	// The wire controls on an address no proxy holds are errors.
+	if err := chaos.SetDelay(front, time.Millisecond); err == nil {
+		t.Fatal("delay of a reaped instance must error")
+	}
+	if err := chaos.SetStall(front, true); err == nil {
+		t.Fatal("stall of a reaped instance must error")
+	}
+	if err := chaos.Cut(front); err == nil {
+		t.Fatal("cut of a reaped instance must error")
 	}
 }

@@ -202,10 +202,12 @@ func TestPreemptionDeadlineRaceEndToEnd(t *testing.T) {
 	}
 	t.Parallel()
 	e := multiEngine(t)
-	chaos := soak.WrapChaos(NewFleet(1, e.Models()...))
+	chaos := &soak.Chaos{}
+	fleet := NewFleet(1, e.Models()...)
+	fleet.Front = chaos.Front
 	ap, err := e.Autopilot(1, AutopilotOptions{
 		Interval: 25 * time.Millisecond,
-		Provider: chaos,
+		Provider: fleet,
 		Ingress:  &IngressOptions{HTTPAddr: "127.0.0.1:0", TCPAddr: "127.0.0.1:0", MaxQueue: 8192},
 	})
 	if err != nil {
@@ -280,7 +282,7 @@ func TestPreemptionDeadlineRaceEndToEnd(t *testing.T) {
 	// the death and the eviction fallback runs.
 	time.AfterFunc(400*time.Millisecond, func() { chaos.SetStall(target, false) })
 
-	if _, err := chaos.Preempt(target, 100*time.Millisecond); err != nil {
+	if _, err := fleet.Preempt(target, 100*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 

@@ -22,10 +22,12 @@ func TestSoakExecFleetSmoke(t *testing.T) {
 	bin := buildKairosd(t)
 	e := multiEngine(t) // NCF + MT-WND, shared $0.9/hr
 
-	chaos := soak.WrapChaos(NewExecFleet(bin, 1, "NCF", "MT-WND"))
+	chaos := &soak.Chaos{}
+	fleet := NewExecFleet(bin, 1, "NCF", "MT-WND")
+	fleet.Front = chaos.Front
 	ap, err := e.Autopilot(1, AutopilotOptions{
 		Interval: 50 * time.Millisecond,
-		Provider: chaos,
+		Provider: fleet,
 		Ingress:  &IngressOptions{TCPAddr: "127.0.0.1:0", MaxQueue: 8192},
 	})
 	if err != nil {
