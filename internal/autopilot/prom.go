@@ -73,8 +73,8 @@ type promFamily struct {
 // promFamilies is the whole exposition, in the order it is written:
 // control-loop health, the fleet plan in force, fault/heal and preemption
 // accounting, serving-path counters, per-model trigger readings, ingress
-// admission state, the running fleet, and the flight recorder's per-stage
-// and per-instance-type latency histograms (straight off the atomic
+// admission state, the running fleet, and the flight recorder's per-stage,
+// per-instance-type and busy-clock-lag histograms (straight off the atomic
 // counters; no locks taken on the serving path).
 var promFamilies = []promFamily{
 	{name: "kairos_up", help: "Control plane health (0 after a failed replan or actuation).", typ: "gauge", value: func(st *Status) float64 { return boolGauge(st.Healthy) }},
@@ -130,6 +130,12 @@ var promFamilies = []promFamily{
 				for _, se := range p.reg.Model(m).ServeByType() {
 					p.hist(name, fmt.Sprintf("%s,instance_type=%q", modelLabel(m), escapeLabel(se.Type)), se.Snap)
 				}
+			}
+		}},
+	{name: "kairos_busy_clock_lag_seconds", help: "How far the predicted busy clock trailed each reply that ended an instance's head query.", typ: "histogram",
+		write: func(p *promWriter, name string) {
+			for _, m := range p.reg.Models() {
+				p.hist(name, modelLabel(m), p.reg.Model(m).BusyLag.Snapshot())
 			}
 		}},
 }

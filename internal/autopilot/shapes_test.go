@@ -88,6 +88,8 @@ func promFixture() (st Status, names []string, plan, preempt obs.HistSnapshot, r
 	reg.Model(oddModel).Record(obs.StageE2E, 40*time.Millisecond)
 	reg.Model("NCF").ServeHist("r5n.large").Record(2 * time.Millisecond)
 	reg.Model("NCF").ServeHist("g4dn.xlarge").Record(500 * time.Microsecond)
+	reg.Model("NCF").BusyLag.Record(0)
+	reg.Model("NCF").BusyLag.Record(1500 * time.Microsecond)
 	return st, names, planHist.Snapshot(), preemptHist.Snapshot(), reg
 }
 

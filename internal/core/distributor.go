@@ -425,8 +425,8 @@ func (d *Distributor) feasibleSlotExists(i int, q sim.QueryView, instances []sim
 }
 
 // fastestClearing picks the unused eligible instance with the earliest
-// real completion time for waiting query i, minimizing the capacity a
-// doomed query burns. Returns -1 when every eligible instance is taken.
+// real completion (drain plus latency) for waiting query i, so a doomed
+// query is done soonest. Returns -1 when every eligible instance is taken.
 func (d *Distributor) fastestClearing(i int) int {
 	best, bestAt := -1, 0.0
 	for j, c := range d.cols {

@@ -140,14 +140,16 @@ type serveEntry struct {
 	hist     *Histogram
 }
 
-// ModelObs is one model's recorder: a histogram per stage, serve-time
-// histograms per instance type, and the sampled-trace ring.
+// ModelObs is one model's recorder: stage, per-instance-type serve and
+// busy-clock lag histograms, and the sampled-trace ring.
 type ModelObs struct {
 	reg    *Registry
 	model  string
 	stages [NumStages]Histogram
 	serve  atomic.Pointer[[]serveEntry]
 	ring   *Ring
+	// BusyLag is how far the busy clock trailed each reply (0 when early).
+	BusyLag Histogram
 }
 
 // Name returns the model name.

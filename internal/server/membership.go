@@ -37,7 +37,9 @@ type remoteInstance struct {
 	// pending: what an orderly removal waits for.
 	drained chan struct{}
 
+	// backlog is pending's predicted service; busyUntil is when it should end.
 	busyUntil time.Time
+	backlog   time.Duration
 	// pending holds dispatched-but-unfinished queries in dispatch order;
 	// byID indexes them for O(1) reply correlation.
 	pending    []*pendingQuery

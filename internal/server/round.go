@@ -35,8 +35,10 @@ type pendingQuery struct {
 	batch    int
 	enqueued time.Time
 	// dispatched is stamped with the round's now when the query leaves the
-	// central queue (re-stamped on redispatch).
+	// central queue (re-stamped on redispatch), and service with the wall
+	// service predicted for it then.
 	dispatched time.Time
+	service    time.Duration
 	// traced marks a sampled query: it carries the trace flag on the wire
 	// and writes a ring record on completion.
 	traced bool
@@ -259,11 +261,12 @@ func (c *Controller) sweep(g *modelGroup, now time.Time) time.Time {
 // pending/byID bookkeeping, and flight-recorder stamp every dispatch path
 // shares. Callers hold g.mu.
 func (c *Controller) take(g *modelGroup, q *pendingQuery, ri *remoteInstance, now time.Time) dispatchItem {
-	service := g.predict(ri.typeName, q.batch)
 	if ri.busyUntil.Before(now) {
 		ri.busyUntil = now
 	}
-	ri.busyUntil = ri.busyUntil.Add(time.Duration(service * c.TimeScale * float64(time.Millisecond)))
+	q.service = c.wall(g.predict(ri.typeName, q.batch))
+	ri.busyUntil = ri.busyUntil.Add(q.service)
+	ri.backlog += q.service
 	ri.pending = append(ri.pending, q)
 	ri.byID[q.id] = q
 	ri.dispatched++
@@ -281,7 +284,7 @@ func (c *Controller) take(g *modelGroup, q *pendingQuery, ri *remoteInstance, no
 // re-serving is always safe. Callers hold the group's mu.
 func (ri *remoteInstance) strand() []*pendingQuery {
 	stranded := ri.pending
-	ri.pending = nil
+	ri.pending, ri.backlog = nil, 0
 	clear(ri.byID)
 	return stranded
 }
@@ -349,9 +352,14 @@ func (c *Controller) modelMS(d time.Duration) float64 {
 	return float64(d) / float64(time.Millisecond) / c.TimeScale
 }
 
+// wall is modelMS's inverse: the model's milliseconds as a wall span.
+func (c *Controller) wall(ms float64) time.Duration {
+	return time.Duration(ms * c.TimeScale * float64(time.Millisecond))
+}
+
 // roundView is the round core's sim.State over a group at one instant:
-// the central queue, the active members, and their busy time as predicted
-// at dispatch. Callers hold g.mu.
+// the central queue, the active members, and their busy time, restarted
+// at each reply and extended at each dispatch. Callers hold g.mu.
 type roundView struct {
 	c   *Controller
 	g   *modelGroup
@@ -401,7 +409,14 @@ func (c *Controller) complete(ri *remoteInstance, reply Reply, now time.Time) {
 		// always for the head of pending.
 		if k := slices.Index(ri.pending, q); k >= 0 {
 			ri.pending = slices.Delete(ri.pending, k, k+1)
+			ri.backlog -= q.service
 		}
+		// The instance starts its next query as it answers this one, so
+		// the busy clock restarts here, and how far it had fallen behind
+		// the reply is the head slot's clock lag (0 when early).
+		next := now.Add(ri.backlog)
+		g.obs.BusyLag.Record(next.Sub(ri.busyUntil))
+		ri.busyUntil = next
 		if len(ri.pending) == 0 {
 			ri.settled()
 		}
@@ -435,7 +450,7 @@ func (c *Controller) complete(ri *remoteInstance, reply Reply, now time.Time) {
 		// serving latency, not eviction timing; failed traced queries
 		// get their ring record in deliver.
 		flight := now.Sub(q.dispatched)
-		serve := time.Duration(reply.ServiceMS * c.TimeScale * float64(time.Millisecond))
+		serve := c.wall(reply.ServiceMS)
 		g.obs.Record(obs.StageFlight, flight)
 		g.obs.Record(obs.StageServe, serve)
 		g.obs.Record(obs.StageE2E, e2e)

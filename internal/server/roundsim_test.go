@@ -265,6 +265,19 @@ func (w *simWorld) reply(outOfOrder bool) {
 	in.link.inbox = append(in.link.inbox[:k], in.link.inbox[k+1:]...)
 	w.logf("reply %s #%d", in.addr, req.ID)
 	w.c.complete(in.ri, Reply{ID: req.ID, ServiceMS: 1}, w.now)
+	// The instance starts its next query as it answers: the busy clock
+	// restarts at the reply with exactly the backlog still pending.
+	w.g.mu.Lock()
+	want := w.now
+	for _, p := range in.ri.pending {
+		want = want.Add(w.c.wall(w.g.predict(in.typeName, p.batch)))
+	}
+	got := in.ri.busyUntil
+	w.g.mu.Unlock()
+	if !got.Equal(want) {
+		w.fatalf("%s busy until +%v after a reply, want the reply instant + its pending's predicted service (+%v)",
+			in.addr, got.Sub(w.now), want.Sub(w.now))
+	}
 	q := w.live[req.ID]
 	if q == nil {
 		w.fatalf("%s held #%d, which is not live", in.addr, req.ID)
@@ -731,6 +744,44 @@ func TestRoundSim(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 60; seed++ {
 		runRoundSim(t, seed)
+	}
+}
+
+// TestBusyClockRestartsAtReply: one instance serves a backlog back to
+// back and every reply comes δ later than predicted (wire, reply read, an
+// emulator's oversleep). The instance starts each query as it answers the
+// one before, so after every reply the round must see the new head's full
+// predicted service left, within δ. A clock advanced only at dispatch
+// falls a further δ behind with each reply: n·δ after n of them.
+func TestBusyClockRestartsAtReply(t *testing.T) {
+	t.Parallel()
+	const n, delta = 12, 300 * time.Microsecond
+	w := newSimWorld(t, 2) // no hold
+	w.step(w.join)
+	in := w.insts[0]
+	for range n + 1 {
+		w.step(func() { w.submitWith(SubmitOptions{}) })
+	}
+	if len(in.link.inbox) != n+1 {
+		t.Fatalf("setup: %d of %d queries dispatched", len(in.link.inbox), n+1)
+	}
+	headMS := func() float64 { return w.g.predict(in.typeName, in.ri.pending[0].batch) }
+	for i := 1; i <= n; i++ {
+		w.g.mu.Lock()
+		w.now = w.now.Add(w.c.wall(headMS()) + delta)
+		w.g.mu.Unlock()
+		w.step(func() { w.reply(false) })
+		w.g.mu.Lock()
+		truth := headMS()
+		w.g.active = append(w.g.active[:0], in.ri)
+		v := roundView{c: w.c, g: w.g, now: w.now}
+		_, remaining, _ := v.Instance(0, nil)
+		w.g.active = w.g.active[:0]
+		w.g.mu.Unlock()
+		if off := w.c.wall(truth - remaining); off > delta || off < -delta {
+			t.Fatalf("after %d replies each %v late, the round sees %.3f ms left on the head, truth %.3f ms (off by %v)",
+				i, delta, remaining, truth, off)
+		}
 	}
 }
 
