@@ -106,11 +106,6 @@ func OnDemandName(name string) string {
 	return strings.TrimSuffix(name, spotSuffix)
 }
 
-// IsSpotName reports whether the type name carries the spot marker.
-func IsSpotName(name string) bool {
-	return strings.HasSuffix(name, spotSuffix)
-}
-
 // The heterogeneous pool evaluated in the paper (Table 4). g4dn.xlarge is
 // the base instance type: the only type that meets QoS for every batch size
 // (Sec. 7). The three CPU types are auxiliary instance types.
@@ -325,44 +320,17 @@ func (p Pool) HomogeneousScale(budget float64) float64 {
 	return budget / p.Cost(c)
 }
 
-// EnumerateOption customizes Enumerate.
-type EnumerateOption func(*enumerateOptions)
-
-type enumerateOptions struct {
-	minBase    int
-	minTotal   int
-	requireAny bool
-}
-
-// WithMinBase requires at least n base instances in every enumerated
-// configuration. Kairos itself enumerates the full space (a zero-base
-// configuration simply has throughput upper bound 0), but searches may
-// restrict to serviceable configurations.
-func WithMinBase(n int) EnumerateOption {
-	return func(o *enumerateOptions) { o.minBase = n }
-}
-
-// WithMinTotal requires at least n instances overall, excluding the empty
-// configuration by default behaviour of n=1.
-func WithMinTotal(n int) EnumerateOption {
-	return func(o *enumerateOptions) { o.minTotal = n }
-}
-
 // Enumerate lists every configuration whose cost is within budget, in
 // lexicographic order. The empty configuration is excluded. The paper's
 // default setting ($2.5/hr over Table 4) yields a search space on the order
 // of 1000 configurations (Sec. 5.2).
-func (p Pool) Enumerate(budget float64, opts ...EnumerateOption) []Config {
-	o := enumerateOptions{minTotal: 1}
-	for _, opt := range opts {
-		opt(&o)
-	}
+func (p Pool) Enumerate(budget float64) []Config {
 	var out []Config
 	cur := NewConfig(p)
 	var rec func(i int, remaining float64)
 	rec = func(i int, remaining float64) {
 		if i == len(p) {
-			if cur.Total() >= o.minTotal && cur.Base() >= o.minBase {
+			if cur.Total() > 0 {
 				out = append(out, cur.Clone())
 			}
 			return

@@ -144,29 +144,6 @@ func TestEnumerateRespectsBudget(t *testing.T) {
 	}
 }
 
-func TestEnumerateMinBase(t *testing.T) {
-	p := DefaultPool()
-	for _, c := range p.Enumerate(2.5, WithMinBase(1)) {
-		if c.Base() < 1 {
-			t.Fatalf("config %v has no base instances", c)
-		}
-	}
-	all := len(p.Enumerate(2.5))
-	withBase := len(p.Enumerate(2.5, WithMinBase(1)))
-	if withBase >= all {
-		t.Fatalf("WithMinBase did not restrict: %d >= %d", withBase, all)
-	}
-}
-
-func TestEnumerateMinTotal(t *testing.T) {
-	p := ThreeTypePool()
-	for _, c := range p.Enumerate(1.0, WithMinTotal(3)) {
-		if c.Total() < 3 {
-			t.Fatalf("config %v has fewer than 3 instances", c)
-		}
-	}
-}
-
 func TestEnumerateCountsClosedForm(t *testing.T) {
 	// Single-type pool: budget/price + 1 configs minus the empty one.
 	p := Pool{{Name: "only", Class: GeneralPurpose, PricePerHour: 0.5}}

@@ -11,6 +11,7 @@ import (
 	"slices"
 
 	"kairos/internal/assignment"
+	"kairos/internal/cloud"
 	"kairos/internal/models"
 	"kairos/internal/predictor"
 	"kairos/internal/sim"
@@ -119,6 +120,18 @@ func resized[T any](s []T, n int) []T {
 		return make([]T, n, max(n, 2*cap(s)))
 	}
 	return s[:n]
+}
+
+// WarmedPredictor returns an online latency model pre-trained from the
+// model's calibrated surface for every type in the pool, so Kairos starts
+// from its own learned tables instead of replaying a cold start. Two probe
+// batch sizes pin the exact line; the rest guard the lookup path.
+func WarmedPredictor(pool cloud.Pool, m models.Model) *predictor.Online {
+	names := make([]string, len(pool))
+	for i, t := range pool {
+		names[i] = t.Name
+	}
+	return predictor.Warmed(m.Latency, names, []int{1, 250, 500, 750, 1000})
 }
 
 // NewDistributor validates options and builds the distributor.

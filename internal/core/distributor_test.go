@@ -277,7 +277,8 @@ func TestKairosBeatsFCFSInSimulation(t *testing.T) {
 	pool := cloud.ThreeTypePool()
 	m := models.MustByName("RM2")
 	spec := sim.ClusterSpec{Pool: pool, Config: cloud.Config{2, 1, 3}, Model: m}
-	opts := sim.FindOptions{DurationMS: 30000, Seed: 30, PrecisionFrac: 0.05}
+	// 1800 queries keep every probe at or below 60 QPS at least 30 s long.
+	opts := sim.FindOptions{ProbeQueries: 1800, Seed: 30, PrecisionFrac: 0.05}
 	kairosQPS := sim.FindAllowableThroughput(spec, func() sim.Distributor {
 		return kairosFor(m, pool)
 	}, opts)

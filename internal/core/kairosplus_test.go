@@ -1,9 +1,12 @@
 package core
 
 import (
+	"hash/fnv"
 	"testing"
 
 	"kairos/internal/cloud"
+	"kairos/internal/models"
+	"kairos/internal/workload"
 )
 
 // syntheticEval builds an EvalFunc over a fixed table, counting calls.
@@ -118,5 +121,97 @@ func TestKairosPlusNeverWorseThanEvaluatedConfigs(t *testing.T) {
 	}
 	if res.Evaluations != len(res.History) {
 		t.Fatal("evaluation count mismatch")
+	}
+}
+
+// algorithm1Reference is Algorithm 1 as it was written before Kairos+
+// spent through a Session: its own alive map, evaluated list and result.
+// It also counts the sub-configurations it pruned.
+func algorithm1Reference(ranked []RankedConfig, eval EvalFunc) (res SearchResult, pruned int) {
+	alive := make(map[string]bool, len(ranked))
+	for _, rc := range ranked {
+		alive[rc.Config.Key()] = true
+	}
+	var evaluated []cloud.Config
+	for _, rc := range ranked {
+		if !alive[rc.Config.Key()] {
+			continue
+		}
+		if res.Evaluations > 0 && rc.UpperBound <= res.BestQPS {
+			break
+		}
+		sub := false
+		for _, ev := range evaluated {
+			if rc.Config.IsSubConfigOf(ev) {
+				sub = true
+				break
+			}
+		}
+		if sub {
+			pruned++
+			alive[rc.Config.Key()] = false
+			continue
+		}
+		qps := eval(rc.Config)
+		res.Evaluations++
+		res.History = append(res.History, EvalRecord{Config: rc.Config, QPS: qps})
+		alive[rc.Config.Key()] = false
+		evaluated = append(evaluated, rc.Config)
+		if qps > res.BestQPS || res.Best == nil {
+			res.BestQPS = qps
+			res.Best = rc.Config
+		}
+	}
+	return res, pruned
+}
+
+// TestKairosPlusMatchesAlgorithm1: Kairos+ walking a Session spends
+// exactly what the reference loop spends, in the same order, on the real
+// $2.5 rankings of every catalog model. The synthetic truth sits well
+// below each bound (10-60 %, deterministic per configuration) and one
+// configuration in seven dips to a fifth of that, so both the upper-bound
+// stop and sub-configuration pruning do work.
+func TestKairosPlusMatchesAlgorithm1(t *testing.T) {
+	pool := cloud.DefaultPool()
+	samples := defaultSamples(t, 5000, workload.DefaultTrace())
+	for _, m := range models.Catalog() {
+		est, err := NewEstimator(pool, m, samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranked := est.Rank(2.5)
+		bound := make(map[string]float64, len(ranked))
+		for _, rc := range ranked {
+			bound[rc.Config.Key()] = rc.UpperBound
+		}
+		truth := func(c cloud.Config) float64 {
+			h := fnv.New32a()
+			h.Write([]byte(c.Key()))
+			v := h.Sum32()
+			f := 0.1 + 0.5*float64(v%1000)/1000
+			if v%7 == 0 {
+				f /= 5
+			}
+			return bound[c.Key()] * f
+		}
+		want, pruned := algorithm1Reference(ranked, truth)
+		got := KairosPlus(ranked, truth)
+		if want.Evaluations < 2 || want.Evaluations+pruned >= len(ranked) || pruned == 0 {
+			t.Fatalf("%s: reference spent %d and pruned %d of %d; the truth must make both stops work",
+				m.Name, want.Evaluations, pruned, len(ranked))
+		}
+		if !got.Best.Equal(want.Best) || got.BestQPS != want.BestQPS || got.Evaluations != want.Evaluations {
+			t.Fatalf("%s: got %v @ %v in %d evaluations, want %v @ %v in %d", m.Name,
+				got.Best, got.BestQPS, got.Evaluations, want.Best, want.BestQPS, want.Evaluations)
+		}
+		if len(got.History) != len(want.History) {
+			t.Fatalf("%s: history has %d records, want %d", m.Name, len(got.History), len(want.History))
+		}
+		for i, rec := range want.History {
+			if !got.History[i].Config.Equal(rec.Config) || got.History[i].QPS != rec.QPS {
+				t.Fatalf("%s: evaluation %d is %v @ %v, want %v @ %v", m.Name, i,
+					got.History[i].Config, got.History[i].QPS, rec.Config, rec.QPS)
+			}
+		}
 	}
 }

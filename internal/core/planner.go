@@ -13,42 +13,7 @@ import (
 // squared Euclidean distances to the other nine — landing in the dense
 // region of high-throughput configurations.
 func SelectOneShot(ranked []RankedConfig) cloud.Config {
-	if len(ranked) == 0 {
-		return nil
-	}
-	if len(ranked) >= 3 {
-		b := ranked[0].Config.Base()
-		if ranked[1].Config.Base() == b && ranked[2].Config.Base() == b {
-			return ranked[0].Config
-		}
-	} else {
-		return ranked[0].Config
-	}
-	top := ranked
-	if len(top) > 10 {
-		top = top[:10]
-	}
-	bestIdx := 0
-	bestSum := sseTo(top, 0)
-	for i := 1; i < len(top); i++ {
-		if s := sseTo(top, i); s < bestSum {
-			bestSum = s
-			bestIdx = i
-		}
-	}
-	return top[bestIdx].Config
-}
-
-// sseTo sums squared distances from top[i] to every other candidate.
-func sseTo(top []RankedConfig, i int) float64 {
-	sum := 0.0
-	for j := range top {
-		if j == i {
-			continue
-		}
-		sum += top[i].Config.SquaredDistance(top[j].Config)
-	}
-	return sum
+	return selectOneShot(ranked, func(a, b cloud.Config) float64 { return -a.SquaredDistance(b) })
 }
 
 // SelectOneShotCosine is the ablation variant the paper rejects (Sec. 5.2:
@@ -56,31 +21,34 @@ func sseTo(top []RankedConfig, i int) float64 {
 // the promising region"): it picks the top-10 candidate with the highest
 // summed cosine similarity to the others.
 func SelectOneShotCosine(ranked []RankedConfig) cloud.Config {
+	return selectOneShot(ranked, cosine)
+}
+
+// selectOneShot is the pick both criteria share: the top-3 base-count
+// shortcut, then the top-10 candidate with the highest summed similarity
+// to the other candidates (the first one on a tie).
+func selectOneShot(ranked []RankedConfig, similarity func(a, b cloud.Config) float64) cloud.Config {
 	if len(ranked) == 0 {
 		return nil
 	}
-	if len(ranked) >= 3 {
-		b := ranked[0].Config.Base()
-		if ranked[1].Config.Base() == b && ranked[2].Config.Base() == b {
-			return ranked[0].Config
-		}
-	} else {
+	if b := ranked[0].Config.Base(); len(ranked) < 3 ||
+		ranked[1].Config.Base() == b && ranked[2].Config.Base() == b {
 		return ranked[0].Config
 	}
-	top := ranked
-	if len(top) > 10 {
-		top = top[:10]
-	}
-	bestIdx, bestSum := 0, -1.0
-	for i := range top {
+	top := ranked[:min(len(ranked), 10)]
+	score := func(i int) float64 {
 		sum := 0.0
 		for j := range top {
 			if j != i {
-				sum += cosine(top[i].Config, top[j].Config)
+				sum += similarity(top[i].Config, top[j].Config)
 			}
 		}
-		if sum > bestSum {
-			bestSum = sum
+		return sum
+	}
+	bestIdx, bestSum := 0, score(0)
+	for i := 1; i < len(top); i++ {
+		if s := score(i); s > bestSum {
+			bestSum = s
 			bestIdx = i
 		}
 	}

@@ -158,7 +158,12 @@ func TestUpperBoundBelowOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		configs := pool.Enumerate(2.5, cloud.WithMinBase(1))
+		var configs []cloud.Config
+		for _, c := range pool.Enumerate(2.5) {
+			if c.Base() >= 1 {
+				configs = append(configs, c)
+			}
+		}
 		rng := rand.New(rand.NewSource(21))
 		for trial := 0; trial < 12; trial++ {
 			cfg := configs[rng.Intn(len(configs))]

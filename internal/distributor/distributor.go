@@ -156,9 +156,6 @@ func NewDRS(opts Options, threshold int) *DRS {
 // Name implements sim.Distributor.
 func (d *DRS) Name() string { return fmt.Sprintf("DRS(t=%d)", d.threshold) }
 
-// Threshold returns the routing threshold.
-func (d *DRS) Threshold() int { return d.threshold }
-
 // Assign implements sim.Distributor: two FCFS lanes (base pool and aux
 // pool) with head-of-line blocking inside each lane.
 func (d *DRS) Assign(_ float64, waiting []sim.QueryView, instances []sim.InstanceView) []sim.Assignment {

@@ -315,9 +315,10 @@ func TestSchemesEndToEnd(t *testing.T) {
 	m := models.MustByName("RM2")
 	pool := cloud.ThreeTypePool()
 	spec := sim.ClusterSpec{Pool: pool, Config: cloud.Config{2, 1, 3}, Model: m}
+	// 1800 queries keep every probe at or below 60 QPS at least 30 s long.
 	find := func(factory sim.DistributorFactory) float64 {
 		return sim.FindAllowableThroughput(spec, factory, sim.FindOptions{
-			DurationMS: 30000, Seed: 77, PrecisionFrac: 0.05,
+			ProbeQueries: 1800, Seed: 77, PrecisionFrac: 0.05,
 			Batches: workload.DefaultTrace(),
 		})
 	}

@@ -90,24 +90,11 @@ func (e Env) Spec(cfg cloud.Config) sim.ClusterSpec {
 	return sim.ClusterSpec{Pool: e.Pool, Config: cfg, Model: e.Model, Oracle: e.Oracle}
 }
 
-// instanceNames lists the pool's type names.
-func (e Env) instanceNames() []string {
-	out := make([]string, len(e.Pool))
-	for i, t := range e.Pool {
-		out[i] = t.Name
-	}
-	return out
-}
-
-// warmProbes are the batch sizes used to warm predictors (two points pin
-// the exact line; the rest guard the lookup path).
-var warmProbes = []int{1, 250, 500, 750, 1000}
-
 // KairosFactory builds fresh Kairos distributors with a warmed latency
 // model.
 func (e Env) KairosFactory() sim.DistributorFactory {
 	return func() sim.Distributor {
-		var pred predictor.Predictor = predictor.Warmed(e.Model.Latency, e.instanceNames(), warmProbes)
+		var pred predictor.Predictor = core.WarmedPredictor(e.Pool, e.Model)
 		if e.PredictionNoise > 0 {
 			pred = predictor.NewNoisy(pred, e.PredictionNoise, e.Scale.Seed+7)
 		}

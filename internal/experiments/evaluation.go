@@ -257,10 +257,10 @@ func Fig11(scale Scale) Fig11Result {
 				inner.Add(1)
 				go func(seed int64) {
 					defer inner.Done()
-					r := search.Random(search.NewSession(eval, target, len(configs), true), configs, seed)
-					g := search.Genetic(search.NewSession(eval, target, len(configs), true),
+					r := search.Random(core.NewSession(eval, target, len(configs), true), configs, seed)
+					g := search.Genetic(core.NewSession(eval, target, len(configs), true),
 						env.Pool, scale.Budget, configs, seed)
-					b := search.Bayesian(search.NewSession(eval, target, len(configs), true), configs, seed)
+					b := search.Bayesian(core.NewSession(eval, target, len(configs), true), configs, seed)
 					mu.Lock()
 					rnd += float64(r.Evaluations)
 					gene += float64(g.Evaluations)
@@ -337,11 +337,11 @@ func Fig12(scale Scale) Fig12Result {
 	for i, rc := range ranked {
 		configs[i] = rc.Config
 	}
-	boSession := search.NewSession(func(c cloud.Config) float64 {
+	boSession := core.NewSession(func(c cloud.Config) float64 {
 		return env.Measure(c, env.RibbonFactory())
 	}, 0, steps, false)
 	bo := search.Bayesian(boSession, configs, scale.Seed)
-	res.Series["RIBBON"] = seriesFromHistory(searchQPS(bo.History), steps)
+	res.Series["RIBBON"] = seriesFromHistory(historyQPS(bo.History), steps)
 
 	// DRS and CLKWRK restart the same pruning search with their own
 	// mechanisms (as in Fig. 10).
@@ -358,14 +358,6 @@ func Fig12(scale Scale) Fig12Result {
 }
 
 func historyQPS(h []core.EvalRecord) []float64 {
-	out := make([]float64, len(h))
-	for i, rec := range h {
-		out[i] = rec.QPS
-	}
-	return out
-}
-
-func searchQPS(h []search.Record) []float64 {
 	out := make([]float64, len(h))
 	for i, rec := range h {
 		out[i] = rec.QPS

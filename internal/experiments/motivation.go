@@ -97,7 +97,7 @@ func Fig2(scale Scale) Fig2Result {
 	hom := pool.Homogeneous(scale.Budget)
 	homQPS := env.Measure(hom, env.RibbonFactory()) * pool.HomogeneousScale(scale.Budget)
 
-	session := search.NewSession(func(c cloud.Config) float64 {
+	session := core.NewSession(func(c cloud.Config) float64 {
 		return env.Measure(c, env.RibbonFactory())
 	}, 0, 40, false)
 	start := cloud.Config{1, 1, 1}

@@ -1,12 +1,15 @@
 package search
 
-import "kairos/internal/cloud"
+import (
+	"kairos/internal/cloud"
+	"kairos/internal/core"
+)
 
 // Bayesian explores with Gaussian-process expected improvement, Ribbon's
 // allocation strategy (the RIBBON bars of Fig. 11). Pruned candidates are
 // skipped without spending evaluations, mirroring the advantage the paper
 // grants the competing algorithms.
-func Bayesian(s *Session, configs []cloud.Config, seed int64) Result {
+func Bayesian(s *core.Session, configs []cloud.Config, seed int64) core.SearchResult {
 	if len(configs) == 0 {
 		return s.Result()
 	}

@@ -1,8 +1,9 @@
 // Package search implements the configuration-space exploration algorithms
 // the paper compares Kairos+ against (Sec. 8.3, Fig. 10-11): random search,
 // simulated annealing (the Sec. 4 motivation experiment), a genetic
-// algorithm and Bayesian optimization — all instrumented to count expensive
-// online evaluations, and all optionally granted Kairos+'s
+// algorithm and Bayesian optimization. Each spends through a
+// core.Session, Kairos+'s own evaluation ledger, so each counts expensive
+// online evaluations the same way and can be granted the same
 // sub-configuration pruning ("we purposely provide these competing
 // algorithms with the same sub-configuration pruning mechanism").
 package search
@@ -13,121 +14,12 @@ import (
 	"math/rand"
 
 	"kairos/internal/cloud"
+	"kairos/internal/core"
 )
-
-// Evaluator measures the actual allowable throughput of a configuration —
-// the expensive operation every online search spends (Sec. 4).
-type Evaluator func(cloud.Config) float64
-
-// Record is one online evaluation.
-type Record struct {
-	Config cloud.Config
-	QPS    float64
-}
-
-// Result summarizes a search run.
-type Result struct {
-	// Best is the highest-throughput configuration evaluated.
-	Best cloud.Config
-	// BestQPS is its measured throughput.
-	BestQPS float64
-	// Evaluations is the number of distinct online evaluations spent.
-	Evaluations int
-	// History lists evaluations in order.
-	History []Record
-	// ReachedTarget reports whether the stop target was hit before the
-	// evaluation budget ran out.
-	ReachedTarget bool
-}
-
-// Session tracks evaluations across one search run: memoization (repeat
-// visits are free, matching how a real system would cache a measured
-// configuration), sub-configuration pruning, a stop target, and a hard
-// evaluation budget.
-type Session struct {
-	// Eval is the underlying expensive evaluator.
-	Eval Evaluator
-	// Target stops the search once a configuration with QPS >= Target has
-	// been evaluated; zero disables.
-	Target float64
-	// MaxEvals caps spending; zero means unlimited.
-	MaxEvals int
-	// Prune enables sub-configuration pruning against evaluated configs.
-	Prune bool
-
-	res       Result
-	memo      map[string]float64
-	evaluated []cloud.Config
-}
-
-// NewSession builds a session.
-func NewSession(eval Evaluator, target float64, maxEvals int, prune bool) *Session {
-	if eval == nil {
-		panic("search: nil evaluator")
-	}
-	return &Session{
-		Eval:     eval,
-		Target:   target,
-		MaxEvals: maxEvals,
-		Prune:    prune,
-		memo:     make(map[string]float64),
-	}
-}
-
-// Done reports whether the search should stop (target hit or budget spent).
-func (s *Session) Done() bool {
-	if s.res.ReachedTarget {
-		return true
-	}
-	return s.MaxEvals > 0 && s.res.Evaluations >= s.MaxEvals
-}
-
-// Prunable reports whether the configuration is dominated by an evaluated
-// one (a sub-configuration can never do better), so skipping it is free.
-func (s *Session) Prunable(c cloud.Config) bool {
-	if !s.Prune {
-		return false
-	}
-	for _, ev := range s.evaluated {
-		if c.IsSubConfigOf(ev) {
-			return true
-		}
-	}
-	return false
-}
-
-// Measure evaluates a configuration (memoized) and updates the running
-// result. It returns the throughput.
-func (s *Session) Measure(c cloud.Config) float64 {
-	key := c.Key()
-	if v, ok := s.memo[key]; ok {
-		return v
-	}
-	if s.Done() {
-		// Out of budget: report the memoized floor without spending.
-		return 0
-	}
-	v := s.Eval(c)
-	s.memo[key] = v
-	s.evaluated = append(s.evaluated, c.Clone())
-	s.res.Evaluations++
-	s.res.History = append(s.res.History, Record{Config: c.Clone(), QPS: v})
-	if v > s.res.BestQPS || s.res.Best == nil {
-		s.res.BestQPS = v
-		s.res.Best = c.Clone()
-	}
-	if s.Target > 0 && v >= s.Target {
-		s.res.ReachedTarget = true
-	}
-	return v
-}
-
-// Result returns the accumulated outcome.
-func (s *Session) Result() Result { return s.res }
 
 // Random explores configurations in a seeded random order (RAND in
 // Fig. 11).
-func Random(s *Session, configs []cloud.Config, seed int64) Result {
+func Random(s *core.Session, configs []cloud.Config, seed int64) core.SearchResult {
 	rng := rand.New(rand.NewSource(seed))
 	order := rng.Perm(len(configs))
 	for _, idx := range order {
@@ -154,7 +46,7 @@ const (
 // SimulatedAnnealing explores by local moves (add/remove one instance)
 // within the budget, accepting worse configurations with Boltzmann
 // probability. It reproduces the Sec. 4 motivation experiment (Fig. 2).
-func SimulatedAnnealing(s *Session, pool cloud.Pool, budget float64, start cloud.Config, seed int64) Result {
+func SimulatedAnnealing(s *core.Session, pool cloud.Pool, budget float64, start cloud.Config, seed int64) core.SearchResult {
 	if len(start) != len(pool) {
 		panic(fmt.Sprintf("search: start config %v does not match pool", start))
 	}
@@ -216,7 +108,7 @@ const (
 // Genetic runs a steady genetic algorithm over the budgeted space (GENE in
 // Fig. 11): tournament selection, uniform crossover, +/-1 mutation, budget
 // repair by random removal.
-func Genetic(s *Session, pool cloud.Pool, budget float64, configs []cloud.Config, seed int64) Result {
+func Genetic(s *core.Session, pool cloud.Pool, budget float64, configs []cloud.Config, seed int64) core.SearchResult {
 	if len(configs) == 0 {
 		return s.Result()
 	}

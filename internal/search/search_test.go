@@ -4,11 +4,12 @@ import (
 	"testing"
 
 	"kairos/internal/cloud"
+	"kairos/internal/core"
 )
 
 // synthetic landscape: a smooth unimodal function over configs with known
 // argmax, standing in for the expensive throughput evaluator.
-func landscape(peak cloud.Config) Evaluator {
+func landscape(peak cloud.Config) core.EvalFunc {
 	return func(c cloud.Config) float64 {
 		return 1000 - c.SquaredDistance(peak)*7
 	}
@@ -27,7 +28,7 @@ func testSpace(t *testing.T) ([]cloud.Config, cloud.Pool, float64) {
 
 func TestSessionMemoization(t *testing.T) {
 	calls := 0
-	s := NewSession(func(cloud.Config) float64 { calls++; return 5 }, 0, 0, false)
+	s := core.NewSession(func(cloud.Config) float64 { calls++; return 5 }, 0, 0, false)
 	c := cloud.Config{1, 2, 3}
 	s.Measure(c)
 	s.Measure(c)
@@ -40,7 +41,7 @@ func TestSessionMemoization(t *testing.T) {
 }
 
 func TestSessionTargetStops(t *testing.T) {
-	s := NewSession(landscape(cloud.Config{2, 1, 3}), 1000, 0, false)
+	s := core.NewSession(landscape(cloud.Config{2, 1, 3}), 1000, 0, false)
 	s.Measure(cloud.Config{0, 0, 1}) // far from peak
 	if s.Done() {
 		t.Fatal("should not stop before target")
@@ -52,7 +53,7 @@ func TestSessionTargetStops(t *testing.T) {
 }
 
 func TestSessionMaxEvals(t *testing.T) {
-	s := NewSession(landscape(cloud.Config{1, 1, 1}), 0, 2, false)
+	s := core.NewSession(landscape(cloud.Config{1, 1, 1}), 0, 2, false)
 	s.Measure(cloud.Config{1, 0, 0})
 	s.Measure(cloud.Config{0, 1, 0})
 	if !s.Done() {
@@ -67,7 +68,7 @@ func TestSessionMaxEvals(t *testing.T) {
 }
 
 func TestSessionPruning(t *testing.T) {
-	s := NewSession(landscape(cloud.Config{2, 2, 2}), 0, 0, true)
+	s := core.NewSession(landscape(cloud.Config{2, 2, 2}), 0, 0, true)
 	s.Measure(cloud.Config{2, 2, 2})
 	if !s.Prunable(cloud.Config{1, 2, 2}) {
 		t.Fatal("sub-config of an evaluated config must be prunable")
@@ -75,7 +76,7 @@ func TestSessionPruning(t *testing.T) {
 	if s.Prunable(cloud.Config{3, 0, 0}) {
 		t.Fatal("incomparable config must not be prunable")
 	}
-	off := NewSession(landscape(cloud.Config{2, 2, 2}), 0, 0, false)
+	off := core.NewSession(landscape(cloud.Config{2, 2, 2}), 0, 0, false)
 	off.Measure(cloud.Config{2, 2, 2})
 	if off.Prunable(cloud.Config{1, 2, 2}) {
 		t.Fatal("pruning disabled must never prune")
@@ -88,13 +89,13 @@ func TestNewSessionPanicsOnNilEval(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewSession(nil, 0, 0, false)
+	core.NewSession(nil, 0, 0, false)
 }
 
 func TestRandomReachesTargetEventually(t *testing.T) {
 	configs, _, _ := testSpace(t)
 	peak := cloud.Config{2, 0, 4}
-	s := NewSession(landscape(peak), 1000, 0, false)
+	s := core.NewSession(landscape(peak), 1000, 0, false)
 	res := Random(s, configs, 7)
 	if !res.ReachedTarget {
 		t.Fatal("random over the whole space must hit the target")
@@ -106,8 +107,8 @@ func TestRandomReachesTargetEventually(t *testing.T) {
 
 func TestRandomDeterministicPerSeed(t *testing.T) {
 	configs, _, _ := testSpace(t)
-	mk := func() Result {
-		s := NewSession(landscape(cloud.Config{1, 2, 1}), 1000, 0, false)
+	mk := func() core.SearchResult {
+		s := core.NewSession(landscape(cloud.Config{1, 2, 1}), 1000, 0, false)
 		return Random(s, configs, 11)
 	}
 	a, b := mk(), mk()
@@ -119,8 +120,8 @@ func TestRandomDeterministicPerSeed(t *testing.T) {
 func TestRandomPruningSavesEvaluations(t *testing.T) {
 	configs, _, _ := testSpace(t)
 	peak := cloud.Config{0, 0, 1} // tiny config: nearly everything dominated
-	withPrune := Random(NewSession(landscape(peak), 0, 0, true), configs, 13)
-	without := Random(NewSession(landscape(peak), 0, 0, false), configs, 13)
+	withPrune := Random(core.NewSession(landscape(peak), 0, 0, true), configs, 13)
+	without := Random(core.NewSession(landscape(peak), 0, 0, false), configs, 13)
 	if withPrune.Evaluations >= without.Evaluations {
 		t.Fatalf("pruning did not save evaluations: %d vs %d",
 			withPrune.Evaluations, without.Evaluations)
@@ -130,7 +131,7 @@ func TestRandomPruningSavesEvaluations(t *testing.T) {
 func TestSimulatedAnnealingImproves(t *testing.T) {
 	_, pool, budget := testSpace(t)
 	peak := cloud.Config{3, 1, 3}
-	s := NewSession(landscape(peak), 0, 0, false)
+	s := core.NewSession(landscape(peak), 0, 0, false)
 	start := cloud.Config{1, 0, 1}
 	res := SimulatedAnnealing(s, pool, budget, start, 17)
 	startVal := landscape(peak)(start)
@@ -150,7 +151,7 @@ func TestSimulatedAnnealingImproves(t *testing.T) {
 
 func TestSimulatedAnnealingPanicsOnBadStart(t *testing.T) {
 	_, pool, budget := testSpace(t)
-	s := NewSession(func(cloud.Config) float64 { return 0 }, 0, 0, false)
+	s := core.NewSession(func(cloud.Config) float64 { return 0 }, 0, 0, false)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -162,7 +163,7 @@ func TestSimulatedAnnealingPanicsOnBadStart(t *testing.T) {
 func TestGeneticConvergesNearPeak(t *testing.T) {
 	configs, pool, budget := testSpace(t)
 	peak := cloud.Config{2, 1, 4}
-	s := NewSession(landscape(peak), 0, 0, false)
+	s := core.NewSession(landscape(peak), 0, 0, false)
 	res := Genetic(s, pool, budget, configs, 19)
 	peakVal := landscape(peak)(peak)
 	if res.BestQPS < peakVal-7*6 { // within distance ~6 of the peak
@@ -177,7 +178,7 @@ func TestGeneticConvergesNearPeak(t *testing.T) {
 
 func TestGeneticEmptySpace(t *testing.T) {
 	_, pool, budget := testSpace(t)
-	s := NewSession(func(cloud.Config) float64 { return 0 }, 0, 0, false)
+	s := core.NewSession(func(cloud.Config) float64 { return 0 }, 0, 0, false)
 	res := Genetic(s, pool, budget, nil, 1)
 	if res.Evaluations != 0 {
 		t.Fatal("empty candidate set must not evaluate")
@@ -188,7 +189,7 @@ func TestBayesianFindsPeakWithFewEvals(t *testing.T) {
 	configs, _, _ := testSpace(t)
 	peak := cloud.Config{3, 1, 3}
 	target := 1000.0 * 0.99
-	s := NewSession(landscape(peak), target, 80, false)
+	s := core.NewSession(landscape(peak), target, 80, false)
 	res := Bayesian(s, configs, 23)
 	if !res.ReachedTarget {
 		t.Fatalf("BO missed the target in %d evals (best %v at %v)",
@@ -205,7 +206,7 @@ func TestBayesianHandlesExhaustion(t *testing.T) {
 	// Tiny space with an unreachable target: must terminate after
 	// exhausting all candidates.
 	configs := []cloud.Config{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
-	s := NewSession(func(cloud.Config) float64 { return 1 }, 100, 0, false)
+	s := core.NewSession(func(cloud.Config) float64 { return 1 }, 100, 0, false)
 	res := Bayesian(s, configs, 29)
 	if res.ReachedTarget {
 		t.Fatal("target unreachable")

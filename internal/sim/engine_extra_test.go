@@ -111,7 +111,12 @@ func TestOracleDominatesSimulatedPolicies(t *testing.T) {
 	pool := cloud.ThreeTypePool()
 	m := models.MustByName("RM2")
 	rng := rand.New(rand.NewSource(25))
-	configs := pool.Enumerate(2.5, cloud.WithMinBase(1))
+	var configs []cloud.Config
+	for _, c := range pool.Enumerate(2.5) {
+		if c.Base() >= 1 {
+			configs = append(configs, c)
+		}
+	}
 	for trial := 0; trial < 5; trial++ {
 		cfg := configs[rng.Intn(len(configs))]
 		spec := ClusterSpec{Pool: pool, Config: cfg, Model: m}

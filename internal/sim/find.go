@@ -10,16 +10,10 @@ import (
 // FindOptions configure the allowable-throughput measurement.
 type FindOptions struct {
 	// ProbeQueries fixes the per-probe sample size: each probe run lasts
-	// ProbeQueries/rate seconds so high-QPS models do not need
-	// proportionally longer simulations. Takes precedence over DurationMS
-	// when both are set; defaults to 4000 when neither is set.
+	// ProbeQueries/rate seconds (at least 2 s, the first sixth warm-up)
+	// so high-QPS models do not need proportionally longer simulations.
+	// Defaults to 4000.
 	ProbeQueries int
-	// DurationMS is the fixed arrival horizon per probe run (used when
-	// ProbeQueries is zero).
-	DurationMS float64
-	// WarmupMS is excluded from measurement (only meaningful with a fixed
-	// DurationMS; adaptive probes use a 1/6 warmup fraction).
-	WarmupMS float64
 	// Seed fixes the random streams; every probe reuses the same seed
 	// (common random numbers) so the feasibility frontier is stable.
 	Seed int64
@@ -28,28 +22,25 @@ type FindOptions struct {
 	// PrecisionFrac terminates the bisection when hi-lo <= PrecisionFrac*hi
 	// (default 2%).
 	PrecisionFrac float64
-	// MaxRate bounds the search (default 4x the capacity estimate).
-	MaxRate float64
-	// MinRate is the smallest rate worth probing (default 1 QPS); a
-	// configuration that cannot sustain MinRate reports 0.
-	MinRate float64
 }
 
+// The search bracket: the smallest rate worth probing (a configuration
+// that cannot sustain it reports 0) and the ceiling as a multiple of the
+// capacity estimate.
+const (
+	minProbeRate     = 1
+	maxRateOverBound = 4
+)
+
 func (o FindOptions) withDefaults() FindOptions {
-	if o.DurationMS == 0 && o.ProbeQueries == 0 {
+	if o.ProbeQueries == 0 {
 		o.ProbeQueries = 4000
-	}
-	if o.DurationMS != 0 && o.WarmupMS == 0 {
-		o.WarmupMS = o.DurationMS / 6
 	}
 	if o.Batches == nil {
 		o.Batches = workload.DefaultTrace()
 	}
 	if o.PrecisionFrac == 0 {
 		o.PrecisionFrac = 0.02
-	}
-	if o.MinRate == 0 {
-		o.MinRate = 1
 	}
 	return o
 }
@@ -77,7 +68,7 @@ func capacityEstimate(spec ClusterSpec, meanBatch int) float64 {
 // maximum Poisson arrival rate whose 99th-percentile latency stays within
 // the model's QoS target (Sec. 3, Sec. 7). It brackets the feasibility
 // frontier geometrically and refines by bisection under common random
-// numbers. Returns 0 when even FindOptions.MinRate violates QoS.
+// numbers. Returns 0 when even 1 QPS violates QoS.
 func FindAllowableThroughput(spec ClusterSpec, factory DistributorFactory, opts FindOptions) float64 {
 	opts = opts.withDefaults()
 	if spec.Config.Total() == 0 {
@@ -85,19 +76,11 @@ func FindAllowableThroughput(spec ClusterSpec, factory DistributorFactory, opts 
 	}
 
 	feasible := func(rate float64) bool {
-		duration := opts.DurationMS
-		warmup := opts.WarmupMS
-		if opts.ProbeQueries > 0 {
-			duration = float64(opts.ProbeQueries) / rate * 1000
-			if duration < 2000 {
-				duration = 2000
-			}
-			warmup = duration / 6
-		}
+		duration := max(float64(opts.ProbeQueries)/rate*1000, 2000)
 		res := Run(spec, factory(), Options{
 			RatePerSec: rate,
 			DurationMS: duration,
-			WarmupMS:   warmup,
+			WarmupMS:   duration / 6,
 			Seed:       opts.Seed,
 			Batches:    opts.Batches,
 		})
@@ -114,21 +97,12 @@ func FindAllowableThroughput(spec ClusterSpec, factory DistributorFactory, opts 
 	if meanBatch < 1 {
 		meanBatch = 1
 	}
-	maxRate := opts.MaxRate
-	if maxRate == 0 {
-		maxRate = 4 * capacityEstimate(spec, meanBatch)
-	}
-	if maxRate < opts.MinRate {
-		maxRate = opts.MinRate
-	}
+	maxRate := max(maxRateOverBound*capacityEstimate(spec, meanBatch), minProbeRate)
 
 	// Bracket the feasibility frontier starting from a capacity-informed
 	// guess instead of ramping from 1 QPS.
 	var lo, hi float64
-	start := maxRate / 8
-	if start < opts.MinRate {
-		start = opts.MinRate
-	}
+	start := max(maxRate/8, minProbeRate)
 	if feasible(start) {
 		lo = start
 		hi = start * 2
@@ -143,10 +117,10 @@ func FindAllowableThroughput(spec ClusterSpec, factory DistributorFactory, opts 
 			}
 		}
 	} else {
-		if start <= opts.MinRate || !feasible(opts.MinRate) {
+		if start <= minProbeRate || !feasible(minProbeRate) {
 			return 0
 		}
-		lo, hi = opts.MinRate, start
+		lo, hi = minProbeRate, start
 	}
 	for hi-lo > opts.PrecisionFrac*hi {
 		mid := (lo + hi) / 2

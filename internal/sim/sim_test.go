@@ -170,10 +170,11 @@ func TestFindAllowableThroughputSingleBase(t *testing.T) {
 	// Fixed batch size makes capacity analytic: 1 / lat(100).
 	spec := rm2Spec(cloud.Config{1, 0, 0})
 	capacity := 1000 / spec.Model.Latency("g4dn.xlarge", 100) // ~14.8 QPS
+	// 450 queries keep every probe at or below 15 QPS at least 30 s long.
 	got := FindAllowableThroughput(spec, Static(FCFSAny{}), FindOptions{
-		DurationMS: 30000,
-		Seed:       5,
-		Batches:    workload.Fixed(100),
+		ProbeQueries: 450,
+		Seed:         5,
+		Batches:      workload.Fixed(100),
 	})
 	if got <= 0.2*capacity || got > capacity {
 		t.Fatalf("allowable throughput %v outside (%.1f, %.1f]", got, 0.2*capacity, capacity)
@@ -181,10 +182,11 @@ func TestFindAllowableThroughputSingleBase(t *testing.T) {
 }
 
 func TestFindAllowableThroughputScalesWithInstances(t *testing.T) {
+	// 540 queries keep every probe at or below 27 QPS at least 20 s long.
 	one := FindAllowableThroughput(rm2Spec(cloud.Config{1, 0, 0}), Static(FCFSAny{}), FindOptions{
-		DurationMS: 20000, Seed: 6, Batches: workload.Fixed(200)})
+		ProbeQueries: 540, Seed: 6, Batches: workload.Fixed(200)})
 	three := FindAllowableThroughput(rm2Spec(cloud.Config{3, 0, 0}), Static(FCFSAny{}), FindOptions{
-		DurationMS: 20000, Seed: 6, Batches: workload.Fixed(200)})
+		ProbeQueries: 540, Seed: 6, Batches: workload.Fixed(200)})
 	if three < 1.8*one {
 		t.Fatalf("3 instances (%v QPS) should far exceed 1 instance (%v QPS)", three, one)
 	}
@@ -194,10 +196,11 @@ func TestFindAllowableThroughputZeroWhenInfeasible(t *testing.T) {
 	// Auxiliary-only pool cannot serve max-size queries under QoS; with a
 	// fixed batch beyond its cutoff the allowable throughput is zero.
 	spec := rm2Spec(cloud.Config{0, 0, 2})
+	// 10 queries keep the 1 QPS floor probe 10 s long.
 	got := FindAllowableThroughput(spec, Static(FCFSAny{}), FindOptions{
-		DurationMS: 10000,
-		Seed:       7,
-		Batches:    workload.Fixed(1000),
+		ProbeQueries: 10,
+		Seed:         7,
+		Batches:      workload.Fixed(1000),
 	})
 	if got != 0 {
 		t.Fatalf("allowable throughput = %v, want 0", got)

@@ -36,6 +36,15 @@ type System struct {
 	Chaos *Chaos
 }
 
+// The replay's fixed shape: the streaming invariant checker's pace, the
+// number of concurrent ingress TCP connections, and how many
+// latency-trajectory buckets split the scenario.
+const (
+	snapshotEvery  = 25 * time.Millisecond
+	replayClients  = 4
+	latencyBuckets = 20
+)
+
 // Config tunes one soak run.
 type Config struct {
 	// Scenario is the adversarial workload to replay.
@@ -51,15 +60,6 @@ type Config struct {
 	Models []string
 	// Faults schedules the mid-run perturbations.
 	Faults []FaultSpec
-	// SnapshotEvery paces the streaming invariant checker (default
-	// 25ms).
-	SnapshotEvery time.Duration
-	// BucketMS sizes the latency-trajectory buckets in model
-	// milliseconds (default: duration/20).
-	BucketMS float64
-	// Clients is the number of concurrent ingress TCP connections
-	// (default 4).
-	Clients int
 	// Token is the bearer token the replay clients present at dial
 	// time; required when the ingress front door is auth-gated.
 	Token string
@@ -83,15 +83,6 @@ func (c *Config) withDefaults() error {
 	}
 	if c.TimeScale <= 0 {
 		c.TimeScale = 1
-	}
-	if c.SnapshotEvery <= 0 {
-		c.SnapshotEvery = 25 * time.Millisecond
-	}
-	if c.BucketMS <= 0 {
-		c.BucketMS = c.Scenario.DurationMS() / 20
-	}
-	if c.Clients <= 0 {
-		c.Clients = 4
 	}
 	if c.EmptyHold <= 0 {
 		c.EmptyHold = 30 * time.Second
@@ -135,7 +126,7 @@ func Run(sys System, cfg Config) (*Report, error) {
 	}
 	durMS := cfg.Scenario.DurationMS()
 
-	clients := make([]*ingress.Client, cfg.Clients)
+	clients := make([]*ingress.Client, replayClients)
 	for i := range clients {
 		c, err := ingress.DialWith(ing.TCPAddr(), ingress.DialOptions{Token: cfg.Token})
 		if err != nil {
@@ -152,7 +143,7 @@ func Run(sys System, cfg Config) (*Report, error) {
 		}
 	}()
 
-	rec := newRecorder(cfg.BucketMS)
+	rec := newRecorder(durMS / latencyBuckets)
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5eed5eed))
 	logf := cfg.Logf
 	if logf == nil {
@@ -166,7 +157,7 @@ func Run(sys System, cfg Config) (*Report, error) {
 	snapshotsDone := make(chan struct{})
 	go func() {
 		defer close(snapshotsDone)
-		tick := time.NewTicker(cfg.SnapshotEvery)
+		tick := time.NewTicker(snapshotEvery)
 		defer tick.Stop()
 		for {
 			select {

@@ -68,7 +68,7 @@ type (
 	// RankedConfig pairs a configuration with its throughput upper bound.
 	RankedConfig = core.RankedConfig
 	// PlusResult reports a Kairos+ pruning search.
-	PlusResult = core.PlusResult
+	PlusResult = core.SearchResult
 	// Result summarizes one simulation run.
 	Result = sim.Result
 )

@@ -112,14 +112,10 @@ func mustRegister(name string, factory PolicyFactory) {
 // warmedKairos builds the paper's distributor with the latency model
 // pre-trained from the calibrated surfaces.
 func warmedKairos(ctx PolicyContext) Distributor {
-	names := make([]string, len(ctx.Pool))
-	for i, t := range ctx.Pool {
-		names[i] = t.Name
-	}
 	return core.NewDistributor(core.DistributorOptions{
 		QoS:       ctx.Model.QoS,
 		BaseType:  ctx.Pool.Base().Name,
-		Predictor: predictor.Warmed(ctx.Model.Latency, names, []int{1, 250, 500, 750, 1000}),
+		Predictor: core.WarmedPredictor(ctx.Pool, ctx.Model),
 	})
 }
 
