@@ -120,10 +120,10 @@ func runAutopilot(args []string) {
 	cooldown := fs.Duration("cooldown", 0, "minimum gap between replans (0 = 2x interval)")
 	drift := fs.Float64("drift", 0, "total-variation drift trigger (0 = default 0.15)")
 	window := fs.Int("window", 2000, "live monitoring window per model (queries)")
-	minObs := fs.Int("min-obs", 0, "observations before a model's triggers arm (0 = window/10)")
+	minObs := fs.Int("min-obs", 0, "observations before a model's triggers arm (0 = window/10; at most -window)")
 	scaleInFloor := fs.Float64("scale-in", 0, "utilization floor arming the scale-in trigger (0 = disabled)")
 	scaleInTicks := fs.Int("scale-in-ticks", 0, "consecutive under-utilized ticks firing scale-in (0 = default 5)")
-	demandHeadroom := fs.Float64("demand-headroom", 0, "cap replanned capacity at observed arrivals x (1+headroom), leaving surplus budget unspent (0 = default 0.25, negative = disabled)")
+	demandHeadroom := fs.Float64("demand-headroom", 0, "cap replanned capacity at observed arrivals x (1+headroom), leaving surplus budget unspent (0 = default 0.25; always on, negative is refused)")
 	queries := fs.Int("queries", 2000, "number of queries to send (spread across models); 0 = generate no load, serve ingress traffic until interrupted")
 	rate := fs.Float64("rate", 300, "Poisson arrival rate (queries/second, model time)")
 	mixSpec := fs.String("mix", "gaussian:45:15", "phase-1 batch mix (trace | gaussian:M:S | uniform:LO:HI | fixed:N)")

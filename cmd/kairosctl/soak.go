@@ -46,18 +46,13 @@ func parseFault(spec string) (soak.FaultSpec, error) {
 }
 
 // parseFaults resolves the -fault specs and holds each to the rules
-// soak.Run applies, plus the one only the provider flag can settle, so a
-// bad spec is refused before anything launches: every run fronts its
-// fleet with a soak.Chaos, and only a kairosd process can be wedged.
-func parseFaults(specs []string, provider string) ([]soak.FaultSpec, error) {
+// soak.Run applies, so a bad spec is refused before anything launches.
+func parseFaults(specs []string) ([]soak.FaultSpec, error) {
 	faults := make([]soak.FaultSpec, len(specs))
 	for i, spec := range specs {
 		f, err := parseFault(spec)
 		if err == nil {
-			err = f.Validate(true)
-		}
-		if err == nil && f.Kind == soak.FaultWedge && provider != "exec" {
-			err = fmt.Errorf("fault %q: only a kairosd process can be wedged (-provider exec)", spec)
+			err = f.Validate()
 		}
 		if err != nil {
 			return nil, err
@@ -69,10 +64,10 @@ func parseFaults(specs []string, provider string) ([]soak.FaultSpec, error) {
 
 // runSoak implements `kairosctl soak`: it replays adversarial workload
 // scenarios through the external ingress against a live autopilot-managed
-// fleet while injecting faults mid-run — SIGKILLed instances, wedged
-// processes, slow or partitioned networks — and asserts the serving
-// invariant the whole system is built around: no admitted query is ever
-// dropped. Each scenario runs against a freshly launched fleet; the
+// fleet while injecting faults mid-run — SIGKILLed instances, spot
+// revocations, slow, stalled or partitioned networks — and asserts the
+// serving invariant the whole system is built around: no admitted query is
+// ever dropped. Each scenario runs against a freshly launched fleet; the
 // outcome (recovery times, tail-latency trajectory, every invariant
 // violation) lands in BENCH_soak.json and the exit status is non-zero if
 // any invariant broke.
@@ -84,10 +79,11 @@ func parseFaults(specs []string, provider string) ([]soak.FaultSpec, error) {
 //	    -provider exec -kairosd ./kairosd -o BENCH_soak.json
 //
 // Fault specs are KIND@AT[:DURATION[:DELAY]] with AT a fraction of the
-// scenario in [0,1): kill@0.3, wedge@0.5:500ms, stall@0.6:1s,
-// delay@0.2:1s:20ms, partition@0.7, preempt@0.4:800ms (DURATION is the
-// spot revocation notice window; the instance is hard-killed at the
-// deadline if its drain has not finished).
+// scenario in [0,1): kill@0.3, stall@0.6:1s, delay@0.2:1s:20ms,
+// partition@0.7, preempt@0.4:800ms (DURATION is the spot revocation
+// notice window; the instance is hard-killed at the deadline if its
+// drain has not finished). The five work the same under both providers;
+// stall is the silent-instance fault.
 //
 // With -spot-discount the fleet plans over a spot market: every
 // instance type gains a discounted spot variant, and -on-demand-floor
@@ -127,7 +123,7 @@ func runSoak(args []string) {
 	if err != nil {
 		log.Fatalf("kairosctl soak: %v", err)
 	}
-	faults, err := parseFaults(faultSpecs, fl.provider)
+	faults, err := parseFaults(faultSpecs)
 	if err != nil {
 		log.Fatalf("kairosctl soak: %v", err)
 	}

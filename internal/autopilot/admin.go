@@ -244,11 +244,10 @@ func (a *Autopilot) Status() Status {
 		Healthy:        lastErr == "",
 		UptimeSeconds:  uptime,
 		DriftThreshold: a.opts.DriftThreshold,
-		SLOPercentile:  a.opts.SLOPercentile,
+		SLOPercentile:  SLOPercentile,
 		ScaleIn: ScaleInStatus{
 			Enabled:     a.opts.ScaleInFloor > 0,
 			Floor:       a.opts.ScaleInFloor,
-			Hysteresis:  a.opts.ScaleInHysteresis,
 			TicksNeeded: a.opts.ScaleInTicks,
 		},
 		LastError:  lastErr,
@@ -256,6 +255,9 @@ func (a *Autopilot) Status() Status {
 		Models:     make(map[string]ModelStatus, len(a.names)),
 		Fleet:      fleetCounts(ctrlStats),
 		Controller: ctrlStats,
+	}
+	if out.ScaleIn.Enabled {
+		out.ScaleIn.Hysteresis = ScaleInHysteresis
 	}
 	if a.ingress != nil {
 		out.Ingress = IngressStatus{Enabled: true, HTTPAddr: a.ingress.HTTPAddr(), TCPAddr: a.ingress.TCPAddr()}
@@ -276,7 +278,7 @@ func (a *Autopilot) Status() Status {
 		ms.Drift = a.trig.models[name].lastDrift
 		w := &ms.Window
 		w.LatencySamples, w.ThroughputQPS, w.ArrivalQPS = st.latency.Len(), st.recentQPS, st.arrivalQPS
-		w.P50MS, w.P95MS, w.P99MS, w.TailMS = st.latencyMS(50), st.latencyMS(95), st.latencyMS(99), st.latencyMS(a.opts.SLOPercentile)
+		w.P50MS, w.P95MS, w.P99MS, w.TailMS = st.latencyMS(50), st.latencyMS(95), st.latencyMS(99), st.latencyMS(SLOPercentile)
 		out.Models[name] = ms
 	}
 	out.ThroughputQPS = a.rates.qps

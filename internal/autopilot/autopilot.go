@@ -42,15 +42,20 @@ const (
 	DefaultInterval = time.Second
 	// DefaultWindow sizes the live batch-mix and latency windows.
 	DefaultWindow = workload.DefaultWindow
-	// DefaultSLOPercentile is the paper's tail-latency percentile.
-	DefaultSLOPercentile = 99
 	// DefaultScaleInTicks is how many consecutive under-utilized control
 	// ticks arm the scale-in trigger.
 	DefaultScaleInTicks = 5
-	// DefaultScaleInHysteresis is the utilization band above the scale-in
-	// floor that resets the consecutive-tick counter; readings inside the
-	// band neither arm nor reset, damping oscillation around the floor.
-	DefaultScaleInHysteresis = 0.05
+)
+
+// The control loop's fixed rules.
+const (
+	// SLOPercentile is the paper's tail-latency percentile: each model's
+	// windowed p99 is checked against its QoS target.
+	SLOPercentile float64 = 99
+	// ScaleInHysteresis is the utilization band above the scale-in floor
+	// that resets the consecutive-tick counter; readings inside the band
+	// neither arm nor reset, damping oscillation around the floor.
+	ScaleInHysteresis = 0.05
 )
 
 // PlanFunc produces a fresh fleet plan from per-model live batch-size
@@ -75,14 +80,9 @@ type Options struct {
 	// 0 uses DefaultWindow.
 	Window int
 	// MinObservations gates a model's triggers until its live window holds
-	// this many completions; 0 uses Window/10 (at least 1).
+	// this many completions; 0 uses Window/10 (at least 1). It may not
+	// exceed Window, which could then never hold it.
 	MinObservations int
-	// SLOPercentile is the tail percentile checked against each model's
-	// latency objective; 0 uses DefaultSLOPercentile.
-	SLOPercentile float64
-	// SLOLatencyMS overrides every model's latency objective in model ms;
-	// 0 uses each model's own QoS target.
-	SLOLatencyMS float64
 	// Cooldown is the minimum wall-clock gap between replans; 0 uses
 	// 2*Interval.
 	Cooldown time.Duration
@@ -94,19 +94,14 @@ type Options struct {
 	// ScaleInTicks is the consecutive-tick count arming scale-in; 0 uses
 	// DefaultScaleInTicks.
 	ScaleInTicks int
-	// ScaleInHysteresis is the utilization band above the floor that
-	// resets the tick counter; 0 uses DefaultScaleInHysteresis.
-	ScaleInHysteresis float64
 	// Logf, when set, receives one line per control decision.
 	Logf func(format string, args ...any)
 
 	// DemandHeadroom tunes demand-aware replanning: every replan caps each
 	// model's planned throughput at its observed arrival rate times
 	// (1 + DemandHeadroom), leaving surplus budget unspent instead of
-	// buying capacity no model needs (see core.PlanFleet). Demand capping
-	// is on by default: 0 uses core.DefaultHeadroom; a negative value
-	// disables capping, so replans maximize throughput under the full
-	// budget.
+	// buying capacity no model needs (see core.PlanFleet). 0 uses
+	// core.DefaultHeadroom; a negative value is refused.
 	DemandHeadroom float64
 	// OnDemandFloor arms risk-bounded spot planning, as a fraction of each
 	// model's observed arrival rate: in a pool carrying spot capacity
@@ -115,8 +110,8 @@ type Options struct {
 	// least OnDemandFloor times its arrival rate, so losing every spot
 	// instance at once still leaves that fraction of demand servable (see
 	// core.ModelDemand.OnDemandFloor). 0 disables the floor; it is also
-	// inert in pools without spot capacity and while demand capping is
-	// disabled.
+	// inert in pools without spot capacity and for a model whose arrival
+	// rate is still unknown.
 	OnDemandFloor float64
 
 	// Provider is the actuation driver the fleet is launched through; nil
@@ -201,40 +196,26 @@ func (o Options) withDefaults(timeScale float64, ms []models.Model) (Options, er
 		o.Window = DefaultWindow
 	}
 	if o.MinObservations <= 0 {
-		o.MinObservations = o.Window / 10
-		if o.MinObservations < 1 {
-			o.MinObservations = 1
-		}
+		o.MinObservations = max(o.Window/10, 1)
 	}
-	if o.SLOPercentile == 0 {
-		o.SLOPercentile = DefaultSLOPercentile
-	}
-	if o.SLOPercentile <= 0 || o.SLOPercentile > 100 {
-		return o, fmt.Errorf("autopilot: SLO percentile %v outside (0,100]", o.SLOPercentile)
-	}
-	if o.SLOLatencyMS < 0 {
-		return o, fmt.Errorf("autopilot: negative SLO latency %v", o.SLOLatencyMS)
+	if o.MinObservations > o.Window {
+		return o, fmt.Errorf("autopilot: %d minimum observations exceed the %d-query window, so no model would ever warm",
+			o.MinObservations, o.Window)
 	}
 	if o.Cooldown <= 0 {
 		o.Cooldown = 2 * o.Interval
 	}
-	if o.ScaleInFloor < 0 || o.ScaleInFloor >= 1 {
-		return o, fmt.Errorf("autopilot: scale-in floor %v outside [0,1)", o.ScaleInFloor)
+	if o.ScaleInFloor < 0 || o.ScaleInFloor+ScaleInHysteresis >= 1 {
+		return o, fmt.Errorf("autopilot: scale-in floor %v outside [0,%v)", o.ScaleInFloor, 1-ScaleInHysteresis)
 	}
-	if o.ScaleInFloor > 0 {
-		if o.ScaleInTicks <= 0 {
-			o.ScaleInTicks = DefaultScaleInTicks
-		}
-		if o.ScaleInHysteresis == 0 {
-			o.ScaleInHysteresis = DefaultScaleInHysteresis
-		}
-		if o.ScaleInHysteresis < 0 || o.ScaleInFloor+o.ScaleInHysteresis >= 1 {
-			return o, fmt.Errorf("autopilot: scale-in hysteresis %v leaves no utilization headroom above floor %v",
-				o.ScaleInHysteresis, o.ScaleInFloor)
-		}
+	if o.ScaleInFloor > 0 && o.ScaleInTicks <= 0 {
+		o.ScaleInTicks = DefaultScaleInTicks
 	}
 	if o.DemandHeadroom == 0 {
 		o.DemandHeadroom = core.DefaultHeadroom
+	}
+	if o.DemandHeadroom < 0 {
+		return o, fmt.Errorf("autopilot: negative demand headroom %v", o.DemandHeadroom)
 	}
 	if o.OnDemandFloor < 0 {
 		return o, fmt.Errorf("autopilot: negative on-demand floor %v", o.OnDemandFloor)
@@ -251,8 +232,8 @@ func (o Options) withDefaults(timeScale float64, ms []models.Model) (Options, er
 	}
 	if o.Provider == nil {
 		o.Provider = NewFleet(timeScale, ms...)
-	} else if ts, ok := o.Provider.(interface{ TimeScale() float64 }); ok && ts.TimeScale() != timeScale {
-		return o, fmt.Errorf("autopilot: provider runs at time scale %v, the deployment at %v", ts.TimeScale(), timeScale)
+	} else if ts := o.Provider.TimeScale(); ts != timeScale {
+		return o, fmt.Errorf("autopilot: provider runs at time scale %v, the deployment at %v", ts, timeScale)
 	}
 	return o, nil
 }
@@ -284,16 +265,12 @@ func budgetPlanner(pool cloud.Pool, ms []models.Model, fullBudget float64, o Opt
 			if len(s) == 0 {
 				continue
 			}
-			d := core.ModelDemand{Model: m, Samples: s}
-			if headroom > 0 {
-				d.ArrivalQPS = arrivals[m.Name]
-				d.Headroom = headroom
-				// The on-demand floor derives from the same observed demand the
-				// cap does, so it rides the same arrival rate (and is inert
-				// while demand capping is disabled or the rate is unknown).
-				d.OnDemandFloor = floor
-			}
-			demands = append(demands, d)
+			// The on-demand floor derives from the same observed demand the
+			// cap does, so it rides the same arrival rate (and is inert while
+			// the rate is unknown).
+			demands = append(demands, core.ModelDemand{
+				Model: m, Samples: s, ArrivalQPS: arrivals[m.Name], Headroom: headroom, OnDemandFloor: floor,
+			})
 		}
 		if len(demands) == 0 {
 			return nil, fmt.Errorf("autopilot: no model has a planning sample")
@@ -472,9 +449,6 @@ func assemble(fl fleet, initial core.FleetPlan, w Wiring, opts Options, now func
 	for _, m := range w.Models {
 		a.states[m.Name] = &modelState{monitor: workload.NewMonitor(o.Window), latency: obs.NewWindow(o.Window)}
 		mt := &modelTrigger{sloMS: m.QoS}
-		if o.SLOLatencyMS > 0 {
-			mt.sloMS = o.SLOLatencyMS
-		}
 		if ref := w.References[m.Name]; ref != nil {
 			if mt.detector, err = NewDriftDetector(ref, DefaultDriftBins); err != nil {
 				return nil, fmt.Errorf("autopilot: reference for %s: %w", m.Name, err)
@@ -531,11 +505,8 @@ func (a *Autopilot) loop() {
 	ticker := time.NewTicker(a.opts.Interval)
 	defer ticker.Stop()
 	// Providers backed by revocable capacity announce preemptions; a nil
-	// channel (no Noticer, or one that cannot deliver) never fires.
-	var notices <-chan Preemption
-	if n, ok := a.provider.(Noticer); ok {
-		notices = n.Notices()
-	}
+	// channel (one that cannot deliver) never fires.
+	notices := a.provider.Notices()
 	for {
 		select {
 		case <-a.stop:

@@ -115,9 +115,10 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	for name, opts := range map[string]Options{
 		"bad drift":                      {DriftThreshold: 1.5},
-		"bad percentile":                 {SLOPercentile: 101},
 		"bad scale-in floor":             {ScaleInFloor: 1.2},
-		"bad scale-in band":              {ScaleInFloor: 0.6, ScaleInHysteresis: 0.5},
+		"scale-in floor inside the band": {ScaleInFloor: 1 - ScaleInHysteresis},
+		"min observations over window":   {Window: 100, MinObservations: 500},
+		"negative demand headroom":       {DemandHeadroom: -1},
 		"bad floor":                      {OnDemandFloor: -1},
 		"bad door":                       {Ingress: &ingress.Options{RateLimit: 5}},
 		"provider at another time scale": {Provider: NewFleet(0.5, m)},
@@ -132,9 +133,8 @@ func TestOptionsValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if o.Interval != DefaultInterval || o.Window != DefaultWindow ||
-		o.MinObservations != DefaultWindow/10 || o.SLOLatencyMS != 0 ||
-		o.SLOPercentile != DefaultSLOPercentile || o.Cooldown != 2*DefaultInterval ||
-		o.ScaleInTicks != DefaultScaleInTicks || o.ScaleInHysteresis != DefaultScaleInHysteresis ||
+		o.MinObservations != DefaultWindow/10 || o.Cooldown != 2*DefaultInterval ||
+		o.ScaleInTicks != DefaultScaleInTicks ||
 		o.DriftThreshold != DefaultDriftThreshold || o.DemandHeadroom != core.DefaultHeadroom {
 		t.Fatalf("defaults = %+v", o)
 	}
@@ -161,7 +161,9 @@ func startAutopilot(t *testing.T, initial cloud.Config, w Wiring, opts Options) 
 		t.Fatal(err)
 	}
 	w.Pool = pool
-	w.Models = []models.Model{m}
+	if w.Models == nil {
+		w.Models = []models.Model{m}
+	}
 	opts.Provider = fleet
 	ap, err := New(ctrl, plan(m, initial), w, opts)
 	if err != nil {
@@ -319,9 +321,11 @@ func TestStepCooldownHoldsTriggers(t *testing.T) {
 func TestStepSLOTrigger(t *testing.T) {
 	t.Parallel()
 	m := ncf()
+	m.QoS = 0.0001 // everything breaches
 	initial := cloud.Config{0, 0, 1, 0}
 	small := workload.Uniform{Min: 10, Max: 60}
 	w := Wiring{
+		Models: []models.Model{m},
 		Plan: singlePlan(m, func([]int) (cloud.Config, error) {
 			return cloud.Config{0, 0, 1, 0}, nil // planner sees no better option
 		}),
@@ -330,7 +334,6 @@ func TestStepSLOTrigger(t *testing.T) {
 	opts := Options{
 		Window:          40,
 		MinObservations: 10,
-		SLOLatencyMS:    0.0001, // everything breaches
 	}
 	ap := startAutopilot(t, initial, w, opts)
 	rng := rand.New(rand.NewSource(2))
@@ -446,10 +449,10 @@ func TestScaleInHysteresis(t *testing.T) {
 	w := Wiring{
 		Plan: singlePlan(m, func([]int) (cloud.Config, error) { return cloud.Config{0, 0, 1, 0}, nil }),
 	}
+	const floor = 0.4
 	opts := Options{
-		ScaleInFloor:      0.4,
-		ScaleInHysteresis: 0.2,
-		ScaleInTicks:      3,
+		ScaleInFloor: floor,
+		ScaleInTicks: 3,
 	}
 	ap := startAutopilot(t, cloud.Config{0, 0, 1, 0}, w, opts)
 
@@ -460,14 +463,14 @@ func TestScaleInHysteresis(t *testing.T) {
 		t.Fatal("fired before ticks-needed")
 	}
 	// Inside the hysteresis band: neither arms nor resets.
-	if ap.trig.scaleInTick(0.5, true) {
+	if ap.trig.scaleInTick(floor+ScaleInHysteresis/2, true) {
 		t.Fatal("band reading must not fire")
 	}
 	if !ap.trig.scaleInTick(0.3, true) {
 		t.Fatal("third low reading must fire")
 	}
 	// Above floor+band: resets the run.
-	if ap.trig.scaleInTick(0.7, true) {
+	if ap.trig.scaleInTick(floor+2*ScaleInHysteresis, true) {
 		t.Fatal("high reading must reset")
 	}
 	if ap.trig.scaleInTick(0.1, true) {

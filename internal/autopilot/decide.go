@@ -96,8 +96,7 @@ func (dec *Decision) kind(err error) string {
 
 // modelTrigger is one model's trigger memory.
 type modelTrigger struct {
-	// sloMS is the model's latency objective (Options.SLOLatencyMS or the
-	// model's own QoS target).
+	// sloMS is the model's latency objective, its QoS target.
 	sloMS float64
 	// detector holds the armed reference mix (nil until the model's first
 	// warm window arms it); lastDrift is the last distance measured from it.
@@ -172,7 +171,7 @@ func (t *triggers) decide(now time.Time, r readings, current core.FleetPlan) (de
 		for _, ty := range t.pool {
 			cheapest = min(cheapest, ty.PricePerHour)
 		}
-		shrunk := max(cost*r.util/(t.opts.ScaleInFloor+t.opts.ScaleInHysteresis), cheapest)
+		shrunk := max(cost*r.util/(t.opts.ScaleInFloor+ScaleInHysteresis), cheapest)
 		if shrunk >= cost-1e-9 {
 			t.lowTicks = 0
 			dec.ScaleInTriggered = false
@@ -213,7 +212,7 @@ func (t *triggers) modelSummary(dec Decision) string {
 			parts = append(parts, fmt.Sprintf("%s cold", name))
 			continue
 		}
-		parts = append(parts, fmt.Sprintf("%s drift %.3f p%g %.1fms", name, md.Drift, t.opts.SLOPercentile, md.TailMS))
+		parts = append(parts, fmt.Sprintf("%s drift %.3f p%g %.1fms", name, md.Drift, SLOPercentile, md.TailMS))
 	}
 	return strings.Join(parts, "; ")
 }
@@ -228,7 +227,7 @@ func (t *triggers) scaleInTick(util float64, valid bool) bool {
 	switch {
 	case util < t.opts.ScaleInFloor:
 		t.lowTicks++
-	case util > t.opts.ScaleInFloor+t.opts.ScaleInHysteresis:
+	case util > t.opts.ScaleInFloor+ScaleInHysteresis:
 		t.lowTicks = 0
 	}
 	return t.lowTicks >= t.opts.ScaleInTicks

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"os/exec"
 	"strconv"
 	"strings"
@@ -196,26 +195,4 @@ func spawnKairosd(bin, model, typeName string, timeScale float64) (*execProc, st
 		return fail(err)
 	}
 	return p, addr, nil
-}
-
-// Wedge SIGSTOPs the kairosd at addr — the stalled-instance fault: the
-// process keeps its sockets open but stops replying. Resume un-wedges
-// it. An in-process instance cannot be wedged.
-func (f *Fleet) Wedge(addr string) error { return f.signal(addr, "wedging", suspendProcess) }
-
-// Resume SIGCONTs a wedged kairosd at addr.
-func (f *Fleet) Resume(addr string) error { return f.signal(addr, "resuming", resumeProcess) }
-
-// signal sends the kairosd at addr a signal, logging it as verb.
-func (f *Fleet) signal(addr, verb string, send func(*os.Process) error) error {
-	m, err := f.member(addr)
-	if err != nil {
-		return err
-	}
-	p, ok := m.inst.(*execProc)
-	if !ok {
-		return fmt.Errorf("autopilot: the %s instance at %s is no process to signal", f.kind, addr)
-	}
-	f.logf("autopilot: %s %s %s/%s pid %d at %s", f.kind, verb, m.model, m.typeName, p.cmd.Process.Pid, addr)
-	return send(p.cmd.Process)
 }

@@ -19,14 +19,3 @@ func detachProcessGroup(cmd *exec.Cmd) {
 func terminateProcess(p *os.Process) error {
 	return p.Signal(syscall.SIGTERM)
 }
-
-// suspendProcess wedges a kairosd (SIGSTOP): the process keeps its
-// sockets but stops replying — the soak harness's stalled-instance fault.
-func suspendProcess(p *os.Process) error {
-	return p.Signal(syscall.SIGSTOP)
-}
-
-// resumeProcess un-wedges a SIGSTOP'd kairosd (SIGCONT).
-func resumeProcess(p *os.Process) error {
-	return p.Signal(syscall.SIGCONT)
-}

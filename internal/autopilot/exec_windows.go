@@ -3,7 +3,6 @@
 package autopilot
 
 import (
-	"errors"
 	"os"
 	"os/exec"
 )
@@ -19,15 +18,4 @@ func detachProcessGroup(cmd *exec.Cmd) {}
 // instance, so there are no in-flight queries to lose.
 func terminateProcess(p *os.Process) error {
 	return p.Kill()
-}
-
-// suspendProcess is unsupported on Windows (no SIGSTOP); the soak
-// harness's wedge fault needs a unix host.
-func suspendProcess(p *os.Process) error {
-	return errors.New("autopilot: suspend is not supported on windows")
-}
-
-// resumeProcess is unsupported on Windows (no SIGCONT).
-func resumeProcess(p *os.Process) error {
-	return errors.New("autopilot: resume is not supported on windows")
 }

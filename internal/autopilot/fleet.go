@@ -16,13 +16,13 @@ import (
 // loopback inside the controlling process (the zero-setup provider tests,
 // examples and single-binary runs use), NewExecFleet's spawns real
 // kairosd processes (exec.go). Stop, Reap, Kill and Preempt mean the same
-// for both; only a kairosd process can be wedged.
+// for both.
 type Fleet struct {
 	// Front, when set, interposes on every instance at launch: it gets
 	// the instance's own address and returns the address the controller
 	// dials instead, with the release to run when the instance goes.
 	// That address is then the instance's only one: Addrs, preemption
-	// notices, Stop, Reap, Kill, Wedge and Preempt all name it. Set it
+	// notices, Stop, Reap, Kill and Preempt all name it. Set it
 	// before the first Launch.
 	Front func(addr string) (front string, release func(), err error)
 	// Logf, when set, receives one line per instance lifecycle event.
@@ -37,11 +37,7 @@ type Fleet struct {
 	members map[string]*member // keyed by address; nil once closed
 }
 
-var (
-	_ Provider = (*Fleet)(nil)
-	_ Reaper   = (*Fleet)(nil)
-	_ Noticer  = (*Fleet)(nil)
-)
+var _ Provider = (*Fleet)(nil)
 
 // instance is one launched instance as its launcher drives it.
 type instance interface {
@@ -200,8 +196,8 @@ func (f *Fleet) stop(addr string, m *member) error {
 	return nil
 }
 
-// Reap releases an instance that died on its own (implements Reaper).
-// Unknown addresses are fine: the fault may already have been reaped.
+// Reap releases an instance that died on its own. Unknown addresses are
+// fine: the fault may already have been reaped.
 func (f *Fleet) Reap(addr string) error {
 	if m := f.forget(addr); m != nil {
 		m.drop()
@@ -223,8 +219,7 @@ func (f *Fleet) Kill(addr string) error {
 	return m.inst.kill()
 }
 
-// Notices implements Noticer: the channel Preempt announces revocations
-// on.
+// Notices is the channel Preempt announces revocations on.
 func (f *Fleet) Notices() <-chan Preemption { return f.notices }
 
 // Preempt plays what a cloud spot market does to reclaim the instance at
@@ -291,8 +286,8 @@ func (f *Fleet) Size() int {
 }
 
 // Close stops every running instance; Launch fails from here on. The
-// stops are independent, so they run concurrently: a fleet of wedged
-// daemons costs one stopTimeout, not one per process.
+// stops are independent, so they run concurrently: a fleet of daemons
+// that ignore SIGTERM costs one stopTimeout, not one per process.
 func (f *Fleet) Close() error {
 	f.mu.Lock()
 	members := f.members

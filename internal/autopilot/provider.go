@@ -15,7 +15,10 @@ import (
 // in-process loopback servers and exec'd kairosd processes (both a Fleet,
 // with different launchers), and eventually SSH- or cloud-provisioned
 // hosts — the pluggable "how instances are launched" edge of the system
-// (INFaaS / KubeAI style).
+// (INFaaS / KubeAI style). It is one contract with no optional
+// extensions: a provider that cannot deliver preemption notices returns a
+// nil channel, and one with nothing to release for a dead instance
+// returns nil from Reap.
 //
 // The contract with the actuator: Launch returns only once the instance
 // is accepting controller connections and announcing the right model and
@@ -28,6 +31,22 @@ type Provider interface {
 	Launch(model, typeName string) (string, error)
 	// Stop tears down the instance at addr.
 	Stop(addr string) error
+	// Reap releases whatever the provider still holds for an instance
+	// that died on its own, without the drained-first contract Stop
+	// assumes. Reaping an address the provider no longer tracks is not an
+	// error.
+	Reap(addr string) error
+	// Notices delivers preemption notices for instances the market is
+	// about to reclaim. The channel is never closed and may be nil when
+	// the provider cannot deliver notices. The control loop treats each
+	// notice as a first-class trigger distinct from death: drain the
+	// doomed instance immediately, then replan around the hole before
+	// the deadline.
+	Notices() <-chan Preemption
+	// TimeScale is the time dilation the instances serve at; it must
+	// match the deployment's, or every latency, rate and utilization
+	// reading would be skewed.
+	TimeScale() float64
 	// Addrs lists the running instances' addresses in unspecified order.
 	Addrs() []string
 	// Close stops every running instance.
@@ -38,25 +57,6 @@ type Provider interface {
 // must not bring an instance to life nobody will stop.
 var errClosed = errors.New("autopilot: provider is closed")
 
-// Reaper is an optional Provider extension for fault handling: Reap
-// releases whatever the provider still holds for an instance that died on
-// its own — the Fleet reaps the kairosd process or closes the server and
-// releases its interposer — without the drained-first contract Stop
-// assumes. Reaping an address the provider no longer tracks is not an
-// error.
-type Reaper interface {
-	Reap(addr string) error
-}
-
-// reap releases a dead instance through the provider's Reaper extension
-// when it has one, falling back to a best-effort Stop.
-func reap(p Provider, addr string) error {
-	if r, ok := p.(Reaper); ok {
-		return r.Reap(addr)
-	}
-	return p.Stop(addr)
-}
-
 // Preemption is a spot-market revocation notice: the capacity market
 // reclaims the instance at Addr no later than Deadline. Between notice
 // and deadline the instance serves normally — the window exists so a
@@ -66,16 +66,6 @@ type Preemption struct {
 	Addr string
 	// Deadline is when the instance dies regardless of drain progress.
 	Deadline time.Time
-}
-
-// Noticer is an optional Provider extension for revocable capacity:
-// Notices delivers preemption notices for instances the market is about
-// to reclaim. The channel is never closed and may be nil when the
-// provider cannot deliver notices. The control loop treats each notice
-// as a first-class trigger distinct from death: drain the doomed
-// instance immediately, then replan around the hole before the deadline.
-type Noticer interface {
-	Notices() <-chan Preemption
 }
 
 // Deploy launches plan[model][i] instances of pool[i] for every model on

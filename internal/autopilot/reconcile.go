@@ -293,7 +293,7 @@ func (a *Autopilot) onInstanceDown(model, typeName, addr string, cause error) {
 	})
 	a.logf("autopilot: instance down: %s", detail)
 	a.spawn(func() {
-		if err := reap(a.provider, addr); err != nil {
+		if err := a.provider.Reap(addr); err != nil {
 			a.logf("autopilot: reaping %s: %v", addr, err)
 		}
 		a.kick()

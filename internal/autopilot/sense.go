@@ -117,7 +117,7 @@ func (a *Autopilot) read(name string) modelReading {
 	window := st.monitor.Snapshot()
 	m := modelReading{window: window, warm: len(window) >= a.opts.MinObservations, sample: a.planSample(name, window)}
 	a.mu.Lock()
-	m.tailMS, m.latN, m.arrivalQPS = st.latencyMS(a.opts.SLOPercentile), st.latency.Len(), st.arrivalQPS
+	m.tailMS, m.latN, m.arrivalQPS = st.latencyMS(SLOPercentile), st.latency.Len(), st.arrivalQPS
 	a.mu.Unlock()
 	return m
 }

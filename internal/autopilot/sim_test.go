@@ -108,7 +108,21 @@ func (p *simProvider) Close() error {
 	return nil
 }
 
+// Reap releases a dead instance like Stop does; an address already gone
+// is fine.
+func (p *simProvider) Reap(addr string) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.live[addr] != nil {
+		delete(p.live, addr)
+		p.stops++
+	}
+	return nil
+}
+
 func (p *simProvider) Notices() <-chan Preemption { return p.notices }
+
+func (p *simProvider) TimeScale() float64 { return 1 }
 
 // simFleet is the fake controller: the instances connected to it and the
 // counters sense reads.
@@ -234,7 +248,7 @@ func (f *simFleet) kill(addr string) {
 const (
 	simCooldown = 5 * time.Second
 	simFloor    = 0.3
-	simBand     = 0.1
+	simBand     = ScaleInHysteresis
 	simSLOMS    = 10
 )
 
@@ -287,7 +301,9 @@ func newSimWorld(t *testing.T, seed int64) *simWorld {
 	w.fleet = newSimFleet(w.prov)
 	ms := []models.Model{models.MustByName("MT-WND"), models.MustByName("NCF")}
 	initial := core.FleetPlan{}
-	for _, m := range ms {
+	for i := range ms {
+		ms[i].QoS = simSLOMS
+		m := ms[i]
 		w.models = append(w.models, m.Name)
 		initial[m.Name] = simSmall.Clone()
 	}
@@ -314,8 +330,8 @@ func newSimWorld(t *testing.T, seed int64) *simWorld {
 		},
 		References: map[string][]int{"NCF": small},
 	}, Options{
-		Provider: w.prov, Window: 40, MinObservations: 20, Cooldown: simCooldown, SLOLatencyMS: simSLOMS,
-		ScaleInFloor: simFloor, ScaleInHysteresis: simBand, ScaleInTicks: 2,
+		Provider: w.prov, Window: 40, MinObservations: 20, Cooldown: simCooldown,
+		ScaleInFloor: simFloor, ScaleInTicks: 2,
 	}, func() time.Time { return w.now })
 	if err != nil {
 		t.Fatal(err)
@@ -705,11 +721,11 @@ func TestStatusPercentilesMatchWindow(t *testing.T) {
 		return got
 	}
 	got := w.a.Status().Models["NCF"].Window
-	if got.LatencySamples != 40 || got.P50MS != q(50) || got.P95MS != q(95) || got.P99MS != q(99) || got.TailMS != q(DefaultSLOPercentile) {
-		t.Fatalf("status window %+v, want p50 %v p95 %v p99 %v tail %v over 40 samples", got, q(50), q(95), q(99), q(DefaultSLOPercentile))
+	if got.LatencySamples != 40 || got.P50MS != q(50) || got.P95MS != q(95) || got.P99MS != q(99) || got.TailMS != q(SLOPercentile) {
+		t.Fatalf("status window %+v, want p50 %v p95 %v p99 %v tail %v over 40 samples", got, q(50), q(95), q(99), q(SLOPercentile))
 	}
-	if tail := w.a.read("NCF").tailMS; tail != q(DefaultSLOPercentile) {
-		t.Fatalf("sensed tail %v, want %v", tail, q(DefaultSLOPercentile))
+	if tail := w.a.read("NCF").tailMS; tail != q(SLOPercentile) {
+		t.Fatalf("sensed tail %v, want %v", tail, q(SLOPercentile))
 	}
 	if empty := w.a.Status().Models["MT-WND"].Window; empty.LatencySamples != 0 || empty.P99MS != 0 || empty.TailMS != 0 {
 		t.Fatalf("empty window reports %+v", empty)
@@ -750,13 +766,12 @@ func TestSLOTriggerBoundary(t *testing.T) {
 	}
 }
 
-// TestTailGaugeFollowsSLOPercentile: under SLOPercentile 95 the tail gauge
-// on /metrics, the tick's journalled ModelDecision.TailMS and the /statusz
-// window tail are one number — the p95, not the p99.
+// TestTailGaugeFollowsSLOPercentile: the tail gauge on /metrics, the
+// tick's journalled ModelDecision.TailMS and the /statusz window tail are
+// one number — the SLOPercentile (p99) tail, distinct from the p95.
 func TestTailGaugeFollowsSLOPercentile(t *testing.T) {
 	t.Parallel()
 	w := newSimWorld(t, 1)
-	w.a.opts.SLOPercentile, w.a.trig.opts.SLOPercentile = 95, 95
 	w.a.trig.models["NCF"].sloMS = 1e4 // a steady tick: no trigger resets the window
 	for i := 1; i <= 40; i++ {
 		// NCF's reference mix (20..59), and p95 (rank 38) and p99 (rank 40)
@@ -769,8 +784,8 @@ func TestTailGaugeFollowsSLOPercentile(t *testing.T) {
 	decided := evs[len(evs)-1].Models["NCF"]
 	st := w.a.Status()
 	win := st.Models["NCF"].Window
-	if !decided.Checked || decided.TailMS != win.TailMS || win.TailMS == win.P99MS {
-		t.Fatalf("journalled %+v, /statusz window %+v: want one p95 tail, distinct from p99", decided, win)
+	if !decided.Checked || decided.TailMS != win.TailMS || win.TailMS != win.P99MS || win.TailMS == win.P95MS {
+		t.Fatalf("journalled %+v, /statusz window %+v: want one p99 tail, distinct from p95", decided, win)
 	}
 	var buf bytes.Buffer
 	if err := writePrometheus(&buf, &st, w.a.names, obs.HistSnapshot{}, obs.HistSnapshot{}, obs.NewRegistry(0, w.a.names...)); err != nil {

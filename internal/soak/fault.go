@@ -14,22 +14,19 @@ const (
 	// redispatches the stranded queries, and the autopilot's fault path
 	// reaps and relaunches — the canonical crash.
 	FaultKill FaultKind = "kill"
-	// FaultWedge SIGSTOPs an instance for Duration, then SIGCONTs it: the
-	// process is alive but serves nothing, queries queue behind it, and
-	// everything must still complete once it wakes. Requires a fleet of
-	// kairosd processes (autopilot.NewExecFleet).
-	FaultWedge FaultKind = "wedge"
 	// FaultDelay adds Delay of one-way latency to every chunk on the
-	// instance's wire for Duration. Requires the fleet fronted by a Chaos.
+	// instance's wire for Duration.
 	FaultDelay FaultKind = "delay"
 	// FaultStall pauses all traffic to and from the instance for
-	// Duration without losing a byte — a transient partition. Requires
-	// the fleet fronted by a Chaos.
+	// Duration without losing a byte: the silent-instance fault. The
+	// instance is alive but nothing it serves arrives, queries queue
+	// behind it, the controller's writes back up exactly as they do
+	// against a stopped process, and everything must still complete once
+	// the stall lifts. It works the same on both launchers.
 	FaultStall FaultKind = "stall"
 	// FaultPartition hard-partitions the instance: its connections reset
 	// and new ones are refused, so the controller treats it as dead and
 	// the fleet must heal around a backend that is still running.
-	// Requires the fleet fronted by a Chaos.
 	FaultPartition FaultKind = "partition"
 	// FaultPreempt delivers a spot-market revocation notice for the
 	// instance (Duration is the notice window), then hard-kills it at the
@@ -53,7 +50,7 @@ type FaultSpec struct {
 	// At places the injection as a fraction of the scenario duration in
 	// [0, 1).
 	At float64
-	// Duration is the lift window for wedge, delay, and stall faults, and
+	// Duration is the lift window for delay and stall faults, and
 	// the notice window (notice to deadline kill) for preempt faults
 	// (wall clock).
 	Duration time.Duration
@@ -64,15 +61,14 @@ type FaultSpec struct {
 	Model string
 }
 
-// Validate rejects a malformed spec, and a network fault when the fleet
-// is not fronted by a Chaos, before anything launches.
-func (f FaultSpec) Validate(chaos bool) error {
+// Validate rejects a malformed spec before anything launches.
+func (f FaultSpec) Validate() error {
 	if f.At < 0 || f.At >= 1 {
 		return fmt.Errorf("soak: fault %s at %.2f outside [0,1)", f.Kind, f.At)
 	}
 	switch f.Kind {
 	case FaultKill:
-	case FaultWedge, FaultStall:
+	case FaultStall:
 		if f.Duration <= 0 {
 			return fmt.Errorf("soak: fault %s needs a positive duration", f.Kind)
 		}
@@ -87,12 +83,6 @@ func (f FaultSpec) Validate(chaos bool) error {
 	case FaultPartition:
 	default:
 		return fmt.Errorf("soak: unknown fault kind %q", f.Kind)
-	}
-	switch f.Kind {
-	case FaultDelay, FaultStall, FaultPartition:
-		if !chaos {
-			return fmt.Errorf("soak: fault %s needs the fleet fronted by a soak.Chaos", f.Kind)
-		}
 	}
 	return nil
 }

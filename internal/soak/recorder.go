@@ -22,7 +22,7 @@ type FaultEvent struct {
 	AtMS float64 `json:"at_ms"`
 	// RecoveryMS is how long the fleet took to re-converge (relaunch +
 	// re-actuate) after a capacity-losing fault; -1 when the fault heals
-	// by lifting (wedge, delay, stall) or recovery never completed.
+	// by lifting (delay, stall) or recovery never completed.
 	RecoveryMS float64 `json:"recovery_ms"`
 	// Err records an injection that itself failed (e.g. capability
 	// missing); empty on success.

@@ -1,11 +1,11 @@
 // Package soak replays adversarial workload scenarios through the
 // external ingress against a live autopilot-managed fleet while a fault
-// injector perturbs it mid-run — SIGKILLs, wedged processes, slow and
-// partitioned networks — and continuously asserts the paper's serving
-// invariant: no admitted query is ever dropped. Every run is
-// deterministic from a seed and renders a recovery-time and tail-latency
-// trajectory (BENCH_soak.json) so the invariant ratchets instead of
-// regressing silently.
+// injector perturbs it mid-run — SIGKILLs, spot revocations, slow,
+// stalled and partitioned networks — and continuously asserts the
+// paper's serving invariant: no admitted query is ever dropped. Every run
+// is deterministic from a seed and renders a recovery-time and
+// tail-latency trajectory (BENCH_soak.json) so the invariant ratchets
+// instead of regressing silently.
 package soak
 
 import (
@@ -24,15 +24,13 @@ import (
 
 // System is the live serving stack a soak run drives: a started
 // autopilot (its provider an *autopilot.Fleet, its ingress with a TCP
-// endpoint) and, optionally, the Chaos fronting that fleet's instances
-// for network-level faults.
+// endpoint) and the Chaos fronting that fleet's instances.
 type System struct {
 	// AP is the started autopilot owning controller, ingress, and
 	// provider.
 	AP *autopilot.Autopilot
-	// Chaos, when it is the fleet's interposer (Fleet.Front), unlocks
-	// the delay, stall, and partition faults. Nil is fine for the
-	// process-level faults.
+	// Chaos is the fleet's interposer (Fleet.Front), through which the
+	// delay, stall, and partition faults act. Required.
 	Chaos *Chaos
 }
 
@@ -99,8 +97,8 @@ func (c *Config) withDefaults() error {
 // violations do NOT error — they are the report's Violations, so a soak
 // harness can always record what happened.
 func Run(sys System, cfg Config) (*Report, error) {
-	if sys.AP == nil {
-		return nil, fmt.Errorf("soak: nil autopilot")
+	if sys.AP == nil || sys.Chaos == nil {
+		return nil, fmt.Errorf("soak: needs an autopilot and the Chaos fronting its fleet")
 	}
 	if err := cfg.withDefaults(); err != nil {
 		return nil, err
@@ -113,7 +111,7 @@ func Run(sys System, cfg Config) (*Report, error) {
 		return nil, fmt.Errorf("soak: faults are injected through an *autopilot.Fleet, not a %T", sys.AP.Provider())
 	}
 	for _, f := range cfg.Faults {
-		if err := f.Validate(sys.Chaos != nil); err != nil {
+		if err := f.Validate(); err != nil {
 			return nil, err
 		}
 	}
@@ -370,10 +368,6 @@ func injectFault(sys System, spec FaultSpec, rng *rand.Rand, rec *recorder,
 	switch spec.Kind {
 	case FaultKill:
 		err = fleet.Kill(pick.addr)
-	case FaultWedge:
-		if err = fleet.Wedge(pick.addr); err == nil {
-			lift(func() { fleet.Resume(pick.addr) })
-		}
 	case FaultDelay:
 		if err = sys.Chaos.SetDelay(pick.addr, spec.Delay); err == nil {
 			lift(func() { sys.Chaos.SetDelay(pick.addr, 0) })

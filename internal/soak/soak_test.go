@@ -177,10 +177,10 @@ func TestRunValidation(t *testing.T) {
 	bad := []Config{
 		{Models: []string{"NCF"}}, // empty scenario
 		{Scenario: sc},            // no models
-		{Scenario: sc, Models: []string{"NCF"}, Faults: []FaultSpec{{Kind: FaultKill, At: 1.5}}},                         // At out of range
-		{Scenario: sc, Models: []string{"NCF"}, Faults: []FaultSpec{{Kind: FaultWedge, At: 0.5}}},                        // wedge without duration
-		{Scenario: sc, Models: []string{"NCF"}, Faults: []FaultSpec{{Kind: "meteor", At: 0.5}}},                          // unknown kind
-		{Scenario: sc, Models: []string{"NCF"}, Faults: []FaultSpec{{Kind: FaultStall, At: 0.5, Duration: time.Second}}}, // stall without chaos
+		{Scenario: sc, Models: []string{"NCF"}, Faults: []FaultSpec{{Kind: FaultKill, At: 1.5}}},  // At out of range
+		{Scenario: sc, Models: []string{"NCF"}, Faults: []FaultSpec{{Kind: FaultStall, At: 0.5}}}, // stall without duration
+		{Scenario: sc, Models: []string{"NCF"}, Faults: []FaultSpec{{Kind: "meteor", At: 0.5}}},   // unknown kind
+		{Scenario: sc, Models: []string{"NCF"}, Faults: []FaultSpec{{Kind: "wedge", At: 0.5}}},    // not a fault kind: stall is the silent-instance fault
 	}
 	m := ncf()
 	fleet := autopilot.NewFleet(1, m)
@@ -206,13 +206,18 @@ func TestRunValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ap.Close()
+	chaos := &Chaos{}
 	for i, cfg := range bad {
-		if _, err := Run(System{AP: ap}, cfg); err == nil {
+		if _, err := Run(System{AP: ap, Chaos: chaos}, cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
+	good := Config{Scenario: sc, Models: []string{m.Name}}
+	if _, err := Run(System{AP: ap}, good); err == nil {
+		t.Fatal("a system without its Chaos must error")
+	}
 	// A valid config against an autopilot with no ingress must error too.
-	if _, err := Run(System{AP: ap}, Config{Scenario: sc, Models: []string{m.Name}}); err == nil {
+	if _, err := Run(System{AP: ap, Chaos: chaos}, good); err == nil {
 		t.Fatal("missing ingress must error")
 	}
 }
