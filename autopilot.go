@@ -24,9 +24,9 @@ type (
 	// SIGTERMs (NewExecFleet).
 	Fleet = autopilot.Fleet
 	// AutopilotOptions describe an autopilot deployment: the control-loop
-	// tuning, the planner's demand headroom and on-demand floor, the
-	// actuation Provider (nil: the in-process Fleet) and the optional
-	// Ingress front door. It is the one struct internal/autopilot
+	// tuning, the demand headroom and on-demand floor every replan's
+	// PlanFleetFor-style allocation applies, the actuation Provider (nil:
+	// the in-process Fleet) and the optional Ingress front door. It is the one struct internal/autopilot
 	// documents, defaults and validates; zero values pick the documented
 	// defaults.
 	AutopilotOptions = autopilot.Options
@@ -67,14 +67,6 @@ type (
 	// the observed arrival rate) describing its recent traffic — the
 	// per-model input to PlanFleetFor.
 	ModelDemand = core.ModelDemand
-	// FleetPlanner is the incremental shared-budget allocator: it keeps
-	// the configuration enumeration and each model's Pareto frontier
-	// cached across replans, rebuilding only for models whose sample
-	// window actually moved, so steady-state fleet replans are nearly
-	// allocation-free. PlanFleetFor answers one-shot questions; hold a
-	// FleetPlanner when planning repeatedly over drifting windows (see
-	// NewFleetPlanner).
-	FleetPlanner = core.FleetPlanner
 )
 
 // IngressQueueFullMsg is the exact error string a backpressure rejection
@@ -96,19 +88,11 @@ const IngressUnauthorizedMsg = ingress.UnauthorizedMsg
 // per-model demands — the library entry point for callers planning each
 // model from its own sample, where Engine.PlanFleet plans every model from
 // the engine's one snapshot. Demands carrying an ArrivalQPS are
-// demand-capped (see core.PlanFleet).
+// demand-capped (see core.PlanFleet). It plans from scratch on every
+// call, exactly as each autopilot replan does: there is no planner state
+// to hold between calls.
 func PlanFleetFor(pool Pool, demands []ModelDemand, budget float64) (FleetPlan, error) {
 	return core.PlanFleet(pool, demands, budget)
-}
-
-// NewFleetPlanner builds an incremental fleet planner over the pool,
-// pre-enumerating configurations up to enumBudget (later Plan calls at or
-// below it reuse the enumeration; a larger budget re-enumerates). Feed it
-// the full demand set with SetDemands, then Plan; frontiers for unmoved
-// sample windows are served from cache.
-// A FleetPlanner is not safe for concurrent use.
-func NewFleetPlanner(pool Pool, enumBudget float64) (*FleetPlanner, error) {
-	return core.NewFleetPlanner(pool, enumBudget)
 }
 
 // NewFleet builds the in-process actuation provider serving the given

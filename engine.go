@@ -206,7 +206,10 @@ func (e *Engine) needBudget() error {
 }
 
 // Plan returns the one-shot configuration for the engine's budget from its
-// batch-size snapshot — no online exploration (Sec. 5.2).
+// batch-size snapshot — no online exploration (Sec. 5.2). The similarity
+// pick runs over the configurations that serve the model at all (a
+// positive upper bound), and Plan errors when the budget affords none,
+// where PlanFleet reports the model starved.
 // Single-model engines only; see PlanFleet.
 func (e *Engine) Plan() (Config, error) {
 	if err := e.needBudget(); err != nil {
@@ -216,7 +219,15 @@ func (e *Engine) Plan() (Config, error) {
 	if err != nil {
 		return nil, err
 	}
-	return est.Plan(e.budget), nil
+	ranked := est.Rank(e.budget)
+	serving := 0 // Rank sorts by descending bound
+	for serving < len(ranked) && ranked[serving].UpperBound > 0 {
+		serving++
+	}
+	if serving == 0 {
+		return nil, fmt.Errorf("kairos: budget $%v/hr buys no configuration that serves %s", e.budget, e.models[0].Name)
+	}
+	return core.SelectOneShot(ranked[:serving]), nil
 }
 
 // PlanFleet splits the engine's shared budget across every served model by

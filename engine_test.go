@@ -3,6 +3,7 @@ package kairos
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -62,6 +63,50 @@ func TestEnginePlanLifecycle(t *testing.T) {
 	}
 	if res.Best == nil || res.Evaluations == 0 {
 		t.Fatalf("PlanPlus = %+v", res)
+	}
+}
+
+// TestEnginePlanRefusesBudgetThatServesNothing: every catalog model needs
+// the base GPU, so a budget below its price buys either nothing or only
+// auxiliary instances with a zero upper bound. Plan must say so rather
+// than hand back a configuration that serves nothing. Just above the GPU's
+// price the top ten still hold zero-bound configurations, and the
+// similarity pick must not land on one of them.
+func TestEnginePlanRefusesBudgetThatServesNothing(t *testing.T) {
+	t.Parallel()
+	samples := sampleBatches(2000, 1)
+	for _, tc := range []struct {
+		budget float64
+		ok     bool
+	}{
+		{budget: 0.1},
+		{budget: 0.2},
+		{budget: 0.3},
+		{budget: 0.6, ok: true},
+		{budget: 2.5, ok: true},
+	} {
+		t.Run(fmt.Sprint(tc.budget), func(t *testing.T) {
+			t.Parallel()
+			e := testEngine(t, WithBudget(tc.budget), WithBatchSamples(samples))
+			pick, err := e.Plan()
+			if !tc.ok {
+				if err == nil {
+					t.Fatalf("Plan at $%v/hr = %v with a nil error, want an error", tc.budget, pick)
+				}
+				for _, want := range []string{"RM2", fmt.Sprint(tc.budget)} {
+					if !strings.Contains(err.Error(), want) {
+						t.Fatalf("Plan error %q does not name %q", err, want)
+					}
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ub, err := e.UpperBound(pick); err != nil || ub <= 0 {
+				t.Fatalf("Plan at $%v/hr = %v with upper bound %v (%v)", tc.budget, pick, ub, err)
+			}
+		})
 	}
 }
 

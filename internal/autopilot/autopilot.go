@@ -242,16 +242,9 @@ func (o Options) withDefaults(timeScale float64, ms []models.Model) (Options, er
 // replans with: every served model with a planning sample competes for
 // budget by marginal throughput-per-dollar, capped at its observed demand
 // (Options.DemandHeadroom) and floored on on-demand capacity
-// (Options.OnDemandFloor). One core.FleetPlanner lives for the autopilot's
-// whole lifetime: replans hand it the fresh windows and it reuses every
-// per-model frontier whose window did not move, so steady-state replans
-// skip enumeration and frontier construction entirely. Safe without extra
-// locking — the autopilot serializes planning under its step mutex.
-func budgetPlanner(pool cloud.Pool, ms []models.Model, fullBudget float64, o Options) (PlanFunc, error) {
-	planner, err := core.NewFleetPlanner(pool, fullBudget)
-	if err != nil {
-		return nil, err
-	}
+// (Options.OnDemandFloor). Every replan is a from-scratch core.PlanFleet
+// over the fresh windows, and the plan it returns is the caller's own.
+func budgetPlanner(pool cloud.Pool, ms []models.Model, fullBudget float64, o Options) PlanFunc {
 	// The closure outlives Launch; it keeps the two numbers, not the
 	// options (and the provider and door those hold).
 	headroom, floor := o.DemandHeadroom, o.OnDemandFloor
@@ -275,18 +268,8 @@ func budgetPlanner(pool cloud.Pool, ms []models.Model, fullBudget float64, o Opt
 		if len(demands) == 0 {
 			return nil, fmt.Errorf("autopilot: no model has a planning sample")
 		}
-		if err := planner.SetDemands(demands); err != nil {
-			return nil, err
-		}
-		got, err := planner.Plan(budget)
-		if err != nil {
-			return nil, err
-		}
-		// The planner owns the returned plan's storage; the control loop
-		// mutates the plan it actuates (heals decrement counts), so hand
-		// it a private copy.
-		return got.Clone(), nil
-	}, nil
+		return core.PlanFleet(pool, demands, budget)
+	}
 }
 
 // Autopilot runs the monitor -> detect -> replan -> actuate loop over one
@@ -366,9 +349,7 @@ func Launch(w Wiring, budget float64, opts Options, connect func(addrs []string)
 	if err != nil {
 		return nil, err
 	}
-	if w.Plan, err = budgetPlanner(w.Pool, w.Models, budget, o); err != nil {
-		return nil, err
-	}
+	w.Plan = budgetPlanner(w.Pool, w.Models, budget, o)
 	initial, err := w.Plan(w.References, nil, 0)
 	if err != nil {
 		return nil, err

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -205,23 +207,107 @@ func (p FleetPlan) String() string {
 // allocator only considers configurations whose on-demand-only upper
 // bound covers the floor, so a latency-critical model survives losing
 // every spot instance at once (see ModelDemand.OnDemandFloor). Like the
-// demand cap, the floor is applied at read time over cached frontiers.
+// demand cap, the floor is applied at read time: one frontier per model
+// serves both.
 //
-// PlanFleet is the from-scratch entry point: it builds a fresh
-// FleetPlanner, plans once, and returns an independent copy. Callers
-// replanning every tick should hold a FleetPlanner so the frontier
-// cache and pooled scratch amortize the work across ticks.
+// Every call plans from scratch: it enumerates the budgeted space once,
+// builds each model's frontier over it, and allocates. There is no cache
+// to keep in step with the query monitor's windows, which move with every
+// completed query.
 func PlanFleet(pool cloud.Pool, demands []ModelDemand, budget float64) (FleetPlan, error) {
-	p, err := NewFleetPlanner(pool, budget)
-	if err != nil {
-		return nil, err
+	if !(budget > 0) || math.IsInf(budget, 1) {
+		return nil, fmt.Errorf("core: fleet planning needs a positive budget (got %v)", budget)
 	}
-	if err := p.SetDemands(demands); err != nil {
-		return nil, err
+	if len(demands) == 0 {
+		return nil, fmt.Errorf("core: fleet planning needs at least one model demand")
 	}
-	plan, err := p.Plan(budget)
-	if err != nil {
-		return nil, err
+	enum := enumerateByCost(pool, budget)
+	var spotIdx []int
+	for i, t := range pool {
+		if t.Market == cloud.Spot {
+			spotIdx = append(spotIdx, i)
+		}
 	}
-	return plan.Clone(), nil
+	// One upperBoundInto scratch serves every frontier scan of the call.
+	var vQa []float64
+	ladders := make([]*ladder, 0, len(demands))
+	seen := make(map[string]bool, len(demands))
+	for _, d := range demands {
+		if d.Model.Name == "" {
+			return nil, fmt.Errorf("core: fleet demand with an unnamed model")
+		}
+		if seen[d.Model.Name] {
+			return nil, fmt.Errorf("core: duplicate fleet demand for model %s", d.Model.Name)
+		}
+		seen[d.Model.Name] = true
+		est, err := NewEstimator(pool, d.Model, d.Samples)
+		if err != nil {
+			return nil, fmt.Errorf("core: fleet demand for %s: %w", d.Model.Name, err)
+		}
+		var pts []frontierPoint
+		pts, vQa = frontier(est, enum, spotIdx, vQa)
+		ladders = append(ladders, newLadder(d, pts, len(spotIdx) > 0))
+	}
+	slices.SortFunc(ladders, func(a, b *ladder) int { return strings.Compare(a.name, b.name) })
+
+	// Coverage first: uncovered models with an affordable first step
+	// take absolute priority over upgrades, and coverage buys exactly
+	// the cheapest positive-throughput floor-allowed configuration. The
+	// remaining budget only shrinks, so funding in descending first-step
+	// efficiency order reproduces the rescan-per-round pick sequence. A
+	// floored model with no allowed point is starved outright — the
+	// allocator never trades the survival constraint away.
+	remaining := budget
+	var cov []*ladder
+	for _, l := range ladders {
+		if l.first >= 0 {
+			cov = append(cov, l)
+		}
+	}
+	slices.SortFunc(cov, func(a, b *ladder) int {
+		ra := a.ubAt(a.first) / a.pts[a.first].cost
+		rb := b.ubAt(b.first) / b.pts[b.first].cost
+		switch {
+		case ra > rb:
+			return -1
+		case ra < rb:
+			return 1
+		}
+		return strings.Compare(a.name, b.name)
+	})
+	for _, l := range cov {
+		if l.pts[l.first].cost <= remaining+costEps {
+			remaining -= l.pts[l.first].cost
+			l.cur = l.first
+		}
+	}
+
+	// Greedy upgrades: each round takes the single best jump across all
+	// ladders. Ladders are in name order and only a strictly better ratio
+	// displaces the incumbent, so ties go to the smaller name.
+	for {
+		var best *ladder
+		bestIdx, bestRatio := -1, 0.0
+		for _, l := range ladders {
+			if idx, ratio := l.bestJump(remaining); idx >= 0 && (best == nil || ratio > bestRatio) {
+				best, bestIdx, bestRatio = l, idx, ratio
+			}
+		}
+		if best == nil {
+			break
+		}
+		curCost, _ := best.at()
+		remaining -= best.pts[bestIdx].cost - curCost
+		best.cur = bestIdx
+	}
+
+	plan := make(FleetPlan, len(ladders))
+	for _, l := range ladders {
+		if l.cur < 0 {
+			plan[l.name] = cloud.NewConfig(pool)
+		} else {
+			plan[l.name] = l.pts[l.cur].cfg.Clone()
+		}
+	}
+	return plan, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -73,6 +74,11 @@ func TestPlanFleetValidation(t *testing.T) {
 
 	if _, err := PlanFleet(pool, []ModelDemand{demand}, 0); err == nil {
 		t.Fatal("zero budget must error")
+	}
+	for _, b := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := PlanFleet(pool, []ModelDemand{demand}, b); err == nil {
+			t.Fatalf("budget %v must error", b)
+		}
 	}
 	if _, err := PlanFleet(pool, nil, 1); err == nil {
 		t.Fatal("no demands must error")

@@ -79,10 +79,9 @@ func spotDemands(rng *rand.Rand, k int) []ModelDemand {
 
 // TestFleetPlannerSpotFloorNeverViolated is the risk-bounding property
 // test: across randomized spot markets, demand sets, floors, budgets,
-// and incremental mutations, (a) no plan ever allocates a
-// latency-critical model a configuration whose on-demand-only upper
-// bound is below its armed floor, and (b) the incremental planner stays
-// Equal to a from-scratch PlanFleet over pools carrying market tiers.
+// and sequences of window, cap, floor and class mutations, no plan ever
+// allocates a latency-critical model a configuration whose on-demand-only
+// upper bound is below its armed floor.
 func TestFleetPlannerSpotFloorNeverViolated(t *testing.T) {
 	t.Parallel()
 	seeds := 10
@@ -95,67 +94,37 @@ func TestFleetPlannerSpotFloorNeverViolated(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + seed)))
 			pool := perturbPool(rng).WithSpotMarket(0.3 + 0.5*rng.Float64())
 			budget := 0.5 + 2.0*rng.Float64()
-			planner, err := NewFleetPlanner(pool, budget)
-			if err != nil {
-				t.Fatal(err)
-			}
-			verify := func(step string, cur []ModelDemand, got FleetPlan, b float64) {
+			verify := func(step string, cur []ModelDemand, b float64) {
 				t.Helper()
-				want, err := PlanFleet(pool, cur, b)
+				got, err := PlanFleet(pool, cur, b)
 				if err != nil {
-					t.Fatalf("%s: from-scratch: %v", step, err)
-				}
-				if !got.Equal(want) {
-					t.Fatalf("%s: incremental %v != from-scratch %v (budget %v)", step, got, want, b)
+					t.Fatalf("%s: %v", step, err)
 				}
 				assertFloors(t, step, pool, cur, got)
 			}
 
 			demands := spotDemands(rng, 2+rng.Intn(3))
-			if err := planner.SetDemands(demands); err != nil {
-				t.Fatal(err)
-			}
-			got, err := planner.Plan(budget)
-			if err != nil {
-				t.Fatal(err)
-			}
-			verify("initial", demands, got, budget)
+			verify("initial", demands, budget)
 
 			for step := 0; step < 8; step++ {
-				name := fmt.Sprintf("step%d", step)
 				b := budget
 				if rng.Intn(3) == 0 {
 					b = budget * (0.2 + 0.8*rng.Float64())
 				}
 				switch rng.Intn(4) {
-				case 0: // one window moves: one frontier rebuilds, the rest stay cached
+				case 0: // one window moves
 					i := rng.Intn(len(demands))
 					demands[i].Samples = randomWindow(rng)
-					if err = planner.SetDemands(demands); err == nil {
-						got, err = planner.Plan(b)
-					}
-				case 1: // floor and cap both move; frontiers stay cached
+				case 1: // floor and cap both move
 					i := rng.Intn(len(demands))
 					demands[i].ArrivalQPS = 1 + rng.Float64()*150
 					demands[i].OnDemandFloor = rng.Float64()
-					if err = planner.SetDemands(demands); err == nil {
-						got, err = planner.Plan(b)
-					}
 				case 2: // a model flips QoS class
 					i := rng.Intn(len(demands))
 					demands[i].Class = QoSClass(rng.Intn(2))
-					if err = planner.SetDemands(demands); err == nil {
-						got, err = planner.Plan(b)
-					}
-				case 3: // nothing moved: pure cache hit
-					if err = planner.SetDemands(demands); err == nil {
-						got, err = planner.Plan(b)
-					}
+				case 3: // nothing moved
 				}
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				verify(name, demands, got, b)
+				verify(fmt.Sprintf("step%d", step), demands, b)
 			}
 		})
 	}

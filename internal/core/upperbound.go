@@ -53,26 +53,20 @@ func UpperBoundRaw(u int, qB, qBSPlus float64, vQa []float64, fPrime float64) fl
 // latency surface and a sample of recent batch sizes from the query
 // monitor — no online evaluation (Sec. 5.2).
 type Estimator struct {
-	pool  cloud.Pool
-	model models.Model
+	pool cloud.Pool
 
 	sorted []int // ascending batch samples
 
 	// cutoffs[i] is pool type i's QoS cutoff batch (model.CutoffBatch).
 	cutoffs []int
 
-	// latTable[i][b] is pool type i's latency at batch b — the latency
-	// surface is sample-independent, so the table outlives window swaps.
-	// latPrefix[i][k] sums type i's latencies over sorted[:k], rebuilt
-	// per window: any conditional mean over a sorted-sample range is then
-	// two loads and a divide, so ranking a 100k-configuration space
-	// (Fig. 15a's 4x budget) and swapping windows both stay cheap.
-	latTable  [][]float64
+	// latPrefix[i][k] sums type i's latencies over sorted[:k]: any
+	// conditional mean over a sorted-sample range is then two loads and a
+	// divide, so ranking a 100k-configuration space (Fig. 15a's 4x budget)
+	// stays cheap.
 	latPrefix [][]float64
 
-	// Window-swap and hot-path state: counting-sort buckets reused by
-	// Reset, and the per-window aggregates upperBoundInto reads.
-	counts  []int
+	// The window's aggregates upperBoundInto reads.
 	qB      float64    // base-type QPS over the whole window
 	regions []ubRegion // one per distinct positive auxiliary cutoff
 }
@@ -90,92 +84,53 @@ type ubRegion struct {
 
 // NewEstimator builds an estimator from recent batch-size samples (the
 // query monitor's snapshot; Sec. 5.2 uses the last ~10000 queries). For a
-// relaxed latency target (Fig. 15b), pass model.WithQoS.
+// relaxed latency target (Fig. 15b), pass model.WithQoS. The samples are
+// counting-sorted: batch sizes live in [1, models.MaxBatch], so one
+// bucket pass replaces the comparison sort.
 func NewEstimator(pool cloud.Pool, model models.Model, samples []int) (*Estimator, error) {
-	e := &Estimator{pool: pool, model: model, cutoffs: make([]int, len(pool))}
+	if len(samples) == 0 {
+		return nil, fmt.Errorf("core: estimator needs batch samples")
+	}
+	counts := make([]int, models.MaxBatch+1)
+	for _, b := range samples {
+		if b < 1 || b > models.MaxBatch {
+			return nil, fmt.Errorf("core: batch samples outside [1,%d]", models.MaxBatch)
+		}
+		counts[b]++
+	}
+	e := &Estimator{pool: pool, cutoffs: make([]int, len(pool)), sorted: make([]int, 0, len(samples))}
 	for i, t := range pool {
 		e.cutoffs[i] = model.CutoffBatch(t.Name)
 	}
-	if err := e.Reset(samples); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// buildWindowSums (re)derives the latency prefix sums for the current
-// window, tabling the latency surface on first use.
-func (e *Estimator) buildWindowSums() {
-	if e.latTable == nil {
-		e.latTable = make([][]float64, len(e.pool))
-		for i, t := range e.pool {
-			tab := make([]float64, models.MaxBatch+1)
-			for b := 1; b <= models.MaxBatch; b++ {
-				tab[b] = e.model.Latency(t.Name, b)
-			}
-			e.latTable[i] = tab
+	for b, n := range counts {
+		for ; n > 0; n-- {
+			e.sorted = append(e.sorted, b)
 		}
 	}
-	if e.latPrefix == nil {
-		e.latPrefix = make([][]float64, len(e.pool))
-	}
-	for i := range e.pool {
-		if cap(e.latPrefix[i]) < len(e.sorted)+1 {
-			e.latPrefix[i] = make([]float64, len(e.sorted)+1)
-		}
-		pfx := e.latPrefix[i][:len(e.sorted)+1]
-		tab := e.latTable[i]
-		sum := 0.0
-		pfx[0] = 0
+	e.latPrefix = make([][]float64, len(pool))
+	for i, t := range pool {
+		pfx := make([]float64, len(e.sorted)+1)
+		// The window is sorted, so the curve is read once per distinct size.
+		sum, lat, prev := 0.0, 0.0, 0
 		for k, b := range e.sorted {
-			sum += tab[b]
+			if b != prev {
+				lat, prev = model.Latency(t.Name, b), b
+			}
+			sum += lat
 			pfx[k+1] = sum
 		}
 		e.latPrefix[i] = pfx
 	}
-}
-
-// Reset repoints the estimator at a new batch-size window, keeping every
-// sample-independent aggregate (the per-type QoS cutoffs depend only on
-// the latency surface and the QoS target). The samples are
-// counting-sorted — batch sizes live in [1, models.MaxBatch], so one
-// bucket pass replaces the comparison sort and a window swap costs
-// microseconds. On error the estimator's window is unchanged.
-func (e *Estimator) Reset(samples []int) error {
-	if len(samples) == 0 {
-		return fmt.Errorf("core: estimator needs batch samples")
-	}
-	if e.counts == nil {
-		e.counts = make([]int, models.MaxBatch+1)
-	}
-	for _, b := range samples {
-		if b < 1 || b > models.MaxBatch {
-			clear(e.counts)
-			return fmt.Errorf("core: batch samples outside [1,%d]", models.MaxBatch)
-		}
-		e.counts[b]++
-	}
-	if cap(e.sorted) < len(samples) {
-		e.sorted = make([]int, 0, len(samples))
-	}
-	e.sorted = e.sorted[:0]
-	for b := 1; b <= models.MaxBatch; b++ {
-		for n := e.counts[b]; n > 0; n-- {
-			e.sorted = append(e.sorted, b)
-		}
-		e.counts[b] = 0
-	}
-	e.buildWindowSums()
 	e.prepare()
-	return nil
+	return e, nil
 }
 
 // prepare precomputes the per-region aggregates upperBoundInto reads, so
-// a frontier rebuild evaluates each candidate configuration in a few
+// a frontier scan evaluates each candidate configuration in a few
 // dozen nanoseconds instead of re-deriving conditional means per call.
-// Reset runs it once per window, so evaluation only ever reads.
+// NewEstimator runs it once, so evaluation only ever reads.
 func (e *Estimator) prepare() {
 	e.qB = e.meanQPS(cloud.BaseIndex, 0, len(e.sorted))
-	e.regions = e.regions[:0]
 regions:
 	for i := range e.pool {
 		if i == cloud.BaseIndex || e.cutoffs[i] == 0 {
@@ -205,8 +160,8 @@ regions:
 
 // upperBoundInto is the one Eq. 15 assembly: it prices cfg off the
 // window's prepared aggregates, building v_i * Q_a^i in a caller-owned
-// scratch buffer (the fleet planner reuses one, so its frontier scans
-// allocate nothing; UpperBound passes nil).
+// scratch buffer (PlanFleet threads one through every frontier scan of a
+// call, so the scans allocate nothing; UpperBound passes nil).
 func (e *Estimator) upperBoundInto(cfg cloud.Config, scratch []float64) (float64, []float64) {
 	u := cfg[cloud.BaseIndex]
 	sMax := 0

@@ -1,6 +1,9 @@
 package kairos
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Option configures an Engine under construction. Options are applied in
 // order by New; each may reject its argument, and New validates the
@@ -54,8 +57,8 @@ func WithModels(names ...string) Option {
 // configurations may leave it unset.
 func WithBudget(perHour float64) Option {
 	return func(e *Engine) error {
-		if perHour <= 0 {
-			return fmt.Errorf("kairos: budget must be positive (got %v)", perHour)
+		if !(perHour > 0) || math.IsInf(perHour, 1) {
+			return fmt.Errorf("kairos: budget must be positive and finite (got %v)", perHour)
 		}
 		e.budget = perHour
 		return nil

@@ -1,6 +1,7 @@
 package kairos
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -58,6 +59,16 @@ func TestNewOptionValidation(t *testing.T) {
 		{
 			name:    "negative budget",
 			opts:    []Option{WithPool(pool), WithModel(model), WithBudget(-1)},
+			wantErr: "budget must be positive",
+		},
+		{
+			name:    "NaN budget",
+			opts:    []Option{WithPool(pool), WithModel(model), WithBudget(math.NaN())},
+			wantErr: "budget must be positive",
+		},
+		{
+			name:    "infinite budget",
+			opts:    []Option{WithPool(pool), WithModel(model), WithBudget(math.Inf(1))},
 			wantErr: "budget must be positive",
 		},
 		{
