@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -43,6 +44,12 @@ func runTraceFile(args []string) {
 			log.Fatal(err)
 		}
 	case *gen:
+		if !(*rate > 0) || math.IsInf(*rate, 1) {
+			log.Fatalf("kairosctl tracefile: -rate %v is not finite and positive", *rate)
+		}
+		if *n < 0 {
+			log.Fatalf("kairosctl tracefile: -n %d is negative", *n)
+		}
 		var dist kairos.BatchDistribution
 		switch *distName {
 		case "lognormal":

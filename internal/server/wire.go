@@ -81,7 +81,17 @@ func (cw *connWriter) flush() error {
 	return err
 }
 
-const wireBufSize = 16 << 10
+// wireBufSize is the reader and the writer window at both ends of a
+// controller↔instance link, sized to a link's burst: a flush carries at
+// most the policy's commitment to that one instance — one or two frames
+// under kairos+warm, at most 16 under the capped least-loaded policy of
+// the serving-path benchmarks — and a frame is ~40 B, so 4 KiB holds about
+// a hundred. A larger frame is never split or refused: the reader copies
+// it through readRawFrame and the writer flushes first or writes it
+// directly. The window is set-up cost, paid four times per link; CI
+// bounds what one more instance costs to bring up at 32 KiB
+// (ControllerBringUp32 − ControllerBringUp8, per instance; ~20 KB).
+const wireBufSize = 4 << 10
 
 func newWireConn(conn net.Conn) *wireConn {
 	return &wireConn{

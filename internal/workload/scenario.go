@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // Pareto is a heavy-tailed batch-size distribution: batch ~ Scale/U^(1/Alpha)
@@ -49,6 +50,11 @@ func (p Phase) rateAt(t float64) float64 {
 	return p.StartQPS + (p.EndQPS-p.StartQPS)*(t/p.DurationMS)
 }
 
+// generators recycles Generate's random sources: reseeding one leaves it
+// in the state a fresh rand.NewSource(seed) starts in, and a fresh one is
+// ~5 KB of set-up per stream.
+var generators = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // Scenario is a named adversarial workload shape: a sequence of rate/mix
 // phases replayed against the serving path. Scenarios are pure
 // descriptions; Generate turns one into a concrete arrival stream
@@ -85,15 +91,25 @@ func (s Scenario) PeakQPS() float64 {
 // any bounded rate function and keeps one stream of randomness per
 // scenario (same seed, same arrivals, bit for bit).
 func (s Scenario) Generate(seed int64) []Arrival {
-	rng := rand.New(rand.NewSource(seed))
-	var out []Arrival
+	expected := 0.0
+	for i, p := range s.Phases {
+		if !finiteNonNegative(p.DurationMS) || !finiteNonNegative(p.StartQPS) || !finiteNonNegative(p.EndQPS) {
+			panic(fmt.Sprintf("workload: scenario %q phase %d: duration %v and rates %v→%v must be finite and non-negative",
+				s.Name, i, p.DurationMS, p.StartQPS, p.EndQPS))
+		}
+		if p.DurationMS > 0 && p.Dist == nil {
+			panic(fmt.Sprintf("workload: scenario %q phase without a distribution", s.Name))
+		}
+		expected += (p.StartQPS + p.EndQPS) / 2 * p.DurationMS / 1000
+	}
+	rng := generators.Get().(*rand.Rand)
+	defer generators.Put(rng)
+	rng.Seed(seed)
+	out := make([]Arrival, 0, poissonCap(expected))
 	offset := 0.0
 	for _, p := range s.Phases {
 		if p.DurationMS <= 0 {
 			continue
-		}
-		if p.Dist == nil {
-			panic(fmt.Sprintf("workload: scenario %q phase without a distribution", s.Name))
 		}
 		peak := math.Max(p.StartQPS, p.EndQPS)
 		if peak <= 0 {
@@ -186,6 +202,9 @@ func HeavyTail(durationMS, qps, scale, alpha float64) Scenario {
 // scaled to durationMS at the given base rate — the command-line surface
 // for kairosctl tracefile and kairosctl soak.
 func ScenarioByName(name string, durationMS, qps float64) (Scenario, error) {
+	if !finitePositive(durationMS) || !finitePositive(qps) {
+		return Scenario{}, fmt.Errorf("workload: scenario %q needs a finite positive duration and rate, got %v ms at %v qps", name, durationMS, qps)
+	}
 	switch name {
 	case "flash-crowd":
 		return FlashCrowd(durationMS, qps, 4*qps, DefaultTrace()), nil

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -137,5 +138,25 @@ func TestScenarioTraceRoundTrips(t *testing.T) {
 	}
 	if got := s.PeakQPS(); got != 100 {
 		t.Fatalf("peak %.1f", got)
+	}
+}
+
+// TestScenarioByNameRefusesBadInputs: the command-line surface refuses a
+// rate or length that is not finite and positive instead of handing it to
+// Generate, where an infinite rate never advanced and NaN yielded nothing.
+func TestScenarioByNameRefusesBadInputs(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, name := range []string{"flash-crowd", "diurnal", "batch-mix-inversion", "heavy-tail"} {
+		for _, c := range []struct{ durMS, qps float64 }{
+			{1000, 0}, {1000, -1}, {1000, nan}, {1000, inf},
+			{0, 100}, {-1, 100}, {nan, 100}, {inf, 100},
+		} {
+			if _, err := ScenarioByName(name, c.durMS, c.qps); err == nil {
+				t.Errorf("ScenarioByName(%q, %v, %v): nil error", name, c.durMS, c.qps)
+			}
+		}
+		if _, err := ScenarioByName(name, 1000, 100); err != nil {
+			t.Errorf("ScenarioByName(%q, 1000, 100): %v", name, err)
+		}
 	}
 }

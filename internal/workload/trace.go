@@ -22,6 +22,9 @@ type Trace struct {
 // Synthesize builds a reproducible trace of n queries at the given Poisson
 // rate with batch sizes from dist.
 func Synthesize(seed int64, dist BatchDistribution, ratePerSec float64, n int) Trace {
+	if !finitePositive(ratePerSec) {
+		panic(fmt.Sprintf("workload: rate %v is not finite and positive", ratePerSec))
+	}
 	rng := rand.New(rand.NewSource(seed))
 	meanGapMS := 1000 / ratePerSec
 	arrivals := make([]Arrival, n)

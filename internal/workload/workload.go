@@ -143,17 +143,38 @@ type Arrival struct {
 // The paper generates query inter-arrivals from a Poisson process at 100s
 // of queries per second (Sec. 7).
 func PoissonStream(rng *rand.Rand, dist BatchDistribution, ratePerSec, durationMS float64) []Arrival {
-	if ratePerSec <= 0 {
-		panic(fmt.Sprintf("workload: non-positive rate %v", ratePerSec))
+	if !finitePositive(ratePerSec) {
+		panic(fmt.Sprintf("workload: rate %v is not finite and positive", ratePerSec))
+	}
+	if !finiteNonNegative(durationMS) {
+		panic(fmt.Sprintf("workload: duration %v is not finite and non-negative", durationMS))
 	}
 	meanGapMS := 1000 / ratePerSec
-	var out []Arrival
+	out := make([]Arrival, 0, poissonCap(ratePerSec*durationMS/1000))
 	t := rng.ExpFloat64() * meanGapMS
 	for t < durationMS {
 		out = append(out, Arrival{AtMS: t, Batch: dist.Sample(rng)})
 		t += rng.ExpFloat64() * meanGapMS
 	}
 	return out
+}
+
+// finitePositive reports whether v is a usable rate or length: not NaN,
+// not infinite, above zero.
+func finitePositive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
+
+// finiteNonNegative also admits zero: an empty window, a silent phase.
+func finiteNonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+
+// maxPresize bounds an up-front allocation at 16 Mi arrivals (256 MiB); a
+// longer stream grows past it by append.
+const maxPresize = 1 << 24
+
+// poissonCap is the capacity for a Poisson count of the given mean: the
+// mean plus four standard deviations and a small floor, so a stream
+// outgrows it about once in 30 000 draws and is otherwise allocated once.
+func poissonCap(mean float64) int {
+	return int(min(mean+4*math.Sqrt(mean), maxPresize)) + 16
 }
 
 // Monitor is Kairos's sliding-window query monitor: it tracks the most

@@ -1,9 +1,11 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -136,6 +138,77 @@ func TestPoissonStreamPanicsOnBadRate(t *testing.T) {
 	PoissonStream(rand.New(rand.NewSource(1)), Fixed(1), 0, 100)
 }
 
+// mustPanic fails t unless f panics with a "workload:" message.
+func mustPanic(t *testing.T, name string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		msg, _ := recover().(string)
+		if !strings.HasPrefix(msg, "workload: ") {
+			t.Errorf("%s: want a workload panic, got %q", name, msg)
+		}
+	}()
+	f()
+}
+
+// TestGeneratorsRefuseNonFiniteInputs: an infinite rate has a zero mean
+// gap and a NaN rate or length accepts nothing, so each used to hang or
+// return garbage; all three generators refuse them up front instead.
+func TestGeneratorsRefuseNonFiniteInputs(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, rate := range []float64{0, -1, nan, inf, math.Inf(-1)} {
+		mustPanic(t, fmt.Sprintf("PoissonStream rate %v", rate), func() {
+			PoissonStream(rand.New(rand.NewSource(1)), Fixed(1), rate, 100)
+		})
+		mustPanic(t, fmt.Sprintf("Synthesize rate %v", rate), func() { Synthesize(1, Fixed(1), rate, 10) })
+	}
+	for _, dur := range []float64{-1, nan, inf} {
+		mustPanic(t, fmt.Sprintf("PoissonStream duration %v", dur), func() {
+			PoissonStream(rand.New(rand.NewSource(1)), Fixed(1), 100, dur)
+		})
+	}
+	for _, p := range []Phase{
+		{DurationMS: 1000, StartQPS: inf, EndQPS: inf},
+		{DurationMS: 1000, StartQPS: 10, EndQPS: inf},
+		{DurationMS: 1000, StartQPS: nan, EndQPS: 10},
+		{DurationMS: 1000, StartQPS: -5, EndQPS: 10},
+		{DurationMS: inf, StartQPS: 10, EndQPS: 10},
+		{DurationMS: nan, StartQPS: 10, EndQPS: 10},
+		{DurationMS: -1, StartQPS: 10, EndQPS: 10},
+	} {
+		p.Dist = Fixed(1)
+		s := Scenario{Name: "bad", Phases: []Phase{{DurationMS: 100, StartQPS: 10, EndQPS: 10, Dist: Fixed(1)}, p}}
+		mustPanic(t, fmt.Sprintf("Generate phase %+v", p), func() { s.Generate(1) })
+	}
+	// The edges that stay valid: an empty window and a silent phase.
+	if got := PoissonStream(rand.New(rand.NewSource(1)), Fixed(1), 100, 0); len(got) != 0 {
+		t.Errorf("zero duration yielded %d arrivals", len(got))
+	}
+	silent := Scenario{Phases: []Phase{{DurationMS: 1000, Dist: Fixed(1)}, {DurationMS: 1000, StartQPS: 100, EndQPS: 100, Dist: Fixed(1)}}}
+	if got := silent.Generate(1); len(got) == 0 || got[0].AtMS < 1000 {
+		t.Errorf("silent phase: %d arrivals, first %+v", len(got), got)
+	}
+}
+
+// TestStreamsAllocateOnce: both generators size their output from the
+// expected count up front, so a stream is one allocation (the benchmark's
+// reference rung and its burst-deep flash crowd). Generate's seeded
+// source is recycled, so it costs nothing after the first call.
+func TestStreamsAllocateOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	dist := DefaultTrace()
+	if a := testing.AllocsPerRun(20, func() {
+		rng.Seed(1)
+		PoissonStream(rng, dist, 2000, 15600)
+	}); a != 1 {
+		t.Errorf("PoissonStream at 2000 qps × 15.6 s: %v allocs, want 1", a)
+	}
+	crowd := FlashCrowd(20000, 750, 1800, dist)
+	if a := testing.AllocsPerRun(100, func() { crowd.Generate(1) }); a != 1 {
+		t.Errorf("FlashCrowd(20000, 750, 1800).Generate: %v allocs, want 1", a)
+	}
+}
+
 func TestMonitorWindowEviction(t *testing.T) {
 	m := NewMonitor(3)
 	for _, b := range []int{10, 20, 30} {
@@ -222,4 +295,16 @@ func TestMonitorConcurrentObserveAndRead(t *testing.T) {
 		m.MeanBatch()
 	}
 	<-done
+}
+
+// BenchmarkPoissonStream draws knee-tcp's reference rung of the ledger:
+// 2000 qps for 15.6 s, ~31 200 arrivals in one allocation.
+func BenchmarkPoissonStream(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	dist := DefaultTrace()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rng.Seed(1)
+		PoissonStream(rng, dist, 2000, 15600)
+	}
 }
