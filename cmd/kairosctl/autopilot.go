@@ -142,6 +142,9 @@ func runAutopilot(args []string) {
 	// Flag validation must finish before any fleet is launched: a
 	// log.Fatal below engine.Autopilot would bypass ap.Close and orphan
 	// real kairosd processes under -provider exec.
+	if err := checkLoad(*rate, *queries); err != nil {
+		log.Fatalf("kairosctl autopilot: %v", err)
+	}
 	fl, err := fleet(*queries == 0)
 	if err != nil {
 		log.Fatalf("kairosctl autopilot: %v", err)

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"math/rand"
 	"os"
 	"strings"
@@ -41,6 +42,9 @@ func runLoad(args []string) {
 	if *addrList == "" {
 		log.Fatal("kairosctl: -addrs required")
 	}
+	if err := checkLoad(*rate, *queries); err != nil {
+		log.Fatalf("kairosctl: %v", err)
+	}
 
 	engine, err := kairos.New(
 		kairos.WithPool(kairos.DefaultPool()),
@@ -66,6 +70,20 @@ func runLoad(args []string) {
 		func(int, string) int { return dist.Sample(rng) })
 	fmt.Printf("sent %d queries in %.1fs wall time\n", *queries, time.Since(start).Seconds())
 	summarize(ctrl, engine.Models())
+}
+
+// checkLoad is the rule drive's inputs are held to before anything is
+// dialed or launched: a rate that is not finite and positive has no
+// Poisson gap (0 and +Inf turn into back-to-back or undefined waits), and
+// a negative query count has no load.
+func checkLoad(rate float64, queries int) error {
+	if !(rate > 0) || math.IsInf(rate, 1) {
+		return fmt.Errorf("-rate %v is not finite and positive", rate)
+	}
+	if queries < 0 {
+		return fmt.Errorf("-queries %d is negative", queries)
+	}
+	return nil
 }
 
 // drive is the one Poisson submit loop: n queries at rate (queries/second,

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"net"
 	"os/exec"
 	"strconv"
 	"strings"
@@ -16,8 +15,7 @@ import (
 
 // A spawned kairosd's lifecycle timeouts.
 const (
-	// launchTimeout bounds waiting for a spawned kairosd's ready line and
-	// Hello banner.
+	// launchTimeout bounds waiting for a spawned kairosd's ready line.
 	launchTimeout = 10 * time.Second
 	// stopTimeout bounds a SIGTERM'd kairosd's graceful drain before it is
 	// killed.
@@ -101,25 +99,18 @@ func parseReadyLine(line string) (string, bool) {
 	return "", false
 }
 
-// probeHello health-checks a freshly-launched instance: dial, read the
-// Hello banner, hold it to the version rule the controller's dial will
-// apply (server.Hello.Check) and to the model and type that were asked
-// for — so a stale kairosd fails its launch, not the AddInstance after it. The probe connection is closed without an ack; the instance
-// drops it like any peer that never completes the handshake.
-func probeHello(addr, model, typeName string, timeout time.Duration) error {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+// probeHello health-checks a freshly-launched instance: the controller's
+// handshake (server.Dial: the wire version, inside
+// server.HandshakeTimeout), then the announced model and type held to what
+// was asked for — so a stale kairosd fails its launch, not the AddInstance
+// after it. The probe acks, then closes; the instance sees a peer that
+// hung up before its first query.
+func probeHello(addr, model, typeName string) error {
+	conn, _, hello, err := server.Dial(addr, "controller", server.HelloAck{Proto: server.ProtoSession}, 512)
 	if err != nil {
-		return fmt.Errorf("dialing %s: %w", addr, err)
+		return err
 	}
-	defer conn.Close()
-	conn.SetReadDeadline(time.Now().Add(timeout))
-	var hello server.Hello
-	if err := server.ReadFrame(conn, &hello); err != nil {
-		return fmt.Errorf("reading Hello banner from %s: %w", addr, err)
-	}
-	if err := hello.Check(); err != nil {
-		return fmt.Errorf("probing %s: %w", addr, err)
-	}
+	conn.Close()
 	if hello.Model != model || hello.TypeName != typeName {
 		return fmt.Errorf("instance at %s announces %s/%s, want %s/%s",
 			addr, hello.TypeName, hello.Model, typeName, model)
@@ -191,7 +182,7 @@ func spawnKairosd(bin, model, typeName string, timeScale float64) (*execProc, st
 	case <-time.After(launchTimeout):
 		return fail(fmt.Errorf("no ready line within %v", launchTimeout))
 	}
-	if err := probeHello(addr, model, typeName, launchTimeout); err != nil {
+	if err := probeHello(addr, model, typeName); err != nil {
 		return fail(err)
 	}
 	return p, addr, nil

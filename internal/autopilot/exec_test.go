@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"kairos/internal/server"
 )
@@ -75,7 +74,7 @@ func TestProbeHelloAppliesTheDialRule(t *testing.T) {
 					conn.Close()
 				}
 			}()
-			err = probeHello(ln.Addr().String(), model, typeName, 5*time.Second)
+			err = probeHello(ln.Addr().String(), model, typeName)
 			if tc.want == nil {
 				if err != nil {
 					t.Fatalf("a correct banner failed the probe: %v", err)

@@ -3,7 +3,6 @@ package ingress
 import (
 	"bufio"
 	"errors"
-	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -13,8 +12,8 @@ import (
 )
 
 // Client speaks the front-end's TCP protocol: one connection, concurrent
-// Submit callers, O(1) reply correlation. Dial performs the handshake
-// exactly like the controller does against an instance server: it checks
+// Submit callers, O(1) reply correlation. Dial performs the handshake the
+// controller performs against an instance server (server.Dial): it checks
 // the Hello banner's wire version and acks it.
 type Client struct {
 	conn   net.Conn
@@ -48,25 +47,11 @@ type SubmitOptions struct {
 // Dial connects to a front-end's TCP endpoint.
 func Dial(addr string) (*Client, error) { return DialWith(addr, DialOptions{}) }
 
-// DialWith connects with client identity.
+// DialWith connects with client identity; the handshake (server.Dial)
+// is bounded by server.HandshakeTimeout, connect included.
 func DialWith(addr string, opts DialOptions) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
+	conn, br, _, err := server.Dial(addr, "client", server.HelloAck{Proto: server.ProtoSession, Token: opts.Token}, 16<<10)
 	if err != nil {
-		return nil, err
-	}
-	br := bufio.NewReaderSize(conn, 16<<10)
-	var hello server.Hello
-	if err := server.ReadFrame(br, &hello); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if hello.Proto != server.ProtoSession {
-		conn.Close()
-		return nil, fmt.Errorf("ingress: front door at %s speaks wire version %d, this client speaks %d",
-			addr, hello.Proto, server.ProtoSession)
-	}
-	if err := server.WriteFrame(conn, server.HelloAck{Proto: server.ProtoSession, Token: opts.Token}); err != nil {
-		conn.Close()
 		return nil, err
 	}
 	c := &Client{conn: conn, pending: make(map[int64]chan server.Reply)}

@@ -169,12 +169,13 @@ func TestHandshakeRejectsOtherVersion(t *testing.T) {
 	}
 }
 
-// TestHandshakeIsBounded: the binary door gives a client handshakeTimeout
+// TestHandshakeIsBounded: the binary door gives a client server.HandshakeTimeout
 // to ack the banner. One that connects and says nothing is hung up on —
 // it used to hold a goroutine and a descriptor for as long as it liked —
 // while one that acks late but inside the bound is served, and keeps its
 // connection past the bound: the deadline was the handshake's, not the
-// connection's.
+// connection's. The client side has the same bound: Dial gives up on a
+// door that accepts and never speaks (it used to wait forever).
 func TestHandshakeIsBounded(t *testing.T) {
 	t.Parallel()
 	ing, _ := startFrontOpts(t, func(*Options) {})
@@ -194,20 +195,20 @@ func TestHandshakeIsBounded(t *testing.T) {
 		t.Parallel()
 		conn := dial(t)
 		start := time.Now()
-		conn.SetReadDeadline(start.Add(handshakeTimeout + 5*time.Second))
+		conn.SetReadDeadline(start.Add(server.HandshakeTimeout + 5*time.Second))
 		if p, err := server.ReadRawFrame(conn, nil); err == nil {
 			t.Fatalf("silent client was sent a frame: %v", p)
 		} else if errors.Is(err, os.ErrDeadlineExceeded) {
 			t.Fatalf("connection still open %v after a handshake that never came", time.Since(start))
 		}
-		if held := time.Since(start); held < handshakeTimeout/2 {
-			t.Fatalf("dropped after %v: the bound is %v", held, handshakeTimeout)
+		if held := time.Since(start); held < server.HandshakeTimeout/2 {
+			t.Fatalf("dropped after %v: the bound is %v", held, server.HandshakeTimeout)
 		}
 	})
 	t.Run("late ack is served", func(t *testing.T) {
 		t.Parallel()
 		conn := dial(t)
-		time.Sleep(handshakeTimeout / 3)
+		time.Sleep(server.HandshakeTimeout / 3)
 		if err := server.WriteFrame(conn, server.HelloAck{Proto: server.ProtoSession}); err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +231,43 @@ func TestHandshakeIsBounded(t *testing.T) {
 			}
 		}
 		submit(1)
-		time.Sleep(handshakeTimeout) // now well past accept + handshakeTimeout
+		time.Sleep(server.HandshakeTimeout) // now well past accept + server.HandshakeTimeout
 		submit(2)
+	})
+	t.Run("Dial gives up on a silent door", func(t *testing.T) {
+		t.Parallel()
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		release := make(chan struct{})
+		defer close(release)
+		go func() {
+			if conn, err := ln.Accept(); err == nil {
+				<-release // hold the connection open, say nothing
+				conn.Close()
+			}
+		}()
+		start := time.Now()
+		done := make(chan error, 1)
+		go func() {
+			c, err := Dial(ln.Addr().String())
+			if err == nil {
+				c.Close()
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "handshake") {
+				t.Fatalf("Dial against a silent door: %v, want a handshake error", err)
+			}
+			if took := time.Since(start); took > server.HandshakeTimeout+2*time.Second {
+				t.Fatalf("Dial gave up after %v, want about %v", took, server.HandshakeTimeout)
+			}
+		case <-time.After(server.HandshakeTimeout + 5*time.Second):
+			t.Fatal("Dial hung on a door that accepts and never speaks")
+		}
 	})
 }

@@ -59,8 +59,6 @@ const (
 )
 
 func (s *Server) serveHTTPConn(conn net.Conn) {
-	defer conn.Close()
-	defer s.tracker.Track(conn)()
 	hc := httpCtxPool.Get().(*httpCtx)
 	hc.br.Reset(conn)
 	defer func() {

@@ -59,12 +59,6 @@ const UnauthorizedMsg = "ingress: unauthorized"
 // forever or Close could not drain them.
 const writeTimeout = 30 * time.Second
 
-// handshakeTimeout bounds a binary-TCP client from accept to HelloAck: one
-// that connects and never acks must not pin a goroutine and a descriptor
-// (readHeaderTimeout is the HTTP door's equivalent). The controller gives
-// an instance the same three seconds for the same two frames.
-const handshakeTimeout = 3 * time.Second
-
 // Options configure a front-end. At least one of HTTPAddr and TCPAddr
 // must be set.
 type Options struct {
@@ -228,33 +222,14 @@ func New(ctrl *server.Controller, opts Options) (*Server, error) {
 		}
 	}
 	if s.httpLn != nil {
-		s.wg.Add(1)
-		go s.acceptLoop(s.httpLn, s.serveHTTPConn)
+		s.tracker.Serve(s.httpLn, &s.wg, s.serveHTTPConn)
 	}
 	if s.tcpLn != nil {
-		s.wg.Add(1)
-		go s.acceptLoop(s.tcpLn, s.serveTCPConn)
+		s.tracker.Serve(s.tcpLn, &s.wg, s.serveTCPConn)
 	}
 	ctrl.SetStatsAugmenter(s.augment)
 	s.logf("ingress: serving (http %s, tcp %s, queue %d per model)", s.HTTPAddr(), s.TCPAddr(), s.maxQueue)
 	return s, nil
-}
-
-// acceptLoop serves each of one listener's connections on its own
-// goroutine until the listener closes.
-func (s *Server) acceptLoop(ln net.Listener, serve func(net.Conn)) {
-	defer s.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			serve(conn)
-		}()
-	}
 }
 
 // HTTPAddr returns the bound HTTP address, "" when disabled.
@@ -367,23 +342,11 @@ func (s *Server) Close() {
 		}
 		// Pop the per-connection read loops out of their blocked reads;
 		// each then waits out its admitted queries, whose replies are
-		// flushed before the conn closes.
-		s.tracker.SweepReadDeadlines()
-		// Bounded drain: reply writes carry writeTimeout deadlines, so
-		// flushers on a stalled client unblock on their own; the
-		// force-close below is the backstop that guarantees Close always
-		// returns (an unkillable Close would wedge Autopilot.Close).
-		done := make(chan struct{})
-		go func() {
-			s.wg.Wait()
-			close(done)
-		}()
-		select {
-		case <-done:
-		case <-time.After(writeTimeout + 5*time.Second):
-			s.tracker.CloseAll()
-			<-done
-		}
+		// flushed before the conn closes. Reply writes carry writeTimeout
+		// deadlines, so flushers on a stalled client unblock on their own;
+		// the drain's force-close is the backstop that guarantees Close
+		// always returns (an unkillable Close would wedge Autopilot.Close).
+		s.tracker.Drain(writeTimeout+5*time.Second, &s.wg)
 		// The controller may outlive this front-end; stop reporting a
 		// section for an ingress that no longer exists.
 		s.ctrl.SetStatsAugmenter(nil)

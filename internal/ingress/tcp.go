@@ -2,6 +2,7 @@ package ingress
 
 import (
 	"bufio"
+	"errors"
 	"net"
 	"sync"
 	"time"
@@ -45,47 +46,27 @@ type tcpConn struct {
 	done  chan struct{} // read loop is finished and inflight is drained
 }
 
-// serveTCPConn handles one external TCP client: banner, the strict
-// version check and auth, then the request loop.
+// serveTCPConn handles one external TCP client: the handshake (Greet:
+// banner, the strict version check, the auth token), then the request
+// loop. Once it returns, the accept loop untracks and closes the conn.
 func (s *Server) serveTCPConn(conn net.Conn) {
+	br := bufio.NewReaderSize(conn, 16<<10)
+	ack, err := s.tracker.Greet(conn, br, server.Hello{TypeName: "ingress", Proto: server.ProtoSession})
+	if errors.Is(err, server.ErrWireVersion) {
+		s.logf("ingress: refusing %s: client acked wire version %d, this front door speaks %d",
+			conn.RemoteAddr(), ack.Proto, server.ProtoSession)
+	}
+	if err != nil {
+		return
+	}
+	// The request loop reads with no deadline (Greet cleared it, or left it
+	// expired after a Close sweep); every reply write sets its own.
 	tc := &tcpConn{
 		conn: conn,
+		who:  s.auth.identify([]byte(ack.Token)),
 		kick: make(chan struct{}, 1),
 		done: make(chan struct{}),
 	}
-	// Deferred teardown runs in reverse order: wait out the sinks and the
-	// flusher first (every admitted query replies), untrack, then close.
-	defer conn.Close()
-	// Before Track, so a Close sweep's expired read deadline lands on top
-	// of this one, whether it ran already or comes later.
-	conn.SetDeadline(time.Now().Add(handshakeTimeout))
-	defer s.tracker.Track(conn)()
-	if err := server.WriteFrame(conn, server.Hello{TypeName: "ingress", Proto: server.ProtoSession}); err != nil {
-		return
-	}
-	// The first frame must be the client's ack of exactly this version;
-	// anything else is a stale or foreign client whose frames would
-	// misdecode, so it is refused before a query is read.
-	br := bufio.NewReaderSize(conn, 16<<10)
-	var ack server.HelloAck
-	if err := server.ReadFrame(br, &ack); err != nil {
-		return
-	}
-	if ack.Proto != server.ProtoSession {
-		s.logf("ingress: refusing %s: client acked wire version %d, this front door speaks %d",
-			conn.RemoteAddr(), ack.Proto, server.ProtoSession)
-		return
-	}
-	// The request loop reads with no deadline; every reply write sets its
-	// own. Clearing may have undone a Close sweep that ran since the ack
-	// arrived, so look again.
-	conn.SetReadDeadline(time.Time{})
-	select {
-	case <-s.closed:
-		return
-	default:
-	}
-	tc.who = s.auth.identify([]byte(ack.Token))
 	flusherDone := make(chan struct{})
 	s.wg.Add(1)
 	go func() {

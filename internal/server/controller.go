@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"net"
 	"runtime"
 	"slices"
 	"sync"
@@ -126,11 +125,6 @@ func (c *Controller) isClosed() bool {
 	}
 }
 
-// handshakeTimeout bounds an instance dial from connect to HelloAck: a
-// listener that accepts and never speaks must fail AddInstance, not hang
-// it and the control plane's actuation above it.
-const handshakeTimeout = 3 * time.Second
-
 // NewController dials the instance servers and starts the scheduling loop
 // for a single-model deployment — the one-group case of NewMultiController.
 func NewController(model string, policy sim.Distributor, timeScale float64, predict func(string, int) float64, addrs []string) (*Controller, error) {
@@ -195,32 +189,19 @@ func newController(groups map[string]GroupSpec, timeScale float64) (*Controller,
 	return c, nil
 }
 
-// dialInstance connects and handshakes with one instance server inside
-// handshakeTimeout, validating the announced model against the served set
-// and the announced wire version against this build's.
+// dialInstance connects and handshakes with one instance server (Dial:
+// the wire version, inside HandshakeTimeout), then holds the announced
+// model to the served set.
 func (c *Controller) dialInstance(addr string) (*remoteInstance, *wireConn, error) {
-	conn, err := net.DialTimeout("tcp", addr, handshakeTimeout)
+	conn, br, hello, err := Dial(addr, "controller", HelloAck{Proto: ProtoSession}, wireBufSize)
 	if err != nil {
-		return nil, nil, fmt.Errorf("server: dialing %s: %w", addr, err)
+		return nil, nil, err
 	}
-	conn.SetDeadline(time.Now().Add(handshakeTimeout))
-	wc := newWireConn(conn)
-	var hello Hello
-	err = ReadFrame(wc.br, &hello)
-	if err == nil {
-		err = hello.Check()
-	}
-	if _, ok := c.groups[hello.Model]; err == nil && !ok {
-		err = fmt.Errorf("instance %s announces model %q, controller serves %v", hello.TypeName, hello.Model, c.order)
-	}
-	if err == nil {
-		err = wc.writeJSON(HelloAck{Proto: ProtoSession})
-	}
-	if err != nil {
+	if _, ok := c.groups[hello.Model]; !ok {
 		conn.Close()
-		return nil, nil, fmt.Errorf("server: handshake with %s: %w", addr, err)
+		return nil, nil, fmt.Errorf("server: handshake with %s: instance %s announces model %q, controller serves %v", addr, hello.TypeName, hello.Model, c.order)
 	}
-	conn.SetDeadline(time.Time{})
+	wc := newWireConn(conn, br)
 	return &remoteInstance{
 		model:     hello.Model,
 		typeName:  hello.TypeName,
@@ -245,7 +226,7 @@ func (c *Controller) AddInstance(addr string) (string, error) {
 }
 
 // addInstances is the one dial-and-admit path. It dials every address at
-// once — k silent listeners cost one handshakeTimeout — and admits the
+// once — k silent listeners cost one HandshakeTimeout — and admits the
 // results in address order, the order policies index instances by, whatever
 // order the network answered in. After a failed dial nothing is admitted,
 // every link that opened is closed, and the error is the first in address

@@ -1,8 +1,14 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
+	"errors"
+	"io"
 	"net"
+	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -162,5 +168,92 @@ func TestInstanceServerShutdownTimeoutForceCloses(t *testing.T) {
 	// The client sees the cut connection, not a reply.
 	if rep, err := p.recv(); err == nil {
 		t.Fatalf("force-closed connection still delivered %+v", rep)
+	}
+}
+
+// TestInstanceServerStopBoundsPeerMidHandshake: a peer that reads the
+// banner and never acks holds its connection for at most HandshakeTimeout.
+// Close, which waits for connections instead of forcing them, returns
+// within that bound (it used to wait forever), and Shutdown ends the
+// connection at its sweep, not at the handshake bound or the drain
+// timeout. Either way the peer sees the connection close.
+func TestInstanceServerStopBoundsPeerMidHandshake(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name   string
+		stop   func(*InstanceServer) error
+		within time.Duration
+	}{
+		{"Close", (*InstanceServer).Close, HandshakeTimeout + 2*time.Second},
+		{"Shutdown", func(s *InstanceServer) error { return s.Shutdown(10 * HandshakeTimeout) }, HandshakeTimeout / 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			s := startServer(t, cloud.R5nLarge.Name, 1)
+			conn, err := net.Dial("tcp", s.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			var hello Hello
+			if err := ReadFrame(conn, &hello); err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			done := make(chan error, 1)
+			go func() { done <- tc.stop(s) }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+				if took := time.Since(start); took > tc.within {
+					t.Fatalf("%s took %v with a peer mid-handshake, want at most %v", tc.name, took, tc.within)
+				}
+			case <-time.After(tc.within + 5*time.Second):
+				t.Fatalf("%s still blocked %v after a peer read the banner and never acked", tc.name, time.Since(start))
+			}
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("the unacked connection is still open after %s: %v", tc.name, err)
+			}
+		})
+	}
+}
+
+// TestGreetKeepsASweep: a drain sweep that lands before a handshake
+// finishes is not undone by it. The ack is already buffered, so Greet
+// completes after the sweep; the connection's read deadline must stay
+// expired, so it serves only what it has already received.
+func TestGreetKeepsASweep(t *testing.T) {
+	t.Parallel()
+	c1, c2 := net.Pipe()
+	defer c1.Close()
+	defer c2.Close()
+	go io.Copy(io.Discard, c2) // the banner
+	var tr ConnTracker
+	if err := tr.Drain(time.Second, &sync.WaitGroup{}); err != nil {
+		t.Fatal(err)
+	}
+	defer tr.track(c1)()
+	var ack bytes.Buffer
+	if err := WriteFrame(&ack, HelloAck{Proto: ProtoSession}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.Greet(c1, bufio.NewReader(&ack), Hello{Proto: ProtoSession}); err != nil {
+		t.Fatal(err)
+	}
+	read := make(chan error, 1)
+	go func() {
+		_, err := c1.Read(make([]byte, 1))
+		read <- err
+	}()
+	select {
+	case err := <-read:
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("read after a swept handshake: %v, want the expired deadline", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the handshake undid the sweep: the read blocks")
 	}
 }

@@ -301,10 +301,10 @@ func TestAddInstanceBoundsSilentListener(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "handshake") {
 			t.Fatalf("silent listener joined the fleet: %v", err)
 		}
-	case <-time.After(handshakeTimeout + 5*time.Second):
+	case <-time.After(HandshakeTimeout + 5*time.Second):
 		t.Fatal("AddInstance hung on a listener that never speaks")
 	}
-	// More than handshakeTimeout has passed since the healthy instance
+	// More than HandshakeTimeout has passed since the healthy instance
 	// shook hands: it must still be a member and still serve.
 	if res := ctrl.SubmitWait(m.Name, 10); res.Err != nil {
 		t.Fatalf("healthy instance lost after the handshake bound elapsed: %v", res.Err)
@@ -351,8 +351,8 @@ func TestNewMultiControllerBoundsSilentListeners(t *testing.T) {
 		ctrl.Close()
 		t.Fatal("a fleet with silent listeners came up")
 	}
-	if took := time.Since(start); took >= 2*handshakeTimeout {
-		t.Fatalf("three silent listeners cost the constructor %v, want one handshake bound (%v)", took, handshakeTimeout)
+	if took := time.Since(start); took >= 2*HandshakeTimeout {
+		t.Fatalf("three silent listeners cost the constructor %v, want one handshake bound (%v)", took, HandshakeTimeout)
 	}
 	if !strings.Contains(err.Error(), "handshake with "+silent[0]) {
 		t.Fatalf("error %q does not name the first silent listener in address order, %s", err, silent[0])

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -29,10 +30,6 @@ type InstanceServer struct {
 	listener net.Listener
 	wg       sync.WaitGroup
 
-	// draining is closed by Shutdown; active connections finish serving
-	// their fully-received requests and then go away.
-	draining  chan struct{}
-	drainOnce sync.Once
 	closeOnce sync.Once
 	closeErr  error
 
@@ -61,7 +58,6 @@ func NewInstanceServer(typeName string, model models.Model, timeScale float64) (
 		TypeName:  typeName,
 		Model:     model,
 		TimeScale: timeScale,
-		draining:  make(chan struct{}),
 	}, nil
 }
 
@@ -73,8 +69,7 @@ func (s *InstanceServer) Start(addr string) error {
 		return err
 	}
 	s.listener = l
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s.tracker.Serve(l, &s.wg, s.serveConn)
 	return nil
 }
 
@@ -86,14 +81,19 @@ func (s *InstanceServer) Addr() string { return s.listener.Addr().String() }
 // Idempotent, and safe after Shutdown.
 func (s *InstanceServer) Close() error {
 	s.closeOnce.Do(func() {
-		err := s.listener.Close()
-		if err != nil && errors.Is(err, net.ErrClosed) {
-			err = nil // Shutdown already closed it
-		}
-		s.closeErr = err
+		s.closeErr = s.closeListener()
 		s.wg.Wait()
 	})
 	return s.closeErr
+}
+
+// closeListener stops accepting; a listener Shutdown already closed is
+// not an error.
+func (s *InstanceServer) closeListener() error {
+	if err := s.listener.Close(); !errors.Is(err, net.ErrClosed) {
+		return err
+	}
+	return nil
 }
 
 // Kill abruptly terminates the server: the listener and every active
@@ -103,12 +103,8 @@ func (s *InstanceServer) Close() error {
 // orderly teardown wants Close or Shutdown instead.
 func (s *InstanceServer) Kill() error {
 	s.closeOnce.Do(func() {
-		err := s.listener.Close()
-		if err != nil && errors.Is(err, net.ErrClosed) {
-			err = nil
-		}
-		s.tracker.CloseAll()
-		s.closeErr = err
+		s.closeErr = s.closeListener()
+		s.tracker.closeAll()
 		s.wg.Wait()
 	})
 	return s.closeErr
@@ -124,75 +120,32 @@ func (s *InstanceServer) Kill() error {
 // instance. Shutdown waits up to timeout for the drain before
 // force-closing lingering connections.
 func (s *InstanceServer) Shutdown(timeout time.Duration) error {
-	s.drainOnce.Do(func() { close(s.draining) })
-	err := s.listener.Close()
-	if err != nil && errors.Is(err, net.ErrClosed) {
-		err = nil
-	}
-	// Expired read deadlines pop blocked readers out of their syscalls;
-	// each serve loop then collects what its socket had already received
-	// (see serveConn) before it exits.
-	s.tracker.SweepReadDeadlines()
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(timeout):
-		s.tracker.CloseAll()
-		<-done
-		if err == nil {
-			err = fmt.Errorf("server: drain exceeded %v; connections force-closed", timeout)
-		}
+	err := s.closeListener()
+	// The sweep's expired read deadlines pop blocked readers out of their
+	// syscalls; each serve loop then collects what its socket had already
+	// received (see serveConn) before it exits.
+	if derr := s.tracker.Drain(timeout, &s.wg); err == nil {
+		err = derr
 	}
 	return err
 }
 
 // drainExit reports whether a read error is the drain deadline firing
 // (an orderly exit with everything buffered already served) rather than
-// a real connection failure.
-func (s *InstanceServer) drainExit(err error) bool {
-	select {
-	case <-s.draining:
-	default:
-		return false
-	}
+// a real connection failure. Past the handshake an instance connection
+// reads with no deadline until Shutdown's sweep arms one, so a timeout
+// can only be the drain's.
+func drainExit(err error) bool {
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-func (s *InstanceServer) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.listener.Accept()
-		if err != nil {
-			return
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(conn)
-		}()
-	}
-}
-
-// serveConn handles one controller connection: banner, the strict version
-// check, then a request loop. Service is serialized across every
-// connection so the instance truly serves one query at a time.
+// serveConn handles one controller connection: the handshake (Greet),
+// then a request loop. Service is serialized across every connection so
+// the instance truly serves one query at a time.
 func (s *InstanceServer) serveConn(conn net.Conn) {
-	defer conn.Close()
-	defer s.tracker.Track(conn)()
-	wc := newWireConn(conn)
-	if err := wc.writeJSON(Hello{TypeName: s.TypeName, Model: s.Model.Name, Proto: ProtoSession}); err != nil {
-		return
-	}
-	// The first frame must be the controller's ack of exactly this
-	// version. Anything else — another number, a frame that is not an ack —
-	// is a stale or foreign peer whose frames would misdecode: refuse it.
-	var ack HelloAck
-	if err := ReadFrame(wc.br, &ack); err != nil || ack.Proto != ProtoSession {
+	wc := newWireConn(conn, bufio.NewReaderSize(conn, wireBufSize))
+	if _, err := s.tracker.Greet(conn, wc.br, Hello{TypeName: s.TypeName, Model: s.Model.Name, Proto: ProtoSession}); err != nil {
 		return
 	}
 	queued := 0  // replies buffered but not yet flushed
@@ -200,7 +153,7 @@ func (s *InstanceServer) serveConn(conn net.Conn) {
 	for {
 		rv, err := wc.readRequest()
 		if err != nil {
-			if !s.drainExit(err) {
+			if !drainExit(err) {
 				return
 			}
 			if look {

@@ -75,16 +75,6 @@ type Hello struct {
 	Proto int `json:"proto"`
 }
 
-// Check is the one statement of the version rule for an instance's
-// banner, applied by the controller's dial and by the autopilot's launch
-// probe, so a stale kairosd is refused at the first place that looks.
-func (h Hello) Check() error {
-	if h.Proto != ProtoSession {
-		return fmt.Errorf("instance %s speaks wire version %d, this controller speaks %d", h.TypeName, h.Proto, ProtoSession)
-	}
-	return nil
-}
-
 // HelloAck is the dialing side's answer and must be the first frame it
 // sends: the same wire version, or the serving side closes the connection.
 type HelloAck struct {
@@ -94,7 +84,8 @@ type HelloAck struct {
 	Token string `json:"token,omitempty"`
 }
 
-// WriteFrame writes one length-prefixed JSON message (handshake frames).
+// WriteFrame writes one length-prefixed JSON message (handshake frames) in
+// one write.
 func WriteFrame(w io.Writer, v any) error {
 	payload, err := json.Marshal(v)
 	if err != nil {
@@ -103,12 +94,8 @@ func WriteFrame(w io.Writer, v any) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("server: frame of %d bytes exceeds limit", len(payload))
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(payload)
+	frame := binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(payload)), uint32(len(payload)))
+	_, err = w.Write(append(frame, payload...))
 	return err
 }
 

@@ -39,15 +39,6 @@ type connWriter struct {
 	err  error // first write failure; the connection is dead after it
 }
 
-// Write implements io.Writer for the handshake (WriteFrame): bytes land
-// in the buffer and reach the socket at the next flush.
-func (cw *connWriter) Write(p []byte) (int, error) {
-	if err := cw.queue(p); err != nil {
-		return 0, err
-	}
-	return len(p), nil
-}
-
 func (cw *connWriter) queue(frame []byte) error {
 	if cw.err != nil {
 		return cw.err
@@ -93,25 +84,17 @@ func (cw *connWriter) flush() error {
 // (ControllerBringUp32 − ControllerBringUp8, per instance; ~20 KB).
 const wireBufSize = 4 << 10
 
-func newWireConn(conn net.Conn) *wireConn {
+// newWireConn wraps a handshaken connection; br is the reader the
+// handshake read through, so nothing it buffered is lost.
+func newWireConn(conn net.Conn, br *bufio.Reader) *wireConn {
 	return &wireConn{
 		conn: conn,
-		br:   bufio.NewReaderSize(conn, wireBufSize),
+		br:   br,
 		bw:   &connWriter{conn: conn, buf: make([]byte, wireBufSize)},
 	}
 }
 
 func (w *wireConn) close() error { return w.conn.Close() }
-
-// writeJSON frames v as JSON and flushes immediately (handshake frames).
-func (w *wireConn) writeJSON(v any) error {
-	w.wmu.Lock()
-	defer w.wmu.Unlock()
-	if err := WriteFrame(w.bw, v); err != nil {
-		return err
-	}
-	return w.bw.flush()
-}
 
 // queue encodes req into the write buffer without flushing; callers
 // coalesce a burst and flush once. With flush and close it is the

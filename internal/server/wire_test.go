@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"errors"
 	"net"
 	"strings"
@@ -54,7 +55,7 @@ func wirePair(t *testing.T) (a, b *wireConn) {
 	if c2 == nil {
 		t.Fatal("accept failed")
 	}
-	a, b = newWireConn(c1), newWireConn(c2)
+	a, b = newWireConn(c1, bufio.NewReaderSize(c1, wireBufSize)), newWireConn(c2, bufio.NewReaderSize(c2, wireBufSize))
 	t.Cleanup(func() { a.close(); b.close() })
 	return a, b
 }
