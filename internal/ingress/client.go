@@ -17,10 +17,8 @@ import (
 // the Hello banner's wire version and acks it.
 type Client struct {
 	conn   net.Conn
+	w      *server.Writer
 	nextID atomic.Int64
-
-	wmu  sync.Mutex
-	wbuf []byte
 
 	mu      sync.Mutex
 	pending map[int64]chan server.Reply
@@ -54,7 +52,7 @@ func DialWith(addr string, opts DialOptions) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{conn: conn, pending: make(map[int64]chan server.Reply)}
+	c := &Client{conn: conn, w: server.NewWriter(conn), pending: make(map[int64]chan server.Reply)}
 	go c.readLoop(br)
 	return c, nil
 }
@@ -78,6 +76,15 @@ func (c *Client) Submit(model string, batch int) (server.Reply, error) {
 // SubmitOpts is Submit with a session key and deadline.
 func (c *Client) SubmitOpts(model string, batch int, opts SubmitOptions) (server.Reply, error) {
 	id := c.nextID.Add(1)
+	req := server.Request{ID: id, Model: model, Batch: batch, Session: opts.Session}
+	if opts.Deadline > 0 {
+		req.DeadlineMS = int64(opts.Deadline / time.Millisecond)
+	}
+	// Refused here, a request the wire cannot carry fails this call alone;
+	// queued, it would fail the connection.
+	if err := req.Validate(); err != nil {
+		return server.Reply{}, err
+	}
 	ch := replyChans.Get().(chan server.Reply)
 	c.mu.Lock()
 	if c.err != nil {
@@ -89,24 +96,10 @@ func (c *Client) SubmitOpts(model string, batch int, opts SubmitOptions) (server
 	c.pending[id] = ch
 	c.mu.Unlock()
 
-	req := server.Request{ID: id, Model: model, Batch: batch, Session: opts.Session}
-	if opts.Deadline > 0 {
-		req.DeadlineMS = int64(opts.Deadline / time.Millisecond)
-	}
-	c.wmu.Lock()
-	frame, werr := server.AppendRequestFrame(c.wbuf[:0], req)
-	if werr == nil {
-		c.wbuf = frame
-		_, werr = c.conn.Write(frame)
-	}
-	c.wmu.Unlock()
-	if werr != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		replyChans.Put(ch)
-		return server.Reply{}, werr
-	}
+	// A failed writer has closed the connection: the read loop fails every
+	// pending call, this one included.
+	c.w.QueueRequest(req)
+	c.w.Kick()
 
 	rep, ok := <-ch
 	if !ok {
@@ -135,7 +128,7 @@ func (c *Client) readLoop(br *bufio.Reader) {
 		}
 		if err != nil {
 			c.mu.Lock()
-			c.err = err
+			c.err = c.w.Cause(err)
 			for id, ch := range c.pending {
 				close(ch)
 				delete(c.pending, id)
@@ -153,5 +146,10 @@ func (c *Client) readLoop(br *bufio.Reader) {
 	}
 }
 
-// Close tears the connection down; pending Submits fail.
-func (c *Client) Close() error { return c.conn.Close() }
+// Close tears the connection down and stops its writer; pending Submits
+// fail.
+func (c *Client) Close() error {
+	err := c.conn.Close()
+	c.w.Close()
+	return err
+}

@@ -182,7 +182,7 @@ func (s *Server) serveHTTPRequest(conn net.Conn, hc *httpCtx) bool {
 		return false
 	}
 	if expect100 {
-		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+		conn.SetWriteDeadline(time.Now().Add(server.WriteTimeout))
 		if _, err := conn.Write(continue100); err != nil {
 			return false
 		}
@@ -276,7 +276,7 @@ func (s *Server) writeHTTPResponse(conn net.Conn, hc *httpCtx, status int, body 
 	}
 	hc.out = append(hc.out, '\r', '\n')
 	hc.out = append(hc.out, body...)
-	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	conn.SetWriteDeadline(time.Now().Add(server.WriteTimeout))
 	_, err := conn.Write(hc.out)
 	return err == nil
 }

@@ -53,12 +53,6 @@ const RateLimitedMsg = "ingress: rate limited"
 // submission receives when the front door has a token list.
 const UnauthorizedMsg = "ingress: unauthorized"
 
-// writeTimeout bounds every reply write: a client that stops reading
-// (full kernel send buffer) stalls only its own connection, and only for
-// this long — reply flushers must never be parked on a dead peer
-// forever or Close could not drain them.
-const writeTimeout = 30 * time.Second
-
 // Options configure a front-end. At least one of HTTPAddr and TCPAddr
 // must be set.
 type Options struct {
@@ -173,7 +167,7 @@ type Server struct {
 	httpLn net.Listener // nil when the transport is disabled
 	tcpLn  net.Listener
 
-	wg        sync.WaitGroup // accept loops + connection loops + flushers
+	wg        sync.WaitGroup // accept loops + connection loops (each joins its writer)
 	closed    chan struct{}
 	closeOnce sync.Once
 
@@ -342,11 +336,12 @@ func (s *Server) Close() {
 		}
 		// Pop the per-connection read loops out of their blocked reads;
 		// each then waits out its admitted queries, whose replies are
-		// flushed before the conn closes. Reply writes carry writeTimeout
-		// deadlines, so flushers on a stalled client unblock on their own;
-		// the drain's force-close is the backstop that guarantees Close
-		// always returns (an unkillable Close would wedge Autopilot.Close).
-		s.tracker.Drain(writeTimeout+5*time.Second, &s.wg)
+		// written before the conn closes. Every write carries
+		// server.WriteTimeout, so a writer on a stalled client unblocks on
+		// its own; the drain's force-close is the backstop that guarantees
+		// Close always returns (an unkillable Close would wedge
+		// Autopilot.Close).
+		s.tracker.Drain(server.WriteTimeout+5*time.Second, &s.wg)
 		// The controller may outlive this front-end; stop reporting a
 		// section for an ingress that no longer exists.
 		s.ctrl.SetStatsAugmenter(nil)

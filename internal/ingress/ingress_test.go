@@ -1,10 +1,12 @@
 package ingress
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -213,6 +215,60 @@ func TestIngressTCPSubmit(t *testing.T) {
 	if is.TCP != 20 || is.Completed != 20 || is.Failed != 0 {
 		t.Fatalf("ingress stats = %+v", is)
 	}
+}
+
+// TestIngressCutsClientThatStopsReading: a client that pipelines queries
+// and never reads its replies fills its socket buffers, then the reply
+// writer's backlog; past the cap the door closes the connection, so the
+// client's writes fail and the door's Submitted stops growing — the door
+// no longer admits queries whose replies nobody can receive. Unknown-model
+// queries with the longest name the wire carries draw ~300-byte NACKs, so
+// the buffers fill after a few megabytes; one query in 16 is admitted.
+func TestIngressCutsClientThatStopsReading(t *testing.T) {
+	t.Parallel()
+	ing, _ := startFront(t, 0, 1e-6)
+	conn, err := net.Dial("tcp", ing.TCPAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.(*net.TCPConn).SetReadBuffer(4 << 10)
+	var hello server.Hello
+	if err := server.ReadFrame(bufio.NewReader(conn), &hello); err != nil {
+		t.Fatal(err)
+	}
+	if err := server.WriteFrame(conn, server.HelloAck{Proto: server.ProtoSession}); err != nil {
+		t.Fatal(err)
+	}
+	var burst []byte
+	for i := range 16 {
+		req := server.Request{ID: int64(i), Model: strings.Repeat("x", 255), Batch: 1}
+		if i == 0 {
+			req.Model = "NCF"
+		}
+		burst, _ = server.AppendRequestFrame(burst, req)
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	sent := 0
+	for ; ; sent += len(burst) {
+		conn.SetWriteDeadline(deadline)
+		if _, err := conn.Write(burst); err != nil {
+			if time.Now().After(deadline) {
+				t.Fatalf("after %d MB the door still serves a client that never reads", sent>>20)
+			}
+			break
+		}
+	}
+	// What the door had read ahead of the cut is still admitted; then
+	// nothing more.
+	submitted := func() int64 { return ing.Stats()["NCF"].Submitted }
+	time.Sleep(100 * time.Millisecond)
+	first := submitted()
+	time.Sleep(200 * time.Millisecond)
+	if n := submitted(); n == 0 || n != first {
+		t.Fatalf("submitted %d, then %d after the connection was cut: want it stopped, and above 0", first, n)
+	}
+	t.Logf("cut after %d MB of requests, %d queries admitted", sent>>20, first)
 }
 
 // TestIngressBackpressure: with a queue bound of 1 and a slow instance,

@@ -16,20 +16,13 @@ import (
 // admitted queries in place, each with a pooled completion sink, and goes
 // back to reading: no goroutine waits on a query in flight. Whichever
 // controller goroutine decides a query's outcome runs its sink, which
-// settles the account and appends the reply to a per-connection coalescing
-// buffer drained by one flusher goroutine — a burst of completions costs
-// one write syscall, not one per query, and no reply ever allocates a
-// goroutine or a frame buffer.
-
-// maxRetainedReplyBuf caps the write-buffer capacity a connection keeps
-// across bursts. One oversized burst (a deep pipeline completing at once)
-// may grow the buffer arbitrarily; holding that memory for the life of
-// an idle connection is the retention bug this cap fixes.
-const maxRetainedReplyBuf = 64 << 10
+// settles the account and queues the reply on the connection's
+// server.Writer — a burst of completions costs one write syscall, not one
+// per query, and no reply ever allocates a goroutine or a frame buffer.
 
 // tcpConn is one external binary-TCP client.
 type tcpConn struct {
-	conn net.Conn
+	w *server.Writer
 
 	// who is the client's standing at the gate, resolved once from the
 	// handshake token. A denied client's submissions are NACKed but the
@@ -37,18 +30,16 @@ type tcpConn struct {
 	who client
 
 	inflight sync.WaitGroup // admitted queries whose sink has not queued the reply yet
-
-	wmu   sync.Mutex
-	wbuf  []byte        // encoded reply frames awaiting flush
-	spare []byte        // flusher's drained buffer, swapped back in
-	werr  error         // first write/encode error; replies stop accumulating
-	kick  chan struct{} // cap 1: "the buffer is non-empty"
-	done  chan struct{} // read loop is finished and inflight is drained
 }
 
 // serveTCPConn handles one external TCP client: the handshake (Greet:
 // banner, the strict version check, the auth token), then the request
-// loop. Once it returns, the accept loop untracks and closes the conn.
+// loop. The loop ends on the first read error: the client hung up, a
+// drain, or the writer closing the connection on a failure (a client that
+// stops reading fails it within WriteTimeout, or sooner once its backlog
+// passes the cap) — so a client nobody can answer is never served. Every
+// admitted query then queues its reply, the writer's final drain writes
+// them, and the accept loop untracks and closes the conn.
 func (s *Server) serveTCPConn(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 16<<10)
 	ack, err := s.tracker.Greet(conn, br, server.Hello{TypeName: "ingress", Proto: server.ProtoSession})
@@ -60,24 +51,11 @@ func (s *Server) serveTCPConn(conn net.Conn) {
 		return
 	}
 	// The request loop reads with no deadline (Greet cleared it, or left it
-	// expired after a Close sweep); every reply write sets its own.
-	tc := &tcpConn{
-		conn: conn,
-		who:  s.auth.identify([]byte(ack.Token)),
-		kick: make(chan struct{}, 1),
-		done: make(chan struct{}),
-	}
-	flusherDone := make(chan struct{})
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer close(flusherDone)
-		tc.flusher()
-	}()
+	// expired after a Close sweep); the writer bounds every write.
+	tc := &tcpConn{w: server.NewWriter(conn), who: s.auth.identify([]byte(ack.Token))}
 	defer func() {
 		tc.inflight.Wait()
-		close(tc.done)
-		<-flusherDone
+		tc.w.Close()
 	}()
 	var rbuf []byte // scratch for a frame larger than br's window
 	for {
@@ -101,7 +79,7 @@ func (s *Server) serveTCPConn(conn net.Conn) {
 func (s *Server) handleTCP(tc *tcpConn, rv server.RequestView, t0 time.Time) {
 	mf, reject := s.admit(tc.who, rv.Model, true, t0)
 	if mf == nil {
-		tc.queueReply(server.Reply{ID: rv.ID, Err: reject})
+		tc.reply(server.Reply{ID: rv.ID, Err: reject})
 		return
 	}
 	tc.inflight.Add(1)
@@ -124,9 +102,9 @@ var tcpQueries slab.Pool[tcpQuery]
 
 // QueryDone settles the account and queues the reply, on the controller
 // goroutine that decided the outcome (server.Sink: it must not block — it
-// takes the connection's buffer lock for an append and never writes). The
-// reply is queued before inflight.Done so the connection's final drain
-// always flushes it.
+// takes the writer's lock for an append and never writes). The reply is
+// queued before inflight.Done so the connection's final drain always
+// writes it.
 func (q *tcpQuery) QueryDone(res server.QueryResult) {
 	w := *q
 	*q = tcpQuery{} // an idle pooled sink must not pin its connection
@@ -136,65 +114,14 @@ func (q *tcpQuery) QueryDone(res server.QueryResult) {
 	if res.Err != nil {
 		rep.Err = res.Err.Error()
 	}
-	w.tc.queueReply(rep)
+	w.tc.reply(rep)
 	w.tc.inflight.Done()
 }
 
-// queueReply encodes rep into the connection's write buffer and kicks
-// the flusher. After a write error replies are dropped — the client is
-// gone; the admission accounting already happened.
-func (tc *tcpConn) queueReply(rep server.Reply) {
-	tc.wmu.Lock()
-	if tc.werr == nil {
-		tc.wbuf, tc.werr = server.AppendReplyFrame(tc.wbuf, rep)
-	}
-	tc.wmu.Unlock()
-	select {
-	case tc.kick <- struct{}{}:
-	default:
-	}
-}
-
-// flusher drains the write buffer: one goroutine per connection, one
-// syscall per accumulated burst. On done it performs a final drain so an
-// orderly Close loses no reply.
-func (tc *tcpConn) flusher() {
-	for {
-		select {
-		case <-tc.kick:
-			tc.writeOut()
-		case <-tc.done:
-			tc.writeOut()
-			return
-		}
-	}
-}
-
-// writeOut swaps the accumulated buffer out under the lock and writes it
-// outside it, looping until the buffer stays empty.
-func (tc *tcpConn) writeOut() {
-	for {
-		tc.wmu.Lock()
-		if len(tc.wbuf) == 0 || tc.werr != nil {
-			tc.wmu.Unlock()
-			return
-		}
-		out := tc.wbuf
-		tc.wbuf = tc.spare[:0]
-		tc.wmu.Unlock()
-		tc.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-		_, err := tc.conn.Write(out)
-		if cap(out) > maxRetainedReplyBuf {
-			// Don't let one giant burst pin its buffer for the connection's
-			// lifetime; shrink back and let the next burst grow organically.
-			out = nil
-		}
-		tc.spare = out[:0]
-		if err != nil {
-			tc.wmu.Lock()
-			tc.werr = err
-			tc.wmu.Unlock()
-			return
-		}
-	}
+// reply queues rep and kicks the writer. After a failure the writer drops
+// it: the connection is closed and its read loop is ending; the admission
+// accounting already happened.
+func (tc *tcpConn) reply(rep server.Reply) {
+	tc.w.QueueReply(rep)
+	tc.w.Kick()
 }

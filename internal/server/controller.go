@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -169,8 +170,8 @@ func newController(groups map[string]GroupSpec, timeScale float64) (*Controller,
 		closed:    make(chan struct{}),
 	}
 	for model, spec := range groups {
-		if model == "" {
-			return nil, errors.New("server: model group with an empty model name")
+		if model == "" || len(model) > math.MaxUint8 {
+			return nil, fmt.Errorf("server: model group name %q is empty or longer than the wire's %d bytes", model, math.MaxUint8)
 		}
 		if spec.Policy == nil || spec.Predict == nil {
 			return nil, fmt.Errorf("server: model group %s needs a policy and a predictor", model)
@@ -289,11 +290,12 @@ func (c *Controller) admit(ri *remoteInstance, reader func()) error {
 // readLoop consumes replies from one instance. When the connection dies
 // the instance leaves the fleet by the one fault exit (evict), so drains
 // never wait on a dead instance and submitters never hang on a lost reply.
+// When the link's writer failed and closed it, the eviction names that.
 func (c *Controller) readLoop(ri *remoteInstance, wc *wireConn) {
 	var reply Reply // hoisted: &reply escapes, one per loop not per read; readReply overwrites it whole
 	for {
 		if err := wc.readReply(&reply); err != nil {
-			c.evict(ri, err)
+			c.evict(ri, wc.w.Cause(err))
 			return
 		}
 		c.complete(ri, reply, time.Now())
@@ -336,11 +338,10 @@ func (c *Controller) groupLoop(g *modelGroup) {
 // schedule is one wake-up of a group's scheduler: the round it was woken
 // for, one more if a kick is already pending — a completion or submission
 // that landed meanwhile would otherwise cost the links it touches a second
-// write a moment later — and then one flush per touched link. The extra
-// round is at most one, so a queued dispatch waits for a bounded amount of
-// deciding, and the flush always precedes the scheduler's sleep: the rule
-// InstanceServer.serveConn applies to replies. It returns the last round's
-// instant and the wake-up that round asked for.
+// write a moment later — and then one kick per touched link's writer. The
+// extra round is at most one, so a queued dispatch waits for a bounded
+// amount of deciding, and the kick always precedes the scheduler's sleep.
+// It returns the last round's instant and the wake-up that round asked for.
 func (c *Controller) schedule(g *modelGroup, clock func() time.Time) (now, next time.Time) {
 	now = clock()
 	next = c.round(g, now)

@@ -142,16 +142,26 @@ func drainExit(err error) bool {
 
 // serveConn handles one controller connection: the handshake (Greet),
 // then a request loop. Service is serialized across every connection so
-// the instance truly serves one query at a time.
+// the instance truly serves one query at a time. Each reply is handed to
+// the connection's Writer as soon as it is served; replies served while a
+// write is in flight go out together in the next one.
 func (s *InstanceServer) serveConn(conn net.Conn) {
-	wc := newWireConn(conn, bufio.NewReaderSize(conn, wireBufSize))
-	if _, err := s.tracker.Greet(conn, wc.br, Hello{TypeName: s.TypeName, Model: s.Model.Name, Proto: ProtoSession}); err != nil {
+	br := bufio.NewReaderSize(conn, wireBufSize)
+	if _, err := s.tracker.Greet(conn, br, Hello{TypeName: s.TypeName, Model: s.Model.Name, Proto: ProtoSession}); err != nil {
 		return
 	}
-	queued := 0  // replies buffered but not yet flushed
-	look := true // a drain timeout may still be hiding received requests
+	w := NewWriter(conn)
+	// The final drain: every served reply is written before the tracker
+	// closes the connection.
+	defer w.Close()
+	var rbuf []byte // scratch for a frame larger than br's window
+	look := true    // a drain timeout may still be hiding received requests
 	for {
-		rv, err := wc.readRequest()
+		p, err := ReadFrameView(br, &rbuf)
+		var rv RequestView
+		if err == nil {
+			rv, err = DecodeRequestView(p)
+		}
 		if err != nil {
 			if !drainExit(err) {
 				return
@@ -166,7 +176,6 @@ func (s *InstanceServer) serveConn(conn net.Conn) {
 				conn.SetReadDeadline(time.Now().Add(drainLook))
 				continue
 			}
-			wc.flush()
 			return
 		}
 		look = true
@@ -178,33 +187,14 @@ func (s *InstanceServer) serveConn(conn net.Conn) {
 		}
 		reply := s.validate(rv.ID, rv.Batch, model)
 		if reply.Err == "" {
-			serviceMS := s.Model.Latency(s.TypeName, rv.Batch)
-			// A reply may only be withheld across the next service if that
-			// service is cheaper than the syscall being saved — never delay
-			// an already-finished query's completion behind a real model
-			// sleep.
-			if queued > 0 && time.Duration(serviceMS*s.TimeScale*float64(time.Millisecond)) > promptReplyBudget {
-				if err := wc.flush(); err != nil {
-					return
-				}
-				queued = 0
-			}
-			reply = s.execute(rv.ID, serviceMS, rv.Traced)
+			reply = s.execute(rv.ID, s.Model.Latency(s.TypeName, rv.Batch), rv.Traced)
 		} else if rv.Traced {
 			reply.Traced = true
 		}
-		if err := wc.queueReply(reply); err != nil {
-			return
+		if w.QueueReply(reply) != nil {
+			return // the writer failed and closed the connection
 		}
-		queued++
-		// Coalesce: only flush when the next request is not already waiting
-		// in the read buffer, so a dispatch burst is answered in one syscall.
-		if wc.br.Buffered() == 0 {
-			if err := wc.flush(); err != nil {
-				return
-			}
-			queued = 0
-		}
+		w.Kick()
 	}
 }
 
@@ -213,12 +203,6 @@ func (s *InstanceServer) serveConn(conn net.Conn) {
 // returns at once; the wait only bounds the empty case, and is long enough
 // that a scheduling stall between arming and reading cannot expire it.
 const drainLook = 50 * time.Millisecond
-
-// promptReplyBudget bounds how much emulated service time may pass in
-// front of an unflushed reply: batching replies across sub-syscall-cost
-// sleeps (time-compressed benchmarks) is free, while at real time scales
-// every reply precedes the next query's sleep.
-const promptReplyBudget = 100 * time.Microsecond
 
 // validate checks a request against the hosted model and calibrated batch
 // range; the returned Reply carries an error on rejection and is the

@@ -24,8 +24,9 @@ const (
 )
 
 // remoteInstance is one dialed instance server. Mutable fields are
-// guarded by the owning group's mu; the link has its own write lock, so
-// network writes happen outside the group lock.
+// guarded by the owning group's mu; the link has its own lock and writer
+// goroutine, so network writes happen outside the group lock and off the
+// scheduler.
 type remoteInstance struct {
 	model    string
 	typeName string
@@ -49,7 +50,8 @@ type remoteInstance struct {
 	// busyMS accumulates ground-truth service time (model ms) from replies.
 	busyMS float64
 	// needsFlush marks the instance as touched by the current dispatch
-	// burst; only the group's scheduler goroutine uses it.
+	// burst, its link owed one kick; only the group's scheduler goroutine
+	// uses it.
 	needsFlush bool
 	// serveHist and typeID are the flight recorder's per-instance-type
 	// hooks, resolved once at dial time so the reply path records with a
@@ -152,9 +154,9 @@ func (c *Controller) drain(g *modelGroup, ri *remoteInstance) (died bool, err er
 // evict is the one fault exit: a dead instance leaves the fleet and its
 // in-flight queries go back to the head of the central queue for
 // redispatch to surviving capacity — an instance crash must not drop
-// admitted queries. The read loop calls it when the connection dies and
-// the round when a dispatch write fails; whichever notices first retires
-// the instance, the other finds it gone. The instance-down callback fires
+// admitted queries. The read loop calls it when the connection dies,
+// whether the peer went away or the link's writer failed and closed it;
+// a second report finds the instance gone. The instance-down callback fires
 // last, outside the lock, so a control plane can reap the process and heal
 // the fleet. After Close the cleanup is Close's.
 func (c *Controller) evict(ri *remoteInstance, cause error) {

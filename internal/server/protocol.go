@@ -164,19 +164,28 @@ const (
 	replyFixed   = 1 + 8 + 8 + 8 + 1 + 2     // a reply with no error
 )
 
-// AppendRequestFrame appends the length-prefixed binary encoding of req.
-func AppendRequestFrame(buf []byte, req Request) ([]byte, error) {
+// Validate reports why req cannot be encoded: a Writer fails its
+// connection on such a frame, so callers with untrusted fields check first.
+func (req Request) Validate() error {
 	if len(req.Model) > math.MaxUint8 {
-		return buf, fmt.Errorf("server: model name of %d bytes exceeds limit", len(req.Model))
+		return fmt.Errorf("server: model name of %d bytes exceeds limit", len(req.Model))
 	}
 	if req.Batch < math.MinInt32 || req.Batch > math.MaxInt32 {
-		return buf, fmt.Errorf("server: batch %d outside the wire range", req.Batch)
+		return fmt.Errorf("server: batch %d outside the wire range", req.Batch)
 	}
 	if len(req.Session) > math.MaxUint8 {
-		return buf, fmt.Errorf("server: session key of %d bytes exceeds limit", len(req.Session))
+		return fmt.Errorf("server: session key of %d bytes exceeds limit", len(req.Session))
 	}
 	if req.DeadlineMS < 0 || req.DeadlineMS > math.MaxUint32 {
-		return buf, fmt.Errorf("server: deadline %dms outside the wire range", req.DeadlineMS)
+		return fmt.Errorf("server: deadline %dms outside the wire range", req.DeadlineMS)
+	}
+	return nil
+}
+
+// AppendRequestFrame appends the length-prefixed binary encoding of req.
+func AppendRequestFrame(buf []byte, req Request) ([]byte, error) {
+	if err := req.Validate(); err != nil {
+		return buf, err
 	}
 	n := requestFixed + len(req.Model) + len(req.Session)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(n))

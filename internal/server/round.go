@@ -20,12 +20,14 @@ import (
 // clock and in-memory links.
 
 // link is the round's whole view of an instance's connection: queue a
-// request, flush what was queued, close. Replies come back through
-// complete, which whoever reads the connection calls. *wireConn is the
-// production link.
+// request, hand what was queued to the link's writer, close. Queue and
+// flush touch no socket and cannot fail: a link whose writer fails
+// closes, and whoever reads it evicts the instance. Replies come back
+// through complete, which that reader calls. *wireConn is the production
+// link.
 type link interface {
-	queue(Request) error
-	flush() error
+	queue(Request)
+	flush()
 	close() error
 }
 
@@ -99,8 +101,8 @@ type roundState struct {
 	// the scheduler goroutine only.
 	dispatch []dispatchItem
 	fails    []failure
-	// flushSet holds the links round queued on since the last flush; only
-	// the scheduler goroutine touches it.
+	// flushSet holds the links round queued on since the last flush, so
+	// each is kicked once; only the scheduler goroutine touches it.
 	flushSet []*remoteInstance
 }
 
@@ -165,10 +167,9 @@ func (c *Controller) enqueue(model string, batch int, opts SubmitOptions, sink S
 // served, match the rest to instances, then — outside the lock — deliver
 // the failures and queue the dispatches on their links. Nothing reaches an
 // instance until flush, which the caller owes before it stops running
-// rounds. A write that fails evicts its instance, which requeues
-// everything dispatched to it. It returns the instant the group needs a
-// round even if nothing kicks it — the end of an empty-hold window — or
-// zero: the scheduler's own timer.
+// rounds. It returns the instant the group needs a round even if nothing
+// kicks it — the end of an empty-hold window — or zero: the scheduler's
+// own timer.
 func (c *Controller) round(g *modelGroup, now time.Time) time.Time {
 	g.mu.Lock()
 	next := c.sweep(g, now)
@@ -179,9 +180,8 @@ func (c *Controller) round(g *modelGroup, now time.Time) time.Time {
 	// The scratch is cleared as it is consumed: an idle group must not pin
 	// delivered (possibly recycled) queries or removed instances.
 	for i, d := range dispatch {
-		if err := d.ri.link.queue(Request{ID: d.id, Model: g.model, Batch: d.batch, Trace: d.traced}); err != nil {
-			c.evict(d.ri, err)
-		} else if !d.ri.needsFlush {
+		d.ri.link.queue(Request{ID: d.id, Model: g.model, Batch: d.batch, Trace: d.traced})
+		if !d.ri.needsFlush {
 			d.ri.needsFlush = true
 			g.flushSet = append(g.flushSet, d.ri)
 		}
@@ -190,16 +190,14 @@ func (c *Controller) round(g *modelGroup, now time.Time) time.Time {
 	return next
 }
 
-// flush pushes what the rounds since the last flush queued, one write per
-// touched link however many rounds touched it. A link that fails — or one
-// an earlier queue error already closed — evicts its instance like any
-// other fault, requeueing the whole burst.
+// flush kicks the writer of every link the rounds since the last flush
+// queued on, once per link however many rounds touched it. It writes
+// nothing itself: a peer that stops reading stalls its own link's writer,
+// never this scheduler.
 func (c *Controller) flush(g *modelGroup) {
 	for i, ri := range g.flushSet {
 		ri.needsFlush = false
-		if err := ri.link.flush(); err != nil {
-			c.evict(ri, err)
-		}
+		ri.link.flush()
 		g.flushSet[i] = nil
 	}
 	g.flushSet = g.flushSet[:0]

@@ -28,43 +28,72 @@ import (
 
 var simSeed = flag.Int64("sim.seed", 0, "run TestRoundSim on this one seed instead of the fixed list")
 
-var errMemLink = errors.New("memlink: write failed")
+var (
+	errMemLink   = errors.New("memlink: write failed")
+	errMemClosed = errors.New("memlink: read on a closed link")
+)
 
-// memLink is an in-memory link. Only the test goroutine queues, flushes
-// and reads the inbox; close may come from a drain goroutine.
+// memLink is an in-memory link with the production link's contract:
+// queue and flush never fail. A failing write kills the link instead —
+// what it held is lost and it closes — and its reader, played by the test
+// (readers), evicts the instance naming the write failure, not its own
+// closed read. Only the test goroutine queues, flushes and reads the
+// inbox; close may come from a drain goroutine.
 type memLink struct {
 	once      sync.Once
 	closed    chan struct{}
-	failQueue bool // queue fails from now on
-	failFlush bool // flush fails from now on
-	writeErrs int
+	failQueue bool  // the next frame queued fails the writer (a backlog past the cap)
+	failFlush bool  // the next write fails (a write error or deadline)
+	died      error // the write failure that killed the link, nil while it lives
+	reaped    bool  // its reader has seen the link die
 	flushes   int
 	onQueue   func()    // runs inside queue: something happening mid-round
 	queued    []Request // written, not flushed: the instance cannot see these
 	inbox     []Request // flushed and not yet replied to, in arrival order
 }
 
-func (l *memLink) queue(r Request) error {
+func (l *memLink) queue(r Request) {
+	if l.died != nil {
+		return
+	}
 	if l.failQueue {
-		l.writeErrs++
-		return errMemLink
+		l.die()
+		return
 	}
 	l.queued = append(l.queued, r)
 	if l.onQueue != nil {
 		l.onQueue()
 	}
-	return nil
 }
 
-func (l *memLink) flush() error {
+func (l *memLink) flush() {
 	l.flushes++
+	if l.died != nil {
+		return
+	}
 	if l.failFlush {
-		l.writeErrs++
-		return errMemLink
+		l.die()
+		return
 	}
 	l.inbox = append(l.inbox, l.queued...)
 	l.queued = l.queued[:0]
-	return nil
+}
+
+// die is the writer's failure: sticky, the backlog dropped, the link
+// closed under its reader.
+func (l *memLink) die() {
+	l.died = errMemLink
+	l.queued = nil
+	l.close()
+}
+
+// cause is what the link's reader names when its read fails with err: the
+// write failure that closed the link, if one did (Writer.Cause).
+func (l *memLink) cause(err error) error {
+	if l.died != nil {
+		return l.died
+	}
+	return err
 }
 
 func (l *memLink) close() error {
@@ -311,14 +340,27 @@ func (w *simWorld) failWrites() {
 	}
 }
 
-// kill is what a read loop does when its connection dies; twice, when the
-// write side notices too.
+// kill is what a read loop does when its connection dies; twice, as a
+// late second report of the same death would.
 func (w *simWorld) kill(in *simInst) {
 	w.logf("kill %s", in.addr)
 	for i := 0; i <= w.rng.Intn(2); i++ {
 		w.c.evict(in.ri, errors.New("killed"))
 	}
 	w.refEvict(in)
+}
+
+// readers plays the read loops of the links a write failure killed: a
+// closed link fails its reader's read, and the reader evicts, naming what
+// its link says ended it.
+func (w *simWorld) readers() {
+	for _, in := range w.insts {
+		if in.link.died != nil && !in.link.reaped {
+			in.link.reaped = true
+			w.logf("reader of %s sees its link closed", in.addr)
+			w.c.evict(in.ri, in.link.cause(errMemClosed))
+		}
+	}
 }
 
 func (w *simWorld) killRandom() {
@@ -405,7 +447,8 @@ func (w *simWorld) clock() time.Time { return w.now }
 
 // settle runs the scheduler the way groupLoop would at this instant: once
 // per kick (a due deadline alarm is one), and once when the wake-up the
-// last round asked for has arrived. Whenever it would go back to sleep,
+// last round asked for has arrived, with the read loops of links that died
+// on a write evicting in between. Whenever it would go back to sleep,
 // nothing it wrote may still sit unflushed in a link.
 func (w *simWorld) settle() {
 	pending := w.alarms[:0]
@@ -428,11 +471,12 @@ func (w *simWorld) settle() {
 		consults, wasStale, fleet := w.ringBefore()
 		_, w.next = w.c.schedule(w.g, w.clock)
 		w.checkRing(consults, wasStale, fleet)
+		w.readers()
 		if !w.next.IsZero() && !w.next.After(w.now) {
 			w.fatalf("round at %v asked to be woken at %v: the scheduler would spin", w.now, w.next)
 		}
 		for _, in := range w.insts {
-			if n := len(in.link.queued); n > 0 && !in.link.failFlush {
+			if n := len(in.link.queued); n > 0 {
 				w.fatalf("scheduler went to sleep with %d dispatches to %s unflushed", n, in.addr)
 			}
 		}
@@ -462,8 +506,7 @@ func (w *simWorld) ringBefore() (consults, wasStale bool, fleet []*remoteInstanc
 // current fleet yields — so it can only ever yield an active member — and a
 // stale ring is empty. And a pass that consulted it consulted it fresh: if
 // a session-keyed query was waiting, the wake-up leaves the ring derived
-// (unless one of its own dispatch writes failed and evicted a member after
-// the pass, which the fleet shows).
+// (unless a drain retired a member meanwhile, which the fleet shows).
 func (w *simWorld) checkRing(consults, wasStale bool, fleet []*remoteInstance) {
 	w.g.mu.Lock()
 	defer w.g.mu.Unlock()
@@ -584,7 +627,7 @@ func (w *simWorld) wantResult(sink *simSink, errPart string) {
 // that no member holds, then compares the controller with the model.
 func (w *simWorld) refSettle() {
 	for _, in := range w.members(false) {
-		if in.link.writeErrs > 0 {
+		if in.link.died != nil {
 			w.refEvict(in) // a failed write is a fault exit like any other
 		}
 	}
@@ -787,13 +830,16 @@ func TestBusyClockRestartsAtReply(t *testing.T) {
 
 // TestFailedWriteRetiresInstance: a dispatch write that fails must take
 // the instance out by the same exit a dead read does — gone from Stats,
-// reported down once, its queries requeued (not failed) and served
-// elsewhere — even though nothing ever fails on the read side. Before the
-// membership owner existed the write path only marked the instance
-// draining and waited for a read error that might never come.
+// reported down once, naming the write failure, its queries requeued (not
+// failed) and served elsewhere. The failure closes the link, so its reader
+// is what evicts; before the membership owner existed the write path only
+// marked the instance draining and waited for a read error that might
+// never come.
 func TestFailedWriteRetiresInstance(t *testing.T) {
 	t.Parallel()
 	w := newSimWorld(t, 2) // no hold
+	var cause error
+	w.c.SetOnInstanceDown(func(_, _, addr string, err error) { w.downs[addr]++; cause = err })
 	w.step(w.join)
 	flaky := w.insts[0]
 	plain := func() { w.submitWith(SubmitOptions{}) }
@@ -808,7 +854,7 @@ func TestFailedWriteRetiresInstance(t *testing.T) {
 	// after to the flaky instance, whose flush fails.
 	w.step(plain)
 	w.step(plain)
-	if flaky.link.writeErrs == 0 {
+	if flaky.link.died == nil {
 		t.Fatal("setup: no write reached the flaky link")
 	}
 	st := w.c.Stats()
@@ -817,6 +863,9 @@ func TestFailedWriteRetiresInstance(t *testing.T) {
 	}
 	if w.downs[flaky.addr] != 1 {
 		t.Fatalf("onDown fired %d times for the write-failed instance, want 1", w.downs[flaky.addr])
+	}
+	if !errors.Is(cause, errMemLink) {
+		t.Fatalf("eviction names %v, want the write failure, not the reader's closed read", cause)
 	}
 	// All three queries — the one in flight on the flaky instance and the
 	// one whose write failed included — are now the healthy instance's.
@@ -1017,6 +1066,7 @@ func TestScheduleFlushesOncePerBurst(t *testing.T) {
 	})
 
 	t.Run("deferred flush error requeues the burst", func(t *testing.T) {
+		// The burst's one write fails: the link dies, and its reader evicts.
 		w := newSimWorld(t, 1) // odd seed: an empty group parks its queue
 		w.step(w.join)
 		flaky := w.insts[0]

@@ -210,6 +210,11 @@ func TestControllerValidation(t *testing.T) {
 	if _, err := NewController(m.Name, pol, 1, m.Latency, []string{"127.0.0.1:1"}); err == nil {
 		t.Fatal("dial failure must error")
 	}
+	// Every dispatch carries the model name; one the wire cannot carry
+	// would fail every link it is queued on.
+	if _, err := NewController(strings.Repeat("m", 256), pol, 1, m.Latency, []string{"127.0.0.1:1"}); err == nil || !strings.Contains(err.Error(), "longer than the wire") {
+		t.Fatalf("a 256-byte model name: %v, want refused before any dial", err)
+	}
 }
 
 func TestControllerCloseFailsOutstanding(t *testing.T) {

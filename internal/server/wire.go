@@ -5,130 +5,45 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
-	"sync"
 )
 
-// wireConn wraps one TCP connection with buffered I/O and the binary
-// codec. Writers queue frames into the buffered writer and flush
-// explicitly, so a dispatch burst to one instance is a single syscall
-// instead of two writes per tiny frame. Reads are single-goroutine (each
-// side runs one read loop per connection) and reuse one scratch buffer;
-// writes are serialized by wmu.
+// wireConn is the controller's link to one instance: the connection's
+// Writer, and the reader and scratch its read loop alone uses.
 type wireConn struct {
-	conn net.Conn
+	w    *Writer
 	br   *bufio.Reader
-
-	wmu  sync.Mutex
-	bw   *connWriter
-	fbuf []byte // encode scratch, guarded by wmu
-	rbuf []byte // read scratch, owned by the reading goroutine
+	rbuf []byte
 }
 
-// connWriter is a minimal buffered writer over the conn; unlike
-// bufio.Writer it never auto-flushes mid-frame — frames larger than the
-// remaining space flush the buffer first, so the wire always carries whole
-// frames per syscall. A write failure is sticky: the buffer's contents
-// were (partially) dropped, so every later queue and flush keeps
-// reporting the error — a round that queued frames before the failure
-// still learns about it from its final flush and can undo the whole
-// burst.
-type connWriter struct {
-	conn net.Conn
-	buf  []byte
-	n    int
-	err  error // first write failure; the connection is dead after it
-}
-
-func (cw *connWriter) queue(frame []byte) error {
-	if cw.err != nil {
-		return cw.err
-	}
-	if cw.n+len(frame) > len(cw.buf) {
-		if err := cw.flush(); err != nil {
-			return err
-		}
-		if len(frame) > len(cw.buf) {
-			if _, err := cw.conn.Write(frame); err != nil {
-				cw.err = err
-				return err
-			}
-			return nil
-		}
-	}
-	cw.n += copy(cw.buf[cw.n:], frame)
-	return nil
-}
-
-func (cw *connWriter) flush() error {
-	if cw.err != nil {
-		return cw.err
-	}
-	if cw.n == 0 {
-		return nil
-	}
-	_, err := cw.conn.Write(cw.buf[:cw.n])
-	cw.n = 0
-	cw.err = err
-	return err
-}
-
-// wireBufSize is the reader and the writer window at both ends of a
-// controller↔instance link, sized to a link's burst: a flush carries at
-// most the policy's commitment to that one instance — one or two frames
-// under kairos+warm, at most 16 under the capped least-loaded policy of
-// the serving-path benchmarks — and a frame is ~40 B, so 4 KiB holds about
-// a hundred. A larger frame is never split or refused: the reader copies
-// it through readRawFrame and the writer flushes first or writes it
-// directly. The window is set-up cost, paid four times per link; CI
-// bounds what one more instance costs to bring up at 32 KiB
-// (ControllerBringUp32 − ControllerBringUp8, per instance; ~20 KB).
+// wireBufSize is the read window at both ends of a controller↔instance
+// link, sized to a link's burst: at most the policy's commitment to one
+// instance — one or two frames under kairos+warm, at most 16 under the
+// capped least-loaded policy of the serving-path benchmarks — and a frame
+// is ~40 B, so 4 KiB holds about a hundred. A larger frame is copied
+// through readRawFrame. The window is set-up cost, paid twice per link;
+// CI bounds what one more instance costs to bring up at 32 KiB
+// (ControllerBringUp32 − ControllerBringUp8, per instance).
 const wireBufSize = 4 << 10
 
-// newWireConn wraps a handshaken connection; br is the reader the
-// handshake read through, so nothing it buffered is lost.
+// newWireConn wraps a handshaken connection and starts its writer; br is
+// the reader the handshake read through, so nothing it buffered is lost.
 func newWireConn(conn net.Conn, br *bufio.Reader) *wireConn {
-	return &wireConn{
-		conn: conn,
-		br:   br,
-		bw:   &connWriter{conn: conn, buf: make([]byte, wireBufSize)},
-	}
+	return &wireConn{w: NewWriter(conn), br: br}
 }
 
-func (w *wireConn) close() error { return w.conn.Close() }
+// queue's only error is the link's failure, which closed it: the read loop
+// evicts, naming it (newController refuses a model name the wire cannot
+// carry, so every dispatch encodes).
+func (l *wireConn) queue(req Request) { l.w.QueueRequest(req) }
 
-// queue encodes req into the write buffer without flushing; callers
-// coalesce a burst and flush once. With flush and close it is the
-// controller's link to an instance (see round.go).
-func (w *wireConn) queue(req Request) error {
-	w.wmu.Lock()
-	defer w.wmu.Unlock()
-	frame, err := AppendRequestFrame(w.fbuf[:0], req)
-	if err != nil {
-		return err
-	}
-	w.fbuf = frame
-	return w.bw.queue(frame)
-}
+func (l *wireConn) flush() { l.w.Kick() }
 
-// queueReply encodes rep into the write buffer without flushing; the
-// instance loop flushes once no further request is already buffered, so a
-// burst of served queries is one syscall.
-func (w *wireConn) queueReply(rep Reply) error {
-	w.wmu.Lock()
-	defer w.wmu.Unlock()
-	frame, err := AppendReplyFrame(w.fbuf[:0], rep)
-	if err != nil {
-		return err
-	}
-	w.fbuf = frame
-	return w.bw.queue(frame)
-}
-
-// flush pushes every queued frame to the socket.
-func (w *wireConn) flush() error {
-	w.wmu.Lock()
-	defer w.wmu.Unlock()
-	return w.bw.flush()
+// close closes the connection first, so the writer's final write fails at
+// once, and waits for the writer goroutine.
+func (l *wireConn) close() error {
+	err := l.w.conn.Close()
+	l.w.Close()
+	return err
 }
 
 // ReadFrameView reads one length-prefixed payload from br: the one frame
@@ -154,28 +69,11 @@ func ReadFrameView(br *bufio.Reader, scratch *[]byte) ([]byte, error) {
 	return *scratch, err
 }
 
-func (w *wireConn) readFrame() ([]byte, error) { return ReadFrameView(w.br, &w.rbuf) }
-
-// readReply reads one reply (controller side).
-func (w *wireConn) readReply(rep *Reply) error {
-	p, err := w.readFrame()
-	if err != nil {
-		return err
+// readReply reads one reply; only the link's read loop calls it.
+func (l *wireConn) readReply(rep *Reply) error {
+	p, err := ReadFrameView(l.br, &l.rbuf)
+	if err == nil {
+		*rep, err = DecodeReplyFrame(p)
 	}
-	r, err := DecodeReplyFrame(p)
-	if err != nil {
-		return err
-	}
-	*rep = r
-	return nil
-}
-
-// readRequest reads one request (instance side). The view's byte fields
-// alias the read buffer and are only valid until the next read.
-func (w *wireConn) readRequest() (RequestView, error) {
-	p, err := w.readFrame()
-	if err != nil {
-		return RequestView{}, err
-	}
-	return DecodeRequestView(p)
+	return err
 }
