@@ -106,7 +106,6 @@ func runSoak(args []string) {
 	fleet := fleetFlags(fs, &door)
 	duration := fs.Float64("duration", 8000, "scenario duration in model milliseconds")
 	rate := fs.Float64("rate", 100, "scenario base arrival rate (QPS)")
-	emptyHold := fs.Duration("empty-hold", 30*time.Second, "how long a model's queries park when a fault takes its last instance")
 	converge := fs.Duration("converge-timeout", 30*time.Second, "post-replay drain and re-convergence bound")
 	out := fs.String("o", "BENCH_soak.json", "output path for the soak report")
 	verbose := fs.Bool("v", false, "log per-run progress")
@@ -143,7 +142,7 @@ func runSoak(args []string) {
 	bench := soak.Bench{Seed: fl.seed, TimeScale: fl.timeScale}
 	decisions := make(map[string][]kairos.AutopilotDecisionEvent, len(scenarios))
 	for _, sc := range scenarios {
-		report, decs, err := runScenario(sc, fl, faults, *emptyHold, *converge, logf)
+		report, decs, err := runScenario(sc, fl, faults, *converge, logf)
 		if err != nil {
 			log.Fatalf("kairosctl soak: %s: %v", sc.Name, err)
 		}
@@ -206,7 +205,7 @@ func decisionsPath(out string) string {
 // runScenario launches a fresh fleet, replays one scenario against it,
 // and tears everything down — faults never leak across runs.
 func runScenario(sc kairos.Scenario, fl *fleetSpec, faults []soak.FaultSpec,
-	emptyHold, converge time.Duration, logf func(string, ...any)) (*soak.Report, []kairos.AutopilotDecisionEvent, error) {
+	converge time.Duration, logf func(string, ...any)) (*soak.Report, []kairos.AutopilotDecisionEvent, error) {
 	// The initial plan is sized for the scenario's opening mix.
 	rng := rand.New(rand.NewSource(fl.seed))
 	reference := make([]int, 4000)
@@ -242,7 +241,6 @@ func runScenario(sc kairos.Scenario, fl *fleetSpec, faults []soak.FaultSpec,
 		TimeScale:       fl.timeScale,
 		Models:          fl.models,
 		Faults:          faults,
-		EmptyHold:       emptyHold,
 		ConvergeTimeout: converge,
 		Token:           token,
 		Logf:            logf,

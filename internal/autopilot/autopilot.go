@@ -312,7 +312,9 @@ type Autopilot struct {
 	trig       triggers
 	rates      rates
 	faults     FaultStatus
-	admin      *http.Server // nil until StartAdmin
+	// releases are the controller holds the next reconcile answers (fault).
+	releases []func()
+	admin    *http.Server // nil until StartAdmin
 
 	// faultKick wakes the control loop for an immediate heal instead of
 	// waiting out the tick (buffered: the callback never blocks).
@@ -568,14 +570,19 @@ func (a *Autopilot) logf(format string, args ...any) {
 // controller — which releases any preemption drain still blocked on an
 // in-flight query — waits for every handler and reaper it spawned, and only
 // then closes the provider, so nothing is launched after Close returns.
+// It first releases the controller holds no heal will now answer.
 // In-flight queries submitted directly to the controller fail as on
 // Controller.Close; such submit loads should finish before closing.
 func (a *Autopilot) Close() {
 	a.closeOnce.Do(func() {
 		a.mu.Lock()
 		close(a.stop)
-		admin := a.admin
+		admin, held := a.admin, a.releases
+		a.releases = nil
 		a.mu.Unlock()
+		for _, r := range held {
+			r()
+		}
 		a.loopOnce.Do(func() { close(a.loopDone) }) // loop never started
 		<-a.loopDone
 		if admin != nil {

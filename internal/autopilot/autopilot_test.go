@@ -144,12 +144,16 @@ func TestOptionsValidation(t *testing.T) {
 }
 
 // startAutopilot boots a fleet + controller for initial and builds an
-// autopilot around them with the given plan function and options tweaks.
+// autopilot around them with the given plan function and options tweaks;
+// the provider is the in-process fleet unless opts names one.
 func startAutopilot(t *testing.T, initial cloud.Config, w Wiring, opts Options) *Autopilot {
 	t.Helper()
 	m := ncf()
 	pool := cloud.DefaultPool()
-	fleet := NewFleet(1, m)
+	if opts.Provider == nil {
+		opts.Provider = NewFleet(1, m)
+	}
+	fleet := opts.Provider
 	addrs, err := Deploy(fleet, pool, plan(m, initial))
 	if err != nil {
 		fleet.Close()
@@ -164,7 +168,6 @@ func startAutopilot(t *testing.T, initial cloud.Config, w Wiring, opts Options) 
 	if w.Models == nil {
 		w.Models = []models.Model{m}
 	}
-	opts.Provider = fleet
 	ap, err := New(ctrl, plan(m, initial), w, opts)
 	if err != nil {
 		ctrl.Close()

@@ -234,7 +234,7 @@ func (f *Fleet) Preempt(addr string, notice time.Duration) (time.Time, error) {
 	}
 	deadline := time.Now().Add(notice)
 	select {
-	case f.notices <- Preemption{Addr: addr, Deadline: deadline}:
+	case f.notices <- Preemption{Addr: addr, Model: m.model, Deadline: deadline}:
 	default:
 		// A stalled consumer loses the notice but never the revocation:
 		// the deadline kill below still fires and surfaces as a plain

@@ -64,6 +64,8 @@ var errClosed = errors.New("autopilot: provider is closed")
 type Preemption struct {
 	// Addr is the doomed instance's dialable address.
 	Addr string
+	// Model is the model the doomed instance serves.
+	Model string
 	// Deadline is when the instance dies regardless of drain progress.
 	Deadline time.Time
 }

@@ -30,7 +30,8 @@ type outcome struct {
 // the rate estimator — removed instances take their cumulative BusyMS out
 // of the stats, so the next delta would read as a phantom idle tick; on a
 // failed actuation record the error, leave a fault pending and kick the
-// loop once, so the next Heal brings the fleet to the plan in force. kind
+// loop once, so the next Heal brings the fleet to the plan in force.
+// Either way, the holds owed so far are released once actuate returns. kind
 // ("heal", "preempt", "actuate") names the caller in the error. The caller
 // journals the outcome; it gets the actuation's cost in ms. Holds stepMu.
 func (a *Autopilot) reconcile(kind string, want core.FleetPlan) (float64, error) {
@@ -48,13 +49,17 @@ func (a *Autopilot) reconcile(kind string, want core.FleetPlan) (float64, error)
 		return fail(err, false)
 	}
 	// The actuator diffs against the observed fleet, so this pass answers
-	// every fault recorded so far; one recorded from here on stays pending.
+	// every fault (and hold) recorded so far; one recorded later stays.
 	a.mu.Lock()
-	healing := a.faults.Pending
-	a.faults.Pending = false
+	healing, held := a.faults.Pending, a.releases
+	a.faults.Pending, a.releases = false, nil
 	a.mu.Unlock()
 	start := a.now()
-	if err := a.actuate(want); err != nil {
+	err := a.actuate(want)
+	for _, r := range held {
+		r()
+	}
+	if err != nil {
 		return fail(err, true)
 	}
 	end := a.now()
@@ -153,11 +158,20 @@ func (a *Autopilot) kick() {
 	}
 }
 
-// fault updates the fault/preemption bookkeeping under the lock.
-func (a *Autopilot) fault(update func(f *FaultStatus)) {
+// fault updates the fault/preemption bookkeeping under the lock and lists
+// hold, if any, under it: the reconcile that clears a pending fault
+// releases the holds listed with it. After Close began it releases at once.
+func (a *Autopilot) fault(hold func(), update func(f *FaultStatus)) {
 	a.mu.Lock()
 	update(&a.faults)
+	if hold != nil && !a.stopped() {
+		a.releases = append(a.releases, hold)
+		hold = nil
+	}
 	a.mu.Unlock()
+	if hold != nil {
+		hold()
+	}
 }
 
 // planTimed runs one planner call and reports its wall-clock cost in ms,
@@ -280,14 +294,14 @@ func (a *Autopilot) Heal() (bool, error) {
 }
 
 // onInstanceDown is the controller's eviction callback: an instance died
-// outside an orderly removal. The fault is recorded, the provider's
-// bookkeeping for the dead address is reaped (asynchronously — this runs
-// on the controller's read path), and the control loop is kicked for an
-// immediate heal instead of retrying a dead address until the next drift
-// tick.
-func (a *Autopilot) onInstanceDown(model, typeName, addr string, cause error) {
+// outside an orderly removal. The fault is recorded with the eviction's
+// hold, the provider's bookkeeping for the dead address is reaped
+// (asynchronously — this runs on the controller's read path), and the
+// control loop is kicked for an immediate heal instead of retrying a dead
+// address until the next drift tick.
+func (a *Autopilot) onInstanceDown(model, typeName, addr string, cause error, hold func()) {
 	at, detail := a.now(), fmt.Sprintf("%s/%s at %s: %v", model, typeName, addr, cause)
-	a.fault(func(f *FaultStatus) {
+	a.fault(hold, func(f *FaultStatus) {
 		f.LastFault, f.LastDetail, f.Pending = at, detail, true
 		f.InstancesLost++
 	})
@@ -304,32 +318,37 @@ func (a *Autopilot) onInstanceDown(model, typeName, addr string, cause error) {
 // instance immediately (reusing the controller's orderly removal, so
 // in-flight queries finish and the backlog redistributes), release it at
 // the provider, then re-actuate the plan in force to fill the hole — all
-// racing the revocation deadline. An instance that dies mid-drain falls
-// back to the eviction path: stranded queries were already redispatched
-// and a heal kicked, so the notice handler just records the loss.
+// racing the revocation deadline, while a hold parks the model's queries.
+// An instance that dies mid-drain falls back to the eviction path:
+// stranded queries were already redispatched and a heal kicked under the
+// eviction's own hold, so the notice handler just records the loss.
 //
 // Runs on its own goroutine per notice: the drain blocks on in-flight
 // work and must not stall the control loop or other notices.
 func (a *Autopilot) handlePreemption(p Preemption) {
 	noticeAt := a.now()
-	a.fault(func(f *FaultStatus) {
+	a.fault(nil, func(f *FaultStatus) {
 		f.Preemptions++
 		f.LastPreempt, f.LastPreemptDetail = noticeAt, "notice for "+p.Addr
 	})
 	a.logf("autopilot: preemption notice for %s (deadline in %v)", p.Addr, p.Deadline.Sub(noticeAt).Round(time.Millisecond))
 
+	hold := a.fleet.Hold(p.Model)
 	model, typeName, died, err := a.fleet.RemoveInstanceAddr(p.Addr)
 	drained := a.now().Sub(noticeAt)
 	o := outcome{drainMS: millis(drained), err: err}
 	detail := fmt.Sprintf("%s/%s at %s", model, typeName, p.Addr)
+	if err != nil || died {
+		hold() // nothing to refill, or the eviction's hold took over
+	}
 	switch {
 	case err != nil:
-		a.fault(func(f *FaultStatus) { f.LastPreemptDetail = fmt.Sprintf("notice for %s: %v", p.Addr, err) })
+		a.fault(nil, func(f *FaultStatus) { f.LastPreemptDetail = fmt.Sprintf("notice for %s: %v", p.Addr, err) })
 		a.record("preempt", "preemption notice for "+p.Addr, nil, o)
 		a.logf("autopilot: preemption drain of %s failed: %v", p.Addr, err)
 		return
 	case died:
-		a.fault(func(f *FaultStatus) {
+		a.fault(nil, func(f *FaultStatus) {
 			f.PreemptionDeadlineDeaths++
 			f.LastPreemptDetail = detail + ": died mid-drain"
 		})
@@ -338,13 +357,13 @@ func (a *Autopilot) handlePreemption(p Preemption) {
 		return
 	}
 	a.preemptHist.Record(drained)
-	if err := a.provider.Stop(p.Addr); err != nil {
-		a.logf("autopilot: stopping preempted %s: %v", detail, err)
-	}
-	a.fault(func(f *FaultStatus) {
+	a.fault(hold, func(f *FaultStatus) { // any reconcile from here sees the hole
 		f.PreemptionsDrained++
 		f.LastPreemptDetail = detail + ": drained"
 	})
+	if err := a.provider.Stop(p.Addr); err != nil {
+		a.logf("autopilot: stopping preempted %s: %v", detail, err)
+	}
 	beatDeadline := ""
 	if left := p.Deadline.Sub(a.now()); left > 0 {
 		beatDeadline = fmt.Sprintf(", %v ahead of the deadline", left.Round(time.Millisecond))
@@ -369,7 +388,7 @@ func (a *Autopilot) afterDrain(detail string, noticeAt time.Time, o outcome) {
 		return
 	}
 	o.from, o.to, o.replanMS = plan, plan, millis(a.now().Sub(noticeAt))
-	a.fault(func(f *FaultStatus) { f.PreemptionsReplanned++ })
+	a.fault(nil, func(f *FaultStatus) { f.PreemptionsReplanned++ })
 	a.record("preempt", "preempted "+detail+": drained and re-actuated the plan in force", nil, o)
 	a.logf("autopilot: refilled the hole of preempted %s in %.1fms (drain %.1fms)", detail, o.replanMS, o.drainMS)
 }

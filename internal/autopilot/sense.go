@@ -18,6 +18,7 @@ type fleet interface {
 	AddInstance(addr string) (string, error)
 	RemoveInstance(model, typeName string) (string, error)
 	RemoveInstanceAddr(addr string) (model, typeName string, died bool, err error)
+	Hold(model string) (release func())
 	Close()
 }
 

@@ -132,7 +132,8 @@ type simFleet struct {
 	inst     map[string]*simInst
 	traffic  map[string]int64 // per model: submitted == completed
 	dieDrain map[string]bool  // these die mid-drain
-	onDown   func(model, typeName, addr string, cause error)
+	onDown   func(model, typeName, addr string, cause error, release func())
+	holds    int // taken and not yet released; negative after a double release
 	closed   chan struct{}
 	// The close test parks RemoveInstanceAddr: entered is signalled once a
 	// drain is inside, gate releases it.
@@ -225,12 +226,32 @@ func (f *simFleet) RemoveInstanceAddr(addr string) (string, string, bool, error)
 	}
 	if died {
 		// The deadline won: the eviction path reports the death first.
-		f.onDown(in.model, in.typeName, addr, errors.New("sim: died mid-drain"))
+		f.onDown(in.model, in.typeName, addr, errors.New("sim: died mid-drain"), f.Hold(in.model))
 	}
 	return in.model, in.typeName, died, nil
 }
 
 func (f *simFleet) Close() { close(f.closed) }
+
+// Hold counts a hold until its release, which counts every call: the
+// simulation holds the autopilot to calling each exactly once.
+func (f *simFleet) Hold(string) func() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.holds++
+	return func() {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		f.holds--
+	}
+}
+
+// outstanding reads the hold count.
+func (f *simFleet) outstanding() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.holds
+}
 
 // kill drops an instance the way a crash does: gone from the fleet, the
 // eviction callback fired.
@@ -239,7 +260,7 @@ func (f *simFleet) kill(addr string) {
 	in := f.inst[addr]
 	delete(f.inst, addr)
 	f.mu.Unlock()
-	f.onDown(in.model, in.typeName, addr, errors.New("sim: killed"))
+	f.onDown(in.model, in.typeName, addr, errors.New("sim: killed"), f.Hold(in.model))
 }
 
 // The simulated deployment: two models on the default pool, one with a
@@ -441,6 +462,24 @@ func (w *simWorld) after(evs ...DecisionEvent) {
 	}
 }
 
+// holdsOwed checks the hold rule between ops, when no handler runs: a
+// hold is outstanding only while a heal is owed, each one listed for the
+// next reconcile, and none is released twice.
+func (w *simWorld) holdsOwed() {
+	n := w.fleet.outstanding()
+	w.a.mu.Lock()
+	listed, pending := len(w.a.releases), w.a.faults.Pending
+	w.a.mu.Unlock()
+	switch {
+	case n < 0:
+		w.fatalf("a hold was released twice (count %d)", n)
+	case n != listed:
+		w.fatalf("%d holds outstanding, %d listed for the next reconcile", n, listed)
+	case n > 0 && !pending:
+		w.fatalf("%d holds outstanding with no heal owed", n)
+	}
+}
+
 // tick plays one loop period and checks what the step did.
 func (w *simWorld) tick() {
 	before, pending := w.a.Current(), w.a.Faults().Pending
@@ -590,6 +629,7 @@ func runAutopilotSim(t *testing.T, seed int64) {
 		if !w.dirty {
 			w.settled()
 		}
+		w.holdsOwed()
 	}
 	// Quiescence: with launches succeeding, a kick or a tick heals
 	// whatever is outstanding, and then nothing is pending.
@@ -601,6 +641,9 @@ func runAutopilotSim(t *testing.T, seed int64) {
 		w.fatalf("not quiescent after a clean kick and tick: dirty=%v %+v", w.dirty, f)
 	}
 	w.settled()
+	if n := w.fleet.outstanding(); n != 0 {
+		w.fatalf("%d holds outstanding at quiescence", n)
+	}
 }
 
 // TestAutopilotSim runs the fixed seed list, or the one seed -sim.seed
@@ -648,6 +691,10 @@ func TestCloseWaitsForPreemptionHandler(t *testing.T) {
 	defer w.prov.mu.Unlock()
 	if len(w.prov.live) != 0 || w.prov.launches != launches || w.prov.late != 0 {
 		t.Fatalf("after Close: %d running, %d launches since the notice, %d after Close", len(w.prov.live), w.prov.launches-launches, w.prov.late)
+	}
+	// The notice's hold, owed after Close began, was released at once.
+	if n := w.fleet.outstanding(); n != 0 {
+		t.Fatalf("after Close: %d holds outstanding", n)
 	}
 }
 

@@ -33,7 +33,7 @@ import (
 // never stalls another model's Submit, completions, or Stats, and a busy
 // model cannot starve an idle one. Inside a group each concern has one
 // owner: membership.go decides who is in the fleet, round.go decides what
-// runs where and when the group must next wake, accounting.go counts.
+// runs where, accounting.go counts.
 // Those three read no clock and touch no socket; this file holds the
 // goroutine shells that do — the dial, the read loop, the scheduler loop
 // and Submit's enqueue stamp and deadline alarm.
@@ -56,10 +56,6 @@ type Controller struct {
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 
-	// emptyHold is how long (ns) a group that lost all capacity parks its
-	// queries waiting for capacity to return; 0 fails them immediately.
-	emptyHold atomic.Int64
-
 	// onComplete, when set, observes every delivered QueryResult.
 	onComplete atomic.Pointer[completionFunc]
 	// onDown, when set, observes every instance eviction (death outside an
@@ -71,7 +67,7 @@ type Controller struct {
 
 type completionFunc = func(model string, batch int, res QueryResult)
 
-type instanceDownFunc = func(model, typeName, addr string, cause error)
+type instanceDownFunc = func(model, typeName, addr string, cause error, release func())
 
 // GroupSpec describes one served model's scheduling group: the
 // query-distribution policy deciding dispatches (it sees times in model
@@ -303,21 +299,13 @@ func (c *Controller) readLoop(ri *remoteInstance, wc *wireConn) {
 }
 
 // groupLoop is one model's scheduler goroutine: it runs schedule whenever
-// kicked, independently of every other model, and owns the group's one
-// timer — the round says when it needs to run without a kick (the end of
-// an empty-hold window). The timer's channel is only selected on while
-// such an instant exists: blocking on a timer channel puts the timer into
-// the runtime's heap and waking takes it out, every time.
+// kicked, independently of every other model; it owns no timer.
 func (c *Controller) groupLoop(g *modelGroup) {
 	defer c.wg.Done()
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-	var fire <-chan time.Time // timer.C while a wake-up is armed, else nil
 	for {
 		select {
 		case <-c.closed:
 			return
-		case <-fire:
 		case <-g.kick:
 			// Yield once before the round so concurrently-runnable
 			// submitters and reply readers get to extend the queue first:
@@ -326,12 +314,7 @@ func (c *Controller) groupLoop(g *modelGroup) {
 			// run queue is empty.
 			runtime.Gosched()
 		}
-		if now, next := c.schedule(g, time.Now); next.IsZero() {
-			fire = nil
-		} else {
-			fire = timer.C
-			timer.Reset(next.Sub(now))
-		}
+		c.schedule(g, time.Now)
 	}
 }
 
@@ -341,18 +324,14 @@ func (c *Controller) groupLoop(g *modelGroup) {
 // write a moment later — and then one kick per touched link's writer. The
 // extra round is at most one, so a queued dispatch waits for a bounded
 // amount of deciding, and the kick always precedes the scheduler's sleep.
-// It returns the last round's instant and the wake-up that round asked for.
-func (c *Controller) schedule(g *modelGroup, clock func() time.Time) (now, next time.Time) {
-	now = clock()
-	next = c.round(g, now)
+func (c *Controller) schedule(g *modelGroup, clock func() time.Time) {
+	c.round(g, clock())
 	select {
 	case <-g.kick:
-		now = clock()
-		next = c.round(g, now)
+		c.round(g, clock())
 	default:
 	}
 	c.flush(g)
-	return now, next
 }
 
 // Obs exposes the controller's flight recorder: per-model stage
@@ -368,21 +347,42 @@ func (c *Controller) SetTraceSampling(every, seed uint64) { c.obs.SetSampling(ev
 // Models lists the served model names in sorted order.
 func (c *Controller) Models() []string { return slices.Clone(c.order) }
 
-// SetEmptyHold configures how long a model group that has lost every
-// instance parks its waiting and newly submitted queries before failing
-// them. The default (0) keeps the historical fail-fast behavior. A control
-// plane that relaunches dead instances (internal/autopilot fault healing)
-// sets this to its expected recovery time so the window between an
-// instance crash and its replacement does not drop admitted queries.
-func (c *Controller) SetEmptyHold(d time.Duration) { c.emptyHold.Store(int64(d)) }
+// Hold parks the model's queries while its group has no instance, until
+// release (a second call is a no-op). A control plane holds across one
+// attempt to restore capacity — a drain it refills, a heal — so a parked
+// query waits for that attempt and no longer.
+func (c *Controller) Hold(model string) (release func()) {
+	g, ok := c.groups[model]
+	if !ok {
+		return func() {}
+	}
+	g.mu.Lock()
+	g.holds++
+	g.mu.Unlock()
+	return g.releaser()
+}
+
+// releaser returns the release of one counted hold; it kicks the round.
+func (g *modelGroup) releaser() func() {
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			g.mu.Lock()
+			g.holds--
+			g.mu.Unlock()
+			g.wake()
+		})
+	}
+}
 
 // SetOnInstanceDown installs a callback observing every instance eviction
 // — a connection lost outside an orderly RemoveInstance, i.e. a crash,
 // wedge-then-reset, or network cut. It runs outside the controller locks,
 // after the dead instance's queries have been requeued, and must not block
 // for long. A control plane uses it to reap the dead process and trigger
-// an immediate replan instead of waiting for the next drift tick.
-func (c *Controller) SetOnInstanceDown(fn func(model, typeName, addr string, cause error)) {
+// an immediate heal instead of waiting for the next drift tick; each
+// eviction holds the model (Hold) until the heal calls release.
+func (c *Controller) SetOnInstanceDown(fn func(model, typeName, addr string, cause error, release func())) {
 	if fn == nil {
 		c.onDown.Store(nil)
 		return
@@ -437,16 +437,13 @@ var errDeadlineExceeded = errors.New(DeadlineExceededMsg)
 // models whose group currently has no serving capacity (every instance
 // removed or draining — reachable when the shared-budget planner starves a
 // model), and submissions after Close all fail immediately instead of
-// hanging — except that a configured empty-hold window (SetEmptyHold)
-// parks capacity-less submissions for bounded fault recovery instead.
+// hanging — except that a hold (Hold, SetOnInstanceDown) parks them.
 // Every accepted or rejected submission is accounted, so completed +
 // failed never exceeds submitted on any path.
 //
-// The scheduler wakes on kicks and on its hold timer only, so a query that
-// cannot dispatch would outsleep its deadline without this one-shot alarm;
-// firing after the query completed is a harmless idle round, so it is
-// never cancelled. (It is per query rather than one more case of the
-// group's timer for the ledger's sake: see ROADMAP item 4(c).)
+// The scheduler wakes on kicks only, so a query that cannot dispatch
+// would outsleep its deadline without this one-shot alarm; firing after
+// the query completed is a harmless idle round, so it is never cancelled.
 func (c *Controller) SubmitTo(model string, batch int, opts SubmitOptions, sink Sink) {
 	now := time.Now()
 	if g := c.enqueue(model, batch, opts, sink, now); g != nil && opts.Deadline.After(now) {

@@ -32,7 +32,8 @@ func TestOnInstanceDownFiresOnEviction(t *testing.T) {
 		cause                 error
 	}
 	events := make(chan downEvent, 4)
-	ctrl.SetOnInstanceDown(func(model, typeName, addr string, cause error) {
+	ctrl.SetOnInstanceDown(func(model, typeName, addr string, cause error, release func()) {
+		release()
 		events <- downEvent{model, typeName, addr, cause}
 	})
 
@@ -60,10 +61,10 @@ func TestOnInstanceDownFiresOnEviction(t *testing.T) {
 	}
 }
 
-// TestEmptyHoldParksAndRescues: with an empty-hold window, a group that
+// TestHoldParksAndRescues: while a hold is outstanding, a group that
 // loses its only instance parks in-flight and new queries instead of
-// failing them, and AddInstance within the window rescues every one.
-func TestEmptyHoldParksAndRescues(t *testing.T) {
+// failing them, and AddInstance before the release rescues every one.
+func TestHoldParksAndRescues(t *testing.T) {
 	t.Parallel()
 	m := models.MustByName("NCF")
 	fakeAddr, die := fakeInstance(t, cloud.G4dnXlarge.Name, m.Name)
@@ -72,7 +73,8 @@ func TestEmptyHoldParksAndRescues(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctrl.Close()
-	ctrl.SetEmptyHold(10 * time.Second)
+	release := ctrl.Hold(m.Name)
+	defer release()
 
 	// Queries dispatch to the fake instance and wedge there.
 	var chans []<-chan QueryResult
@@ -81,24 +83,17 @@ func TestEmptyHoldParksAndRescues(t *testing.T) {
 	}
 	waitPending(t, ctrl)
 	close(die) // the only instance crashes; the group is empty
-
-	deadline := time.Now().Add(5 * time.Second)
-	for len(ctrl.InstanceTypes()) != 0 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if got := ctrl.InstanceTypes(); len(got) != 0 {
-		t.Fatalf("dead instance not evicted: fleet %v", got)
-	}
+	waitEvicted(t, ctrl)
 
 	// The group is capacity-less but held: new submissions park too.
 	chans = append(chans, ctrl.Submit(m.Name, 50))
 	select {
 	case r := <-chans[0]:
-		t.Fatalf("held query delivered during the hold window: %+v", r)
+		t.Fatalf("held query delivered while the hold is outstanding: %+v", r)
 	case <-time.After(50 * time.Millisecond):
 	}
 
-	// Capacity returns within the window: every held query completes.
+	// Capacity returns before the release: every held query completes.
 	replacement := startServer(t, cloud.R5nLarge.Name, 1)
 	if _, err := ctrl.AddInstance(replacement.Addr()); err != nil {
 		t.Fatal(err)
@@ -119,10 +114,12 @@ func TestEmptyHoldParksAndRescues(t *testing.T) {
 	}
 }
 
-// TestEmptyHoldExpiryFailsParkedQueries: the hold window is a bound, not
-// a hang — if capacity never returns, the parked queries fail once the
-// timer fires.
-func TestEmptyHoldExpiryFailsParkedQueries(t *testing.T) {
+// TestHoldReleaseFailsParkedQueries: the hold is a bound, not a hang. An
+// eviction under an instance-down observer holds the group until the
+// observer releases; if capacity has not returned by then, the parked
+// queries fail at once, naming the lost capacity, and the group is
+// fail-fast again — a second call of the same release holds nothing.
+func TestHoldReleaseFailsParkedQueries(t *testing.T) {
 	t.Parallel()
 	m := models.MustByName("NCF")
 	fakeAddr, die := fakeInstance(t, cloud.G4dnXlarge.Name, m.Name)
@@ -131,32 +128,56 @@ func TestEmptyHoldExpiryFailsParkedQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctrl.Close()
-	ctrl.SetEmptyHold(150 * time.Millisecond)
+	releases := make(chan func(), 1)
+	ctrl.SetOnInstanceDown(func(_, _, _ string, _ error, release func()) { releases <- release })
 
 	ch := ctrl.Submit(m.Name, 100)
 	waitPending(t, ctrl)
 	close(die)
+	var release func()
+	select {
+	case release = <-releases:
+	case <-time.After(5 * time.Second):
+		t.Fatal("eviction never reached the instance-down callback")
+	}
+	select {
+	case r := <-ch:
+		t.Fatalf("query delivered before the eviction's hold was released: %+v", r)
+	case <-time.After(50 * time.Millisecond):
+	}
 
+	release()
 	select {
 	case r := <-ch:
 		if r.Err == nil {
 			t.Fatal("query completed with no instance serving it")
 		}
-		if !strings.Contains(r.Err.Error(), "hold window expired") {
+		if !strings.Contains(r.Err.Error(), "no serving capacity") {
 			t.Fatalf("unexpected failure cause: %v", r.Err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("hold window never expired")
+	case <-time.After(2 * time.Second):
+		t.Fatal("releasing the hold did not fail the parked query")
 	}
 	s := ctrl.Stats()
 	if s.Failed != 1 || s.Completed != 0 || s.Waiting != 0 {
 		t.Fatalf("stats = %+v", s)
 	}
+
+	release() // a no-op: the group holds nothing
+	select {
+	case r := <-ctrl.Submit(m.Name, 100):
+		if r.Err == nil || !strings.Contains(r.Err.Error(), "no serving capacity") {
+			t.Fatalf("submit to an empty, released group: %v", r.Err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a second release call left the group held")
+	}
 }
 
-// TestEmptyHoldZeroKeepsFailFast: without a hold window (the default),
-// submissions to a capacity-less group fail immediately, as before.
-func TestEmptyHoldZeroKeepsFailFast(t *testing.T) {
+// TestNoHoldFailsFast: without a hold — no Hold and no instance-down
+// observer, a bare controller — submissions to a capacity-less group fail
+// immediately, as do the queries the lost instance held.
+func TestNoHoldFailsFast(t *testing.T) {
 	t.Parallel()
 	m := models.MustByName("NCF")
 	fakeAddr, die := fakeInstance(t, cloud.G4dnXlarge.Name, m.Name)
@@ -165,18 +186,31 @@ func TestEmptyHoldZeroKeepsFailFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctrl.Close()
+	stranded := ctrl.Submit(m.Name, 100)
+	waitPending(t, ctrl)
 	close(die)
+	waitEvicted(t, ctrl)
+	for _, ch := range []<-chan QueryResult{stranded, ctrl.Submit(m.Name, 100)} {
+		select {
+		case r := <-ch:
+			if r.Err == nil {
+				t.Fatal("capacity-less submit must fail fast without a hold")
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("capacity-less submit hung with no hold outstanding")
+		}
+	}
+}
+
+// waitEvicted waits until the controller's fleet is empty.
+func waitEvicted(t *testing.T, ctrl *Controller) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for len(ctrl.InstanceTypes()) != 0 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	select {
-	case r := <-ctrl.Submit(m.Name, 100):
-		if r.Err == nil {
-			t.Fatal("capacity-less submit must fail fast by default")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("capacity-less submit hung with no hold window configured")
+	if got := ctrl.InstanceTypes(); len(got) != 0 {
+		t.Fatalf("dead instance not evicted: fleet %v", got)
 	}
 }
 

@@ -146,7 +146,7 @@ func (c *Controller) drain(g *modelGroup, ri *remoteInstance) (died bool, err er
 	g.mu.Unlock()
 	if !died {
 		ri.link.close()
-		g.wake() // the round fails or parks what a now-empty group cannot serve
+		g.wake() // the round fails what a now-empty, unheld group cannot serve
 	}
 	return died, nil
 }
@@ -158,13 +158,18 @@ func (c *Controller) drain(g *modelGroup, ri *remoteInstance) (died bool, err er
 // whether the peer went away or the link's writer failed and closed it;
 // a second report finds the instance gone. The instance-down callback fires
 // last, outside the lock, so a control plane can reap the process and heal
-// the fleet. After Close the cleanup is Close's.
+// the fleet, with the release of a hold taken under the lock that removes
+// the instance (see Hold). After Close the cleanup is Close's.
 func (c *Controller) evict(ri *remoteInstance, cause error) {
 	g := c.groups[ri.model]
 	g.mu.Lock()
 	if ri.state == stateGone || c.isClosed() {
 		g.mu.Unlock()
 		return
+	}
+	cb := c.onDown.Load()
+	if cb != nil {
+		g.holds++
 	}
 	// Head of the queue, original enqueue times intact: redispatched
 	// queries keep their accumulated wait for latency accounting and
@@ -175,8 +180,8 @@ func (c *Controller) evict(ri *remoteInstance, cause error) {
 	g.mu.Unlock()
 	ri.link.close()
 	g.wake()
-	if cb := c.onDown.Load(); cb != nil {
-		(*cb)(ri.model, ri.typeName, ri.addr, cause)
+	if cb != nil {
+		(*cb)(ri.model, ri.typeName, ri.addr, cause, g.releaser())
 	}
 }
 

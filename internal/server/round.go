@@ -88,9 +88,8 @@ func (c *Controller) failAll(fails []failure, now time.Time) {
 // allocates nothing.
 type roundState struct {
 	waiting []*pendingQuery
-	// emptySince is when the round first saw queries waiting on a group
-	// with no member: the start of the empty-hold window (SetEmptyHold).
-	emptySince time.Time
+	// holds counts the outstanding Holds, under which an empty group parks.
+	holds int
 
 	// round is the matching core the simulator runs too, and view its
 	// State over this group; active is the round's instance order.
@@ -142,11 +141,8 @@ func (c *Controller) enqueue(model string, batch int, opts SubmitOptions, sink S
 	var err error
 	if c.isClosed() {
 		err = errClosed
-	} else if g.nactive == 0 && c.emptyHold.Load() <= 0 {
-		// Without capacity the query fails fast — unless an empty-hold
-		// window is configured, in which case it parks in the central
-		// queue: fault healing is expected to bring capacity back, and
-		// the round bounds the wait.
+	} else if g.nactive == 0 && g.holds == 0 {
+		// Without capacity the query fails fast, unless a hold parks it.
 		err = fmt.Errorf("server: model %s has no serving capacity", model)
 	}
 	if err != nil {
@@ -167,12 +163,10 @@ func (c *Controller) enqueue(model string, batch int, opts SubmitOptions, sink S
 // served, match the rest to instances, then — outside the lock — deliver
 // the failures and queue the dispatches on their links. Nothing reaches an
 // instance until flush, which the caller owes before it stops running
-// rounds. It returns the instant the group needs a round even if nothing
-// kicks it — the end of an empty-hold window — or zero: the scheduler's
-// own timer.
-func (c *Controller) round(g *modelGroup, now time.Time) time.Time {
+// rounds.
+func (c *Controller) round(g *modelGroup, now time.Time) {
 	g.mu.Lock()
-	next := c.sweep(g, now)
+	c.sweep(g, now)
 	dispatch := c.match(g, now)
 	g.mu.Unlock()
 	c.failAll(g.fails, now)
@@ -187,7 +181,6 @@ func (c *Controller) round(g *modelGroup, now time.Time) time.Time {
 		}
 		dispatch[i] = dispatchItem{}
 	}
-	return next
 }
 
 // flush kicks the writer of every link the rounds since the last flush
@@ -205,12 +198,10 @@ func (c *Controller) flush(g *modelGroup) {
 
 // sweep removes from the queue what must fail before any dispatch
 // decision: queries whose deadline has been reached (even with zero
-// capacity, so a deadline bounds an empty-hold park too), and — when the
-// group has no member left — the whole queue once the empty-hold window is
-// over, which without a configured hold is at once: with nothing to
-// dispatch to the queries would hang forever. It returns when a window it
-// left the queue parked in ends, else zero. Callers hold g.mu.
-func (c *Controller) sweep(g *modelGroup, now time.Time) time.Time {
+// capacity, so a deadline bounds a held park too), and the whole queue of
+// a group with no member and no hold: it would hang forever. Callers hold
+// g.mu.
+func (c *Controller) sweep(g *modelGroup, now time.Time) {
 	// One read-only scan in the common all-alive case; the compaction pass
 	// only runs when something expired.
 	nexp := 0
@@ -231,28 +222,15 @@ func (c *Controller) sweep(g *modelGroup, now time.Time) time.Time {
 		clear(g.waiting[len(alive):])
 		g.waiting = alive
 	}
-	if len(g.instances) > 0 || len(g.waiting) == 0 {
-		g.emptySince = time.Time{}
-		return time.Time{}
-	}
-	if g.emptySince.IsZero() {
-		g.emptySince = now
-	}
-	hold := time.Duration(c.emptyHold.Load())
-	if end := g.emptySince.Add(hold); now.Before(end) {
-		return end // parked: a control plane has until then to relaunch capacity
+	if len(g.instances) > 0 || len(g.waiting) == 0 || g.holds > 0 {
+		return
 	}
 	err := fmt.Errorf("server: model %s has no serving capacity", g.model)
-	if hold > 0 {
-		err = fmt.Errorf("%w (hold window expired)", err)
-	}
 	for _, q := range g.waiting {
 		g.fails = append(g.fails, failure{q: q, err: err})
 	}
 	clear(g.waiting)
 	g.waiting = g.waiting[:0]
-	g.emptySince = time.Time{}
-	return time.Time{}
 }
 
 // take dispatches one query to one instance: the busy-time reservation,

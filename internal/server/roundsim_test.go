@@ -19,12 +19,10 @@ import (
 
 // The production round, membership and accounting code under a fake clock
 // and in-memory links: no socket, no sleep, no scheduler goroutine. The
-// test plays the scheduler loop itself (run a round when kicked, when a
-// deadline alarm is due, or when the round's own next-wake instant
-// arrives), drives seeded random op
-// sequences, and after every step compares the controller with a small
-// reference model. A failing seed prints its op log and the command that
-// replays it.
+// test plays the scheduler loop itself (run a round when kicked, a due
+// deadline alarm being one kick), drives seeded random op sequences, and
+// after every step compares the controller with a small reference model.
+// A failing seed prints its op log and the command that replays it.
 
 var simSeed = flag.Int64("sim.seed", 0, "run TestRoundSim on this one seed instead of the fixed list")
 
@@ -142,17 +140,20 @@ type simWorld struct {
 	rng  *rand.Rand
 	ops  []string
 
-	c    *Controller
-	g    *modelGroup
-	now  time.Time
-	next time.Time // the wake-up the last round asked for
+	c   *Controller
+	g   *modelGroup
+	now time.Time
 	// alarms are the deadline alarms submit (the clock-reading shell this
 	// test bypasses) would have armed: one kick at each deadline.
 	alarms []time.Time
-	hold   time.Duration
-	insts  []*simInst
-	downs  map[string]int // observed onDown calls per address
-	sinks  []*simSink     // one per submission, admitted or not
+	// holding: the instance-down observer keeps each eviction's hold in
+	// held, where the release op finds it with the Hold op's, instead of
+	// releasing it at once (odd seeds).
+	holding bool
+	held    []func()
+	insts   []*simInst
+	downs   map[string]int // observed onDown calls per address
+	sinks   []*simSink     // one per submission, admitted or not
 	// rebuilds counts the wake-ups that found the affinity ring stale and
 	// left it derived: the test's count of ring rebuilds (exact while no
 	// wake-up both rebuilds and evicts).
@@ -162,7 +163,7 @@ type simWorld struct {
 	nextID                       int64
 	live                         map[int64]*simQuery // admitted, not delivered
 	submitted, completed, failed int64
-	emptySince                   time.Time
+	holds                        int // outstanding: an empty group fails its queue only at 0
 	wantDowns                    map[string]int
 }
 
@@ -179,11 +180,15 @@ func newSimWorld(t *testing.T, seed int64) *simWorld {
 		c: c, g: c.groups[simModel], now: time.Unix(1_700_000_000, 0),
 		downs: map[string]int{}, wantDowns: map[string]int{}, live: map[int64]*simQuery{},
 	}
-	if seed%2 == 1 {
-		w.hold = 40 * time.Millisecond
-		c.SetEmptyHold(w.hold)
-	}
-	c.SetOnInstanceDown(func(_, _, addr string, _ error) { w.downs[addr]++ })
+	w.holding = seed%2 == 1
+	c.SetOnInstanceDown(func(_, _, addr string, _ error, release func()) {
+		w.downs[addr]++
+		if w.holding {
+			w.held = append(w.held, release)
+		} else {
+			release() // a heal that returned at once without capacity
+		}
+	})
 	return w
 }
 
@@ -251,7 +256,7 @@ func (w *simWorld) submitWith(opts SubmitOptions) {
 	w.sinks = append(w.sinks, sink)
 	admitted := w.c.enqueue(simModel, 1+w.rng.Intn(64), opts, sink, w.now) != nil
 	w.submitted++
-	if rejected := len(w.members(true)) == 0 && w.hold == 0; rejected == admitted {
+	if rejected := len(w.members(true)) == 0 && w.holds == 0; rejected == admitted {
 		w.fatalf("enqueue admitted=%v, model says rejected=%v", admitted, rejected)
 	} else if rejected {
 		w.logf("submit -> rejected (no capacity)")
@@ -271,6 +276,30 @@ func (w *simWorld) advance() {
 	d := time.Duration(1+w.rng.Intn(30)) * time.Millisecond
 	w.now = w.now.Add(d)
 	w.logf("advance %v", d)
+}
+
+// hold takes a hold, as a control plane does ahead of a preemption drain.
+func (w *simWorld) hold() {
+	w.held = append(w.held, w.c.Hold(simModel))
+	w.holds++
+	w.logf("hold (%d outstanding)", w.holds)
+}
+
+// release ends one outstanding hold, an eviction's or hold's, as a
+// control plane does once its heal returns; sometimes twice, as a
+// careless one might.
+func (w *simWorld) release() {
+	if len(w.held) == 0 {
+		return
+	}
+	i := w.rng.Intn(len(w.held))
+	release := w.held[i]
+	w.held = slices.Delete(w.held, i, i+1)
+	for range 1 + w.rng.Intn(2) {
+		release()
+	}
+	w.holds--
+	w.logf("release (%d outstanding)", w.holds)
 }
 
 // reply answers one request an instance holds: the oldest, or (out of
@@ -446,10 +475,9 @@ func (w *simWorld) drainRacingKill() {
 func (w *simWorld) clock() time.Time { return w.now }
 
 // settle runs the scheduler the way groupLoop would at this instant: once
-// per kick (a due deadline alarm is one), and once when the wake-up the
-// last round asked for has arrived, with the read loops of links that died
-// on a write evicting in between. Whenever it would go back to sleep,
-// nothing it wrote may still sit unflushed in a link.
+// per kick (a due deadline alarm is one), with the read loops of links
+// that died on a write evicting in between. Whenever it would go back to
+// sleep, nothing it wrote may still sit unflushed in a link.
 func (w *simWorld) settle() {
 	pending := w.alarms[:0]
 	for _, at := range w.alarms {
@@ -464,17 +492,12 @@ func (w *simWorld) settle() {
 		select {
 		case <-w.g.kick:
 		default:
-			if w.next.IsZero() || w.now.Before(w.next) {
-				return
-			}
+			return
 		}
 		consults, wasStale, fleet := w.ringBefore()
-		_, w.next = w.c.schedule(w.g, w.clock)
+		w.c.schedule(w.g, w.clock)
 		w.checkRing(consults, wasStale, fleet)
 		w.readers()
-		if !w.next.IsZero() && !w.next.After(w.now) {
-			w.fatalf("round at %v asked to be woken at %v: the scheduler would spin", w.now, w.next)
-		}
 		for _, in := range w.insts {
 			if n := len(in.link.queued); n > 0 {
 				w.fatalf("scheduler went to sleep with %d dispatches to %s unflushed", n, in.addr)
@@ -609,6 +632,9 @@ func (w *simWorld) refEvict(in *simInst) {
 	in.link.inbox = nil // back to the central queue, as far as the model cares
 	in.wantDied = in.drain != nil
 	w.wantDowns[in.addr]++
+	if w.holding {
+		w.holds++ // the eviction's, held until a release op
+	}
 }
 
 // wantResult: the sink has fired, once, with this outcome.
@@ -650,18 +676,13 @@ func (w *simWorld) refSettle() {
 		}
 		central++
 	}
-	if len(w.members(false)) > 0 || central == 0 {
-		w.emptySince = time.Time{}
-	} else if w.emptySince.IsZero() {
-		w.emptySince = w.now
-	}
-	if !w.emptySince.IsZero() && !w.now.Before(w.emptySince.Add(w.hold)) {
+	if len(w.members(false)) == 0 && w.holds == 0 {
 		for id, q := range w.live { // members == 0: every live query is central
 			delete(w.live, id)
 			w.failed++
 			w.wantResult(q.sink, "no serving capacity")
 		}
-		central, w.emptySince = 0, time.Time{}
+		central = 0
 	}
 	if central > 0 && len(w.members(true)) > 0 {
 		w.fatalf("%d dispatchable queries left waiting with %d active instances", central, len(w.members(true)))
@@ -702,10 +723,10 @@ func (w *simWorld) refSettle() {
 		}
 	}
 	w.g.mu.Lock()
-	emptySince := w.g.emptySince
+	holds := w.g.holds
 	w.g.mu.Unlock()
-	if !emptySince.Equal(w.emptySince) {
-		w.fatalf("hold window started %v, model says %v", emptySince, w.emptySince)
+	if holds != w.holds || len(w.held) != w.holds {
+		w.fatalf("controller counts %d holds, the harness keeps %d releases, model says %d", holds, len(w.held), w.holds)
 	}
 }
 
@@ -728,6 +749,9 @@ func runRoundSim(t *testing.T, seed int64) {
 		w.join, w.join, w.failWrites, w.killRandom, w.staleReply,
 		func() { w.drainRandom(false) }, func() { w.drainRandom(true) }, w.drainRacingKill,
 	}
+	if w.holding {
+		ops = append(ops, w.hold, w.release, w.release)
+	}
 	w.membershipBurst()
 	for i := 0; i < 400; i++ {
 		if len(w.members(false)) >= 6 {
@@ -736,7 +760,11 @@ func runRoundSim(t *testing.T, seed int64) {
 		w.step(ops[w.rng.Intn(len(ops))])
 	}
 	if seed%3 != 0 {
-		// Quiesce: answer everything, let every deadline and hold pass.
+		// Quiesce: release every hold, answer everything, let every
+		// deadline pass.
+		for len(w.held) > 0 {
+			w.step(w.release)
+		}
 		for i := 0; i < 100 && len(w.live) > 0; i++ {
 			w.step(func() { w.reply(false) })
 			if i%10 == 9 {
@@ -839,7 +867,7 @@ func TestFailedWriteRetiresInstance(t *testing.T) {
 	t.Parallel()
 	w := newSimWorld(t, 2) // no hold
 	var cause error
-	w.c.SetOnInstanceDown(func(_, _, addr string, err error) { w.downs[addr]++; cause = err })
+	w.c.SetOnInstanceDown(func(_, _, addr string, err error, release func()) { release(); w.downs[addr]++; cause = err })
 	w.step(w.join)
 	flaky := w.insts[0]
 	plain := func() { w.submitWith(SubmitOptions{}) }
@@ -1067,7 +1095,7 @@ func TestScheduleFlushesOncePerBurst(t *testing.T) {
 
 	t.Run("deferred flush error requeues the burst", func(t *testing.T) {
 		// The burst's one write fails: the link dies, and its reader evicts.
-		w := newSimWorld(t, 1) // odd seed: an empty group parks its queue
+		w := newSimWorld(t, 1) // odd seed: the eviction's hold parks the queue
 		w.step(w.join)
 		flaky := w.insts[0]
 		mid := 1

@@ -114,7 +114,7 @@ func TestSilentInstanceStallsOnlyItself(t *testing.T) {
 	}
 	t.Cleanup(ctrl.Close)
 	causes := make(chan error, 2)
-	ctrl.SetOnInstanceDown(func(_, _, _ string, cause error) { causes <- cause })
+	ctrl.SetOnInstanceDown(func(_, _, _ string, cause error, release func()) { release(); causes <- cause })
 	results := make(chan stallResult, limit)
 	submitted, answered := 0, 0
 	submit := func() {

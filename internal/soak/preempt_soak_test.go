@@ -43,7 +43,7 @@ func TestSoakRunPreemptInProcess(t *testing.T) {
 // TestSoakRunPreemptionStorm is the fault-storm scenario: overlapping
 // revocation notices drain the model's whole fleet at once, then SIGKILLs
 // land on the relaunched capacity — transiently taking the model to zero
-// live instances, inside the empty-hold window that parks its queries.
+// live instances, while the notices' and evictions' holds park its queries.
 // The storm must end with every notice answered, every kill healed, and
 // not one admitted query dropped.
 func TestSoakRunPreemptionStorm(t *testing.T) {
@@ -53,10 +53,9 @@ func TestSoakRunPreemptionStorm(t *testing.T) {
 	sys := startSystem(t, cloud.Config{0, 0, 2, 0})
 	model := ncf().Name
 	report, err := Run(sys, Config{
-		Scenario:  workload.FlashCrowd(3000, 60, 180, workload.Uniform{Min: 10, Max: 60}),
-		Seed:      31,
-		Models:    []string{model},
-		EmptyHold: 10 * time.Second,
+		Scenario: workload.FlashCrowd(3000, 60, 180, workload.Uniform{Min: 10, Max: 60}),
+		Seed:     31,
+		Models:   []string{model},
 		Faults: []FaultSpec{
 			// Both instances noticed while the first drain is still open.
 			PreemptAt(0.22, 2*time.Second),

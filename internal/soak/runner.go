@@ -61,10 +61,6 @@ type Config struct {
 	// Token is the bearer token the replay clients present at dial
 	// time; required when the ingress front door is auth-gated.
 	Token string
-	// EmptyHold is how long the controller parks a model's queries when
-	// a fault takes its last instance, giving the heal time to relaunch
-	// (default 30s wall clock; see server.Controller.SetEmptyHold).
-	EmptyHold time.Duration
 	// ConvergeTimeout bounds the post-replay drain: all admitted queries
 	// delivered and the fleet re-converged (default 30s wall clock).
 	ConvergeTimeout time.Duration
@@ -81,9 +77,6 @@ func (c *Config) withDefaults() error {
 	}
 	if c.TimeScale <= 0 {
 		c.TimeScale = 1
-	}
-	if c.EmptyHold <= 0 {
-		c.EmptyHold = 30 * time.Second
 	}
 	if c.ConvergeTimeout <= 0 {
 		c.ConvergeTimeout = 30 * time.Second
@@ -116,7 +109,6 @@ func Run(sys System, cfg Config) (*Report, error) {
 		}
 	}
 	ctrl := sys.AP.Controller()
-	ctrl.SetEmptyHold(cfg.EmptyHold)
 
 	arrivals := cfg.Scenario.Generate(cfg.Seed)
 	if len(arrivals) == 0 {

@@ -214,9 +214,6 @@ func TestPreemptionDeadlineRaceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ap.Close()
-	// If the doomed instance is a model's last, its queries must park for
-	// the heal instead of failing.
-	ap.Controller().SetEmptyHold(10 * time.Second)
 	ap.Start()
 
 	ing := ap.Ingress()
