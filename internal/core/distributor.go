@@ -190,6 +190,11 @@ func (d *Distributor) Observe(instance string, batch int, serviceMS float64) {
 	d.pred.Observe(instance, batch, serviceMS)
 }
 
+// HorizonMS implements sim.Horizon: a query that has waited past the
+// deadline misses it on every instance, whatever its latency there, so its
+// Eq. 8 cost is the penalty everywhere.
+func (d *Distributor) HorizonMS() float64 { return d.deadline }
+
 // Coefficient returns the heterogeneity coefficient C_j of Def. 1 for the
 // named type: the ratio of the largest query's latency on the base type to
 // its latency on type j, normalized so the base type (fastest at the
@@ -373,7 +378,9 @@ func (d *Distributor) priceTypes(waiting []sim.QueryView, instances []sim.Instan
 // instance with a query outside the instance's n cheapest, one of those n
 // is unmatched (the matching uses only n queries), and swapping it in
 // costs no more. So the solve is over at most n*n columns however deep
-// the queue, at unchanged total cost.
+// the queue, at unchanged total cost. The older-first tie-break is what
+// lets sim.Round show this policy only the oldest late queries (HorizonMS):
+// the penalised ties an instance keeps are the oldest n of them.
 func (d *Distributor) prune(m int) int {
 	n := len(d.cols)
 	d.top = resized(d.top, n)

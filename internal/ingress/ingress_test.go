@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -227,12 +228,25 @@ func TestIngressTCPSubmit(t *testing.T) {
 func TestIngressCutsClientThatStopsReading(t *testing.T) {
 	t.Parallel()
 	ing, _ := startFront(t, 0, 1e-6)
-	conn, err := net.Dial("tcp", ing.TCPAddr())
+	// The small receive buffer is set before connect, so the handshake
+	// advertises its window. Shrunk after connect, the window already
+	// advertised lets the door's replies overrun it; the client's kernel
+	// drops them with the acknowledgements they carry, and the client's own
+	// writes back off for seconds instead of filling the door's buffers.
+	var sockErr error
+	d := net.Dialer{Control: func(_, _ string, c syscall.RawConn) error {
+		if err := c.Control(func(fd uintptr) {
+			sockErr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF, 4<<10)
+		}); err != nil {
+			return err
+		}
+		return sockErr
+	}}
+	conn, err := d.Dial("tcp", ing.TCPAddr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	conn.(*net.TCPConn).SetReadBuffer(4 << 10)
 	var hello server.Hello
 	if err := server.ReadFrame(bufio.NewReader(conn), &hello); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -152,7 +153,7 @@ func (c *Controller) drain(g *modelGroup, ri *remoteInstance) (died bool, err er
 }
 
 // evict is the one fault exit: a dead instance leaves the fleet and its
-// in-flight queries go back to the head of the central queue for
+// in-flight queries go back to the central queue for
 // redispatch to surviving capacity — an instance crash must not drop
 // admitted queries. The read loop calls it when the connection dies,
 // whether the peer went away or the link's writer failed and closed it;
@@ -171,11 +172,12 @@ func (c *Controller) evict(ri *remoteInstance, cause error) {
 	if cb != nil {
 		g.holds++
 	}
-	// Head of the queue, original enqueue times intact: redispatched
-	// queries keep their accumulated wait for latency accounting and
-	// scheduling priority. Inserted in place, so a fault at depth keeps the
-	// queue's grown array.
-	g.waiting = slices.Insert(g.waiting, 0, ri.strand()...)
+	// Back into the queue in enqueue order (sim.State), which is id order:
+	// redispatched queries keep their place and accumulated wait for
+	// latency accounting and scheduling priority. Merged in place, so a
+	// fault at depth keeps the queue's grown array.
+	g.waiting = append(g.waiting, ri.strand()...)
+	slices.SortFunc(g.waiting, func(a, b *pendingQuery) int { return cmp.Compare(a.id, b.id) })
 	g.setState(ri, stateGone)
 	g.mu.Unlock()
 	ri.link.close()

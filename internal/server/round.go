@@ -87,7 +87,10 @@ func (c *Controller) failAll(fails []failure, now time.Time) {
 // guarded by the group's mu except where noted — a steady-state round
 // allocates nothing.
 type roundState struct {
+	// waiting is the central queue, in enqueue order: by id, with stamps
+	// that never fall (sim.State). stamped is the latest stamp given.
 	waiting []*pendingQuery
+	stamped time.Time
 	// holds counts the outstanding Holds, under which an empty group parks.
 	holds int
 
@@ -151,7 +154,12 @@ func (c *Controller) enqueue(model string, batch int, opts SubmitOptions, sink S
 		return nil
 	}
 	q.id = c.nextID.Add(1)
-	q.enqueued = now
+	// A submitter that read the clock before one that took the lock first
+	// takes that one's stamp, so stamps never fall in id order.
+	if now.Before(g.stamped) {
+		now = g.stamped
+	}
+	q.enqueued, g.stamped = now, now
 	q.traced = g.obs.Sampled(q.id)
 	g.waiting = append(g.waiting, q)
 	g.mu.Unlock()

@@ -158,6 +158,8 @@ type simWorld struct {
 	// left it derived: the test's count of ring rebuilds (exact while no
 	// wake-up both rebuilds and evicts).
 	rebuilds int
+	// lag is how long before w.now the next submitter read the clock.
+	lag time.Duration
 
 	// model:
 	nextID                       int64
@@ -254,7 +256,8 @@ func (w *simWorld) submit() {
 func (w *simWorld) submitWith(opts SubmitOptions) {
 	sink := &simSink{}
 	w.sinks = append(w.sinks, sink)
-	admitted := w.c.enqueue(simModel, 1+w.rng.Intn(64), opts, sink, w.now) != nil
+	admitted := w.c.enqueue(simModel, 1+w.rng.Intn(64), opts, sink, w.now.Add(-w.lag)) != nil
+	w.lag = 0
 	w.submitted++
 	if rejected := len(w.members(true)) == 0 && w.holds == 0; rejected == admitted {
 		w.fatalf("enqueue admitted=%v, model says rejected=%v", admitted, rejected)
@@ -270,6 +273,13 @@ func (w *simWorld) submitWith(opts SubmitOptions) {
 		w.alarms = append(w.alarms, opts.Deadline)
 	}
 	w.logf("submit #%d session=%v deadline=%v", w.nextID, opts.SessionHash != 0, !opts.Deadline.IsZero())
+}
+
+// lateSubmit is a submitter that read the clock up to 5 ms before another
+// one took the group's lock ahead of it.
+func (w *simWorld) lateSubmit() {
+	w.lag = time.Duration(1+w.rng.Intn(5)) * time.Millisecond
+	w.submit()
 }
 
 func (w *simWorld) advance() {
@@ -494,6 +504,7 @@ func (w *simWorld) settle() {
 		default:
 			return
 		}
+		w.checkOrder()
 		consults, wasStale, fleet := w.ringBefore()
 		w.c.schedule(w.g, w.clock)
 		w.checkRing(consults, wasStale, fleet)
@@ -738,12 +749,27 @@ func (w *simWorld) step(op func()) {
 	w.reapDrains()
 	w.settle()
 	w.refSettle()
+	w.checkOrder()
+}
+
+// checkOrder: the central queue is in enqueue order, so in id order with
+// stamps that never fall, which the round's exposure rule relies on
+// (sim.State). It runs before every round and after every step.
+func (w *simWorld) checkOrder() {
+	w.g.mu.Lock()
+	defer w.g.mu.Unlock()
+	for i := 1; i < len(w.g.waiting); i++ {
+		if a, b := w.g.waiting[i-1], w.g.waiting[i]; b.id < a.id || b.enqueued.Before(a.enqueued) {
+			w.fatalf("central queue out of enqueue order at %d: #%d, enqueued %v after #%d, stands ahead of it",
+				i, a.id, a.enqueued.Sub(b.enqueued), b.id)
+		}
+	}
 }
 
 func runRoundSim(t *testing.T, seed int64) {
 	w := newSimWorld(t, seed)
 	ops := []func(){
-		w.submit, w.submit, w.submit, w.submit, w.submit, w.submit,
+		w.submit, w.submit, w.submit, w.submit, w.submit, w.lateSubmit,
 		w.advance, w.advance,
 		func() { w.reply(false) }, func() { w.reply(false) }, func() { w.reply(false) }, func() { w.reply(true) },
 		w.join, w.join, w.failWrites, w.killRandom, w.staleReply,

@@ -231,15 +231,12 @@ func (e *engine) startService(idx int, q *Query) {
 	e.push(event{at: q.FinishMS, query: q, instance: idx})
 }
 
-// schedule runs one distribution round if there is work and capacity. It
-// exposes the oldest max(64, 4 × instances) waiting queries: past
-// saturation the simulated queue grows without bound, and a probe must not
-// pay O(queue) per round for rows the policy cannot place.
+// schedule runs one distribution round if there is work and capacity.
 func (e *engine) schedule() {
 	if len(e.waiting) == 0 || len(e.insts) == 0 {
 		return
 	}
-	taken := e.round.Start(min(len(e.waiting), max(64, 4*len(e.insts))))
+	taken := e.round.Start(len(e.waiting))
 	if e.round.Match(e.dist, e.now, e, len(e.insts)) > 0 {
 		e.waiting = Compact(e.waiting, taken)
 	}

@@ -1,15 +1,21 @@
 package sim
 
+import (
+	"math"
+	"sort"
+)
+
 // Round is the query-distribution round of Sec. 5.1 with no clock of its
 // own: it projects a central queue and a fleet into a Distributor's views,
 // asks for assignments, and dispatches the valid ones in the policy's
 // order. The simulator runs it under virtual time, the live controller
 // (internal/server) under the wall clock, and what differs between them is
-// an argument: the instant, the queries exposed (Start), each instance's
-// remaining time and local queue (State.Instance), and queries the caller
-// dispatched itself first (marked in Start's mask). Its scratch is kept
-// across rounds and grows geometrically, so a steady-state round allocates
-// nothing and a queue deepening to N costs O(log N) allocations.
+// an argument: the instant, each instance's remaining time and local queue
+// (State.Instance), and queries the caller dispatched itself first (marked
+// in Start's mask). Which queries the policy sees is decided here, once
+// (see Match). Its scratch is kept across rounds and grows geometrically,
+// so a steady-state round allocates nothing and a queue deepening to N
+// costs O(log N) allocations.
 type Round struct {
 	taken  []bool
 	qviews []QueryView
@@ -18,7 +24,8 @@ type Round struct {
 }
 
 // State is the caller's side of a round: its central queue, indexed by
-// position, and its fleet, indexed as the InstanceViews are.
+// position in enqueue order (so waits never rise with position), and its
+// fleet, indexed as the InstanceViews are.
 type State interface {
 	// Query reports waiting query q's batch size and central-queue wait.
 	Query(q int) (batch int, waitMS float64)
@@ -49,16 +56,24 @@ func (r *Round) Start(n int) []bool {
 // one already taken, or an instance outside [0, ni) is dropped: its query
 // stays waiting for a later round. The views are valid until the next
 // Match.
+//
+// A policy without a Horizon sees every unmarked query. One with a horizon
+// sees every unmarked query that has waited at most HorizonMS, plus the
+// oldest ni+1 of those that waited longer: those are late, penalised on
+// every instance, and the queue's order makes them a prefix, found by
+// binary search and never walked past its first ni+1.
 func (r *Round) Match(p Distributor, nowMS float64, s State, ni int) int {
 	taken := r.taken
-	qviews := r.qviews[:0]
-	for i := range taken {
-		if taken[i] {
-			continue
-		}
-		batch, wait := s.Query(i)
-		qviews = append(qviews, QueryView{Index: i, Batch: batch, WaitMS: wait})
+	fresh := 0
+	if h, ok := p.(Horizon); ok {
+		horizon := h.HorizonMS()
+		fresh = sort.Search(len(taken), func(i int) bool {
+			_, wait := s.Query(i)
+			return wait <= horizon
+		})
 	}
+	qviews := r.expose(r.qviews[:0], s, 0, fresh, ni+1)
+	qviews = r.expose(qviews, s, fresh, len(taken), math.MaxInt)
 	r.qviews = qviews
 	if len(qviews) == 0 {
 		return 0
@@ -89,6 +104,18 @@ func (r *Round) Match(p Distributor, nowMS float64, s State, ni int) int {
 		n++
 	}
 	return n
+}
+
+// expose appends the views of the unmarked queries at positions [from, to)
+// to qviews, stopping once qviews holds most.
+func (r *Round) expose(qviews []QueryView, s State, from, to, most int) []QueryView {
+	for i := from; i < to && len(qviews) < most; i++ {
+		if !r.taken[i] {
+			batch, wait := s.Query(i)
+			qviews = append(qviews, QueryView{Index: i, Batch: batch, WaitMS: wait})
+		}
+	}
+	return qviews
 }
 
 // Compact removes the taken queries from waiting in place, keeping arrival

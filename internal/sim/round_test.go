@@ -13,12 +13,18 @@ import (
 // every dispatch.
 type fakeState struct {
 	batches    []int
+	waits      []float64 // nil: query q has waited q ms
 	types      []string
 	queued     [][]int
 	dispatched []Assignment
 }
 
-func (s *fakeState) Query(q int) (int, float64) { return s.batches[q], float64(q) }
+func (s *fakeState) Query(q int) (int, float64) {
+	if s.waits != nil {
+		return s.batches[q], s.waits[q]
+	}
+	return s.batches[q], float64(q)
+}
 
 func (s *fakeState) Instance(i int, queued []int) (string, float64, []int) {
 	return s.types[i], 1, append(queued, s.queued[i]...)
@@ -94,33 +100,44 @@ func TestRoundSkipsPolicyWithNothingExposed(t *testing.T) {
 	}
 }
 
-// TestRunExposesTheOldestQueries: a simulated round exposes at most
-// max(64, 4 × instances) queries, oldest first.
-func TestRunExposesTheOldestQueries(t *testing.T) {
-	arrivals := make([]workload.Arrival, 100)
-	for i := range arrivals {
-		arrivals[i] = workload.Arrival{AtMS: 1, Batch: 100}
+// TestRoundShowsFreshAndOldestLate: a policy with a horizon sees every
+// unmarked query that waited at most the horizon and the oldest ni+1
+// unmarked ones that waited longer; a policy without one sees every
+// unmarked query.
+func TestRoundShowsFreshAndOldestLate(t *testing.T) {
+	s := &fakeState{
+		batches: []int{1, 2, 3, 4, 5, 6, 7, 8, 9},
+		waits:   []float64{50, 40, 30, 20, 15, 11, 10, 5, 0},
+		types:   []string{"a", "b"}, queued: [][]int{nil, nil},
 	}
-	p := &widest{inner: &LeastLoaded{}}
-	Run(rm2Spec(cloud.Config{1, 0, 0}), p, Options{Arrivals: arrivals})
-	if p.max != 64 || p.first != 0 {
-		t.Fatalf("widest round %d (first index %d), want 64 (0)", p.max, p.first)
+	for _, c := range []struct {
+		p    Distributor
+		want []int
+	}{
+		{&horizoned{horizon: 10}, []int{0, 2, 3, 6, 8}},
+		{&scripted{}, []int{0, 2, 3, 4, 5, 6, 8}},
+	} {
+		var r Round
+		taken := r.Start(len(s.batches))
+		taken[1], taken[7] = true, true
+		r.Match(c.p, 0, s, 2)
+		var got []int
+		for _, v := range r.qviews {
+			got = append(got, v.Index)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%T saw queries %v, want %v", c.p, got, c.want)
+		}
 	}
 }
 
-type widest struct {
-	inner      Distributor
-	max, first int
+// horizoned is a scripted policy with a horizon.
+type horizoned struct {
+	scripted
+	horizon float64
 }
 
-func (p *widest) Name() string { return "widest" }
-
-func (p *widest) Assign(now float64, w []QueryView, in []InstanceView) []Assignment {
-	if len(w) > p.max {
-		p.max, p.first = len(w), w[0].Index
-	}
-	return p.inner.Assign(now, w, in)
-}
+func (p *horizoned) HorizonMS() float64 { return p.horizon }
 
 // idleFirst is an allocation-free policy: each waiting query in order onto
 // the next instance with an empty backlog.

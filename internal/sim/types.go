@@ -104,6 +104,18 @@ type Observer interface {
 	Observe(instance string, batch int, serviceMS float64)
 }
 
+// Horizon is optionally implemented by a Distributor that penalises, on
+// every instance, a query that has waited longer than HorizonMS: Kairos's
+// Eq. 8 deadline, which no completion after that wait can meet. A round
+// shows such a policy only the oldest ni+1 of these late queries among ni
+// instances (Round.Match). That is exact for a policy that, among equally
+// penalised queries, considers at most ni and the oldest first, as
+// Kairos's pruning does; the one more keeps the queries outnumbering the
+// instances whenever they did, so the policy solves the same matrix.
+type Horizon interface {
+	HorizonMS() float64
+}
+
 // ClusterSpec fully describes the simulated deployment.
 type ClusterSpec struct {
 	// Pool is the ordered set of instance types.

@@ -59,7 +59,8 @@ func (c *Chaos) SetDelay(front string, d time.Duration) error {
 }
 
 // SetStall pauses (true) or resumes (false) all traffic to and from the
-// instance without dropping a byte — a transient network partition.
+// instance without dropping a byte a live endpoint sent — a transient
+// network partition.
 func (c *Chaos) SetStall(front string, on bool) error {
 	p, err := c.lookup(front)
 	if err == nil {

@@ -1,7 +1,9 @@
 package soak
 
 import (
+	"errors"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,9 +14,10 @@ import (
 // touching either endpoint. Three knobs:
 //
 //   - delay: each forwarded chunk sleeps first (slow network);
-//   - stall: forwarding pauses entirely — bytes stay queued in the
-//     kernel, nothing is lost, and lifting the stall resumes the stream
-//     intact (a transient partition as TCP actually experiences it);
+//   - stall: forwarding pauses entirely — bytes stay queued, nothing a
+//     live endpoint sent is lost, and lifting the stall resumes the stream
+//     intact (a transient partition as TCP actually experiences it); an
+//     endpoint that dies during the stall loses what it had sent into it;
 //   - cut: every live connection closes and new ones are refused — the
 //     controller sees the instance die even though the backend is healthy
 //     (a hard partition; the fault path reaps the unreachable instance).
@@ -80,33 +83,41 @@ func (p *proxy) serve(client net.Conn) {
 	p.untrack(backend)
 }
 
-// pipe forwards src to dst, honoring the delay and stall knobs. A stall
-// pauses before the read, so in-flight bytes back up in the kernel
-// instead of being dropped mid-frame.
+// pipe forwards src to dst, honoring the delay and stall knobs. During a
+// stall it keeps reading src, polling so a quiet src cannot hide the lift,
+// but forwards nothing: what it holds goes out intact once the stall
+// lifts, and is dropped if src ends first. An instance that dies behind a
+// partition takes its unsent replies with it, so the far side sees the
+// death, not a late drain. Past one buffer the kernel holds the rest.
 func (p *proxy) pipe(dst, src net.Conn, done chan<- struct{}) {
 	defer func() { done <- struct{}{} }()
 	buf := make([]byte, 32<<10)
+	held, polling := 0, false
 	for {
-		n, err := src.Read(buf)
-		if n > 0 {
-			// The stall gate sits between read and write: a chunk read
-			// just as the stall lands is held in buf and forwarded after
-			// the lift, never dropped.
-			for p.stalled.Load() {
-				time.Sleep(2 * time.Millisecond)
-				if p.isCut.Load() {
-					return
-				}
-			}
+		n, err := src.Read(buf[held:])
+		held += n
+		stalled := p.stalled.Load()
+		if held > 0 && !stalled {
 			if d := p.delayNS.Load(); d > 0 {
 				time.Sleep(time.Duration(d))
 			}
-			if _, werr := dst.Write(buf[:n]); werr != nil {
+			if _, werr := dst.Write(buf[:held]); werr != nil {
 				return
 			}
+			held = 0
 		}
-		if err != nil {
+		if err != nil && !errors.Is(err, os.ErrDeadlineExceeded) {
 			return
+		}
+		switch {
+		case stalled && held == len(buf):
+			time.Sleep(2 * time.Millisecond)
+		case stalled:
+			polling = true
+			src.SetReadDeadline(time.Now().Add(2 * time.Millisecond))
+		case polling:
+			polling = false
+			src.SetReadDeadline(time.Time{})
 		}
 	}
 }
