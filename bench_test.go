@@ -153,11 +153,11 @@ func BenchmarkSimulatorEvents(b *testing.B) {
 
 // --- Design-choice ablations (DESIGN.md Sec. 3) ---
 
-// ablationMeasure evaluates RM2 on a fixed heterogeneous configuration
-// under a Kairos variant and reports the allowable throughput as a custom
-// metric, so `-bench Ablation` doubles as a sensitivity study.
-func ablationMeasure(b *testing.B, mutate func(*core.DistributorOptions)) {
-	b.Helper()
+// BenchmarkAblationBaseline evaluates RM2 on a fixed heterogeneous
+// configuration under Kairos and reports the allowable throughput as a
+// custom metric. DESIGN.md "The policy's constants" compares it with
+// variants of the policy's constants.
+func BenchmarkAblationBaseline(b *testing.B) {
 	pool := cloud.DefaultPool()
 	model := models.MustByName("RM2")
 	names := make([]string, len(pool))
@@ -166,13 +166,11 @@ func ablationMeasure(b *testing.B, mutate func(*core.DistributorOptions)) {
 	}
 	spec := sim.ClusterSpec{Pool: pool, Config: cloud.Config{1, 0, 13, 0}, Model: model}
 	factory := func() sim.Distributor {
-		opts := core.DistributorOptions{
+		return core.NewDistributor(core.DistributorOptions{
 			QoS:       model.QoS,
 			BaseType:  pool.Base().Name,
 			Predictor: predictor.Warmed(model.Latency, names, []int{1, 500, 1000}),
-		}
-		mutate(&opts)
-		return core.NewDistributor(opts)
+		})
 	}
 	var qps float64
 	for i := 0; i < b.N; i++ {
@@ -181,47 +179,6 @@ func ablationMeasure(b *testing.B, mutate func(*core.DistributorOptions)) {
 		})
 	}
 	b.ReportMetric(qps, "allowableQPS")
-}
-
-// BenchmarkAblationBaseline is the tuned default configuration.
-func BenchmarkAblationBaseline(b *testing.B) {
-	ablationMeasure(b, func(*core.DistributorOptions) {})
-}
-
-// BenchmarkAblationNoCoefficients drops Def. 1's heterogeneity weighting.
-func BenchmarkAblationNoCoefficients(b *testing.B) {
-	ablationMeasure(b, func(o *core.DistributorOptions) { o.DisableCoefficients = true })
-}
-
-// BenchmarkAblationPenalty2x weakens the Eq. 8 penalty from 10x to 2x.
-func BenchmarkAblationPenalty2x(b *testing.B) {
-	ablationMeasure(b, func(o *core.DistributorOptions) { o.PenaltyFactor = 2 })
-}
-
-// BenchmarkAblationPenalty100x strengthens the Eq. 8 penalty to 100x.
-func BenchmarkAblationPenalty100x(b *testing.B) {
-	ablationMeasure(b, func(o *core.DistributorOptions) { o.PenaltyFactor = 100 })
-}
-
-// BenchmarkAblationXi90 widens the noise safeguard from 2% to 10%.
-func BenchmarkAblationXi90(b *testing.B) {
-	ablationMeasure(b, func(o *core.DistributorOptions) { o.Xi = 0.90 })
-}
-
-// BenchmarkAblationNoAging removes the W_i starvation-avoidance term.
-func BenchmarkAblationNoAging(b *testing.B) {
-	ablationMeasure(b, func(o *core.DistributorOptions) { o.AgingFactor = -1 })
-}
-
-// BenchmarkAblationNoLateBinding lets the matching commit to any busy
-// instance (the literal Eq. 4 setup).
-func BenchmarkAblationNoLateBinding(b *testing.B) {
-	ablationMeasure(b, func(o *core.DistributorOptions) { o.LateBindSlackMS = -1 })
-}
-
-// BenchmarkAblationDeepPending allows three queued queries per instance.
-func BenchmarkAblationDeepPending(b *testing.B) {
-	ablationMeasure(b, func(o *core.DistributorOptions) { o.MaxPending = 3 })
 }
 
 // BenchmarkAblationSimilarityMetric compares the one-shot pick under the

@@ -238,7 +238,6 @@ func runScenario(sc kairos.Scenario, fl *fleetSpec, faults []soak.FaultSpec,
 	report, err := soak.Run(soak.System{AP: ap, Chaos: chaos}, soak.Config{
 		Scenario:        sc,
 		Seed:            fl.seed,
-		TimeScale:       fl.timeScale,
 		Models:          fl.models,
 		Faults:          faults,
 		ConvergeTimeout: converge,

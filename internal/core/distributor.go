@@ -17,17 +17,32 @@ import (
 	"kairos/internal/sim"
 )
 
-// DefaultXi is the paper's noise safeguard: a completion time predicted
-// within 2% of the QoS target is already treated as a violation (Sec. 5.1).
-const DefaultXi = 0.98
-
-// DefaultPenaltyFactor is the Eq. 8 penalty: infeasible pairs cost 10x the
-// QoS target.
-const DefaultPenaltyFactor = 10
-
-// DefaultLateBindSlackMS bounds how far into the future Kairos commits a
-// query to a busy instance (see DistributorOptions.LateBindSlackMS).
-const DefaultLateBindSlackMS = 10
+// The policy's constants: one configuration of Sec. 5.1's matching.
+const (
+	// xi is the paper's noise safeguard: a completion time predicted
+	// within 2% of the QoS target is already treated as a violation.
+	xi = 0.98
+	// penaltyFactor is Eq. 8's: an infeasible pair costs 10x the QoS
+	// target.
+	penaltyFactor = 10
+	// agingFactor weights Eq. 3's W_i starvation-avoidance term: each
+	// feasible cost is reduced by agingFactor*W_i. Subtracting a row
+	// constant never changes which instance a query prefers — it only
+	// promotes long-waiting queries into the matched set when queries
+	// outnumber instances.
+	agingFactor = 1
+	// maxPending caps how many dispatched-but-unstarted queries an
+	// instance may hold and still be matched. Eq. 6 admits one assignment
+	// per instance per round; the L matrix's drain term prices the
+	// queued backlog.
+	maxPending = 1
+	// lateBindSlackMS keeps an instance out of the matching until its
+	// in-flight query is within this many milliseconds of completion.
+	// Early commitment to a busy instance forgoes better placements that
+	// appear before it frees; a small slack keeps pipelining without that
+	// cost.
+	lateBindSlackMS = 10
+)
 
 // DistributorOptions configure the Kairos query distributor.
 type DistributorOptions struct {
@@ -39,34 +54,6 @@ type DistributorOptions struct {
 	// Predictor supplies latency estimates for the L matrix. Nil defaults
 	// to a fresh online learner (the paper's no-prior-knowledge mode).
 	Predictor predictor.Predictor
-	// Xi is the QoS safety factor; 0 defaults to DefaultXi.
-	Xi float64
-	// PenaltyFactor scales the Eq. 8 penalty; 0 defaults to 10.
-	PenaltyFactor float64
-	// DisableCoefficients turns off the heterogeneity weighting (C_j = 1
-	// for all types); used by the ablation benchmarks.
-	DisableCoefficients bool
-	// AgingFactor weights the W_i starvation-avoidance term: each feasible
-	// cost is reduced by AgingFactor*W_i. Subtracting a row constant never
-	// changes which instance a query prefers — it only promotes
-	// long-waiting queries into the matched set when queries outnumber
-	// instances, the starvation concern Eq. 3 raises. Zero defaults to 1;
-	// negative disables aging (the ablation benchmarks use this).
-	AgingFactor float64
-	// MaxPending caps how many dispatched-but-unstarted queries an
-	// instance may hold before it stops being matched (Eq. 6 limits one
-	// assignment per round; the L matrix's remaining-time term covers the
-	// queued backlog). Zero defaults to 1; the ablation benchmarks explore
-	// deeper commitment.
-	MaxPending int
-	// LateBindSlackMS keeps instances out of the matching until their
-	// in-flight query is within this many milliseconds of completion.
-	// Early commitment to a busy instance forgoes better placements that
-	// appear before it frees; a small slack preserves pipelining without
-	// that cost. Zero defaults to DefaultLateBindSlackMS; negative disables
-	// late binding (matching sees every instance, the literal Eq. 4 setup,
-	// explored by the ablation benchmarks).
-	LateBindSlackMS float64
 }
 
 // Distributor is Kairos's query-distribution mechanism. It implements
@@ -142,38 +129,11 @@ func NewDistributor(opts DistributorOptions) *Distributor {
 	if opts.BaseType == "" {
 		panic("core: BaseType required")
 	}
-	if opts.Xi == 0 {
-		opts.Xi = DefaultXi
-	}
-	if opts.Xi <= 0 || opts.Xi > 1 {
-		panic("core: Xi must be in (0,1]")
-	}
-	if opts.PenaltyFactor == 0 {
-		opts.PenaltyFactor = DefaultPenaltyFactor
-	}
-	if opts.PenaltyFactor <= 1 {
-		panic("core: PenaltyFactor must exceed 1")
-	}
-	if opts.AgingFactor == 0 {
-		opts.AgingFactor = 1
-	}
-	if opts.AgingFactor < 0 {
-		opts.AgingFactor = 0
-	}
-	if opts.MaxPending == 0 {
-		opts.MaxPending = 1
-	}
-	if opts.MaxPending < 1 {
-		panic("core: MaxPending must be at least 1")
-	}
-	if opts.LateBindSlackMS == 0 {
-		opts.LateBindSlackMS = DefaultLateBindSlackMS
-	}
 	d := &Distributor{
 		opts:     opts,
 		pred:     opts.Predictor,
-		penalty:  opts.PenaltyFactor * opts.QoS,
-		deadline: opts.Xi * opts.QoS,
+		penalty:  penaltyFactor * opts.QoS,
+		deadline: xi * opts.QoS,
 	}
 	if d.pred == nil {
 		d.pred = predictor.NewOnline()
@@ -201,7 +161,7 @@ func (d *Distributor) HorizonMS() float64 { return d.deadline }
 // largest query) has coefficient 1. Falls back to 1 while the predictor
 // has no data.
 func (d *Distributor) Coefficient(typeName string) float64 {
-	if d.opts.DisableCoefficients || typeName == d.opts.BaseType {
+	if typeName == d.opts.BaseType {
 		return 1
 	}
 	baseLat := d.pred.Predict(d.opts.BaseType, models.MaxBatch)
@@ -221,13 +181,10 @@ func (d *Distributor) Coefficient(typeName string) float64 {
 // and dispatches the min-cost matching (Eqs. 4-8). The result is valid
 // until the next Assign.
 func (d *Distributor) Assign(nowMS float64, waiting []sim.QueryView, instances []sim.InstanceView) []sim.Assignment {
-	// Eligible instances have pending-queue headroom; the one-to-one
-	// mapping constraint (Eq. 6) still admits at most one new dispatch per
+	// Eligible instances hold fewer than maxPending queued queries and at
+	// most lateBindSlackMS of in-flight work; the one-to-one mapping
+	// constraint (Eq. 6) still admits at most one new dispatch per
 	// instance per round, and the drain term prices the backlog.
-	slack := d.opts.LateBindSlackMS
-	if slack < 0 {
-		slack = 1e18 // late binding disabled: every instance is matchable
-	}
 	d.drain = resized(d.drain, len(instances))
 	d.cols = d.cols[:0]
 	for x, in := range instances {
@@ -236,7 +193,7 @@ func (d *Distributor) Assign(nowMS float64, waiting []sim.QueryView, instances [
 			drain += d.pred.Predict(in.TypeName, b)
 		}
 		d.drain[x] = drain
-		if len(in.QueuedBatches) < d.opts.MaxPending && in.RemainingMS <= slack {
+		if len(in.QueuedBatches) < maxPending && in.RemainingMS <= lateBindSlackMS {
 			d.cols = append(d.cols, column{pos: x, drain: drain})
 		}
 	}
@@ -303,7 +260,7 @@ func (d *Distributor) match(waiting []sim.QueryView) (cost assignment.Matrix, co
 	for j, c := range d.cols {
 		for i, q := range waiting {
 			l := c.drain + c.lat[i]
-			v := c.coeff*l - d.opts.AgingFactor*q.WaitMS
+			v := c.coeff*l - agingFactor*q.WaitMS
 			if l+q.WaitMS > d.deadline {
 				// Eq. 8 penalty. Unlike the paper's formulation we keep the
 				// penalty outside the C_j weighting: with strongly

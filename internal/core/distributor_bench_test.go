@@ -72,6 +72,61 @@ func BenchmarkDistributorAssign1000x16(b *testing.B) { benchAssign(b, 1000, 16) 
 // matching round").
 func BenchmarkDistributorAssign1000x64(b *testing.B) { benchAssign(b, 1000, 64) }
 
+// windowState is a central queue and an idle fleet seen by sim.Round:
+// queries in enqueue order, so waits fall with position, and dispatches
+// that change nothing, so every round is the same round.
+type windowState struct {
+	batch []int
+	wait  []float64
+	types []string
+}
+
+func (s *windowState) Query(q int) (int, float64) { return s.batch[q], s.wait[q] }
+func (s *windowState) Instance(i int, queued []int) (string, float64, []int) {
+	return s.types[i], 0, queued
+}
+func (s *windowState) Dispatch(q, i int) {}
+
+// BenchmarkDistributorAssignWindowed1000x16 is burst-deep's round as both
+// clocks run it: 1000 waiting MT-WND queries whose waits straddle Kairos's
+// horizon, on 4 g4dn.xlarge + 12 r5n.large, through sim.Round.Match under
+// kairos+warm. The round shows the policy the 500 queries inside the
+// horizon plus the oldest 17 late ones (DESIGN.md "One round, two
+// clocks").
+func BenchmarkDistributorAssignWindowed1000x16(b *testing.B) {
+	pool := cloud.DefaultPool()
+	m := models.MustByName("MT-WND")
+	d := NewDistributor(DistributorOptions{
+		QoS: m.QoS, BaseType: pool.Base().Name, Predictor: WarmedPredictor(pool, m),
+	})
+	const depth = 1000
+	rng := rand.New(rand.NewSource(42))
+	mix := workload.DefaultTrace()
+	s := &windowState{batch: make([]int, depth), wait: make([]float64, depth)}
+	for i := range s.batch {
+		// Waits fall linearly from twice the horizon to 0: half the queue
+		// is late.
+		s.batch[i] = mix.Sample(rng)
+		s.wait[i] = 2 * d.HorizonMS() * float64(depth-i) / depth
+	}
+	for i := 0; i < 16; i++ {
+		t := cloud.R5nLarge.Name
+		if i < 4 {
+			t = cloud.G4dnXlarge.Name
+		}
+		s.types = append(s.types, t)
+	}
+	var r sim.Round
+	r.Start(depth)
+	r.Match(d, 0, s, len(s.types)) // grow the round's scratch: time the steady state
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Start(depth)
+		r.Match(d, float64(i), s, len(s.types))
+	}
+}
+
 // A flash crowd's onset: a fresh distributor's queue deepening from 1 to
 // 1000 over 16 instances, one round per depth. Its allocs/op is what the
 // round's scratch costs to grow, O(log depth); the DistributorAssign

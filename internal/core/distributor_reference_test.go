@@ -52,13 +52,9 @@ func (ref referenceRound) uniqueOptimum() bool {
 // matrix, assignment.Solve, and the predictor asked again for every cell.
 // It is kept as the oracle of the differential tests below.
 func referenceAssign(d *Distributor, waiting []sim.QueryView, instances []sim.InstanceView) referenceRound {
-	slack := d.opts.LateBindSlackMS
-	if slack < 0 {
-		slack = 1e18
-	}
 	var ref referenceRound
 	for _, in := range instances {
-		if len(in.QueuedBatches) < d.opts.MaxPending && in.RemainingMS <= slack {
+		if len(in.QueuedBatches) < maxPending && in.RemainingMS <= lateBindSlackMS {
 			ref.eligible = append(ref.eligible, in)
 		}
 	}
@@ -75,8 +71,8 @@ func referenceAssign(d *Distributor, waiting []sim.QueryView, instances []sim.In
 
 	m, n := len(waiting), len(ref.eligible)
 	ref.cost = assignment.NewMatrix(m, n)
-	penalty := d.opts.PenaltyFactor * d.opts.QoS
-	deadline := d.opts.Xi * d.opts.QoS
+	penalty := penaltyFactor * d.opts.QoS
+	deadline := xi * d.opts.QoS
 	ref.penalized = make([]bool, m*n)
 	for j, in := range ref.eligible {
 		cj := d.Coefficient(in.TypeName)
@@ -88,7 +84,7 @@ func referenceAssign(d *Distributor, waiting []sim.QueryView, instances []sim.In
 				ref.penalized[i*n+j] = true
 				continue
 			}
-			ref.cost.Set(i, j, cj*l-d.opts.AgingFactor*q.WaitMS)
+			ref.cost.Set(i, j, cj*l-agingFactor*q.WaitMS)
 		}
 	}
 	rows, cols, total, err := assignment.Solve(ref.cost)
@@ -168,16 +164,9 @@ func (g roundGen) distributor() *Distributor {
 	if rng.Intn(2) == 0 {
 		pred = predictor.Warmed(surface, genTypes[:1+rng.Intn(len(genTypes))], []int{1, 300, 1000})
 	}
-	opts := DistributorOptions{QoS: genQoS, BaseType: "base", Predictor: pred}
-	switch rng.Intn(4) {
-	case 0:
-		opts.MaxPending = 2
-	case 1:
-		opts.LateBindSlackMS = -1
-	case 2:
-		opts.AgingFactor = -1
-	}
-	return NewDistributor(opts)
+	// Unused, but drawn: each seed's rounds depend on the whole stream.
+	_ = rng.Intn(4)
+	return NewDistributor(DistributorOptions{QoS: genQoS, BaseType: "base", Predictor: pred})
 }
 
 func (g roundGen) round(maxQueries, maxInstances int) ([]sim.QueryView, []sim.InstanceView) {
@@ -311,7 +300,7 @@ func pastDeadline(d *Distributor, q sim.QueryView, in sim.InstanceView) bool {
 	for _, b := range in.QueuedBatches {
 		drain += d.pred.Predict(in.TypeName, b)
 	}
-	return drain+d.pred.Predict(in.TypeName, q.Batch)+q.WaitMS > d.opts.Xi*d.opts.QoS
+	return drain+d.pred.Predict(in.TypeName, q.Batch)+q.WaitMS > xi*d.opts.QoS
 }
 
 // TestAssignMatchesReferenceTieFree: where the optimum is unique the

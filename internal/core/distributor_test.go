@@ -31,9 +31,6 @@ func TestNewDistributorValidation(t *testing.T) {
 	cases := []DistributorOptions{
 		{QoS: 0, BaseType: "x"},
 		{QoS: 10, BaseType: ""},
-		{QoS: 10, BaseType: "x", Xi: 1.5},
-		{QoS: 10, BaseType: "x", Xi: -0.1},
-		{QoS: 10, BaseType: "x", PenaltyFactor: 0.5},
 	}
 	for i, opts := range cases {
 		func() {
@@ -47,16 +44,27 @@ func TestNewDistributorValidation(t *testing.T) {
 	}
 }
 
+// TestDistributorDefaults pins the policy's constants through what the
+// round does: the horizon is xi = 0.98 of the QoS target, and a pair past
+// it is priced at Eq. 8's 10x the target.
 func TestDistributorDefaults(t *testing.T) {
 	d := NewDistributor(DistributorOptions{QoS: 100, BaseType: "g4dn.xlarge"})
 	if d.Name() != "KAIROS" {
 		t.Fatalf("name = %s", d.Name())
 	}
-	if d.opts.Xi != DefaultXi || d.opts.PenaltyFactor != DefaultPenaltyFactor {
-		t.Fatalf("defaults not applied: %+v", d.opts)
-	}
 	if d.Predictor() == nil {
 		t.Fatal("nil predictor")
+	}
+	if got := d.HorizonMS(); got != 0.98*100 {
+		t.Fatalf("horizon = %v, want 0.98 x QoS", got)
+	}
+	late := []sim.QueryView{{Index: 0, Batch: 10, WaitMS: 200}}
+	idle := []sim.InstanceView{{Index: 0, TypeName: "g4dn.xlarge"}}
+	if got := d.Assign(0, late, idle); len(got) != 1 {
+		t.Fatalf("a doomed query must still be dispatched: %v", got)
+	}
+	if got := d.cost[0]; got != 10*100 {
+		t.Fatalf("penalty = %v, want 10 x QoS", got)
 	}
 }
 
@@ -89,12 +97,6 @@ func TestCoefficientBoundsAndFallbacks(t *testing.T) {
 	p.Observe("aux", models.MaxBatch, 100)
 	if got := d.Coefficient("aux"); got != 1 {
 		t.Fatalf("clamped coefficient = %v, want 1", got)
-	}
-	// Disabled coefficients are always 1.
-	d2 := NewDistributor(DistributorOptions{QoS: 100, BaseType: "base", Predictor: p, DisableCoefficients: true})
-	p.Observe("slow", models.MaxBatch, 1000)
-	if got := d2.Coefficient("slow"); got != 1 {
-		t.Fatalf("disabled coefficient = %v, want 1", got)
 	}
 }
 
@@ -204,7 +206,7 @@ func (p *flipPredictor) Observe(string, int, float64) {}
 // hold queries the matrix had just priced as serveable nowhere.
 func TestAssignOnePredictionPerPairPerRound(t *testing.T) {
 	pred := &flipPredictor{asked: map[string]map[int]int{}}
-	d := NewDistributor(DistributorOptions{QoS: 100, BaseType: "gpu", Predictor: pred, DisableCoefficients: true})
+	d := NewDistributor(DistributorOptions{QoS: 100, BaseType: "gpu", Predictor: pred})
 	waiting := []sim.QueryView{{Index: 0, Batch: 10}, {Index: 1, Batch: 20}, {Index: 2, Batch: 30}}
 	instances := []sim.InstanceView{
 		{Index: 0, TypeName: "gpu"}, {Index: 1, TypeName: "gpu"}, {Index: 2, TypeName: "cpu"},

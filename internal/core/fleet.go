@@ -15,20 +15,6 @@ import (
 // model keeps above its observed arrival rate (ModelDemand.ArrivalQPS).
 const DefaultHeadroom = 0.25
 
-// QoSClass tiers a served model for spot-market planning.
-type QoSClass int
-
-const (
-	// LatencyCritical models (the default) carry a hard tail-latency
-	// target: the allocator's on-demand floor applies to them, so a
-	// simultaneous revocation of every spot instance cannot take the
-	// model below its survival capacity.
-	LatencyCritical QoSClass = iota
-	// BestEffort models tolerate transient capacity loss and may be
-	// served entirely from revocable spot capacity.
-	BestEffort
-)
-
 // ModelDemand couples one served model with the batch-size sample
 // describing its recent traffic — the per-model input to the shared-budget
 // fleet allocator. The sample plays the same role as the query monitor's
@@ -50,17 +36,15 @@ type ModelDemand struct {
 	// non-positive uses DefaultHeadroom. Ignored while ArrivalQPS is zero.
 	Headroom float64
 
-	// Class tiers the model for spot-market planning; the on-demand floor
-	// below binds only LatencyCritical (the default) models.
-	Class QoSClass
 	// OnDemandFloor arms the spot-survival constraint, as a fraction of
 	// ArrivalQPS: every configuration the allocator may select for the
 	// model must retain an on-demand-only throughput upper bound of at
 	// least OnDemandFloor*ArrivalQPS, so losing every spot instance at
 	// once still leaves that fraction of the observed demand servable
 	// (1 = full demand survives on on-demand capacity alone). Zero
-	// disables the floor; it is also inert while ArrivalQPS is zero, for
-	// BestEffort models, and in pools without spot capacity.
+	// disables the floor: a model that tolerates losing its spot capacity
+	// opts out this way. It is also inert while ArrivalQPS is zero and in
+	// pools without spot capacity.
 	OnDemandFloor float64
 }
 
@@ -81,7 +65,7 @@ func (d ModelDemand) cap() float64 {
 // surviving revocation requires at most what the cap lets the model
 // serve anyway.
 func (d ModelDemand) floorQPS() float64 {
-	if d.Class != LatencyCritical || d.OnDemandFloor <= 0 || d.ArrivalQPS <= 0 {
+	if d.OnDemandFloor <= 0 || d.ArrivalQPS <= 0 {
 		return 0
 	}
 	f := d.OnDemandFloor * d.ArrivalQPS
@@ -205,10 +189,9 @@ func (p FleetPlan) String() string {
 // In pools carrying spot-market capacity (cloud.Pool.WithSpotMarket),
 // demands with an OnDemandFloor are additionally risk-bounded: the
 // allocator only considers configurations whose on-demand-only upper
-// bound covers the floor, so a latency-critical model survives losing
-// every spot instance at once (see ModelDemand.OnDemandFloor). Like the
-// demand cap, the floor is applied at read time: one frontier per model
-// serves both.
+// bound covers the floor, so a floored model survives losing every spot
+// instance at once (see ModelDemand.OnDemandFloor). Like the demand cap,
+// the floor is applied at read time: one frontier per model serves both.
 //
 // Every call plans from scratch: it enumerates the budgeted space once,
 // builds each model's frontier over it, and allocates. There is no cache

@@ -22,10 +22,9 @@ func onDemandOnly(pool cloud.Pool, cfg cloud.Config) cloud.Config {
 	return out
 }
 
-// assertFloors fails the test if any latency-critical model with an armed
-// on-demand floor got a nonzero allocation whose on-demand-only upper
-// bound cannot cover the floor — the plan would not survive losing its
-// spot capacity.
+// assertFloors fails the test if any model with an armed on-demand floor
+// got a nonzero allocation whose on-demand-only upper bound cannot cover
+// the floor — the plan would not survive losing its spot capacity.
 func assertFloors(t *testing.T, step string, pool cloud.Pool, demands []ModelDemand, plan FleetPlan) {
 	t.Helper()
 	for _, d := range demands {
@@ -50,9 +49,8 @@ func assertFloors(t *testing.T, step string, pool cloud.Pool, demands []ModelDem
 }
 
 // spotDemands draws random demands like randomDemands but arms demand
-// caps on every model and on-demand floors (and occasionally BestEffort
-// class) on most, so the floor path and its interaction with the cap are
-// both exercised.
+// caps on every model and on-demand floors on most, so the floor path and
+// its interaction with the cap are both exercised.
 func spotDemands(rng *rand.Rand, k int) []ModelDemand {
 	cat := models.Catalog()
 	out := make([]ModelDemand, k)
@@ -69,9 +67,10 @@ func spotDemands(rng *rand.Rand, k int) []ModelDemand {
 			out[i].OnDemandFloor = rng.Float64() // partial survival
 		case 2:
 			out[i].OnDemandFloor = 1 // full demand must survive revocation
-		case 3: // floor set but class opts out of it
-			out[i].OnDemandFloor = rng.Float64()
-			out[i].Class = BestEffort
+		case 3: // opted out of the floor
+			// Unused, but drawn: each seed's cases, and so the golden
+			// plans, depend on the whole stream.
+			_ = rng.Float64()
 		}
 	}
 	return out
@@ -79,9 +78,9 @@ func spotDemands(rng *rand.Rand, k int) []ModelDemand {
 
 // TestFleetPlannerSpotFloorNeverViolated is the risk-bounding property
 // test: across randomized spot markets, demand sets, floors, budgets,
-// and sequences of window, cap, floor and class mutations, no plan ever
-// allocates a latency-critical model a configuration whose on-demand-only
-// upper bound is below its armed floor.
+// and sequences of window, cap and floor mutations, no plan ever
+// allocates a model a configuration whose on-demand-only upper bound is
+// below its armed floor.
 func TestFleetPlannerSpotFloorNeverViolated(t *testing.T) {
 	t.Parallel()
 	seeds := 10
@@ -119,9 +118,11 @@ func TestFleetPlannerSpotFloorNeverViolated(t *testing.T) {
 					i := rng.Intn(len(demands))
 					demands[i].ArrivalQPS = 1 + rng.Float64()*150
 					demands[i].OnDemandFloor = rng.Float64()
-				case 2: // a model flips QoS class
+				case 2: // a model may opt out of its floor
 					i := rng.Intn(len(demands))
-					demands[i].Class = QoSClass(rng.Intn(2))
+					if rng.Intn(2) == 1 {
+						demands[i].OnDemandFloor = 0
+					}
 				case 3: // nothing moved
 				}
 				verify(fmt.Sprintf("step%d", step), demands, b)
@@ -174,9 +175,8 @@ func TestSpotMarketNeverPlansWorse(t *testing.T) {
 }
 
 // TestOnDemandFloorSemantics pins the floor's scoping rules: a full
-// floor forces survivable on-demand capacity for a latency-critical
-// model, while BestEffort models and spot-free pools ignore the knob
-// entirely.
+// floor forces survivable on-demand capacity, while spot-free pools
+// ignore the knob entirely.
 func TestOnDemandFloorSemantics(t *testing.T) {
 	t.Parallel()
 	pool := cloud.DefaultPool().WithSpotMarket(0.6)
@@ -196,20 +196,12 @@ func TestOnDemandFloorSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	free := plan(ModelDemand{Model: m, Samples: samples, ArrivalQPS: 40})
 	floored := plan(ModelDemand{Model: m, Samples: samples, ArrivalQPS: 40, OnDemandFloor: 1})
 	if od := est.UpperBound(onDemandOnly(pool, floored.Config(m.Name))); od < 40-costEps {
 		t.Fatalf("full floor at 40 QPS left only %.4f QPS of on-demand capacity: %v", od, floored)
 	}
 
-	// BestEffort opts out: the floor field must change nothing.
-	bestEffort := plan(ModelDemand{Model: m, Samples: samples, ArrivalQPS: 40,
-		OnDemandFloor: 1, Class: BestEffort})
-	if !bestEffort.Equal(free) {
-		t.Fatalf("BestEffort must ignore the floor: %v vs %v", bestEffort, free)
-	}
-
-	// Spot-free pools ignore it too — the constraint is about revocation.
+	// Spot-free pools ignore it — the constraint is about revocation.
 	noSpot, err := PlanFleet(cloud.DefaultPool(),
 		[]ModelDemand{{Model: m, Samples: samples, ArrivalQPS: 40, OnDemandFloor: 1}}, budget)
 	if err != nil {

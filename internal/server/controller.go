@@ -205,7 +205,6 @@ func (c *Controller) dialInstance(addr string) (*remoteInstance, *wireConn, erro
 		addr:      addr,
 		link:      wc,
 		drained:   make(chan struct{}),
-		byID:      make(map[int64]*pendingQuery),
 		serveHist: c.obs.Model(hello.Model).ServeHist(hello.TypeName),
 		typeID:    c.obs.Intern(hello.TypeName),
 	}, wc, nil

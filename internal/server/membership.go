@@ -42,10 +42,8 @@ type remoteInstance struct {
 	// backlog is pending's predicted service; busyUntil is when it should end.
 	busyUntil time.Time
 	backlog   time.Duration
-	// pending holds dispatched-but-unfinished queries in dispatch order;
-	// byID indexes them for O(1) reply correlation.
+	// pending holds dispatched-but-unfinished queries in dispatch order.
 	pending    []*pendingQuery
-	byID       map[int64]*pendingQuery
 	dispatched int64
 	completed  int64
 	// busyMS accumulates ground-truth service time (model ms) from replies.

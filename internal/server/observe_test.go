@@ -51,7 +51,7 @@ func TestCompletionsTrainTheirModelsPolicy(t *testing.T) {
 		link := &memLink{closed: make(chan struct{})}
 		ri := &remoteInstance{
 			model: model, typeName: typeName, addr: model + "/" + typeName, link: link,
-			drained: make(chan struct{}), byID: map[int64]*pendingQuery{},
+			drained:   make(chan struct{}),
 			serveHist: c.obs.Model(model).ServeHist(typeName), typeID: c.obs.Intern(typeName),
 		}
 		if err := c.admit(ri, func() { <-link.closed }); err != nil {

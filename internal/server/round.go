@@ -242,7 +242,7 @@ func (c *Controller) sweep(g *modelGroup, now time.Time) {
 }
 
 // take dispatches one query to one instance: the busy-time reservation,
-// pending/byID bookkeeping, and flight-recorder stamp every dispatch path
+// pending bookkeeping, and flight-recorder stamp every dispatch path
 // shares. Callers hold g.mu.
 func (c *Controller) take(g *modelGroup, q *pendingQuery, ri *remoteInstance, now time.Time) dispatchItem {
 	if ri.busyUntil.Before(now) {
@@ -252,7 +252,6 @@ func (c *Controller) take(g *modelGroup, q *pendingQuery, ri *remoteInstance, no
 	ri.busyUntil = ri.busyUntil.Add(q.service)
 	ri.backlog += q.service
 	ri.pending = append(ri.pending, q)
-	ri.byID[q.id] = q
 	ri.dispatched++
 	// The round's now doubles as the dispatch timestamp — scheduler wait
 	// is enqueue → here.
@@ -269,7 +268,6 @@ func (c *Controller) take(g *modelGroup, q *pendingQuery, ri *remoteInstance, no
 func (ri *remoteInstance) strand() []*pendingQuery {
 	stranded := ri.pending
 	ri.pending, ri.backlog = nil, 0
-	clear(ri.byID)
 	return stranded
 }
 
@@ -380,21 +378,23 @@ func (v *roundView) Dispatch(q, i int) {
 
 // complete is the one entry for an instance's replies, called by whoever
 // reads its connection with the instant the reply arrived: correlate
-// (O(1) through byID), account, record, deliver, and kick the scheduler —
+// (by id in pending), account, record, deliver, and kick the scheduler —
 // the instance has room again. A reply nobody waits for (its query was
 // stranded by an eviction or failed by Close) is dropped.
 func (c *Controller) complete(ri *remoteInstance, reply Reply, now time.Time) {
 	g := c.groups[ri.model]
 	g.mu.Lock()
-	q := ri.byID[reply.ID]
-	if q != nil {
-		delete(ri.byID, reply.ID)
-		// Instances serve in dispatch order, so the reply is almost
-		// always for the head of pending.
-		if k := slices.Index(ri.pending, q); k >= 0 {
-			ri.pending = slices.Delete(ri.pending, k, k+1)
-			ri.backlog -= q.service
-		}
+	// Instances serve in dispatch order, so the reply is almost always
+	// for the head of pending.
+	k := 0
+	for k < len(ri.pending) && ri.pending[k].id != reply.ID {
+		k++
+	}
+	var q *pendingQuery
+	if k < len(ri.pending) {
+		q = ri.pending[k]
+		ri.pending = slices.Delete(ri.pending, k, k+1)
+		ri.backlog -= q.service
 		// The instance starts its next query as it answers this one, so
 		// the busy clock restarts here, and how far it had fallen behind
 		// the reply is the head slot's clock lag (0 when early).

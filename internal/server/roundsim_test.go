@@ -230,7 +230,7 @@ func (w *simWorld) join() {
 	}
 	in.ri = &remoteInstance{
 		model: simModel, typeName: in.typeName, addr: in.addr, link: in.link,
-		drained: make(chan struct{}), byID: map[int64]*pendingQuery{},
+		drained:   make(chan struct{}),
 		serveHist: w.c.obs.Model(simModel).ServeHist(in.typeName), typeID: w.c.obs.Intern(in.typeName),
 	}
 	w.logf("join %s (%s)", in.addr, in.typeName)
@@ -927,10 +927,10 @@ func TestFailedWriteRetiresInstance(t *testing.T) {
 		t.Fatalf("queries not re-served on the survivor: %+v", st)
 	}
 	w.g.mu.Lock()
-	left, indexed := len(flaky.ri.pending), len(flaky.ri.byID)
+	left := len(flaky.ri.pending)
 	w.g.mu.Unlock()
-	if left != 0 || indexed != 0 {
-		t.Fatalf("retired instance still holds %d pending, %d indexed", left, indexed)
+	if left != 0 {
+		t.Fatalf("retired instance still holds %d pending", left)
 	}
 	// A second report of the same fault is a no-op.
 	w.c.evict(flaky.ri, errMemLink)

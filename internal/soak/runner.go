@@ -50,10 +50,6 @@ type Config struct {
 	// Seed makes the replay (arrivals, batches, fault targeting)
 	// deterministic.
 	Seed int64
-	// TimeScale is the wall-clock compression the system runs under;
-	// arrivals are paced at AtMS*TimeScale wall milliseconds and
-	// latencies divide back out. Zero means 1 (real time).
-	TimeScale float64
 	// Models round-robins the scenario's queries across these models.
 	Models []string
 	// Faults schedules the mid-run perturbations.
@@ -74,9 +70,6 @@ func (c *Config) withDefaults() error {
 	}
 	if len(c.Models) == 0 {
 		return fmt.Errorf("soak: no target models")
-	}
-	if c.TimeScale <= 0 {
-		c.TimeScale = 1
 	}
 	if c.ConvergeTimeout <= 0 {
 		c.ConvergeTimeout = 30 * time.Second
@@ -109,6 +102,9 @@ func Run(sys System, cfg Config) (*Report, error) {
 		}
 	}
 	ctrl := sys.AP.Controller()
+	// The wall-clock compression the system runs under: arrivals are
+	// paced at AtMS*scale wall milliseconds and latencies divide back out.
+	scale := ctrl.TimeScale
 
 	arrivals := cfg.Scenario.Generate(cfg.Seed)
 	if len(arrivals) == 0 {
@@ -164,7 +160,7 @@ func Run(sys System, cfg Config) (*Report, error) {
 
 	start := time.Now()
 	modelMS := func() float64 {
-		return float64(time.Since(start)) / float64(time.Millisecond) / cfg.TimeScale
+		return float64(time.Since(start)) / float64(time.Millisecond) / scale
 	}
 
 	// Faults fire on wall-clock timers; lifts and recovery measurements
@@ -172,7 +168,7 @@ func Run(sys System, cfg Config) (*Report, error) {
 	var faultWG sync.WaitGroup
 	for _, spec := range cfg.Faults {
 		spec := spec
-		delay := time.Duration(spec.At * durMS * cfg.TimeScale * float64(time.Millisecond))
+		delay := time.Duration(spec.At * durMS * scale * float64(time.Millisecond))
 		faultWG.Add(1)
 		timer := time.AfterFunc(delay, func() {
 			defer faultWG.Done()
@@ -186,9 +182,9 @@ func Run(sys System, cfg Config) (*Report, error) {
 	var submitted, admitted, rejected, failed atomic.Int64
 	var queryWG sync.WaitGroup
 	logf("soak: replaying %s: %d arrivals over %.0fms (x%g wall) with %d faults",
-		cfg.Scenario.Name, len(arrivals), durMS, cfg.TimeScale, len(cfg.Faults))
+		cfg.Scenario.Name, len(arrivals), durMS, scale, len(cfg.Faults))
 	for i, a := range arrivals {
-		due := start.Add(time.Duration(a.AtMS * cfg.TimeScale * float64(time.Millisecond)))
+		due := start.Add(time.Duration(a.AtMS * scale * float64(time.Millisecond)))
 		if d := time.Until(due); d > 0 {
 			time.Sleep(d)
 		}
@@ -214,7 +210,7 @@ func Run(sys System, cfg Config) (*Report, error) {
 				failed.Add(1)
 			default:
 				admitted.Add(1)
-				rec.observe(atMS, float64(time.Since(t0))/float64(time.Millisecond)/cfg.TimeScale)
+				rec.observe(atMS, float64(time.Since(t0))/float64(time.Millisecond)/scale)
 			}
 		}()
 	}
@@ -248,7 +244,7 @@ func Run(sys System, cfg Config) (*Report, error) {
 		Scenario:     cfg.Scenario.Name,
 		Seed:         cfg.Seed,
 		DurationMS:   durMS,
-		TimeScale:    cfg.TimeScale,
+		TimeScale:    scale,
 		Submitted:    submitted.Load(),
 		Admitted:     admitted.Load(),
 		Rejected:     rejected.Load(),
@@ -256,7 +252,7 @@ func Run(sys System, cfg Config) (*Report, error) {
 		PlanCost:     sys.AP.Status().Plan.Cost,
 		Faults:       rec.faultEvents(),
 		Trajectory:   rec.trajectory(),
-		StageLatency: stageLatency(ctrl.Obs(), cfg.TimeScale),
+		StageLatency: stageLatency(ctrl.Obs(), scale),
 		Violations:   violations,
 	}
 	if report.Admitted > 0 {
@@ -415,7 +411,7 @@ func injectFault(sys System, spec FaultSpec, rng *rand.Rand, rec *recorder,
 		defer faultWG.Done()
 		for deadline := time.Now().Add(cfg.ConvergeTimeout); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
 			if how := recovered(sys.AP.Faults()); how != "" {
-				rms := float64(time.Since(t0)) / float64(time.Millisecond) / cfg.TimeScale
+				rms := float64(time.Since(t0)) / float64(time.Millisecond) / ctrl.TimeScale
 				rec.setRecovery(pick.addr, rms)
 				logf("soak: %s at %s %s in %.0fms", spec.Kind, pick.addr, how, rms)
 				return
