@@ -6,10 +6,7 @@ import "kairos/internal/experiments"
 // experiments (kairosctl bench).
 type ExperimentScale = experiments.Scale
 
-// QuickScale trades precision for speed; used by benchmarks and CI.
-func QuickScale() ExperimentScale { return experiments.QuickScale() }
-
-// FullScale is the paper-fidelity setting.
+// FullScale is the paper-fidelity setting, the one kairosctl bench runs.
 func FullScale() ExperimentScale { return experiments.FullScale() }
 
 // ExperimentIDs lists the registered experiment identifiers (the paper's

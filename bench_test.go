@@ -14,8 +14,8 @@ import (
 )
 
 // benchScale keeps per-iteration work bounded so `go test -bench=.`
-// finishes in minutes; kairosctl bench -scale full regenerates the
-// paper-fidelity numbers.
+// finishes in minutes; kairosctl bench regenerates the paper-fidelity
+// numbers.
 func benchScale() experiments.Scale {
 	return experiments.Scale{Seed: 42, ProbeQueries: 800, PrecisionFrac: 0.08,
 		OracleQueries: 4000, MonitorSamples: 3000, Budget: 2.5}

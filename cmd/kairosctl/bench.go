@@ -11,18 +11,17 @@ import (
 )
 
 // runBench implements `kairosctl bench`: it regenerates the paper's tables
-// and figures and measures ad-hoc policy/configuration pairs through the
-// engine.
+// and figures at the paper's scale (kairos.FullScale) and measures ad-hoc
+// policy/configuration pairs through the engine.
 //
-//	kairosctl bench -run all                  # every experiment at quick scale
-//	kairosctl bench -run fig8 -scale full
+//	kairosctl bench -run all                  # every experiment, side by side
+//	kairosctl bench -run fig8
 //	kairosctl bench -run measure -policy ribbon -model RM2 -budget 2.5
 //	kairosctl bench -list
 //	kairosctl bench -list-policies
 func runBench(args []string) {
 	fs := flag.NewFlagSet("kairosctl bench", flag.ExitOnError)
 	run := fs.String("run", "all", "experiment id (e.g. fig8), 'all', or 'measure'")
-	scaleName := fs.String("scale", "quick", "fidelity: quick or full")
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	listPolicies := fs.Bool("list-policies", false, "list registered policy names and exit")
 	policy := fs.String("policy", kairos.DefaultPolicy,
@@ -41,16 +40,7 @@ func runBench(args []string) {
 		return
 	}
 
-	var scale kairos.ExperimentScale
-	switch *scaleName {
-	case "quick":
-		scale = kairos.QuickScale()
-	case "full":
-		scale = kairos.FullScale()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q (want quick or full)\n", *scaleName)
-		os.Exit(2)
-	}
+	scale := kairos.FullScale()
 	if *seed != 0 {
 		scale.Seed = *seed
 	}
@@ -78,14 +68,31 @@ func runBench(args []string) {
 	if *run == "all" {
 		ids = kairos.ExperimentIDs()
 	}
-	for _, id := range ids {
-		start := time.Now()
-		out, err := kairos.RunExperiment(id, scale)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+	// The experiments share no mutable state and seed their own streams, so
+	// they all run at once (GOMAXPROCS bounds the parallelism) and each
+	// prints, in registry order, as soon as it and every earlier one are
+	// done: the output cannot depend on the order they finish in.
+	type result struct {
+		out  string
+		err  error
+		wall time.Duration
+	}
+	done := make([]chan result, len(ids))
+	for i, id := range ids {
+		done[i] = make(chan result, 1)
+		go func() {
+			start := time.Now()
+			out, err := kairos.RunExperiment(id, scale)
+			done[i] <- result{out, err, time.Since(start)}
+		}()
+	}
+	for i, id := range ids {
+		r := <-done[i]
+		if r.err != nil {
+			fmt.Fprintln(os.Stderr, r.err)
 			os.Exit(1)
 		}
-		fmt.Printf("=== %s (%s scale, %.1fs) ===\n%s\n", id, *scaleName, time.Since(start).Seconds(), out)
+		fmt.Printf("=== %s (%.1fs) ===\n%s\n", id, r.wall.Seconds(), r.out)
 	}
 }
 

@@ -290,6 +290,26 @@ func TestKairosBeatsFCFSInSimulation(t *testing.T) {
 	}
 }
 
+// TestPolicyConstantsPinned pins the allowable throughput of a cell on
+// which each of the policy's constants shows: RM2 on 3 g4dn.xlarge + 6
+// r5n.large, 2500 probe queries, 0.5 % precision. The constants read
+// 89.555 QPS there; coefficients off read 92.531, a 2x penalty 89.258, a
+// 100x penalty 90.448, xi = 0.90 88.068, late binding off 87.175, aging
+// off 71.406 and three queued queries per instance 83.307 (DESIGN.md "The
+// policy's constants"), so changing any of them fails here.
+func TestPolicyConstantsPinned(t *testing.T) {
+	t.Parallel()
+	pool := cloud.ThreeTypePool()
+	m := models.MustByName("RM2")
+	spec := sim.ClusterSpec{Pool: pool, Config: cloud.Config{3, 0, 6}, Model: m}
+	got := sim.FindAllowableThroughput(spec, func() sim.Distributor {
+		return kairosFor(m, pool)
+	}, sim.FindOptions{ProbeQueries: 2500, Seed: 42, PrecisionFrac: 0.005})
+	if math.Abs(got-89.555) > 0.0005 {
+		t.Fatalf("allowable throughput %.3f QPS, want 89.555", got)
+	}
+}
+
 // TestKairosLearnsOnlineFromColdStart runs Kairos with a cold predictor:
 // after the warmup window its measured performance must approach the
 // warmed predictor variant (the paper's "includes this overhead" remark).

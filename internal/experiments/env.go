@@ -36,14 +36,9 @@ type Scale struct {
 	Budget float64
 }
 
-// FullScale is the paper-fidelity setting.
+// FullScale is the paper-fidelity setting, the one kairosctl bench runs.
 func FullScale() Scale {
 	return Scale{Seed: 42, ProbeQueries: 4000, PrecisionFrac: 0.02, OracleQueries: 20000, MonitorSamples: 10000, Budget: 2.5}
-}
-
-// QuickScale trades precision for speed; used by the benchmarks and CI.
-func QuickScale() Scale {
-	return Scale{Seed: 42, ProbeQueries: 1200, PrecisionFrac: 0.06, OracleQueries: 5000, MonitorSamples: 4000, Budget: 2.5}
 }
 
 // Env is the per-model experimental setup.
@@ -53,12 +48,9 @@ type Env struct {
 	Model models.Model
 	// Batches is the batch-size distribution (default trace-like mix).
 	Batches workload.BatchDistribution
-	// Oracle optionally replaces ground-truth service times.
-	Oracle models.Oracle
-	// PredictionNoise, when positive, corrupts Kairos's latency
-	// predictions with multiplicative Gaussian noise of this standard
-	// deviation fraction (Fig. 16b uses 0.05).
-	PredictionNoise float64
+	// Noise, when positive, perturbs the service times the simulated
+	// cloud delivers (sim.ClusterSpec.Noise; Fig. 16b uses 0.05).
+	Noise float64
 }
 
 // NewEnv builds the default environment for a model.
@@ -87,21 +79,17 @@ func (e Env) Estimator() *core.Estimator {
 
 // Spec assembles a cluster spec for a configuration.
 func (e Env) Spec(cfg cloud.Config) sim.ClusterSpec {
-	return sim.ClusterSpec{Pool: e.Pool, Config: cfg, Model: e.Model, Oracle: e.Oracle}
+	return sim.ClusterSpec{Pool: e.Pool, Config: cfg, Model: e.Model, Noise: e.Noise, NoiseSeed: e.Scale.Seed + 7}
 }
 
 // KairosFactory builds fresh Kairos distributors with a warmed latency
 // model.
 func (e Env) KairosFactory() sim.DistributorFactory {
 	return func() sim.Distributor {
-		var pred predictor.Predictor = core.WarmedPredictor(e.Pool, e.Model)
-		if e.PredictionNoise > 0 {
-			pred = predictor.NewNoisy(pred, e.PredictionNoise, e.Scale.Seed+7)
-		}
 		return core.NewDistributor(core.DistributorOptions{
 			QoS:       e.Model.QoS,
 			BaseType:  e.Pool.Base().Name,
-			Predictor: pred,
+			Predictor: core.WarmedPredictor(e.Pool, e.Model),
 		})
 	}
 }

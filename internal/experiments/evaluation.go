@@ -150,31 +150,40 @@ type Fig10Result struct {
 
 // Fig10 runs the experiment.
 func Fig10(scale Scale) Fig10Result {
-	res := Fig10Result{Order: []string{"RIBBON", "DRS", "CLKWRK", "KAIROS+"}}
-	for _, m := range models.Catalog() {
-		env := NewEnv(scale, cloud.DefaultPool(), m)
-		est := env.Estimator()
-		ranked := est.Rank(scale.Budget)
-		space := len(ranked)
-		row := Fig10Row{Model: m.Name, SpaceSize: space, EvalsPct: map[string]float64{}}
+	cat := models.Catalog()
+	res := Fig10Result{Order: []string{"RIBBON", "DRS", "CLKWRK", "KAIROS+"},
+		Rows: make([]Fig10Row, len(cat))}
+	// Per-model work is independent and deterministic; run it in parallel.
+	var wg sync.WaitGroup
+	for idx, m := range cat {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			env := NewEnv(scale, cloud.DefaultPool(), m)
+			est := env.Estimator()
+			ranked := est.Rank(scale.Budget)
+			space := len(ranked)
+			row := Fig10Row{Model: m.Name, SpaceSize: space, EvalsPct: map[string]float64{}}
 
-		// DRS threshold tuned once per model (on the homogeneous-adjacent
-		// top pick) so per-config tuning does not dominate the count; the
-		// paper likewise ignores DRS's threshold overhead here.
-		drsThr, _, _ := env.TuneDRS(core.SelectOneShot(ranked))
+			// DRS threshold tuned once per model (on the homogeneous-adjacent
+			// top pick) so per-config tuning does not dominate the count; the
+			// paper likewise ignores DRS's threshold overhead here.
+			drsThr, _, _ := env.TuneDRS(core.SelectOneShot(ranked))
 
-		factories := map[string]func(cloud.Config) float64{
-			"RIBBON":  func(c cloud.Config) float64 { return env.Measure(c, env.RibbonFactory()) },
-			"DRS":     func(c cloud.Config) float64 { return env.Measure(c, env.DRSFactory(drsThr)) },
-			"CLKWRK":  func(c cloud.Config) float64 { return env.Measure(c, env.ClockworkFactory()) },
-			"KAIROS+": func(c cloud.Config) float64 { return env.Measure(c, env.KairosFactory()) },
-		}
-		for scheme, eval := range factories {
-			out := core.KairosPlus(ranked, eval)
-			row.EvalsPct[scheme] = float64(out.Evaluations) / float64(space) * 100
-		}
-		res.Rows = append(res.Rows, row)
+			factories := map[string]func(cloud.Config) float64{
+				"RIBBON":  func(c cloud.Config) float64 { return env.Measure(c, env.RibbonFactory()) },
+				"DRS":     func(c cloud.Config) float64 { return env.Measure(c, env.DRSFactory(drsThr)) },
+				"CLKWRK":  func(c cloud.Config) float64 { return env.Measure(c, env.ClockworkFactory()) },
+				"KAIROS+": func(c cloud.Config) float64 { return env.Measure(c, env.KairosFactory()) },
+			}
+			for scheme, eval := range factories {
+				out := core.KairosPlus(ranked, eval)
+				row.EvalsPct[scheme] = float64(out.Evaluations) / float64(space) * 100
+			}
+			res.Rows[idx] = row
+		}()
 	}
+	wg.Wait()
 	return res
 }
 

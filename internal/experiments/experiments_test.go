@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"kairos/internal/cloud"
@@ -190,6 +191,38 @@ func TestRegistryRunsEverything(t *testing.T) {
 		out, err := Run(id, tinyScale())
 		if err != nil || out.String() == "" {
 			t.Fatalf("Run(%s): %v", id, err)
+		}
+	}
+}
+
+// TestExperimentsSideBySide runs every registered experiment that is cheap
+// at tinyScale all at once, as kairosctl bench -run all does, then one by
+// one, and requires the same output: the experiments share no mutable
+// state (go test -race checks that claim) and seed their own streams.
+func TestExperimentsSideBySide(t *testing.T) {
+	// Each of these takes over 2 s at tinyScale on a 2-vCPU VM (fig9 3.3,
+	// fig10 14.1, fig11 20.7, fig13 2.5, fig15 8.6); together with the
+	// rest they take 51 s, which -race multiplies about eightfold.
+	slow := map[string]bool{"fig9": true, "fig10": true, "fig11": true, "fig13": true, "fig15": true}
+	var ids []string
+	for _, id := range IDs() {
+		if !slow[id] {
+			ids = append(ids, id)
+		}
+	}
+	side := make([]string, len(ids))
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			side[i] = Registry[id](tinyScale()).String()
+		}()
+	}
+	wg.Wait()
+	for i, id := range ids {
+		if serial := Registry[id](tinyScale()).String(); serial != side[i] {
+			t.Errorf("%s side by side:\n%s\none by one:\n%s", id, side[i], serial)
 		}
 	}
 }

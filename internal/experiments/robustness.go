@@ -191,11 +191,11 @@ func fig8Body(r Fig8Result) string {
 // Fig16Result reproduces Fig. 16: Kairos's gains when (a) batch sizes are
 // Gaussian and (b) 5% Gaussian white noise perturbs the latencies the
 // cloud actually delivers while the controller predicts the clean values
-// — the paper's "emulate performance variability in the cloud". (Putting
-// the white noise on every prediction call instead creates a
-// winner's-curse selection effect — the min-cost matching picks whichever
-// placement drew the most optimistic noise — that no real system exhibits;
-// predictor.Noisy implements that variant for the ablation suite.)
+// — the paper's "emulate performance variability in the cloud". (The
+// noise is not put on the predictions: fresh noise on every prediction
+// call creates a winner's-curse selection effect — the min-cost matching
+// picks whichever placement drew the most optimistic noise — that no real
+// system exhibits.)
 type Fig16Result struct {
 	Gaussian Fig8Result
 	Noise    Fig8Result
@@ -211,7 +211,7 @@ func Fig16(scale Scale) Fig16Result {
 	})
 	res.Noise = fig8With(scale, func(m models.Model) Env {
 		env := NewEnv(scale, cloud.DefaultPool(), m)
-		env.Oracle = models.NewNoisyOracle(m, 0.05, scale.Seed+7)
+		env.Noise = 0.05
 		return env
 	})
 	return res

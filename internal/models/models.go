@@ -18,7 +18,6 @@ package models
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"kairos/internal/cloud"
 )
@@ -48,14 +47,6 @@ type Model struct {
 	QoS float64
 	// Curves maps instance type name to the latency curve.
 	Curves map[string]Linear
-}
-
-// Oracle yields the service latency of a query; both the ground-truth model
-// and noise-injecting wrappers implement it.
-type Oracle interface {
-	// Latency returns the end-to-end serving latency in milliseconds of a
-	// batch-b query on the named instance type.
-	Latency(instance string, batch int) float64
 }
 
 // curve resolves the latency curve for an instance-type name. Spot-market
@@ -213,32 +204,4 @@ func Names() []string {
 		out[i] = m.Name
 	}
 	return out
-}
-
-// NoisyOracle wraps a ground-truth oracle with multiplicative Gaussian
-// noise, emulating cloud performance variability (Fig. 16b injects Gaussian
-// white noise with 5% deviation into the latency the serving layer actually
-// experiences while the predictor keeps its clean estimate).
-type NoisyOracle struct {
-	Base Oracle
-	// StdDevFrac is the noise standard deviation as a fraction of the true
-	// latency (0.05 reproduces the paper's setting).
-	StdDevFrac float64
-	rng        *rand.Rand
-}
-
-// NewNoisyOracle builds a NoisyOracle seeded deterministically.
-func NewNoisyOracle(base Oracle, stdDevFrac float64, seed int64) *NoisyOracle {
-	return &NoisyOracle{Base: base, StdDevFrac: stdDevFrac, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Latency implements Oracle: true latency times (1 + N(0, StdDevFrac)),
-// clamped to stay positive.
-func (n *NoisyOracle) Latency(instance string, batch int) float64 {
-	base := n.Base.Latency(instance, batch)
-	noisy := base * (1 + n.rng.NormFloat64()*n.StdDevFrac)
-	if noisy < base*0.1 {
-		noisy = base * 0.1
-	}
-	return noisy
 }

@@ -1,7 +1,6 @@
 package models
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -215,41 +214,5 @@ func TestCutoffBatchAtZero(t *testing.T) {
 	m := MustByName("NCF")
 	if got := m.CutoffBatchAt(cloud.T3Xlarge.Name, 0.01); got != 0 {
 		t.Fatalf("cutoff at impossible QoS = %d, want 0", got)
-	}
-}
-
-func TestNoisyOracleStatistics(t *testing.T) {
-	m := MustByName("RM2")
-	noisy := NewNoisyOracle(m, 0.05, 123)
-	inst := cloud.G4dnXlarge.Name
-	base := m.Latency(inst, 200)
-	n := 20000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := noisy.Latency(inst, 200)
-		if v <= 0 {
-			t.Fatal("noisy latency must stay positive")
-		}
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / float64(n)
-	std := math.Sqrt(sumSq/float64(n) - mean*mean)
-	if math.Abs(mean-base)/base > 0.01 {
-		t.Fatalf("noisy mean %v deviates from base %v", mean, base)
-	}
-	if math.Abs(std/base-0.05) > 0.01 {
-		t.Fatalf("noise std fraction = %v, want ~0.05", std/base)
-	}
-}
-
-func TestNoisyOracleDeterministicPerSeed(t *testing.T) {
-	m := MustByName("NCF")
-	a := NewNoisyOracle(m, 0.05, 7)
-	b := NewNoisyOracle(m, 0.05, 7)
-	for i := 0; i < 100; i++ {
-		if a.Latency(cloud.R5nLarge.Name, 50) != b.Latency(cloud.R5nLarge.Name, 50) {
-			t.Fatal("same seed must give identical noise streams")
-		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"kairos/internal/models"
 	"kairos/internal/workload"
 )
 
@@ -141,7 +140,7 @@ func Trace(spec ClusterSpec, dist Distributor, opts Options) []*Query {
 type engine struct {
 	dist     Distributor
 	observer Observer
-	oracle   models.Oracle
+	service  func(instance string, batch int) float64
 	insts    []instance
 	events   minHeap[event]
 	seq      int
@@ -171,7 +170,7 @@ func run(spec ClusterSpec, dist Distributor, opts Options) ([]*Query, []string) 
 	types := spec.InstanceTypes()
 	// Every arrival is pushed upfront and an instance has at most one
 	// completion pending, so the heap never grows.
-	e := &engine{dist: dist, oracle: spec.oracle(), insts: make([]instance, len(types)),
+	e := &engine{dist: dist, service: spec.serviceTimes(), insts: make([]instance, len(types)),
 		events: make(minHeap[event], 0, len(arrivals)+len(types))}
 	e.observer, _ = dist.(Observer)
 	for i, tn := range types {
@@ -225,7 +224,7 @@ func (e *engine) push(ev event) {
 func (e *engine) startService(idx int, q *Query) {
 	in := &e.insts[idx]
 	q.StartMS = e.now
-	q.FinishMS = e.now + e.oracle.Latency(in.typeName, q.Batch)
+	q.FinishMS = e.now + e.service(in.typeName, q.Batch)
 	q.Instance = idx
 	in.inFlight = q
 	e.push(event{at: q.FinishMS, query: q, instance: idx})

@@ -196,3 +196,56 @@ func TestFCFSAssignmentsValidProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestServiceNoiseStatistics checks the noise Fig. 16b injects: service
+// times stay positive and scatter around the clean latency with the
+// spec's standard-deviation fraction.
+func TestServiceNoiseStatistics(t *testing.T) {
+	spec := rm2Spec(cloud.Config{1, 0, 0})
+	spec.Noise, spec.NoiseSeed = 0.05, 123
+	service := spec.serviceTimes()
+	inst := cloud.G4dnXlarge.Name
+	base := spec.Model.Latency(inst, 200)
+	n := 20000
+	sum, sumSq := 0.0, 0.0
+	for i := 0; i < n; i++ {
+		v := service(inst, 200)
+		if v <= 0 {
+			t.Fatal("noisy latency must stay positive")
+		}
+		sum += v
+		sumSq += v * v
+	}
+	mean := sum / float64(n)
+	std := math.Sqrt(sumSq/float64(n) - mean*mean)
+	if math.Abs(mean-base)/base > 0.01 {
+		t.Fatalf("noisy mean %v deviates from base %v", mean, base)
+	}
+	if math.Abs(std/base-0.05) > 0.01 {
+		t.Fatalf("noise std fraction = %v, want ~0.05", std/base)
+	}
+}
+
+// TestNoiseIsCommonRandomNumbers: every run of a noisy spec draws the
+// same noise, so measuring one spec twice gives one answer and a search's
+// probes differ only in their rate, as FindOptions.Seed promises.
+func TestNoiseIsCommonRandomNumbers(t *testing.T) {
+	spec := ClusterSpec{Pool: cloud.ThreeTypePool(), Config: cloud.Config{2, 0, 9},
+		Model: models.MustByName("DIEN"), Noise: 0.05, NoiseSeed: 49}
+	opts := FindOptions{ProbeQueries: 1500, Seed: 42, PrecisionFrac: 0.02}
+	first := FindAllowableThroughput(spec, Static(FCFSAny{}), opts)
+	if again := FindAllowableThroughput(spec, Static(FCFSAny{}), opts); again != first {
+		t.Fatalf("one noisy spec measured %v, then %v", first, again)
+	}
+	orcl := OracleOptions{Queries: 5000, Seed: 42}
+	if a, b := OracleThroughput(spec, orcl), OracleThroughput(spec, orcl); a != b {
+		t.Fatalf("one noisy spec's ORCL read %v, then %v", a, b)
+	}
+	a := Trace(spec, &LeastLoaded{}, Options{RatePerSec: 200, DurationMS: 3000, Seed: 7})
+	b := Trace(spec, &LeastLoaded{}, Options{RatePerSec: 200, DurationMS: 3000, Seed: 7})
+	for i := range a {
+		if *a[i] != *b[i] {
+			t.Fatalf("query %d served as %+v, then %+v", i, *a[i], *b[i])
+		}
+	}
+}

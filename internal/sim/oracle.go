@@ -68,6 +68,7 @@ func oracleOnBatches(spec ClusterSpec, batches []int) float64 {
 	copy(sorted, batches)
 	sort.Ints(sorted)
 
+	service := spec.serviceTimes()
 	base := spec.Pool.Base().Name
 	cutoffs := make([]int, len(types))
 	isBase := make([]bool, len(types))
@@ -103,7 +104,7 @@ func oracleOnBatches(spec ClusterSpec, batches []int) float64 {
 			b = sorted[lo]
 			lo++
 		}
-		finish := slot.at + spec.oracle().Latency(types[i], b)
+		finish := slot.at + service(types[i], b)
 		served++
 		if finish > makespan {
 			makespan = finish

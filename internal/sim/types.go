@@ -8,6 +8,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 
 	"kairos/internal/cloud"
 	"kairos/internal/models"
@@ -124,17 +125,26 @@ type ClusterSpec struct {
 	Config cloud.Config
 	// Model is the served ML model (QoS target and latency surface).
 	Model models.Model
-	// Oracle supplies ground-truth service times; nil uses Model's
-	// deterministic surface. A models.NoisyOracle reproduces Fig. 16b.
-	Oracle models.Oracle
+	// Noise, when positive, multiplies every true service time by
+	// 1 + N(0, Noise), clamped at a tenth of the clean time: the cloud's
+	// performance variability, which predictors do not see (Fig. 16b uses
+	// 0.05). Every run draws from its own stream seeded by NoiseSeed, so a
+	// spec measured twice gives one answer and every probe of a search
+	// sees the same noise (common random numbers).
+	Noise     float64
+	NoiseSeed int64
 }
 
-// oracle resolves the ground-truth service-time source.
-func (s ClusterSpec) oracle() models.Oracle {
-	if s.Oracle != nil {
-		return s.Oracle
+// serviceTimes returns one run's ground-truth service-time source: the
+// model's surface, perturbed by a fresh stream of the spec's noise.
+func (s ClusterSpec) serviceTimes() func(instance string, batch int) float64 {
+	if s.Noise <= 0 {
+		return s.Model.Latency
 	}
-	return s.Model
+	rng := rand.New(rand.NewSource(s.NoiseSeed))
+	return func(instance string, batch int) float64 {
+		return s.Model.Latency(instance, batch) * max(1+rng.NormFloat64()*s.Noise, 0.1)
+	}
 }
 
 // InstanceTypes expands the configuration into one type name per instance,
